@@ -2,12 +2,12 @@
 //!
 //! The simplest competitor to an interpolation search tree is a flat sorted
 //! array: perfect space locality, `O(log n)` lookups, and — in the batched
-//! model — updates by wholesale merge/filter.  [`SortedArraySet`] provides
-//! that baseline as a full [`batchapi::BatchedSet`]: membership batches fan
-//! out through `parprim::map`, inserts merge the new keys in with
-//! `parprim::merge`, and removals compact the survivors with
-//! `parprim::filter`.  Benchmark harnesses drive it and `pbist::IstSet`
-//! through the same trait.
+//! model — updates by wholesale merge/filter.  [`SortedArrayMap`] provides
+//! that baseline as a full [`batchapi::BatchedMap`] ([`SortedArraySet`] is
+//! its `V = ()` alias): lookup batches fan out through `parprim::map`,
+//! inserts merge the new keys in with `parprim::merge`, and removals compact
+//! the survivors with `parprim::filter`.  Benchmark harnesses drive it and
+//! `pbist::IstMap` through the same trait.
 
 #![warn(missing_docs)]
 
@@ -15,36 +15,32 @@ use std::fmt::Debug;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use batchapi::{Batch, BatchedMap, BatchedSet, KvBatch, SetView, SortedVecView};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
 
-/// Batches at or below this length take the sequential in-place path in the
-/// `_report` variants; longer ones reuse the allocating parallel fan-out.
-const SEQ_REPORT_LEN: usize = 1024;
-
-/// A set of keys stored as one sorted, deduplicated array.
+/// A key→value map stored as two index-parallel sorted arrays.
 ///
 /// Point queries are binary searches; batched operations (through the
-/// [`BatchedSet`] impl) run in parallel inside a `forkjoin::Pool`.  Updates
+/// [`BatchedMap`] impl) run in parallel inside a `forkjoin::Pool`.  Updates
 /// rewrite the whole array — O(n + b) per batch, the price a flat layout pays
 /// — which is exactly the trade-off the interpolation search tree is built to
-/// beat.
+/// beat.  Batched inserts are last-wins upserts (see the `batchapi` docs).
 #[derive(Debug, Clone, Default)]
-pub struct SortedArraySet<K: Ord> {
-    // `Arc` so `publish_root` is O(1): a published snapshot shares the whole
-    // array, and updates that follow copy it out first (`Arc::make_mut`) or
-    // swap in a freshly-built array.
+pub struct SortedArrayMap<K, V = ()> {
+    // `Arc`s so a clone — and with it `publish_root` — is O(1): a published
+    // snapshot shares both arrays, and updates that follow copy them out
+    // first (`Arc::make_mut`) or swap in freshly-built ones.
     keys: Arc<Vec<K>>,
+    vals: Arc<Vec<V>>,
 }
 
+/// A set of keys stored as one sorted, deduplicated array: the `V = ()`
+/// instance of [`SortedArrayMap`] (its value array is zero-sized).
+pub type SortedArraySet<K> = SortedArrayMap<K, ()>;
+
 impl<K: Ord> SortedArraySet<K> {
-    /// Builds a set from arbitrary keys; sorts (unstable — keys are plain
-    /// `Ord` values with no tie order to preserve) and deduplicates them.
-    pub fn from_unsorted(mut keys: Vec<K>) -> SortedArraySet<K> {
-        keys.sort_unstable();
-        keys.dedup();
-        SortedArraySet {
-            keys: Arc::new(keys),
-        }
+    /// Builds a set from arbitrary keys; sorts and deduplicates them.
+    pub fn from_unsorted(keys: Vec<K>) -> SortedArraySet<K> {
+        SortedArrayMap::from_batch(Batch::from_unsorted(keys))
     }
 
     /// Builds a set from keys that are already sorted and deduplicated
@@ -54,29 +50,28 @@ impl<K: Ord> SortedArraySet<K> {
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be strictly increasing"
         );
-        SortedArraySet {
+        SortedArrayMap {
+            vals: Arc::new(vec![(); keys.len()]),
             keys: Arc::new(keys),
         }
     }
+}
 
-    /// Number of keys in the set.
-    pub fn len(&self) -> usize {
-        self.keys.len()
+impl<K: Ord, V> SortedArrayMap<K, V> {
+    /// Takes over the (sorted, deduplicated by construction) pairs of
+    /// `batch`.
+    pub fn from_batch(batch: KvBatch<K, V>) -> SortedArrayMap<K, V> {
+        let (keys, vals) = batch.into_parts();
+        SortedArrayMap {
+            keys: Arc::new(keys),
+            vals: Arc::new(vals),
+        }
     }
 
-    /// Returns `true` when the set holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
-    }
-
-    /// Returns `true` when `key` is present.
-    pub fn contains(&self, key: &K) -> bool {
-        self.keys.binary_search(key).is_ok()
-    }
-
-    /// Number of keys strictly smaller than `key`.
-    pub fn rank(&self, key: &K) -> usize {
-        self.keys.partition_point(|k| k < key)
+    /// Builds a map from arbitrary entries; sorts by key and collapses
+    /// duplicates last-wins (the [`KvBatch`] policy).
+    pub fn from_unsorted_entries(entries: Vec<(K, V)>) -> SortedArrayMap<K, V> {
+        SortedArrayMap::from_batch(KvBatch::from_unsorted_entries(entries))
     }
 
     /// The underlying sorted keys.
@@ -85,17 +80,22 @@ impl<K: Ord> SortedArraySet<K> {
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> BatchedSet<K> for SortedArraySet<K> {
+impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> MapView<K, V> for SortedArrayMap<K, V> {
     fn len(&self) -> usize {
-        SortedArraySet::len(self)
+        self.keys.len()
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        let pos = self.keys.binary_search(key).ok()?;
+        Some(self.vals[pos].clone())
     }
 
     fn contains(&self, key: &K) -> bool {
-        SortedArraySet::contains(self, key)
+        self.keys.binary_search(key).is_ok()
     }
 
     fn rank(&self, key: &K) -> usize {
-        SortedArraySet::rank(self, key)
+        self.keys.partition_point(|k| k < key)
     }
 
     fn min(&self) -> Option<&K> {
@@ -106,122 +106,118 @@ impl<K: Ord + Clone + Send + Sync> BatchedSet<K> for SortedArraySet<K> {
         self.keys.last()
     }
 
-    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        parprim::map(batch.as_slice(), |q| self.contains(q))
+    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
+        *out = parprim::map(batch.keys(), |q| self.contains(q));
     }
 
-    fn batch_insert(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let inserted = parprim::map(batch.as_slice(), |q| !self.contains(q));
-        // The genuinely new keys, read off the flags just computed: a sorted
-        // subsequence of the batch, disjoint from the existing keys, so the
-        // merged array stays strictly increasing.
-        let fresh: Vec<K> = batch
-            .iter()
-            .zip(&inserted)
-            .filter(|(_, &new)| new)
-            .map(|(q, _)| q.clone())
-            .collect();
-        self.keys = Arc::new(parprim::merge(&self.keys, &fresh));
-        inserted
+    fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
+        parprim::map(batch.keys(), |q| self.get(q))
     }
 
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let removed = parprim::map(batch.as_slice(), |q| self.contains(q));
-        self.keys = Arc::new(parprim::filter(&self.keys, |k| {
-            batch.binary_search(k).is_err()
-        }));
-        removed
+    fn collect_entries(&self) -> (Vec<K>, Vec<V>) {
+        (self.keys.as_ref().clone(), self.vals.as_ref().clone())
     }
 
-    fn collect_keys(&self) -> Vec<K> {
-        self.keys.as_ref().clone()
-    }
+    // Ordered queries on sorted arrays are direct slice operations —
+    // `O(log n)` to locate plus the output copy, no full materialisation.
 
-    fn publish_root(&self) -> Arc<dyn SetView<K>>
-    where
-        K: 'static,
-    {
-        // O(1): the view shares the array; later updates unshare it.
-        Arc::new(SortedVecView::from_arc(Arc::clone(&self.keys)))
-    }
-
-    fn publish_clone_keys(&self) -> usize {
-        0 // publish_root shares the array, never copies it
+    fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
+        let (start, end) = self.rank_interval(lo, hi);
+        let pairs = self.keys[start..end].iter().zip(&self.vals[start..end]);
+        pairs.map(|(k, v)| (k.clone(), v.clone())).collect()
     }
 
     fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        let (start, end) = batchapi::bounds_to_rank_interval(
-            self.keys.len(),
+        let (start, end) = self.rank_interval(lo, hi);
+        self.keys[start..end].to_vec()
+    }
+
+    fn kth_entry(&self, k: usize) -> Option<(K, V)> {
+        Some((self.keys.get(k)?.clone(), self.vals[k].clone()))
+    }
+}
+
+impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> SortedArrayMap<K, V> {
+    fn rank_interval(&self, lo: Bound<&K>, hi: Bound<&K>) -> (usize, usize) {
+        batchapi::bounds_to_rank_interval(
+            self.len(),
             lo,
             hi,
             |k| self.rank(k),
             |k| self.contains(k),
-        );
-        self.keys[start..end].to_vec()
+        )
     }
+}
 
-    fn kth(&self, k: usize) -> Option<K> {
-        self.keys.get(k).cloned()
-    }
-
-    // Report variants: small batches (where per-batch allocation overhead
-    // actually shows — the flat-combining round loop) fill the reused buffer
-    // with a sequential scan; large batches keep the parallel fan-out and
-    // pay one move into `out`.
-
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        if batch.len() <= SEQ_REPORT_LEN {
-            out.clear();
-            out.extend(batch.iter().map(|q| self.contains(q)));
-        } else {
-            *out = self.batch_contains(batch);
+impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
+    for SortedArrayMap<K, V>
+{
+    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
+        out.clear();
+        if batch.is_empty() {
+            return;
         }
-    }
-
-    fn batch_insert_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        if batch.len() <= SEQ_REPORT_LEN {
-            out.clear();
-            out.extend(batch.iter().map(|q| !self.contains(q)));
-            let fresh: Vec<K> = batch
-                .iter()
-                .zip(out.iter())
-                .filter(|(_, &new)| new)
-                .map(|(q, _)| q.clone())
-                .collect();
-            self.keys = Arc::new(parprim::merge(&self.keys, &fresh));
-        } else {
-            *out = self.batch_insert(batch);
+        let found = parprim::map(batch.keys(), |q| self.keys.binary_search(q));
+        out.extend(found.iter().map(Result::is_err));
+        // The genuinely new keys, read off the searches just done: a sorted
+        // subsequence of the batch, disjoint from the existing keys, so the
+        // merged array stays strictly increasing.
+        let fresh: Vec<K> = batch
+            .iter()
+            .zip(&found)
+            .filter(|(_, at)| at.is_err())
+            .map(|(q, _)| q.clone())
+            .collect();
+        // Values follow the same interleaving: the old runs between batch
+        // positions are copied wholesale, each batch key contributes its
+        // value (replacing the old one when the key was present).  For the
+        // set every step moves zero bytes.
+        let mut vals = Vec::with_capacity(self.vals.len() + fresh.len());
+        let mut copied = 0;
+        for (at, val) in found.iter().zip(batch.vals()) {
+            let (Ok(pos) | Err(pos)) = *at;
+            vals.extend_from_slice(&self.vals[copied..pos]);
+            vals.push(val.clone());
+            copied = pos + at.is_ok() as usize;
         }
+        vals.extend_from_slice(&self.vals[copied..]);
+        self.keys = Arc::new(parprim::merge(&self.keys, &fresh));
+        self.vals = Arc::new(vals);
     }
 
     fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        if batch.len() <= SEQ_REPORT_LEN {
-            out.clear();
-            out.extend(batch.iter().map(|q| self.contains(q)));
-            Arc::make_mut(&mut self.keys).retain(|k| batch.binary_search(k).is_err());
-        } else {
-            *out = self.batch_remove(batch);
+        out.clear();
+        if batch.is_empty() {
+            return;
         }
+        let found = parprim::map(batch.keys(), |q| self.keys.binary_search(q));
+        out.extend(found.iter().map(Result::is_ok));
+        let mut vals = Vec::with_capacity(self.vals.len());
+        let mut copied = 0;
+        for pos in found.into_iter().flatten() {
+            vals.extend_from_slice(&self.vals[copied..pos]);
+            copied = pos + 1;
+        }
+        vals.extend_from_slice(&self.vals[copied..]);
+        self.keys = Arc::new(parprim::filter(&self.keys, |k| {
+            batch.binary_search(k).is_err()
+        }));
+        self.vals = Arc::new(vals);
     }
 
     // Point mutators: one binary search plus an in-place shift — the flat
     // array's O(n) per-op cost, without the singleton-batch detour of the
     // trait defaults.
 
-    fn insert_one(&mut self, key: &K) -> bool {
+    fn upsert_one(&mut self, key: &K, val: &V) -> bool {
         match self.keys.binary_search(key) {
-            Ok(_) => false,
+            Ok(pos) => {
+                Arc::make_mut(&mut self.vals)[pos] = val.clone();
+                false
+            }
             Err(pos) => {
                 Arc::make_mut(&mut self.keys).insert(pos, key.clone());
+                Arc::make_mut(&mut self.vals).insert(pos, val.clone());
                 true
             }
         }
@@ -231,188 +227,32 @@ impl<K: Ord + Clone + Send + Sync> BatchedSet<K> for SortedArraySet<K> {
         match self.keys.binary_search(key) {
             Ok(pos) => {
                 Arc::make_mut(&mut self.keys).remove(pos);
+                Arc::make_mut(&mut self.vals).remove(pos);
                 true
             }
             Err(_) => false,
         }
     }
-}
 
-/// A key→value map stored as two index-parallel sorted arrays — the flat
-/// baseline for [`batchapi::BatchedMap`], mirroring [`SortedArraySet`].
-///
-/// Point lookups are binary searches; batched upserts and removals rewrite
-/// both arrays with one sequential merge/filter pass (`O(n + b)` — the flat
-/// layout's price, which `pbist::IstMap` is built to beat).  Both arrays sit
-/// behind `Arc`s so clones snapshot in `O(1)` and later updates unshare.
-#[derive(Debug, Clone, Default)]
-pub struct SortedArrayMap<K: Ord, V> {
-    keys: Arc<Vec<K>>,
-    vals: Arc<Vec<V>>,
-}
-
-impl<K: Ord, V> SortedArrayMap<K, V> {
-    /// Builds a map from arbitrary entries; sorts by key and collapses
-    /// duplicates last-wins (the [`KvBatch`] policy).
-    pub fn from_unsorted_entries(entries: Vec<(K, V)>) -> SortedArrayMap<K, V> {
-        let (keys, vals) = KvBatch::from_unsorted(entries).into_parts();
-        SortedArrayMap {
-            keys: Arc::new(keys),
-            vals: Arc::new(vals),
-        }
+    /// `O(1)`: the view is a clone of this handle, sharing both arrays;
+    /// later updates unshare them.
+    fn publish_root(&self) -> SharedView<K, V>
+    where
+        K: 'static,
+        V: 'static,
+    {
+        Arc::new(self.clone())
     }
 
-    /// Builds a map from entries whose keys are already strictly increasing
-    /// (checked with a `debug_assert!`).
-    pub fn from_sorted_entries(entries: Vec<(K, V)>) -> SortedArrayMap<K, V> {
-        debug_assert!(
-            entries.windows(2).all(|w| w[0].0 < w[1].0),
-            "keys must be strictly increasing"
-        );
-        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
-        SortedArrayMap {
-            keys: Arc::new(keys),
-            vals: Arc::new(vals),
-        }
-    }
-
-    /// The underlying sorted keys.
-    pub fn keys(&self) -> &[K] {
-        &self.keys
-    }
-}
-
-impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
-    for SortedArrayMap<K, V>
-{
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        self.keys
-            .binary_search(key)
-            .ok()
-            .map(|pos| self.vals[pos].clone())
-    }
-
-    fn contains_key(&self, key: &K) -> bool {
-        self.keys.binary_search(key).is_ok()
-    }
-
-    fn rank(&self, key: &K) -> usize {
-        self.keys.partition_point(|k| k < key)
-    }
-
-    fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        parprim::map(batch.as_slice(), |q| self.get(q))
-    }
-
-    fn batch_insert_kv(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        // One merge pass rewrites both arrays and computes the flags: a
-        // batch key matching an existing one keeps the slot and takes the
-        // batch's value (last-wins upsert).
-        let old_keys = &self.keys;
-        let old_vals = &self.vals;
-        let mut keys = Vec::with_capacity(old_keys.len() + batch.len());
-        let mut vals = Vec::with_capacity(old_keys.len() + batch.len());
-        let mut flags = Vec::with_capacity(batch.len());
-        let mut i = 0;
-        for (q, v) in batch.iter() {
-            while i < old_keys.len() && old_keys[i] < *q {
-                keys.push(old_keys[i].clone());
-                vals.push(old_vals[i].clone());
-                i += 1;
-            }
-            if i < old_keys.len() && old_keys[i] == *q {
-                keys.push(old_keys[i].clone());
-                vals.push(v.clone());
-                i += 1;
-                flags.push(false);
-            } else {
-                keys.push(q.clone());
-                vals.push(v.clone());
-                flags.push(true);
-            }
-        }
-        keys.extend_from_slice(&old_keys[i..]);
-        vals.extend_from_slice(&old_vals[i..]);
-        self.keys = Arc::new(keys);
-        self.vals = Arc::new(vals);
-        flags
-    }
-
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let removed: Vec<bool> = batch
-            .iter()
-            .map(|q| self.keys.binary_search(q).is_ok())
-            .collect();
-        let old_keys = &self.keys;
-        let old_vals = &self.vals;
-        let mut keys = Vec::with_capacity(old_keys.len());
-        let mut vals = Vec::with_capacity(old_keys.len());
-        for (k, v) in old_keys.iter().zip(old_vals.iter()) {
-            if batch.binary_search(k).is_err() {
-                keys.push(k.clone());
-                vals.push(v.clone());
-            }
-        }
-        self.keys = Arc::new(keys);
-        self.vals = Arc::new(vals);
-        removed
-    }
-
-    fn collect_entries(&self) -> Vec<(K, V)> {
-        self.keys
-            .iter()
-            .cloned()
-            .zip(self.vals.iter().cloned())
-            .collect()
-    }
-
-    fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        let (start, end) = batchapi::bounds_to_rank_interval(
-            self.keys.len(),
-            lo,
-            hi,
-            |k| self.rank(k),
-            |k| self.contains_key(k),
-        );
-        self.keys[start..end]
-            .iter()
-            .cloned()
-            .zip(self.vals[start..end].iter().cloned())
-            .collect()
-    }
-
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        let (start, end) = batchapi::bounds_to_rank_interval(
-            self.keys.len(),
-            lo,
-            hi,
-            |k| self.rank(k),
-            |k| self.contains_key(k),
-        );
-        self.keys[start..end].to_vec()
-    }
-
-    fn kth(&self, k: usize) -> Option<(K, V)> {
-        Some((self.keys.get(k)?.clone(), self.vals[k].clone()))
+    fn publish_clone_keys(&self) -> usize {
+        0 // publish_root shares the arrays, never copies them
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchapi::BatchedSet;
 
     #[test]
     fn from_unsorted_sorts_and_dedups() {
@@ -477,9 +317,7 @@ mod tests {
 
     #[test]
     fn report_variants_match_allocating_ones() {
-        // Cover both the sequential small-batch path and the parallel
-        // fall-through above SEQ_REPORT_LEN.
-        for batch_len in [10usize, SEQ_REPORT_LEN + 500] {
+        for batch_len in [10usize, 1_500] {
             let keys: Vec<u64> = (0..5_000u64).map(|i| i * 2).collect();
             let mut a = SortedArraySet::from_sorted(keys.clone());
             let mut b = SortedArraySet::from_sorted(keys);
@@ -554,7 +392,7 @@ mod tests {
     #[test]
     fn set_range_overrides_match_defaults() {
         let set = SortedArraySet::from_sorted((0..1_000u64).map(|i| i * 2).collect());
-        assert_eq!(BatchedSet::publish_clone_keys(&set), 0);
+        assert_eq!(set.publish_clone_keys(), 0);
         assert_eq!(
             set.range_keys(Bound::Included(&10), Bound::Excluded(&20)),
             vec![10, 12, 14, 16, 18]
@@ -578,19 +416,19 @@ mod tests {
             SortedArrayMap::from_unsorted_entries(vec![(3u64, "c"), (1, "a"), (3, "C"), (2, "b")]);
         assert_eq!(map.len(), 3);
         assert_eq!(map.get(&3), Some("C"), "construction is last-wins");
-        let flags = map.batch_insert_kv(&KvBatch::from_unsorted(vec![(2, "B"), (4, "d")]));
+        let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(2, "B"), (4, "d")]));
         assert_eq!(flags, vec![false, true]);
         assert_eq!(map.get(&2), Some("B"), "upsert overwrote");
         assert_eq!(map.get(&4), Some("d"));
         let gone = map.batch_remove(&Batch::from_unsorted(vec![1u64, 9]));
         assert_eq!(gone, vec![true, false]);
-        assert_eq!(map.collect_entries(), vec![(2, "B"), (3, "C"), (4, "d")]);
+        assert_eq!(map.collect_entries(), (vec![2, 3, 4], vec!["B", "C", "d"]));
         assert_eq!(
             map.batch_get(&Batch::from_unsorted(vec![2u64, 5])),
             vec![Some("B"), None]
         );
         assert_eq!(map.rank(&3), 1);
-        assert!(map.contains_key(&3) && !map.contains_key(&5));
+        assert!(map.contains(&3) && !map.contains(&5));
     }
 
     #[test]
@@ -598,7 +436,7 @@ mod tests {
         use std::collections::BTreeMap;
         let entries: Vec<(u64, u64)> = (0..2_000u64).map(|i| (i * 3, i)).collect();
         let oracle: BTreeMap<u64, u64> = entries.iter().copied().collect();
-        let map = SortedArrayMap::from_sorted_entries(entries);
+        let map = SortedArrayMap::from_unsorted_entries(entries);
         for (lo, hi) in [
             (Bound::Unbounded, Bound::Unbounded),
             (Bound::Included(&300), Bound::Excluded(&600)),
@@ -612,18 +450,18 @@ mod tests {
             assert_eq!(map.range_entries(lo, hi), expected, "{lo:?}..{hi:?}");
             assert_eq!(map.range_count(lo, hi), expected.len());
         }
-        assert_eq!(map.kth(0), Some((0, 0)));
-        assert_eq!(map.kth(1_999), Some((5_997, 1_999)));
-        assert_eq!(map.kth(2_000), None);
+        assert_eq!(map.kth_entry(0), Some((0, 0)));
+        assert_eq!(map.kth_entry(1_999), Some((5_997, 1_999)));
+        assert_eq!(map.kth_entry(2_000), None);
         assert_eq!(map.predecessor(&1), Some(0));
         assert_eq!(map.successor(&5_997), None);
     }
 
     #[test]
     fn map_clone_is_a_snapshot() {
-        let mut map = SortedArrayMap::from_sorted_entries((0..100u64).map(|i| (i, i)).collect());
+        let mut map = SortedArrayMap::from_unsorted_entries((0..100u64).map(|i| (i, i)).collect());
         let frozen = map.clone();
-        map.batch_insert_kv(&KvBatch::from_unsorted(vec![(7u64, 700u64)]));
+        map.batch_insert(&KvBatch::from_unsorted_entries(vec![(7u64, 700u64)]));
         assert_eq!(map.get(&7), Some(700));
         assert_eq!(frozen.get(&7), Some(7), "clone saw a later upsert");
     }

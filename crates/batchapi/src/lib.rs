@@ -1,26 +1,48 @@
-//! The batched-operations API shared by every set implementation in this
+//! The batched-operations API shared by every store implementation in this
 //! workspace.
 //!
 //! The paper's computational model is *batched*: operations arrive as sorted,
 //! deduplicated batches, and a data structure processes one whole batch in
-//! parallel before the next one starts.  This crate pins that model down as a
-//! pair of types every backend agrees on:
+//! parallel before the next one starts.  The paper's data type is "a sorted
+//! set (or map)" — one type, and this crate pins it down as one: the **map
+//! is the primitive and the set is its `V = ()` instance**.
 //!
-//! * [`Batch`] — a sorted, deduplicated batch of keys.  Validation and
-//!   normalisation happen **once**, at the boundary; implementations of the
-//!   trait may assume (and exploit) strict ascending order.
-//! * [`BatchedSet`] — the trait tying `batch_contains` / `batch_insert` /
-//!   `batch_remove` together with the shared point accessors (`len`, `rank`,
-//!   `min`/`max`, …), so benchmark harnesses and tests drive any backend
-//!   through one interface.
-//! * [`KeyCodec`] — a fixed-width, order-preserving byte encoding for keys,
-//!   the serialisation contract the durability tier writes its log records
-//!   and snapshots in.
-//! * [`SetView`] — an immutable, shareable (`Send + Sync`) read-only view
-//!   of a set's contents at one linearisation point, published cheaply via
-//!   [`BatchedSet::publish_root`].  A concurrent front-end swaps views
-//!   atomically so lookups can run wait-free against the last published
-//!   root instead of serialising behind a combiner.
+//! * [`KvBatch`] — a sorted batch of key/value pairs with strictly
+//!   increasing keys.  [`Batch`]`<K>` *is* `KvBatch<K, ()>` (a `Vec<()>`
+//!   never allocates), so a set insert hands the backend the very same
+//!   value a map upsert does.  Validation and normalisation happen **once**,
+//!   at the boundary; implementations may assume (and exploit) strict
+//!   ascending key order.
+//! * [`MapView`] — the read half: point `get`/`contains`, `rank`,
+//!   `min`/`max`, batched lookups, `collect_*`, and the five ordered queries
+//!   (`range_*`, `range_count`, `kth`, `predecessor`, `successor`) with
+//!   their [`bounds_to_rank_interval`] defaults written once.  It is
+//!   object-safe: a published snapshot is a [`SharedView`], an
+//!   `Arc<dyn MapView>` a concurrent front-end swaps atomically so lookups
+//!   run wait-free against the last published root.
+//! * [`BatchedMap`] — the backend trait: `MapView` plus the batched and
+//!   point mutators and [`BatchedMap::publish_root`].  The interpolation
+//!   search tree (`pbist::IstMap`), the flat sorted array
+//!   (`baselines::SortedArrayMap`) and any future backend implement it, so
+//!   harnesses and tests drive them through one interface.
+//! * [`BatchedSet`] — a blanket façade over every `BatchedMap<K, ()>` that
+//!   adds only the one method whose *spelling* differs for sets
+//!   (`insert_one(&key)`); everything else a set does is already a
+//!   `BatchedMap<K, ()>` method taking a [`Batch`].
+//! * [`KeyCodec`] — a fixed-width, order-preserving byte encoding for keys
+//!   (and values; `()` encodes to zero bytes), the serialisation contract
+//!   the durability tier writes its log records and snapshots in.
+//!
+//! # Upsert policy: last wins
+//!
+//! [`BatchedMap::batch_insert_report`] is an **upsert**: a key already
+//! present keeps its slot but takes the batch's value, and its flag reports
+//! `false` (= not newly inserted).  Duplicate keys *within* one input are
+//! resolved at [`KvBatch::from_unsorted_entries`] by keeping the last
+//! occurrence, so the net effect equals applying the raw pairs one
+//! `insert(k, v)` at a time in input order.  For `V = ()` both rules are
+//! invisible — overwriting `()` with `()` changes nothing — which is exactly
+//! why the set needs no path of its own.
 //!
 //! The crate is deliberately dependency-free (std only): it defines the
 //! contract, while `pbist`, `baselines`, … provide the parallel
@@ -32,12 +54,32 @@ use std::fmt;
 use std::ops::{Bound, Deref};
 use std::sync::Arc;
 
-/// A sorted, strictly-increasing (hence deduplicated) batch of keys.
+/// A sorted batch of key/value pairs with strictly-increasing (hence
+/// deduplicated) keys.
 ///
-/// All [`BatchedSet`] operations consume batches, never raw slices: the
+/// All [`BatchedMap`] operations consume batches, never raw slices: the
 /// sortedness invariant is established here, exactly once, so every
 /// implementation can partition a batch with binary searches and merge it
-/// into sorted storage without re-checking.
+/// into sorted storage without re-checking.  Keys and values live in two
+/// parallel arrays, so the key run is partitioned exactly as a key-only
+/// batch is (the offsets carve both arrays), and the batch dereferences to
+/// its key slice.
+///
+/// ```
+/// use batchapi::KvBatch;
+///
+/// let batch = KvBatch::from_unsorted_entries(vec![(5u64, 'a'), (1, 'b'), (5, 'c')]);
+/// assert_eq!(batch.keys(), &[1, 5]);
+/// assert_eq!(batch.vals(), &['b', 'c'], "last write to key 5 wins");
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KvBatch<K, V> {
+    keys: Vec<K>,
+    vals: Vec<V>,
+}
+
+/// A sorted, strictly-increasing batch of keys: the `V = ()` instance of
+/// [`KvBatch`].  The unit value array is zero-sized and never allocates.
 ///
 /// ```
 /// use batchapi::Batch;
@@ -47,10 +89,7 @@ use std::sync::Arc;
 /// assert!(Batch::from_sorted(vec![1u64, 2, 3]).is_ok());
 /// assert!(Batch::from_sorted(vec![2u64, 1]).is_err());
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Batch<K> {
-    keys: Vec<K>,
-}
+pub type Batch<K> = KvBatch<K, ()>;
 
 /// Why a key vector was rejected by [`Batch::from_sorted`].
 ///
@@ -105,13 +144,22 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
+/// Checks that `keys` is strictly increasing, naming the first violation.
+fn check_strictly_increasing<K: Ord>(keys: &[K]) -> Result<(), BatchError> {
+    match keys.windows(2).position(|w| w[0] >= w[1]) {
+        None => Ok(()),
+        Some(index) if keys[index] == keys[index + 1] => Err(BatchError::Duplicate { index }),
+        Some(index) => Err(BatchError::OutOfOrder { index }),
+    }
+}
+
 impl<K: Ord> Batch<K> {
     /// Builds a batch from arbitrary keys: sorts (unstable — keys are plain
     /// `Ord` values, there is no tie order to preserve) and deduplicates.
     pub fn from_unsorted(mut keys: Vec<K>) -> Batch<K> {
         keys.sort_unstable();
         keys.dedup();
-        Batch { keys }
+        Batch::from_keys(keys)
     }
 
     /// Wraps keys that are claimed to be sorted and deduplicated, after
@@ -122,34 +170,19 @@ impl<K: Ord> Batch<K> {
     /// Returns [`BatchError::Duplicate`] at the first adjacent pair that is
     /// equal, or [`BatchError::OutOfOrder`] at the first that decreases.
     pub fn from_sorted(keys: Vec<K>) -> Result<Batch<K>, BatchError> {
-        if let Some(index) = keys.windows(2).position(|w| w[0] >= w[1]) {
-            return Err(if keys[index] == keys[index + 1] {
-                BatchError::Duplicate { index }
-            } else {
-                BatchError::OutOfOrder { index }
-            });
-        }
-        Ok(Batch { keys })
+        check_strictly_increasing(&keys)?;
+        Ok(Batch::from_keys(keys))
     }
 
-    /// The empty batch.
-    pub fn empty() -> Batch<K> {
-        Batch { keys: Vec::new() }
+    /// Pairs already-validated keys with their (non-allocating) unit values.
+    fn from_keys(keys: Vec<K>) -> Batch<K> {
+        let vals = vec![(); keys.len()];
+        KvBatch { keys, vals }
     }
 
     /// The keys, strictly increasing.
     pub fn as_slice(&self) -> &[K] {
         &self.keys
-    }
-
-    /// Number of (distinct) keys in the batch.
-    pub fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    /// Returns `true` when the batch holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
     }
 
     /// Consumes the batch, returning the sorted key vector.
@@ -187,9 +220,7 @@ impl<K: Ord> Batch<K> {
             .windows(2)
             .map(|w| {
                 assert!(w[0] <= w[1], "offsets must be non-decreasing");
-                Batch {
-                    keys: self.keys[w[0]..w[1]].to_vec(),
-                }
+                Batch::from_keys(self.keys[w[0]..w[1]].to_vec())
             })
             .collect()
     }
@@ -216,54 +247,19 @@ impl<K: Ord> Batch<K> {
         }
         keys.extend(a.cloned());
         keys.extend(b.cloned());
-        Batch { keys }
+        Batch::from_keys(keys)
     }
-}
-
-impl<K> Deref for Batch<K> {
-    type Target = [K];
-
-    fn deref(&self) -> &[K] {
-        &self.keys
-    }
-}
-
-/// A sorted batch of key/value pairs with strictly-increasing keys — the
-/// map-flavoured counterpart of [`Batch`].
-///
-/// Keys and values live in two parallel arrays so the key run can be
-/// partitioned with the exact same binary searches a [`Batch`] is (the
-/// offsets carve both arrays).
-///
-/// # Duplicate policy: last wins
-///
-/// [`KvBatch::from_unsorted`] resolves duplicate keys by keeping the **last**
-/// occurrence's value, mirroring the sequential semantics of applying the
-/// pairs one `insert(k, v)` at a time in input order.  The sort is stable,
-/// so "last occurrence" means last in the input vector.
-///
-/// ```
-/// use batchapi::KvBatch;
-///
-/// let batch = KvBatch::from_unsorted(vec![(5u64, 'a'), (1, 'b'), (5, 'c')]);
-/// assert_eq!(batch.keys(), &[1, 5]);
-/// assert_eq!(batch.vals(), &['b', 'c'], "last write to key 5 wins");
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct KvBatch<K, V> {
-    keys: Vec<K>,
-    vals: Vec<V>,
 }
 
 impl<K: Ord, V> KvBatch<K, V> {
     /// Builds a batch from arbitrary pairs: stable-sorts by key and
-    /// deduplicates with the documented last-wins policy.
-    pub fn from_unsorted(pairs: Vec<(K, V)>) -> KvBatch<K, V> {
-        let mut pairs = pairs;
-        pairs.sort_by(|a, b| a.0.cmp(&b.0));
+    /// deduplicates with the last-wins policy (see the crate docs) — the
+    /// sort is stable, so "last occurrence" means last in the input vector.
+    pub fn from_unsorted_entries(mut entries: Vec<(K, V)>) -> KvBatch<K, V> {
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
         // `dedup_by` visits (later, earlier-kept) pairs; moving the later
         // value into the kept slot before discarding implements last-wins.
-        pairs.dedup_by(|later, kept| {
+        entries.dedup_by(|later, kept| {
             if later.0 == kept.0 {
                 std::mem::swap(&mut later.1, &mut kept.1);
                 true
@@ -271,12 +267,7 @@ impl<K: Ord, V> KvBatch<K, V> {
                 false
             }
         });
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut vals = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            keys.push(k);
-            vals.push(v);
-        }
+        let (keys, vals) = entries.into_iter().unzip();
         KvBatch { keys, vals }
     }
 
@@ -288,23 +279,14 @@ impl<K: Ord, V> KvBatch<K, V> {
     /// Returns [`BatchError::Duplicate`] / [`BatchError::OutOfOrder`] at the
     /// first offending adjacent key pair (same contract as
     /// [`Batch::from_sorted`]).
-    pub fn from_sorted(pairs: Vec<(K, V)>) -> Result<KvBatch<K, V>, BatchError> {
-        if let Some(index) = pairs.windows(2).position(|w| w[0].0 >= w[1].0) {
-            return Err(if pairs[index].0 == pairs[index + 1].0 {
-                BatchError::Duplicate { index }
-            } else {
-                BatchError::OutOfOrder { index }
-            });
-        }
-        let mut keys = Vec::with_capacity(pairs.len());
-        let mut vals = Vec::with_capacity(pairs.len());
-        for (k, v) in pairs {
-            keys.push(k);
-            vals.push(v);
-        }
+    pub fn from_sorted_entries(entries: Vec<(K, V)>) -> Result<KvBatch<K, V>, BatchError> {
+        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
+        check_strictly_increasing(&keys)?;
         Ok(KvBatch { keys, vals })
     }
+}
 
+impl<K, V> KvBatch<K, V> {
     /// The empty batch.
     pub fn empty() -> KvBatch<K, V> {
         KvBatch {
@@ -328,13 +310,13 @@ impl<K: Ord, V> KvBatch<K, V> {
         self.keys.len()
     }
 
-    /// Returns `true` when the batch holds no pairs.
+    /// Returns `true` when the batch holds no keys.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
     }
 
     /// Iterates the pairs in key order.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub fn entries(&self) -> impl Iterator<Item = (&K, &V)> {
         self.keys.iter().zip(self.vals.iter())
     }
 
@@ -342,17 +324,19 @@ impl<K: Ord, V> KvBatch<K, V> {
     pub fn into_parts(self) -> (Vec<K>, Vec<V>) {
         (self.keys, self.vals)
     }
+}
 
-    /// A [`Batch`] borrowing view of just the keys is not possible without
-    /// a copy; this clones the key run into one (still sorted, so no
-    /// re-validation happens).
-    pub fn key_batch(&self) -> Batch<K>
-    where
-        K: Clone,
-    {
-        Batch {
-            keys: self.keys.clone(),
-        }
+impl<K, V> Default for KvBatch<K, V> {
+    fn default() -> KvBatch<K, V> {
+        KvBatch::empty()
+    }
+}
+
+impl<K, V> Deref for KvBatch<K, V> {
+    type Target = [K];
+
+    fn deref(&self) -> &[K] {
+        &self.keys
     }
 }
 
@@ -397,6 +381,10 @@ pub fn bounds_to_rank_interval<K>(
 /// Unsigned integers encode big-endian; signed integers flip the sign bit
 /// first (offset-binary), which maps the `i64` number line monotonically
 /// onto the `u64` byte order.
+///
+/// Values go through the same trait (the durability tier needs their width,
+/// not their order); `()` — a set's value — encodes to zero bytes, so a set
+/// pays nothing on disk for being the `V = ()` instance of the map.
 ///
 /// ```
 /// use batchapi::KeyCodec;
@@ -472,234 +460,36 @@ macro_rules! signed_key_codec {
 
 signed_key_codec!(i8 => u8, i16 => u16, i32 => u32, i64 => u64, i128 => u128);
 
-/// An ordered set of keys driven by sorted operation batches.
-///
-/// This is the workspace's unified set interface: the interpolation search
-/// tree (`pbist::IstSet`), the flat sorted array (`baselines::SortedArraySet`)
-/// and any future backend implement it, so harnesses compare them through one
-/// API.  Batched methods answer **per batch element, in batch (sorted)
-/// order**, and are expected to exploit a surrounding `forkjoin::Pool` when
-/// one is installed; outside a pool they degrade to sequential loops.
-pub trait BatchedSet<K: Ord> {
-    /// Number of keys in the set.
-    fn len(&self) -> usize;
+impl KeyCodec for () {
+    const WIDTH: usize = 0;
 
-    /// Returns `true` when the set holds no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
+    fn encode(&self, _buf: &mut [u8]) {}
 
-    /// Returns `true` when `key` is present.
-    fn contains(&self, key: &K) -> bool;
-
-    /// Number of keys strictly smaller than `key`.
-    fn rank(&self, key: &K) -> usize;
-
-    /// The smallest key, or `None` for an empty set.
-    fn min(&self) -> Option<&K>;
-
-    /// The largest key, or `None` for an empty set.
-    fn max(&self) -> Option<&K>;
-
-    /// Answers one membership query per batch element: `result[i]` is `true`
-    /// iff `batch[i]` is in the set.
-    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool>;
-
-    /// Inserts every batch element: `result[i]` is `true` iff `batch[i]` was
-    /// **newly** inserted (`false` means it was already present).
-    fn batch_insert(&mut self, batch: &Batch<K>) -> Vec<bool>;
-
-    /// Removes every batch element: `result[i]` is `true` iff `batch[i]` was
-    /// present (and has now been removed).
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool>;
-
-    /// Like [`BatchedSet::batch_contains`], but reports the flags through
-    /// `out` (cleared first, then filled to exactly `batch.len()` entries),
-    /// so a caller issuing many batches can reuse one buffer instead of
-    /// allocating a fresh `Vec` per batch.  The flat-combining front-end's
-    /// round loop is the motivating consumer.
-    ///
-    /// The default implementation delegates to the allocating variant;
-    /// implementations that can write flags in place should override it.
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        out.append(&mut self.batch_contains(batch));
-    }
-
-    /// Result-reporting variant of [`BatchedSet::batch_insert`]: per-key
-    /// "newly inserted?" flags land in `out` (cleared first), reusing its
-    /// capacity across calls.
-    fn batch_insert_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        out.append(&mut self.batch_insert(batch));
-    }
-
-    /// Result-reporting variant of [`BatchedSet::batch_remove`]: per-key
-    /// "was present?" flags land in `out` (cleared first), reusing its
-    /// capacity across calls.
-    fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        out.append(&mut self.batch_remove(batch));
-    }
-
-    /// Inserts a single key, returning `true` iff it was newly inserted —
-    /// the degenerate batch.  The default wraps the key in a singleton
-    /// [`Batch`]; backends with a cheaper point path should override (a
-    /// combining front-end's rounds degenerate to single operations
-    /// whenever clients outnumber actual concurrency).
-    fn insert_one(&mut self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        self.batch_insert(&Batch::from_unsorted(vec![key.clone()]))[0]
-    }
-
-    /// Removes a single key, returning `true` iff it was present.  See
-    /// [`BatchedSet::insert_one`].
-    fn remove_one(&mut self, key: &K) -> bool
-    where
-        K: Clone,
-    {
-        self.batch_remove(&Batch::from_unsorted(vec![key.clone()]))[0]
-    }
-
-    /// Clones every key out of the set, in ascending order — the full
-    /// contents as one sorted run, ready to become a [`Batch`] without
-    /// re-validation.  The durability tier's snapshots are the motivating
-    /// consumer: snapshot = `collect_keys`, recovery = rebuild from the
-    /// collected batch and replay the log tail.  Implementations should
-    /// flatten in parallel where their structure allows (`pbist` forks per
-    /// subtree).
-    fn collect_keys(&self) -> Vec<K>
-    where
-        K: Clone;
-
-    /// Publishes an immutable [`SetView`] of the current contents, for a
-    /// concurrent front-end to serve wait-free reads from.
-    ///
-    /// The view must answer every read-only query exactly as the set would
-    /// at the moment of the call, and must stay valid (and unchanged) while
-    /// later mutations run — i.e. mutations must be copy-on-write with
-    /// respect to any outstanding view.  Backends whose update paths
-    /// already produce fresh nodes (`pbist` path-copies on update and
-    /// rebuilds drifted subtrees wholesale) publish in `O(1)` by handing
-    /// out their current root; the default clones the full contents into a
-    /// [`SortedVecView`], which is correct for any backend but `O(n)` per
-    /// publication.
-    ///
-    /// **Override requirement**: a combining front-end calls this after
-    /// *every mutating round*, so the default turns each round into a full
-    /// scan — fine for toy backends and tests, a performance bug in
-    /// production.  Any backend meant to sit behind `combine` should
-    /// override `publish_root` with a structural share **and** override
-    /// [`BatchedSet::publish_clone_keys`] to return `0` so the front-end's
-    /// `combine.publish_clone_keys` counter stays silent.
-    fn publish_root(&self) -> Arc<dyn SetView<K>>
-    where
-        K: Clone + Send + Sync + 'static,
-    {
-        Arc::new(SortedVecView::new(self.collect_keys()))
-    }
-
-    /// Number of keys [`BatchedSet::publish_root`] copies to build its view
-    /// — the per-publication cost a combining front-end pays after every
-    /// mutating round.  The default (`len()`) matches the default
-    /// `publish_root`, which clones the full contents; backends that
-    /// publish by structural sharing must override this to return `0`.
-    /// The flat-combining front-end feeds this into its
-    /// `combine.publish_clone_keys` counter, so an accidental O(n)-per-round
-    /// publication is visible in telemetry rather than silently tanking
-    /// write throughput.
-    fn publish_clone_keys(&self) -> usize {
-        self.len()
-    }
-
-    /// Keys inside the `(lo, hi)` bound pair, in ascending order.
-    ///
-    /// The default materialises the full contents and slices it — `O(n)`
-    /// but correct for any backend; ordered backends override with a
-    /// structure-aware carve (`pbist` descends once and concatenates whole
-    /// subtrees between the two boundary leaves).
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Clone,
-    {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        let mut keys = self.collect_keys();
-        keys.truncate(end);
-        keys.drain(..start);
-        keys
-    }
-
-    /// Number of keys inside the `(lo, hi)` bound pair — two rank queries,
-    /// no materialisation.
-    fn range_count(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        end - start
-    }
-
-    /// The `k`-th smallest key (0-indexed), or `None` when `k >= len()`.
-    /// Also known as `select` — the inverse of [`BatchedSet::rank`].
-    ///
-    /// The default materialises the contents (`O(n)`); ordered backends
-    /// override with an indexed descent.
-    fn kth(&self, k: usize) -> Option<K>
-    where
-        K: Clone,
-    {
-        if k >= self.len() {
-            return None;
-        }
-        self.collect_keys().into_iter().nth(k)
-    }
-
-    /// The largest key strictly smaller than `key`, or `None` when no key
-    /// precedes it.  Derived from [`BatchedSet::rank`] + [`BatchedSet::kth`].
-    fn predecessor(&self, key: &K) -> Option<K>
-    where
-        K: Clone,
-    {
-        match self.rank(key) {
-            0 => None,
-            r => self.kth(r - 1),
-        }
-    }
-
-    /// The smallest key strictly greater than `key`, or `None` when no key
-    /// follows it.  Derived from [`BatchedSet::rank`] + [`BatchedSet::kth`].
-    fn successor(&self, key: &K) -> Option<K>
-    where
-        K: Clone,
-    {
-        self.kth(self.rank(key) + self.contains(key) as usize)
-    }
+    fn decode(_buf: &[u8]) {}
 }
 
-/// An ordered key→value map driven by sorted operation batches — the
-/// store-flavoured sibling of [`BatchedSet`].
+/// An immutable, shareable [`MapView`]: what [`BatchedMap::publish_root`]
+/// hands a concurrent front-end to serve wait-free reads from.
+pub type SharedView<K, V = ()> = Arc<dyn MapView<K, V> + Send + Sync>;
+
+/// The read half of an ordered key→value store: everything that can be
+/// asked of its contents at one linearisation point.
 ///
-/// Same computational model: mutations arrive as sorted, deduplicated
-/// batches ([`KvBatch`] for inserts, [`Batch`] for removals) and answer
-/// **per batch element, in batch order**.  Backends are expected to share
-/// machinery with their set implementation (`pbist`'s leaves carry a value
-/// array parallel to the key run; the sorted-array baseline keeps a second
-/// parallel vector).
+/// Implemented by every live backend (as the supertrait of [`BatchedMap`])
+/// *and* by the frozen snapshots they publish ([`SharedView`]), so a query
+/// is written once and runs against either.  Batched lookups answer **per
+/// batch element, in batch (sorted) order**, and are expected to exploit a
+/// surrounding `forkjoin::Pool` when one is installed.
 ///
-/// # Duplicate / upsert policy
-///
-/// [`BatchedMap::batch_insert_kv`] is an **upsert with last-wins
-/// semantics**: a key already present keeps its slot but takes the batch's
-/// value (the flag reports `false` = not newly inserted), and duplicate
-/// keys *within* one input are resolved at [`KvBatch`] construction by
-/// keeping the last occurrence.  The net effect equals applying the raw
-/// input pairs one `insert(k, v)` at a time in input order.
-pub trait BatchedMap<K: Ord, V> {
-    /// Number of keys in the map.
+/// The ordered queries all derive from `rank` + `contains` through
+/// [`bounds_to_rank_interval`]; the defaults materialise the contents
+/// (`O(n)`, correct for any backend) and ordered backends override
+/// `range_entries`/`range_keys`/`kth_entry` with structure-aware descents.
+pub trait MapView<K, V = ()> {
+    /// Number of keys in the store.
     fn len(&self) -> usize;
 
-    /// Returns `true` when the map holds no keys.
+    /// Returns `true` when the store holds no keys.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -709,54 +499,85 @@ pub trait BatchedMap<K: Ord, V> {
     where
         V: Clone;
 
+    /// Returns `true` when `key` is present (no value is cloned).
+    fn contains(&self, key: &K) -> bool;
+
     /// Number of keys strictly smaller than `key`.
     fn rank(&self, key: &K) -> usize;
+
+    /// The smallest key, or `None` for an empty store.
+    fn min(&self) -> Option<&K>;
+
+    /// The largest key, or `None` for an empty store.
+    fn max(&self) -> Option<&K>;
+
+    /// Answers one membership query per batch element into `out` (cleared
+    /// first, then filled to exactly `batch.len()` entries), so a caller
+    /// issuing many batches reuses one buffer instead of allocating a fresh
+    /// `Vec` per batch.  The default is a loop of point lookups; backends
+    /// with a joint traversal override it.
+    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
+        out.clear();
+        out.extend(batch.iter().map(|q| self.contains(q)));
+    }
+
+    /// Allocating variant of [`MapView::batch_contains_report`]:
+    /// `result[i]` is `true` iff `batch[i]` is present.
+    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
+        let mut out = Vec::new();
+        self.batch_contains_report(batch, &mut out);
+        out
+    }
 
     /// One lookup per batch element: `result[i]` is `batch[i]`'s value, or
     /// `None` when absent.
     fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>>
     where
-        V: Clone;
+        V: Clone,
+    {
+        batch.iter().map(|q| self.get(q)).collect()
+    }
 
-    /// Upserts every pair (see the trait-level duplicate policy):
-    /// `result[i]` is `true` iff key `i` was **newly** inserted; `false`
-    /// means it was present and its value has been overwritten.
-    fn batch_insert_kv(&mut self, batch: &KvBatch<K, V>) -> Vec<bool>;
-
-    /// Removes every batch key: `result[i]` is `true` iff `batch[i]` was
-    /// present (and its pair has now been removed).
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool>;
-
-    /// Clones every pair out of the map in ascending key order — the
-    /// durability tier's snapshot source, mirroring
-    /// [`BatchedSet::collect_keys`].
-    fn collect_entries(&self) -> Vec<(K, V)>
+    /// Clones every pair out of the store as parallel key and value arrays
+    /// in ascending key order — the full contents as one sorted run, ready
+    /// to become a [`KvBatch`].  The durability tier's snapshots are the
+    /// motivating consumer: snapshot = `collect_entries`, recovery =
+    /// rebuild from the collected batch and replay the log tail.
+    /// Implementations should flatten in parallel where their structure
+    /// allows (`pbist` forks per subtree).
+    fn collect_entries(&self) -> (Vec<K>, Vec<V>)
     where
         K: Clone,
         V: Clone;
 
+    /// The key half of [`MapView::collect_entries`].
+    fn collect_keys(&self) -> Vec<K>
+    where
+        K: Clone,
+        V: Clone,
+    {
+        self.collect_entries().0
+    }
+
     /// Pairs whose keys fall inside the `(lo, hi)` bound pair, ascending.
-    /// Default materialises and slices (`O(n)`); ordered backends override.
+    ///
+    /// The default materialises the full contents and slices it — `O(n)`
+    /// but correct for any backend; ordered backends override with a
+    /// structure-aware carve (`pbist` descends once and concatenates whole
+    /// subtrees between the two boundary leaves).
     fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)>
     where
         K: Clone,
         V: Clone,
     {
-        let (start, end) = bounds_to_rank_interval(
-            self.len(),
-            lo,
-            hi,
-            |k| self.rank(k),
-            |k| self.contains_key(k),
-        );
-        let mut entries = self.collect_entries();
-        entries.truncate(end);
-        entries.drain(..start);
-        entries
+        let (start, end) =
+            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
+        let (keys, vals) = self.collect_entries();
+        keys.into_iter().zip(vals).take(end).skip(start).collect()
     }
 
     /// Keys inside the `(lo, hi)` bound pair, ascending (the key half of
-    /// [`BatchedMap::range_entries`]).
+    /// [`MapView::range_entries`]).
     fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
     where
         K: Clone,
@@ -768,20 +589,18 @@ pub trait BatchedMap<K: Ord, V> {
             .collect()
     }
 
-    /// Number of keys inside the `(lo, hi)` bound pair — two rank queries.
+    /// Number of keys inside the `(lo, hi)` bound pair — two rank queries,
+    /// no materialisation.
     fn range_count(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
-        let (start, end) = bounds_to_rank_interval(
-            self.len(),
-            lo,
-            hi,
-            |k| self.rank(k),
-            |k| self.contains_key(k),
-        );
+        let (start, end) =
+            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
         end - start
     }
 
     /// The `k`-th smallest pair (0-indexed), or `None` when `k >= len()`.
-    fn kth(&self, k: usize) -> Option<(K, V)>
+    /// The default materialises the contents (`O(n)`); ordered backends
+    /// override with an indexed descent.
+    fn kth_entry(&self, k: usize) -> Option<(K, V)>
     where
         K: Clone,
         V: Clone,
@@ -789,122 +608,26 @@ pub trait BatchedMap<K: Ord, V> {
         if k >= self.len() {
             return None;
         }
-        self.collect_entries().into_iter().nth(k)
-    }
-
-    /// The largest key strictly smaller than `key`, or `None`.
-    fn predecessor(&self, key: &K) -> Option<K>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        match self.rank(key) {
-            0 => None,
-            r => self.kth(r - 1).map(|(k, _)| k),
-        }
-    }
-
-    /// The smallest key strictly greater than `key`, or `None`.
-    fn successor(&self, key: &K) -> Option<K>
-    where
-        K: Clone,
-        V: Clone,
-    {
-        self.kth(self.rank(key) + self.contains_key(key) as usize)
-            .map(|(k, _)| k)
-    }
-
-    /// Membership without cloning the value — the `contains` the rank
-    /// arithmetic above needs.
-    fn contains_key(&self, key: &K) -> bool;
-}
-///
-/// Produced by [`BatchedSet::publish_root`] and consumed by the
-/// flat-combining front-end's wait-free read path: the combiner publishes a
-/// fresh view at the end of every mutating round, readers clone the `Arc`
-/// and query it with no further coordination.  Implementations must be
-/// cheap to query from many threads at once (`Send + Sync`, interior
-/// immutability).
-pub trait SetView<K>: Send + Sync {
-    /// Number of keys in the viewed set.
-    fn len(&self) -> usize;
-
-    /// Returns `true` when the viewed set holds no keys.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Returns `true` when `key` is present.
-    fn contains(&self, key: &K) -> bool;
-
-    /// Number of keys strictly smaller than `key`.
-    fn rank(&self, key: &K) -> usize;
-
-    /// The smallest key, or `None` for an empty view.
-    fn min(&self) -> Option<&K>;
-
-    /// The largest key, or `None` for an empty view.
-    fn max(&self) -> Option<&K>;
-
-    /// Answers one membership query per batch element into `out` (cleared
-    /// first, then filled to exactly `batch.len()` entries) — the buffer
-    /// reuse mirrors [`BatchedSet::batch_contains_report`].
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>);
-
-    /// Allocating variant of [`SetView::batch_contains_report`].
-    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_contains_report(batch, &mut out);
-        out
-    }
-
-    /// Clones every key out of the view in ascending order (the same
-    /// contract as [`BatchedSet::collect_keys`], frozen at the view's
-    /// linearisation point).
-    fn collect_keys(&self) -> Vec<K>;
-
-    /// Keys inside the `(lo, hi)` bound pair, ascending — the view-side
-    /// twin of [`BatchedSet::range_keys`], frozen at the view's
-    /// linearisation point.  The default materialises and slices (`O(n)`);
-    /// real views override with a structure-aware carve.
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Ord + Clone,
-    {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        let mut keys = self.collect_keys();
-        keys.truncate(end);
-        keys.drain(..start);
-        keys
-    }
-
-    /// Number of keys inside the `(lo, hi)` bound pair — two rank queries.
-    fn range_count(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize
-    where
-        K: Ord,
-    {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        end - start
+        let (keys, vals) = self.collect_entries();
+        keys.into_iter().zip(vals).nth(k)
     }
 
     /// The `k`-th smallest key (0-indexed), or `None` when `k >= len()`.
-    /// Default is `O(n)`; real views override with an indexed descent.
+    /// Also known as `select` — the inverse of [`MapView::rank`].
     fn kth(&self, k: usize) -> Option<K>
     where
         K: Clone,
+        V: Clone,
     {
-        if k >= self.len() {
-            return None;
-        }
-        self.collect_keys().into_iter().nth(k)
+        self.kth_entry(k).map(|(key, _)| key)
     }
 
-    /// The largest key strictly smaller than `key`, or `None`.
+    /// The largest key strictly smaller than `key`, or `None` when no key
+    /// precedes it.  Derived from [`MapView::rank`] + [`MapView::kth`].
     fn predecessor(&self, key: &K) -> Option<K>
     where
-        K: Ord + Clone,
+        K: Clone,
+        V: Clone,
     {
         match self.rank(key) {
             0 => None,
@@ -912,47 +635,166 @@ pub trait SetView<K>: Send + Sync {
         }
     }
 
-    /// The smallest key strictly greater than `key`, or `None`.
+    /// The smallest key strictly greater than `key`, or `None` when no key
+    /// follows it.  Derived from [`MapView::rank`] + [`MapView::kth`].
     fn successor(&self, key: &K) -> Option<K>
     where
-        K: Ord + Clone,
+        K: Clone,
+        V: Clone,
     {
         self.kth(self.rank(key) + self.contains(key) as usize)
     }
 }
 
-/// The fallback [`SetView`]: a shared sorted array, queried by binary
-/// search.
+/// An ordered key→value store driven by sorted operation batches: the
+/// workspace's one backend interface ([`MapView`] plus mutation and
+/// snapshot publication).  A set is a `BatchedMap<K, ()>`.
 ///
-/// [`BatchedSet::publish_root`]'s default implementation collects the set's
-/// keys into one of these.  Backends that already keep their keys in a
-/// sorted array (`baselines::SortedArraySet`) can share the allocation via
-/// [`SortedVecView::from_arc`] and publish in `O(1)`.
-pub struct SortedVecView<K> {
-    keys: Arc<Vec<K>>,
-}
+/// Mutations arrive as sorted, deduplicated batches ([`KvBatch`] for
+/// upserts — which for a set *is* a [`Batch`] — and [`Batch`] for removals)
+/// and answer **per batch element, in batch order**.  Inserts follow the
+/// last-wins upsert policy in the crate docs.
+///
+/// The `_report` variants are the primitives: they write per-key flags into
+/// a caller-provided buffer (cleared first), so a combining front-end's
+/// round loop allocates nothing once the buffer has warmed up.
+pub trait BatchedMap<K, V = ()>: MapView<K, V> {
+    /// Upserts every pair: `out[i]` is `true` iff key `i` was **newly**
+    /// inserted; `false` means it was present and now holds the batch's
+    /// value.
+    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>);
 
-impl<K: Ord> SortedVecView<K> {
-    /// Wraps a sorted, deduplicated key vector (checked with a
-    /// `debug_assert!`).
-    pub fn new(keys: Vec<K>) -> SortedVecView<K> {
-        SortedVecView::from_arc(Arc::new(keys))
+    /// Removes every batch key: `out[i]` is `true` iff `batch[i]` was
+    /// present (and its pair has now been removed).
+    fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>);
+
+    /// Allocating variant of [`BatchedMap::batch_insert_report`].
+    fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
+        let mut out = Vec::new();
+        self.batch_insert_report(batch, &mut out);
+        out
     }
 
-    /// Shares an already-`Arc`'d sorted, deduplicated key vector without
-    /// copying it.
-    pub fn from_arc(keys: Arc<Vec<K>>) -> SortedVecView<K> {
+    /// Allocating variant of [`BatchedMap::batch_remove_report`].
+    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
+        let mut out = Vec::new();
+        self.batch_remove_report(batch, &mut out);
+        out
+    }
+
+    /// Upserts a single pair, returning `true` iff the key was newly
+    /// inserted — the degenerate batch.  The default wraps the pair in a
+    /// singleton [`KvBatch`]; backends with a cheaper point path should
+    /// override (a combining front-end's rounds degenerate to single
+    /// operations whenever clients outnumber actual concurrency).
+    fn upsert_one(&mut self, key: &K, val: &V) -> bool
+    where
+        K: Ord + Clone,
+        V: Clone,
+    {
+        let batch = KvBatch::from_unsorted_entries(vec![(key.clone(), val.clone())]);
+        self.batch_insert(&batch)[0]
+    }
+
+    /// Removes a single key, returning `true` iff it was present.  See
+    /// [`BatchedMap::upsert_one`].
+    fn remove_one(&mut self, key: &K) -> bool
+    where
+        K: Ord + Clone,
+    {
+        self.batch_remove(&Batch::from_unsorted(vec![key.clone()]))[0]
+    }
+
+    /// Publishes an immutable view of the current contents, for a
+    /// concurrent front-end to serve wait-free reads from.
+    ///
+    /// The view must answer every [`MapView`] query exactly as the store
+    /// would at the moment of the call, and must stay valid (and unchanged)
+    /// while later mutations run — i.e. mutations must be copy-on-write
+    /// with respect to any outstanding view.  Backends whose update paths
+    /// already produce fresh nodes (`pbist` path-copies on update and
+    /// rebuilds drifted subtrees wholesale) publish in `O(1)` by handing
+    /// out their current root; the default clones the full contents into a
+    /// [`SortedVecView`], which is correct for any backend but `O(n)` per
+    /// publication.
+    ///
+    /// **Override requirement**: a combining front-end calls this after
+    /// *every mutating round*, so the default turns each round into a full
+    /// scan — fine for toy backends and tests, a performance bug in
+    /// production.  Any backend meant to sit behind `combine` should
+    /// override `publish_root` with a structural share **and** override
+    /// [`BatchedMap::publish_clone_keys`] to return `0` so the front-end's
+    /// `combine.publish_clone_keys` counter stays silent.
+    fn publish_root(&self) -> SharedView<K, V>
+    where
+        K: Ord + Clone + Send + Sync + 'static,
+        V: Clone + Send + Sync + 'static,
+    {
+        let (keys, vals) = self.collect_entries();
+        Arc::new(SortedVecView::new(keys, vals))
+    }
+
+    /// Number of keys [`BatchedMap::publish_root`] copies to build its view
+    /// — the per-publication cost a combining front-end pays after every
+    /// mutating round.  The default (`len()`) matches the default
+    /// `publish_root`, which clones the full contents; backends that
+    /// publish by structural sharing must override this to return `0`.
+    /// The flat-combining front-end feeds this into its
+    /// `combine.publish_clone_keys` counter, so an accidental O(n)-per-round
+    /// publication is visible in telemetry rather than silently tanking
+    /// write throughput.
+    fn publish_clone_keys(&self) -> usize {
+        self.len()
+    }
+}
+
+/// The set spelling of [`BatchedMap`]: implemented for every
+/// `BatchedMap<K, ()>`, so `S: BatchedSet<K>` is the bound (and the import)
+/// set-only code uses.  A set's batches are [`Batch`]es and its flags mean
+/// what they always did, so every other operation is the `BatchedMap`
+/// method itself; only the point insert, which has no value to pass, needs
+/// a spelling of its own.
+pub trait BatchedSet<K>: BatchedMap<K, ()> {
+    /// Inserts a single key, returning `true` iff it was newly inserted.
+    fn insert_one(&mut self, key: &K) -> bool
+    where
+        K: Ord + Clone,
+    {
+        self.upsert_one(key, &())
+    }
+}
+
+impl<K, T: BatchedMap<K, ()> + ?Sized> BatchedSet<K> for T {}
+
+/// The fallback [`MapView`]: two index-parallel sorted arrays, queried by
+/// binary search.  [`BatchedMap::publish_root`]'s default implementation
+/// collects the store's contents into one of these.
+pub struct SortedVecView<K, V = ()> {
+    keys: Vec<K>,
+    vals: Vec<V>,
+}
+
+impl<K: Ord, V> SortedVecView<K, V> {
+    /// Wraps sorted, deduplicated keys and their index-parallel values
+    /// (checked with `debug_assert!`s).
+    pub fn new(keys: Vec<K>, vals: Vec<V>) -> SortedVecView<K, V> {
         debug_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be strictly increasing"
         );
-        SortedVecView { keys }
+        debug_assert_eq!(keys.len(), vals.len(), "one value per key");
+        SortedVecView { keys, vals }
     }
 }
 
-impl<K: Ord + Clone + Send + Sync> SetView<K> for SortedVecView<K> {
+impl<K: Ord + Clone, V: Clone> MapView<K, V> for SortedVecView<K, V> {
     fn len(&self) -> usize {
         self.keys.len()
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        let pos = self.keys.binary_search(key).ok()?;
+        Some(self.vals[pos].clone())
     }
 
     fn contains(&self, key: &K) -> bool {
@@ -971,31 +813,28 @@ impl<K: Ord + Clone + Send + Sync> SetView<K> for SortedVecView<K> {
         self.keys.last()
     }
 
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(batch.iter().map(|q| self.contains(q)));
+    fn collect_entries(&self) -> (Vec<K>, Vec<V>) {
+        (self.keys.clone(), self.vals.clone())
     }
 
-    fn collect_keys(&self) -> Vec<K> {
-        self.keys.as_ref().clone()
-    }
-
-    // Ordered queries on a sorted array are direct slice operations —
+    // Ordered queries on sorted arrays are direct slice operations —
     // `O(log n)` to locate plus the output copy, no full materialisation.
 
+    fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
+        let (start, end) =
+            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
+        let pairs = self.keys[start..end].iter().zip(&self.vals[start..end]);
+        pairs.map(|(k, v)| (k.clone(), v.clone())).collect()
+    }
+
     fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        let (start, end) = bounds_to_rank_interval(
-            self.keys.len(),
-            lo,
-            hi,
-            |k| self.rank(k),
-            |k| self.contains(k),
-        );
+        let (start, end) =
+            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
         self.keys[start..end].to_vec()
     }
 
-    fn kth(&self, k: usize) -> Option<K> {
-        self.keys.get(k).cloned()
+    fn kth_entry(&self, k: usize) -> Option<(K, V)> {
+        Some((self.keys.get(k)?.clone(), self.vals[k].clone()))
     }
 }
 
@@ -1113,95 +952,64 @@ mod tests {
         assert_eq!(batch.binary_search(&20), Ok(1));
     }
 
-    /// Minimal trait impl exercising only the *allocating* batch methods, so
-    /// the `_report` defaults below are the trait's own delegation.
-    struct ToySet(Vec<u64>);
-
-    impl BatchedSet<u64> for ToySet {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn contains(&self, key: &u64) -> bool {
-            self.0.binary_search(key).is_ok()
-        }
-        fn rank(&self, key: &u64) -> usize {
-            self.0.partition_point(|k| k < key)
-        }
-        fn min(&self) -> Option<&u64> {
-            self.0.first()
-        }
-        fn max(&self) -> Option<&u64> {
-            self.0.last()
-        }
-        fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-            batch.iter().map(|q| self.contains(q)).collect()
-        }
-        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            let flags: Vec<bool> = batch.iter().map(|q| !self.contains(q)).collect();
-            self.0.extend(
-                batch
-                    .iter()
-                    .zip(&flags)
-                    .filter(|(_, &f)| f)
-                    .map(|(q, _)| *q),
-            );
-            self.0.sort_unstable();
-            flags
-        }
-        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            let flags: Vec<bool> = batch.iter().map(|q| self.contains(q)).collect();
-            self.0.retain(|k| batch.binary_search(k).is_err());
-            flags
-        }
-        fn collect_keys(&self) -> Vec<u64> {
-            self.0.clone()
-        }
-    }
-
     #[test]
-    fn collect_keys_returns_sorted_contents() {
-        let set = ToySet(vec![2, 4, 6]);
-        let keys = set.collect_keys();
-        assert_eq!(keys, vec![2, 4, 6]);
-        assert!(Batch::from_sorted(keys).is_ok(), "collects a valid batch");
-    }
-
-    #[test]
-    fn default_publish_root_freezes_the_contents() {
-        let mut set = ToySet(vec![2, 4, 6]);
-        let view = set.publish_root();
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
-        assert!(view.contains(&4) && !view.contains(&5));
-        assert_eq!(view.rank(&5), 2);
-        assert_eq!(view.min(), Some(&2));
-        assert_eq!(view.max(), Some(&6));
+    fn kv_batch_from_unsorted_is_last_wins() {
+        let batch = KvBatch::from_unsorted_entries(vec![
+            (5u64, "a"),
+            (1, "b"),
+            (5, "c"),
+            (5, "d"),
+            (3, "e"),
+        ]);
+        assert_eq!(batch.keys(), &[1, 3, 5]);
+        assert_eq!(batch.vals(), &["b", "e", "d"]);
+        assert_eq!(batch.len(), 3);
+        assert!(!batch.is_empty());
         assert_eq!(
-            view.batch_contains(&Batch::from_unsorted(vec![1, 2, 6])),
-            vec![false, true, true]
+            batch.entries().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
+            vec![(1, "b"), (3, "e"), (5, "d")]
         );
-        // Mutations after a publication must not reach the frozen view.
-        set.insert_one(&5);
-        assert!(!view.contains(&5), "published views are immutable");
-        assert_eq!(view.collect_keys(), vec![2, 4, 6]);
-        let fresh = set.publish_root();
-        assert!(fresh.contains(&5));
-        let mut out = vec![true; 8]; // stale contents must be cleared
-        fresh.batch_contains_report(&Batch::empty(), &mut out);
-        assert!(out.is_empty());
+        assert_eq!(batch.binary_search(&3), Ok(1), "derefs to its keys");
+        let (keys, vals) = batch.into_parts();
+        assert_eq!(keys, vec![1, 3, 5]);
+        assert_eq!(vals, vec!["b", "e", "d"]);
+        // A key batch is the unit-valued instance, values and all.
+        let unit = KvBatch::from_unsorted_entries(vec![(2u64, ()), (1, ()), (2, ())]);
+        assert_eq!(unit, Batch::from_unsorted(vec![2u64, 1, 2]));
+        assert_eq!(unit.vals().len(), 2);
     }
 
     #[test]
-    fn sorted_vec_view_shares_an_arc_without_copying() {
-        let keys = Arc::new(vec![1u64, 3, 5]);
-        let view = SortedVecView::from_arc(Arc::clone(&keys));
-        assert_eq!(Arc::strong_count(&keys), 2, "from_arc must not copy");
-        assert!(view.contains(&3));
-        assert_eq!(view.rank(&4), 2);
-        let empty: SortedVecView<u64> = SortedVecView::new(Vec::new());
-        assert!(SetView::is_empty(&empty));
-        assert_eq!(SetView::min(&empty), None);
-        assert_eq!(SetView::max(&empty), None);
+    fn kv_batch_from_sorted_validates_keys() {
+        assert!(KvBatch::from_sorted_entries(vec![(1u64, 'x'), (2, 'y')]).is_ok());
+        assert_eq!(
+            KvBatch::from_sorted_entries(vec![(1u64, 'x'), (1, 'y')]),
+            Err(BatchError::Duplicate { index: 0 })
+        );
+        assert_eq!(
+            KvBatch::from_sorted_entries(vec![(2u64, 'x'), (1, 'y')]),
+            Err(BatchError::OutOfOrder { index: 0 })
+        );
+    }
+
+    #[test]
+    fn bounds_to_rank_interval_covers_all_bound_shapes() {
+        let keys = [10u64, 20, 30, 40];
+        let interval = |lo, hi| {
+            bounds_to_rank_interval(
+                keys.len(),
+                lo,
+                hi,
+                |k| keys.partition_point(|x| x < k),
+                |k| keys.binary_search(k).is_ok(),
+            )
+        };
+        assert_eq!(interval(Bound::Unbounded, Bound::Unbounded), (0, 4));
+        assert_eq!(interval(Bound::Included(&20), Bound::Included(&30)), (1, 3));
+        assert_eq!(interval(Bound::Excluded(&20), Bound::Excluded(&30)), (2, 2));
+        assert_eq!(interval(Bound::Included(&15), Bound::Excluded(&35)), (1, 3));
+        // Inverted bounds clamp to the empty interval instead of panicking.
+        assert_eq!(interval(Bound::Included(&40), Bound::Excluded(&10)), (3, 3));
     }
 
     #[test]
@@ -1232,98 +1040,155 @@ mod tests {
         check::<u8>(&[0, 128, 255]);
         check::<u128>(&[0, u128::from(u64::MAX) + 1, u128::MAX]);
         check::<i128>(&[i128::MIN, -1, 0, i128::MAX]);
+        check::<()>(&[()]);
         assert_eq!(<u64 as KeyCodec>::WIDTH, 8);
         assert_eq!(<i32 as KeyCodec>::WIDTH, 4);
+        assert_eq!(<() as KeyCodec>::WIDTH, 0, "a set's value costs no bytes");
+    }
+
+    /// Minimal backend implementing only the *required* trait methods, so
+    /// everything else exercised below is the traits' own defaults.  Used
+    /// at `V = ()` (the set) and at a real value type.
+    struct Toy<V>(Vec<(u64, V)>);
+
+    impl<V> Toy<V> {
+        fn find(&self, key: &u64) -> Result<usize, usize> {
+            self.0.binary_search_by(|(k, _)| k.cmp(key))
+        }
+    }
+
+    impl<V: Clone> MapView<u64, V> for Toy<V> {
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn get(&self, key: &u64) -> Option<V> {
+            self.find(key).ok().map(|i| self.0[i].1.clone())
+        }
+        fn contains(&self, key: &u64) -> bool {
+            self.find(key).is_ok()
+        }
+        fn rank(&self, key: &u64) -> usize {
+            self.0.partition_point(|(k, _)| k < key)
+        }
+        fn min(&self) -> Option<&u64> {
+            self.0.first().map(|(k, _)| k)
+        }
+        fn max(&self) -> Option<&u64> {
+            self.0.last().map(|(k, _)| k)
+        }
+        fn collect_entries(&self) -> (Vec<u64>, Vec<V>) {
+            self.0.iter().cloned().unzip()
+        }
+    }
+
+    impl<V: Clone> BatchedMap<u64, V> for Toy<V> {
+        fn batch_insert_report(&mut self, batch: &KvBatch<u64, V>, out: &mut Vec<bool>) {
+            out.clear();
+            for (k, v) in batch.entries() {
+                out.push(match self.find(k) {
+                    Ok(i) => {
+                        self.0[i].1 = v.clone();
+                        false
+                    }
+                    Err(i) => {
+                        self.0.insert(i, (*k, v.clone()));
+                        true
+                    }
+                });
+            }
+        }
+        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+            out.clear();
+            for k in batch.iter() {
+                let found = self.find(k);
+                if let Ok(i) = found {
+                    self.0.remove(i);
+                }
+                out.push(found.is_ok());
+            }
+        }
+    }
+
+    fn toy_set(keys: &[u64]) -> Toy<()> {
+        Toy(keys.iter().map(|&k| (k, ())).collect())
+    }
+
+    fn toy_keys(set: &Toy<()>) -> Vec<u64> {
+        set.0.iter().map(|&(k, ())| k).collect()
     }
 
     #[test]
-    fn default_report_variants_match_allocating_ones() {
-        let mut set = ToySet(vec![2, 4, 6]);
+    fn collect_keys_returns_sorted_contents() {
+        let set = toy_set(&[2, 4, 6]);
+        let keys = set.collect_keys();
+        assert_eq!(keys, vec![2, 4, 6]);
+        assert!(Batch::from_sorted(keys).is_ok(), "collects a valid batch");
+    }
+
+    #[test]
+    fn default_publish_root_freezes_the_contents() {
+        let mut set = toy_set(&[2, 4, 6]);
+        let view = set.publish_root();
+        assert_eq!(view.len(), 3);
+        assert!(!view.is_empty());
+        assert!(view.contains(&4) && !view.contains(&5));
+        assert_eq!(view.rank(&5), 2);
+        assert_eq!(view.min(), Some(&2));
+        assert_eq!(view.max(), Some(&6));
+        assert_eq!(
+            view.batch_contains(&Batch::from_unsorted(vec![1, 2, 6])),
+            vec![false, true, true]
+        );
+        // Mutations after a publication must not reach the frozen view.
+        set.insert_one(&5);
+        assert!(!view.contains(&5), "published views are immutable");
+        assert_eq!(view.collect_keys(), vec![2, 4, 6]);
+        let fresh = set.publish_root();
+        assert!(fresh.contains(&5));
+        let mut out = vec![true; 8]; // stale contents must be cleared
+        fresh.batch_contains_report(&Batch::empty(), &mut out);
+        assert!(out.is_empty());
+        // publish_clone_keys: the O(n) default reports exactly its length.
+        assert_eq!(set.publish_clone_keys(), 4);
+        // Empty views answer like empty stores.
+        let empty = toy_set(&[]).publish_root();
+        assert!(empty.is_empty());
+        assert_eq!((empty.min(), empty.max()), (None, None));
+    }
+
+    #[test]
+    fn default_allocating_variants_match_report_ones() {
+        let mut set = toy_set(&[2, 4, 6]);
         let batch = Batch::from_unsorted(vec![1u64, 2, 6, 9]);
-        let mut out = vec![true; 32]; // stale contents must be cleared
-
-        set.batch_contains_report(&batch, &mut out);
-        assert_eq!(out, vec![false, true, true, false]);
-
-        set.batch_insert_report(&batch, &mut out);
-        assert_eq!(out, vec![true, false, false, true]);
-        assert_eq!(set.0, vec![1, 2, 4, 6, 9]);
-
-        set.batch_remove_report(&batch, &mut out);
-        assert_eq!(out, vec![true, true, true, true]);
-        assert_eq!(set.0, vec![4]);
+        assert_eq!(set.batch_contains(&batch), vec![false, true, true, false]);
+        assert_eq!(set.batch_insert(&batch), vec![true, false, false, true]);
+        assert_eq!(toy_keys(&set), vec![1, 2, 4, 6, 9]);
+        assert_eq!(set.batch_remove(&batch), vec![true, true, true, true]);
+        assert_eq!(toy_keys(&set), vec![4]);
     }
 
     #[test]
     fn default_point_mutators_match_singleton_batches() {
-        let mut set = ToySet(vec![3, 5]);
+        let mut set = toy_set(&[3, 5]);
         assert!(set.insert_one(&4));
         assert!(!set.insert_one(&4));
         assert!(set.remove_one(&3));
         assert!(!set.remove_one(&3));
-        assert_eq!(set.0, vec![4, 5]);
+        assert_eq!(toy_keys(&set), vec![4, 5]);
+        let mut map = Toy(vec![(3u64, 'a')]);
+        assert!(!map.upsert_one(&3, &'b'), "present: overwritten, not new");
+        assert!(map.upsert_one(&4, &'c'));
+        assert_eq!(map.0, vec![(3, 'b'), (4, 'c')]);
     }
 
-    #[test]
-    fn kv_batch_from_unsorted_is_last_wins() {
-        let batch =
-            KvBatch::from_unsorted(vec![(5u64, "a"), (1, "b"), (5, "c"), (5, "d"), (3, "e")]);
-        assert_eq!(batch.keys(), &[1, 3, 5]);
-        assert_eq!(batch.vals(), &["b", "e", "d"]);
-        assert_eq!(batch.len(), 3);
-        assert!(!batch.is_empty());
-        assert_eq!(
-            batch.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-            vec![(1, "b"), (3, "e"), (5, "d")]
-        );
-        assert_eq!(batch.key_batch().as_slice(), &[1, 3, 5]);
-        let (keys, vals) = batch.into_parts();
-        assert_eq!(keys, vec![1, 3, 5]);
-        assert_eq!(vals, vec!["b", "e", "d"]);
-        assert!(KvBatch::<u64, ()>::empty().is_empty());
-    }
-
-    #[test]
-    fn kv_batch_from_sorted_validates_keys() {
-        assert!(KvBatch::from_sorted(vec![(1u64, 'x'), (2, 'y')]).is_ok());
-        assert_eq!(
-            KvBatch::from_sorted(vec![(1u64, 'x'), (1, 'y')]),
-            Err(BatchError::Duplicate { index: 0 })
-        );
-        assert_eq!(
-            KvBatch::from_sorted(vec![(2u64, 'x'), (1, 'y')]),
-            Err(BatchError::OutOfOrder { index: 0 })
-        );
-    }
-
-    #[test]
-    fn bounds_to_rank_interval_covers_all_bound_shapes() {
-        let keys = [10u64, 20, 30, 40];
-        let interval = |lo, hi| {
-            bounds_to_rank_interval(
-                keys.len(),
-                lo,
-                hi,
-                |k| keys.partition_point(|x| x < k),
-                |k| keys.binary_search(k).is_ok(),
-            )
-        };
-        assert_eq!(interval(Bound::Unbounded, Bound::Unbounded), (0, 4));
-        assert_eq!(interval(Bound::Included(&20), Bound::Included(&30)), (1, 3));
-        assert_eq!(interval(Bound::Excluded(&20), Bound::Excluded(&30)), (2, 2));
-        assert_eq!(interval(Bound::Included(&15), Bound::Excluded(&35)), (1, 3));
-        // Inverted bounds clamp to the empty interval instead of panicking.
-        assert_eq!(interval(Bound::Included(&40), Bound::Excluded(&10)), (3, 3));
-    }
-
-    /// The `BatchedSet` ordered-query defaults, driven through `ToySet`
-    /// (which overrides none of them), against a `BTreeSet` oracle.
+    /// The ordered-query defaults, driven through `Toy` (which overrides
+    /// none of them) and its published view, against a `BTreeSet` oracle.
     #[test]
     fn default_ordered_queries_match_btreeset() {
         use std::collections::BTreeSet;
         use std::ops::Bound::*;
         let keys: Vec<u64> = (0..40).map(|i| i * 5).collect();
-        let set = ToySet(keys.clone());
+        let set = toy_set(&keys);
         let oracle: BTreeSet<u64> = keys.iter().copied().collect();
 
         for lo in [
@@ -1352,7 +1217,7 @@ mod tests {
         assert_eq!(set.successor(&195), None);
         assert_eq!(set.successor(&194), Some(195));
         assert_eq!(set.successor(&25), Some(30));
-        // Views share the same defaults.
+        // The published view answers through its slice overrides.
         let view = set.publish_root();
         assert_eq!(
             view.range_keys(Included(&25), Excluded(&150)),
@@ -1362,70 +1227,13 @@ mod tests {
         assert_eq!(view.kth(5), Some(25));
         assert_eq!(view.predecessor(&25), Some(20));
         assert_eq!(view.successor(&25), Some(30));
-        // publish_clone_keys: ToySet keeps the O(n) default, so the cost
-        // it reports is exactly its length.
-        assert_eq!(set.publish_clone_keys(), 40);
-    }
-
-    /// Minimal `BatchedMap` impl exercising the trait's derived defaults.
-    struct ToyMap(Vec<(u64, char)>);
-
-    impl BatchedMap<u64, char> for ToyMap {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn get(&self, key: &u64) -> Option<char> {
-            self.0
-                .binary_search_by(|(k, _)| k.cmp(key))
-                .ok()
-                .map(|i| self.0[i].1)
-        }
-        fn rank(&self, key: &u64) -> usize {
-            self.0.partition_point(|(k, _)| k < key)
-        }
-        fn batch_get(&self, batch: &Batch<u64>) -> Vec<Option<char>> {
-            batch.iter().map(|q| self.get(q)).collect()
-        }
-        fn batch_insert_kv(&mut self, batch: &KvBatch<u64, char>) -> Vec<bool> {
-            batch
-                .iter()
-                .map(|(k, v)| match self.0.binary_search_by(|(x, _)| x.cmp(k)) {
-                    Ok(i) => {
-                        self.0[i].1 = *v;
-                        false
-                    }
-                    Err(i) => {
-                        self.0.insert(i, (*k, *v));
-                        true
-                    }
-                })
-                .collect()
-        }
-        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            batch
-                .iter()
-                .map(|k| match self.0.binary_search_by(|(x, _)| x.cmp(k)) {
-                    Ok(i) => {
-                        self.0.remove(i);
-                        true
-                    }
-                    Err(_) => false,
-                })
-                .collect()
-        }
-        fn collect_entries(&self) -> Vec<(u64, char)> {
-            self.0.clone()
-        }
-        fn contains_key(&self, key: &u64) -> bool {
-            self.get(key).is_some()
-        }
     }
 
     #[test]
-    fn map_trait_upserts_and_answers_ordered_queries() {
+    fn map_upserts_and_answers_value_queries() {
         use std::ops::Bound::*;
-        let mut map = ToyMap(Vec::new());
-        let ins = map.batch_insert_kv(&KvBatch::from_unsorted(vec![
+        let mut map = Toy(Vec::new());
+        let ins = map.batch_insert(&KvBatch::from_unsorted_entries(vec![
             (3u64, 'a'),
             (1, 'b'),
             (3, 'c'),
@@ -1433,7 +1241,7 @@ mod tests {
         assert_eq!(ins, vec![true, true], "two distinct keys after dedup");
         assert_eq!(map.get(&3), Some('c'), "last-wins within the batch");
         // Upsert: present key keeps its slot, takes the new value, flags false.
-        let ins = map.batch_insert_kv(&KvBatch::from_unsorted(vec![(3u64, 'z'), (9, 'q')]));
+        let ins = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(3u64, 'z'), (9, 'q')]));
         assert_eq!(ins, vec![false, true]);
         assert_eq!(map.get(&3), Some('z'));
         assert_eq!(
@@ -1442,21 +1250,25 @@ mod tests {
         );
         assert_eq!(map.len(), 3);
         assert!(!map.is_empty());
-        assert_eq!(
-            map.range_entries(Included(&1), Excluded(&9)),
-            vec![(1, 'b'), (3, 'z')]
-        );
-        assert_eq!(map.range_keys(Unbounded, Unbounded), vec![1, 3, 9]);
-        assert_eq!(map.range_count(Excluded(&1), Unbounded), 2);
-        assert_eq!(map.kth(0), Some((1, 'b')));
-        assert_eq!(map.kth(3), None);
-        assert_eq!(map.predecessor(&3), Some(1));
-        assert_eq!(map.predecessor(&1), None);
-        assert_eq!(map.successor(&3), Some(9));
-        assert_eq!(map.successor(&9), None);
-        assert!(map.contains_key(&9));
+        for view in [&map as &dyn MapView<u64, char>, &*map.publish_root()] {
+            assert_eq!(
+                view.range_entries(Included(&1), Excluded(&9)),
+                vec![(1, 'b'), (3, 'z')]
+            );
+            assert_eq!(view.range_keys(Unbounded, Unbounded), vec![1, 3, 9]);
+            assert_eq!(view.range_count(Excluded(&1), Unbounded), 2);
+            assert_eq!(view.kth_entry(0), Some((1, 'b')));
+            assert_eq!(view.kth_entry(3), None);
+            assert_eq!(view.kth(2), Some(9));
+            assert_eq!(view.predecessor(&3), Some(1));
+            assert_eq!(view.predecessor(&1), None);
+            assert_eq!(view.successor(&3), Some(9));
+            assert_eq!(view.successor(&9), None);
+            assert_eq!(view.get(&9), Some('q'));
+            assert!(view.contains(&9) && !view.contains(&2));
+        }
         let gone = map.batch_remove(&Batch::from_unsorted(vec![1, 5]));
         assert_eq!(gone, vec![true, false]);
-        assert_eq!(map.collect_entries(), vec![(3, 'z'), (9, 'q')]);
+        assert_eq!(map.collect_entries(), (vec![3, 9], vec!['z', 'q']));
     }
 }

@@ -1,10 +1,10 @@
-//! Flat-combining concurrent front-end for batched sets.
+//! Flat-combining concurrent front-end for batched stores.
 //!
 //! The paper's data structures consume *batches*: sorted runs of keys
-//! processed wholesale through [`batchapi::BatchedSet`].  Real traffic does
+//! processed wholesale through [`batchapi::BatchedMap`].  Real traffic does
 //! not arrive that way — many client threads each issue *single* inserts,
-//! removes and lookups.  [`ConcurrentSet`] is the ingress layer between the
-//! two worlds: clients publish one operation each into a lock-free list, one
+//! removes and lookups.  [`ConcurrentMap`] (and [`ConcurrentSet`], its
+//! `V = ()` alias) is the ingress layer between the two worlds: clients publish one operation each into a lock-free list, one
 //! thread elects itself **combiner**, drains everything published so far
 //! into one batch per operation kind, executes the three batched operations
 //! on the backing set (inside a [`forkjoin::Pool`] when the round is large
@@ -36,7 +36,9 @@
 //! 3. **Combine** — the combiner swaps the ingress head to null
 //!    (`Acquire`, pairing with every publisher's `Release` CAS so slot
 //!    fields are visible), splits the drained slots by kind, and builds one
-//!    sorted [`Batch`] per kind.
+//!    sorted batch per kind (a [`KvBatch`] for the inserts, whose slots
+//!    carry their values; duplicate keys collapse last-wins, exactly as the
+//!    ops would applied one by one in publish order).
 //! 4. **Execute** — the three batched operations run in a fixed order:
 //!    `batch_contains`, then `batch_insert`, then `batch_remove`.  That
 //!    order is the round's linearisation order (see below).  Rounds of at
@@ -62,8 +64,8 @@
 //!
 //! Traffic that *already* arrives as sorted batches — a sharded service
 //! tier routing per-shard sub-batches, a replayed log — skips the slot
-//! machinery entirely: [`ConcurrentSet::batch_contains`] /
-//! [`ConcurrentSet::batch_insert`] / [`ConcurrentSet::batch_remove`] make
+//! machinery entirely: [`ConcurrentMap::batch_contains`] /
+//! [`ConcurrentMap::batch_insert`] / [`ConcurrentMap::batch_remove`] make
 //! the caller the combiner, flush any point ops published before it won
 //! the flag, and execute the whole batch as one committed round (logged,
 //! counted, and poison-checked like any other).
@@ -78,7 +80,7 @@
 //! themselves are ordered by combiner succession, which respects real time
 //! (an op completed in round *r* was drained before *r* executed, so any op
 //! starting later publishes after the drain and lands in a later round).
-//! [`ConcurrentSet::take_rounds`] exposes the committed order (when
+//! [`ConcurrentMap::take_rounds`] exposes the committed order (when
 //! [`Options::log_rounds`] is set) so tests can replay it against a
 //! sequential oracle — `tests/combine_stress.rs` does exactly that.
 //!
@@ -90,8 +92,8 @@
 //! `u64` names any prefix of the history, which is what two consumers need:
 //!
 //! * **Durable replay is idempotent.**  A write-ahead log downstream of
-//!   [`ConcurrentSet::take_rounds`] records each round under its seq; a
-//!   snapshot taken via [`ConcurrentSet::snapshot_keys`] records the
+//!   [`ConcurrentMap::take_rounds`] records each round under its seq; a
+//!   snapshot taken via [`ConcurrentMap::snapshot_keys`] records the
 //!   high-water mark it reflects.  Recovery loads the snapshot and applies
 //!   only records with `seq >` the mark — records at or below it (or
 //!   replayed twice across restarts) change nothing.
@@ -106,18 +108,19 @@
 //! # Wait-free snapshot reads
 //!
 //! When [`Options::snapshot_reads`] is on (the default), the read-only
-//! operations — [`ConcurrentSet::contains`], [`ConcurrentSet::batch_contains`],
-//! [`ConcurrentSet::len`], [`ConcurrentSet::rank`], [`ConcurrentSet::min`] /
-//! [`ConcurrentSet::max`] and [`ConcurrentSet::snapshot_keys`] — never elect
-//! a combiner and never wait for one.  They load the last published
-//! [`ReadSnapshot`]: an immutable root ([`batchapi::SetView`], shared
+//! operations — [`ConcurrentMap::contains`], [`ConcurrentMap::get`], their
+//! batched forms, [`ConcurrentMap::len`], [`ConcurrentMap::rank`],
+//! [`ConcurrentMap::min`] / [`ConcurrentMap::max`], the ordered queries and
+//! [`ConcurrentMap::snapshot_entries`] — never elect a combiner and never
+//! wait for one.  They load the last published [`ReadSnapshot`]: an
+//! immutable root ([`batchapi::SharedView`], values included, shared
 //! structurally with the live tree via copy-on-write) paired with the seq of
 //! the round it reflects.
 //!
 //! **Publication protocol.**  At the end of every round that mutated the
 //! backend, the combiner — still holding the combiner flag — asks the
-//! backend for a fresh root (`publish_root`, O(1) for both `pbist::IstSet`
-//! and `baselines::SortedArraySet`) and installs it in a two-slot
+//! backend for a fresh root (`publish_root`, O(1) for both `pbist::IstMap`
+//! and `baselines::SortedArrayMap`) and installs it in a two-slot
 //! *left-right* cell: the new snapshot is written into the inactive slot
 //! (after waiting out the readers still borrowing it), then the active-slot
 //! index is flipped with a `SeqCst` store.  Readers increment the chosen
@@ -125,13 +128,13 @@
 //! handful of atomic ops, no allocation, no lock, regardless of combiner
 //! activity.  Rounds that mutated nothing advance only the `committed`
 //! high-water mark, so a snapshot's mark can trail
-//! [`ConcurrentSet::committed_seq`] while its *contents* stay exact.
+//! [`ConcurrentMap::committed_seq`] while its *contents* stay exact.
 //!
 //! **Staleness contract.**  A snapshot read observes some round
 //! `seq >= ` the client's last acknowledged write (publish happens before
 //! acknowledgement, see above) but possibly older than rounds still in
 //! flight — reads are *read-your-writes*, not linearisable against other
-//! clients' unacknowledged writes.  [`ConcurrentSet::read_at_least`] is the
+//! clients' unacknowledged writes.  [`ConcurrentMap::read_at_least`] is the
 //! escape hatch: it spins (joining combining rounds when it can) until the
 //! published state covers a caller-supplied seq.
 //!
@@ -183,7 +186,7 @@ use std::ptr;
 use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use batchapi::{Batch, BatchedSet, SetView};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, SpanRecord, TraceRing};
 
@@ -195,10 +198,11 @@ const SPIN_LIMIT: u32 = 64;
 /// Yields after the spin phase before falling back to the condvar.
 const YIELD_LIMIT: u32 = 16;
 
-/// What a single client operation does to the set.
+/// What a single client operation does to the store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
-    /// Add a key; the result is `true` iff it was newly inserted.
+    /// Upsert a key (with its value); the result is `true` iff the key was
+    /// newly inserted.
     Insert,
     /// Remove a key; the result is `true` iff it was present.
     Remove,
@@ -211,11 +215,14 @@ pub enum OpKind {
 /// Published by pointer into the ingress list; the client guarantees the
 /// slot stays pinned until `done` is set, and the combiner guarantees it
 /// never touches the slot after setting `done`.
-struct OpSlot<K> {
+struct OpSlot<K, V> {
     /// Ingress linkage, written before the publishing CAS.
-    next: AtomicPtr<OpSlot<K>>,
+    next: AtomicPtr<OpSlot<K, V>>,
     kind: OpKind,
     key: K,
+    /// The value an `Insert` carries (`None` for the other kinds).  For the
+    /// set this is an `Option<()>`: one byte, inside the slot's padding.
+    val: Option<V>,
     /// Written by the combiner strictly before the `done` store.
     result: UnsafeCell<bool>,
     /// Completion flag: `Release` store by the combiner (its last touch of
@@ -225,21 +232,24 @@ struct OpSlot<K> {
 
 /// One operation as committed by a combining round, for the round log.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundOp<K> {
+pub struct RoundOp<K, V = ()> {
     /// What the operation did.
     pub kind: OpKind,
     /// The key it applied to.
     pub key: K,
+    /// The value an `Insert` wrote (`None` for the other kinds) — what a
+    /// write-ahead log downstream needs to replay the upsert.
+    pub val: Option<V>,
     /// The result handed back to the issuing client.
     pub result: bool,
 }
 
 /// One committed combining round: its operations in linearisation order
 /// (`Contains` ops first, then `Insert`, then `Remove`; publish order within
-/// each kind).  Replaying rounds in commit order against a sequential set
+/// each kind).  Replaying rounds in commit order against a sequential map
 /// must reproduce every `result` — the stress suite's oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Round<K> {
+pub struct Round<K, V = ()> {
     /// The round's sequence number: rounds commit with strictly increasing,
     /// gap-free sequence numbers starting at [`Options::first_seq`]` + 1`,
     /// so the log order *is* the seq order and any prefix of the history is
@@ -249,10 +259,10 @@ pub struct Round<K> {
     /// off (see the module docs' *staleness contract* section).
     pub seq: u64,
     /// The committed operations, in linearisation order.
-    pub ops: Vec<RoundOp<K>>,
+    pub ops: Vec<RoundOp<K, V>>,
 }
 
-/// Construction-time knobs for [`ConcurrentSet`].
+/// Construction-time knobs for [`ConcurrentMap`].
 #[derive(Debug, Clone)]
 pub struct Options {
     /// Rounds with at least this many operations execute inside the
@@ -261,12 +271,12 @@ pub struct Options {
     /// paying a pool round-trip for a handful of keys).  `0` forces every
     /// round through the pool; `usize::MAX` keeps everything inline.
     pub pool_cutoff: usize,
-    /// Record every committed round for [`ConcurrentSet::take_rounds`].
+    /// Record every committed round for [`ConcurrentMap::take_rounds`].
     /// Off by default: the log clones every key and grows without bound,
     /// so it is strictly a testing/debugging facility.
     pub log_rounds: bool,
     /// Capacity of the round-trace ring behind
-    /// [`ConcurrentSet::take_trace`] / [`ConcurrentSet::trace_json`]:
+    /// [`ConcurrentMap::take_trace`] / [`ConcurrentMap::trace_json`]:
     /// one span per committed round, begin/end timestamps plus op count.
     /// `0` (the default) disables tracing.  The ring is bounded — once
     /// full each new span evicts the oldest (the eviction count is
@@ -384,12 +394,12 @@ impl CombineMetrics {
 /// The view shares structure with the live set (copy-on-write), so holding
 /// one is cheap; its contents never change, no matter how many rounds
 /// commit after it was published.
-pub struct ReadSnapshot<K> {
+pub struct ReadSnapshot<K, V = ()> {
     seq: u64,
-    view: Arc<dyn SetView<K>>,
+    view: SharedView<K, V>,
 }
 
-impl<K> fmt::Debug for ReadSnapshot<K> {
+impl<K, V> fmt::Debug for ReadSnapshot<K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ReadSnapshot")
             .field("seq", &self.seq)
@@ -397,21 +407,21 @@ impl<K> fmt::Debug for ReadSnapshot<K> {
     }
 }
 
-impl<K> ReadSnapshot<K> {
+impl<K, V> ReadSnapshot<K, V> {
     /// Sequence number of the last *mutating* round this snapshot reflects.
-    /// May trail [`ConcurrentSet::committed_seq`] by read-only rounds —
+    /// May trail [`ConcurrentMap::committed_seq`] by read-only rounds —
     /// the contents are still exact for every seq in between.
     pub fn seq(&self) -> u64 {
         self.seq
     }
 
     /// The frozen contents.
-    pub fn view(&self) -> &dyn SetView<K> {
+    pub fn view(&self) -> &dyn MapView<K, V> {
         self.view.as_ref()
     }
 }
 
-/// [`ConcurrentSet::read_at_least`] was asked for a freshness mark that no
+/// [`ConcurrentMap::read_at_least`] was asked for a freshness mark that no
 /// committed round carries and that no in-flight work can produce: the
 /// front-end was idle with `committed < want`, so waiting longer would wait
 /// on writers that need never arrive.
@@ -442,9 +452,9 @@ impl std::error::Error for FreshnessError {}
 
 /// One slot of the left-right snapshot cell: the snapshot plus the number
 /// of readers currently borrowing it.
-struct SnapSlot<K> {
+struct SnapSlot<K, V> {
     readers: AtomicUsize,
-    snap: UnsafeCell<Arc<ReadSnapshot<K>>>,
+    snap: UnsafeCell<Arc<ReadSnapshot<K, V>>>,
 }
 
 /// A two-slot *left-right* cell holding the last published snapshot.
@@ -457,23 +467,23 @@ struct SnapSlot<K> {
 /// classic left-right argument airtight (see the proof sketch on `load`);
 /// the borrow release needs only `Release` (the writer's spin load pairs
 /// with it).
-struct SnapCell<K> {
+struct SnapCell<K, V> {
     /// Index (0 or 1) of the slot readers should borrow.
     active: AtomicUsize,
-    slots: [SnapSlot<K>; 2],
+    slots: [SnapSlot<K, V>; 2],
 }
 
 // SAFETY: the `UnsafeCell`s are governed by the left-right protocol — the
 // single writer mutates a slot only while its reader count is zero and the
 // slot is inactive, and readers only read while registered on a slot they
 // re-verified as active — so shared references handed out never alias a
-// mutation.  The payload is an `Arc<ReadSnapshot<K>>`, shared across
-// threads, hence `K: Send + Sync`.
-unsafe impl<K: Send + Sync> Sync for SnapCell<K> {}
-unsafe impl<K: Send + Sync> Send for SnapCell<K> {}
+// mutation.  The payload is an `Arc<ReadSnapshot<K, V>>`, shared across
+// threads, hence `K: Send + Sync` and `V: Send + Sync`.
+unsafe impl<K: Send + Sync, V: Send + Sync> Sync for SnapCell<K, V> {}
+unsafe impl<K: Send + Sync, V: Send + Sync> Send for SnapCell<K, V> {}
 
-impl<K> SnapCell<K> {
-    fn new(initial: Arc<ReadSnapshot<K>>) -> SnapCell<K> {
+impl<K, V> SnapCell<K, V> {
+    fn new(initial: Arc<ReadSnapshot<K, V>>) -> SnapCell<K, V> {
         SnapCell {
             active: AtomicUsize::new(0),
             slots: [
@@ -501,7 +511,7 @@ impl<K> SnapCell<K> {
     /// writer targets `1 - active`) also precedes our re-check, which
     /// therefore reads the flipped index, fails, and retries — we never
     /// dereference a slot the writer may be mutating.
-    fn load(&self) -> Arc<ReadSnapshot<K>> {
+    fn load(&self) -> Arc<ReadSnapshot<K, V>> {
         self.with_snap(Arc::clone)
     }
 
@@ -512,7 +522,7 @@ impl<K> SnapCell<K> {
     /// in-flight read (still bounded — new readers land on the flipped
     /// slot).  Long reads (batch scans) should [`SnapCell::load`] and pay
     /// the clone instead.
-    fn with_snap<T>(&self, read: impl FnOnce(&Arc<ReadSnapshot<K>>) -> T) -> T {
+    fn with_snap<T>(&self, read: impl FnOnce(&Arc<ReadSnapshot<K, V>>) -> T) -> T {
         loop {
             let idx = self.active.load(Ordering::SeqCst);
             let slot = &self.slots[idx];
@@ -533,7 +543,7 @@ impl<K> SnapCell<K> {
     /// writer); waits out readers still borrowing the inactive slot, which
     /// hold it for at most one read — an `Arc` clone ([`SnapCell::load`])
     /// or a point query ([`SnapCell::with_snap`]).
-    fn publish(&self, snap: Arc<ReadSnapshot<K>>) {
+    fn publish(&self, snap: Arc<ReadSnapshot<K, V>>) {
         let idx = 1 - self.active.load(Ordering::Relaxed);
         let slot = &self.slots[idx];
         while slot.readers.load(Ordering::SeqCst) != 0 {
@@ -553,17 +563,17 @@ impl<K> SnapCell<K> {
 /// Per-kind scratch for the round being combined.  Only the combiner (the
 /// thread holding the `combiner` flag) touches this; buffers are reused
 /// across rounds so a steady-state round allocates nothing.
-struct Lane<K> {
+struct Lane<K, V> {
     /// Drained slots of this kind, in publish order.
-    slots: Vec<*const OpSlot<K>>,
+    slots: Vec<*const OpSlot<K, V>>,
     /// Reusable key buffer; round-trips through [`Batch::into_vec`].
     keys: Vec<K>,
     /// Reusable per-key flag buffer for the `_report` batch variants.
     flags: Vec<bool>,
 }
 
-impl<K> Lane<K> {
-    fn new() -> Lane<K> {
+impl<K, V> Lane<K, V> {
+    fn new() -> Lane<K, V> {
         Lane {
             slots: Vec::new(),
             keys: Vec::new(),
@@ -573,38 +583,44 @@ impl<K> Lane<K> {
 }
 
 /// Combiner-only scratch state (guarded by the `combiner` flag).
-struct Scratch<K> {
-    contains: Lane<K>,
-    insert: Lane<K>,
-    remove: Lane<K>,
+struct Scratch<K, V> {
+    contains: Lane<K, V>,
+    insert: Lane<K, V>,
+    remove: Lane<K, V>,
+    /// The insert lane's `(key, value)` pairs in publish order, consumed by
+    /// [`KvBatch::from_unsorted_entries`] (the insert lane's `keys` buffer
+    /// stays empty).
+    entries: Vec<(K, V)>,
     /// Tracks which batch keys have already been claimed by an earlier
     /// duplicate op while distributing insert/remove results.
     claimed: Vec<bool>,
 }
 
-/// A concurrent ordered set serving per-operation traffic from any number
-/// of client threads by flat-combining it into batches for a
-/// [`BatchedSet`] backend.
+/// A concurrent ordered key→value store serving per-operation traffic from
+/// any number of client threads by flat-combining it into batches for a
+/// [`BatchedMap`] backend.
 ///
 /// See the [module docs](self) for the protocol and its memory-ordering
 /// contract.  Shared by reference (typically `Arc`); all operations take
-/// `&self`.
+/// `&self`.  Rounds return one `bool` per op whatever `V` is; value reads
+/// ([`ConcurrentMap::get`] and friends) are served from the published
+/// snapshot, which carries the values.
 ///
 /// # Poisoning
 ///
 /// If a backend batch operation panics while a combiner executes a round,
-/// the set's state — and the results of every operation drained into that
+/// the store's state — and the results of every operation drained into that
 /// round — are indeterminate.  The front-end then behaves like a poisoned
 /// `Mutex`: the panic propagates on the combining thread, clients whose
 /// operations were in that round panic instead of blocking forever, and
 /// every subsequent operation panics immediately.
-pub struct ConcurrentSet<K, S> {
+pub struct ConcurrentMap<K, V, S> {
     /// Head of the Treiber-stack ingress list of published op slots.
-    ingress: AtomicPtr<OpSlot<K>>,
+    ingress: AtomicPtr<OpSlot<K, V>>,
     /// The combiner flag: held (`true`) by at most one thread, which has
     /// exclusive access to `set`, `scratch` and the log tail.
     combiner: AtomicBool,
-    /// The backing batched set.  Touched only while holding `combiner`.
+    /// The backing batched store.  Touched only while holding `combiner`.
     set: UnsafeCell<S>,
     /// Sequence number of the most recently committed round (starts at
     /// [`Options::first_seq`]).  Advanced by the combiner for **every**
@@ -613,14 +629,14 @@ pub struct ConcurrentSet<K, S> {
     /// holding `combiner`.
     seq: UnsafeCell<u64>,
     /// Reused round buffers.  Touched only while holding `combiner`.
-    scratch: UnsafeCell<Scratch<K>>,
+    scratch: UnsafeCell<Scratch<K, V>>,
     /// The last published read snapshot (root + seq), republished by the
     /// combiner at the end of every mutating round.  Read lock-free by the
     /// snapshot read path; written only while holding `combiner`.
-    snap: SnapCell<K>,
+    snap: SnapCell<K, V>,
     /// Seq of the last committed round of *any* kind (read-only rounds
     /// included), stored by the combiner after the round's snapshot (if
-    /// any) is published.  Lets [`ConcurrentSet::read_at_least`] tell a
+    /// any) is published.  Lets [`ConcurrentMap::read_at_least`] tell a
     /// stale snapshot *mark* from stale snapshot *contents*.
     committed: AtomicU64,
     /// See [`Options::snapshot_reads`].
@@ -631,8 +647,8 @@ pub struct ConcurrentSet<K, S> {
     pool_cutoff: usize,
     /// Committed-round log, present when [`Options::log_rounds`] was set.
     /// Appended only by the combiner; the mutex serialises appends against
-    /// concurrent [`ConcurrentSet::take_rounds`] drains.
-    log: Option<Mutex<Vec<Round<K>>>>,
+    /// concurrent [`ConcurrentMap::take_rounds`] drains.
+    log: Option<Mutex<Vec<Round<K, V>>>>,
     /// Guards `progress` (never the data — that is what `combiner` is for).
     sleep_mutex: Mutex<()>,
     /// Signalled after every round commit and combiner unlock.
@@ -640,11 +656,11 @@ pub struct ConcurrentSet<K, S> {
     /// Clients currently blocked on `progress`.
     sleepers: AtomicUsize,
     /// Set when a combiner panicked mid-round (a backend batch op threw):
-    /// the backing set's state — and the results of any op drained into
+    /// the backing store's state — and the results of any op drained into
     /// that round — are indeterminate, so every subsequent operation
     /// panics instead of blocking forever.  Mutex-poisoning semantics.
     poisoned: AtomicBool,
-    /// Named-metric registry behind [`ConcurrentSet::metrics`]; the hot
+    /// Named-metric registry behind [`ConcurrentMap::metrics`]; the hot
     /// path goes through the pre-cloned handles in `metrics` instead.
     registry: Registry,
     /// See [`CombineMetrics`].
@@ -654,17 +670,22 @@ pub struct ConcurrentSet<K, S> {
     trace: Option<TraceRing>,
 }
 
+/// A concurrent ordered set: the `V = ()` instance of [`ConcurrentMap`]
+/// (its insert slots carry a zero-sized value), with the value-less
+/// [`insert`](ConcurrentMap::insert) spelling.
+pub type ConcurrentSet<K, S> = ConcurrentMap<K, (), S>;
+
 /// Releases the combiner flag (and wakes waiters) on every exit from a
 /// combining critical section — **including unwinds**.  A panic while
 /// combining marks the front-end poisoned before the flag is released, so
 /// woken waiters observe the poison rather than re-electing themselves
-/// onto a half-mutated set (or hanging on slots whose `done` will never
+/// onto a half-mutated store (or hanging on slots whose `done` will never
 /// come).
-struct CombinerGuard<'a, K, S> {
-    set: &'a ConcurrentSet<K, S>,
+struct CombinerGuard<'a, K, V, S> {
+    set: &'a ConcurrentMap<K, V, S>,
 }
 
-impl<K, S> Drop for CombinerGuard<'_, K, S> {
+impl<K, V, S> Drop for CombinerGuard<'_, K, V, S> {
     fn drop(&mut self) {
         let poisoning = std::thread::panicking();
         if poisoning {
@@ -686,31 +707,44 @@ impl<K, S> Drop for CombinerGuard<'_, K, S> {
     }
 }
 
-// SAFETY: `ConcurrentSet` is a Mutex-like container.  `set`, `scratch` and
+// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `scratch` and
 // the log tail are accessed only by the thread holding the `combiner` flag
 // (Acquire/Release on that flag sequences successive combiners), so they
 // need `Send` but not `Sync`.  The ingress list holds pointers to `OpSlot`s
 // pinned on client stacks; the publish CAS (Release) / drain swap (Acquire)
-// pair transfers them to the combiner, which reads `key` by shared
-// reference from another thread — hence `K: Sync` — and hands them back
-// through the `done` Release/Acquire pair, after which only the owning
-// client touches them.
-unsafe impl<K: Send + Sync, S: Send> Sync for ConcurrentSet<K, S> {}
-unsafe impl<K: Send, S: Send> Send for ConcurrentSet<K, S> {}
+// pair transfers them to the combiner, which reads `key` and `val` by
+// shared reference from another thread — hence `K: Sync`, `V: Sync` — and
+// hands them back through the `done` Release/Acquire pair, after which only
+// the owning client touches them.
+unsafe impl<K: Send + Sync, V: Send + Sync, S: Send> Sync for ConcurrentMap<K, V, S> {}
+unsafe impl<K: Send, V: Send, S: Send> Send for ConcurrentMap<K, V, S> {}
 
 impl<K, S> ConcurrentSet<K, S>
 where
     K: Ord + Clone + Send + Sync + 'static,
-    S: BatchedSet<K> + Send,
+    S: BatchedMap<K, ()> + Send,
+{
+    /// Inserts `key`, returning `true` iff it was newly inserted — the
+    /// set spelling of [`ConcurrentMap::upsert`].
+    pub fn insert(&self, key: K) -> bool {
+        self.upsert(key, ())
+    }
+}
+
+impl<K, V, S> ConcurrentMap<K, V, S>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    S: BatchedMap<K, V> + Send,
 {
     /// Wraps `set` behind a flat-combining front-end with default
     /// [`Options`], executing large rounds on `pool`.
-    pub fn new(set: S, pool: Pool) -> ConcurrentSet<K, S> {
-        ConcurrentSet::with_options(set, pool, Options::default())
+    pub fn new(set: S, pool: Pool) -> ConcurrentMap<K, V, S> {
+        ConcurrentMap::with_options(set, pool, Options::default())
     }
 
     /// Wraps `set` with explicit [`Options`].
-    pub fn with_options(set: S, pool: Pool, options: Options) -> ConcurrentSet<K, S> {
+    pub fn with_options(set: S, pool: Pool, options: Options) -> ConcurrentMap<K, V, S> {
         let registry = Registry::new();
         let metrics = CombineMetrics::new(&registry);
         // Publish the initial contents so the read path has a snapshot
@@ -719,7 +753,7 @@ where
             seq: options.first_seq,
             view: set.publish_root(),
         }));
-        ConcurrentSet {
+        ConcurrentMap {
             ingress: AtomicPtr::new(ptr::null_mut()),
             combiner: AtomicBool::new(false),
             set: UnsafeCell::new(set),
@@ -731,6 +765,7 @@ where
                 contains: Lane::new(),
                 insert: Lane::new(),
                 remove: Lane::new(),
+                entries: Vec::new(),
                 claimed: Vec::new(),
             }),
             pool,
@@ -746,71 +781,84 @@ where
         }
     }
 
-    /// Inserts `key`, returning `true` iff it was newly inserted.
+    /// Upserts `key → val`, returning `true` iff the key was newly inserted
+    /// (`false`: it was present and now holds `val`).
     ///
     /// # Panics
     ///
-    /// Panics if the front-end is [poisoned](ConcurrentSet#poisoning)
-    /// (same for [`remove`](ConcurrentSet::remove),
-    /// [`contains`](ConcurrentSet::contains) and
-    /// [`len`](ConcurrentSet::len)).
-    pub fn insert(&self, key: K) -> bool {
-        match self.try_fast_op(OpKind::Insert, &key) {
+    /// Panics if the front-end is [poisoned](ConcurrentMap#poisoning)
+    /// (same for every other operation).
+    pub fn upsert(&self, key: K, val: V) -> bool {
+        match self.try_fast_op(OpKind::Insert, &key, Some(&val)) {
             Some(result) => result,
-            None => self.run_op_published(OpKind::Insert, key),
+            None => self.run_op_published(OpKind::Insert, key, Some(val)),
         }
     }
 
     /// Removes `key`, returning `true` iff it was present.
     pub fn remove(&self, key: &K) -> bool {
-        match self.try_fast_op(OpKind::Remove, key) {
+        match self.try_fast_op(OpKind::Remove, key, None) {
             Some(result) => result,
-            None => self.run_op_published(OpKind::Remove, key.clone()),
+            None => self.run_op_published(OpKind::Remove, key.clone(), None),
         }
     }
 
-    /// Returns `true` iff `key` is in the set.
+    /// Returns `true` iff `key` is in the store.
     ///
     /// With [`Options::snapshot_reads`] on (the default) this is a
     /// wait-free snapshot read — see the module docs' staleness contract;
-    /// otherwise it linearises through the combiner like a write.
+    /// otherwise it linearises through the combiner like a write (and, alone
+    /// among the reads, lands in the round log as an [`OpKind::Contains`]
+    /// op).
     pub fn contains(&self, key: &K) -> bool {
         if self.snapshot_reads {
             return self.snap_read(|view| view.contains(key));
         }
-        match self.try_fast_op(OpKind::Contains, key) {
+        match self.try_fast_op(OpKind::Contains, key, None) {
             Some(result) => result,
-            None => self.run_op_published(OpKind::Contains, key.clone()),
+            None => self.run_op_published(OpKind::Contains, key.clone(), None),
         }
     }
 
-    /// Number of keys strictly smaller than `key` — a snapshot read (or a
+    // Every other read is one closure over `&dyn MapView`: the published
+    // snapshot and the live backend answer through the same trait, so
+    // `read`/`scan` pick the source and the query is written once.
+
+    /// The value stored under `key`, or `None` — a snapshot read (or a
     /// combining round of its own when [`Options::snapshot_reads`] is off).
+    pub fn get(&self, key: &K) -> Option<V> {
+        self.read(|view| view.get(key))
+    }
+
+    /// Number of keys in the store.  Under [`Options::snapshot_reads`] (the
+    /// default) a snapshot read; otherwise it linearises as a combining
+    /// round of its own: pending published operations are flushed first,
+    /// then the backend is read under the combiner flag.
+    pub fn len(&self) -> usize {
+        self.read(|view| view.len())
+    }
+
+    /// Returns `true` when the store holds no keys.  Same linearisation as
+    /// [`ConcurrentMap::len`].
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Number of keys strictly smaller than `key`.
     pub fn rank(&self, key: &K) -> usize {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.rank(key));
-        }
-        self.read_via_round(|set| set.rank(key))
+        self.read(|view| view.rank(key))
     }
 
-    /// The smallest key, or `None` for an empty set — a snapshot read (or
-    /// a combining round of its own when [`Options::snapshot_reads`] is
-    /// off).  Cloned out: the set's contents move on under concurrent
-    /// writes, only a snapshot's view can hand out references.
+    /// The smallest key, or `None` for an empty store.  Cloned out: the
+    /// contents move on under concurrent writes, only a snapshot's view can
+    /// hand out references.
     pub fn min(&self) -> Option<K> {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.min().cloned());
-        }
-        self.read_via_round(|set| set.min().cloned())
+        self.read(|view| view.min().cloned())
     }
 
-    /// The largest key, or `None` for an empty set.  See
-    /// [`ConcurrentSet::min`].
+    /// The largest key, or `None` for an empty store.
     pub fn max(&self) -> Option<K> {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.max().cloned());
-        }
-        self.read_via_round(|set| set.max().cloned())
+        self.read(|view| view.max().cloned())
     }
 
     /// Keys inside the `(lo, hi)` bound pair, in ascending order.
@@ -823,51 +871,45 @@ where
     /// `combine.snapshot_reads`.  With snapshot reads off it linearises
     /// through a combining round like the other reads.
     pub fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        if self.snapshot_reads {
-            self.check_poisoned();
-            // A range scan can be long: hold an `Arc` (`read_snapshot`)
-            // rather than the cell's borrow window (`snap_read`), so a
-            // concurrent publisher never waits on our scan.
-            return self.read_snapshot().view().range_keys(lo, hi);
-        }
-        self.read_via_round(|set| set.range_keys(lo, hi))
+        self.scan(|view| view.range_keys(lo, hi))
+    }
+
+    /// Pairs whose keys fall inside the `(lo, hi)` bound pair, ascending.
+    /// Same contract as [`ConcurrentMap::range_keys`].
+    pub fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
+        self.scan(|view| view.range_entries(lo, hi))
     }
 
     /// Number of keys inside the `(lo, hi)` bound pair — two rank descents
-    /// against one snapshot.  Same linearisation and staleness contract as
-    /// [`ConcurrentSet::range_keys`].
+    /// against one snapshot.
     pub fn range_count(&self, lo: Bound<&K>, hi: Bound<&K>) -> usize {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.range_count(lo, hi));
-        }
-        self.read_via_round(|set| set.range_count(lo, hi))
+        self.read(|view| view.range_count(lo, hi))
     }
 
-    /// The largest key strictly smaller than `key`, or `None`.  Same
-    /// contract as [`ConcurrentSet::range_keys`].
+    /// The largest key strictly smaller than `key`, or `None`.
     pub fn predecessor(&self, key: &K) -> Option<K> {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.predecessor(key));
-        }
-        self.read_via_round(|set| set.predecessor(key))
+        self.read(|view| view.predecessor(key))
     }
 
-    /// The smallest key strictly greater than `key`, or `None`.  Same
-    /// contract as [`ConcurrentSet::range_keys`].
+    /// The smallest key strictly greater than `key`, or `None`.
     pub fn successor(&self, key: &K) -> Option<K> {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.successor(key));
-        }
-        self.read_via_round(|set| set.successor(key))
+        self.read(|view| view.successor(key))
     }
 
     /// The `k`-th smallest key (0-indexed), or `None` when `k >= len()`.
-    /// Same contract as [`ConcurrentSet::range_keys`].
     pub fn kth(&self, k: usize) -> Option<K> {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.kth(k));
-        }
-        self.read_via_round(|set| set.kth(k))
+        self.read(|view| view.kth(k))
+    }
+
+    /// The `k`-th smallest pair (0-indexed), or `None` when `k >= len()`.
+    pub fn kth_entry(&self, k: usize) -> Option<(K, V)> {
+        self.read(|view| view.kth_entry(k))
+    }
+
+    /// One value lookup per key of a pre-sorted `batch`, all answered from
+    /// one linearisation point (`None` for absent keys).
+    pub fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
+        self.scan(|view| view.batch_get(batch))
     }
 
     /// Answers one membership query per key of a pre-sorted `batch`,
@@ -879,21 +921,16 @@ where
     /// linearise first), runs the whole batch against the backend in one
     /// round, and commits it to the round log like any other round.  Batches
     /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the front-end is [poisoned](ConcurrentSet#poisoning)
-    /// (same for the other batched operations).
     pub fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_contains_report(batch, &mut out);
         out
     }
 
-    /// Inserts every key of `batch` as one combining round; `result[i]` is
-    /// `true` iff `batch[i]` was newly inserted.  See
-    /// [`ConcurrentSet::batch_contains`] for the linearisation contract.
-    pub fn batch_insert(&self, batch: &Batch<K>) -> Vec<bool> {
+    /// Upserts every pair of `batch` as one combining round; `result[i]` is
+    /// `true` iff key `i` was newly inserted.  See
+    /// [`ConcurrentMap::batch_contains`] for the linearisation contract.
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_insert_report(batch, &mut out);
         out
@@ -901,14 +938,14 @@ where
 
     /// Removes every key of `batch` as one combining round; `result[i]` is
     /// `true` iff `batch[i]` was present.  See
-    /// [`ConcurrentSet::batch_contains`] for the linearisation contract.
+    /// [`ConcurrentMap::batch_contains`] for the linearisation contract.
     pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_remove_report(batch, &mut out);
         out
     }
 
-    /// Buffer-reusing variant of [`ConcurrentSet::batch_contains`]: flags
+    /// Buffer-reusing variant of [`ConcurrentMap::batch_contains`]: flags
     /// land in `out` (cleared first), so a tier issuing many sub-batches
     /// can reuse one buffer per shard.
     ///
@@ -927,27 +964,45 @@ where
                 .batch_contains_report(batch, out);
             return;
         }
-        self.run_batch_op(OpKind::Contains, batch, out);
+        self.run_batch_op(OpKind::Contains, batch, None, out, |set, out| {
+            set.batch_contains_report(batch, out)
+        });
     }
 
-    /// Buffer-reusing variant of [`ConcurrentSet::batch_insert`].
-    pub fn batch_insert_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch_op(OpKind::Insert, batch, out);
+    /// Buffer-reusing variant of [`ConcurrentMap::batch_insert`].
+    pub fn batch_insert_report(&self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
+        self.run_batch_op(
+            OpKind::Insert,
+            batch,
+            Some(batch.vals()),
+            out,
+            |set, out| set.batch_insert_report(batch, out),
+        );
     }
 
-    /// Buffer-reusing variant of [`ConcurrentSet::batch_remove`].
+    /// Buffer-reusing variant of [`ConcurrentMap::batch_remove`].
     pub fn batch_remove_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch_op(OpKind::Remove, batch, out);
+        self.run_batch_op(OpKind::Remove, batch, None, out, |set, out| {
+            set.batch_remove_report(batch, out)
+        });
     }
 
     /// Becomes the combiner (waiting out a concurrent one), flushes pending
-    /// published ops, then executes `batch` as one `kind` round: the
-    /// backend's batched op runs once, per-key flags land in `out`, and the
-    /// round is logged and counted exactly like a combined one.  Duplicate
-    /// resolution never arises — a [`Batch`] holds each key at most once.
-    fn run_batch_op(&self, kind: OpKind, batch: &Batch<K>, out: &mut Vec<bool>) {
+    /// published ops, then executes one pre-sorted batch of `kind` ops over
+    /// `keys` (with `vals` for inserts) as one round: `run` — the backend's
+    /// batched op — runs once, per-key flags land in `out`, and the round
+    /// is logged and counted exactly like a combined one.  Duplicate
+    /// resolution never arises — a batch holds each key at most once.
+    fn run_batch_op(
+        &self,
+        kind: OpKind,
+        keys: &[K],
+        vals: Option<&[V]>,
+        out: &mut Vec<bool>,
+        run: impl FnOnce(&mut S, &mut Vec<bool>) + Send,
+    ) {
         out.clear();
-        if batch.is_empty() {
+        if keys.is_empty() {
             // An empty round would break the `ops >= rounds` stats
             // invariant; there is nothing to linearise anyway.
             self.check_poisoned();
@@ -964,34 +1019,31 @@ where
                 // this batch arrived; linearise them first, as the fast
                 // path does.
                 self.combine_round();
-                let total = batch.len() as u64;
+                let total = keys.len() as u64;
                 let _span = self
                     .trace
                     .as_ref()
                     .map(|ring| obs::trace_round(ring, total));
                 // SAFETY: we hold the combiner flag — exclusive set access.
                 let set = unsafe { &mut *self.set.get() };
-                let pooled = batch.len() >= self.pool_cutoff;
-                let run = |set: &mut S, out: &mut Vec<bool>| match kind {
-                    OpKind::Contains => set.batch_contains_report(batch, out),
-                    OpKind::Insert => set.batch_insert_report(batch, out),
-                    OpKind::Remove => set.batch_remove_report(batch, out),
-                };
+                let pooled = keys.len() >= self.pool_cutoff;
                 if pooled {
                     self.pool.install(|| run(set, out));
                 } else {
                     run(set, out);
                 }
-                debug_assert_eq!(out.len(), batch.len(), "one flag per batch key");
+                debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
                 let seq = self.next_seq();
                 self.commit_round_state(seq, !matches!(kind, OpKind::Contains));
                 if let Some(log) = &self.log {
-                    let ops = batch
+                    let ops = keys
                         .iter()
                         .zip(out.iter())
-                        .map(|(key, &result)| RoundOp {
+                        .enumerate()
+                        .map(|(i, (key, &result))| RoundOp {
                             kind,
                             key: key.clone(),
+                            val: vals.map(|vals| vals[i].clone()),
                             result,
                         })
                         .collect();
@@ -1008,7 +1060,7 @@ where
     }
 
     /// Returns `true` when a combiner panic has
-    /// [poisoned](ConcurrentSet#poisoning) the front-end.  Unlike the
+    /// [poisoned](ConcurrentMap#poisoning) the front-end.  Unlike the
     /// operations, this never panics — it is how a supervising layer (a
     /// sharded tier) inspects shard health without tripping the poison
     /// itself.
@@ -1016,23 +1068,33 @@ where
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// Number of keys in the set.
-    ///
-    /// A snapshot read under [`Options::snapshot_reads`] (the default);
-    /// otherwise it linearises as a combining round of its own: pending
-    /// published operations are flushed first, then the backing set is
-    /// read under the combiner flag.
-    pub fn len(&self) -> usize {
+    /// A short read (point query, rank arithmetic): a borrow-window
+    /// snapshot read, or a combining round of its own when
+    /// [`Options::snapshot_reads`] is off.
+    fn read<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
         if self.snapshot_reads {
-            return self.snap_read(|view| view.len());
+            self.snap_read(read)
+        } else {
+            self.read_via_round(|set| read(set))
         }
-        self.read_via_round(|set| set.len())
+    }
+
+    /// A read that can be long (range scan, batch lookup): holds an `Arc`
+    /// ([`ConcurrentMap::read_snapshot`]) rather than the cell's borrow
+    /// window ([`ConcurrentMap::snap_read`]), so a concurrent publisher
+    /// never waits on the scan.
+    fn scan<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
+        if self.snapshot_reads {
+            self.check_poisoned();
+            read(self.read_snapshot().view())
+        } else {
+            self.read_via_round(|set| read(set))
+        }
     }
 
     /// Becomes the combiner (waiting out a concurrent one), flushes pending
-    /// published ops, and reads the backing set under the flag — the
-    /// round-entering read path behind `len`/`rank`/`min`/`max` when
-    /// snapshot reads are off.
+    /// published ops, and reads the backend under the flag — the
+    /// round-entering read path when snapshot reads are off.
     fn read_via_round<T>(&self, read: impl FnOnce(&S) -> T) -> T {
         let mut read = Some(read);
         loop {
@@ -1058,7 +1120,7 @@ where
     /// the snapshot path stays cheaper than electing a combiner even on
     /// the uncontended fast path.  Lag is *not* sampled here; it is
     /// recorded on the handle and batch reads, where its cost amortises.
-    fn snap_read<T>(&self, read: impl FnOnce(&dyn SetView<K>) -> T) -> T {
+    fn snap_read<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
         self.check_poisoned();
         let result = self.snap.with_snap(|snap| read(snap.view()));
         self.metrics.snapshot_reads.inc();
@@ -1069,10 +1131,10 @@ where
     /// mutating round they reflect.  Lock-free; counts as a snapshot read
     /// in the metrics (and samples `combine.snapshot_lag`).  Unlike the
     /// read operations this does **not** check for poisoning — like
-    /// [`ConcurrentSet::is_poisoned`] it is a supervisor-grade accessor
+    /// [`ConcurrentMap::is_poisoned`] it is a supervisor-grade accessor
     /// (the snapshot predates the poisoned round: a panicking round never
     /// publishes).
-    pub fn read_snapshot(&self) -> Arc<ReadSnapshot<K>> {
+    pub fn read_snapshot(&self) -> Arc<ReadSnapshot<K, V>> {
         let snap = self.snap.load();
         self.metrics.snapshot_reads.inc();
         let committed = self.committed.load(Ordering::Acquire);
@@ -1083,7 +1145,7 @@ where
     }
 
     /// Seq of the last committed round of any kind — the high-water mark a
-    /// client passes to [`ConcurrentSet::read_at_least`] to read its own
+    /// client passes to [`ConcurrentMap::read_at_least`] to read its own
     /// (and every earlier acknowledged) write.
     pub fn committed_seq(&self) -> u64 {
         self.committed.load(Ordering::Acquire)
@@ -1101,7 +1163,7 @@ where
     ///
     /// Every legitimately *observed* mark is already committed (rounds
     /// publish before they acknowledge), so a caller passing a mark it
-    /// observed — [`ConcurrentSet::committed_seq`], a
+    /// observed — [`ConcurrentMap::committed_seq`], a
     /// [`ReadSnapshot::seq`], a durable log record — returns immediately.
     /// A `want` above the committed mark can only be satisfied by rounds
     /// still in flight; this call helps drain them, but the moment the
@@ -1114,7 +1176,7 @@ where
     ///
     /// Panics if the front-end is poisoned (`want` may never arrive);
     /// the poison check repeats on every wait iteration.
-    pub fn read_at_least(&self, want: u64) -> Result<Arc<ReadSnapshot<K>>, FreshnessError> {
+    pub fn read_at_least(&self, want: u64) -> Result<Arc<ReadSnapshot<K, V>>, FreshnessError> {
         loop {
             self.check_poisoned();
             // `committed` is loaded *before* the snapshot: if rounds
@@ -1153,15 +1215,10 @@ where
         }
     }
 
-    /// Returns `true` when the set holds no keys.  Same linearisation as
-    /// [`ConcurrentSet::len`].
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Collects every key of the last published snapshot (ascending)
-    /// together with the sequence number it reflects — a consistent
-    /// snapshot *and* its high-water mark, from one linearisation point.
+    /// Collects every pair of the last published snapshot (ascending, as
+    /// parallel key and value arrays) together with the sequence number it
+    /// reflects — a consistent snapshot *and* its high-water mark, from one
+    /// linearisation point.
     ///
     /// Served from the published [`ReadSnapshot`] (regardless of
     /// [`Options::snapshot_reads`]), so it never enters a round and never
@@ -1170,13 +1227,20 @@ where
     /// here.  Pending published ops are *not* flushed — the pair reflects
     /// acknowledged rounds only (every acknowledged write is covered,
     /// because rounds publish before they acknowledge).  This is the
-    /// durability tier's snapshot primitive: persist the keys, record the
+    /// durability tier's snapshot primitive: persist the pairs, record the
     /// mark, and replay only log records with seq above it — rounds above
     /// the mark that mutated nothing are safe to replay anyway.
-    pub fn snapshot_keys(&self) -> (Vec<K>, u64) {
+    pub fn snapshot_entries(&self) -> (Vec<K>, Vec<V>, u64) {
         self.check_poisoned();
         let snap = self.snap.load();
-        (snap.view().collect_keys(), snap.seq())
+        let (keys, vals) = snap.view().collect_entries();
+        (keys, vals, snap.seq())
+    }
+
+    /// The key half of [`ConcurrentMap::snapshot_entries`], with its mark.
+    pub fn snapshot_keys(&self) -> (Vec<K>, u64) {
+        let (keys, _, seq) = self.snapshot_entries();
+        (keys, seq)
     }
 
     /// Snapshot of the combining counters.
@@ -1199,7 +1263,7 @@ where
     }
 
     /// Snapshot of every named metric on the front-end's registry — the
-    /// [`ConcurrentSet::stats`] counters plus the fast/slow path split,
+    /// [`ConcurrentMap::stats`] counters plus the fast/slow path split,
     /// the poison count and the `combine.round_size` histogram.  Metric
     /// names follow the workspace `<subsystem>.<metric>` convention.
     pub fn metrics(&self) -> obs::Snapshot {
@@ -1233,7 +1297,7 @@ where
     /// Drains the committed-round log (empty unless built with
     /// [`Options::log_rounds`]).  Rounds are in commit order; replaying
     /// them sequentially reproduces every client-observed result.
-    pub fn take_rounds(&self) -> Vec<Round<K>> {
+    pub fn take_rounds(&self) -> Vec<Round<K, V>> {
         match &self.log {
             Some(log) => mem::take(&mut *log.lock().unwrap()),
             None => Vec::new(),
@@ -1259,8 +1323,8 @@ where
     /// Returns `None` when the path does not apply — the combiner flag is
     /// taken, or the cutoff demands pooled rounds (`pool_cutoff <= 1`,
     /// which routes every op through the batch machinery) — and the caller
-    /// must fall back to [`ConcurrentSet::run_op_published`].
-    fn try_fast_op(&self, kind: OpKind, key: &K) -> Option<bool> {
+    /// must fall back to [`ConcurrentMap::run_op_published`].
+    fn try_fast_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> Option<bool> {
         self.check_poisoned();
         if self.pool_cutoff <= 1 || !self.lock_combiner() {
             return None;
@@ -1281,19 +1345,19 @@ where
             self.combine_round();
         }
         self.metrics.fast_path_rounds.add_single_writer(1);
-        Some(self.run_point_op(kind, key))
+        Some(self.run_point_op(kind, key, val))
     }
 
     /// Executes one operation directly against the backend's point path,
     /// logging it as a round of its own and counting it.  Caller must hold
     /// the combiner flag.
-    fn run_point_op(&self, kind: OpKind, key: &K) -> bool {
+    fn run_point_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
         // One span per point round; recorded when `_span` drops at return.
         let _span = self.trace.as_ref().map(|ring| obs::trace_round(ring, 1));
         // SAFETY: the caller holds the combiner flag — exclusive set access.
         let set = unsafe { &mut *self.set.get() };
         let result = match kind {
-            OpKind::Insert => set.insert_one(key),
+            OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
             OpKind::Remove => set.remove_one(key),
             OpKind::Contains => set.contains(key),
         };
@@ -1305,6 +1369,7 @@ where
                 ops: vec![RoundOp {
                     kind,
                     key: key.clone(),
+                    val: val.cloned(),
                     result,
                 }],
             });
@@ -1315,7 +1380,7 @@ where
 
     /// The contended path: publishes a slot, then combines or waits until
     /// the op completes.
-    fn run_op_published(&self, kind: OpKind, key: K) -> bool {
+    fn run_op_published(&self, kind: OpKind, key: K, val: Option<V>) -> bool {
         // Concurrent clients land here, so this is a real RMW, not the
         // combiner-only single-writer advance.
         self.metrics.slow_path_ops.inc();
@@ -1323,15 +1388,16 @@ where
             next: AtomicPtr::new(ptr::null_mut()),
             kind,
             key,
+            val,
             result: UnsafeCell::new(false),
             done: AtomicBool::new(false),
         };
         // Pinned from here on: `slot` must not move until `done` is set.
-        let slot_ptr = &slot as *const OpSlot<K> as *mut OpSlot<K>;
+        let slot_ptr = &slot as *const OpSlot<K, V> as *mut OpSlot<K, V>;
         let mut head = self.ingress.load(Ordering::Relaxed);
         loop {
             slot.next.store(head, Ordering::Relaxed);
-            // Release publishes the slot's fields (kind/key/next) to the
+            // Release publishes the slot's fields (kind/key/val/next) to the
             // combiner's Acquire drain-swap.  A successful CAS against a
             // re-seen head value is still correct (push-only ABA): whatever
             // lives at that address now is a live published slot, and our
@@ -1389,7 +1455,7 @@ where
     /// Commits a round's read-path state: republishes the snapshot when
     /// the round could have mutated the backend, then advances the
     /// `committed` mark.  Caller must hold the combiner flag and call this
-    /// *after* [`ConcurrentSet::next_seq`] but **before** logging the round
+    /// *after* [`ConcurrentMap::next_seq`] but **before** logging the round
     /// or storing any client's `done` flag — publish-before-acknowledge is
     /// the whole read-your-writes guarantee.  Runs on every round, even
     /// with [`Options::snapshot_reads`] off: `snapshot_keys` and
@@ -1437,8 +1503,8 @@ where
     fn check_poisoned(&self) {
         if self.poisoned.load(Ordering::Acquire) {
             panic!(
-                "ConcurrentSet is poisoned: a combiner panicked mid-round, \
-                 so the backing set's state is indeterminate"
+                "ConcurrentMap is poisoned: a combiner panicked mid-round, \
+                 so the backing store's state is indeterminate"
             );
         }
     }
@@ -1484,7 +1550,7 @@ where
         // SAFETY: the slot stays pinned until its `done` store below.
         if self.pool_cutoff > 1 && unsafe { (*drained).next.load(Ordering::Relaxed) }.is_null() {
             let slot = unsafe { &*drained };
-            let result = self.run_point_op(slot.kind, &slot.key);
+            let result = self.run_point_op(slot.kind, &slot.key, slot.val.as_ref());
             // SAFETY: combiner-exclusive until the `done` store, which is
             // the last touch (Release publishes the result write).
             unsafe {
@@ -1499,6 +1565,7 @@ where
             contains: con,
             insert: ins,
             remove: rem,
+            entries,
             claimed,
         } = scratch;
 
@@ -1521,12 +1588,21 @@ where
         }
         for lane in [&mut *con, &mut *ins, &mut *rem] {
             lane.slots.reverse();
+        }
+        // SAFETY (all three): slots stay pinned (as above); `key` and `val`
+        // are read by shared reference, which `K: Sync`, `V: Sync` licence
+        // across threads.
+        for lane in [&mut *con, &mut *rem] {
             lane.keys.clear();
-            // SAFETY: slots stay pinned (as above); `key` is read by shared
-            // reference, which `K: Sync` licences across threads.
             lane.keys
                 .extend(lane.slots.iter().map(|&s| unsafe { (*s).key.clone() }));
         }
+        entries.clear();
+        entries.extend(ins.slots.iter().map(|&s| {
+            let slot = unsafe { &*s };
+            let val = slot.val.clone().expect("insert ops carry a value");
+            (slot.key.clone(), val)
+        }));
 
         // One span for the whole batch round (build, execute, distribute,
         // complete); recorded when `_span` drops at return.
@@ -1535,10 +1611,12 @@ where
             .as_ref()
             .map(|ring| obs::trace_round(ring, total));
 
-        // One sorted batch per kind; the key buffers come back via
-        // `into_vec` below, so steady-state rounds do not allocate.
+        // One sorted batch per kind.  The key-only buffers come back via
+        // `into_vec` below; the insert pairs are unzipped into the batch's
+        // own arrays (publish order + stable sort + last-wins = the value
+        // the ops would leave behind applied one by one).
         let con_batch = Batch::from_unsorted(mem::take(&mut con.keys));
-        let ins_batch = Batch::from_unsorted(mem::take(&mut ins.keys));
+        let ins_batch = KvBatch::from_unsorted_entries(mem::take(entries));
         let rem_batch = Batch::from_unsorted(mem::take(&mut rem.keys));
 
         // Execute in linearisation order: contains, insert, remove.
@@ -1618,7 +1696,6 @@ where
 
         // Reclaim the key buffers for the next round.
         con.keys = con_batch.into_vec();
-        ins.keys = ins_batch.into_vec();
         rem.keys = rem_batch.into_vec();
 
         self.bump_stats(total, pooled);
@@ -1666,13 +1743,13 @@ where
 /// duplicates observe the first one's effect (insert after insert → already
 /// present; remove after remove → already gone), exactly as the replayed
 /// linearisation does.
-fn distribute<K: Ord + Clone>(
-    slots: &[*const OpSlot<K>],
-    batch: &Batch<K>,
+fn distribute<K: Ord + Clone, V: Clone>(
+    slots: &[*const OpSlot<K, V>],
+    batch: &[K],
     flags: &[bool],
     claimed: &mut Vec<bool>,
     consume: bool,
-    logged: &mut Option<Vec<RoundOp<K>>>,
+    logged: &mut Option<Vec<RoundOp<K, V>>>,
 ) {
     claimed.clear();
     claimed.resize(batch.len(), false);
@@ -1697,6 +1774,7 @@ fn distribute<K: Ord + Clone>(
             log.push(RoundOp {
                 kind: slot.kind,
                 key: slot.key.clone(),
+                val: slot.val.clone(),
                 result,
             });
         }
@@ -1709,49 +1787,75 @@ mod tests {
     use std::collections::BTreeSet;
     use std::sync::Arc;
 
-    /// A sequential reference backend: a sorted Vec driven through the
-    /// default (allocating) trait paths.
-    struct VecSet(Vec<u64>);
+    /// A sequential reference backend over a sorted `Vec` of pairs,
+    /// implementing only the required trait methods (so publication is the
+    /// O(n) default).  Upserting the key `u64::MAX` through the *batched*
+    /// path panics — the bomb the poisoning tests plant.
+    struct VecMap<V>(Vec<(u64, V)>);
 
-    impl BatchedSet<u64> for VecSet {
+    type VecSet = VecMap<()>;
+
+    impl<V> VecMap<V> {
+        fn find(&self, key: &u64) -> Result<usize, usize> {
+            self.0.binary_search_by(|(k, _)| k.cmp(key))
+        }
+    }
+
+    impl<V: Clone> MapView<u64, V> for VecMap<V> {
         fn len(&self) -> usize {
             self.0.len()
         }
+        fn get(&self, key: &u64) -> Option<V> {
+            self.find(key).ok().map(|i| self.0[i].1.clone())
+        }
         fn contains(&self, key: &u64) -> bool {
-            self.0.binary_search(key).is_ok()
+            self.find(key).is_ok()
         }
         fn rank(&self, key: &u64) -> usize {
-            self.0.partition_point(|k| k < key)
+            self.0.partition_point(|(k, _)| k < key)
         }
         fn min(&self) -> Option<&u64> {
-            self.0.first()
+            self.0.first().map(|(k, _)| k)
         }
         fn max(&self) -> Option<&u64> {
-            self.0.last()
+            self.0.last().map(|(k, _)| k)
         }
-        fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-            batch.iter().map(|q| self.contains(q)).collect()
+        fn collect_entries(&self) -> (Vec<u64>, Vec<V>) {
+            self.0.iter().cloned().unzip()
         }
-        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            let flags: Vec<bool> = batch.iter().map(|q| !self.contains(q)).collect();
-            self.0.extend(
-                batch
-                    .iter()
-                    .zip(&flags)
-                    .filter(|(_, &f)| f)
-                    .map(|(q, _)| *q),
-            );
-            self.0.sort_unstable();
-            flags
+    }
+
+    impl<V: Clone> BatchedMap<u64, V> for VecMap<V> {
+        fn batch_insert_report(&mut self, batch: &KvBatch<u64, V>, out: &mut Vec<bool>) {
+            assert!(!batch.contains(&u64::MAX), "bomb");
+            out.clear();
+            for (k, v) in batch.entries() {
+                out.push(match self.find(k) {
+                    Ok(i) => {
+                        self.0[i].1 = v.clone();
+                        false
+                    }
+                    Err(i) => {
+                        self.0.insert(i, (*k, v.clone()));
+                        true
+                    }
+                });
+            }
         }
-        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            let flags: Vec<bool> = batch.iter().map(|q| self.contains(q)).collect();
-            self.0.retain(|k| batch.binary_search(k).is_err());
-            flags
+        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+            out.clear();
+            for k in batch.iter() {
+                let found = self.find(k);
+                if let Ok(i) = found {
+                    self.0.remove(i);
+                }
+                out.push(found.is_ok());
+            }
         }
-        fn collect_keys(&self) -> Vec<u64> {
-            self.0.clone()
-        }
+    }
+
+    fn keys_of(set: VecSet) -> Vec<u64> {
+        set.0.into_iter().map(|(k, ())| k).collect()
     }
 
     /// Round-path harness: snapshot reads off, so every read linearises
@@ -1760,7 +1864,7 @@ mod tests {
     /// tests.
     fn fresh(log: bool) -> ConcurrentSet<u64, VecSet> {
         ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 4,
@@ -1783,7 +1887,7 @@ mod tests {
         assert!(set.remove(&5));
         assert!(!set.remove(&5));
         assert!(!set.is_empty());
-        assert_eq!(set.into_inner().0, vec![9]);
+        assert_eq!(keys_of(set.into_inner()), vec![9]);
     }
 
     #[test]
@@ -1802,16 +1906,19 @@ mod tests {
                 RoundOp {
                     kind: OpKind::Insert,
                     key: 1,
+                    val: Some(()),
                     result: true
                 },
                 RoundOp {
                     kind: OpKind::Contains,
                     key: 1,
+                    val: None,
                     result: true
                 },
                 RoundOp {
                     kind: OpKind::Remove,
                     key: 1,
+                    val: None,
                     result: true
                 },
             ]
@@ -1839,7 +1946,7 @@ mod tests {
 
         // first_seq seeds the counter (the recovery path).
         let resumed = ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 4,
@@ -1888,7 +1995,7 @@ mod tests {
 
         // pool_cutoff 0: every round is a pool round.
         let pooled = ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
@@ -1901,45 +2008,11 @@ mod tests {
         assert_eq!(pooled.stats().pooled_rounds, pooled.stats().rounds);
     }
 
-    /// A backend that panics when asked to insert a magic key.
-    struct BombSet(VecSet);
-
-    impl BatchedSet<u64> for BombSet {
-        fn len(&self) -> usize {
-            self.0.len()
-        }
-        fn contains(&self, key: &u64) -> bool {
-            self.0.contains(key)
-        }
-        fn rank(&self, key: &u64) -> usize {
-            self.0.rank(key)
-        }
-        fn min(&self) -> Option<&u64> {
-            self.0.min()
-        }
-        fn max(&self) -> Option<&u64> {
-            self.0.max()
-        }
-        fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-            self.0.batch_contains(batch)
-        }
-        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            assert!(!batch.contains(&u64::MAX), "bomb");
-            self.0.batch_insert(batch)
-        }
-        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            self.0.batch_remove(batch)
-        }
-        fn collect_keys(&self) -> Vec<u64> {
-            self.0.collect_keys()
-        }
-    }
-
     #[test]
     fn backend_panic_poisons_instead_of_wedging() {
         // pool_cutoff 0 forces the batch path, whose `batch_insert` bombs.
         let set = ConcurrentSet::with_options(
-            BombSet(VecSet(Vec::new())),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
@@ -1988,7 +2061,7 @@ mod tests {
 
         // pool_cutoff <= 1 forbids the fast path; everything publishes.
         let slow = ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
@@ -2024,6 +2097,7 @@ mod tests {
             RoundOp {
                 kind: OpKind::Insert,
                 key: 1,
+                val: Some(()),
                 result: true
             }
         );
@@ -2058,7 +2132,7 @@ mod tests {
     #[test]
     fn batched_surface_respects_poisoning() {
         let set = ConcurrentSet::with_options(
-            BombSet(VecSet(Vec::new())),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
@@ -2083,7 +2157,7 @@ mod tests {
     #[test]
     fn trace_ring_records_round_spans() {
         let set = ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 4,
@@ -2117,7 +2191,7 @@ mod tests {
     /// the tests can prove reads *stay out* of the round log.
     fn fresh_snap() -> ConcurrentSet<u64, VecSet> {
         ConcurrentSet::with_options(
-            VecSet(Vec::new()),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 4,
@@ -2316,7 +2390,7 @@ mod tests {
     #[test]
     fn snapshot_reads_panic_on_poison_without_blocking() {
         let set = ConcurrentSet::with_options(
-            BombSet(VecSet(Vec::new())),
+            VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 0,
@@ -2365,6 +2439,72 @@ mod tests {
         assert!(set.read_snapshot().view().contains(&3));
     }
 
+    /// The same front-end at a real value type, with reads served from the
+    /// snapshot and (snapshot reads off) through rounds: upserts overwrite
+    /// and report not-new, value reads see the acknowledged value, and the
+    /// round log carries each insert's value for a WAL downstream.
+    #[test]
+    fn values_ride_the_rounds_and_the_snapshot() {
+        for snapshot_reads in [true, false] {
+            let map: ConcurrentMap<u64, char, VecMap<char>> = ConcurrentMap::with_options(
+                VecMap(Vec::new()),
+                Pool::new(1).unwrap(),
+                Options {
+                    pool_cutoff: 4,
+                    log_rounds: true,
+                    snapshot_reads,
+                    ..Options::default()
+                },
+            );
+            assert!(map.upsert(5, 'a'));
+            assert!(!map.upsert(5, 'b'), "present: overwritten, not new");
+            assert_eq!(map.get(&5), Some('b'));
+            assert_eq!(map.get(&6), None);
+            let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![
+                (9, 'x'),
+                (1, 'y'),
+                (5, 'c'),
+                (9, 'z'),
+            ]));
+            assert_eq!(flags, vec![true, false, true], "keys 1, 5, 9");
+            assert_eq!(
+                map.batch_get(&Batch::from_unsorted(vec![1, 2, 5, 9])),
+                vec![Some('y'), None, Some('c'), Some('z')]
+            );
+            assert_eq!(
+                map.range_entries(Bound::Excluded(&1), Bound::Unbounded),
+                vec![(5, 'c'), (9, 'z')]
+            );
+            assert_eq!(map.kth_entry(0), Some((1, 'y')));
+            assert_eq!(map.kth(2), Some(9));
+            assert!(map.remove(&1));
+            assert_eq!(
+                map.snapshot_entries(),
+                (vec![5, 9], vec!['c', 'z'], map.read_snapshot().seq())
+            );
+
+            let vals: Vec<(OpKind, u64, Option<char>)> = map
+                .take_rounds()
+                .into_iter()
+                .flat_map(|r| r.ops)
+                .filter(|op| op.kind != OpKind::Contains)
+                .map(|op| (op.kind, op.key, op.val))
+                .collect();
+            assert_eq!(
+                vals,
+                vec![
+                    (OpKind::Insert, 5, Some('a')),
+                    (OpKind::Insert, 5, Some('b')),
+                    (OpKind::Insert, 1, Some('y')),
+                    (OpKind::Insert, 5, Some('c')),
+                    (OpKind::Insert, 9, Some('z')),
+                    (OpKind::Remove, 1, None),
+                ],
+                "snapshot_reads {snapshot_reads}"
+            );
+        }
+    }
+
     #[test]
     fn concurrent_clients_agree_with_oracle_replay() {
         let set = Arc::new(fresh(true));
@@ -2407,6 +2547,6 @@ mod tests {
         }
         let final_keys: Vec<u64> = oracle.into_iter().collect();
         let backing = Arc::try_unwrap(set).ok().unwrap().into_inner();
-        assert_eq!(backing.0, final_keys);
+        assert_eq!(keys_of(backing), final_keys);
     }
 }

@@ -4,8 +4,9 @@
 //! The flat-combining combiner already produces exactly the artefact a
 //! write-ahead log needs: a totally-ordered stream of committed rounds,
 //! each stamped with a gap-free sequence number (`combine::Round::seq`).
-//! [`DurableSet`] drains that stream ([`combine::ConcurrentSet::take_rounds`])
-//! and appends one checksummed record per *mutation* round to an
+//! [`DurableMap`] (and [`DurableSet`], its `V = ()` alias) drains that stream
+//! ([`combine::ConcurrentMap::take_rounds`]) and appends one checksummed
+//! record per *mutation* round to an
 //! append-only segment log, amortising `fsync` over groups of rounds the
 //! same way combining amortises tree descents over groups of keys.
 //!
@@ -14,20 +15,21 @@
 //! * **Append.**  Every operation, after completing in memory, *publishes*:
 //!   it takes the wal lock, drains all committed-but-unappended rounds
 //!   (its own round among them — the combiner logs a round before
-//!   releasing any of its clients), strips reads and ineffective ops, and
-//!   appends the remainder as records.  The wal lock makes append order
+//!   releasing any of its clients), strips reads and ops whose replay could
+//!   not change state (see *What is logged*), and appends the remainder as
+//!   records.  The wal lock makes append order
 //!   equal commit order, so the log *is* the linearisation.
 //! * **Group commit.**  Records accumulate until
 //!   [`DurableOptions::group_commit`] of them are pending, then one
 //!   `fsync` covers them all.  `group_commit: 1` fsyncs on every mutation
 //!   round — each op is durable before its call returns; larger groups
 //!   trade bounded post-crash loss for an order of magnitude fewer
-//!   fsyncs.  [`DurableSet::durable_seq`] is the contract either way: it
+//!   fsyncs.  [`DurableMap::durable_seq`] is the contract either way: it
 //!   advances only when records reach disk, so state at or below it
-//!   survives any crash.  [`DurableSet::sync`] forces the boundary.
+//!   survives any crash.  [`DurableMap::sync`] forces the boundary.
 //! * **Snapshot.**  Every [`DurableOptions::snapshot_every`] appended
-//!   records (or on [`DurableSet::snapshot`]), the set's full contents are
-//!   captured at one linearisation point ([`combine::ConcurrentSet::snapshot_keys`],
+//!   records (or on [`DurableMap::snapshot`]), the store's full contents are
+//!   captured at one linearisation point ([`combine::ConcurrentMap::snapshot_entries`],
 //!   which serves the combiner-published read snapshot without entering a
 //!   round), written to a snapshot file, and committed by atomically
 //!   renaming a manifest into place.  Because the combiner publishes a
@@ -35,7 +37,7 @@
 //!   snapshot's seq covers every record already drained into the wal, so
 //!   *all* segments are deleted and the log restarts empty — bounded disk,
 //!   bounded recovery.
-//! * **Recover.**  [`DurableSet::open`] loads the manifest's snapshot (if
+//! * **Recover.**  [`DurableMap::open`] loads the manifest's snapshot (if
 //!   any) and replays log records with seq above it, in segment-name
 //!   order, into a fresh backend.  A torn final record — the signature of
 //!   a crash mid-append — ends replay cleanly and is truncated away; the
@@ -45,8 +47,8 @@
 //!
 //! # Crash-consistency contract
 //!
-//! After `SIGKILL` at any point, reopening the directory yields a set
-//! whose contents equal the committed history up to some round boundary
+//! After `SIGKILL` at any point, reopening the directory yields a store
+//! whose contents — keys *and* values — equal the committed history up to some round boundary
 //! at or after the last fsynced record — never a torn state, never a
 //! reordering, and always including every round at or below the
 //! `durable_seq` the crashed process last observed.  The kill-9 test in
@@ -57,12 +59,25 @@
 //! memory, not yet fsynced under `group_commit > 1`) may or may not
 //! survive — whole trailing rounds, never fractions of one.
 //!
-//! # Maps
+//! # What is logged
 //!
-//! [`DurableMap`] is the key-value variant: the same WAL/snapshot/recover
-//! protocol in a *version-2* on-disk dialect whose upsert records and
-//! snapshots carry value payloads.  See the [`map`] module docs for the
-//! dialect and its (mutex-serialised, combiner-less) concurrency model.
+//! One rule: an op is logged iff replaying it could change state.  Reads
+//! never are; a remove is iff it removed something; an insert is iff it was
+//! newly inserted **or values have bytes** (`V::WIDTH != 0` — an upsert of
+//! a present key may have changed its value, and replaying an unchanged
+//! one is idempotent).  For a set the rule reads "failed mutations write no
+//! records"; for a map, "every upsert is logged".  WAL sequence numbers
+//! therefore skip rounds that logged nothing.
+//!
+//! # One on-disk dialect
+//!
+//! Sets and maps share one record codec, one segment replayer and one
+//! snapshot format: an insert record carries `V::WIDTH` value bytes after
+//! the key, which for `V = ()` is none at all.  Segment and snapshot
+//! headers name the key and value widths they were written with, and
+//! [`DurableMap::open`] refuses — `InvalidData`, directory untouched — a
+//! directory written at other widths instead of "recovering" it as a torn
+//! log.
 //!
 //! # Example
 //!
@@ -93,24 +108,21 @@
 #![warn(missing_docs)]
 
 mod log;
-pub mod map;
 mod record;
 mod snapshot;
 
-pub use map::DurableMap;
-
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
-use batchapi::{Batch, BatchedSet, KeyCodec};
-use combine::{ConcurrentSet, OpKind, Options};
+use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
+use combine::{ConcurrentMap, OpKind, Options};
 use forkjoin::Pool;
 use obs::{Counter, Gauge, Histogram, Registry};
 
 use crate::log::{
-    list_segments, replay_segment, truncate_segment, SegmentEnd, SegmentLog, SEGMENT_MAGIC,
+    list_segments, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
 };
 use crate::record::{encode_record, WalOp};
 use crate::snapshot::{
@@ -118,7 +130,7 @@ use crate::snapshot::{
     write_snapshot,
 };
 
-/// Construction-time knobs for [`DurableSet`].
+/// Construction-time knobs for [`DurableMap`].
 #[derive(Debug, Clone)]
 pub struct DurableOptions {
     /// Mutation records per `fsync`: `1` makes every op durable before it
@@ -126,7 +138,7 @@ pub struct DurableOptions {
     /// crash — see the crate docs' contract).  Values below 1 behave as 1.
     pub group_commit: u64,
     /// Appended records between automatic snapshots; `0` (the default)
-    /// never snapshots automatically — [`DurableSet::snapshot`] still
+    /// never snapshots automatically — [`DurableMap::snapshot`] still
     /// works on demand.
     pub snapshot_every: u64,
     /// Size threshold, in bytes, at which the active log segment rotates.
@@ -219,22 +231,23 @@ impl Metrics {
     }
 }
 
-/// A durable concurrent set: a [`combine::ConcurrentSet`] whose committed
-/// rounds are appended to an on-disk write-ahead log, checkpointed by
-/// snapshots, and recovered by [`DurableSet::open`].  See the crate docs
-/// for the protocol and the crash-consistency contract.
+/// A durable concurrent key→value store: a [`combine::ConcurrentMap`] whose
+/// committed rounds are appended to an on-disk write-ahead log,
+/// checkpointed by snapshots, and recovered by [`DurableMap::open`].  See
+/// the crate docs for the protocol and the crash-consistency contract.
 ///
 /// Operations return `io::Result`: besides its own round, each call may
 /// drain and append *other* clients' rounds and trip the group-commit
 /// fsync, any of which can fail.  After an error the instance is
 /// *wedged* — later calls fail fast — and reopening the directory
 /// recovers everything durable up to that point.
-pub struct DurableSet<K, S>
+pub struct DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
+    V: Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, V> + Send,
 {
-    inner: ConcurrentSet<K, S>,
+    inner: ConcurrentMap<K, V, S>,
     wal: Mutex<Wal>,
     dir: PathBuf,
     group_commit: u64,
@@ -243,16 +256,34 @@ where
     metrics: Metrics,
 }
 
+/// A durable concurrent set: the `V = ()` instance of [`DurableMap`] —
+/// zero value bytes per record and per snapshot entry — with the
+/// value-less [`insert`](DurableMap::insert) spelling.
+pub type DurableSet<K, S> = DurableMap<K, (), S>;
+
 impl<K, S> DurableSet<K, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
+    S: BatchedMap<K, ()> + Send,
 {
-    /// Opens (creating if absent) the durable set rooted at `dir`,
+    /// Inserts `key`; `Ok(true)` iff it was newly inserted — the set
+    /// spelling of [`DurableMap::upsert`].
+    pub fn insert(&self, key: K) -> io::Result<bool> {
+        self.upsert(key, ())
+    }
+}
+
+impl<K, V, S> DurableMap<K, V, S>
+where
+    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
+    V: Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, V> + Send,
+{
+    /// Opens (creating if absent) the durable store rooted at `dir`,
     /// recovering any existing history: load the manifest's snapshot,
     /// replay the log tail above it, truncate a torn final record, and
     /// seed a fresh backend via `make_backend` (e.g.
-    /// `IstSet::from_batch`).  Large recovered batches build on `pool`,
+    /// `IstMap::from_batch`).  Large recovered batches build on `pool`,
     /// which the front-end then uses for large rounds.
     ///
     /// # Errors
@@ -260,16 +291,18 @@ where
     /// I/O failure, or `InvalidData` when a *committed* artefact (the
     /// manifest or the snapshot it points to) is damaged — that is real
     /// corruption, unlike a torn log tail, which is an expected crash
-    /// signature and recovered from silently.
+    /// signature and recovered from silently — or when the directory was
+    /// written by a store with other key/value widths.  A failed open
+    /// changes nothing on disk.
     pub fn open<P, F>(
         dir: P,
         pool: Pool,
         options: DurableOptions,
         make_backend: F,
-    ) -> io::Result<DurableSet<K, S>>
+    ) -> io::Result<DurableMap<K, V, S>>
     where
         P: AsRef<Path>,
-        F: FnOnce(Batch<K>) -> S,
+        F: FnOnce(KvBatch<K, V>) -> S,
     {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -277,10 +310,10 @@ where
         let metrics = Metrics::new(&registry);
 
         // 1. The snapshot, if one was ever committed.
-        let mut contents: BTreeSet<K> = BTreeSet::new();
+        let mut contents: BTreeMap<K, V> = BTreeMap::new();
         let mut snap_seq = 0u64;
         if let Some((seq, path)) = read_manifest(&dir)? {
-            let (file_seq, keys) = load_snapshot::<K>(&path)?;
+            let (file_seq, keys, vals) = load_snapshot::<K, V>(&path)?;
             if file_seq != seq {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
@@ -291,29 +324,31 @@ where
                 ));
             }
             snap_seq = seq;
-            contents.extend(keys);
+            contents.extend(keys.into_iter().zip(vals));
         }
         metrics.snapshot_seq.set(snap_seq);
 
         // 2. Replay the log tail in segment-name (= append) order.  A
         //    record seq that fails to strictly increase is treated like a
-        //    checksum failure: the valid log ends there.
+        //    checksum failure: the valid log ends there.  A segment written
+        //    at other widths is an error, returned before anything below
+        //    can "heal" it.
         let segments = list_segments(&dir)?;
         let mut max_seq = snap_seq;
         let mut last_record_seq = 0u64;
         let mut replayed = 0u64;
         let mut tear: Option<(usize, u64)> = None;
         for (i, (_, path)) in segments.iter().enumerate() {
-            let end = replay_segment::<K, _>(path, |record| {
+            let end = replay_segment::<K, V, _>(path, |record| {
                 if record.seq <= last_record_seq {
                     return false;
                 }
                 last_record_seq = record.seq;
                 if record.seq > snap_seq {
-                    for (op, key) in record.ops {
+                    for op in record.ops {
                         match op {
-                            WalOp::Insert => contents.insert(key),
-                            WalOp::Remove => contents.remove(&key),
+                            WalOp::Insert(key, val) => contents.insert(key, val),
+                            WalOp::Remove(key) => contents.remove(&key),
                         };
                     }
                     max_seq = record.seq;
@@ -333,7 +368,7 @@ where
         if let Some((i, offset)) = tear {
             metrics.torn_tails.inc();
             if offset == 0 {
-                // No valid prefix — not even the magic.  Truncating would
+                // No valid prefix — not even the header.  Truncating would
                 // leave a headerless file that replays as torn on every
                 // future open; delete it instead.
                 std::fs::remove_file(&segments[i].1)?;
@@ -353,15 +388,20 @@ where
         //    name order stays append order across process lifetimes.
         let highest_name = segments.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
         let name = (max_seq + 1).max(highest_name + 1);
-        let log = SegmentLog::create(&dir, name, options.segment_bytes.max(1), SEGMENT_MAGIC)?;
+        let log = SegmentLog::create(
+            &dir,
+            name,
+            options.segment_bytes.max(1),
+            segment_magic::<K, V>(),
+        )?;
         metrics.segments_created.inc();
 
         // 5. The backend, from the recovered contents, with round
         //    numbering continuing where the history left off.
-        let keys: Vec<K> = contents.into_iter().collect();
-        let batch = Batch::from_sorted(keys).expect("BTreeSet iterates strictly ascending");
+        let batch = KvBatch::from_sorted_entries(contents.into_iter().collect())
+            .expect("BTreeMap iterates strictly ascending");
         let backend = make_backend(batch);
-        let inner = ConcurrentSet::with_options(
+        let inner = ConcurrentMap::with_options(
             backend,
             pool,
             Options {
@@ -373,7 +413,7 @@ where
 
         metrics.appended_seq.set(max_seq);
         metrics.durable_seq.set(max_seq);
-        Ok(DurableSet {
+        Ok(DurableMap {
             inner,
             wal: Mutex::new(Wal {
                 log,
@@ -392,11 +432,13 @@ where
         })
     }
 
-    /// Inserts `key`; `Ok(true)` iff it was newly inserted.  Durable on
-    /// return only under `group_commit: 1` — otherwise durable once
-    /// [`DurableSet::durable_seq`] passes its round (see the crate docs).
-    pub fn insert(&self, key: K) -> io::Result<bool> {
-        let result = self.inner.insert(key);
+    /// Upserts `key → val`; `Ok(true)` iff the key was newly inserted (an
+    /// upsert of a present key returns `Ok(false)` and replaces the value).
+    /// Durable on return only under `group_commit: 1` — otherwise durable
+    /// once [`DurableMap::durable_seq`] passes its round (see the crate
+    /// docs).
+    pub fn upsert(&self, key: K, val: V) -> io::Result<bool> {
+        let result = self.inner.upsert(key, val);
         self.publish()?;
         Ok(result)
     }
@@ -417,8 +459,16 @@ where
         Ok(result)
     }
 
-    /// Batch insert; one combining round, one WAL record.
-    pub fn batch_insert(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
+    /// The value stored under `key`, if any (publishes, like
+    /// [`DurableMap::contains`]).
+    pub fn get(&self, key: &K) -> io::Result<Option<V>> {
+        let result = self.inner.get(key);
+        self.publish()?;
+        Ok(result)
+    }
+
+    /// Batch upsert; one combining round, one WAL record.
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
         let result = self.inner.batch_insert(batch);
         self.publish()?;
         Ok(result)
@@ -431,19 +481,26 @@ where
         Ok(result)
     }
 
-    /// Batch membership test (publishes, like [`DurableSet::contains`]).
+    /// Batch membership test (publishes, like [`DurableMap::contains`]).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
         let result = self.inner.batch_contains(batch);
         self.publish()?;
         Ok(result)
     }
 
-    /// Number of keys in the set (in memory; does not publish).
+    /// Batch value lookup (publishes, like [`DurableMap::contains`]).
+    pub fn batch_get(&self, batch: &Batch<K>) -> io::Result<Vec<Option<V>>> {
+        let result = self.inner.batch_get(batch);
+        self.publish()?;
+        Ok(result)
+    }
+
+    /// Number of keys in the store (in memory; does not publish).
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether the set is empty (in memory; does not publish).
+    /// Whether the store is empty (in memory; does not publish).
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
@@ -477,7 +534,7 @@ where
 
     /// Snapshot of the `durable.*` metrics (see the README's metrics
     /// table).  The wrapped front-end's `combine.*` metrics live on
-    /// [`DurableSet::inner`]`.metrics()`.
+    /// [`DurableMap::inner`]`.metrics()`.
     pub fn metrics(&self) -> obs::Snapshot {
         self.registry.snapshot()
     }
@@ -486,7 +543,7 @@ where
     /// traces.  Issuing *writes* through it does not lose them — they are
     /// drained on the next publish — but they bypass group commit's
     /// timing, so their durability point is some later client's call.
-    pub fn inner(&self) -> &ConcurrentSet<K, S> {
+    pub fn inner(&self) -> &ConcurrentMap<K, V, S> {
         &self.inner
     }
 
@@ -518,7 +575,7 @@ where
         let mut wal = self.wal.lock().unwrap();
         if wal.wedged {
             return Err(io::Error::other(
-                "durable set wedged by an earlier I/O error; reopen the directory to recover",
+                "durable store wedged by an earlier I/O error; reopen the directory to recover",
             ));
         }
         let result = f(self, &mut wal);
@@ -537,15 +594,19 @@ where
         }
         self.metrics.rounds_drained.add(rounds.len() as u64);
         for round in &rounds {
-            // Keep only ops that changed state: reads replay to nothing,
-            // and a failed insert/remove is a no-op too.  Sequence gaps
-            // this leaves in the WAL are expected (crate docs).
-            let muts: Vec<(WalOp, &K)> = round
+            // Keep only ops whose replay could change state (the crate
+            // docs' logging rule): reads replay to nothing, a failed remove
+            // too, and so does a failed insert unless it may have rewritten
+            // a value.  Sequence gaps this leaves in the WAL are expected.
+            let muts: Vec<WalOp<&K, &V>> = round
                 .ops
                 .iter()
                 .filter_map(|op| match op.kind {
-                    OpKind::Insert if op.result => Some((WalOp::Insert, &op.key)),
-                    OpKind::Remove if op.result => Some((WalOp::Remove, &op.key)),
+                    OpKind::Insert if op.result || V::WIDTH != 0 => {
+                        let val = op.val.as_ref().expect("insert ops carry a value");
+                        Some(WalOp::Insert(&op.key, val))
+                    }
+                    OpKind::Remove if op.result => Some(WalOp::Remove(&op.key)),
                     _ => None,
                 })
                 .collect();
@@ -605,8 +666,8 @@ where
         // log and the cell is monotone.  Rounds that publish between the
         // drain and this load land in the *next* segment with seq <= snap
         // — skipped at replay, harmless (the snapshot already holds them).
-        let (keys, snap_seq) = self.inner.snapshot_keys();
-        let name = write_snapshot(&self.dir, snap_seq, &keys)?;
+        let (keys, vals, snap_seq) = self.inner.snapshot_entries();
+        let name = write_snapshot(&self.dir, snap_seq, &keys, &vals)?;
         commit_manifest(&self.dir, snap_seq, &name)?;
         self.metrics.snapshots.inc();
         self.metrics.snapshot_seq.set(snap_seq);
@@ -633,10 +694,11 @@ where
     }
 }
 
-impl<K, S> Drop for DurableSet<K, S>
+impl<K, V, S> Drop for DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
+    V: Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, V> + Send,
 {
     fn drop(&mut self) {
         // Best-effort final drain + fsync; `close()` is the error-
@@ -655,79 +717,55 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pbist::IstMap;
+    use std::fmt::Debug;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
 
-    /// A plain sorted-vec backend, enough for unit tests.
-    struct VecSet {
-        keys: Vec<u64>,
+    /// The value types the suite runs at: `()` (the set — zero bytes on
+    /// disk) and `u64` (values that must survive recovery exactly).
+    trait Val: Clone + PartialEq + Debug + Send + Sync + KeyCodec + 'static {
+        /// A value derived from `key` and a `salt`, so an overwrite is
+        /// distinguishable from the write it replaced.
+        fn of(key: u64, salt: u64) -> Self;
     }
 
-    impl VecSet {
-        fn from_batch(batch: Batch<u64>) -> VecSet {
-            VecSet {
-                keys: batch.into_vec(),
-            }
+    impl Val for () {
+        fn of(_key: u64, _salt: u64) {}
+    }
+
+    impl Val for u64 {
+        fn of(key: u64, salt: u64) -> u64 {
+            key * 1_000 + salt
         }
     }
 
-    impl BatchedSet<u64> for VecSet {
-        fn len(&self) -> usize {
-            self.keys.len()
-        }
-        fn contains(&self, key: &u64) -> bool {
-            self.keys.binary_search(key).is_ok()
-        }
-        fn rank(&self, key: &u64) -> usize {
-            self.keys.partition_point(|k| k < key)
-        }
-        fn min(&self) -> Option<&u64> {
-            self.keys.first()
-        }
-        fn max(&self) -> Option<&u64> {
-            self.keys.last()
-        }
-        fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-            batch.iter().map(|k| self.contains(k)).collect()
-        }
-        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            batch
-                .as_slice()
-                .to_vec()
-                .iter()
-                .map(|k| self.insert_one(k))
-                .collect()
-        }
-        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-            batch
-                .as_slice()
-                .to_vec()
-                .iter()
-                .map(|k| self.remove_one(k))
-                .collect()
-        }
-        fn insert_one(&mut self, key: &u64) -> bool {
-            match self.keys.binary_search(key) {
-                Ok(_) => false,
-                Err(at) => {
-                    self.keys.insert(at, *key);
-                    true
-                }
+    /// Instantiates each generic test below once per value type.
+    macro_rules! at_both_value_types {
+        ($($name:ident),* $(,)?) => {
+            mod set {
+                $(#[test] fn $name() { super::$name::<()>() })*
             }
-        }
-        fn remove_one(&mut self, key: &u64) -> bool {
-            match self.keys.binary_search(key) {
-                Ok(at) => {
-                    self.keys.remove(at);
-                    true
-                }
-                Err(_) => false,
+            mod map {
+                $(#[test] fn $name() { super::$name::<u64>() })*
             }
-        }
-        fn collect_keys(&self) -> Vec<u64> {
-            self.keys.clone()
-        }
+        };
     }
+
+    at_both_value_types!(
+        fresh_open_write_reopen_recovers,
+        group_commit_one_makes_every_op_durable_on_return,
+        larger_groups_amortise_fsyncs,
+        only_ops_whose_replay_could_change_state_are_logged,
+        batches_recover_with_last_wins_values,
+        snapshot_truncates_the_log_and_still_recovers,
+        automatic_snapshots_fire_on_the_configured_cadence,
+        segment_rotation_keeps_every_record,
+        concurrent_writers_recover_exactly,
+        sequence_numbering_continues_across_reopen,
+    );
+
+    type Store<K, V> = DurableMap<K, V, IstMap<K, V>>;
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);
 
@@ -739,33 +777,52 @@ mod tests {
         ))
     }
 
-    fn open(dir: &Path, options: DurableOptions) -> DurableSet<u64, VecSet> {
-        DurableSet::open(dir, Pool::new(2).unwrap(), options, VecSet::from_batch).unwrap()
+    fn try_open<K, V>(dir: &Path, options: DurableOptions) -> io::Result<Store<K, V>>
+    where
+        K: pbist::InterpolateKey + Clone + Send + Sync + KeyCodec + 'static,
+        V: Val,
+    {
+        DurableMap::open(dir, Pool::new(2).unwrap(), options, |batch| {
+            IstMap::from_batch(&batch)
+        })
     }
 
-    #[test]
-    fn fresh_open_write_reopen_recovers() {
-        let dir = scratch_dir("basic");
-        let set = open(&dir, DurableOptions::default());
-        assert!(set.is_empty());
-        assert!(set.insert(3).unwrap());
-        assert!(set.insert(1).unwrap());
-        assert!(!set.insert(3).unwrap());
-        assert!(set.remove(&1).unwrap());
-        assert!(set.contains(&3).unwrap());
-        set.close().unwrap();
+    fn open<V: Val>(dir: &Path, options: DurableOptions) -> Store<u64, V> {
+        try_open(dir, options).unwrap()
+    }
 
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), 1);
-        assert!(set.contains(&3).unwrap());
-        assert!(!set.contains(&1).unwrap());
+    fn appended<V: Val>(store: &Store<u64, V>) -> u64 {
+        store.metrics().counter("durable.records_appended").unwrap()
+    }
+
+    fn fresh_open_write_reopen_recovers<V: Val>() {
+        let dir = scratch_dir("basic");
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert!(store.is_empty());
+        assert!(store.upsert(3, V::of(3, 0)).unwrap());
+        assert!(store.upsert(1, V::of(1, 0)).unwrap());
+        // Upsert of a present key: replaces the value, reports not-new.
+        assert!(!store.upsert(3, V::of(3, 1)).unwrap());
+        assert!(store.remove(&1).unwrap());
+        assert!(!store.remove(&1).unwrap());
+        assert!(store.contains(&3).unwrap());
+        assert_eq!(store.get(&3).unwrap(), Some(V::of(3, 1)));
+        store.close().unwrap();
+
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), 1);
+        assert_eq!(
+            store.get(&3).unwrap(),
+            Some(V::of(3, 1)),
+            "the upserted value must survive"
+        );
+        assert!(!store.contains(&1).unwrap());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn group_commit_one_makes_every_op_durable_on_return() {
+    fn group_commit_one_makes_every_op_durable_on_return<V: Val>() {
         let dir = scratch_dir("group1");
-        let set = open(
+        let store = open::<V>(
             &dir,
             DurableOptions {
                 group_commit: 1,
@@ -773,25 +830,24 @@ mod tests {
             },
         );
         for k in 0..10u64 {
-            set.insert(k).unwrap();
-            let appended = set.metrics().gauge("durable.appended_seq").unwrap();
+            store.upsert(k, V::of(k, 0)).unwrap();
+            let appended = store.metrics().gauge("durable.appended_seq").unwrap();
             assert_eq!(
-                set.durable_seq(),
+                store.durable_seq(),
                 appended,
                 "group_commit=1 leaves nothing pending"
             );
         }
-        let m = set.metrics();
+        let m = store.metrics();
         assert_eq!(m.counter("durable.records_appended"), Some(10));
         assert_eq!(m.counter("durable.fsyncs"), Some(10));
-        drop(set);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn larger_groups_amortise_fsyncs() {
-        let dir = scratch_dir("group8");
-        let set = open(
+    fn larger_groups_amortise_fsyncs<V: Val>() {
+        let dir = scratch_dir("group64");
+        let store = open::<V>(
             &dir,
             DurableOptions {
                 group_commit: 64,
@@ -801,96 +857,126 @@ mod tests {
         // Single-threaded, so each op is its own round/record: 64 records
         // per fsync exactly.
         for k in 0..128u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 0)).unwrap();
         }
-        let m = set.metrics();
+        let m = store.metrics();
         assert_eq!(m.counter("durable.records_appended"), Some(128));
         assert_eq!(m.counter("durable.fsyncs"), Some(2));
         let sizes = m.histogram("durable.group_size").unwrap();
         assert_eq!(sizes.count(), 2);
         assert_eq!(sizes.sum, 128);
         // Ops beyond the durable mark are pending, not lost: sync flushes.
-        assert!(set.insert(1000).unwrap());
-        assert!(set.durable_seq() < set.metrics().gauge("durable.appended_seq").unwrap());
-        let durable = set.sync().unwrap();
+        assert!(store.upsert(1000, V::of(1000, 0)).unwrap());
+        assert!(store.durable_seq() < store.metrics().gauge("durable.appended_seq").unwrap());
+        let durable = store.sync().unwrap();
         assert_eq!(
             durable,
-            set.metrics().gauge("durable.appended_seq").unwrap()
+            store.metrics().gauge("durable.appended_seq").unwrap()
         );
-        drop(set);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn reads_and_failed_mutations_write_no_records() {
-        let dir = scratch_dir("noop");
-        let set = open(&dir, DurableOptions::default());
-        set.insert(5).unwrap();
-        let before = set.metrics().counter("durable.records_appended").unwrap();
-        assert!(set.contains(&5).unwrap());
-        assert!(!set.contains(&6).unwrap());
-        assert!(!set.insert(5).unwrap());
-        assert!(!set.remove(&99).unwrap());
-        let after = set.metrics().counter("durable.records_appended").unwrap();
-        assert_eq!(before, after, "no state change, no WAL record");
-        drop(set);
+    /// The one logging rule (crate docs): reads and failed removes never
+    /// reach the WAL; an insert of a present key does iff values have bytes
+    /// — so sets keep "failed mutations write no records" and maps keep
+    /// "every upsert is logged".
+    fn only_ops_whose_replay_could_change_state_are_logged<V: Val>() {
+        let dir = scratch_dir("rule");
+        let store = open::<V>(&dir, DurableOptions::default());
+        store.upsert(5, V::of(5, 0)).unwrap();
+        let before = appended(&store);
+        assert!(store.contains(&5).unwrap());
+        assert!(!store.contains(&6).unwrap());
+        assert_eq!(store.get(&5).unwrap(), Some(V::of(5, 0)));
+        assert_eq!(
+            store.batch_get(&Batch::from_unsorted(vec![5, 6])).unwrap(),
+            vec![Some(V::of(5, 0)), None]
+        );
+        assert!(!store.remove(&99).unwrap());
+        assert_eq!(appended(&store), before, "no state change, no WAL record");
+        assert!(!store.upsert(5, V::of(5, 1)).unwrap());
+        assert_eq!(
+            appended(&store) - before,
+            (V::WIDTH != 0) as u64,
+            "an upsert of a present key is logged iff it may have changed a value"
+        );
+        // One record, and exactly the documented size: the set's is the
+        // 12-byte frame + 12 + (1 + 8), a map's adds V::WIDTH value bytes.
+        let bytes = store.metrics().counter("durable.bytes_written").unwrap();
+        assert_eq!(
+            bytes,
+            (12 + 12 + 1 + 8 + V::WIDTH as u64) * appended(&store)
+        );
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn batches_recover_and_batch_results_survive() {
+    fn batches_recover_with_last_wins_values<V: Val>() {
         let dir = scratch_dir("batch");
-        let set = open(&dir, DurableOptions::default());
-        let ins = Batch::from_unsorted((0..100u64).map(|i| i * 3).collect());
-        assert!(set.batch_insert(&ins).unwrap().iter().all(|&b| b));
-        let rem = Batch::from_unsorted((0..50u64).map(|i| i * 6).collect());
-        assert!(set.batch_remove(&rem).unwrap().iter().all(|&b| b));
-        set.close().unwrap();
+        let store = open::<V>(&dir, DurableOptions::default());
+        let entries = |keys: &mut dyn Iterator<Item = u64>, salt| {
+            KvBatch::from_unsorted_entries(keys.map(|k| (k, V::of(k, salt))).collect())
+        };
+        let ins = entries(&mut (0..100u64), 0);
+        assert!(store.batch_insert(&ins).unwrap().iter().all(|&b| b));
+        let over = entries(&mut (0..50u64).map(|i| i * 2), 7);
+        let flags = store.batch_insert(&over).unwrap();
+        assert!(flags.iter().all(|&b| !b), "overwrites are not new");
+        let rem = Batch::from_unsorted((0..20u64).map(|i| i * 5).collect());
+        assert!(store.batch_remove(&rem).unwrap().iter().all(|&b| b));
+        store.close().unwrap();
 
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), 50);
-        let check = set.batch_contains(&ins).unwrap();
-        for (i, (key, hit)) in ins.iter().zip(check).enumerate() {
-            assert_eq!(hit, key % 6 != 0, "key {key} at {i}");
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), 80);
+        let probe = Batch::from_unsorted((0..100u64).collect());
+        let hits = store.batch_contains(&probe).unwrap();
+        let vals = store.batch_get(&probe).unwrap();
+        for (i, (hit, val)) in hits.into_iter().zip(vals).enumerate() {
+            let key = i as u64;
+            let salt = if key.is_multiple_of(2) { 7 } else { 0 };
+            let expect = (!key.is_multiple_of(5)).then(|| V::of(key, salt));
+            assert_eq!(hit, expect.is_some(), "key {key}");
+            assert_eq!(val, expect, "key {key}");
         }
-        drop(set);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn snapshot_truncates_the_log_and_still_recovers() {
+    fn snapshot_truncates_the_log_and_still_recovers<V: Val>() {
         let dir = scratch_dir("snap");
-        let set = open(&dir, DurableOptions::default());
+        let store = open::<V>(&dir, DurableOptions::default());
         for k in 0..200u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 1)).unwrap();
         }
-        let snap_seq = set.snapshot().unwrap();
+        let snap_seq = store.snapshot().unwrap();
         assert!(snap_seq >= 200);
-        assert_eq!(set.durable_seq(), snap_seq);
+        assert_eq!(store.durable_seq(), snap_seq);
         // Post-snapshot, exactly one (fresh, near-empty) segment remains.
         let segments = list_segments(&dir).unwrap();
         assert_eq!(segments.len(), 1);
         // And the history continues past it.
         for k in 200..230u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 2)).unwrap();
         }
-        set.close().unwrap();
+        store.close().unwrap();
 
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), 230);
-        let m = set.metrics();
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), 230);
+        assert_eq!(store.get(&150).unwrap(), Some(V::of(150, 1)), "snapshotted");
+        assert_eq!(store.get(&229).unwrap(), Some(V::of(229, 2)), "replayed");
+        let m = store.metrics();
         assert_eq!(m.gauge("durable.snapshot_seq"), Some(snap_seq));
         let replayed = m.histogram("durable.recovery_replayed").unwrap();
         assert_eq!(replayed.count(), 1);
         assert_eq!(replayed.sum, 30, "only the post-snapshot tail replays");
-        drop(set);
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn automatic_snapshots_fire_on_the_configured_cadence() {
+    fn automatic_snapshots_fire_on_the_configured_cadence<V: Val>() {
         let dir = scratch_dir("autosnap");
-        let set = open(
+        let store = open::<V>(
             &dir,
             DurableOptions {
                 snapshot_every: 10,
@@ -898,21 +984,21 @@ mod tests {
             },
         );
         for k in 0..35u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 3)).unwrap();
         }
-        let m = set.metrics();
+        let m = store.metrics();
         assert_eq!(m.counter("durable.snapshots"), Some(3));
-        drop(set);
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), 35);
-        drop(set);
+        drop(store);
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), 35);
+        assert_eq!(store.get(&34).unwrap(), Some(V::of(34, 3)));
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn segment_rotation_keeps_every_record() {
+    fn segment_rotation_keeps_every_record<V: Val>() {
         let dir = scratch_dir("rotate");
-        let set = open(
+        let store = open::<V>(
             &dir,
             DurableOptions {
                 segment_bytes: 64,
@@ -920,24 +1006,24 @@ mod tests {
             },
         );
         for k in 0..100u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 4)).unwrap();
         }
-        set.sync().unwrap();
+        store.sync().unwrap();
         assert!(
             list_segments(&dir).unwrap().len() > 1,
             "64-byte segments must have rotated"
         );
-        drop(set);
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), 100);
-        drop(set);
+        drop(store);
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), 100);
+        assert_eq!(store.get(&99).unwrap(), Some(V::of(99, 4)));
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn concurrent_writers_recover_exactly() {
+    fn concurrent_writers_recover_exactly<V: Val>() {
         let dir = scratch_dir("threads");
-        let set = Arc::new(open(
+        let store = Arc::new(open::<V>(
             &dir,
             DurableOptions {
                 group_commit: 4,
@@ -946,52 +1032,158 @@ mod tests {
         ));
         thread::scope(|s| {
             for t in 0..4u64 {
-                let set = Arc::clone(&set);
+                let store = Arc::clone(&store);
                 s.spawn(move || {
                     for i in 0..200u64 {
                         let key = t * 1_000 + i;
-                        set.insert(key).unwrap();
+                        store.upsert(key, V::of(key, 0)).unwrap();
                         if i % 3 == 0 {
-                            set.remove(&key).unwrap();
+                            store.remove(&key).unwrap();
+                        } else if i % 3 == 1 {
+                            store.upsert(key, V::of(key, t + 1)).unwrap();
                         }
                     }
                 });
             }
         });
-        let expect: BTreeSet<u64> = (0..4u64)
+        let expect: BTreeMap<u64, V> = (0..4u64)
             .flat_map(|t| (0..200u64).map(move |i| (t, i)))
             .filter(|&(_, i)| i % 3 != 0)
-            .map(|(t, i)| t * 1_000 + i)
+            .map(|(t, i)| {
+                let key = t * 1_000 + i;
+                (key, V::of(key, if i % 3 == 1 { t + 1 } else { 0 }))
+            })
             .collect();
-        assert_eq!(set.len(), expect.len());
-        let set = Arc::into_inner(set).unwrap();
-        set.close().unwrap();
+        assert_eq!(store.len(), expect.len());
+        let store = Arc::into_inner(store).unwrap();
+        store.close().unwrap();
 
-        let set = open(&dir, DurableOptions::default());
-        assert_eq!(set.len(), expect.len());
-        let probe = Batch::from_unsorted(expect.iter().copied().collect());
-        assert!(set.batch_contains(&probe).unwrap().iter().all(|&b| b));
-        drop(set);
+        let store = open::<V>(&dir, DurableOptions::default());
+        let (keys, vals, _) = store.inner().snapshot_entries();
+        assert!(keys.iter().eq(expect.keys()), "recovered keys differ");
+        assert!(vals.iter().eq(expect.values()), "recovered values differ");
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn sequence_numbering_continues_across_reopen() {
+    fn sequence_numbering_continues_across_reopen<V: Val>() {
         let dir = scratch_dir("seqcont");
-        let set = open(&dir, DurableOptions::default());
+        let store = open::<V>(&dir, DurableOptions::default());
         for k in 0..5u64 {
-            set.insert(k).unwrap();
+            store.upsert(k, V::of(k, 0)).unwrap();
         }
-        let before = set.metrics().gauge("durable.appended_seq").unwrap();
-        set.close().unwrap();
+        let before = store.metrics().gauge("durable.appended_seq").unwrap();
+        store.close().unwrap();
 
-        let set = open(&dir, DurableOptions::default());
-        set.insert(99).unwrap();
-        let after = set.metrics().gauge("durable.appended_seq").unwrap();
+        let store = open::<V>(&dir, DurableOptions::default());
+        store.upsert(99, V::of(99, 0)).unwrap();
+        let after = store.metrics().gauge("durable.appended_seq").unwrap();
         assert!(
             after > before,
             "new rounds must continue the old numbering ({after} vs {before})"
         );
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every file in `dir` with its bytes, sorted by name.
+    fn dir_bytes(dir: &Path) -> Vec<(String, Vec<u8>)> {
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|entry| {
+                let entry = entry.unwrap();
+                let name = entry.file_name().into_string().unwrap();
+                (name, std::fs::read(entry.path()).unwrap())
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// Regression: opening a directory as the wrong type used to read its
+    /// segments as "torn at offset 0 / at the first record" and then
+    /// *truncate or delete them* — data loss presented as a clean recovery.
+    /// A mistyped open must fail with `InvalidData` and change nothing.
+    #[test]
+    fn a_mistyped_open_is_refused_and_leaves_the_directory_untouched() {
+        // Once with the history in the log only, once behind a snapshot.
+        for with_snapshot in [false, true] {
+            let dir = scratch_dir("mistyped");
+            let options = || DurableOptions {
+                group_commit: 1,
+                segment_bytes: 256, // several segments, so "later ones" exist
+                ..DurableOptions::default()
+            };
+            let set = open::<()>(&dir, options());
+            for k in 0..40u64 {
+                set.insert(k * 3).unwrap();
+            }
+            if with_snapshot {
+                set.snapshot().unwrap();
+                set.insert(1_000).unwrap();
+            }
+            set.close().unwrap();
+            let before = dir_bytes(&dir);
+            assert!(before.len() > 1, "fixture should span several files");
+
+            let as_map = try_open::<u64, u64>(&dir, options()).err();
+            let as_narrow = try_open::<u32, ()>(&dir, options()).err();
+            for err in [as_map, as_narrow] {
+                let err = err.expect("a mistyped open must not succeed");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+                assert!(err.to_string().contains("8-byte keys"), "{err}");
+                assert_eq!(
+                    dir_bytes(&dir),
+                    before,
+                    "a refused open touched the directory"
+                );
+            }
+
+            // The right types still recover everything.
+            let set = open::<()>(&dir, options());
+            let mut expect: Vec<u64> = (0..40u64).map(|k| k * 3).collect();
+            expect.extend(with_snapshot.then_some(1_000));
+            assert_eq!(set.inner().snapshot_keys().0, expect);
+            assert_eq!(set.metrics().counter("durable.torn_tails"), Some(0));
+            drop(set);
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+        // And the other way round: a map's directory is not a set's.
+        let dir = scratch_dir("mistyped-map");
+        let map = open::<u64>(&dir, DurableOptions::default());
+        map.upsert(1, 100).unwrap();
+        map.close().unwrap();
+        let before = dir_bytes(&dir);
+        let err = try_open::<u64, ()>(&dir, DurableOptions::default()).err();
+        assert_eq!(err.expect("refused").kind(), io::ErrorKind::InvalidData);
+        assert_eq!(dir_bytes(&dir), before);
+        let map = open::<u64>(&dir, DurableOptions::default());
+        assert_eq!(map.get(&1).unwrap(), Some(100));
+        drop(map);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A file too short to hold a header is what a crash during segment
+    /// creation leaves behind: still a torn tail, healed by deletion.
+    #[test]
+    fn a_headerless_segment_is_still_a_torn_tail() {
+        let dir = scratch_dir("headerless");
+        let set = open::<()>(
+            &dir,
+            DurableOptions {
+                group_commit: 1,
+                ..DurableOptions::default()
+            },
+        );
+        set.insert(1).unwrap();
+        drop(set);
+        let planted = log::segment_path(&dir, 1_000);
+        std::fs::write(&planted, b"PBW").unwrap();
+
+        let set = open::<()>(&dir, DurableOptions::default());
+        assert_eq!(set.metrics().counter("durable.torn_tails"), Some(1));
+        assert_eq!(set.inner().snapshot_keys().0, vec![1]);
+        assert!(!planted.exists(), "recovery deletes the headerless file");
         drop(set);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -13,8 +13,14 @@
 //!    segment redundant (all have seq <= `S`), so truncation after a
 //!    snapshot deletes whole segments — never a byte range.
 //!
-//! Every segment opens with an 8-byte magic; a file too short for the
-//! magic, or with the wrong magic, replays as torn at offset zero.
+//! Every segment opens with an 8-byte header: the format tag, the key and
+//! value widths it was written with, and the format version (see
+//! [`stamped_magic`]).  A file too short for the header, or not one of ours
+//! at all, replays as torn at offset zero — that is what a crash during
+//! `create` leaves behind.  A *well-formed* header stamped for other widths
+//! (the directory belongs to a differently-typed store) or another version
+//! is not damage and must never be "healed": replay refuses it with
+//! `InvalidData` and the directory is left untouched.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -22,25 +28,71 @@ use std::path::{Path, PathBuf};
 
 use batchapi::KeyCodec;
 
-use crate::record::{decode_map_record, decode_record, DecodeOutcome, WalMapRecord, WalRecord};
+use crate::record::{decode_record, DecodeOutcome, WalRecord};
 
-/// Identifies a version-1 (set) WAL segment: records carry keys only.
-pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"PBWAL\x00\x00\x01";
+/// The on-disk format version stamped into every header.  Versions 1 and 2
+/// were the keys-only and key-value dialects this format replaced.
+const FORMAT_VERSION: u8 = 3;
 
-/// Identifies a version-2 (map) WAL segment: upsert records carry a value
-/// payload after the key.  The bumped magic keeps the families apart — a
-/// set opening a map's log (or vice versa) tears at offset zero instead
-/// of mis-decoding value bytes as keys.
-pub(crate) const SEGMENT_MAGIC_V2: &[u8; 8] = b"PBWAL\x00\x00\x02";
+/// The 8-byte header of a file holding `K` keys and `V` values: a 5-byte
+/// format `tag`, `K::WIDTH`, `V::WIDTH`, [`FORMAT_VERSION`].  The widths
+/// are the part of the type that decides how bytes are framed, so a file
+/// names them itself rather than trusting whoever opens it.
+pub(crate) fn stamped_magic<K: KeyCodec, V: KeyCodec>(tag: &[u8; 5]) -> [u8; 8] {
+    let width = |w: usize| u8::try_from(w).expect("codec widths fit in a byte");
+    let mut magic = [0u8; 8];
+    magic[..5].copy_from_slice(tag);
+    magic[5..].copy_from_slice(&[width(K::WIDTH), width(V::WIDTH), FORMAT_VERSION]);
+    magic
+}
 
-/// The active segment an open [`DurableSet`](crate::DurableSet) appends to.
+/// Compares a file's leading bytes with the header its opener expects:
+/// `Ok(true)` when they match, `Ok(false)` when the file carries no header
+/// of this format at all (too short — a crash during `create` — or
+/// foreign bytes), and `InvalidData` when it carries a well-formed header
+/// for *other* widths or another version.  The last case is a mistyped
+/// `open`, not damage: treating it as a tear would truncate or delete a
+/// perfectly valid log.
+pub(crate) fn check_magic(found: &[u8], expect: &[u8; 8], path: &Path) -> io::Result<bool> {
+    let Some(found) = found.get(..8) else {
+        return Ok(false);
+    };
+    if found == expect {
+        return Ok(true);
+    }
+    if found[..5] != expect[..5] {
+        return Ok(false);
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidData,
+        format!(
+            "{} was written with {}-byte keys and {}-byte values (format version {}), \
+             but is being opened with {}-byte keys and {}-byte values (version {}); \
+             refusing to touch it",
+            path.display(),
+            found[5],
+            found[6],
+            found[7],
+            expect[5],
+            expect[6],
+            expect[7],
+        ),
+    ))
+}
+
+/// The header of a WAL segment holding `K` keys and `V` values.
+pub(crate) fn segment_magic<K: KeyCodec, V: KeyCodec>() -> [u8; 8] {
+    stamped_magic::<K, V>(b"PBWAL")
+}
+
+/// The active segment an open [`DurableMap`](crate::DurableMap) appends to.
 #[derive(Debug)]
 pub(crate) struct SegmentLog {
     dir: PathBuf,
     file: File,
-    /// The magic this log stamps on every segment it creates (version 1
-    /// for set logs, version 2 for map logs); rotation preserves it.
-    magic: &'static [u8; 8],
+    /// The header this log stamps on every segment it creates; rotation
+    /// preserves it.
+    magic: [u8; 8],
     /// Bytes written to the active segment (including the magic).
     bytes: u64,
     /// Rotation threshold; the active segment rotates once `bytes`
@@ -55,11 +107,11 @@ impl SegmentLog {
         dir: &Path,
         name_seq: u64,
         segment_bytes: u64,
-        magic: &'static [u8; 8],
+        magic: [u8; 8],
     ) -> io::Result<SegmentLog> {
         let path = segment_path(dir, name_seq);
         let mut file = File::create(&path)?;
-        file.write_all(magic)?;
+        file.write_all(&magic)?;
         file.sync_all()?;
         sync_dir(dir)?;
         Ok(SegmentLog {
@@ -147,45 +199,26 @@ pub(crate) enum SegmentEnd {
 /// `apply` returns `false` to reject a record (recovery uses this to
 /// treat a non-increasing sequence number as damage); the rejected
 /// record's offset is reported as the tear.
-pub(crate) fn replay_segment<K, F>(path: &Path, apply: F) -> io::Result<SegmentEnd>
-where
-    K: KeyCodec,
-    F: FnMut(WalRecord<K>) -> bool,
-{
-    replay_segment_with(path, SEGMENT_MAGIC, decode_record::<K>, apply)
-}
-
-/// [`replay_segment`] for version-2 (map) segments: value-bearing records
-/// decoded by [`decode_map_record`].
-pub(crate) fn replay_map_segment<K, V, F>(path: &Path, apply: F) -> io::Result<SegmentEnd>
+///
+/// # Errors
+///
+/// I/O failure, or `InvalidData` when the segment's header names other
+/// key/value widths than `K`/`V` (see [`check_magic`]).
+pub(crate) fn replay_segment<K, V, F>(path: &Path, mut apply: F) -> io::Result<SegmentEnd>
 where
     K: KeyCodec,
     V: KeyCodec,
-    F: FnMut(WalMapRecord<K, V>) -> bool,
-{
-    replay_segment_with(path, SEGMENT_MAGIC_V2, decode_map_record::<K, V>, apply)
-}
-
-/// Shared replay loop: verify the expected magic, then decode records
-/// with `decode` until the buffer ends cleanly or tears.
-fn replay_segment_with<R, D, F>(
-    path: &Path,
-    magic: &[u8; 8],
-    decode: D,
-    mut apply: F,
-) -> io::Result<SegmentEnd>
-where
-    D: Fn(&[u8], usize) -> DecodeOutcome<R>,
-    F: FnMut(R) -> bool,
+    F: FnMut(WalRecord<K, V>) -> bool,
 {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
-    if buf.len() < magic.len() || &buf[..magic.len()] != magic {
+    let magic = segment_magic::<K, V>();
+    if !check_magic(&buf, &magic, path)? {
         return Ok(SegmentEnd::Torn(0));
     }
     let mut at = magic.len();
     loop {
-        match decode(&buf, at) {
+        match decode_record::<K, V>(&buf, at) {
             DecodeOutcome::Clean => return Ok(SegmentEnd::Clean),
             DecodeOutcome::Torn => return Ok(SegmentEnd::Torn(at as u64)),
             DecodeOutcome::Record { record, consumed } => {
@@ -243,7 +276,7 @@ mod tests {
 
     fn one_record(seq: u64, key: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_record(seq, &[(WalOp::Insert, &key)], &mut buf);
+        encode_record(seq, &[WalOp::Insert(&key, &())], &mut buf);
         buf
     }
 
@@ -251,7 +284,7 @@ mod tests {
     fn append_replay_round_trips_across_rotation() {
         let dir = scratch_dir("rotate");
         // Tiny threshold: every record trips rotation.
-        let mut log = SegmentLog::create(&dir, 1, 16, SEGMENT_MAGIC).unwrap();
+        let mut log = SegmentLog::create(&dir, 1, 16, segment_magic::<u64, ()>()).unwrap();
         for seq in 1..=5u64 {
             if log.wants_rotation() {
                 log.sync().unwrap();
@@ -267,7 +300,7 @@ mod tests {
 
         let mut seen = Vec::new();
         for (_, path) in &segments {
-            let end = replay_segment::<u64, _>(path, |r| {
+            let end = replay_segment::<u64, (), _>(path, |r| {
                 seen.push((r.seq, r.ops.clone()));
                 true
             })
@@ -277,7 +310,7 @@ mod tests {
         assert_eq!(
             seen,
             (1..=5u64)
-                .map(|s| (s, vec![(WalOp::Insert, s * 10)]))
+                .map(|s| (s, vec![WalOp::Insert(s * 10, ())]))
                 .collect::<Vec<_>>()
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -286,7 +319,7 @@ mod tests {
     #[test]
     fn torn_tail_reports_the_valid_prefix_and_truncation_heals_it() {
         let dir = scratch_dir("torn");
-        let mut log = SegmentLog::create(&dir, 1, u64::MAX, SEGMENT_MAGIC).unwrap();
+        let mut log = SegmentLog::create(&dir, 1, u64::MAX, segment_magic::<u64, ()>()).unwrap();
         log.append(&one_record(1, 7)).unwrap();
         let valid_end = log.bytes();
         let mut partial = one_record(2, 8);
@@ -296,7 +329,7 @@ mod tests {
 
         let path = segment_path(&dir, 1);
         let mut count = 0;
-        let end = replay_segment::<u64, _>(&path, |_| {
+        let end = replay_segment::<u64, (), _>(&path, |_| {
             count += 1;
             true
         })
@@ -305,7 +338,7 @@ mod tests {
         assert_eq!(end, SegmentEnd::Torn(valid_end));
 
         truncate_segment(&path, valid_end).unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| true).unwrap();
+        let end = replay_segment::<u64, (), _>(&path, |_| true).unwrap();
         assert_eq!(end, SegmentEnd::Clean);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -315,18 +348,38 @@ mod tests {
         let dir = scratch_dir("magic");
         let path = segment_path(&dir, 3);
         fs::write(&path, b"not a wal segment").unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay_segment::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
         fs::write(&path, b"xy").unwrap();
-        let end = replay_segment::<u64, _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay_segment::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_header_for_other_widths_is_refused_not_torn() {
+        let dir = scratch_dir("widths");
+        let mut log = SegmentLog::create(&dir, 1, u64::MAX, segment_magic::<u64, ()>()).unwrap();
+        log.append(&one_record(1, 7)).unwrap();
+        log.sync().unwrap();
+        let path = segment_path(&dir, 1);
+        for err in [
+            replay_segment::<u64, u64, _>(&path, |_| panic!("no records")).unwrap_err(),
+            replay_segment::<u32, (), _>(&path, |_| panic!("no records")).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("8-byte keys"), "{err}");
+        }
+        // Read with the types it was written with, the segment is intact.
+        let end = replay_segment::<u64, (), _>(&path, |_| true).unwrap();
+        assert_eq!(end, SegmentEnd::Clean);
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn listing_ignores_non_segment_files() {
         let dir = scratch_dir("list");
-        SegmentLog::create(&dir, 2, 64, SEGMENT_MAGIC).unwrap();
+        SegmentLog::create(&dir, 2, 64, segment_magic::<u64, ()>()).unwrap();
         fs::write(dir.join("MANIFEST"), b"m").unwrap();
         fs::write(dir.join("snap-00000000000000000001.snap"), b"s").unwrap();
         fs::write(dir.join("wal-junk.log"), b"j").unwrap();

@@ -1,4 +1,5 @@
-//! The write-ahead log's record codec.
+//! The write-ahead log's record codec — one codec for every store, the
+//! set being the instance whose values are zero bytes wide.
 //!
 //! One record per *mutation* round (pure-`Contains` rounds never reach the
 //! log — a membership test changes nothing, so replaying it would be
@@ -8,16 +9,21 @@
 //! ```text
 //! [payload_len: u32 LE][checksum: u64 LE]    <- header, 12 bytes
 //! [seq: u64 LE][n_ops: u32 LE]               <- payload ...
-//! n_ops x ([kind: u8][key: K::WIDTH bytes])
+//! n_ops x ( [KIND_INSERT][key: K::WIDTH bytes][value: V::WIDTH bytes]
+//!         | [KIND_REMOVE][key: K::WIDTH bytes] )
 //! ```
 //!
-//! The checksum is FNV-1a 64 over the payload bytes.  Decoding is strictly
-//! *prefix-tolerant*: any defect — a partial header, a partial payload, an
-//! implausible length, a checksum mismatch, an unknown kind byte — is
-//! reported as [`DecodeOutcome::Torn`] at the offending offset rather than
-//! an error, because on the recovery path every one of those is the same
-//! event: the valid log ends here.  Recovery truncates at that point and
-//! the history before it stands.
+//! so a `V = ()` record is `12 + 12 + n_ops * (1 + K::WIDTH)` bytes — a set
+//! pays nothing for sharing the codec.  The checksum is FNV-1a 64 over the
+//! payload bytes.  Decoding is strictly *prefix-tolerant*: any defect — a
+//! partial header, a partial payload, an implausible length, a checksum
+//! mismatch, an unknown kind byte, a body that does not end exactly at the
+//! declared op count — is reported as [`DecodeOutcome::Torn`] at the
+//! offending offset rather than an error, because on the recovery path
+//! every one of those is the same event: the valid log ends here.
+//! Recovery truncates at that point and the history before it stands.
+//! (Key and value *widths* are not a per-record matter: they are stamped
+//! into the segment header, see [`crate::log`].)
 
 use batchapi::KeyCodec;
 
@@ -31,13 +37,9 @@ pub(crate) const RECORD_HEADER: usize = 4 + 8;
 pub(crate) const MAX_PAYLOAD: usize = 256 << 20;
 
 /// Op kind tags on the wire.  `Contains` has no tag: read-only ops are
-/// stripped before encoding.  `KIND_INSERT_KV` (a key *and* a value)
-/// appears only in version-2 (map) segments; each codec rejects the other
-/// family's kinds as [`DecodeOutcome::Torn`], so a set log replayed as a
-/// map (or vice versa) tears instead of mis-decoding.
+/// stripped before encoding.
 const KIND_INSERT: u8 = 0;
 const KIND_REMOVE: u8 = 1;
-const KIND_INSERT_KV: u8 = 2;
 
 /// FNV-1a 64-bit over `bytes` — tiny, allocation-free, std-only, and
 /// plenty to catch torn writes and bit rot (this guards against crashes,
@@ -51,130 +53,71 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One decoded mutation, replayed against a `BTreeSet` during recovery.
+/// One logged mutation.  Decoding yields owned `WalOp<K, V>`s, replayed
+/// against a `BTreeMap` during recovery; encoding borrows, as
+/// `WalOp<&K, &V>`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalOp {
-    /// The round inserted this key.
-    Insert,
+pub(crate) enum WalOp<K, V> {
+    /// The round upserted this key to this value.
+    Insert(K, V),
     /// The round removed this key.
-    Remove,
+    Remove(K),
 }
 
 /// One decoded WAL record: a mutation round's sequence number and its
 /// surviving (non-`Contains`) operations in linearisation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalRecord<K> {
+pub(crate) struct WalRecord<K, V> {
     pub(crate) seq: u64,
-    pub(crate) ops: Vec<(WalOp, K)>,
+    pub(crate) ops: Vec<WalOp<K, V>>,
 }
 
 /// Appends one encoded record for `(seq, ops)` to `buf`.
 ///
 /// `ops` must already be filtered down to mutations; the caller skips
 /// rounds whose mutation list is empty rather than writing empty records.
-pub(crate) fn encode_record<K: KeyCodec>(seq: u64, ops: &[(WalOp, &K)], buf: &mut Vec<u8>) {
-    let payload_len = 8 + 4 + ops.len() * (1 + K::WIDTH);
-    buf.reserve(RECORD_HEADER + payload_len);
-    let header_at = buf.len();
-    buf.extend_from_slice(&[0u8; RECORD_HEADER]);
-    let payload_at = buf.len();
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
-    for (op, key) in ops {
-        buf.push(match op {
-            WalOp::Insert => KIND_INSERT,
-            WalOp::Remove => KIND_REMOVE,
-        });
-        let at = buf.len();
-        buf.resize(at + K::WIDTH, 0);
-        key.encode(&mut buf[at..at + K::WIDTH]);
-    }
-    debug_assert_eq!(buf.len() - payload_at, payload_len);
-    let checksum = fnv1a(&buf[payload_at..]);
-    buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
-    buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
-}
-
-/// One decoded *map* mutation: upserts carry their value payload.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum WalMapOp<K, V> {
-    /// The round upserted this key to this value (logged even when the key
-    /// was already present — the value may have changed, and replaying an
-    /// unchanged upsert is idempotent).
-    InsertKv(K, V),
-    /// The round removed this key.
-    Remove(K),
-}
-
-/// Borrowed form of [`WalMapOp`] for encoding without cloning payloads.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum WalMapOpRef<'a, K, V> {
-    /// Upsert `key -> value`.
-    InsertKv(&'a K, &'a V),
-    /// Remove `key`.
-    Remove(&'a K),
-}
-
-/// One decoded map-WAL record (version-2 segments).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct WalMapRecord<K, V> {
-    pub(crate) seq: u64,
-    pub(crate) ops: Vec<WalMapOp<K, V>>,
-}
-
-/// Appends one encoded map record for `(seq, ops)` to `buf`.  Same frame
-/// as [`encode_record`]; the body interleaves fixed-width ops of two
-/// kinds, so op width is keyed off the kind byte at decode.
-pub(crate) fn encode_map_record<K: KeyCodec, V: KeyCodec>(
+pub(crate) fn encode_record<K: KeyCodec, V: KeyCodec>(
     seq: u64,
-    ops: &[WalMapOpRef<'_, K, V>],
+    ops: &[WalOp<&K, &V>],
     buf: &mut Vec<u8>,
 ) {
-    let payload_len = 8
-        + 4
-        + ops
-            .iter()
-            .map(|op| match op {
-                WalMapOpRef::InsertKv(..) => 1 + K::WIDTH + V::WIDTH,
-                WalMapOpRef::Remove(..) => 1 + K::WIDTH,
-            })
-            .sum::<usize>();
-    buf.reserve(RECORD_HEADER + payload_len);
+    // Reserved as if every op carried a value; the true length is read
+    // off the buffer once the ops are in.
+    buf.reserve(RECORD_HEADER + 8 + 4 + ops.len() * (1 + K::WIDTH + V::WIDTH));
     let header_at = buf.len();
     buf.extend_from_slice(&[0u8; RECORD_HEADER]);
     let payload_at = buf.len();
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
     for op in ops {
-        match op {
-            WalMapOpRef::InsertKv(key, val) => {
-                buf.push(KIND_INSERT_KV);
-                let at = buf.len();
-                buf.resize(at + K::WIDTH + V::WIDTH, 0);
-                key.encode(&mut buf[at..at + K::WIDTH]);
-                val.encode(&mut buf[at + K::WIDTH..at + K::WIDTH + V::WIDTH]);
-            }
-            WalMapOpRef::Remove(key) => {
-                buf.push(KIND_REMOVE);
-                let at = buf.len();
-                buf.resize(at + K::WIDTH, 0);
-                key.encode(&mut buf[at..at + K::WIDTH]);
-            }
+        let (kind, key, val) = match op {
+            WalOp::Insert(key, val) => (KIND_INSERT, key, Some(val)),
+            WalOp::Remove(key) => (KIND_REMOVE, key, None),
+        };
+        buf.push(kind);
+        let at = buf.len();
+        buf.resize(at + K::WIDTH, 0);
+        key.encode(&mut buf[at..]);
+        if let Some(val) = val {
+            let at = buf.len();
+            buf.resize(at + V::WIDTH, 0);
+            val.encode(&mut buf[at..]);
         }
     }
-    debug_assert_eq!(buf.len() - payload_at, payload_len);
+    let payload_len = buf.len() - payload_at;
     let checksum = fnv1a(&buf[payload_at..]);
     buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
 }
 
-/// What decoding found at one offset.  `R` is the decoded record type —
-/// [`WalRecord`] for set (version-1) segments, [`WalMapRecord`] for map
-/// (version-2) segments.
+/// What decoding found at one offset.
 #[derive(Debug, PartialEq, Eq)]
-pub(crate) enum DecodeOutcome<R> {
+pub(crate) enum DecodeOutcome<K, V> {
     /// A valid record; `consumed` bytes advance the cursor past it.
-    Record { record: R, consumed: usize },
+    Record {
+        record: WalRecord<K, V>,
+        consumed: usize,
+    },
     /// The buffer ends exactly here — a cleanly-terminated log.
     Clean,
     /// The bytes from this offset on are not a valid record (torn final
@@ -182,120 +125,63 @@ pub(crate) enum DecodeOutcome<R> {
     Torn,
 }
 
-/// Validates the common frame (header, plausible length, checksum) and
-/// returns the payload slice, or the non-record outcome.
-fn frame(buf: &[u8], at: usize) -> Result<&[u8], DecodeOutcome<std::convert::Infallible>> {
+/// Decodes the record starting at `buf[at..]`.  Ops are variable-width
+/// when values are (the kind byte decides whether a value follows the
+/// key), so the body is walked with a cursor.
+pub(crate) fn decode_record<K: KeyCodec, V: KeyCodec>(
+    buf: &[u8],
+    at: usize,
+) -> DecodeOutcome<K, V> {
     let rest = &buf[at..];
     if rest.is_empty() {
-        return Err(DecodeOutcome::Clean);
+        return DecodeOutcome::Clean;
     }
     if rest.len() < RECORD_HEADER {
-        return Err(DecodeOutcome::Torn);
+        return DecodeOutcome::Torn;
     }
     let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let checksum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
     if !(8 + 4..=MAX_PAYLOAD).contains(&payload_len) {
-        return Err(DecodeOutcome::Torn);
-    }
-    let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + payload_len) else {
-        return Err(DecodeOutcome::Torn);
-    };
-    if fnv1a(payload) != checksum {
-        return Err(DecodeOutcome::Torn);
-    }
-    Ok(payload)
-}
-
-/// Maps the non-record outcome of [`frame`] into any record type.
-fn other<R>(outcome: DecodeOutcome<std::convert::Infallible>) -> DecodeOutcome<R> {
-    match outcome {
-        DecodeOutcome::Clean => DecodeOutcome::Clean,
-        DecodeOutcome::Torn => DecodeOutcome::Torn,
-        DecodeOutcome::Record { .. } => unreachable!("frame never yields a record"),
-    }
-}
-
-/// Decodes the set record starting at `buf[at..]`.
-pub(crate) fn decode_record<K: KeyCodec>(buf: &[u8], at: usize) -> DecodeOutcome<WalRecord<K>> {
-    let payload = match frame(buf, at) {
-        Ok(payload) => payload,
-        Err(outcome) => return other(outcome),
-    };
-    let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let body = &payload[12..];
-    if body.len() != n_ops * (1 + K::WIDTH) {
         return DecodeOutcome::Torn;
     }
-    let mut ops = Vec::with_capacity(n_ops);
-    for chunk in body.chunks_exact(1 + K::WIDTH) {
-        let op = match chunk[0] {
-            KIND_INSERT => WalOp::Insert,
-            KIND_REMOVE => WalOp::Remove,
-            // KIND_INSERT_KV included: a value-bearing record in a set log
-            // is damage, not data.
+    let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + payload_len) else {
+        return DecodeOutcome::Torn;
+    };
+    if fnv1a(payload) != checksum {
+        return DecodeOutcome::Torn;
+    }
+    let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
+    let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
+    let mut body = &payload[12..];
+    // Every op is at least a kind byte wide: bound the allocation by what
+    // the body can actually hold, not by the declared count.
+    let mut ops = Vec::with_capacity(n_ops.min(body.len()));
+    for _ in 0..n_ops {
+        let Some((&kind, after_kind)) = body.split_first() else {
+            return DecodeOutcome::Torn;
+        };
+        let width = match kind {
+            KIND_INSERT => K::WIDTH + V::WIDTH,
+            KIND_REMOVE => K::WIDTH,
             _ => return DecodeOutcome::Torn,
         };
-        ops.push((op, K::decode(&chunk[1..])));
+        if after_kind.len() < width {
+            return DecodeOutcome::Torn;
+        }
+        let (op, after_op) = after_kind.split_at(width);
+        let key = K::decode(&op[..K::WIDTH]);
+        ops.push(match kind {
+            KIND_INSERT => WalOp::Insert(key, V::decode(&op[K::WIDTH..])),
+            _ => WalOp::Remove(key),
+        });
+        body = after_op;
+    }
+    if !body.is_empty() {
+        return DecodeOutcome::Torn;
     }
     DecodeOutcome::Record {
         record: WalRecord { seq, ops },
-        consumed: RECORD_HEADER + payload.len(),
-    }
-}
-
-/// Decodes the map record starting at `buf[at..]`.  Ops are
-/// variable-width (the kind byte decides whether a value follows the
-/// key), so the body is walked with a cursor; any unknown kind — the
-/// set-only `KIND_INSERT` among them — or a body that does not end
-/// exactly at the declared op count reads as [`DecodeOutcome::Torn`].
-pub(crate) fn decode_map_record<K: KeyCodec, V: KeyCodec>(
-    buf: &[u8],
-    at: usize,
-) -> DecodeOutcome<WalMapRecord<K, V>> {
-    let payload = match frame(buf, at) {
-        Ok(payload) => payload,
-        Err(outcome) => return other(outcome),
-    };
-    let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let body = &payload[12..];
-    let mut ops = Vec::with_capacity(n_ops.min(body.len()));
-    let mut cursor = 0usize;
-    for _ in 0..n_ops {
-        let Some(&kind) = body.get(cursor) else {
-            return DecodeOutcome::Torn;
-        };
-        cursor += 1;
-        match kind {
-            KIND_INSERT_KV => {
-                let Some(bytes) = body.get(cursor..cursor + K::WIDTH + V::WIDTH) else {
-                    return DecodeOutcome::Torn;
-                };
-                ops.push(WalMapOp::InsertKv(
-                    K::decode(&bytes[..K::WIDTH]),
-                    V::decode(&bytes[K::WIDTH..]),
-                ));
-                cursor += K::WIDTH + V::WIDTH;
-            }
-            KIND_REMOVE => {
-                let Some(bytes) = body.get(cursor..cursor + K::WIDTH) else {
-                    return DecodeOutcome::Torn;
-                };
-                ops.push(WalMapOp::Remove(K::decode(bytes)));
-                cursor += K::WIDTH;
-            }
-            // Unknown kinds — the keys-only KIND_INSERT among them — are
-            // rejected: a map replay must never invent a value.
-            _ => return DecodeOutcome::Torn,
-        }
-    }
-    if cursor != body.len() {
-        return DecodeOutcome::Torn;
-    }
-    DecodeOutcome::Record {
-        record: WalMapRecord { seq, ops },
-        consumed: RECORD_HEADER + payload.len(),
+        consumed: RECORD_HEADER + payload_len,
     }
 }
 
@@ -303,131 +189,60 @@ pub(crate) fn decode_map_record<K: KeyCodec, V: KeyCodec>(
 mod tests {
     use super::*;
 
-    fn roundtrip(seq: u64, ops: &[(WalOp, u64)]) -> Vec<u8> {
+    fn encode<V: KeyCodec>(seq: u64, ops: &[WalOp<u64, V>]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let borrowed: Vec<(WalOp, &u64)> = ops.iter().map(|(op, k)| (*op, k)).collect();
+        let borrowed: Vec<WalOp<&u64, &V>> = ops
+            .iter()
+            .map(|op| match op {
+                WalOp::Insert(k, v) => WalOp::Insert(k, v),
+                WalOp::Remove(k) => WalOp::Remove(k),
+            })
+            .collect();
         encode_record(seq, &borrowed, &mut buf);
         buf
     }
 
-    #[test]
-    fn encode_decode_round_trips() {
+    /// The codec's properties, checked at one value type: round trip,
+    /// exact size, and every truncation / single-byte flip reading as torn.
+    fn check_codec<V: KeyCodec + Copy + PartialEq + std::fmt::Debug>(v: impl Fn(u64) -> V) {
         let ops = [
-            (WalOp::Insert, 7u64),
-            (WalOp::Remove, u64::MAX),
-            (WalOp::Insert, 0),
+            WalOp::Insert(7u64, v(700)),
+            WalOp::Remove(u64::MAX),
+            WalOp::Insert(0, v(0xDEAD_BEEF)),
         ];
-        let buf = roundtrip(42, &ops);
-        match decode_record::<u64>(&buf, 0) {
+        let buf = encode(42, &ops);
+        assert_eq!(
+            buf.len(),
+            RECORD_HEADER + 8 + 4 + 3 * (1 + 8) + 2 * V::WIDTH,
+            "inserts carry V::WIDTH value bytes, removes none"
+        );
+        match decode_record::<u64, V>(&buf, 0) {
             DecodeOutcome::Record { record, consumed } => {
                 assert_eq!(consumed, buf.len());
                 assert_eq!(record.seq, 42);
-                assert_eq!(record.ops, ops.map(|(op, k)| (op, k)));
-            }
-            other => panic!("expected a record, got {other:?}"),
-        }
-        assert_eq!(decode_record::<u64>(&buf, buf.len()), DecodeOutcome::Clean);
-    }
-
-    #[test]
-    fn every_truncation_point_reads_as_torn() {
-        let buf = roundtrip(9, &[(WalOp::Insert, 123), (WalOp::Remove, 456)]);
-        for cut in 1..buf.len() {
-            assert_eq!(
-                decode_record::<u64>(&buf[..cut], 0),
-                DecodeOutcome::Torn,
-                "prefix of {cut} bytes should read as torn"
-            );
-        }
-    }
-
-    #[test]
-    fn every_single_byte_flip_reads_as_torn_or_shorter_valid_log() {
-        let buf = roundtrip(5, &[(WalOp::Insert, 0xDEAD_BEEF)]);
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
-            match decode_record::<u64>(&bad, 0) {
-                DecodeOutcome::Torn => {}
-                // A flip in the length field *could* in principle frame a
-                // different window whose checksum happens to match — FNV
-                // makes that astronomically unlikely, so treat it as a
-                // failure if it ever shows up here.
-                other => panic!("flip at byte {i} decoded as {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn bad_kind_byte_is_torn() {
-        let mut buf = roundtrip(1, &[(WalOp::Insert, 1)]);
-        // Kind byte sits right after header + seq + n_ops.
-        let kind_at = RECORD_HEADER + 8 + 4;
-        buf[kind_at] = 7;
-        // Recompute the checksum so only the kind is wrong.
-        let payload = &buf[RECORD_HEADER..];
-        let sum = fnv1a(payload);
-        buf[4..12].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_record::<u64>(&buf, 0), DecodeOutcome::Torn);
-    }
-
-    #[test]
-    fn implausible_length_is_torn_not_a_huge_allocation() {
-        let mut buf = vec![0u8; RECORD_HEADER];
-        buf[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
-        assert_eq!(decode_record::<u64>(&buf, 0), DecodeOutcome::Torn);
-    }
-
-    fn kv_roundtrip(seq: u64, ops: &[WalMapOp<u64, u64>]) -> Vec<u8> {
-        let mut buf = Vec::new();
-        let borrowed: Vec<WalMapOpRef<'_, u64, u64>> = ops
-            .iter()
-            .map(|op| match op {
-                WalMapOp::InsertKv(k, v) => WalMapOpRef::InsertKv(k, v),
-                WalMapOp::Remove(k) => WalMapOpRef::Remove(k),
-            })
-            .collect();
-        encode_map_record(seq, &borrowed, &mut buf);
-        buf
-    }
-
-    #[test]
-    fn map_records_round_trip_with_values() {
-        let ops = vec![
-            WalMapOp::InsertKv(7u64, 700u64),
-            WalMapOp::Remove(9),
-            WalMapOp::InsertKv(u64::MAX, 0),
-        ];
-        let buf = kv_roundtrip(13, &ops);
-        match decode_map_record::<u64, u64>(&buf, 0) {
-            DecodeOutcome::Record { record, consumed } => {
-                assert_eq!(consumed, buf.len());
-                assert_eq!(record.seq, 13);
                 assert_eq!(record.ops, ops);
             }
             other => panic!("expected a record, got {other:?}"),
         }
         assert_eq!(
-            decode_map_record::<u64, u64>(&buf, buf.len()),
+            decode_record::<u64, V>(&buf, buf.len()),
             DecodeOutcome::Clean
         );
-    }
-
-    #[test]
-    fn map_truncations_and_flips_read_as_torn() {
-        let buf = kv_roundtrip(3, &[WalMapOp::InsertKv(1, 2), WalMapOp::Remove(3)]);
         for cut in 1..buf.len() {
             assert_eq!(
-                decode_map_record::<u64, u64>(&buf[..cut], 0),
+                decode_record::<u64, V>(&buf[..cut], 0),
                 DecodeOutcome::Torn,
-                "prefix of {cut} bytes"
+                "prefix of {cut} bytes should read as torn"
             );
         }
+        // A flip in the length field *could* in principle frame a different
+        // window whose checksum happens to match — FNV makes that
+        // astronomically unlikely, so any non-torn outcome is a failure.
         for i in 0..buf.len() {
             let mut bad = buf.clone();
             bad[i] ^= 0x01;
             assert_eq!(
-                decode_map_record::<u64, u64>(&bad, 0),
+                decode_record::<u64, V>(&bad, 0),
                 DecodeOutcome::Torn,
                 "flip at byte {i}"
             );
@@ -435,33 +250,69 @@ mod tests {
     }
 
     #[test]
-    fn codecs_reject_each_others_kinds() {
-        // A set record (KIND_INSERT, keys only) must not decode as a map
-        // record: the map codec has no value to give kind 0.
-        let set_buf = roundtrip(1, &[(WalOp::Insert, 5)]);
-        assert_eq!(
-            decode_map_record::<u64, u64>(&set_buf, 0),
-            DecodeOutcome::Torn
-        );
-        // And a map upsert (KIND_INSERT_KV) must not decode as a set
-        // record: the set codec does not know the kind.
-        let map_buf = kv_roundtrip(1, &[WalMapOp::InsertKv(5, 50)]);
-        assert_eq!(decode_record::<u64>(&map_buf, 0), DecodeOutcome::Torn);
-        // Removes are the same width in both framings, but the set codec
-        // still rejects the record when any op in it is value-bearing.
-        let mixed = kv_roundtrip(2, &[WalMapOp::Remove(1), WalMapOp::InsertKv(2, 20)]);
-        assert_eq!(decode_record::<u64>(&mixed, 0), DecodeOutcome::Torn);
+    fn set_records_round_trip_and_every_damage_reads_as_torn() {
+        check_codec(|_| ());
     }
 
     #[test]
-    fn unknown_map_kind_is_torn() {
-        let mut buf = kv_roundtrip(1, &[WalMapOp::Remove(1)]);
-        let kind_at = RECORD_HEADER + 8 + 4;
-        buf[kind_at] = 9;
-        let payload = &buf[RECORD_HEADER..];
-        let sum = fnv1a(payload);
+    fn value_records_round_trip_and_every_damage_reads_as_torn() {
+        check_codec(|v| v);
+    }
+
+    #[test]
+    fn a_set_record_is_byte_for_byte_the_v1_size() {
+        // 12-byte frame + 12 + n * (1 + K::WIDTH): values cost a set nothing.
+        let ops = [
+            WalOp::Insert(1u64, ()),
+            WalOp::Remove(2),
+            WalOp::Insert(3, ()),
+        ];
+        assert_eq!(encode(1, &ops).len(), 12 + 12 + 3 * (1 + 8));
+        assert_eq!(encode(1, &[WalOp::Insert(1u64, ())]).len(), 33);
+    }
+
+    /// Rewrites the checksum so only the planted defect is wrong.
+    fn reseal(buf: &mut [u8]) {
+        let sum = fnv1a(&buf[RECORD_HEADER..]);
         buf[4..12].copy_from_slice(&sum.to_le_bytes());
-        assert_eq!(decode_map_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+    }
+
+    #[test]
+    fn bad_kind_byte_is_torn() {
+        for mut buf in [
+            encode(1, &[WalOp::Insert(1u64, ())]),
+            encode(1, &[WalOp::Insert(1u64, 10u64)]),
+        ] {
+            // Kind byte sits right after header + seq + n_ops.
+            buf[RECORD_HEADER + 8 + 4] = 7;
+            reseal(&mut buf);
+            assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
+            assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        }
+    }
+
+    #[test]
+    fn a_body_that_disagrees_with_its_op_count_is_torn() {
+        // An honest checksum over a body one op too long / too short for
+        // the declared count: the decoder must not read past or stop early.
+        let mut buf = encode(1, &[WalOp::Insert(1u64, 10u64), WalOp::Remove(2)]);
+        buf[RECORD_HEADER + 8..RECORD_HEADER + 12].copy_from_slice(&1u32.to_le_bytes());
+        reseal(&mut buf);
+        assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        buf[RECORD_HEADER + 8..RECORD_HEADER + 12].copy_from_slice(&3u32.to_le_bytes());
+        reseal(&mut buf);
+        assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        // Read at the wrong value width, the same bytes misframe and tear
+        // (the segment header is what normally prevents getting this far).
+        let buf = encode(1, &[WalOp::Insert(1u64, 10u64)]);
+        assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
+    }
+
+    #[test]
+    fn implausible_length_is_torn_not_a_huge_allocation() {
+        let mut buf = vec![0u8; RECORD_HEADER];
+        buf[0..4].copy_from_slice(&(u32::MAX).to_le_bytes());
+        assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Snapshot files and the manifest that commits them.
 //!
-//! A snapshot is the set's full contents at one linearisation point,
+//! A snapshot is the store's full contents at one linearisation point,
 //! paired with that point's sequence number `S`: loading the snapshot and
 //! replaying WAL records with seq > `S` reconstructs the exact state.
 //! The snapshot file itself (`snap-<seq>.snap`) is written and fsynced
@@ -9,7 +9,10 @@
 //! anywhere before the rename and the old manifest (or none) still rules;
 //! crash after and the new snapshot rules — there is no in-between state.
 //!
-//! Both files carry a magic, an FNV-1a 64 checksum, and explicit lengths.
+//! Both files carry a magic, an FNV-1a 64 checksum, and explicit lengths;
+//! the snapshot's magic also names the key and value widths it was written
+//! with ([`stamped_magic`]), so opening it as another type is refused with
+//! a message that says so rather than "corrupt".
 //! A *missing* manifest means a fresh (or pre-snapshot) directory and is
 //! normal; a *corrupt* manifest or snapshot is an error — silently falling
 //! back to "no snapshot" would present data loss as a clean recovery,
@@ -22,17 +25,14 @@ use std::path::{Path, PathBuf};
 
 use batchapi::KeyCodec;
 
-use crate::log::sync_dir;
+use crate::log::{check_magic, stamped_magic, sync_dir};
 use crate::record::fnv1a;
 
-/// Identifies a keys-only (set) snapshot file (version 1).
-const SNAP_MAGIC: &[u8; 8] = b"PBSNAP\x00\x01";
-
-/// Identifies a key-value (map) snapshot file (version 2): each entry is
-/// `K::WIDTH` key bytes followed by `V::WIDTH` value bytes.  The bumped
-/// magic keeps a map snapshot from loading as a set snapshot (or vice
-/// versa) — the loaders reject the other family's files as corrupt.
-const KV_SNAP_MAGIC: &[u8; 8] = b"PBSNAP\x00\x02";
+/// The header of a snapshot holding `K` keys and `V` values: each entry is
+/// `K::WIDTH` key bytes followed by `V::WIDTH` value bytes (none for a set).
+fn snap_magic<K: KeyCodec, V: KeyCodec>() -> [u8; 8] {
+    stamped_magic::<K, V>(b"PBSNP")
+}
 
 /// Identifies the manifest (version 1).
 const MANIFEST_MAGIC: &[u8; 8] = b"PBMANI\x00\x01";
@@ -56,66 +56,11 @@ fn corrupt(what: &str, path: &Path) -> io::Error {
     )
 }
 
-/// Writes and fsyncs the snapshot of `keys` (must be strictly ascending)
-/// taken at `seq`; returns its file name.  The snapshot is inert until
-/// [`commit_manifest`] points the manifest at it.
-pub(crate) fn write_snapshot<K: KeyCodec>(dir: &Path, seq: u64, keys: &[K]) -> io::Result<String> {
-    let mut buf = Vec::with_capacity(8 + 8 + 8 + keys.len() * K::WIDTH + 8);
-    buf.extend_from_slice(SNAP_MAGIC);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    for key in keys {
-        let at = buf.len();
-        buf.resize(at + K::WIDTH, 0);
-        key.encode(&mut buf[at..]);
-    }
-    let checksum = fnv1a(&buf[SNAP_MAGIC.len()..]);
-    buf.extend_from_slice(&checksum.to_le_bytes());
-
-    let path = snapshot_path(dir, seq);
-    let mut file = File::create(&path)?;
-    file.write_all(&buf)?;
-    file.sync_all()?;
-    sync_dir(dir)?;
-    Ok(snapshot_name(seq))
-}
-
-/// Loads and verifies the snapshot at `path`, returning `(seq, keys)`.
-pub(crate) fn load_snapshot<K: KeyCodec + Ord>(path: &Path) -> io::Result<(u64, Vec<K>)> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let header = SNAP_MAGIC.len() + 8 + 8;
-    if buf.len() < header + 8 || &buf[..SNAP_MAGIC.len()] != SNAP_MAGIC {
-        return Err(corrupt("snapshot", path));
-    }
-    let body = &buf[SNAP_MAGIC.len()..buf.len() - 8];
-    let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(corrupt("snapshot", path));
-    }
-    let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let count = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
-    let keys_bytes = &body[16..];
-    if keys_bytes.len() != count * K::WIDTH {
-        return Err(corrupt("snapshot", path));
-    }
-    let mut keys = Vec::with_capacity(count);
-    for chunk in keys_bytes.chunks_exact(K::WIDTH) {
-        let key = K::decode(chunk);
-        if let Some(last) = keys.last() {
-            if *last >= key {
-                return Err(corrupt("snapshot (keys not strictly ascending)", path));
-            }
-        }
-        keys.push(key);
-    }
-    Ok((seq, keys))
-}
-
-/// Writes and fsyncs the key-value snapshot of `keys -> vals` (keys must
-/// be strictly ascending, `vals` parallel to them) taken at `seq`;
-/// returns its file name.  The map-tier sibling of [`write_snapshot`].
-pub(crate) fn write_kv_snapshot<K: KeyCodec, V: KeyCodec>(
+/// Writes and fsyncs the snapshot of `keys -> vals` (keys must be
+/// strictly ascending, `vals` parallel to them) taken at `seq`; returns
+/// its file name.  The snapshot is inert until [`commit_manifest`] points
+/// the manifest at it.
+pub(crate) fn write_snapshot<K: KeyCodec, V: KeyCodec>(
     dir: &Path,
     seq: u64,
     keys: &[K],
@@ -123,17 +68,18 @@ pub(crate) fn write_kv_snapshot<K: KeyCodec, V: KeyCodec>(
 ) -> io::Result<String> {
     debug_assert_eq!(keys.len(), vals.len());
     let entry = K::WIDTH + V::WIDTH;
+    let magic = snap_magic::<K, V>();
     let mut buf = Vec::with_capacity(8 + 8 + 8 + keys.len() * entry + 8);
-    buf.extend_from_slice(KV_SNAP_MAGIC);
+    buf.extend_from_slice(&magic);
     buf.extend_from_slice(&seq.to_le_bytes());
     buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
     for (key, val) in keys.iter().zip(vals) {
         let at = buf.len();
         buf.resize(at + entry, 0);
         key.encode(&mut buf[at..at + K::WIDTH]);
-        val.encode(&mut buf[at + K::WIDTH..at + entry]);
+        val.encode(&mut buf[at + K::WIDTH..]);
     }
-    let checksum = fnv1a(&buf[KV_SNAP_MAGIC.len()..]);
+    let checksum = fnv1a(&buf[magic.len()..]);
     buf.extend_from_slice(&checksum.to_le_bytes());
 
     let path = snapshot_path(dir, seq);
@@ -144,38 +90,40 @@ pub(crate) fn write_kv_snapshot<K: KeyCodec, V: KeyCodec>(
     Ok(snapshot_name(seq))
 }
 
-/// Loads and verifies the key-value snapshot at `path`, returning
-/// `(seq, keys, vals)` with `vals` parallel to the strictly-ascending
-/// `keys`.
-pub(crate) fn load_kv_snapshot<K: KeyCodec + Ord, V: KeyCodec>(
+/// Loads and verifies the snapshot at `path`, returning `(seq, keys,
+/// vals)` with `vals` parallel to the strictly-ascending `keys`.
+pub(crate) fn load_snapshot<K: KeyCodec + Ord, V: KeyCodec>(
     path: &Path,
 ) -> io::Result<(u64, Vec<K>, Vec<V>)> {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
-    let header = KV_SNAP_MAGIC.len() + 8 + 8;
-    if buf.len() < header + 8 || &buf[..KV_SNAP_MAGIC.len()] != KV_SNAP_MAGIC {
-        return Err(corrupt("kv snapshot", path));
+    let magic = snap_magic::<K, V>();
+    let header = magic.len() + 8 + 8;
+    if !check_magic(&buf, &magic, path)? || buf.len() < header + 8 {
+        return Err(corrupt("snapshot", path));
     }
-    let body = &buf[KV_SNAP_MAGIC.len()..buf.len() - 8];
+    let body = &buf[magic.len()..buf.len() - 8];
     let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
     if fnv1a(body) != stored {
-        return Err(corrupt("kv snapshot", path));
+        return Err(corrupt("snapshot", path));
     }
     let seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    let count = u64::from_le_bytes(body[8..16].try_into().unwrap()) as usize;
+    let count = u64::from_le_bytes(body[8..16].try_into().unwrap());
     let entry = K::WIDTH + V::WIDTH;
     let entry_bytes = &body[16..];
-    if entry_bytes.len() != count * entry {
-        return Err(corrupt("kv snapshot", path));
-    }
-    let mut keys = Vec::with_capacity(count);
+    // Checked arithmetic: the count comes from the file.
+    let count = usize::try_from(count)
+        .ok()
+        .filter(|count| count.checked_mul(entry) == Some(entry_bytes.len()));
+    let Some(count) = count else {
+        return Err(corrupt("snapshot", path));
+    };
+    let mut keys: Vec<K> = Vec::with_capacity(count);
     let mut vals = Vec::with_capacity(count);
-    for chunk in entry_bytes.chunks_exact(entry) {
+    for chunk in (0..count).map(|i| &entry_bytes[i * entry..][..entry]) {
         let key = K::decode(&chunk[..K::WIDTH]);
-        if let Some(last) = keys.last() {
-            if *last >= key {
-                return Err(corrupt("kv snapshot (keys not strictly ascending)", path));
-            }
+        if keys.last().is_some_and(|last| *last >= key) {
+            return Err(corrupt("snapshot (keys not strictly ascending)", path));
         }
         keys.push(key);
         vals.push(V::decode(&chunk[K::WIDTH..]));
@@ -282,29 +230,36 @@ mod tests {
         let dir = scratch_dir("roundtrip");
         assert_eq!(read_manifest(&dir).unwrap(), None);
         let keys: Vec<u64> = vec![3, 9, 27, u64::MAX];
-        let name = write_snapshot(&dir, 41, &keys).unwrap();
+        let vals: Vec<u64> = keys.iter().map(|k| k ^ 0xABCD).collect();
+        let name = write_snapshot(&dir, 41, &keys, &vals).unwrap();
         commit_manifest(&dir, 41, &name).unwrap();
         let (seq, path) = read_manifest(&dir).unwrap().expect("manifest committed");
         assert_eq!(seq, 41);
-        let (snap_seq, loaded) = load_snapshot::<u64>(&path).unwrap();
-        assert_eq!(snap_seq, 41);
-        assert_eq!(loaded, keys);
+        let loaded = load_snapshot::<u64, u64>(&path).unwrap();
+        assert_eq!(loaded, (41, keys.clone(), vals));
+        // The set instance: same file shape, zero value bytes per entry.
+        let units = vec![(); keys.len()];
+        let name = write_snapshot(&dir, 42, &keys, &units).unwrap();
+        let len = fs::metadata(dir.join(&name)).unwrap().len();
+        assert_eq!(len as usize, 8 + 8 + 8 + keys.len() * 8 + 8);
+        let loaded = load_snapshot::<u64, ()>(&dir.join(name)).unwrap();
+        assert_eq!(loaded, (42, keys, units));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn empty_snapshot_is_valid() {
         let dir = scratch_dir("empty");
-        let name = write_snapshot::<u64>(&dir, 0, &[]).unwrap();
-        let (seq, keys) = load_snapshot::<u64>(&dir.join(name)).unwrap();
-        assert_eq!((seq, keys), (0, vec![]));
+        let name = write_snapshot::<u64, ()>(&dir, 0, &[], &[]).unwrap();
+        let loaded = load_snapshot::<u64, ()>(&dir.join(name)).unwrap();
+        assert_eq!(loaded, (0, vec![], vec![]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn corrupt_snapshot_or_manifest_is_an_error_not_a_fallback() {
         let dir = scratch_dir("corrupt");
-        let name = write_snapshot(&dir, 5, &[1u64, 2]).unwrap();
+        let name = write_snapshot(&dir, 5, &[1u64, 2], &[(), ()]).unwrap();
         commit_manifest(&dir, 5, &name).unwrap();
 
         let snap_path = dir.join(&name);
@@ -313,7 +268,7 @@ mod tests {
         bytes[mid] ^= 0xFF;
         fs::write(&snap_path, &bytes).unwrap();
         assert_eq!(
-            load_snapshot::<u64>(&snap_path).unwrap_err().kind(),
+            load_snapshot::<u64, ()>(&snap_path).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
 
@@ -335,52 +290,47 @@ mod tests {
         // Hand-build a snapshot whose keys are out of order but whose
         // checksum is honest: the order check must still reject it.
         let mut buf = Vec::new();
-        buf.extend_from_slice(SNAP_MAGIC);
+        buf.extend_from_slice(&snap_magic::<u64, ()>());
         buf.extend_from_slice(&1u64.to_le_bytes());
         buf.extend_from_slice(&2u64.to_le_bytes());
         buf.extend_from_slice(&9u64.to_be_bytes());
         buf.extend_from_slice(&3u64.to_be_bytes());
-        let sum = fnv1a(&buf[SNAP_MAGIC.len()..]);
+        let sum = fnv1a(&buf[8..]);
         buf.extend_from_slice(&sum.to_le_bytes());
         let path = dir.join("snap-bad.snap");
         fs::write(&path, &buf).unwrap();
         assert_eq!(
-            load_snapshot::<u64>(&path).unwrap_err().kind(),
+            load_snapshot::<u64, ()>(&path).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn kv_snapshot_round_trips_and_families_stay_apart() {
-        let dir = scratch_dir("kv");
+    fn a_snapshot_opened_at_other_widths_is_refused_by_name() {
+        let dir = scratch_dir("widths");
         let keys: Vec<u64> = vec![2, 5, 8];
-        let vals: Vec<u64> = vec![20, 50, 80];
-        let name = write_kv_snapshot(&dir, 7, &keys, &vals).unwrap();
-        let path = dir.join(&name);
-        let (seq, k, v) = load_kv_snapshot::<u64, u64>(&path).unwrap();
-        assert_eq!((seq, k, v), (7, keys.clone(), vals));
-        // A kv snapshot must not load as a set snapshot, nor vice versa:
-        // the magics differ.
-        assert_eq!(
-            load_snapshot::<u64>(&path).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
-        );
-        let set_name = write_snapshot(&dir, 9, &keys).unwrap();
-        assert_eq!(
-            load_kv_snapshot::<u64, u64>(&dir.join(set_name))
-                .unwrap_err()
-                .kind(),
-            io::ErrorKind::InvalidData
-        );
+        let set_path = dir.join(write_snapshot(&dir, 9, &keys, &[(); 3]).unwrap());
+        let map_path = dir.join(write_snapshot(&dir, 7, &keys, &[20u64, 50, 80]).unwrap());
+        // A set snapshot must not load as a map (no values to invent), a
+        // map snapshot must not load as a set (values to lose), and neither
+        // at another key width — and the error says why.
+        for err in [
+            load_snapshot::<u64, u64>(&set_path).unwrap_err(),
+            load_snapshot::<u64, ()>(&map_path).unwrap_err(),
+            load_snapshot::<u32, ()>(&set_path).unwrap_err(),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert!(err.to_string().contains("8-byte keys"), "{err}");
+        }
         fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn stale_snapshots_are_reaped_except_the_kept_one() {
         let dir = scratch_dir("reap");
-        let a = write_snapshot(&dir, 1, &[1u64]).unwrap();
-        let b = write_snapshot(&dir, 2, &[1u64, 2]).unwrap();
+        let a = write_snapshot(&dir, 1, &[1u64], &[()]).unwrap();
+        let b = write_snapshot(&dir, 2, &[1u64, 2], &[(), ()]).unwrap();
         let keep = dir.join(&b);
         assert_eq!(remove_stale_snapshots(&dir, &keep).unwrap(), 1);
         assert!(!dir.join(a).exists());

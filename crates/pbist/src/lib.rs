@@ -13,11 +13,11 @@
 //!
 //! * [`node`] — the node representation and the key-interpolation trait
 //!   ([`node::InterpolateKey`]).  Nodes are generic over a per-key value
-//!   (`V = ()` for the set), so the set and the map share one structure.
-//! * [`tree`] — [`tree::IstSet`]: bulk parallel construction, interpolated
-//!   point lookups, and the [`batchapi::BatchedSet`] impl.
-//! * [`map`] — [`map::IstMap`]: the key→value instantiation, implementing
-//!   [`batchapi::BatchedMap`] with last-wins batched upserts.
+//!   (`V = ()` for the set), so the set and the map are one structure.
+//! * [`tree`] — [`tree::IstMap`]: bulk parallel construction, interpolated
+//!   point lookups, and the [`batchapi::BatchedMap`] impl (last-wins
+//!   batched upserts); [`tree::IstSet`] is its `V = ()` alias.  A published
+//!   snapshot is a clone of the handle: one `Arc` on the root.
 //! * `traverse` (internal) — the joint sorted-batch membership/lookup
 //!   traversal: partition the batch at each inner node, fork per child.
 //! * `update` (internal) — batched insert/remove: route the batch to the
@@ -34,7 +34,6 @@
 
 #![warn(missing_docs)]
 
-pub mod map;
 mod metrics;
 pub mod node;
 mod range;
@@ -42,7 +41,6 @@ mod traverse;
 pub mod tree;
 mod update;
 
-pub use map::IstMap;
 pub use metrics::IstMetricsSnapshot;
 pub use node::InterpolateKey;
-pub use tree::IstSet;
+pub use tree::{IstMap, IstSet};

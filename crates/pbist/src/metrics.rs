@@ -5,14 +5,14 @@
 //! counts than timings: nodes touched per batch shows the joint traversal
 //! sharing the upper levels, and rebuild counts/keys bound the amortised
 //! restructuring cost.  Collection is off by default and enabled per set
-//! via [`IstSet::with_metrics`](crate::IstSet::with_metrics); disabled, the
+//! via [`IstMap::with_metrics`](crate::IstMap::with_metrics); disabled, the
 //! recursion carries a `None` and every site is one branch.
 
 use std::sync::Arc;
 
 use obs::Counter;
 
-/// Live counters shared by every clone of one [`IstSet`](crate::IstSet)
+/// Live counters shared by every clone of one [`IstMap`](crate::IstMap)
 /// (clones share the same `Arc`, so they report into one set of numbers —
 /// use [`IstMetricsSnapshot::delta`] to isolate a window).
 #[derive(Debug, Default)]
@@ -43,8 +43,8 @@ impl IstMetrics {
     }
 }
 
-/// A point-in-time copy of an [`IstSet`](crate::IstSet)'s work counters
-/// ([`IstSet::metrics`](crate::IstSet::metrics)).  Counter semantics are
+/// A point-in-time copy of an [`IstMap`](crate::IstMap)'s work counters
+/// ([`IstMap::metrics`](crate::IstMap::metrics)).  Counter semantics are
 /// documented on the live struct's fields; all are monotone, so windows are
 /// taken with [`IstMetricsSnapshot::delta`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

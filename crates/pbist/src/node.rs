@@ -7,7 +7,7 @@
 //! what the interpolation step needs.
 //!
 //! Children are held behind `Arc` so a published read snapshot
-//! ([`batchapi::SetView`], via `IstSet::publish_root`) shares the tree
+//! ([`batchapi::SharedView`], via `IstMap::publish_root`) shares the tree
 //! structurally: updates copy-on-write exactly the root-to-leaf path they
 //! edit (`Arc::make_mut` clones a node only while a snapshot still
 //! references it), leaving every outstanding snapshot untouched.

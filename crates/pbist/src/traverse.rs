@@ -1,4 +1,4 @@
-//! The paper's joint sorted-batch traversal for membership queries.
+//! The paper's joint sorted-batch traversal for lookups.
 //!
 //! Instead of descending once per query, a whole sorted batch moves through
 //! the tree together: at each inner node the batch is split at the routers
@@ -12,8 +12,7 @@
 use std::mem::MaybeUninit;
 
 use crate::metrics::{touch_node, MetricsRef};
-use crate::node::{InterpolateKey, Node};
-use crate::tree::leaf_contains;
+use crate::node::{InterpolateKey, LeafNode, Node};
 
 /// Sub-batches at or below this length descend sequentially: forking per
 /// child would cost more than the remaining leaf work.
@@ -43,43 +42,15 @@ pub(crate) fn partition_batch<K: Ord>(routers: &[K], batch: &[K]) -> Vec<usize> 
 type QueryTask<'a, K, V, R> = (&'a Node<K, V>, &'a [K], &'a mut [MaybeUninit<R>]);
 
 /// Answers `batch` (sorted, strictly increasing) against the subtree at
-/// `node`, writing one membership flag per query into `out` (same order).
+/// `node`, writing one `answer` per query into `out` (same order):
+/// partitions `batch` at each inner node's routers, recurses per child
+/// (forked once the batch is large enough), and answers each query at its
+/// leaf — a membership flag for `batch_contains`, a value for `batch_get`.
 ///
 /// `m` counts each node entered **once per traversal**, not once per
 /// query routed through it — exactly the sharing the joint traversal buys
 /// over per-query descents.
-pub(crate) fn batch_contains_into<K, V>(
-    node: &Node<K, V>,
-    batch: &[K],
-    out: &mut [MaybeUninit<bool>],
-    m: MetricsRef<'_>,
-) where
-    K: InterpolateKey + Clone + Send + Sync,
-    V: Send + Sync,
-{
-    joint_query_into(node, batch, out, m, &|leaf, q| leaf_contains(&leaf.keys, q));
-}
-
-/// The map twin of [`batch_contains_into`]: one value lookup per query,
-/// `None` for absent keys — same joint partition, same forking shape.
-pub(crate) fn batch_get_into<K, V>(
-    node: &Node<K, V>,
-    batch: &[K],
-    out: &mut [MaybeUninit<Option<V>>],
-    m: MetricsRef<'_>,
-) where
-    K: InterpolateKey + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    joint_query_into(node, batch, out, m, &|leaf, q| {
-        crate::tree::leaf_search(&leaf.keys, q).map(|i| leaf.vals[i].clone())
-    });
-}
-
-/// Shared joint-traversal skeleton: partitions `batch` at each inner node's
-/// routers, recurses per child (forked once the batch is large enough), and
-/// answers each query at its leaf with `answer`.
-fn joint_query_into<K, V, R, F>(
+pub(crate) fn joint_query_into<K, V, R, F>(
     node: &Node<K, V>,
     batch: &[K],
     out: &mut [MaybeUninit<R>],
@@ -89,7 +60,7 @@ fn joint_query_into<K, V, R, F>(
     K: InterpolateKey + Clone + Send + Sync,
     V: Send + Sync,
     R: Send,
-    F: Fn(&crate::node::LeafNode<K, V>, &K) -> R + Sync,
+    F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
 {
     debug_assert_eq!(batch.len(), out.len());
     touch_node(m);

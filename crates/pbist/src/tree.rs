@@ -1,10 +1,11 @@
-//! The interpolation search tree set: bulk construction, lookups, and the
-//! batched-operations interface.
+//! The interpolation search tree store: bulk construction, lookups, and the
+//! batched-operations interface — one struct, generic over the per-key
+//! value, with the set as its `V = ()` instance.
 
 use std::ops::Bound;
 use std::sync::Arc;
 
-use batchapi::{Batch, BatchedSet, SetView};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
 
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
@@ -12,19 +13,51 @@ use crate::node::{
 };
 use crate::{range, traverse, update};
 
-/// A set of keys stored as an interpolation search tree.
+/// An ordered key→value map stored as an interpolation search tree.
 ///
-/// Construction is bulk ([`IstSet::from_sorted`] / [`IstSet::from_unsorted`])
-/// and builds subtrees in parallel when called inside a [`forkjoin::Pool`].
-/// Point lookups descend by interpolation ([`IstSet::contains`]); batched
-/// operations arrive through the [`batchapi::BatchedSet`] impl, which
-/// processes each sorted batch jointly — partitioned across children at
-/// every inner node, forked per child — with updates rebuilding touched
-/// leaves and any subtree whose size drifts past the rebuild threshold (the
-/// paper's core contribution).
+/// Construction is bulk ([`IstMap::from_batch`] and friends) and builds
+/// subtrees in parallel when called inside a [`forkjoin::Pool`].  Point
+/// lookups descend by interpolation; batched operations arrive through the
+/// [`batchapi::BatchedMap`] impl, which processes each sorted batch jointly
+/// — partitioned across children at every inner node, forked per child —
+/// with updates rebuilding touched leaves and any subtree whose size drifts
+/// past the rebuild threshold (the paper's core contribution).  Batched
+/// inserts are last-wins upserts (see the `batchapi` crate docs).
+///
+/// Leaves carry a value array index-parallel to their key run; for the set
+/// ([`IstSet`]) that array is a zero-sized `Vec<()>` the compiler erases.
 ///
 /// ```
-/// use batchapi::{Batch, BatchedSet};
+/// use batchapi::{BatchedMap, KvBatch, MapView};
+///
+/// let mut map = pbist::IstMap::from_unsorted_entries(vec![(5u64, "a"), (1, "b")]);
+/// assert_eq!(map.get(&5), Some("a"));
+/// let newly = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(5, "x"), (9, "y")]));
+/// assert_eq!(newly, vec![false, true]); // 5 was present: value overwritten
+/// assert_eq!(map.get(&5), Some("x"));
+/// assert_eq!(map.len(), 3);
+/// ```
+#[derive(Debug, Clone)]
+pub struct IstMap<K, V = ()> {
+    /// `Arc` so [`BatchedMap::publish_root`] can hand out the whole tree in
+    /// `O(1)`; updates go through `Arc::make_mut`, path-copying exactly the
+    /// nodes a published snapshot still shares.
+    root: Option<Arc<Node<K, V>>>,
+    /// Gates metric recording; the recursion carries `None` when disabled,
+    /// so the default configuration pays one branch per instrumented site.
+    obs: obs::Obs,
+    /// Work counters.  `Clone` shares the `Arc`, so clones of one tree —
+    /// published snapshots among them — report into the same counters;
+    /// callers that benchmark clones use [`IstMetricsSnapshot::delta`]
+    /// windows.
+    metrics: Arc<IstMetrics>,
+}
+
+/// A set of keys stored as an interpolation search tree: the `V = ()`
+/// instance of [`IstMap`].
+///
+/// ```
+/// use batchapi::{Batch, BatchedMap, MapView};
 ///
 /// let mut set = pbist::IstSet::from_unsorted(vec![5u64, 1, 9, 1]);
 /// assert!(set.contains(&5));
@@ -36,41 +69,20 @@ use crate::{range, traverse, update};
 /// assert_eq!(gone, vec![true, false]);
 /// assert!(!set.contains(&1));
 /// ```
-#[derive(Debug, Clone)]
-pub struct IstSet<K> {
-    /// `Arc` so [`BatchedSet::publish_root`] can hand out the whole tree in
-    /// `O(1)`; updates go through `Arc::make_mut`, path-copying exactly the
-    /// nodes a published snapshot still shares.
-    root: Option<Arc<Node<K>>>,
-    /// Gates metric recording; the recursion carries `None` when disabled,
-    /// so the default configuration pays one branch per instrumented site.
-    obs: obs::Obs,
-    /// Work counters.  `Clone` shares the `Arc`, so clones of one set
-    /// report into the same counters — callers that benchmark clones use
-    /// [`IstMetricsSnapshot::delta`] windows.
-    metrics: Arc<IstMetrics>,
-}
+pub type IstSet<K> = IstMap<K, ()>;
 
-impl<K> IstSet<K> {
-    fn with_root(root: Option<Node<K>>) -> IstSet<K> {
-        IstSet {
-            root: root.map(Arc::new),
-            obs: obs::Obs::disabled(),
-            metrics: Arc::new(IstMetrics::default()),
-        }
-    }
-
-    /// Turns work-counter collection on or off ([`IstSet::metrics`]).  Off
+impl<K, V> IstMap<K, V> {
+    /// Turns work-counter collection on or off ([`IstMap::metrics`]).  Off
     /// by default: disabled, every instrumented site is one predictable
-    /// branch (the workspace's bench harness asserts < 2 ns/op).
-    pub fn with_metrics(mut self, enabled: bool) -> IstSet<K> {
+    /// branch (the benchmark's `obs.disabled_overhead_ns` bounds it).
+    pub fn with_metrics(mut self, enabled: bool) -> IstMap<K, V> {
         self.obs = obs::Obs::new(enabled);
         self
     }
 
-    /// Snapshot of the set's work counters: nodes touched, leaves edited,
-    /// rebuild count and keys.  All zero unless the set was configured with
-    /// [`IstSet::with_metrics`].
+    /// Snapshot of the tree's work counters: nodes touched, leaves edited,
+    /// rebuild count and keys.  All zero unless the tree was configured
+    /// with [`IstMap::with_metrics`].
     pub fn metrics(&self) -> IstMetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -81,21 +93,18 @@ impl<K> IstSet<K> {
 }
 
 impl<K: InterpolateKey + Clone + Send + Sync> IstSet<K> {
-    /// Builds a tree from keys that are already sorted and deduplicated
+    /// Builds a set from keys that are already sorted and deduplicated
     /// (checked with a `debug_assert!`).
     pub fn from_sorted(keys: Vec<K>) -> IstSet<K> {
         debug_assert!(
             keys.windows(2).all(|w| w[0] < w[1]),
             "keys must be strictly increasing"
         );
-        if keys.is_empty() {
-            return IstSet::with_root(None);
-        }
-        let root = build(&keys, &unit_vals(keys.len()));
-        IstSet::with_root(Some(root))
+        // `Vec<()>` never allocates.
+        IstMap::from_parts(&keys, &vec![(); keys.len()])
     }
 
-    /// Builds a tree from arbitrary keys; sorts (unstable — keys are plain
+    /// Builds a set from arbitrary keys; sorts (unstable — keys are plain
     /// `Ord` values, there is no tie order to preserve) and deduplicates
     /// them first.
     pub fn from_unsorted(mut keys: Vec<K>) -> IstSet<K> {
@@ -103,68 +112,48 @@ impl<K: InterpolateKey + Clone + Send + Sync> IstSet<K> {
         keys.dedup();
         IstSet::from_sorted(keys)
     }
+}
 
-    /// Builds a tree holding the keys of `batch` (already sorted and
+impl<K, V> IstMap<K, V>
+where
+    K: InterpolateKey + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    fn from_parts(keys: &[K], vals: &[V]) -> IstMap<K, V> {
+        IstMap {
+            root: (!keys.is_empty()).then(|| Arc::new(build(keys, vals))),
+            obs: obs::Obs::disabled(),
+            metrics: Arc::new(IstMetrics::default()),
+        }
+    }
+
+    /// Builds a tree holding the pairs of `batch` (already sorted and
     /// deduplicated by construction, so no copy or re-check is needed).
-    pub fn from_batch(batch: &Batch<K>) -> IstSet<K> {
-        if batch.is_empty() {
-            return IstSet::with_root(None);
-        }
-        let root = build(batch.as_slice(), &unit_vals(batch.len()));
-        IstSet::with_root(Some(root))
+    pub fn from_batch(batch: &KvBatch<K, V>) -> IstMap<K, V> {
+        IstMap::from_parts(batch.keys(), batch.vals())
     }
 
-    /// Number of keys in the set.
-    pub fn len(&self) -> usize {
-        self.root.as_ref().map_or(0, |root| root.len())
+    /// Builds a map from entries whose keys are already strictly increasing
+    /// (checked with a `debug_assert!`).
+    pub fn from_sorted_entries(entries: Vec<(K, V)>) -> IstMap<K, V> {
+        debug_assert!(
+            entries.windows(2).all(|w| w[0].0 < w[1].0),
+            "keys must be strictly increasing"
+        );
+        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
+        IstMap::from_parts(&keys, &vals)
     }
 
-    /// Returns `true` when the set holds no keys.
-    pub fn is_empty(&self) -> bool {
-        self.root.is_none()
-    }
-
-    /// The smallest key, or `None` for an empty set.
-    pub fn min(&self) -> Option<&K> {
-        self.root.as_ref().map(|root| root.min_key())
-    }
-
-    /// The largest key, or `None` for an empty set.
-    pub fn max(&self) -> Option<&K> {
-        self.root.as_ref().map(|root| root.max_key())
-    }
-
-    /// Clones every key out of the tree in ascending order, forking per
-    /// subtree inside a pool — the parallel flatten the rebuild path uses,
-    /// exposed for snapshotting consumers (the durability tier).
-    pub fn collect_keys(&self) -> Vec<K> {
-        match &self.root {
-            Some(root) => update::collect_keys(root),
-            None => Vec::new(),
-        }
-    }
-
-    /// Returns `true` when `key` is present, descending by interpolation.
-    pub fn contains(&self, key: &K) -> bool {
-        match &self.root {
-            Some(root) => contains_in(root, key, self.obs_metrics()),
-            None => false,
-        }
-    }
-
-    /// Number of keys strictly smaller than `key`: the interpolated descent
-    /// plus the sizes of the subtrees it passes on its left.
-    pub fn rank(&self, key: &K) -> usize {
-        match &self.root {
-            Some(root) => rank_in(root, key, self.obs_metrics()),
-            None => 0,
-        }
+    /// Builds a map from arbitrary entries; sorts by key and collapses
+    /// duplicates last-wins (the [`KvBatch`] policy).
+    pub fn from_unsorted_entries(entries: Vec<(K, V)>) -> IstMap<K, V> {
+        IstMap::from_batch(&KvBatch::from_unsorted_entries(entries))
     }
 
     /// Verifies the tree's shape invariants — strictly increasing leaf runs
-    /// within capacity, router keys equal to each right sibling's minimum,
-    /// consistent `len`/`min`/`max` at every inner node — returning a
-    /// description of the first violation.
+    /// within capacity with one value per key, router keys equal to each
+    /// right sibling's minimum, consistent `len`/`min`/`max` at every inner
+    /// node — returning a description of the first violation.
     ///
     /// Intended for tests and debugging after batched updates; cost is a
     /// full traversal.
@@ -175,130 +164,132 @@ impl<K: InterpolateKey + Clone + Send + Sync> IstSet<K> {
             Some(root) => check_node(root),
         }
     }
-}
 
-impl<K: InterpolateKey + Clone + Send + Sync> BatchedSet<K> for IstSet<K> {
-    fn len(&self) -> usize {
-        IstSet::len(self)
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        IstSet::contains(self, key)
-    }
-
-    fn rank(&self, key: &K) -> usize {
-        IstSet::rank(self, key)
-    }
-
-    fn min(&self) -> Option<&K> {
-        IstSet::min(self)
-    }
-
-    fn max(&self) -> Option<&K> {
-        IstSet::max(self)
-    }
-
-    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_contains_report(batch, &mut out);
-        out
-    }
-
-    fn batch_insert(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_insert_report(batch, &mut out);
-        out
-    }
-
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_remove_report(batch, &mut out);
-        out
-    }
-
-    fn collect_keys(&self) -> Vec<K> {
-        IstSet::collect_keys(self)
-    }
-
-    fn publish_root(&self) -> Arc<dyn SetView<K>>
+    /// Answers one leaf-level query per batch key into `out` (cleared
+    /// first): point descents for tiny batches — a lookup batch has no
+    /// cross-key interaction, and they beat the joint traversal's per-node
+    /// scratch — the paper's joint traversal above that.  The traversal
+    /// writes flags straight into the caller's buffer, so reporting through
+    /// a reused `Vec` is allocation-free once it has warmed up (the
+    /// flat-combining front-end's round loop depends on this).
+    fn batch_lookup<R, F>(&self, batch: &[K], out: &mut Vec<R>, answer: &F)
     where
-        K: 'static,
+        R: Default + Send,
+        F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
     {
-        // O(1): clone the root `Arc` (plus the metrics plumbing, so reads
-        // served from the snapshot keep counting nodes touched).  Updates
-        // after this call copy-on-write around the shared nodes.
-        Arc::new(IstView {
-            root: self.root.clone(),
-            obs: self.obs,
-            metrics: Arc::clone(&self.metrics),
-        })
-    }
-
-    fn publish_clone_keys(&self) -> usize {
-        0 // publish_root clones one `Arc`, never the contents
-    }
-
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Clone,
-    {
-        match &self.root {
-            Some(root) => range_keys_in(root, lo, hi, self.obs_metrics()),
-            None => Vec::new(),
-        }
-    }
-
-    fn kth(&self, k: usize) -> Option<K>
-    where
-        K: Clone,
-    {
-        match &self.root {
-            Some(root) if k < root.len() => {
-                touch_node(self.obs_metrics());
-                Some(range::kth_entry(root, k).0.clone())
-            }
-            _ => None,
-        }
-    }
-
-    // The `_report` variants are the primary implementations: the traversal
-    // and update recursions already write flags into a caller-provided
-    // buffer, so reporting through a reused `Vec` is allocation-free once
-    // the buffer has warmed up (the flat-combining front-end's round loop
-    // depends on this).
-
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
         out.clear();
-        if batch.is_empty() {
+        let Some(root) = &self.root else {
+            out.resize_with(batch.len(), R::default);
             return;
-        }
-        let root = match &self.root {
-            Some(root) => root,
-            None => {
-                out.resize(batch.len(), false);
-                return;
-            }
         };
-        // Tiny batches: point lookups beat the joint traversal's per-node
-        // scratch.  Same answers — a membership batch has no cross-key
-        // interaction at all.
+        let m = self.obs_metrics();
         if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(batch.iter().map(|q| self.contains(q)));
+            out.extend(batch.iter().map(|q| lookup_in(root, q, m, answer)));
             return;
         }
         out.reserve(batch.len());
-        traverse::batch_contains_into(
-            root,
-            batch.as_slice(),
-            &mut out.spare_capacity_mut()[..batch.len()],
-            self.obs_metrics(),
-        );
+        let slots = &mut out.spare_capacity_mut()[..batch.len()];
+        traverse::joint_query_into(root, batch, slots, m, answer);
         // SAFETY: the traversal writes every one of the first `batch.len()`
         // slots exactly once (children cover disjoint batch segments).
         unsafe { out.set_len(batch.len()) };
     }
+}
 
-    fn batch_insert_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
+impl<K, V> MapView<K, V> for IstMap<K, V>
+where
+    K: InterpolateKey + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    fn len(&self) -> usize {
+        self.root.as_ref().map_or(0, |root| root.len())
+    }
+
+    fn get(&self, key: &K) -> Option<V> {
+        let root = self.root.as_ref()?;
+        lookup_in(root, key, self.obs_metrics(), &leaf_get)
+    }
+
+    fn contains(&self, key: &K) -> bool {
+        match &self.root {
+            Some(root) => lookup_in(root, key, self.obs_metrics(), &leaf_has),
+            None => false,
+        }
+    }
+
+    /// The interpolated descent plus the sizes of the subtrees it passes on
+    /// its left.
+    fn rank(&self, key: &K) -> usize {
+        match &self.root {
+            Some(root) => rank_in(root, key, self.obs_metrics()),
+            None => 0,
+        }
+    }
+
+    fn min(&self) -> Option<&K> {
+        self.root.as_ref().map(|root| root.min_key())
+    }
+
+    fn max(&self) -> Option<&K> {
+        self.root.as_ref().map(|root| root.max_key())
+    }
+
+    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
+        self.batch_lookup(batch, out, &leaf_has);
+    }
+
+    fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
+        let mut out = Vec::new();
+        self.batch_lookup(batch, &mut out, &leaf_get);
+        out
+    }
+
+    /// Forks per subtree inside a pool — the parallel flatten the rebuild
+    /// path uses.
+    fn collect_entries(&self) -> (Vec<K>, Vec<V>) {
+        match &self.root {
+            Some(root) => update::collect_kv(root),
+            None => (Vec::new(), Vec::new()),
+        }
+    }
+
+    // The structure-aware range carve: one descent, binary searches only in
+    // the two boundary leaves, interior subtrees concatenated wholesale.
+
+    fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
+        let mut entries = Vec::new();
+        if let Some(root) = &self.root {
+            touch_node(self.obs_metrics());
+            range::range_for_each(root, lo, hi, &mut |k: &K, v: &V| {
+                entries.push((k.clone(), v.clone()))
+            });
+        }
+        entries
+    }
+
+    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
+        let mut keys = Vec::new();
+        if let Some(root) = &self.root {
+            touch_node(self.obs_metrics());
+            range::range_for_each(root, lo, hi, &mut |k: &K, _v: &V| keys.push(k.clone()));
+        }
+        keys
+    }
+
+    fn kth_entry(&self, k: usize) -> Option<(K, V)> {
+        let root = self.root.as_ref().filter(|root| k < root.len())?;
+        touch_node(self.obs_metrics());
+        let (key, val) = range::kth_entry(root, k);
+        Some((key.clone(), val.clone()))
+    }
+}
+
+impl<K, V> BatchedMap<K, V> for IstMap<K, V>
+where
+    K: InterpolateKey + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+{
+    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
         out.clear();
         if batch.is_empty() {
             return;
@@ -306,29 +297,27 @@ impl<K: InterpolateKey + Clone + Send + Sync> BatchedSet<K> for IstSet<K> {
         let root = match &mut self.root {
             Some(root) => Arc::make_mut(root),
             None => {
-                let built = build(batch.as_slice(), &unit_vals(batch.len()));
-                self.root = Some(Arc::new(built));
+                self.root = Some(Arc::new(build(batch.keys(), batch.vals())));
                 out.resize(batch.len(), true);
                 return;
             }
         };
-        // Tiny batches: a loop of in-place point inserts is equivalent to
+        // Tiny batches: a loop of in-place point upserts is equivalent to
         // the batch recursion (sorted distinct keys, applied in order) and
         // allocation-free.
         let m = metrics_ref(self.obs, &self.metrics);
         if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(batch.iter().map(|q| update::insert_one(root, q, &(), m)));
+            out.extend(
+                batch
+                    .entries()
+                    .map(|(q, v)| update::insert_one(root, q, v, m)),
+            );
             return;
         }
         out.reserve(batch.len());
-        update::insert_into(
-            root,
-            batch.as_slice(),
-            &unit_vals(batch.len()),
-            &mut out.spare_capacity_mut()[..batch.len()],
-            m,
-        );
-        // SAFETY: as in `batch_contains_report` — every flag slot written once.
+        let slots = &mut out.spare_capacity_mut()[..batch.len()];
+        update::insert_into(root, batch.keys(), batch.vals(), slots, m);
+        // SAFETY: as in `batch_lookup` — every flag slot written once.
         unsafe { out.set_len(batch.len()) };
     }
 
@@ -349,14 +338,9 @@ impl<K: InterpolateKey + Clone + Send + Sync> BatchedSet<K> for IstSet<K> {
             out.extend(batch.iter().map(|q| update::remove_one(root, q, m)));
         } else {
             out.reserve(batch.len());
-            update::remove_from(
-                root,
-                batch.as_slice(),
-                &mut out.spare_capacity_mut()[..batch.len()],
-                m,
-            );
-            // SAFETY: as in `batch_contains_report` — every flag slot
-            // written once.
+            let slots = &mut out.spare_capacity_mut()[..batch.len()];
+            update::remove_from(root, batch.keys(), slots, m);
+            // SAFETY: as in `batch_lookup` — every flag slot written once.
             unsafe { out.set_len(batch.len()) };
         }
         if root.is_empty() {
@@ -364,14 +348,14 @@ impl<K: InterpolateKey + Clone + Send + Sync> BatchedSet<K> for IstSet<K> {
         }
     }
 
-    fn insert_one(&mut self, key: &K) -> bool {
+    fn upsert_one(&mut self, key: &K, val: &V) -> bool {
         let m = metrics_ref(self.obs, &self.metrics);
         match &mut self.root {
-            Some(root) => update::insert_one(Arc::make_mut(root), key, &(), m),
+            Some(root) => update::insert_one(Arc::make_mut(root), key, val, m),
             None => {
                 self.root = Some(Arc::new(Node::Leaf(LeafNode {
                     keys: vec![key.clone()],
-                    vals: vec![()],
+                    vals: vec![val.clone()],
                 })));
                 true
             }
@@ -389,6 +373,22 @@ impl<K: InterpolateKey + Clone + Send + Sync> BatchedSet<K> for IstSet<K> {
             self.root = None;
         }
         removed
+    }
+
+    /// `O(1)`: the snapshot is a clone of this handle — the root `Arc` plus
+    /// the metrics plumbing, so reads served from it keep counting nodes
+    /// touched.  Updates after this call copy-on-write around the shared
+    /// nodes.
+    fn publish_root(&self) -> SharedView<K, V>
+    where
+        K: 'static,
+        V: 'static,
+    {
+        Arc::new(self.clone())
+    }
+
+    fn publish_clone_keys(&self) -> usize {
+        0 // publish_root clones one `Arc`, never the contents
     }
 }
 
@@ -427,23 +427,29 @@ pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Option<usiz
     None
 }
 
-/// Membership wrapper over [`leaf_search`].
-pub(crate) fn leaf_contains<K: InterpolateKey>(keys: &[K], key: &K) -> bool {
-    leaf_search(keys, key).is_some()
+/// Leaf-level membership answer (the set's lookup).
+fn leaf_has<K: InterpolateKey, V>(leaf: &LeafNode<K, V>, key: &K) -> bool {
+    leaf_search(&leaf.keys, key).is_some()
 }
 
-/// The interpolated point-lookup descent, shared by the live tree and its
-/// published snapshots ([`IstView`]).
-pub(crate) fn contains_in<K: InterpolateKey, V>(
+/// Leaf-level value answer (the map's lookup).
+fn leaf_get<K: InterpolateKey, V: Clone>(leaf: &LeafNode<K, V>, key: &K) -> Option<V> {
+    leaf_search(&leaf.keys, key).map(|i| leaf.vals[i].clone())
+}
+
+/// The interpolated point-lookup descent: routes `key` to its leaf and
+/// answers there with `answer` ([`leaf_has`] or [`leaf_get`]).
+fn lookup_in<K: InterpolateKey, V, R>(
     root: &Node<K, V>,
     key: &K,
     m: MetricsRef<'_>,
-) -> bool {
+    answer: &impl Fn(&LeafNode<K, V>, &K) -> R,
+) -> R {
     let mut node = root;
     loop {
         touch_node(m);
         match node {
-            Node::Leaf(leaf) => return leaf_contains(&leaf.keys, key),
+            Node::Leaf(leaf) => return answer(leaf, key),
             Node::Inner(inner) => {
                 node = &inner.children[child_index(inner, key)];
             }
@@ -451,31 +457,8 @@ pub(crate) fn contains_in<K: InterpolateKey, V>(
     }
 }
 
-/// The interpolated value-lookup descent — [`contains_in`]'s map twin.
-pub(crate) fn get_in<K: InterpolateKey, V: Clone>(
-    root: &Node<K, V>,
-    key: &K,
-    m: MetricsRef<'_>,
-) -> Option<V> {
-    let mut node = root;
-    loop {
-        touch_node(m);
-        match node {
-            Node::Leaf(leaf) => return leaf_search(&leaf.keys, key).map(|i| leaf.vals[i].clone()),
-            Node::Inner(inner) => {
-                node = &inner.children[child_index(inner, key)];
-            }
-        }
-    }
-}
-
-/// The rank descent (keys strictly below `key`), shared by the live tree
-/// and its published snapshots.
-pub(crate) fn rank_in<K: InterpolateKey, V>(
-    root: &Node<K, V>,
-    key: &K,
-    m: MetricsRef<'_>,
-) -> usize {
+/// The rank descent (keys strictly below `key`).
+fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) -> usize {
     let mut node = root;
     let mut before = 0;
     loop {
@@ -489,129 +472,6 @@ pub(crate) fn rank_in<K: InterpolateKey, V>(
             }
         }
     }
-}
-
-/// The structure-aware range carve behind both the live tree's and the
-/// snapshot's `range_keys` overrides: one descent, binary searches only in
-/// the two boundary leaves, interior subtrees concatenated wholesale.
-fn range_keys_in<K, V>(root: &Node<K, V>, lo: Bound<&K>, hi: Bound<&K>, m: MetricsRef<'_>) -> Vec<K>
-where
-    K: Ord + Clone,
-{
-    touch_node(m);
-    let mut keys = Vec::new();
-    range::range_for_each(root, lo, hi, &mut |k: &K, _v: &V| keys.push(k.clone()));
-    keys
-}
-
-/// An [`IstSet`] read snapshot: the root `Arc` frozen at one linearisation
-/// point, answering [`SetView`] queries with the same interpolated descents
-/// (and the same metrics plumbing) as the live tree.  Publication is `O(1)`
-/// — the update path copy-on-writes around outstanding snapshots.
-struct IstView<K> {
-    root: Option<Arc<Node<K>>>,
-    obs: obs::Obs,
-    metrics: Arc<IstMetrics>,
-}
-
-impl<K> IstView<K> {
-    fn obs_metrics(&self) -> MetricsRef<'_> {
-        metrics_ref(self.obs, &self.metrics)
-    }
-}
-
-impl<K: InterpolateKey + Clone + Send + Sync> SetView<K> for IstView<K> {
-    fn len(&self) -> usize {
-        self.root.as_ref().map_or(0, |root| root.len())
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        match &self.root {
-            Some(root) => contains_in(root, key, self.obs_metrics()),
-            None => false,
-        }
-    }
-
-    fn rank(&self, key: &K) -> usize {
-        match &self.root {
-            Some(root) => rank_in(root, key, self.obs_metrics()),
-            None => 0,
-        }
-    }
-
-    fn min(&self) -> Option<&K> {
-        self.root.as_ref().map(|root| root.min_key())
-    }
-
-    fn max(&self) -> Option<&K> {
-        self.root.as_ref().map(|root| root.max_key())
-    }
-
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        if batch.is_empty() {
-            return;
-        }
-        let root = match &self.root {
-            Some(root) => root,
-            None => {
-                out.resize(batch.len(), false);
-                return;
-            }
-        };
-        // Same shape as the live tree's report path: point lookups for tiny
-        // batches, the joint traversal above that.
-        if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(batch.iter().map(|q| self.contains(q)));
-            return;
-        }
-        out.reserve(batch.len());
-        traverse::batch_contains_into(
-            root,
-            batch.as_slice(),
-            &mut out.spare_capacity_mut()[..batch.len()],
-            self.obs_metrics(),
-        );
-        // SAFETY: the traversal writes every one of the first `batch.len()`
-        // slots exactly once (children cover disjoint batch segments).
-        unsafe { out.set_len(batch.len()) };
-    }
-
-    fn collect_keys(&self) -> Vec<K> {
-        match &self.root {
-            Some(root) => update::collect_keys(root),
-            None => Vec::new(),
-        }
-    }
-
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K>
-    where
-        K: Ord + Clone,
-    {
-        match &self.root {
-            Some(root) => range_keys_in(root, lo, hi, self.obs_metrics()),
-            None => Vec::new(),
-        }
-    }
-
-    fn kth(&self, k: usize) -> Option<K>
-    where
-        K: Clone,
-    {
-        match &self.root {
-            Some(root) if k < root.len() => {
-                touch_node(self.obs_metrics());
-                Some(range::kth_entry(root, k).0.clone())
-            }
-            _ => None,
-        }
-    }
-}
-
-/// A unit-value slice matching `n` keys — what the set (`V = ()`) passes to
-/// the key/value build and update paths.  `Vec<()>` never allocates.
-pub(crate) fn unit_vals(n: usize) -> Vec<()> {
-    vec![(); n]
 }
 
 /// Builds the subtree for one strictly-increasing run of keys (with its
@@ -648,8 +508,8 @@ where
     })
 }
 
-/// Recursive worker for [`IstSet::check_invariants`] (and the map's).
-pub(crate) fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
+/// Recursive worker for [`IstMap::check_invariants`].
+fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
     match node {
         Node::Leaf(leaf) => {
             if leaf.keys.is_empty() {
@@ -722,6 +582,8 @@ pub(crate) fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchapi::BatchedSet;
+    use std::collections::BTreeMap;
 
     #[test]
     fn empty_tree_contains_nothing() {
@@ -1065,5 +927,185 @@ mod tests {
         assert_eq!(set.len(), 10_000);
         assert!(set.contains(&1));
         assert!(!set.contains(&0));
+    }
+
+    // ---- the same tree at a real value type ----
+
+    fn oracle_pairs(n: u64) -> Vec<(u64, u64)> {
+        (0..n).map(|i| (i * 7 % (n * 3), i)).collect()
+    }
+
+    #[test]
+    fn empty_map_answers_empty() {
+        let map: IstMap<u64, u64> = IstMap::from_sorted_entries(Vec::new());
+        assert!(map.is_empty());
+        assert_eq!(map.get(&3), None);
+        assert_eq!(map.rank(&3), 0);
+        assert_eq!(map.kth_entry(0), None);
+        assert!(map
+            .range_entries(Bound::Unbounded, Bound::Unbounded)
+            .is_empty());
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn map_agrees_with_btreemap_oracle() {
+        let pairs = oracle_pairs(20_000);
+        let oracle: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        // Last-wins: feed the raw (colliding) pairs; BTreeMap's collect is
+        // also last-wins, so the two agree by construction.
+        let map = IstMap::from_unsorted_entries(pairs);
+        assert_eq!(map.len(), oracle.len());
+        map.check_invariants().unwrap();
+        for probe in (0..70_000u64).step_by(61) {
+            assert_eq!(map.get(&probe), oracle.get(&probe).copied(), "get {probe}");
+            assert_eq!(
+                map.contains(&probe),
+                oracle.contains_key(&probe),
+                "contains {probe}"
+            );
+        }
+        let (keys, vals) = map.collect_entries();
+        assert!(keys.iter().copied().eq(oracle.keys().copied()));
+        assert!(vals.iter().copied().eq(oracle.values().copied()));
+    }
+
+    #[test]
+    fn batched_upserts_and_removes_match_oracle() {
+        let mut map = IstMap::from_unsorted_entries(oracle_pairs(5_000));
+        let mut oracle: BTreeMap<u64, u64> = oracle_pairs(5_000).into_iter().collect();
+
+        // Large upsert batch: half overwrites, half fresh keys.
+        let upserts: Vec<(u64, u64)> = (0..4_000u64).map(|i| (i * 5, i + 1_000_000)).collect();
+        let batch = KvBatch::from_unsorted_entries(upserts.clone());
+        let flags = map.batch_insert(&batch);
+        for ((k, v), flag) in batch.entries().zip(flags.iter()) {
+            assert_eq!(*flag, oracle.insert(*k, *v).is_none(), "upsert {k}");
+        }
+        assert_eq!(map.len(), oracle.len());
+        map.check_invariants().unwrap();
+        for (k, v) in batch.entries() {
+            assert_eq!(map.get(k), Some(*v), "upserted value for {k}");
+        }
+
+        // batch_get over a mix of present and absent keys.
+        let probes = Batch::from_unsorted((0..6_000u64).map(|i| i * 3).collect());
+        let got = map.batch_get(&probes);
+        for (q, g) in probes.iter().zip(got.iter()) {
+            assert_eq!(*g, oracle.get(q).copied(), "batch_get {q}");
+        }
+
+        // Large removal batch, then verify against the oracle.
+        let removes = Batch::from_unsorted((0..5_000u64).map(|i| i * 2).collect());
+        let flags = map.batch_remove(&removes);
+        for (q, flag) in removes.iter().zip(flags.iter()) {
+            assert_eq!(*flag, oracle.remove(q).is_some(), "remove {q}");
+        }
+        assert_eq!(map.len(), oracle.len());
+        map.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn point_paths_and_tiny_batches_upsert_in_place() {
+        let mut map: IstMap<u64, &str> = IstMap::from_sorted_entries(Vec::new());
+        assert!(map.upsert_one(&10, &"ten"));
+        assert!(!map.upsert_one(&10, &"TEN"), "upsert reports not-new");
+        assert_eq!(map.get(&10), Some("TEN"), "point upsert overwrote");
+        // Tiny batch (≤ POINT_BATCH_LEN) routes through the point path.
+        let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(10, "x"), (11, "y")]));
+        assert_eq!(flags, vec![false, true]);
+        assert_eq!(map.get(&10), Some("x"));
+        assert!(map.remove_one(&10));
+        assert!(!map.remove_one(&10));
+        assert_eq!(map.len(), 1);
+        map.check_invariants().unwrap();
+        // Draining the last key collapses the root.
+        assert!(map.remove_one(&11));
+        assert!(map.is_empty());
+    }
+
+    #[test]
+    fn range_and_selection_match_btreemap() {
+        let pairs: Vec<(u64, u64)> = (0..30_000u64).map(|i| (i * 3, i)).collect();
+        let oracle: BTreeMap<u64, u64> = pairs.iter().copied().collect();
+        let map = IstMap::from_sorted_entries(pairs);
+        map.check_invariants().unwrap();
+
+        let bounds: [Bound<&u64>; 5] = [
+            Bound::Unbounded,
+            Bound::Included(&9_000),
+            Bound::Excluded(&9_000),
+            Bound::Included(&9_001), // off-key
+            Bound::Excluded(&89_999),
+        ];
+        for lo in bounds {
+            for hi in bounds {
+                // BTreeMap::range panics on inverted bounds and on
+                // (Excluded(x), Excluded(x)); the IST returns the honest
+                // answer for both — the empty range.
+                let degenerate = match (lo, hi) {
+                    (
+                        Bound::Included(a) | Bound::Excluded(a),
+                        Bound::Included(b) | Bound::Excluded(b),
+                    ) => {
+                        a > b
+                            || (a == b
+                                && matches!(lo, Bound::Excluded(_))
+                                && matches!(hi, Bound::Excluded(_)))
+                    }
+                    _ => false,
+                };
+                let expected: Vec<(u64, u64)> = if degenerate {
+                    Vec::new()
+                } else {
+                    oracle
+                        .range((lo.cloned(), hi.cloned()))
+                        .map(|(k, v)| (*k, *v))
+                        .collect()
+                };
+                assert_eq!(map.range_entries(lo, hi), expected, "range {lo:?}..{hi:?}");
+                assert_eq!(map.range_count(lo, hi), expected.len());
+                assert_eq!(
+                    map.range_keys(lo, hi),
+                    expected.iter().map(|(k, _)| *k).collect::<Vec<_>>()
+                );
+            }
+        }
+        assert_eq!(map.kth_entry(0), Some((0, 0)));
+        assert_eq!(map.kth_entry(29_999), Some((89_997, 29_999)));
+        assert_eq!(map.kth_entry(30_000), None);
+        assert_eq!(map.predecessor(&0), None);
+        assert_eq!(map.predecessor(&1), Some(0));
+        assert_eq!(map.successor(&89_997), None);
+        assert_eq!(map.successor(&89_996), Some(89_997));
+        assert_eq!(map.successor(&0), Some(3));
+    }
+
+    #[test]
+    fn rebuilds_preserve_values() {
+        // Grow far past the rebuild factor so whole subtrees are rebuilt,
+        // then check every surviving value rode along.
+        let mut map = IstMap::from_sorted_entries((0..2_000u64).map(|i| (i * 2, i)).collect());
+        let grow = KvBatch::from_unsorted_entries(
+            (0..6_000u64).map(|i| (i * 2 + 1, i + 500_000)).collect(),
+        );
+        map.batch_insert(&grow);
+        map.check_invariants().unwrap();
+        assert_eq!(map.len(), 8_000);
+        for i in (0..2_000u64).step_by(97) {
+            assert_eq!(map.get(&(i * 2)), Some(i));
+        }
+        for i in (0..6_000u64).step_by(97) {
+            assert_eq!(map.get(&(i * 2 + 1)), Some(i + 500_000));
+        }
+    }
+
+    #[test]
+    fn clone_is_snapshot_via_cow() {
+        let mut map = IstMap::from_sorted_entries((0..10_000u64).map(|i| (i, i)).collect());
+        let frozen = map.clone();
+        map.batch_insert(&KvBatch::from_unsorted_entries(vec![(3, 999u64)]));
+        assert_eq!(map.get(&3), Some(999));
+        assert_eq!(frozen.get(&3), Some(3), "clone saw a later upsert");
     }
 }

@@ -32,7 +32,7 @@ use crate::tree::{build, child_index};
 const REBUILD_FACTOR: usize = 2;
 
 /// Subtrees at or below this many keys are flattened sequentially by
-/// [`collect_keys`]; above it, collection forks per child.
+/// [`collect_kv`]; above it, collection forks per child.
 const SEQ_COLLECT_LEN: usize = 2048;
 
 /// Batches at or below this length run as a loop of point operations
@@ -148,7 +148,7 @@ where
 /// how many keys were actually removed.
 ///
 /// May leave `node` as an **empty leaf** when the batch wipes the subtree
-/// out; callers (the parent node, or `IstSet` at the root) prune it.
+/// out; callers (the parent node, or `IstMap` at the root) prune it.
 pub(crate) fn remove_from<K, V>(
     node: &mut Node<K, V>,
     batch: &[K],
@@ -323,19 +323,10 @@ where
     removed
 }
 
-/// Flattens the subtree at `node` into one sorted key vector, forking per
-/// child for large subtrees.
-pub(crate) fn collect_keys<K, V>(node: &Node<K, V>) -> Vec<K>
-where
-    K: Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    collect_kv(node).0
-}
-
 /// Flattens the subtree at `node` into parallel sorted key and value
-/// vectors — the shape [`build`] consumes, so a drifted subtree rebuilds
-/// (and a map snapshots) without pair-tupling the contents first.
+/// vectors, forking per child for large subtrees — the shape [`build`]
+/// consumes, so a drifted subtree rebuilds (and a store snapshots) without
+/// pair-tupling the contents first.
 pub(crate) fn collect_kv<K, V>(node: &Node<K, V>) -> (Vec<K>, Vec<V>)
 where
     K: Clone + Send + Sync,

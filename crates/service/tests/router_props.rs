@@ -6,7 +6,7 @@
 //! the [`batchapi::BatchedSet`] surface — sequential, so any divergence is
 //! the router's fault, not a concurrency artefact.
 
-use batchapi::{Batch, BatchedSet};
+use batchapi::{Batch, BatchedMap, MapView};
 use combine::ConcurrentSet;
 use forkjoin::Pool;
 use service::{HashRouter, RangeRouter, ShardRouter, ShardedOptions, ShardedSet};

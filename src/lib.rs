@@ -13,5 +13,3 @@ pub use parprim;
 pub use pbist;
 pub use service;
 pub use workloads;
-
-pub mod bench_util;

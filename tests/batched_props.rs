@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 
 use pbist_repro::{
     baselines::SortedArraySet,
-    batchapi::{Batch, BatchedSet},
+    batchapi::{Batch, BatchedMap, BatchedSet, MapView},
     forkjoin::Pool,
     pbist::IstSet,
     workloads::{self, OpKind},

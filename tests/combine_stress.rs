@@ -1,17 +1,21 @@
 //! Linearizability-style stress suite for the flat-combining front-end.
 //!
 //! N client threads issue recorded single-op traces through a
-//! `combine::ConcurrentSet` over the real tree.  The combiner logs every
+//! `combine::ConcurrentMap` over the real tree.  The combiner logs every
 //! committed round; afterwards the test replays the rounds **sequentially**
-//! against a `BTreeSet` oracle and demands that
+//! against a `BTreeMap` oracle and demands that
 //!
 //! 1. every per-op result recorded in the log matches the sequential replay
 //!    (the committed order is a valid linearisation),
 //! 2. the multiset of `(kind, key, result)` triples the clients observed
 //!    equals the multiset in the log (every client op appears exactly once,
 //!    with exactly the result its client saw), and
-//! 3. the backing set's final contents equal the oracle's, with the tree's
-//!    shape invariants intact.
+//! 3. the backing store's final contents — values included — equal the
+//!    oracle's, with the tree's shape invariants intact.
+//!
+//! The harness is generic over the value type and runs at `V = ()` (the
+//! set) and at `V = u64`, where every insert writes a value no other op
+//! writes, so "which write won" is decidable from the contents alone.
 //!
 //! Together with the fact that round commit order respects real time (an op
 //! that completed before another started was drained in an earlier round),
@@ -20,32 +24,71 @@
 //! Every failure message carries the active seed and configuration so CI
 //! failures replay without bisecting.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Debug;
+use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
 use pbist_repro::{
     baselines::SortedArraySet,
-    batchapi::{Batch, BatchedSet},
-    combine::{ConcurrentSet, OpKind as CombinedOp, Options},
+    batchapi::{Batch, BatchedMap, MapView},
+    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, Round, RoundOp},
     forkjoin::Pool,
-    pbist::IstSet,
+    pbist::{IstMap, IstSet},
     workloads::{self, ClientTrace, OpKind},
 };
 
-/// Drives `traces` concurrently through a logged `ConcurrentSet<_, IstSet>`
+/// The value types the replay oracle runs at.
+trait Val: Clone + PartialEq + Debug + Send + Sync + 'static {
+    /// The value client `client` writes at step `step` of its trace —
+    /// distinct for every (client, step) at `u64`, so a value names the one
+    /// write that produced it.
+    fn of(client: u64, step: u64) -> Self;
+}
+
+impl Val for () {
+    fn of(_client: u64, _step: u64) {}
+}
+
+impl Val for u64 {
+    fn of(client: u64, step: u64) -> u64 {
+        client << 32 | step
+    }
+}
+
+/// The client id the pre-loaded contents are written under.
+const PRELOAD: u64 = 0xFFFF;
+
+/// Applies one committed round to the sequential oracle, returning what
+/// each op must have reported.
+fn replay_round<V: Val>(oracle: &mut BTreeMap<u64, V>, round: &Round<u64, V>) -> Vec<bool> {
+    let apply = |op: &RoundOp<u64, V>| match op.kind {
+        CombinedOp::Insert => {
+            let val = op.val.clone().expect("logged inserts carry their value");
+            oracle.insert(op.key, val).is_none()
+        }
+        CombinedOp::Remove => oracle.remove(&op.key).is_some(),
+        CombinedOp::Contains => oracle.contains_key(&op.key),
+    };
+    round.ops.iter().map(apply).collect()
+}
+
+/// Drives `traces` concurrently through a logged `ConcurrentMap<_, V, IstMap>`
 /// seeded with `initial`, then runs the three oracle checks above.
-fn drive_and_verify(
+fn drive_and_verify<V: Val>(
     ctx: &str,
     pool_threads: usize,
     pool_cutoff: usize,
     initial: &[u64],
     traces: &[ClientTrace],
 ) {
+    let ctx = &format!("{ctx}, V = {}", std::any::type_name::<V>());
     let pool = Pool::new(pool_threads).unwrap_or_else(|e| panic!("{ctx}: pool: {e}"));
-    let backing = IstSet::from_unsorted(initial.to_vec());
-    let set = Arc::new(ConcurrentSet::with_options(
+    let preload = |&k: &u64| (k, V::of(PRELOAD, k));
+    let backing = IstMap::from_unsorted_entries(initial.iter().map(preload).collect());
+    let set = Arc::new(ConcurrentMap::with_options(
         backing,
         pool,
         Options {
@@ -63,13 +106,15 @@ fn drive_and_verify(
     let observed: Vec<Vec<bool>> = thread::scope(|s| {
         let handles: Vec<_> = traces
             .iter()
-            .map(|trace| {
+            .zip(0u64..)
+            .map(|(trace, client)| {
                 let set = Arc::clone(&set);
                 s.spawn(move || {
                     trace
                         .iter()
-                        .map(|(kind, key)| match kind {
-                            OpKind::Insert => set.insert(*key),
+                        .zip(0u64..)
+                        .map(|((kind, key), step)| match kind {
+                            OpKind::Insert => set.upsert(*key, V::of(client, step)),
                             OpKind::Remove => set.remove(key),
                             OpKind::Contains => set.contains(key),
                         })
@@ -95,14 +140,10 @@ fn drive_and_verify(
     }
 
     // Check 1: the committed round order is a valid linearisation.
-    let mut oracle: BTreeSet<u64> = initial.iter().copied().collect();
+    let mut oracle: BTreeMap<u64, V> = initial.iter().map(preload).collect();
     for (r, round) in rounds.iter().enumerate() {
-        for op in &round.ops {
-            let expect = match op.kind {
-                CombinedOp::Insert => oracle.insert(op.key),
-                CombinedOp::Remove => oracle.remove(&op.key),
-                CombinedOp::Contains => oracle.contains(&op.key),
-            };
+        let expect = replay_round(&mut oracle, round);
+        for (op, expect) in round.ops.iter().zip(expect) {
             assert_eq!(op.result, expect, "{ctx}: round {r}, op {op:?}");
         }
     }
@@ -139,15 +180,22 @@ fn drive_and_verify(
         .check_invariants()
         .unwrap_or_else(|e| panic!("{ctx}: invariants: {e}"));
     assert_eq!(backing.len(), oracle.len(), "{ctx}: final len");
-    let present = Batch::from_unsorted(oracle.iter().copied().collect());
+    let present = Batch::from_unsorted(oracle.keys().copied().collect());
     assert!(
         backing.batch_contains(&present).iter().all(|&hit| hit),
         "{ctx}: an oracle key is missing from the backing set"
     );
+    assert!(
+        backing
+            .batch_get(&present)
+            .into_iter()
+            .eq(oracle.values().cloned().map(Some)),
+        "{ctx}: a key ended up with a value the replay does not leave there"
+    );
     let absent_probes = Batch::from_unsorted(
         (0..1000u64)
             .map(|i| i * 37)
-            .filter(|k| !oracle.contains(k))
+            .filter(|k| !oracle.contains_key(k))
             .collect(),
     );
     assert!(
@@ -167,13 +215,9 @@ fn uniform_traffic_linearizes_across_pool_sizes() {
         let initial = workloads::uniform_keys_distinct(seed ^ 0xA5A5, 600, 0..2_000);
         let traces = workloads::client_traces(seed, 4, 2_500, 0..2_000, (3, 2, 2));
         let ctx = format!("seed {seed}, pool {pool_threads}, cutoff default");
-        drive_and_verify(
-            &ctx,
-            pool_threads,
-            Options::default().pool_cutoff,
-            &initial,
-            &traces,
-        );
+        let cutoff = Options::default().pool_cutoff;
+        drive_and_verify::<()>(&ctx, pool_threads, cutoff, &initial, &traces);
+        drive_and_verify::<u64>(&ctx, pool_threads, cutoff, &initial, &traces);
     }
 }
 
@@ -186,13 +230,9 @@ fn zipf_hot_key_traffic_linearizes() {
         let initial: Vec<u64> = universe[..150].to_vec();
         let traces = workloads::client_traces_zipf(seed, 6, 800, &universe, 0.99, (2, 2, 1));
         let ctx = format!("seed {seed}, pool {pool_threads}, zipf");
-        drive_and_verify(
-            &ctx,
-            pool_threads,
-            Options::default().pool_cutoff,
-            &initial,
-            &traces,
-        );
+        let cutoff = Options::default().pool_cutoff;
+        drive_and_verify::<()>(&ctx, pool_threads, cutoff, &initial, &traces);
+        drive_and_verify::<u64>(&ctx, pool_threads, cutoff, &initial, &traces);
     }
 }
 
@@ -207,7 +247,8 @@ fn one_worker_pool_with_forced_pool_rounds() {
     let initial = workloads::uniform_keys_distinct(seed, 400, 0..1_500);
     let traces = workloads::client_traces(seed, 4, 400, 0..1_500, (3, 2, 2));
     let ctx = format!("seed {seed}, pool 1, cutoff 0");
-    drive_and_verify(&ctx, 1, 0, &initial, &traces);
+    drive_and_verify::<()>(&ctx, 1, 0, &initial, &traces);
+    drive_and_verify::<u64>(&ctx, 1, 0, &initial, &traces);
 }
 
 /// The owner's handle can be dropped while clients still hold theirs and
@@ -291,6 +332,22 @@ fn stats_snapshots_never_show_rounds_ahead_of_ops() {
     let st = set.stats();
     assert_eq!(st.ops, writers as u64 * per_writer, "quiescent op total");
     assert!(st.rounds >= 1 && st.rounds <= st.ops, "quiescent rounds");
+}
+
+/// Applies one committed round's writes to a key-set oracle (the replays
+/// below track membership only).
+fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
+    for op in &round.ops {
+        match op.kind {
+            CombinedOp::Insert => {
+                oracle.insert(op.key);
+            }
+            CombinedOp::Remove => {
+                oracle.remove(&op.key);
+            }
+            CombinedOp::Contains => {}
+        }
+    }
 }
 
 /// Staleness-contract replay for the wait-free snapshot read path.
@@ -405,17 +462,7 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
             );
             next += 1;
         }
-        for op in &round.ops {
-            match op.kind {
-                CombinedOp::Insert => {
-                    oracle.insert(op.key);
-                }
-                CombinedOp::Remove => {
-                    oracle.remove(&op.key);
-                }
-                CombinedOp::Contains => {}
-            }
-        }
+        apply_to_key_set(&mut oracle, round);
     }
     while next < events.len() {
         let (seq, key, result) = events[next];
@@ -425,6 +472,156 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
             "read of key {key} at snapshot seq {seq} does not match the final state"
         );
         next += 1;
+    }
+}
+
+/// One value read a client made right after one of its own upserts.
+struct ValueRead {
+    key: u64,
+    /// The (globally unique) value the client had just written to `key`.
+    wrote: u64,
+    /// What `read_at_least(mark)` then `get` returned.
+    got: Option<u64>,
+    /// The seq of the snapshot that answered.
+    seq: u64,
+}
+
+/// The committed-round replay at `V = u64`: concurrent upserts of distinct
+/// values onto *shared* keys (so clients keep overwriting each other),
+/// through the default front-end — snapshot reads on, round log on.
+///
+/// (a) Replaying the round log reproduces every `bool`, the log's and the
+///     clients' alike.
+/// (b) `read_at_least(mark)` then `get`, with `mark` taken after my write
+///     was acknowledged, returns exactly the state of the snapshot's own
+///     seq — which covers my write — so the value is mine or a later
+///     round's, never an older one.
+/// (c) A `ReadSnapshot` pinned early and held across hundreds of later
+///     rounds keeps returning the values of its own seq.
+#[test]
+fn upserted_values_replay_against_the_committed_rounds() {
+    let map: Arc<ConcurrentMap<u64, u64, IstMap<u64, u64>>> =
+        Arc::new(ConcurrentMap::with_options(
+            IstMap::from_sorted_entries(Vec::new()),
+            Pool::new(2).unwrap(),
+            Options {
+                log_rounds: true,
+                ..Options::default()
+            },
+        ));
+    let clients = 4u64;
+    let per_client = 400u64;
+    let span = 53u64;
+    let everything = (Bound::Unbounded, Bound::Unbounded);
+
+    type Pinned = (u64, Vec<(u64, u64)>);
+    type Observed = (Vec<(u64, bool)>, Vec<ValueRead>, Pinned);
+    let observed: Vec<Observed> = thread::scope(|s| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let map = Arc::clone(&map);
+                s.spawn(move || {
+                    let mut upserts = Vec::new();
+                    let mut reads = Vec::new();
+                    let mut pinned = None;
+                    for i in 0..per_client {
+                        let key = (c * 7 + i) % span;
+                        let mine = u64::of(c, i);
+                        upserts.push((mine, map.upsert(key, mine)));
+                        // The round that wrote `mine` is committed (it
+                        // acknowledged), so the mark is at or past it.
+                        let mark = map.committed_seq();
+                        let snap = map.read_at_least(mark).expect("an observed mark");
+                        reads.push(ValueRead {
+                            key,
+                            wrote: mine,
+                            got: snap.view().get(&key),
+                            seq: snap.seq(),
+                        });
+                        if i == per_client / 8 {
+                            let entries = snap.view().range_entries(everything.0, everything.1);
+                            pinned = Some((snap, entries));
+                        }
+                        if i % 5 == 4 {
+                            map.remove(&key);
+                        }
+                    }
+                    // (c): the pinned snapshot, hundreds of rounds later.
+                    let (snap, first) = pinned.expect("pinned at step per_client / 8");
+                    assert_eq!(
+                        snap.view().range_entries(everything.0, everything.1),
+                        first,
+                        "client {c}: a held snapshot's contents drifted"
+                    );
+                    for (key, val) in &first {
+                        assert_eq!(snap.view().get(key), Some(*val), "client {c}: key {key}");
+                    }
+                    (upserts, reads, (snap.seq(), first))
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    // (a): sequential replay; remember each round's state and which round
+    // wrote each (unique) value.
+    let rounds = map.take_rounds();
+    let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut states: HashMap<u64, BTreeMap<u64, u64>> = HashMap::from([(0, oracle.clone())]);
+    let mut written: HashMap<u64, (u64, bool)> = HashMap::new();
+    for round in &rounds {
+        let expect = replay_round(&mut oracle, round);
+        for (op, expect) in round.ops.iter().zip(expect) {
+            assert_eq!(op.result, expect, "round {}, op {op:?}", round.seq);
+            if let Some(val) = op.val {
+                let again = written.insert(val, (round.seq, op.result));
+                assert!(again.is_none(), "value {val:#x} was logged twice");
+            }
+        }
+        states.insert(round.seq, oracle.clone());
+    }
+    assert_eq!(
+        written.len() as u64,
+        clients * per_client,
+        "every upsert is logged once"
+    );
+
+    for (c, (upserts, reads, (pinned_seq, pinned))) in observed.iter().enumerate() {
+        for (val, saw) in upserts {
+            assert_eq!(
+                written[val].1, *saw,
+                "client {c}: upsert of {val:#x} saw another bool"
+            );
+        }
+        // (b)
+        for read in reads {
+            let (my_seq, _) = written[&read.wrote];
+            assert!(
+                read.seq >= my_seq,
+                "client {c}: read_at_least returned seq {} for a write in round {my_seq}",
+                read.seq
+            );
+            assert_eq!(
+                read.got,
+                states[&read.seq].get(&read.key).copied(),
+                "client {c}: get({}) at snapshot seq {} is not that round's state",
+                read.key,
+                read.seq
+            );
+            if let Some(got) = read.got {
+                assert!(
+                    written[&got].0 >= my_seq,
+                    "client {c}: read back {got:#x}, older than its own write {:#x}",
+                    read.wrote
+                );
+            }
+        }
+        // (c): what the pinned snapshot held is its own seq's state.
+        let expect: Vec<(u64, u64)> = states[pinned_seq].iter().map(|(k, v)| (*k, *v)).collect();
+        assert_eq!(
+            pinned, &expect,
+            "client {c}: pinned snapshot seq {pinned_seq}"
+        );
     }
 }
 
@@ -571,17 +768,7 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
             check(&events[next], &oracle);
             next += 1;
         }
-        for op in &round.ops {
-            match op.kind {
-                CombinedOp::Insert => {
-                    oracle.insert(op.key);
-                }
-                CombinedOp::Remove => {
-                    oracle.remove(&op.key);
-                }
-                CombinedOp::Contains => {}
-            }
-        }
+        apply_to_key_set(&mut oracle, round);
     }
     while next < events.len() {
         check(&events[next], &oracle);
@@ -595,37 +782,40 @@ struct BombSet {
     inner: SortedArraySet<u64>,
 }
 
-impl BatchedSet<u64> for BombSet {
+impl MapView<u64> for BombSet {
     fn len(&self) -> usize {
         self.inner.len()
     }
+    fn get(&self, key: &u64) -> Option<()> {
+        self.inner.get(key)
+    }
     fn contains(&self, key: &u64) -> bool {
-        BatchedSet::contains(&self.inner, key)
+        self.inner.contains(key)
     }
     fn rank(&self, key: &u64) -> usize {
-        BatchedSet::rank(&self.inner, key)
+        self.inner.rank(key)
     }
     fn min(&self) -> Option<&u64> {
-        BatchedSet::min(&self.inner)
+        self.inner.min()
     }
     fn max(&self) -> Option<&u64> {
-        BatchedSet::max(&self.inner)
+        self.inner.max()
     }
-    fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-        self.inner.batch_contains(batch)
+    fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
+        self.inner.collect_entries()
     }
-    fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+}
+
+impl BatchedMap<u64> for BombSet {
+    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
         assert!(
             !batch.as_slice().contains(&u64::MAX),
             "BombSet: backend blew up mid-round"
         );
-        self.inner.batch_insert(batch)
+        self.inner.batch_insert_report(batch, out)
     }
-    fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-        self.inner.batch_remove(batch)
-    }
-    fn collect_keys(&self) -> Vec<u64> {
-        self.inner.collect_keys()
+    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+        self.inner.batch_remove_report(batch, out)
     }
 }
 
@@ -687,17 +877,7 @@ fn snapshot_keys_never_observes_a_half_applied_round() {
     let mut oracle: BTreeSet<u64> = BTreeSet::new();
     states.insert(0, Vec::new());
     for round in &rounds {
-        for op in &round.ops {
-            match op.kind {
-                CombinedOp::Insert => {
-                    oracle.insert(op.key);
-                }
-                CombinedOp::Remove => {
-                    oracle.remove(&op.key);
-                }
-                CombinedOp::Contains => {}
-            }
-        }
+        apply_to_key_set(&mut oracle, round);
         states.insert(round.seq, oracle.iter().copied().collect());
     }
     let total: usize = observed.iter().map(Vec::len).sum();

@@ -20,16 +20,23 @@
 //!
 //! The child writes disjoint batches `[i*B, (i+1)*B)` in order, so "which
 //! prefix survived" is readable straight off the recovered length.
+//!
+//! The suite is generic over the value type and runs twice: at `V = ()`
+//! (the set) and at `V = u64`, where each key `k` carries the derived value
+//! `k * 2 + 1` and the contract is strictly stronger — every key must come
+//! back with the exact value it was committed with.  A recovery that
+//! replays keys but invents, drops, or cross-wires values passes the first
+//! run and fails the second.
 
 use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 use pbist_repro::{
-    batchapi::Batch,
-    durable::{DurableOptions, DurableSet},
+    batchapi::{Batch, KeyCodec, KvBatch},
+    durable::{DurableMap, DurableOptions},
     forkjoin::Pool,
-    pbist::IstSet,
+    pbist::IstMap,
 };
 
 /// Keys per child batch.
@@ -41,35 +48,57 @@ const CHILD_ENV: &str = "DURABLE_CRASH_CHILD";
 const DIR_ENV: &str = "DURABLE_CRASH_DIR";
 /// Group-commit size the child runs with.
 const GROUP_ENV: &str = "DURABLE_CRASH_GROUP";
+/// Which value type the child runs at ([`Val::NAME`]).
+const VALUES_ENV: &str = "DURABLE_CRASH_VALUES";
 
-fn open(dir: &PathBuf, group_commit: u64) -> DurableSet<u64, IstSet<u64>> {
-    DurableSet::open(
+/// The value types the suite runs at.
+trait Val: Clone + PartialEq + std::fmt::Debug + Send + Sync + KeyCodec + 'static {
+    const NAME: &'static str;
+    /// The value every key commits with — derived, so recovery can be
+    /// checked end to end from the keys alone.
+    fn of(key: u64) -> Self;
+}
+
+impl Val for () {
+    const NAME: &'static str = "unit";
+    fn of(_key: u64) {}
+}
+
+impl Val for u64 {
+    const NAME: &'static str = "u64";
+    fn of(key: u64) -> u64 {
+        key * 2 + 1
+    }
+}
+
+fn open<V: Val>(dir: &PathBuf, group_commit: u64) -> DurableMap<u64, V, IstMap<u64, V>> {
+    DurableMap::open(
         dir,
         Pool::new(1).expect("pool"),
         DurableOptions {
             group_commit,
             ..DurableOptions::default()
         },
-        |batch| IstSet::from_batch(&batch),
+        |batch| IstMap::from_batch(&batch),
     )
-    .expect("open durable set")
+    .expect("open durable store")
 }
 
-/// The child: insert batch `i` = `[i*B, (i+1)*B)`, then acknowledge it by
-/// printing `ACK <i> <durable_seq>` on a flushed line.  Runs until the
-/// parent kills it.
-fn run_child() -> ! {
+/// The child: upsert batch `i` = `[i*B, (i+1)*B)` with derived values,
+/// then acknowledge it by printing `ACK <i> <durable_seq>` on a flushed
+/// line.  Runs until the parent kills it.
+fn run_child<V: Val>() -> ! {
     let dir = PathBuf::from(std::env::var_os(DIR_ENV).expect("child needs the dir"));
     let group: u64 = std::env::var(GROUP_ENV)
         .expect("child needs the group size")
         .parse()
         .expect("group size");
-    let set = open(&dir, group);
+    let set = open::<V>(&dir, group);
     let stdout = std::io::stdout();
     let mut i = 0u64;
     loop {
-        let keys: Vec<u64> = (i * BATCH..(i + 1) * BATCH).collect();
-        let batch = Batch::from_unsorted(keys);
+        let entries = (i * BATCH..(i + 1) * BATCH).map(|k| (k, V::of(k)));
+        let batch = KvBatch::from_unsorted_entries(entries.collect());
         set.batch_insert(&batch).expect("child batch_insert");
         // One flushed line per acknowledged batch: pipes are block-
         // buffered, and an ACK the parent never sees is no ACK at all.
@@ -81,7 +110,7 @@ fn run_child() -> ! {
 }
 
 /// One parent run: spawn the child, kill it after `acks` acknowledged
-/// batches, recover, verify the contract.
+/// batches, recover, verify the contract — keys *and* values.
 ///
 /// `tear_tail` appends garbage to the dead child's last log segment
 /// before recovering.  A `SIGKILL` alone cannot produce a torn record —
@@ -89,10 +118,11 @@ fn run_child() -> ! {
 /// process, and each record is one `write` — so this stands in for the
 /// crash that *does* tear: power loss mid-write.  Returns whether the
 /// first recovery observed a torn tail.
-fn crash_once(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool {
+fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool {
     let dir = std::env::temp_dir().join(format!(
-        "durable-crash-{}-{tag}-g{group_commit}-a{acks}",
-        std::process::id()
+        "durable-crash-{}-{}-g{group_commit}-a{acks}",
+        std::process::id(),
+        V::NAME
     ));
     // A previous failed run may have left debris behind.
     let _ = std::fs::remove_dir_all(&dir);
@@ -106,6 +136,7 @@ fn crash_once(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool 
         .env(CHILD_ENV, "1")
         .env(DIR_ENV, &dir)
         .env(GROUP_ENV, group_commit.to_string())
+        .env(VALUES_ENV, V::NAME)
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -161,7 +192,7 @@ fn crash_once(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool 
 
     // Recover.  The child died with batches in flight (and possibly a
     // torn tail); open() must succeed regardless.
-    let set = open(&dir, 1);
+    let set = open::<V>(&dir, 1);
     let torn = set.metrics().counter("durable.torn_tails").unwrap_or(0) > 0;
     if tear_tail {
         assert!(torn, "{tag}: the injected tear went unnoticed");
@@ -193,37 +224,43 @@ fn crash_once(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool 
              but did not survive ({batches} batches recovered)"
         );
     }
-    // And the prefix really is the contents: every key below the count.
+    // And the prefix really is the contents: every key below the count,
+    // each carrying the exact value it was committed with.
     let probe = Batch::from_unsorted((0..len).collect());
-    assert!(
-        set.batch_contains(&probe)
-            .expect("probe recovered set")
-            .iter()
-            .all(|&hit| hit),
-        "{tag}: recovered prefix has holes"
-    );
+    let hits = set.batch_get(&probe).expect("probe recovered store");
+    for (key, hit) in (0..len).zip(hits) {
+        assert_eq!(
+            hit,
+            Some(V::of(key)),
+            "{tag}: key {key} missing or recovered with the wrong value"
+        );
+    }
     drop(set);
 
     // Recovery healed the tear (truncation), so a second open replays a
     // clean log and sees the same state.
-    let set = open(&dir, 1);
+    let set = open::<V>(&dir, 1);
     assert_eq!(
         set.metrics().counter("durable.torn_tails"),
         Some(0),
         "{tag}: second open still sees a torn tail"
     );
     assert_eq!(set.len() as u64, len, "{tag}: second recovery differs");
+    for key in 0..len {
+        assert_eq!(
+            set.get(&key).expect("get"),
+            Some(V::of(key)),
+            "{tag}: key {key} lost its value on the second recovery"
+        );
+    }
     drop(set);
 
     std::fs::remove_dir_all(&dir).expect("cleanup");
     torn
 }
 
-#[test]
-fn kill9_mid_commit_loses_nothing_acknowledged() {
-    if std::env::var_os(CHILD_ENV).is_some() {
-        run_child();
-    }
+/// The whole crash grid at one value type.
+fn crash_grid<V: Val>() {
     let mut torn_seen = 0u32;
     for (group_commit, acks, tear_tail) in [
         (1u64, 3u64, false),
@@ -233,11 +270,24 @@ fn kill9_mid_commit_loses_nothing_acknowledged() {
         (4, 17, false),
         (16, 40, true),
     ] {
-        let tag = format!("g{group_commit}/a{acks}/tear={tear_tail}");
-        if crash_once(&tag, group_commit, acks, tear_tail) {
+        let tag = format!("{}/g{group_commit}/a{acks}/tear={tear_tail}", V::NAME);
+        if crash_once::<V>(&tag, group_commit, acks, tear_tail) {
             torn_seen += 1;
         }
     }
     assert!(torn_seen >= 3, "the injected tears must all be observed");
-    println!("runs that hit a torn tail: {torn_seen}/6");
+    println!("{}: runs that hit a torn tail: {torn_seen}/6", V::NAME);
+}
+
+#[test]
+fn kill9_mid_commit_loses_nothing_acknowledged() {
+    if std::env::var_os(CHILD_ENV).is_some() {
+        match std::env::var(VALUES_ENV).expect("child needs the value type") {
+            name if name == <()>::NAME => run_child::<()>(),
+            name if name == u64::NAME => run_child::<u64>(),
+            other => panic!("unknown value type {other:?}"),
+        }
+    }
+    crash_grid::<()>();
+    crash_grid::<u64>();
 }

@@ -6,7 +6,7 @@
 
 use pbist_repro::{
     baselines,
-    batchapi::{Batch, BatchedSet},
+    batchapi::{Batch, BatchedMap, MapView},
     forkjoin, parprim, pbist, workloads,
 };
 
@@ -18,8 +18,8 @@ fn tree_and_sorted_array_agree_on_generated_workload() {
     let array = baselines::SortedArraySet::from_unsorted(keys.clone());
     let tree = pbist::IstSet::from_unsorted(keys);
     assert_eq!(array.len(), tree.len());
-    assert_eq!(BatchedSet::min(&array), tree.min());
-    assert_eq!(BatchedSet::max(&array), tree.max());
+    assert_eq!(array.min(), tree.min());
+    assert_eq!(array.max(), tree.max());
 
     let sequential: Vec<bool> = queries.iter().map(|q| array.contains(q)).collect();
     assert_eq!(array.batch_contains(&queries), sequential);

@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::thread;
 
 use pbist_repro::{
-    batchapi::{Batch, BatchedSet},
+    batchapi::{Batch, BatchedMap, MapView},
     forkjoin::{join, Pool, PoolBuildError},
     pbist::IstSet,
     workloads::{self, OpKind},

@@ -1,30 +1,49 @@
 //! Property tests for the ordered-query surface: randomized mutation
-//! histories driven against `std::collections::BTreeSet` / `BTreeMap`
-//! oracles, with `range_keys` / `range_count` / `kth` / `predecessor` /
-//! `successor` checked after every batch across a grid of bound shapes —
-//! bounds landing on present keys and absent keys, inclusive and
-//! exclusive, unbounded, empty, inverted, and equal-with-exclusion.
+//! histories driven against a `std::collections::BTreeMap` oracle, with
+//! values (`get` / `batch_get` / upsert flags) and `range_*` /
+//! `range_count` / `kth` / `predecessor` / `successor` checked after every
+//! batch across a grid of bound shapes — bounds landing on present keys and
+//! absent keys, inclusive and exclusive, unbounded, empty, inverted, and
+//! equal-with-exclusion.
 //!
-//! The grid runs over every backend pair (`pbist` tree and sorted-array
-//! baseline, set and map flavour), the set backends' published
-//! [`SetView`]s, and both outside any pool and inside a 4-worker
-//! `forkjoin::Pool`.  The oracle side never calls `BTreeSet::range`
-//! directly — it filters an iterator — because `range` panics on exactly
-//! the degenerate bounds this suite exists to pin (inverted and
-//! `Excluded == Excluded` pairs), which our surface defines as empty.
+//! One driver, generic over the value type, runs over both backends
+//! (`pbist` tree and sorted-array baseline) at `V = ()` (the set) and
+//! `V = u64`, checks the backend *and* its published [`SharedView`], and
+//! runs both outside any pool and inside a 4-worker `forkjoin::Pool`.  The
+//! oracle side never calls `BTreeMap::range` directly — it filters an
+//! iterator — because `range` panics on exactly the degenerate bounds this
+//! suite exists to pin (inverted and `Excluded == Excluded` pairs), which
+//! our surface defines as empty.
 //!
-//! [`SetView`]: pbist_repro::batchapi::SetView
+//! [`SharedView`]: pbist_repro::batchapi::SharedView
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
 use pbist_repro::{
-    baselines::{SortedArrayMap, SortedArraySet},
-    batchapi::{Batch, BatchedMap, BatchedSet, KvBatch},
+    baselines::SortedArrayMap,
+    batchapi::{Batch, BatchedMap, KvBatch, MapView},
     forkjoin::Pool,
-    pbist::{IstMap, IstSet},
+    pbist::IstMap,
     workloads::{self, OpKind, SplitMix64},
 };
+
+/// The value types the grid runs at: `()` (the set) and `u64`.
+trait Val: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+    /// A value derived from key, step and arrival index, so a duplicated
+    /// key arrives with *different* values and only the later may survive.
+    fn of(key: u64, step: usize, arrival: usize) -> Self;
+}
+
+impl Val for () {
+    fn of(_key: u64, _step: usize, _arrival: usize) {}
+}
+
+impl Val for u64 {
+    fn of(key: u64, step: usize, arrival: usize) -> u64 {
+        key ^ (step as u64) << 32 ^ arrival as u64
+    }
+}
 
 /// Does `key` fall inside the `(lo, hi)` bound pair?  The reference
 /// definition the whole suite measures against — a plain conjunction of
@@ -75,45 +94,52 @@ fn probe_bounds(rng: &mut SplitMix64, oracle: &BTreeSet<u64>) -> Vec<(Bound<u64>
     probes
 }
 
-/// Checks one ordered-query surface (anything exposing the five queries)
-/// against the oracle.  Monomorphised per backend via the closures so the
-/// same grid drives `BatchedSet`, `BatchedMap`, and `SetView` impls.
-#[allow(clippy::too_many_arguments)]
-fn check_ordered_queries(
+/// Checks one read surface — a live backend or a published view, both
+/// are `MapView`s — against the oracle: the five ordered queries over the
+/// bound grid, with entries (values) wherever the surface returns them.
+fn check_ordered_queries<V: Val>(
     ctx: &str,
-    oracle: &BTreeSet<u64>,
+    oracle: &BTreeMap<u64, V>,
     rng: &mut SplitMix64,
-    range_keys: impl Fn(Bound<&u64>, Bound<&u64>) -> Vec<u64>,
-    range_count: impl Fn(Bound<&u64>, Bound<&u64>) -> usize,
-    kth: impl Fn(usize) -> Option<u64>,
-    predecessor: impl Fn(&u64) -> Option<u64>,
-    successor: impl Fn(&u64) -> Option<u64>,
+    view: &dyn MapView<u64, V>,
 ) {
-    for (lo, hi) in probe_bounds(rng, oracle) {
-        let expected: Vec<u64> = oracle
+    let keys: BTreeSet<u64> = oracle.keys().copied().collect();
+    for (lo, hi) in probe_bounds(rng, &keys) {
+        let expected: Vec<(u64, V)> = oracle
             .iter()
-            .copied()
-            .filter(|&k| in_bounds(k, lo.as_ref(), hi.as_ref()))
+            .filter(|(&k, _)| in_bounds(k, lo.as_ref(), hi.as_ref()))
+            .map(|(k, v)| (*k, v.clone()))
             .collect();
         assert_eq!(
-            range_keys(lo.as_ref(), hi.as_ref()),
+            view.range_entries(lo.as_ref(), hi.as_ref()),
             expected,
+            "{ctx}: range_entries({lo:?}, {hi:?}) diverged"
+        );
+        assert_eq!(
+            view.range_keys(lo.as_ref(), hi.as_ref()),
+            expected.iter().map(|(k, _)| *k).collect::<Vec<_>>(),
             "{ctx}: range_keys({lo:?}, {hi:?}) diverged"
         );
         assert_eq!(
-            range_count(lo.as_ref(), hi.as_ref()),
+            view.range_count(lo.as_ref(), hi.as_ref()),
             expected.len(),
             "{ctx}: range_count({lo:?}, {hi:?}) diverged"
         );
     }
-    // kth at both ends, the middle, and one past the end.
+    // kth at both ends, the middle, and one past the end — the key, and the
+    // entry with the value the oracle holds for it.
     let n = oracle.len();
-    let sorted: Vec<u64> = oracle.iter().copied().collect();
+    let sorted: Vec<u64> = keys.iter().copied().collect();
     for k in [0, n / 2, n.saturating_sub(1), n, n + 7] {
         assert_eq!(
-            kth(k),
+            view.kth(k),
             sorted.get(k).copied(),
             "{ctx}: kth({k}) diverged (len {n})"
+        );
+        assert_eq!(
+            view.kth_entry(k),
+            sorted.get(k).map(|key| (*key, oracle[key].clone())),
+            "{ctx}: kth_entry({k}) diverged (len {n})"
         );
     }
     // predecessor/successor: at the extremes (where one side must be
@@ -130,12 +156,12 @@ fn check_ordered_queries(
         interior | 1,
     ] {
         assert_eq!(
-            predecessor(&probe),
+            view.predecessor(&probe),
             sorted.iter().copied().rfind(|&k| k < probe),
             "{ctx}: predecessor({probe}) diverged"
         );
         assert_eq!(
-            successor(&probe),
+            view.successor(&probe),
             sorted.iter().copied().find(|&k| k > probe),
             "{ctx}: successor({probe}) diverged"
         );
@@ -155,205 +181,132 @@ fn even_key_batches(seed: u64) -> Vec<workloads::OpBatch> {
         .collect()
 }
 
-/// Drives a set backend through a mutation history, checking the ordered
-/// queries on the backend *and on its published [`SetView`]* after every
-/// batch.
-///
-/// [`SetView`]: pbist_repro::batchapi::SetView
-fn drive_set<S: BatchedSet<u64>>(ctx: &str, set: &mut S, seed: u64) {
-    let mut oracle = BTreeSet::new();
+/// Drives a backend through an upsert/remove history — duplicate keys
+/// inside one arrival batch pin the last-wins policy — checking flags,
+/// values (`get` / `batch_get`) and, on the backend *and on its published
+/// view*, the ordered queries after every batch.
+fn drive<V: Val, S: BatchedMap<u64, V>>(ctx: &str, store: &mut S, seed: u64) {
+    let mut oracle: BTreeMap<u64, V> = BTreeMap::new();
     let mut rng = SplitMix64::new(seed ^ 0xD1CE);
     for (step, op) in even_key_batches(seed).iter().enumerate() {
-        let batch = Batch::from_unsorted(op.keys.clone());
-        match op.kind {
-            OpKind::Insert => {
-                set.batch_insert(&batch);
-                oracle.extend(batch.iter().copied());
-            }
-            OpKind::Remove => {
-                set.batch_remove(&batch);
-                for k in batch.iter() {
-                    oracle.remove(k);
-                }
-            }
-            OpKind::Contains => {
-                set.batch_contains(&batch);
-            }
-        }
-        if oracle.is_empty() {
-            continue;
-        }
-        let ctx = format!("{ctx}, step {step}");
-        check_ordered_queries(
-            &ctx,
-            &oracle,
-            &mut rng,
-            |lo, hi| set.range_keys(lo, hi),
-            |lo, hi| set.range_count(lo, hi),
-            |k| set.kth(k),
-            |key| set.predecessor(key),
-            |key| set.successor(key),
-        );
-        let view = set.publish_root();
-        check_ordered_queries(
-            &format!("{ctx} (view)"),
-            &oracle,
-            &mut rng,
-            |lo, hi| view.range_keys(lo, hi),
-            |lo, hi| view.range_count(lo, hi),
-            |k| view.kth(k),
-            |key| view.predecessor(key),
-            |key| view.successor(key),
-        );
-    }
-}
-
-/// Drives a map backend through an upsert/remove history — duplicate keys
-/// inside one arrival batch pin the last-wins policy — checking values
-/// (`get` / `batch_get`) and the ordered queries after every batch.
-fn drive_map<M: BatchedMap<u64, u64>>(ctx: &str, map: &mut M, seed: u64) {
-    let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut rng = SplitMix64::new(seed ^ 0xFACE);
-    for (step, op) in even_key_batches(seed).iter().enumerate() {
         let ctx = format!("{ctx}, step {step}");
         match op.kind {
             OpKind::Insert => {
-                // Values derive from key, step, and arrival index, so a
-                // duplicated key arrives with *different* values and only
-                // the later one may survive.  Duplicate the head key to
+                // Duplicate the head key (with a different value) to
                 // guarantee at least one collision per batch.
-                let mut pairs: Vec<(u64, u64)> = op
+                let mut pairs: Vec<(u64, V)> = op
                     .keys
                     .iter()
                     .enumerate()
-                    .map(|(i, &k)| (k, k ^ (step as u64) << 32 ^ i as u64))
+                    .map(|(i, &k)| (k, V::of(k, step, i)))
                     .collect();
                 let head = pairs[0].0;
-                pairs.push((head, head ^ 0xABCD ^ (step as u64) << 32));
-                let batch = KvBatch::from_unsorted(pairs.clone());
-                let flags = map.batch_insert_kv(&batch);
-                // Oracle: arrival order, overwrite on duplicates.
-                let before: BTreeSet<u64> = oracle.keys().copied().collect();
-                for &(k, v) in &pairs {
-                    oracle.insert(k, v);
-                }
-                let expected: Vec<bool> =
-                    batch.keys().iter().map(|k| !before.contains(k)).collect();
+                pairs.push((head, V::of(head ^ 0xABCD, step, 0)));
+                let batch = KvBatch::from_unsorted_entries(pairs.clone());
+                let flags = store.batch_insert(&batch);
+                let expected: Vec<bool> = batch.iter().map(|k| !oracle.contains_key(k)).collect();
                 assert_eq!(flags, expected, "{ctx}: insert flags diverged");
+                // Oracle: arrival order, overwrite on duplicates.
+                oracle.extend(pairs);
             }
             OpKind::Remove => {
                 let batch = Batch::from_unsorted(op.keys.clone());
-                let flags = map.batch_remove(&batch);
+                let flags = store.batch_remove(&batch);
                 let expected: Vec<bool> =
                     batch.iter().map(|k| oracle.remove(k).is_some()).collect();
                 assert_eq!(flags, expected, "{ctx}: remove flags diverged");
             }
             OpKind::Contains => {
                 let batch = Batch::from_unsorted(op.keys.clone());
-                let hits = map.batch_get(&batch);
-                let expected: Vec<Option<u64>> =
-                    batch.iter().map(|k| oracle.get(k).copied()).collect();
-                assert_eq!(hits, expected, "{ctx}: batch_get diverged");
+                let expected: Vec<Option<V>> =
+                    batch.iter().map(|k| oracle.get(k).cloned()).collect();
+                assert_eq!(
+                    store.batch_contains(&batch),
+                    expected.iter().map(Option::is_some).collect::<Vec<_>>(),
+                    "{ctx}: batch_contains diverged"
+                );
+                assert_eq!(
+                    store.batch_get(&batch),
+                    expected,
+                    "{ctx}: batch_get diverged"
+                );
             }
         }
-        assert_eq!(map.len(), oracle.len(), "{ctx}: len diverged");
+        assert_eq!(store.len(), oracle.len(), "{ctx}: len diverged");
         if oracle.is_empty() {
             continue;
         }
-        // Spot-check single-key gets at a present and an absent key.
+        // Spot-check single-key reads at a present and an absent key.
         let probe = *oracle.keys().next().expect("non-empty");
-        assert_eq!(map.get(&probe), oracle.get(&probe).copied(), "{ctx}");
-        assert_eq!(map.get(&(probe | 1)), None, "{ctx}");
-        let keys: BTreeSet<u64> = oracle.keys().copied().collect();
-        check_ordered_queries(
-            &ctx,
-            &keys,
-            &mut rng,
-            |lo, hi| map.range_keys(lo, hi),
-            |lo, hi| map.range_count(lo, hi),
-            |k| map.kth(k).map(|(key, _)| key),
-            |key| map.predecessor(key),
-            |key| map.successor(key),
+        assert_eq!(store.get(&probe), oracle.get(&probe).cloned(), "{ctx}");
+        assert_eq!(store.get(&(probe | 1)), None, "{ctx}");
+        assert!(
+            store.contains(&probe) && !store.contains(&(probe | 1)),
+            "{ctx}"
         );
-        // kth returns the *entry*: its value must match the oracle's.
-        let mid = oracle.len() / 2;
-        let (k, v) = map.kth(mid).expect("kth mid of non-empty map");
-        assert_eq!(oracle.get(&k), Some(&v), "{ctx}: kth({mid}) value diverged");
+        check_ordered_queries(&ctx, &oracle, &mut rng, &*store);
+        let view = store.publish_root();
+        check_ordered_queries(&format!("{ctx} (view)"), &oracle, &mut rng, &*view);
+        assert_eq!(
+            view.get(&probe),
+            oracle.get(&probe).cloned(),
+            "{ctx} (view)"
+        );
     }
     assert!(
         !oracle.is_empty(),
-        "{ctx}: workload never populated the map"
+        "{ctx}: workload never populated the store"
     );
 }
 
-#[test]
-fn ist_set_ranges_match_oracle_outside_pool() {
+/// Both backends at one value type, outside any pool.
+fn grid_outside_pool<V: Val>() {
     for seed in [11, 12] {
-        let mut set: IstSet<u64> = IstSet::from_sorted(Vec::new());
-        drive_set(
-            &format!("IstSet, seed {seed}, outside pool"),
-            &mut set,
+        let mut tree: IstMap<u64, V> = IstMap::from_sorted_entries(Vec::new());
+        drive(
+            &format!("IstMap, seed {seed}, outside pool"),
+            &mut tree,
             seed,
         );
-        set.check_invariants().expect("tree invariants");
+        tree.check_invariants().expect("tree invariants");
+    }
+    for seed in [14, 15] {
+        let mut array: SortedArrayMap<u64, V> = SortedArrayMap::from_unsorted_entries(Vec::new());
+        drive(&format!("SortedArrayMap, seed {seed}"), &mut array, seed);
     }
 }
 
-#[test]
-fn ist_set_ranges_match_oracle_inside_pool() {
+/// The tree at one value type, inside a 4-worker pool.
+fn tree_inside_pool<V: Val>() {
     let pool = Pool::new(4).unwrap();
     pool.install(|| {
         let seed = 13;
-        let mut set: IstSet<u64> = IstSet::from_sorted(Vec::new());
-        drive_set(
-            &format!("IstSet, seed {seed}, 4-worker pool"),
-            &mut set,
-            seed,
-        );
-        set.check_invariants().expect("tree invariants");
-    });
-}
-
-#[test]
-fn sorted_array_set_ranges_match_oracle() {
-    for seed in [14, 15] {
-        let mut set: SortedArraySet<u64> = SortedArraySet::from_sorted(Vec::new());
-        drive_set(&format!("SortedArraySet, seed {seed}"), &mut set, seed);
-    }
-}
-
-#[test]
-fn ist_map_values_and_ranges_match_oracle_outside_pool() {
-    for seed in [21, 22] {
-        let mut map: IstMap<u64, u64> = IstMap::from_sorted_entries(Vec::new());
-        drive_map(
-            &format!("IstMap, seed {seed}, outside pool"),
-            &mut map,
-            seed,
-        );
-        map.check_invariants().expect("tree invariants");
-    }
-}
-
-#[test]
-fn ist_map_values_and_ranges_match_oracle_inside_pool() {
-    let pool = Pool::new(4).unwrap();
-    pool.install(|| {
-        let seed = 23;
-        let mut map: IstMap<u64, u64> = IstMap::from_sorted_entries(Vec::new());
-        drive_map(
+        let mut tree: IstMap<u64, V> = IstMap::from_sorted_entries(Vec::new());
+        drive(
             &format!("IstMap, seed {seed}, 4-worker pool"),
-            &mut map,
+            &mut tree,
             seed,
         );
-        map.check_invariants().expect("tree invariants");
+        tree.check_invariants().expect("tree invariants");
     });
 }
 
 #[test]
-fn sorted_array_map_values_and_ranges_match_oracle() {
-    for seed in [24, 25] {
-        let mut map: SortedArrayMap<u64, u64> = SortedArrayMap::from_sorted_entries(Vec::new());
-        drive_map(&format!("SortedArrayMap, seed {seed}"), &mut map, seed);
-    }
+fn sets_match_oracle_outside_pool() {
+    grid_outside_pool::<()>();
+}
+
+#[test]
+fn ist_set_matches_oracle_inside_pool() {
+    tree_inside_pool::<()>();
+}
+
+#[test]
+fn maps_match_oracle_outside_pool() {
+    grid_outside_pool::<u64>();
+}
+
+#[test]
+fn ist_map_matches_oracle_inside_pool() {
+    tree_inside_pool::<u64>();
 }

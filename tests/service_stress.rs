@@ -34,7 +34,7 @@ use std::thread;
 
 use pbist_repro::{
     baselines::SortedArraySet,
-    batchapi::{Batch, BatchedSet},
+    batchapi::{Batch, BatchedMap, MapView},
     combine::{ConcurrentSet, OpKind as CombinedOp, Options},
     forkjoin::Pool,
     pbist::IstSet,
@@ -417,37 +417,40 @@ impl BombSet {
     }
 }
 
-impl BatchedSet<u64> for BombSet {
+impl MapView<u64> for BombSet {
     fn len(&self) -> usize {
         self.inner.len()
     }
+    fn get(&self, key: &u64) -> Option<()> {
+        self.inner.get(key)
+    }
     fn contains(&self, key: &u64) -> bool {
-        BatchedSet::contains(&self.inner, key)
+        self.inner.contains(key)
     }
     fn rank(&self, key: &u64) -> usize {
-        BatchedSet::rank(&self.inner, key)
+        self.inner.rank(key)
     }
     fn min(&self) -> Option<&u64> {
-        BatchedSet::min(&self.inner)
+        self.inner.min()
     }
     fn max(&self) -> Option<&u64> {
-        BatchedSet::max(&self.inner)
+        self.inner.max()
     }
-    fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
-        self.inner.batch_contains(batch)
+    fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
+        self.inner.collect_entries()
     }
-    fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+}
+
+impl BatchedMap<u64> for BombSet {
+    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
         assert!(
             !batch.as_slice().contains(&u64::MAX),
             "BombSet: backend blew up mid-round"
         );
-        self.inner.batch_insert(batch)
+        self.inner.batch_insert_report(batch, out)
     }
-    fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
-        self.inner.batch_remove(batch)
-    }
-    fn collect_keys(&self) -> Vec<u64> {
-        self.inner.collect_keys()
+    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+        self.inner.batch_remove_report(batch, out)
     }
 }
 
