@@ -4,11 +4,15 @@
 //! processed wholesale through [`batchapi::BatchedMap`].  Real traffic does
 //! not arrive that way — many client threads each issue *single* inserts,
 //! removes and lookups.  [`ConcurrentMap`] (and [`ConcurrentSet`], its
-//! `V = ()` alias) is the ingress layer between the two worlds: clients publish one operation each into a lock-free list, one
-//! thread elects itself **combiner**, drains everything published so far
-//! into one batch per operation kind, executes the three batched operations
-//! on the backing set (inside a [`forkjoin::Pool`] when the round is large
-//! enough to parallelise), and hands each client its individual result.
+//! `V = ()` alias) is the ingress layer between the two worlds.  **Writes**
+//! are combined: clients publish one operation each into a lock-free list,
+//! one thread elects itself **combiner**, drains everything published so
+//! far into one batch per operation kind, executes the two batched updates
+//! on the backing store (inside a [`forkjoin::Pool`] when the round is
+//! large enough to parallelise), and hands each client its individual
+//! result.  **Reads** never enter a round: they are wait-free traversals of
+//! the snapshot the last round published (see *Reads* below) — in the
+//! paper, too, only `Insert`/`Remove` batches restructure the tree.
 //!
 //! This is the classic *flat combining* construction (Hendler, Incze,
 //! Shavit & Tzafrir, SPAA '10) specialised to the batched-set API, where it
@@ -17,7 +21,7 @@
 //!
 //! # Protocol
 //!
-//! 0. **Fast path** — a client that finds the combiner flag free takes it
+//! 0. **Fast path** — a writer that finds the combiner flag free takes it
 //!    directly (one CAS), flushes anything already published, runs its own
 //!    operation against the backend's point path, and unlocks — no slot,
 //!    no completion handshake.  Under no contention the front-end costs a
@@ -39,9 +43,9 @@
 //!    sorted batch per kind (a [`KvBatch`] for the inserts, whose slots
 //!    carry their values; duplicate keys collapse last-wins, exactly as the
 //!    ops would applied one by one in publish order).
-//! 4. **Execute** — the three batched operations run in a fixed order:
-//!    `batch_contains`, then `batch_insert`, then `batch_remove`.  That
-//!    order is the round's linearisation order (see below).  Rounds of at
+//! 4. **Execute** — the two batched updates run in a fixed order:
+//!    `batch_insert`, then `batch_remove`.  That order is the round's
+//!    linearisation order (see below).  Rounds of at
 //!    least [`Options::pool_cutoff`] operations run inside the fork-join
 //!    pool; smaller rounds execute inline on the combiner thread, where the
 //!    batched operations degrade to their sequential paths — cheaper than a
@@ -62,10 +66,10 @@
 //!
 //! # Batched ingress
 //!
-//! Traffic that *already* arrives as sorted batches — a sharded service
-//! tier routing per-shard sub-batches, a replayed log — skips the slot
-//! machinery entirely: [`ConcurrentMap::batch_contains`] /
-//! [`ConcurrentMap::batch_insert`] / [`ConcurrentMap::batch_remove`] make
+//! Writes that *already* arrive as sorted batches — a sharded service
+//! tier routing per-shard sub-batches, a replayed log — skip the slot
+//! machinery entirely: [`ConcurrentMap::batch_insert`] /
+//! [`ConcurrentMap::batch_remove`] make
 //! the caller the combiner, flush any point ops published before it won
 //! the flag, and execute the whole batch as one committed round (logged,
 //! counted, and poison-checked like any other).
@@ -75,16 +79,18 @@
 //! Each round commits atomically between two combiner-lock critical
 //! sections, and every operation in it was pending (published, not yet
 //! completed) for the round's whole execution, so ordering the round's ops
-//! `contains → insert → remove` (ties within a kind in publish order,
+//! `insert → remove` (ties within a kind in publish order,
 //! duplicates resolved first-wins) is a valid linearisation; rounds
 //! themselves are ordered by combiner succession, which respects real time
 //! (an op completed in round *r* was drained before *r* executed, so any op
 //! starting later publishes after the drain and lands in a later round).
 //! [`ConcurrentMap::take_rounds`] exposes the committed order (when
 //! [`Options::log_rounds`] is set) so tests can replay it against a
-//! sequential oracle — `tests/combine_stress.rs` does exactly that.
+//! sequential oracle — `tests/combine_stress.rs` does exactly that, and
+//! checks every read against the replayed state of the rounds its snapshot
+//! can have reflected.
 //!
-//! # Round sequence numbers and the staleness contract
+//! # Round sequence numbers
 //!
 //! Every committed round carries a sequence number: strictly increasing,
 //! gap-free, starting at [`Options::first_seq`]` + 1` ([`Round::seq`] in the
@@ -97,28 +103,24 @@
 //!   high-water mark it reflects.  Recovery loads the snapshot and applies
 //!   only records with `seq >` the mark — records at or below it (or
 //!   replayed twice across restarts) change nothing.
-//! * **Read-your-writes for snapshot readers.**  The wait-free read path
-//!   below serves lookups from an atomically published snapshot of the
-//!   tree instead of entering a combiner round.  The contract such reads
-//!   need is exactly this numbering: a client that completed a write in
-//!   round *s* reads from a published snapshot whose mark is `>= s` — its
+//! * **Read-your-writes for readers.**  A client that completed a write in
+//!   round *s* reads from a published snapshot whose seq is `>= s` — its
 //!   own write is visible — because the combiner publishes the new root
 //!   *before* it acknowledges any operation of the round that produced it.
 //!
-//! # Wait-free snapshot reads
+//! # Reads
 //!
-//! When [`Options::snapshot_reads`] is on (the default), the read-only
-//! operations — [`ConcurrentMap::contains`], [`ConcurrentMap::get`], their
-//! batched forms, [`ConcurrentMap::len`], [`ConcurrentMap::rank`],
-//! [`ConcurrentMap::min`] / [`ConcurrentMap::max`], the ordered queries and
-//! [`ConcurrentMap::snapshot_entries`] — never elect a combiner and never
-//! wait for one.  They load the last published [`ReadSnapshot`]: an
-//! immutable root ([`batchapi::SharedView`], values included, shared
-//! structurally with the live tree via copy-on-write) paired with the seq of
-//! the round it reflects.
+//! The read-only operations — [`ConcurrentMap::contains`],
+//! [`ConcurrentMap::get`], their batched forms, [`ConcurrentMap::len`],
+//! [`ConcurrentMap::rank`], [`ConcurrentMap::min`] / [`ConcurrentMap::max`],
+//! the ordered queries and [`ConcurrentMap::snapshot_entries`] — never
+//! elect a combiner and never wait for one.  They load the last published
+//! [`ReadSnapshot`]: an immutable root ([`batchapi::SharedView`], values
+//! included, shared structurally with the live tree via copy-on-write)
+//! paired with the seq of the round that produced it.
 //!
-//! **Publication protocol.**  At the end of every round that mutated the
-//! backend, the combiner — still holding the combiner flag — asks the
+//! **Publication protocol.**  At the end of every round the combiner —
+//! still holding the combiner flag — asks the
 //! backend for a fresh root (`publish_root`, O(1) for both `pbist::IstMap`
 //! and `baselines::SortedArrayMap`) and installs it in a two-slot
 //! *left-right* cell: the new snapshot is written into the inactive slot
@@ -126,26 +128,26 @@
 //! index is flipped with a `SeqCst` store.  Readers increment the chosen
 //! slot's borrow count, re-check the index, and clone the `Arc` out — a
 //! handful of atomic ops, no allocation, no lock, regardless of combiner
-//! activity.  Rounds that mutated nothing advance only the `committed`
-//! high-water mark, so a snapshot's mark can trail
-//! [`ConcurrentMap::committed_seq`] while its *contents* stay exact.
+//! activity.  Every round publishes, so the published snapshot's seq *is*
+//! the committed high-water mark ([`ConcurrentMap::committed_seq`]).
 //!
-//! **Staleness contract.**  A snapshot read observes some round
+//! **Staleness contract.**  A read observes the state after some round
 //! `seq >= ` the client's last acknowledged write (publish happens before
 //! acknowledgement, see above) but possibly older than rounds still in
-//! flight — reads are *read-your-writes*, not linearisable against other
-//! clients' unacknowledged writes.  [`ConcurrentMap::read_at_least`] is the
-//! escape hatch: it spins (joining combining rounds when it can) until the
-//! published state covers a caller-supplied seq.
+//! flight.  Each read is linearisable — it returns the state at one point
+//! between its invocation and its response — and a client that needs a
+//! floor it learned elsewhere uses [`ConcurrentMap::read_at_least`], which
+//! helps drain pending rounds until the published state covers a
+//! caller-supplied seq.
 //!
-//! **Poisoning.**  Snapshot reads still fail fast on a poisoned front-end:
+//! **Poisoning.**  Reads still fail fast on a poisoned front-end:
 //! they panic like every other operation rather than serve reads from a
 //! history whose tail is indeterminate.  They never *block* on the flag —
-//! poisoned or not, a snapshot read completes or panics in bounded steps.
+//! poisoned or not, a read completes or panics in bounded steps.
 //!
 //! # Contract
 //!
-//! Operations must be called from threads *outside* the backing pool: a
+//! Writes must be issued from threads *outside* the backing pool: a
 //! pool worker blocking as a client could leave the combiner's own
 //! `install` without a worker to run on.  The service pattern — client
 //! threads in front, the pool as compute backend — satisfies this
@@ -183,12 +185,12 @@ use std::fmt;
 use std::mem;
 use std::ops::Bound;
 use std::ptr;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
 use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
 use forkjoin::Pool;
-use obs::{Counter, Histogram, Registry, SpanRecord, TraceRing};
+use obs::{Counter, Histogram, Registry};
 
 /// Iterations of the pure spin phase before a waiting client starts
 /// yielding.  Kept short: the combiner usually finishes small rounds fast,
@@ -198,7 +200,8 @@ const SPIN_LIMIT: u32 = 64;
 /// Yields after the spin phase before falling back to the condvar.
 const YIELD_LIMIT: u32 = 16;
 
-/// What a single client operation does to the store.
+/// What a combined operation does to the store.  Rounds carry writes
+/// only — a read never enters one (see the module docs' *Reads* section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Upsert a key (with its value); the result is `true` iff the key was
@@ -206,8 +209,6 @@ pub enum OpKind {
     Insert,
     /// Remove a key; the result is `true` iff it was present.
     Remove,
-    /// Membership test; the result is `true` iff the key is present.
-    Contains,
 }
 
 /// One operation slot, embedded on the issuing client's stack.
@@ -220,7 +221,7 @@ struct OpSlot<K, V> {
     next: AtomicPtr<OpSlot<K, V>>,
     kind: OpKind,
     key: K,
-    /// The value an `Insert` carries (`None` for the other kinds).  For the
+    /// The value an `Insert` carries (`None` for a `Remove`).  For the
     /// set this is an `Option<()>`: one byte, inside the slot's padding.
     val: Option<V>,
     /// Written by the combiner strictly before the `done` store.
@@ -237,7 +238,7 @@ pub struct RoundOp<K, V = ()> {
     pub kind: OpKind,
     /// The key it applied to.
     pub key: K,
-    /// The value an `Insert` wrote (`None` for the other kinds) — what a
+    /// The value an `Insert` wrote (`None` for a `Remove`) — what a
     /// write-ahead log downstream needs to replay the upsert.
     pub val: Option<V>,
     /// The result handed back to the issuing client.
@@ -245,8 +246,7 @@ pub struct RoundOp<K, V = ()> {
 }
 
 /// One committed combining round: its operations in linearisation order
-/// (`Contains` ops first, then `Insert`, then `Remove`; publish order within
-/// each kind).  Replaying rounds in commit order against a sequential map
+/// (`Insert` ops first, then `Remove`; publish order within each kind).  Replaying rounds in commit order against a sequential map
 /// must reproduce every `result` — the stress suite's oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round<K, V = ()> {
@@ -256,7 +256,7 @@ pub struct Round<K, V = ()> {
     /// named by a single `u64` high-water mark.  This is what makes
     /// downstream replay idempotent (a durability tier skips records at or
     /// below its snapshot's seq) and what a read-your-writes contract hangs
-    /// off (see the module docs' *staleness contract* section).
+    /// off (see the module docs' *Reads* section).
     pub seq: u64,
     /// The committed operations, in linearisation order.
     pub ops: Vec<RoundOp<K, V>>,
@@ -275,14 +275,6 @@ pub struct Options {
     /// Off by default: the log clones every key and grows without bound,
     /// so it is strictly a testing/debugging facility.
     pub log_rounds: bool,
-    /// Capacity of the round-trace ring behind
-    /// [`ConcurrentMap::take_trace`] / [`ConcurrentMap::trace_json`]:
-    /// one span per committed round, begin/end timestamps plus op count.
-    /// `0` (the default) disables tracing.  The ring is bounded — once
-    /// full each new span evicts the oldest (the eviction count is
-    /// reported alongside the spans), so it is safe to leave on in
-    /// long-running services, unlike the round log.
-    pub trace_capacity: usize,
     /// Sequence number the round counter starts *after*: the first
     /// committed round gets seq `first_seq + 1`.  `0` (the default) numbers
     /// a fresh history `1, 2, 3, …`; a durability tier recovering an
@@ -290,14 +282,6 @@ pub struct Options {
     /// new rounds continue the old numbering and replay stays idempotent
     /// across restarts.
     pub first_seq: u64,
-    /// Serve read-only operations (`contains`, `batch_contains`, `len`,
-    /// `rank`, `min`/`max`, `snapshot_keys`) wait-free from the last
-    /// published [`ReadSnapshot`] instead of electing a combiner (see the
-    /// module docs' *wait-free snapshot reads* section).  On by default.
-    /// Turning it off routes every read through a combining round of its
-    /// own — each read then linearises against concurrent writes and lands
-    /// in the round log, which the linearisability replay suites rely on.
-    pub snapshot_reads: bool,
 }
 
 impl Default for Options {
@@ -305,27 +289,9 @@ impl Default for Options {
         Options {
             pool_cutoff: 512,
             log_rounds: false,
-            trace_capacity: 0,
             first_seq: 0,
-            snapshot_reads: true,
         }
     }
-}
-
-/// Counters describing the combining behaviour so far (monotone; exact
-/// once the set is quiescent).
-///
-/// Even while combiners run, every snapshot satisfies `ops >= rounds`
-/// (each committed round carries at least one op — see the write-order
-/// contract on the counter advance) and `pooled_rounds <= rounds`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Stats {
-    /// Combining rounds committed.
-    pub rounds: u64,
-    /// Operations completed across all rounds.
-    pub ops: u64,
-    /// Rounds large enough to execute inside the pool.
-    pub pooled_rounds: u64,
 }
 
 /// Handles cloned out of the registry once at construction, so the hot
@@ -356,17 +322,11 @@ struct CombineMetrics {
     /// published snapshot (each batched read counts once).
     snapshot_reads: Arc<Counter>,
     /// `combine.publish_clone_keys` — keys cloned by `publish_root` across
-    /// all mutating rounds.  Stays zero for backends with an `O(1)`
+    /// all rounds.  Stays zero for backends with an `O(1)`
     /// publication override (`pbist::IstSet`, `baselines::SortedArraySet`);
     /// a steadily climbing value exposes a backend silently paying the
     /// trait default's `O(n)`-per-round clone.
     publish_clone_keys: Arc<Counter>,
-    /// `combine.snapshot_lag` — `committed_seq - snapshot seq` observed by
-    /// snapshot-handle and batched snapshot reads: how many committed
-    /// (necessarily read-only) rounds the served snapshot's mark trailed
-    /// by.  Point reads skip the sample to stay cheaper than the combiner
-    /// fast path.
-    snapshot_lag: Arc<Histogram>,
 }
 
 impl CombineMetrics {
@@ -382,14 +342,13 @@ impl CombineMetrics {
             round_size: registry.histogram("combine.round_size"),
             snapshot_reads: registry.counter("combine.snapshot_reads"),
             publish_clone_keys: registry.counter("combine.publish_clone_keys"),
-            snapshot_lag: registry.histogram("combine.snapshot_lag"),
         }
     }
 }
 
 /// An immutable view of the set's contents paired with the seq of the
-/// round it reflects — what the wait-free read path serves (see the module
-/// docs' *wait-free snapshot reads* section).
+/// round that produced it — what every read is served from (see the module
+/// docs' *Reads* section).
 ///
 /// The view shares structure with the live set (copy-on-write), so holding
 /// one is cheap; its contents never change, no matter how many rounds
@@ -408,9 +367,7 @@ impl<K, V> fmt::Debug for ReadSnapshot<K, V> {
 }
 
 impl<K, V> ReadSnapshot<K, V> {
-    /// Sequence number of the last *mutating* round this snapshot reflects.
-    /// May trail [`ConcurrentMap::committed_seq`] by read-only rounds —
-    /// the contents are still exact for every seq in between.
+    /// Sequence number of the round whose state this snapshot is.
     pub fn seq(&self) -> u64 {
         self.seq
     }
@@ -423,8 +380,8 @@ impl<K, V> ReadSnapshot<K, V> {
 
 /// [`ConcurrentMap::read_at_least`] was asked for a freshness mark that no
 /// committed round carries and that no in-flight work can produce: the
-/// front-end was idle with `committed < want`, so waiting longer would wait
-/// on writers that need never arrive.
+/// front-end was observed idle with `committed < want`, so waiting longer
+/// would wait on writers that need never arrive.
 ///
 /// Seeing this error means `want` was not an *observed* mark (every
 /// observed mark is already committed — rounds publish before they
@@ -433,7 +390,7 @@ impl<K, V> ReadSnapshot<K, V> {
 pub struct FreshnessError {
     /// The freshness floor the caller asked for.
     pub want: u64,
-    /// The committed high-water mark when the front-end went idle.
+    /// The committed high-water mark when the front-end was seen idle.
     pub committed: u64,
 }
 
@@ -566,8 +523,6 @@ impl<K, V> SnapCell<K, V> {
 struct Lane<K, V> {
     /// Drained slots of this kind, in publish order.
     slots: Vec<*const OpSlot<K, V>>,
-    /// Reusable key buffer; round-trips through [`Batch::into_vec`].
-    keys: Vec<K>,
     /// Reusable per-key flag buffer for the `_report` batch variants.
     flags: Vec<bool>,
 }
@@ -576,7 +531,6 @@ impl<K, V> Lane<K, V> {
     fn new() -> Lane<K, V> {
         Lane {
             slots: Vec::new(),
-            keys: Vec::new(),
             flags: Vec::new(),
         }
     }
@@ -584,15 +538,16 @@ impl<K, V> Lane<K, V> {
 
 /// Combiner-only scratch state (guarded by the `combiner` flag).
 struct Scratch<K, V> {
-    contains: Lane<K, V>,
     insert: Lane<K, V>,
     remove: Lane<K, V>,
     /// The insert lane's `(key, value)` pairs in publish order, consumed by
-    /// [`KvBatch::from_unsorted_entries`] (the insert lane's `keys` buffer
-    /// stays empty).
+    /// [`KvBatch::from_unsorted_entries`].
     entries: Vec<(K, V)>,
+    /// The remove lane's keys in publish order; the buffer round-trips
+    /// through [`Batch::into_vec`].
+    keys: Vec<K>,
     /// Tracks which batch keys have already been claimed by an earlier
-    /// duplicate op while distributing insert/remove results.
+    /// duplicate op while distributing a lane's results.
     claimed: Vec<bool>,
 }
 
@@ -602,9 +557,8 @@ struct Scratch<K, V> {
 ///
 /// See the [module docs](self) for the protocol and its memory-ordering
 /// contract.  Shared by reference (typically `Arc`); all operations take
-/// `&self`.  Rounds return one `bool` per op whatever `V` is; value reads
-/// ([`ConcurrentMap::get`] and friends) are served from the published
-/// snapshot, which carries the values.
+/// `&self`.  Rounds return one `bool` per op whatever `V` is; reads are
+/// served from the published snapshot, which carries the values.
 ///
 /// # Poisoning
 ///
@@ -624,23 +578,17 @@ pub struct ConcurrentMap<K, V, S> {
     set: UnsafeCell<S>,
     /// Sequence number of the most recently committed round (starts at
     /// [`Options::first_seq`]).  Advanced by the combiner for **every**
-    /// committed round, logged or not, so snapshot high-water marks stay
-    /// meaningful even when the round log is off.  Touched only while
-    /// holding `combiner`.
+    /// committed round, logged or not, so snapshot seqs stay meaningful
+    /// even when the round log is off.  Touched only while holding
+    /// `combiner`.
     seq: UnsafeCell<u64>,
     /// Reused round buffers.  Touched only while holding `combiner`.
     scratch: UnsafeCell<Scratch<K, V>>,
     /// The last published read snapshot (root + seq), republished by the
-    /// combiner at the end of every mutating round.  Read lock-free by the
-    /// snapshot read path; written only while holding `combiner`.
+    /// combiner at the end of every round, so its seq is the committed
+    /// high-water mark.  Read lock-free by every read; written only while
+    /// holding `combiner`.
     snap: SnapCell<K, V>,
-    /// Seq of the last committed round of *any* kind (read-only rounds
-    /// included), stored by the combiner after the round's snapshot (if
-    /// any) is published.  Lets [`ConcurrentMap::read_at_least`] tell a
-    /// stale snapshot *mark* from stale snapshot *contents*.
-    committed: AtomicU64,
-    /// See [`Options::snapshot_reads`].
-    snapshot_reads: bool,
     /// Fork-join pool executing rounds of at least `pool_cutoff` ops.
     pool: Pool,
     /// See [`Options::pool_cutoff`].
@@ -665,9 +613,6 @@ pub struct ConcurrentMap<K, V, S> {
     registry: Registry,
     /// See [`CombineMetrics`].
     metrics: CombineMetrics,
-    /// Round-trace ring, present when [`Options::trace_capacity`] was
-    /// non-zero.  Internally locked; spans are recorded by the combiner.
-    trace: Option<TraceRing>,
 }
 
 /// A concurrent ordered set: the `V = ()` instance of [`ConcurrentMap`]
@@ -759,13 +704,11 @@ where
             set: UnsafeCell::new(set),
             seq: UnsafeCell::new(options.first_seq),
             snap,
-            committed: AtomicU64::new(options.first_seq),
-            snapshot_reads: options.snapshot_reads,
             scratch: UnsafeCell::new(Scratch {
-                contains: Lane::new(),
                 insert: Lane::new(),
                 remove: Lane::new(),
                 entries: Vec::new(),
+                keys: Vec::new(),
                 claimed: Vec::new(),
             }),
             pool,
@@ -777,7 +720,6 @@ where
             poisoned: AtomicBool::new(false),
             registry,
             metrics,
-            trace: (options.trace_capacity > 0).then(|| TraceRing::new(options.trace_capacity)),
         }
     }
 
@@ -803,43 +745,27 @@ where
         }
     }
 
+    // Every read is one closure over the published snapshot's
+    // `&dyn MapView`, wait-free under the module docs' staleness contract
+    // and counted in `combine.snapshot_reads`: `read` for the short ones,
+    // `scan` for those that can be long.
+
     /// Returns `true` iff `key` is in the store.
-    ///
-    /// With [`Options::snapshot_reads`] on (the default) this is a
-    /// wait-free snapshot read — see the module docs' staleness contract;
-    /// otherwise it linearises through the combiner like a write (and, alone
-    /// among the reads, lands in the round log as an [`OpKind::Contains`]
-    /// op).
     pub fn contains(&self, key: &K) -> bool {
-        if self.snapshot_reads {
-            return self.snap_read(|view| view.contains(key));
-        }
-        match self.try_fast_op(OpKind::Contains, key, None) {
-            Some(result) => result,
-            None => self.run_op_published(OpKind::Contains, key.clone(), None),
-        }
+        self.read(|view| view.contains(key))
     }
 
-    // Every other read is one closure over `&dyn MapView`: the published
-    // snapshot and the live backend answer through the same trait, so
-    // `read`/`scan` pick the source and the query is written once.
-
-    /// The value stored under `key`, or `None` — a snapshot read (or a
-    /// combining round of its own when [`Options::snapshot_reads`] is off).
+    /// The value stored under `key`, or `None`.
     pub fn get(&self, key: &K) -> Option<V> {
         self.read(|view| view.get(key))
     }
 
-    /// Number of keys in the store.  Under [`Options::snapshot_reads`] (the
-    /// default) a snapshot read; otherwise it linearises as a combining
-    /// round of its own: pending published operations are flushed first,
-    /// then the backend is read under the combiner flag.
+    /// Number of keys in the store.
     pub fn len(&self) -> usize {
         self.read(|view| view.len())
     }
 
-    /// Returns `true` when the store holds no keys.  Same linearisation as
-    /// [`ConcurrentMap::len`].
+    /// Returns `true` when the store holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -863,13 +789,9 @@ where
 
     /// Keys inside the `(lo, hi)` bound pair, in ascending order.
     ///
-    /// With [`Options::snapshot_reads`] on (the default) the whole range is
-    /// carved out of the last published [`ReadSnapshot`] — one consistent
-    /// linearisation point, wait-free, under the module docs' staleness
-    /// contract (the result reflects every *acknowledged* write, and may
-    /// miss writes not yet acknowledged).  Counted in
-    /// `combine.snapshot_reads`.  With snapshot reads off it linearises
-    /// through a combining round like the other reads.
+    /// The whole range is carved out of one [`ReadSnapshot`] — one
+    /// consistent linearisation point (the result reflects every
+    /// *acknowledged* write, and may miss writes not yet acknowledged).
     pub fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
         self.scan(|view| view.range_keys(lo, hi))
     }
@@ -907,20 +829,14 @@ where
     }
 
     /// One value lookup per key of a pre-sorted `batch`, all answered from
-    /// one linearisation point (`None` for absent keys).
+    /// one snapshot (`None` for absent keys).
     pub fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
         self.scan(|view| view.batch_get(batch))
     }
 
-    /// Answers one membership query per key of a pre-sorted `batch`,
-    /// executed as one combining round of its own.
-    ///
-    /// This is the batched ingress a sharded service tier routes sub-batches
-    /// through: the caller becomes the combiner (flushing any point ops
-    /// published before it won the flag — they were pending first, so they
-    /// linearise first), runs the whole batch against the backend in one
-    /// round, and commits it to the round log like any other round.  Batches
-    /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
+    /// Answers one membership query per key of a pre-sorted `batch`, all
+    /// from one snapshot — one linearisation point, no round, on the
+    /// caller's thread.
     pub fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_contains_report(batch, &mut out);
@@ -928,8 +844,14 @@ where
     }
 
     /// Upserts every pair of `batch` as one combining round; `result[i]` is
-    /// `true` iff key `i` was newly inserted.  See
-    /// [`ConcurrentMap::batch_contains`] for the linearisation contract.
+    /// `true` iff key `i` was newly inserted.
+    ///
+    /// This is the batched ingress a sharded service tier routes sub-batches
+    /// through: the caller becomes the combiner (flushing any point ops
+    /// published before it won the flag — they were pending first, so they
+    /// linearise first), runs the whole batch against the backend in one
+    /// round, and commits it to the round log like any other round.  Batches
+    /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_insert_report(batch, &mut out);
@@ -938,7 +860,7 @@ where
 
     /// Removes every key of `batch` as one combining round; `result[i]` is
     /// `true` iff `batch[i]` was present.  See
-    /// [`ConcurrentMap::batch_contains`] for the linearisation contract.
+    /// [`ConcurrentMap::batch_insert`] for the linearisation contract.
     pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
         let mut out = Vec::with_capacity(batch.len());
         self.batch_remove_report(batch, &mut out);
@@ -948,25 +870,8 @@ where
     /// Buffer-reusing variant of [`ConcurrentMap::batch_contains`]: flags
     /// land in `out` (cleared first), so a tier issuing many sub-batches
     /// can reuse one buffer per shard.
-    ///
-    /// With [`Options::snapshot_reads`] on the whole batch is answered from
-    /// one snapshot — one consistent linearisation point, no round, no log
-    /// entry; otherwise it commits as a combining round of its own.
     pub fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        if self.snapshot_reads {
-            self.check_poisoned();
-            if batch.is_empty() {
-                out.clear();
-                return;
-            }
-            self.read_snapshot()
-                .view()
-                .batch_contains_report(batch, out);
-            return;
-        }
-        self.run_batch_op(OpKind::Contains, batch, None, out, |set, out| {
-            set.batch_contains_report(batch, out)
-        });
+        self.scan(|view| view.batch_contains_report(batch, out));
     }
 
     /// Buffer-reusing variant of [`ConcurrentMap::batch_insert`].
@@ -1003,8 +908,7 @@ where
     ) {
         out.clear();
         if keys.is_empty() {
-            // An empty round would break the `ops >= rounds` stats
-            // invariant; there is nothing to linearise anyway.
+            // Nothing to linearise: no round, no seq.
             self.check_poisoned();
             return;
         }
@@ -1019,11 +923,6 @@ where
                 // this batch arrived; linearise them first, as the fast
                 // path does.
                 self.combine_round();
-                let total = keys.len() as u64;
-                let _span = self
-                    .trace
-                    .as_ref()
-                    .map(|ring| obs::trace_round(ring, total));
                 // SAFETY: we hold the combiner flag — exclusive set access.
                 let set = unsafe { &mut *self.set.get() };
                 let pooled = keys.len() >= self.pool_cutoff;
@@ -1034,7 +933,7 @@ where
                 }
                 debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
                 let seq = self.next_seq();
-                self.commit_round_state(seq, !matches!(kind, OpKind::Contains));
+                self.commit_round_state(seq);
                 if let Some(log) = &self.log {
                     let ops = keys
                         .iter()
@@ -1050,7 +949,7 @@ where
                     log.lock().unwrap().push(Round { seq, ops });
                 }
                 self.metrics.batch_rounds.add_single_writer(1);
-                self.bump_stats(total, pooled);
+                self.bump_stats(keys.len() as u64, pooled);
                 return;
             }
             self.wait_until(|| {
@@ -1068,96 +967,49 @@ where
         self.poisoned.load(Ordering::Acquire)
     }
 
-    /// A short read (point query, rank arithmetic): a borrow-window
-    /// snapshot read, or a combining round of its own when
-    /// [`Options::snapshot_reads`] is off.
+    /// A short read (point query, rank arithmetic): the query runs inside
+    /// the snapshot cell's borrow window (no `Arc` refcount traffic — the
+    /// read-side cost is two borrow-count bumps plus the counter), so it
+    /// stays cheaper than electing a combiner even on the uncontended fast
+    /// path.
     fn read<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
-        if self.snapshot_reads {
-            self.snap_read(read)
-        } else {
-            self.read_via_round(|set| read(set))
-        }
-    }
-
-    /// A read that can be long (range scan, batch lookup): holds an `Arc`
-    /// ([`ConcurrentMap::read_snapshot`]) rather than the cell's borrow
-    /// window ([`ConcurrentMap::snap_read`]), so a concurrent publisher
-    /// never waits on the scan.
-    fn scan<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
-        if self.snapshot_reads {
-            self.check_poisoned();
-            read(self.read_snapshot().view())
-        } else {
-            self.read_via_round(|set| read(set))
-        }
-    }
-
-    /// Becomes the combiner (waiting out a concurrent one), flushes pending
-    /// published ops, and reads the backend under the flag — the
-    /// round-entering read path when snapshot reads are off.
-    fn read_via_round<T>(&self, read: impl FnOnce(&S) -> T) -> T {
-        let mut read = Some(read);
-        loop {
-            self.check_poisoned();
-            if self.lock_combiner() {
-                let _unlock = CombinerGuard { set: self };
-                // Post-CAS re-check, as in `try_fast_op`.
-                self.check_poisoned();
-                self.combine_round();
-                // SAFETY: we hold the combiner flag, the only licence to
-                // touch `set`.
-                return (read.take().expect("called once"))(unsafe { &*self.set.get() });
-            }
-            self.wait_until(|| {
-                !self.combiner.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
-            });
-        }
-    }
-
-    /// One wait-free point read against the published snapshot: the query
-    /// runs inside the cell's borrow window (no `Arc` refcount traffic —
-    /// the read-side cost is two borrow-count bumps plus the counter), so
-    /// the snapshot path stays cheaper than electing a combiner even on
-    /// the uncontended fast path.  Lag is *not* sampled here; it is
-    /// recorded on the handle and batch reads, where its cost amortises.
-    fn snap_read<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
         self.check_poisoned();
         let result = self.snap.with_snap(|snap| read(snap.view()));
         self.metrics.snapshot_reads.inc();
         result
     }
 
+    /// A read that can be long (range scan, batch lookup): holds an `Arc`
+    /// ([`ConcurrentMap::read_snapshot`]) rather than the cell's borrow
+    /// window, so a concurrent publisher never waits on the scan.
+    fn scan<T>(&self, read: impl FnOnce(&dyn MapView<K, V>) -> T) -> T {
+        self.check_poisoned();
+        read(self.read_snapshot().view())
+    }
+
     /// The last published [`ReadSnapshot`]: contents plus the seq of the
-    /// mutating round they reflect.  Lock-free; counts as a snapshot read
-    /// in the metrics (and samples `combine.snapshot_lag`).  Unlike the
+    /// round that produced them.  Lock-free; counts as a snapshot read
+    /// in the metrics.  Unlike the
     /// read operations this does **not** check for poisoning — like
     /// [`ConcurrentMap::is_poisoned`] it is a supervisor-grade accessor
     /// (the snapshot predates the poisoned round: a panicking round never
     /// publishes).
     pub fn read_snapshot(&self) -> Arc<ReadSnapshot<K, V>> {
-        let snap = self.snap.load();
         self.metrics.snapshot_reads.inc();
-        let committed = self.committed.load(Ordering::Acquire);
-        self.metrics
-            .snapshot_lag
-            .record(committed.saturating_sub(snap.seq));
-        snap
+        self.snap.load()
     }
 
-    /// Seq of the last committed round of any kind — the high-water mark a
-    /// client passes to [`ConcurrentMap::read_at_least`] to read its own
-    /// (and every earlier acknowledged) write.
+    /// Seq of the last committed round — the published snapshot's seq,
+    /// since every round publishes before it acknowledges.  The high-water
+    /// mark a client passes to [`ConcurrentMap::read_at_least`] to read its
+    /// own (and every earlier acknowledged) write.
     pub fn committed_seq(&self) -> u64 {
-        self.committed.load(Ordering::Acquire)
+        self.snap.with_snap(|snap| snap.seq)
     }
 
-    /// Snapshot read with a freshness floor: returns a snapshot whose
-    /// *contents* include every round with seq `<= want`, waiting (and
-    /// combining pending rounds itself when it can) until one is published.
-    ///
-    /// The returned snapshot's [`ReadSnapshot::seq`] may still be below
-    /// `want` when the rounds in between were read-only — they changed
-    /// nothing, so the older root is content-identical.
+    /// Snapshot read with a freshness floor: returns a snapshot whose seq
+    /// is `>= want`, waiting (and combining pending rounds itself when it
+    /// can) until one is published.
     ///
     /// # Bounded wait
     ///
@@ -1166,11 +1018,23 @@ where
     /// observed — [`ConcurrentMap::committed_seq`], a
     /// [`ReadSnapshot::seq`], a durable log record — returns immediately.
     /// A `want` above the committed mark can only be satisfied by rounds
-    /// still in flight; this call helps drain them, but the moment the
-    /// front-end is idle (no combiner running, no published operations)
-    /// with `committed` still short of `want`, no progress this call can
-    /// make will ever commit `want`, and it returns
+    /// still in flight; this call helps drain them, but once the
+    /// front-end has been seen idle (nothing published, no combiner
+    /// running) with the committed seq still short of `want`, no progress
+    /// this call can make will ever commit `want`, and it returns
     /// [`FreshnessError`] instead of spinning forever.
+    ///
+    /// The error is never returned for a seq that a round committed before
+    /// the idle observation.  It is decided only from a snapshot loaded
+    /// *after* that observation, whose last step is an `Acquire` load
+    /// finding the combiner flag free.  Every combiner publishes its round
+    /// before its `Release` unlock, so whichever unlock that load read
+    /// from, that combiner's publish — and, the cell being monotone, every
+    /// earlier one — happens-before the snapshot load, which therefore
+    /// sees a committed `want` and returns it.  A writer that takes the
+    /// flag *after* the observation is exactly one that need never have
+    /// arrived.  (Two threads cannot be steered into that window without
+    /// a scheduler; ROADMAP item 4 lists the property.)
     ///
     /// # Panics
     ///
@@ -1179,39 +1043,24 @@ where
     pub fn read_at_least(&self, want: u64) -> Result<Arc<ReadSnapshot<K, V>>, FreshnessError> {
         loop {
             self.check_poisoned();
-            // `committed` is loaded *before* the snapshot: if rounds
-            // `(snap.seq, want]` were all committed by then and none of
-            // them published, none mutated — the snapshot loaded *after*
-            // is content-exact through `want` (a later mutating publish
-            // only makes it fresher).
-            let committed = self.committed.load(Ordering::Acquire);
+            let idle = self.ingress.load(Ordering::Acquire).is_null()
+                && !self.combiner.load(Ordering::Acquire);
             let snap = self.snap.load();
-            if snap.seq >= want || committed >= want {
+            if snap.seq >= want {
                 self.metrics.snapshot_reads.inc();
-                self.metrics
-                    .snapshot_lag
-                    .record(committed.saturating_sub(snap.seq));
                 return Ok(snap);
             }
-            // Behind: help drain pending rounds (we may become the
-            // combiner ourselves) rather than bust-waiting.
-            self.try_combine();
-            // Re-check after helping.  If the mark still trails `want`
-            // with no combiner mid-round and nothing published, the seq
-            // counter is frozen: `want` exceeds every seq that will be
-            // committed without new writers arriving, and waiting on
-            // writers that need never arrive is the unbounded spin this
-            // contract forbids.
-            let committed = self.committed.load(Ordering::Acquire);
-            if committed >= want {
-                continue;
+            if idle {
+                return Err(FreshnessError {
+                    want,
+                    committed: snap.seq,
+                });
             }
-            if !self.combiner.load(Ordering::Acquire)
-                && self.ingress.load(Ordering::Acquire).is_null()
-            {
-                return Err(FreshnessError { want, committed });
+            // Behind with work in flight: help drain it (we may become the
+            // combiner ourselves) rather than busy-waiting.
+            if !self.try_combine() {
+                std::thread::yield_now();
             }
-            std::thread::yield_now();
         }
     }
 
@@ -1220,16 +1069,14 @@ where
     /// reflects — a consistent snapshot *and* its high-water mark, from one
     /// linearisation point.
     ///
-    /// Served from the published [`ReadSnapshot`] (regardless of
-    /// [`Options::snapshot_reads`]), so it never enters a round and never
+    /// Like every read it never enters a round and never
     /// races a combiner: a round that panics mid-execution never publishes,
     /// so a half-applied round's view is structurally unreachable from
     /// here.  Pending published ops are *not* flushed — the pair reflects
     /// acknowledged rounds only (every acknowledged write is covered,
     /// because rounds publish before they acknowledge).  This is the
     /// durability tier's snapshot primitive: persist the pairs, record the
-    /// mark, and replay only log records with seq above it — rounds above
-    /// the mark that mutated nothing are safe to replay anyway.
+    /// mark, and replay only log records with seq above it.
     pub fn snapshot_entries(&self) -> (Vec<K>, Vec<V>, u64) {
         self.check_poisoned();
         let snap = self.snap.load();
@@ -1243,28 +1090,10 @@ where
         (keys, seq)
     }
 
-    /// Snapshot of the combining counters.
-    pub fn stats(&self) -> Stats {
-        // `rounds` is Acquire-loaded FIRST: it pairs with the combiner's
-        // Release store in `bump_stats`, whose write order guarantees the
-        // `ops` (and `pooled_rounds`) advances of every visible round
-        // happened-before — so `ops >= rounds` in any snapshot.
-        let rounds = self.metrics.rounds.get_acquire();
-        let ops = self.metrics.ops.get();
-        // `pooled_rounds` advances before `rounds`, so a racing reader can
-        // see the new pooled count with the old round count; clamping
-        // keeps the documented `pooled_rounds <= rounds`.
-        let pooled_rounds = self.metrics.pooled_rounds.get().min(rounds);
-        Stats {
-            rounds,
-            ops,
-            pooled_rounds,
-        }
-    }
-
     /// Snapshot of every named metric on the front-end's registry — the
-    /// [`ConcurrentMap::stats`] counters plus the fast/slow path split,
-    /// the poison count and the `combine.round_size` histogram.  Metric
+    /// round, op and pooled-round counters (monotone; exact once the
+    /// front-end is quiescent), the fast/slow path split, the snapshot-read
+    /// and poison counts and the `combine.round_size` histogram.  Metric
     /// names follow the workspace `<subsystem>.<metric>` convention.
     pub fn metrics(&self) -> obs::Snapshot {
         self.registry.snapshot()
@@ -1277,21 +1106,6 @@ where
     /// handle.
     pub fn pool_metrics(&self) -> forkjoin::PoolMetrics {
         self.pool.metrics()
-    }
-
-    /// Drains the round-trace ring (empty unless built with a non-zero
-    /// [`Options::trace_capacity`]): one span per committed round, oldest
-    /// first, each carrying begin/end timestamps and its op count.
-    pub fn take_trace(&self) -> Vec<SpanRecord> {
-        self.trace.as_ref().map(TraceRing::take).unwrap_or_default()
-    }
-
-    /// Renders the current trace ring as JSON without draining it.
-    pub fn trace_json(&self) -> String {
-        match &self.trace {
-            Some(ring) => ring.to_json(),
-            None => String::from("{\"dropped\": 0, \"spans\": []}"),
-        }
     }
 
     /// Drains the committed-round log (empty unless built with
@@ -1352,17 +1166,14 @@ where
     /// logging it as a round of its own and counting it.  Caller must hold
     /// the combiner flag.
     fn run_point_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
-        // One span per point round; recorded when `_span` drops at return.
-        let _span = self.trace.as_ref().map(|ring| obs::trace_round(ring, 1));
         // SAFETY: the caller holds the combiner flag — exclusive set access.
         let set = unsafe { &mut *self.set.get() };
         let result = match kind {
             OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
             OpKind::Remove => set.remove_one(key),
-            OpKind::Contains => set.contains(key),
         };
         let seq = self.next_seq();
-        self.commit_round_state(seq, !matches!(kind, OpKind::Contains));
+        self.commit_round_state(seq);
         if let Some(log) = &self.log {
             log.lock().unwrap().push(Round {
                 seq,
@@ -1452,29 +1263,23 @@ where
         true
     }
 
-    /// Commits a round's read-path state: republishes the snapshot when
-    /// the round could have mutated the backend, then advances the
-    /// `committed` mark.  Caller must hold the combiner flag and call this
-    /// *after* [`ConcurrentMap::next_seq`] but **before** logging the round
-    /// or storing any client's `done` flag — publish-before-acknowledge is
-    /// the whole read-your-writes guarantee.  Runs on every round, even
-    /// with [`Options::snapshot_reads`] off: `snapshot_keys` and
-    /// `read_at_least` serve from the cell regardless.
-    fn commit_round_state(&self, seq: u64, mutated: bool) {
-        if mutated {
-            // SAFETY: combiner flag held — exclusive set access (the
-            // round's own `&mut` borrow is dead by the time this runs).
-            let set = unsafe { &*self.set.get() };
-            let view = set.publish_root();
-            // Make the publication cost visible: backends without an O(1)
-            // `publish_root` override clone their whole contents here,
-            // every mutating round.
-            self.metrics
-                .publish_clone_keys
-                .add_single_writer(set.publish_clone_keys() as u64);
-            self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
-        }
-        self.committed.store(seq, Ordering::Release);
+    /// Publishes the round's state as snapshot `seq`.  Caller must hold
+    /// the combiner flag and call this *after* [`ConcurrentMap::next_seq`]
+    /// but **before** logging the round or storing any client's `done`
+    /// flag — publish-before-acknowledge is the whole read-your-writes
+    /// guarantee.
+    fn commit_round_state(&self, seq: u64) {
+        // SAFETY: combiner flag held — exclusive set access (the round's
+        // own `&mut` borrow is dead by the time this runs).
+        let set = unsafe { &*self.set.get() };
+        let view = set.publish_root();
+        // Make the publication cost visible: backends without an O(1)
+        // `publish_root` override clone their whole contents here, every
+        // round.
+        self.metrics
+            .publish_clone_keys
+            .add_single_writer(set.publish_clone_keys() as u64);
+        self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
     }
 
     /// Allocates the sequence number for a round about to commit.  Caller
@@ -1562,10 +1367,10 @@ where
         // SAFETY: combiner flag held — exclusive access to the scratch.
         let scratch = unsafe { &mut *self.scratch.get() };
         let Scratch {
-            contains: con,
             insert: ins,
             remove: rem,
             entries,
+            keys,
             claimed,
         } = scratch;
 
@@ -1579,24 +1384,20 @@ where
             let slot = unsafe { &*cursor };
             cursor = slot.next.load(Ordering::Relaxed);
             let lane = match slot.kind {
-                OpKind::Contains => &mut *con,
                 OpKind::Insert => &mut *ins,
                 OpKind::Remove => &mut *rem,
             };
             lane.slots.push(slot);
             total += 1;
         }
-        for lane in [&mut *con, &mut *ins, &mut *rem] {
+        for lane in [&mut *ins, &mut *rem] {
             lane.slots.reverse();
         }
-        // SAFETY (all three): slots stay pinned (as above); `key` and `val`
+        // SAFETY (both): slots stay pinned (as above); `key` and `val`
         // are read by shared reference, which `K: Sync`, `V: Sync` licence
         // across threads.
-        for lane in [&mut *con, &mut *rem] {
-            lane.keys.clear();
-            lane.keys
-                .extend(lane.slots.iter().map(|&s| unsafe { (*s).key.clone() }));
-        }
+        keys.clear();
+        keys.extend(rem.slots.iter().map(|&s| unsafe { (*s).key.clone() }));
         entries.clear();
         entries.extend(ins.slots.iter().map(|&s| {
             let slot = unsafe { &*s };
@@ -1604,29 +1405,18 @@ where
             (slot.key.clone(), val)
         }));
 
-        // One span for the whole batch round (build, execute, distribute,
-        // complete); recorded when `_span` drops at return.
-        let _span = self
-            .trace
-            .as_ref()
-            .map(|ring| obs::trace_round(ring, total));
-
-        // One sorted batch per kind.  The key-only buffers come back via
+        // One sorted batch per kind.  The remove keys' buffer comes back via
         // `into_vec` below; the insert pairs are unzipped into the batch's
         // own arrays (publish order + stable sort + last-wins = the value
         // the ops would leave behind applied one by one).
-        let con_batch = Batch::from_unsorted(mem::take(&mut con.keys));
         let ins_batch = KvBatch::from_unsorted_entries(mem::take(entries));
-        let rem_batch = Batch::from_unsorted(mem::take(&mut rem.keys));
+        let rem_batch = Batch::from_unsorted(mem::take(keys));
 
-        // Execute in linearisation order: contains, insert, remove.
+        // Execute in linearisation order: insert, remove.
         // SAFETY: combiner flag held — exclusive access to the set.
         let set = unsafe { &mut *self.set.get() };
-        let (con_flags, ins_flags, rem_flags) = (&mut con.flags, &mut ins.flags, &mut rem.flags);
+        let (ins_flags, rem_flags) = (&mut ins.flags, &mut rem.flags);
         let mut run = |set: &mut S| {
-            if !con_batch.is_empty() {
-                set.batch_contains_report(&con_batch, con_flags);
-            }
             if !ins_batch.is_empty() {
                 set.batch_insert_report(&ins_batch, ins_flags);
             }
@@ -1647,30 +1437,8 @@ where
             .log
             .as_ref()
             .map(|_| Vec::with_capacity(total as usize));
-        distribute(
-            &con.slots,
-            &con_batch,
-            &con.flags,
-            claimed,
-            false,
-            &mut logged,
-        );
-        distribute(
-            &ins.slots,
-            &ins_batch,
-            &ins.flags,
-            claimed,
-            true,
-            &mut logged,
-        );
-        distribute(
-            &rem.slots,
-            &rem_batch,
-            &rem.flags,
-            claimed,
-            true,
-            &mut logged,
-        );
+        distribute(&ins.slots, &ins_batch, &ins.flags, claimed, &mut logged);
+        distribute(&rem.slots, &rem_batch, &rem.flags, claimed, &mut logged);
 
         // Log the round *before* releasing any client: once a `done` flag
         // is stored its client may return and immediately `take_rounds`,
@@ -1678,14 +1446,14 @@ where
         // observed.  The snapshot publishes first for the same reason —
         // a released client must find its write in the next snapshot read.
         let seq = self.next_seq();
-        self.commit_round_state(seq, !ins_batch.is_empty() || !rem_batch.is_empty());
+        self.commit_round_state(seq);
         if let (Some(log), Some(round)) = (&self.log, logged) {
             log.lock().unwrap().push(Round { seq, ops: round });
         }
 
         // Completion: after each `done` store the owning client may pop the
         // slot off its stack, so this loop is the combiner's last touch.
-        for lane in [&mut *con, &mut *ins, &mut *rem] {
+        for lane in [&mut *ins, &mut *rem] {
             for &slot in &lane.slots {
                 // SAFETY: Release publishes the result write above; the
                 // slot is not accessed afterwards.
@@ -1694,9 +1462,8 @@ where
             lane.slots.clear();
         }
 
-        // Reclaim the key buffers for the next round.
-        con.keys = con_batch.into_vec();
-        rem.keys = rem_batch.into_vec();
+        // Reclaim the key buffer for the next round.
+        *keys = rem_batch.into_vec();
 
         self.bump_stats(total, pooled);
     }
@@ -1705,27 +1472,6 @@ where
     /// caller holds the combiner flag, and flag hand-off (Release unlock /
     /// Acquire lock) orders successive combiners — so the single-writer
     /// plain-load+store advance is exact without atomic RMWs.
-    ///
-    /// The *write order* is load-bearing for racing `stats()` readers,
-    /// Loom-style:
-    ///
-    /// ```text
-    /// combiner (this fn):              stats() reader:
-    ///   ops      += n   (Release)        r = rounds (Acquire)  // FIRST
-    ///   pooled   += 0|1 (Release)        o = ops    (Relaxed)
-    ///   round_size.record(n)             p = pooled (Relaxed)
-    ///   rounds   += 1   (Release)  // LAST
-    /// ```
-    ///
-    /// A reader that observes `rounds = r` observed the Release store that
-    /// published round *r*, so every write sequenced before it — the `ops`
-    /// advances of all `r` rounds — is visible: `o >= r` holds in **every**
-    /// snapshot, racing or quiescent, because each round carries at least
-    /// one op.  (An earlier revision advanced `rounds` first with `Relaxed`
-    /// stores, letting a racing reader see `ops < rounds`; the stress suite
-    /// now hammers this invariant.)  `pooled` advances before `rounds` too,
-    /// but a reader can still pair a new `pooled` with an old `rounds` —
-    /// `stats()` clamps instead.
     fn bump_stats(&self, ops: u64, pooled: bool) {
         self.metrics.ops.add_single_writer(ops);
         if pooled {
@@ -1738,17 +1484,15 @@ where
 
 /// Writes one lane's per-op results from its batch's per-key flags.
 ///
-/// `consume` is set for insert/remove lanes, where duplicated keys resolve
-/// sequentially: the first op on a key gets the batch flag, later
-/// duplicates observe the first one's effect (insert after insert → already
-/// present; remove after remove → already gone), exactly as the replayed
-/// linearisation does.
+/// Duplicated keys resolve sequentially: the first op on a key gets the
+/// batch flag, later duplicates observe the first one's effect (insert
+/// after insert → already present; remove after remove → already gone),
+/// exactly as the replayed linearisation does.
 fn distribute<K: Ord + Clone, V: Clone>(
     slots: &[*const OpSlot<K, V>],
     batch: &[K],
     flags: &[bool],
     claimed: &mut Vec<bool>,
-    consume: bool,
     logged: &mut Option<Vec<RoundOp<K, V>>>,
 ) {
     claimed.clear();
@@ -1760,13 +1504,9 @@ fn distribute<K: Ord + Clone, V: Clone>(
         let idx = batch
             .binary_search(&slot.key)
             .expect("round batch is built from exactly these op keys");
-        let result = if consume {
-            let first = !claimed[idx];
-            claimed[idx] = true;
-            first && flags[idx]
-        } else {
-            flags[idx]
-        };
+        let first = !claimed[idx];
+        claimed[idx] = true;
+        let result = first && flags[idx];
         // SAFETY: combiner-exclusive until `done` is set; the owning client
         // reads `result` only after its Acquire load of `done`.
         unsafe { *slot.result.get() = result };
@@ -1858,26 +1598,27 @@ mod tests {
         set.0.into_iter().map(|(k, ())| k).collect()
     }
 
-    /// Round-path harness: snapshot reads off, so every read linearises
-    /// through the combiner and lands in the round log — what the replay
-    /// assertions below count on.  Snapshot-path behaviour has its own
-    /// tests.
-    fn fresh(log: bool) -> ConcurrentSet<u64, VecSet> {
+    /// The harness: rounds of four or more ops go through the pool, and the
+    /// round log is on so tests can replay it (and prove reads stay out).
+    fn fresh() -> ConcurrentSet<u64, VecSet> {
         ConcurrentSet::with_options(
             VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
                 pool_cutoff: 4,
-                log_rounds: log,
-                snapshot_reads: false,
+                log_rounds: true,
                 ..Options::default()
             },
         )
     }
 
+    fn counter(set: &ConcurrentSet<u64, VecSet>, name: &str) -> u64 {
+        set.metrics().counter(name).unwrap()
+    }
+
     #[test]
     fn sequential_ops_have_set_semantics() {
-        let set = fresh(false);
+        let set = fresh();
         assert!(set.insert(5));
         assert!(!set.insert(5));
         assert!(set.insert(9));
@@ -1892,13 +1633,14 @@ mod tests {
 
     #[test]
     fn round_log_records_sequential_history() {
-        let set = fresh(true);
+        let set = fresh();
         assert!(set.insert(1));
         assert!(set.contains(&1));
         assert!(set.remove(&1));
         let rounds = set.take_rounds();
-        // Sequential clients combine themselves: one op per round.
-        assert_eq!(rounds.len(), 3);
+        // Sequential clients combine themselves: one write per round, and
+        // the read in between entered none.
+        assert_eq!(rounds.len(), 2);
         let flat: Vec<RoundOp<u64>> = rounds.into_iter().flat_map(|r| r.ops).collect();
         assert_eq!(
             flat,
@@ -1907,12 +1649,6 @@ mod tests {
                     kind: OpKind::Insert,
                     key: 1,
                     val: Some(()),
-                    result: true
-                },
-                RoundOp {
-                    kind: OpKind::Contains,
-                    key: 1,
-                    val: None,
                     result: true
                 },
                 RoundOp {
@@ -1925,24 +1661,24 @@ mod tests {
         );
         // The log drains.
         assert!(set.take_rounds().is_empty());
-        assert_eq!(set.stats().rounds, 3);
-        assert_eq!(set.stats().ops, 3);
+        assert_eq!(counter(&set, "combine.rounds"), 2);
+        assert_eq!(counter(&set, "combine.ops"), 2);
     }
 
     #[test]
     fn rounds_carry_gap_free_sequence_numbers() {
-        let set = fresh(true);
+        let set = fresh();
         assert!(set.insert(1));
         set.batch_insert(&Batch::from_unsorted(vec![2u64, 3]));
-        assert!(set.contains(&2));
+        assert!(set.contains(&2), "a read consumes no seq");
         assert!(set.remove(&1));
         let rounds = set.take_rounds();
         let seqs: Vec<u64> = rounds.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![1, 2, 3, 4], "fresh history numbers from 1");
+        assert_eq!(seqs, vec![1, 2, 3], "fresh history numbers from 1");
 
         // Numbering continues across take_rounds drains.
         set.insert(9);
-        assert_eq!(set.take_rounds()[0].seq, 5);
+        assert_eq!(set.take_rounds()[0].seq, 4);
 
         // first_seq seeds the counter (the recovery path).
         let resumed = ConcurrentSet::with_options(
@@ -1952,7 +1688,6 @@ mod tests {
                 pool_cutoff: 4,
                 log_rounds: true,
                 first_seq: 41,
-                ..Options::default()
             },
         );
         resumed.insert(7);
@@ -1961,7 +1696,7 @@ mod tests {
 
     #[test]
     fn snapshot_keys_pairs_contents_with_their_seq() {
-        let set = fresh(true);
+        let set = fresh();
         let (keys, seq) = set.snapshot_keys();
         assert!(keys.is_empty());
         assert_eq!(seq, 0, "no rounds committed yet");
@@ -1977,7 +1712,7 @@ mod tests {
             seq,
             "log agrees with the snapshot mark"
         );
-        // Snapshot rounds commit no ops and consume no seq.
+        // Taking a snapshot consumes no seq.
         set.insert(2);
         assert_eq!(set.take_rounds()[0].seq, 4);
     }
@@ -1985,13 +1720,12 @@ mod tests {
     #[test]
     fn stats_count_pooled_rounds() {
         // pool_cutoff 4 and single-op rounds: nothing goes through the pool.
-        let set = fresh(false);
+        let set = fresh();
         for k in 0..10 {
             set.insert(k);
         }
-        let stats = set.stats();
-        assert_eq!(stats.ops, 10);
-        assert_eq!(stats.pooled_rounds, 0);
+        assert_eq!(counter(&set, "combine.ops"), 10);
+        assert_eq!(counter(&set, "combine.pooled_rounds"), 0);
 
         // pool_cutoff 0: every round is a pool round.
         let pooled = ConcurrentSet::with_options(
@@ -2005,7 +1739,8 @@ mod tests {
         );
         pooled.insert(1);
         pooled.insert(2);
-        assert_eq!(pooled.stats().pooled_rounds, pooled.stats().rounds);
+        assert_eq!(counter(&pooled, "combine.pooled_rounds"), 2);
+        assert_eq!(counter(&pooled, "combine.rounds"), 2);
     }
 
     #[test]
@@ -2039,25 +1774,25 @@ mod tests {
 
     #[test]
     fn registry_metrics_split_fast_and_slow_paths() {
-        let set = fresh(false);
+        let set = fresh();
         for k in 0..10 {
             set.insert(k);
         }
         assert!(set.contains(&3));
         let m = set.metrics();
-        // Sequential clients always win the flag: everything is fast path.
-        assert_eq!(m.counter("combine.fast_path_rounds"), Some(11));
+        // Sequential writers always win the flag: everything is fast path,
+        // and the read is no round at all.
+        assert_eq!(m.counter("combine.fast_path_rounds"), Some(10));
         assert_eq!(m.counter("combine.slow_path_ops"), Some(0));
-        assert_eq!(m.counter("combine.rounds"), Some(11));
-        assert_eq!(m.counter("combine.ops"), Some(11));
+        assert_eq!(m.counter("combine.rounds"), Some(10));
+        assert_eq!(m.counter("combine.ops"), Some(10));
+        assert_eq!(m.counter("combine.snapshot_reads"), Some(1));
         assert_eq!(m.counter("combine.poisoned"), Some(0));
         let sizes = m.histogram("combine.round_size").unwrap();
-        assert_eq!(sizes.count(), 11);
-        assert_eq!(sizes.sum, 11, "all point rounds");
-        // The registry snapshot agrees with the legacy Stats view.
-        assert_eq!(set.stats().rounds, 11);
+        assert_eq!(sizes.count(), 10);
+        assert_eq!(sizes.sum, 10, "all point rounds");
         let json = m.to_json();
-        assert!(json.contains("\"combine.rounds\": 11"), "{json}");
+        assert!(json.contains("\"combine.rounds\": 10"), "{json}");
 
         // pool_cutoff <= 1 forbids the fast path; everything publishes.
         let slow = ConcurrentSet::with_options(
@@ -2077,7 +1812,7 @@ mod tests {
 
     #[test]
     fn batched_surface_commits_whole_batches_as_rounds() {
-        let set = fresh(true);
+        let set = fresh();
         assert!(set.insert(5));
         let ins = set.batch_insert(&Batch::from_unsorted(vec![1u64, 5, 9]));
         assert_eq!(ins, vec![true, false, true]);
@@ -2087,10 +1822,10 @@ mod tests {
         assert_eq!(rem, vec![false, true]);
         assert_eq!(set.len(), 2);
 
-        // The log holds the point round plus one round per batch, each
-        // batch round carrying its keys in batch order.
+        // The log holds the point round plus one round per write batch,
+        // each batch round carrying its keys in batch order.
         let rounds = set.take_rounds();
-        assert_eq!(rounds.len(), 4);
+        assert_eq!(rounds.len(), 3);
         assert_eq!(rounds[1].ops.len(), 3);
         assert_eq!(
             rounds[1].ops[0],
@@ -2101,32 +1836,36 @@ mod tests {
                 result: true
             }
         );
-        assert_eq!(rounds[3].ops.len(), 2);
+        assert_eq!(rounds[2].ops.len(), 2);
 
-        // Stats count batch keys as ops; the batched rounds are tallied.
+        // The counters count batch keys as ops and tally the batched rounds.
         let m = set.metrics();
-        assert_eq!(m.counter("combine.batch_rounds"), Some(3));
-        assert_eq!(m.counter("combine.ops"), Some(1 + 3 + 3 + 2));
-        assert_eq!(m.counter("combine.rounds"), Some(4));
+        assert_eq!(m.counter("combine.batch_rounds"), Some(2));
+        assert_eq!(m.counter("combine.ops"), Some(1 + 3 + 2));
+        assert_eq!(m.counter("combine.rounds"), Some(3));
 
         // Empty batches are no-ops: no round, no flags, nothing logged.
-        let before = set.stats();
         assert!(set.batch_insert(&Batch::empty()).is_empty());
         let mut out = vec![true; 4];
         set.batch_remove_report(&Batch::empty(), &mut out);
         assert!(out.is_empty(), "report variant clears stale flags");
-        assert_eq!(set.stats(), before);
+        assert_eq!(counter(&set, "combine.rounds"), 3);
+        assert_eq!(counter(&set, "combine.ops"), 1 + 3 + 2);
         assert!(set.take_rounds().is_empty());
     }
 
     #[test]
     fn batched_surface_pools_large_batches() {
         // pool_cutoff 4: a 5-key batch must execute inside the pool.
-        let set = fresh(false);
+        let set = fresh();
         set.batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3, 4, 5]));
-        assert_eq!(set.stats().pooled_rounds, 1);
-        set.batch_contains(&Batch::from_unsorted(vec![1u64, 2]));
-        assert_eq!(set.stats().pooled_rounds, 1, "below cutoff stays inline");
+        assert_eq!(counter(&set, "combine.pooled_rounds"), 1);
+        set.batch_remove(&Batch::from_unsorted(vec![1u64, 2]));
+        assert_eq!(
+            counter(&set, "combine.pooled_rounds"),
+            1,
+            "below cutoff stays inline"
+        );
     }
 
     #[test]
@@ -2155,55 +1894,8 @@ mod tests {
     }
 
     #[test]
-    fn trace_ring_records_round_spans() {
-        let set = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 4,
-                trace_capacity: 2,
-                ..Options::default()
-            },
-        );
-        // Tracing off by default elsewhere:
-        assert!(fresh(false).take_trace().is_empty());
-        assert_eq!(fresh(false).trace_json(), "{\"dropped\": 0, \"spans\": []}");
-
-        for k in 0..3 {
-            set.insert(k);
-        }
-        let json = set.trace_json();
-        assert!(
-            json.contains("\"dropped\": 1"),
-            "capacity 2, 3 rounds: {json}"
-        );
-        let spans = set.take_trace();
-        assert_eq!(spans.len(), 2);
-        for span in &spans {
-            assert_eq!(span.label, "round");
-            assert_eq!(span.ops, 1);
-            assert!(span.end_ns >= span.start_ns);
-        }
-        assert!(set.take_trace().is_empty(), "take drains");
-    }
-
-    /// Snapshot-path harness: default `snapshot_reads: true`, log on so
-    /// the tests can prove reads *stay out* of the round log.
-    fn fresh_snap() -> ConcurrentSet<u64, VecSet> {
-        ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 4,
-                log_rounds: true,
-                ..Options::default()
-            },
-        )
-    }
-
-    #[test]
     fn snapshot_reads_bypass_the_combiner() {
-        let set = fresh_snap();
+        let set = fresh();
         // Read-your-writes: every acknowledged insert is visible to the
         // very next snapshot read.
         for k in [5u64, 1, 9] {
@@ -2224,32 +1916,19 @@ mod tests {
         let _handle = set.read_snapshot();
 
         // None of those reads entered a round: the log holds only the
-        // four writes, and no Contains op anywhere.
-        let rounds = set.take_rounds();
-        assert_eq!(rounds.len(), 4);
-        assert!(rounds
-            .iter()
-            .flat_map(|r| &r.ops)
-            .all(|op| op.kind != OpKind::Contains));
+        // four writes.
+        assert_eq!(set.take_rounds().len(), 4);
         assert_eq!(set.committed_seq(), 4, "reads consume no seqs");
 
         let m = set.metrics();
         let snap_reads = m.counter("combine.snapshot_reads").unwrap();
         assert!(snap_reads >= 10, "every read served by snapshot");
-        // Lag is sampled on handle and batch reads (point reads skip it
-        // to stay cheaper than the combiner fast path): one sample for
-        // the batch_contains above, one for the read_snapshot.
-        assert_eq!(
-            m.histogram("combine.snapshot_lag").unwrap().count(),
-            2,
-            "one lag sample per handle/batch read"
-        );
         assert_eq!(m.counter("combine.ops"), Some(4), "writes only");
     }
 
     #[test]
     fn snapshots_are_frozen_at_their_seq() {
-        let set = fresh_snap();
+        let set = fresh();
         set.batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3]));
         let before = set.read_snapshot();
         assert!(set.insert(10));
@@ -2269,7 +1948,7 @@ mod tests {
 
     #[test]
     fn read_at_least_reads_the_named_write() {
-        let set = fresh_snap();
+        let set = fresh();
         set.insert(7);
         let mark = set.committed_seq();
         assert_eq!(mark, 1);
@@ -2277,18 +1956,9 @@ mod tests {
         assert!(snap.seq() >= mark);
         assert!(snap.view().contains(&7));
 
-        // With snapshot reads off, read-only rounds advance `committed`
-        // without republishing: the mark trails, the contents do not.
-        let set = fresh(false);
-        set.insert(1);
-        assert!(set.contains(&1)); // a combining round of its own
-        assert_eq!(set.committed_seq(), 2);
-        let snap = set.read_at_least(2).unwrap();
-        assert_eq!(snap.seq(), 1, "mutating publish was round 1");
-        assert!(
-            snap.view().contains(&1),
-            "contents exact through the wanted mark"
-        );
+        // Reads leave the mark alone: it names the last write.
+        assert!(set.contains(&7));
+        assert_eq!(set.committed_seq(), mark);
     }
 
     #[test]
@@ -2296,7 +1966,7 @@ mod tests {
         // Regression: a `want` one past the last committed seq, with no
         // concurrent writers, used to spin forever — nothing would ever
         // commit it.  The bounded-wait contract returns an error instead.
-        let set = fresh_snap();
+        let set = fresh();
         set.insert(7);
         let mark = set.committed_seq();
         let err = set.read_at_least(mark + 1).unwrap_err();
@@ -2315,13 +1985,13 @@ mod tests {
         let snap = set.read_at_least(mark + 1).unwrap();
         assert!(snap.view().contains(&8));
         // An empty, never-written set errors for any positive mark.
-        let idle = fresh_snap();
+        let idle = fresh();
         assert!(idle.read_at_least(1).is_err());
     }
 
     #[test]
     fn range_reads_are_wait_free_snapshot_reads() {
-        let set = fresh_snap();
+        let set = fresh();
         set.batch_insert(&Batch::from_unsorted((0..100u64).map(|i| i * 2).collect()));
         let before = set.metrics().counter("combine.snapshot_reads").unwrap();
 
@@ -2353,27 +2023,18 @@ mod tests {
             set.range_keys(Bound::Included(&10), Bound::Included(&12)),
             vec![10, 11, 12]
         );
-
-        // With snapshot reads off the same queries linearise via rounds
-        // and agree.
-        let set = fresh(false);
-        set.batch_insert(&Batch::from_unsorted((0..50u64).collect()));
-        assert_eq!(set.range_count(Bound::Unbounded, Bound::Excluded(&10)), 10);
-        assert_eq!(set.kth(3), Some(3));
-        assert_eq!(set.predecessor(&1), Some(0));
-        assert_eq!(set.successor(&48), Some(49));
     }
 
     #[test]
     fn publish_clone_keys_stays_zero_for_shared_roots() {
-        // VecSet has no publish_root override: every mutating round clones
-        // the whole contents, and the counter makes that cost visible.
-        let set = fresh_snap();
+        // VecSet has no publish_root override: every round clones the whole
+        // contents, and the counter makes that cost visible.
+        let set = fresh();
         set.insert(1);
         set.insert(2);
         set.insert(3);
         let cloned = set.metrics().counter("combine.publish_clone_keys").unwrap();
-        assert_eq!(cloned, 1 + 2 + 3, "VecSet pays O(n) per mutating round");
+        assert_eq!(cloned, 1 + 2 + 3, "VecSet pays O(n) per round");
 
         // The IST overrides publication to an Arc clone: zero keys cloned.
         let pool = Pool::new(2).unwrap();
@@ -2439,75 +2100,69 @@ mod tests {
         assert!(set.read_snapshot().view().contains(&3));
     }
 
-    /// The same front-end at a real value type, with reads served from the
-    /// snapshot and (snapshot reads off) through rounds: upserts overwrite
-    /// and report not-new, value reads see the acknowledged value, and the
-    /// round log carries each insert's value for a WAL downstream.
+    /// The same front-end at a real value type: upserts overwrite and report
+    /// not-new, value reads see the acknowledged value, and the round log
+    /// carries each insert's value for a WAL downstream.
     #[test]
     fn values_ride_the_rounds_and_the_snapshot() {
-        for snapshot_reads in [true, false] {
-            let map: ConcurrentMap<u64, char, VecMap<char>> = ConcurrentMap::with_options(
-                VecMap(Vec::new()),
-                Pool::new(1).unwrap(),
-                Options {
-                    pool_cutoff: 4,
-                    log_rounds: true,
-                    snapshot_reads,
-                    ..Options::default()
-                },
-            );
-            assert!(map.upsert(5, 'a'));
-            assert!(!map.upsert(5, 'b'), "present: overwritten, not new");
-            assert_eq!(map.get(&5), Some('b'));
-            assert_eq!(map.get(&6), None);
-            let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![
-                (9, 'x'),
-                (1, 'y'),
-                (5, 'c'),
-                (9, 'z'),
-            ]));
-            assert_eq!(flags, vec![true, false, true], "keys 1, 5, 9");
-            assert_eq!(
-                map.batch_get(&Batch::from_unsorted(vec![1, 2, 5, 9])),
-                vec![Some('y'), None, Some('c'), Some('z')]
-            );
-            assert_eq!(
-                map.range_entries(Bound::Excluded(&1), Bound::Unbounded),
-                vec![(5, 'c'), (9, 'z')]
-            );
-            assert_eq!(map.kth_entry(0), Some((1, 'y')));
-            assert_eq!(map.kth(2), Some(9));
-            assert!(map.remove(&1));
-            assert_eq!(
-                map.snapshot_entries(),
-                (vec![5, 9], vec!['c', 'z'], map.read_snapshot().seq())
-            );
+        let map: ConcurrentMap<u64, char, VecMap<char>> = ConcurrentMap::with_options(
+            VecMap(Vec::new()),
+            Pool::new(1).unwrap(),
+            Options {
+                pool_cutoff: 4,
+                log_rounds: true,
+                ..Options::default()
+            },
+        );
+        assert!(map.upsert(5, 'a'));
+        assert!(!map.upsert(5, 'b'), "present: overwritten, not new");
+        assert_eq!(map.get(&5), Some('b'));
+        assert_eq!(map.get(&6), None);
+        let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![
+            (9, 'x'),
+            (1, 'y'),
+            (5, 'c'),
+            (9, 'z'),
+        ]));
+        assert_eq!(flags, vec![true, false, true], "keys 1, 5, 9");
+        assert_eq!(
+            map.batch_get(&Batch::from_unsorted(vec![1, 2, 5, 9])),
+            vec![Some('y'), None, Some('c'), Some('z')]
+        );
+        assert_eq!(
+            map.range_entries(Bound::Excluded(&1), Bound::Unbounded),
+            vec![(5, 'c'), (9, 'z')]
+        );
+        assert_eq!(map.kth_entry(0), Some((1, 'y')));
+        assert_eq!(map.kth(2), Some(9));
+        assert!(map.remove(&1));
+        assert_eq!(
+            map.snapshot_entries(),
+            (vec![5, 9], vec!['c', 'z'], map.read_snapshot().seq())
+        );
 
-            let vals: Vec<(OpKind, u64, Option<char>)> = map
-                .take_rounds()
-                .into_iter()
-                .flat_map(|r| r.ops)
-                .filter(|op| op.kind != OpKind::Contains)
-                .map(|op| (op.kind, op.key, op.val))
-                .collect();
-            assert_eq!(
-                vals,
-                vec![
-                    (OpKind::Insert, 5, Some('a')),
-                    (OpKind::Insert, 5, Some('b')),
-                    (OpKind::Insert, 1, Some('y')),
-                    (OpKind::Insert, 5, Some('c')),
-                    (OpKind::Insert, 9, Some('z')),
-                    (OpKind::Remove, 1, None),
-                ],
-                "snapshot_reads {snapshot_reads}"
-            );
-        }
+        let vals: Vec<(OpKind, u64, Option<char>)> = map
+            .take_rounds()
+            .into_iter()
+            .flat_map(|r| r.ops)
+            .map(|op| (op.kind, op.key, op.val))
+            .collect();
+        assert_eq!(
+            vals,
+            vec![
+                (OpKind::Insert, 5, Some('a')),
+                (OpKind::Insert, 5, Some('b')),
+                (OpKind::Insert, 1, Some('y')),
+                (OpKind::Insert, 5, Some('c')),
+                (OpKind::Insert, 9, Some('z')),
+                (OpKind::Remove, 1, None),
+            ]
+        );
     }
 
     #[test]
     fn concurrent_clients_agree_with_oracle_replay() {
-        let set = Arc::new(fresh(true));
+        let set = Arc::new(fresh());
         let threads = 4;
         let per_thread = 300u64;
         let handles: Vec<_> = (0..threads)
@@ -2515,35 +2170,59 @@ mod tests {
                 let set = Arc::clone(&set);
                 std::thread::spawn(move || {
                     // Overlapping key ranges force result races on purpose.
+                    // Each read is recorded with the committed seq sampled
+                    // before and after it.
+                    let mut reads = Vec::new();
                     for i in 0..per_thread {
                         let k = (t * 7 + i) % 50;
                         match i % 3 {
-                            0 => set.insert(k),
-                            1 => set.remove(&k),
-                            _ => set.contains(&k),
-                        };
+                            0 => {
+                                set.insert(k);
+                            }
+                            1 => {
+                                set.remove(&k);
+                            }
+                            _ => {
+                                let lo = set.committed_seq();
+                                let found = set.contains(&k);
+                                reads.push((k, found, lo, set.committed_seq()));
+                            }
+                        }
                     }
+                    reads
                 })
             })
             .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
+        let reads: Vec<_> = handles
+            .into_iter()
+            .flat_map(|h| h.join().unwrap())
+            .collect();
         let rounds = set.take_rounds();
         let total_ops: usize = rounds.iter().map(|r| r.ops.len()).sum();
-        assert_eq!(total_ops as u64, threads * per_thread);
+        assert_eq!(total_ops as u64, threads * per_thread * 2 / 3, "the writes");
         // Replaying the committed rounds sequentially must reproduce every
-        // per-op result.
+        // per-op result; `states[s]` is the contents after round `s`.
         let mut oracle = BTreeSet::new();
-        for (r, round) in rounds.iter().enumerate() {
+        let mut states = vec![oracle.clone()];
+        for round in &rounds {
+            assert_eq!(round.seq as usize, states.len(), "gap-free seqs");
             for op in &round.ops {
                 let expect = match op.kind {
                     OpKind::Insert => oracle.insert(op.key),
                     OpKind::Remove => oracle.remove(&op.key),
-                    OpKind::Contains => oracle.contains(&op.key),
                 };
-                assert_eq!(op.result, expect, "round {r}, op {op:?}");
+                assert_eq!(op.result, expect, "round {}, op {op:?}", round.seq);
             }
+            states.push(oracle.clone());
+        }
+        // Every read answered with the state after some round between the
+        // two seqs sampled around it — its linearisation window, since a
+        // round publishes before it acknowledges.
+        for (k, found, lo, hi) in reads {
+            assert!(
+                (lo..=hi).any(|s| states[s as usize].contains(&k) == found),
+                "contains({k}) = {found} is no round's state in [{lo}, {hi}]"
+            );
         }
         let final_keys: Vec<u64> = oracle.into_iter().collect();
         let backing = Arc::try_unwrap(set).ok().unwrap().into_inner();

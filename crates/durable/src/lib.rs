@@ -15,7 +15,7 @@
 //! * **Append.**  Every operation, after completing in memory, *publishes*:
 //!   it takes the wal lock, drains all committed-but-unappended rounds
 //!   (its own round among them — the combiner logs a round before
-//!   releasing any of its clients), strips reads and ops whose replay could
+//!   releasing any of its clients), strips ops whose replay could
 //!   not change state (see *What is logged*), and appends the remainder as
 //!   records.  The wal lock makes append order
 //!   equal commit order, so the log *is* the linearisation.
@@ -62,7 +62,8 @@
 //! # What is logged
 //!
 //! One rule: an op is logged iff replaying it could change state.  Reads
-//! never are; a remove is iff it removed something; an insert is iff it was
+//! never enter a round, so the WAL never sees them; a remove is logged iff
+//! it removed something; an insert is iff it was
 //! newly inserted **or values have bytes** (`V::WIDTH != 0` — an upsert of
 //! a present key may have changed its value, and replaying an unchanged
 //! one is idempotent).  For a set the rule reads "failed mutations write no
@@ -143,10 +144,6 @@ pub struct DurableOptions {
     pub snapshot_every: u64,
     /// Size threshold, in bytes, at which the active log segment rotates.
     pub segment_bytes: u64,
-    /// Options for the wrapped flat-combining front-end.  `log_rounds`
-    /// and `first_seq` are overwritten — the WAL *is* the round log's
-    /// consumer, and recovery dictates the numbering.
-    pub combine: Options,
 }
 
 impl Default for DurableOptions {
@@ -155,7 +152,6 @@ impl Default for DurableOptions {
             group_commit: 8,
             snapshot_every: 0,
             segment_bytes: 8 << 20,
-            combine: Options::default(),
         }
     }
 }
@@ -396,8 +392,9 @@ where
         )?;
         metrics.segments_created.inc();
 
-        // 5. The backend, from the recovered contents, with round
-        //    numbering continuing where the history left off.
+        // 5. The backend, from the recovered contents, behind a front-end
+        //    whose round log the WAL consumes and whose round numbering
+        //    continues where the history left off.
         let batch = KvBatch::from_sorted_entries(contents.into_iter().collect())
             .expect("BTreeMap iterates strictly ascending");
         let backend = make_backend(batch);
@@ -407,7 +404,7 @@ where
             Options {
                 log_rounds: true,
                 first_seq: max_seq,
-                ..options.combine
+                ..Options::default()
             },
         );
 
@@ -539,8 +536,8 @@ where
         self.registry.snapshot()
     }
 
-    /// The wrapped flat-combining front-end, for its stats, metrics and
-    /// traces.  Issuing *writes* through it does not lose them — they are
+    /// The wrapped flat-combining front-end, for its metrics and
+    /// snapshots.  Issuing *writes* through it does not lose them — they are
     /// drained on the next publish — but they bypass group commit's
     /// timing, so their durability point is some later client's call.
     pub fn inner(&self) -> &ConcurrentMap<K, V, S> {
@@ -595,19 +592,19 @@ where
         self.metrics.rounds_drained.add(rounds.len() as u64);
         for round in &rounds {
             // Keep only ops whose replay could change state (the crate
-            // docs' logging rule): reads replay to nothing, a failed remove
-            // too, and so does a failed insert unless it may have rewritten
-            // a value.  Sequence gaps this leaves in the WAL are expected.
+            // docs' logging rule): a failed remove replays to nothing, and
+            // so does a failed insert unless it may have rewritten a value.
+            // Sequence gaps this leaves in the WAL are expected.
             let muts: Vec<WalOp<&K, &V>> = round
                 .ops
                 .iter()
-                .filter_map(|op| match op.kind {
-                    OpKind::Insert if op.result || V::WIDTH != 0 => {
+                .filter(|op| op.result || (op.kind == OpKind::Insert && V::WIDTH != 0))
+                .map(|op| match op.kind {
+                    OpKind::Insert => {
                         let val = op.val.as_ref().expect("insert ops carry a value");
-                        Some(WalOp::Insert(&op.key, val))
+                        WalOp::Insert(&op.key, val)
                     }
-                    OpKind::Remove if op.result => Some(WalOp::Remove(&op.key)),
-                    _ => None,
+                    OpKind::Remove => WalOp::Remove(&op.key),
                 })
                 .collect();
             if muts.is_empty() {

@@ -365,7 +365,6 @@ fn an_oversized_record_appends_whole_to_one_fresh_segment<V: Val>() {
             group_commit: 1,
             snapshot_every: 0,
             segment_bytes: 64,
-            ..DurableOptions::default()
         };
         try_open::<V>(dir, options).expect("open durable store")
     };

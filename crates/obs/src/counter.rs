@@ -10,11 +10,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///   any number of concurrent writers.  No increments are ever lost.
 /// * [`Counter::add_single_writer`] — plain load + store, for counters
 ///   owned by exactly one writer at a time (a combiner holding its flag, a
-///   deque's owning worker).  Cheaper than an RMW on contended cache lines,
-///   and the `Release` store lets a reader's `Acquire` load
-///   ([`Counter::get_acquire`]) order this counter against the writer's
-///   earlier stores — the mechanism behind `combine`'s `ops >= rounds`
-///   snapshot invariant.
+///   deque's owning worker).  Cheaper than an RMW on contended cache lines.
 ///
 /// Reads ([`Counter::get`]) are relaxed: exact once the writers are
 /// quiescent, momentarily stale while they run.
@@ -43,7 +39,7 @@ impl Counter {
         self.value.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds `n` with a plain load + `Release` store.
+    /// Adds `n` with a plain load + store.
     ///
     /// # Contract
     ///
@@ -54,20 +50,13 @@ impl Counter {
     #[inline]
     pub fn add_single_writer(&self, n: u64) {
         let v = self.value.load(Ordering::Relaxed);
-        self.value.store(v + n, Ordering::Release);
+        self.value.store(v + n, Ordering::Relaxed);
     }
 
     /// Current value (relaxed; exact when writers are quiescent).
     #[inline]
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-
-    /// Current value with `Acquire`, ordering everything the writer stored
-    /// before its `Release` write of this counter.
-    #[inline]
-    pub fn get_acquire(&self) -> u64 {
-        self.value.load(Ordering::Acquire)
     }
 }
 
@@ -84,7 +73,6 @@ mod tests {
         c.add(4);
         c.add_single_writer(5);
         assert_eq!(c.get(), 10);
-        assert_eq!(c.get_acquire(), 10);
         assert_eq!(Counter::default().get(), 0);
     }
 

@@ -1,4 +1,4 @@
-//! Std-only metrics and tracing substrate for the workspace.
+//! Std-only metrics substrate for the workspace.
 //!
 //! The ROADMAP's measurement problem is that the bench box has one core:
 //! flat-combining rounds collapse to size ≈ 1 and contention never
@@ -32,10 +32,6 @@
 //!   loop-invariant branch the optimiser hoists; the benches assert the
 //!   disabled-mode overhead stays under 2 ns/op
 //!   ([`measure_disabled_overhead`]).
-//! * [`TraceRing`] / [`trace_round`] — span-style tracing: bounded ring of
-//!   begin/end records with op counts, dumpable as JSON.  The seed of the
-//!   service-tier observability directory the ROADMAP's sharding item
-//!   calls for.
 //!
 //! # Naming convention
 //!
@@ -66,13 +62,11 @@ mod counter;
 mod gauge;
 mod hist;
 mod registry;
-mod span;
 
 pub use counter::Counter;
 pub use gauge::Gauge;
 pub use hist::{bucket_bounds, bucket_index, HistSnapshot, Histogram, BUCKETS};
 pub use registry::{MetricValue, Registry, Snapshot};
-pub use span::{trace_round, Span, SpanRecord, TraceRing};
 
 use std::time::Instant;
 

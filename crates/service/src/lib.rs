@@ -100,7 +100,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use batchapi::{Batch, BatchedSet};
-use combine::{ConcurrentSet, OpKind, Round};
+use combine::{ConcurrentSet, Round};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, Snapshot};
 
@@ -156,6 +156,14 @@ impl ServiceMetrics {
             subbatch_size: registry.histogram("service.subbatch_size"),
         }
     }
+}
+
+/// What a batched tier call runs on every shard it touches.
+#[derive(Clone, Copy)]
+enum BatchOp {
+    Contains,
+    Insert,
+    Remove,
 }
 
 /// Promotes a shard panic to tier-level poison on unwind.  Scoped tightly
@@ -257,6 +265,16 @@ where
         &self.router
     }
 
+    /// One shard's front-end (its seq, snapshots and metrics), by router
+    /// index.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard >= num_shards()`.
+    pub fn shard(&self, shard: usize) -> &ConcurrentSet<K, S> {
+        &self.shards[shard]
+    }
+
     /// Inserts `key` on its owning shard, returning `true` iff it was
     /// newly inserted.
     ///
@@ -282,9 +300,7 @@ where
     }
 
     /// Returns `true` iff `key` is present on its owning shard — a
-    /// wait-free read against the shard's published snapshot when the
-    /// shards were built with [`combine::Options::snapshot_reads`] (the
-    /// default).
+    /// wait-free read against the shard's published snapshot.
     pub fn contains(&self, key: &K) -> bool {
         self.check_read_poisoned();
         self.metrics.point_ops.inc();
@@ -321,17 +337,17 @@ where
     /// Buffer-reusing variant of [`ShardedSet::batch_contains`] (flags
     /// land in `out`, cleared first).
     pub fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(OpKind::Contains, batch, out);
+        self.run_batch(BatchOp::Contains, batch, out);
     }
 
     /// Buffer-reusing variant of [`ShardedSet::batch_insert`].
     pub fn batch_insert_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(OpKind::Insert, batch, out);
+        self.run_batch(BatchOp::Insert, batch, out);
     }
 
     /// Buffer-reusing variant of [`ShardedSet::batch_remove`].
     pub fn batch_remove_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(OpKind::Remove, batch, out);
+        self.run_batch(BatchOp::Remove, batch, out);
     }
 
     /// Total keys across all shards.
@@ -375,8 +391,7 @@ where
     /// Keys in `(lo, hi)` across all shards, ascending.
     ///
     /// Every shard answers the full bounds from its own published
-    /// snapshot (a wait-free read under the default
-    /// [`combine::Options::snapshot_reads`]); the tier then concatenates
+    /// snapshot (a wait-free read); the tier then concatenates
     /// the runs in shard order when the router is
     /// [monotone](ShardRouter::monotone) and k-way merges them
     /// otherwise.  Per-shard runs are per-shard linearisation points —
@@ -512,8 +527,8 @@ where
     /// its shard (in parallel on the tier pool once the batch reaches
     /// `parallel_cutoff` keys), and stitches the per-shard flags back into
     /// batch order.
-    fn run_batch(&self, kind: OpKind, batch: &Batch<K>, out: &mut Vec<bool>) {
-        if matches!(kind, OpKind::Contains) {
+    fn run_batch(&self, op: BatchOp, batch: &Batch<K>, out: &mut Vec<bool>) {
+        if matches!(op, BatchOp::Contains) {
             self.check_read_poisoned();
         } else {
             self.check_poisoned();
@@ -547,7 +562,7 @@ where
         // All-read batches skip the tier pool: each sub-batch is answered
         // from its shard's published snapshot (a few binary searches), so
         // a pool round-trip would cost more than the reads themselves.
-        let pooled = !matches!(kind, OpKind::Contains)
+        let pooled = !matches!(op, BatchOp::Contains)
             && batch.len() >= self.parallel_cutoff
             && tasks.len() > 1;
         if pooled {
@@ -555,12 +570,12 @@ where
             // element-count heuristic would be wrong — see pbist::traverse).
             self.pool.install(|| {
                 parprim::for_each_mut_with_grain(&mut tasks, 1, |(shard, sub, run)| {
-                    self.exec_shard(kind, *shard, sub, run);
+                    self.exec_shard(op, *shard, sub, run);
                 });
             });
         } else {
             for (shard, sub, run) in &mut tasks {
-                self.exec_shard(kind, *shard, sub, run);
+                self.exec_shard(op, *shard, sub, run);
             }
         }
         split.stitch(&results, out);
@@ -568,13 +583,13 @@ where
 
     /// Delegates one sub-batch to its shard, promoting any panic that
     /// escapes the shard to tier-level poison.
-    fn exec_shard(&self, kind: OpKind, shard: usize, sub: &Batch<K>, run: &mut Vec<bool>) {
+    fn exec_shard(&self, op: BatchOp, shard: usize, sub: &Batch<K>, run: &mut Vec<bool>) {
         let _promote = self.poison_guard();
         let shard = &self.shards[shard];
-        match kind {
-            OpKind::Contains => shard.batch_contains_report(sub, run),
-            OpKind::Insert => shard.batch_insert_report(sub, run),
-            OpKind::Remove => shard.batch_remove_report(sub, run),
+        match op {
+            BatchOp::Contains => shard.batch_contains_report(sub, run),
+            BatchOp::Insert => shard.batch_insert_report(sub, run),
+            BatchOp::Remove => shard.batch_remove_report(sub, run),
         }
     }
 

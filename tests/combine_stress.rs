@@ -2,23 +2,27 @@
 //!
 //! N client threads issue recorded single-op traces through a
 //! `combine::ConcurrentMap` over the real tree.  The combiner logs every
-//! committed round; afterwards the test replays the rounds **sequentially**
-//! against a `BTreeMap` oracle and demands that
+//! committed round — the writes; afterwards the test replays the rounds
+//! **sequentially** against a `BTreeMap` oracle and demands that
 //!
 //! 1. every per-op result recorded in the log matches the sequential replay
 //!    (the committed order is a valid linearisation),
-//! 2. the multiset of `(kind, key, result)` triples the clients observed
-//!    equals the multiset in the log (every client op appears exactly once,
-//!    with exactly the result its client saw), and
+//! 2. the multiset of `(kind, key, result)` triples the writers observed
+//!    equals the multiset in the log (every client write appears exactly
+//!    once, with exactly the result its client saw),
 //! 3. the backing store's final contents — values included — equal the
-//!    oracle's, with the tree's shape invariants intact.
+//!    oracle's, with the tree's shape invariants intact, and
+//! 4. every read of the traces — `contains`, `get`, `batch_contains`, and a
+//!    `read_snapshot` handle's view — answered with the replayed state after
+//!    a round it can have observed (`common::History::check`).
 //!
 //! The harness is generic over the value type and runs at `V = ()` (the
 //! set) and at `V = u64`, where every insert writes a value no other op
 //! writes, so "which write won" is decidable from the contents alone.
 //!
 //! Together with the fact that round commit order respects real time (an op
-//! that completed before another started was drained in an earlier round),
+//! that completed before another started was drained in an earlier round,
+//! and a round publishes its snapshot before it acknowledges),
 //! this is a linearizability check for the whole history.
 //!
 //! Every failure message carries the active seed and configuration so CI
@@ -28,13 +32,17 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+mod common;
+use common::{write_kind, Answer, History, Read};
 
 use pbist_repro::{
     baselines::SortedArraySet,
     batchapi::{Batch, BatchedMap, MapView},
-    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, Round, RoundOp},
+    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, Round},
     forkjoin::Pool,
     pbist::{IstMap, IstSet},
     workloads::{self, ClientTrace, OpKind},
@@ -61,22 +69,45 @@ impl Val for u64 {
 /// The client id the pre-loaded contents are written under.
 const PRELOAD: u64 = 0xFFFF;
 
-/// Applies one committed round to the sequential oracle, returning what
-/// each op must have reported.
-fn replay_round<V: Val>(oracle: &mut BTreeMap<u64, V>, round: &Round<u64, V>) -> Vec<bool> {
-    let apply = |op: &RoundOp<u64, V>| match op.kind {
-        CombinedOp::Insert => {
-            let val = op.val.clone().expect("logged inserts carry their value");
-            oracle.insert(op.key, val).is_none()
-        }
-        CombinedOp::Remove => oracle.remove(&op.key).is_some(),
-        CombinedOp::Contains => oracle.contains_key(&op.key),
+/// What a client saw from one op of its trace.
+enum Seen<V> {
+    Wrote(bool),
+    Read(Read<V>),
+}
+
+/// Reads `key` through the surface `step` picks — three of four through the
+/// front-end's own calls, bracketed by the committed seq; the fourth through
+/// a snapshot handle, whose answer must be the state at exactly its seq.
+fn read_key<V: Val>(
+    set: &ConcurrentMap<u64, V, IstMap<u64, V>>,
+    acked: &AtomicU64,
+    key: u64,
+    step: u64,
+) -> Read<V> {
+    let acked = acked.load(Ordering::SeqCst);
+    let (lo, answer, hi) = if step % 4 == 3 {
+        let snap = set.read_snapshot();
+        (snap.seq(), Answer::Value(snap.view().get(&key)), snap.seq())
+    } else {
+        let lo = set.committed_seq();
+        let answer = match step % 4 {
+            0 => Answer::Present(set.contains(&key)),
+            1 => Answer::Value(set.get(&key)),
+            _ => Answer::Present(set.batch_contains(&Batch::from_unsorted(vec![key]))[0]),
+        };
+        (lo, answer, set.committed_seq())
     };
-    round.ops.iter().map(apply).collect()
+    Read {
+        key,
+        answer,
+        acked,
+        lo,
+        hi,
+    }
 }
 
 /// Drives `traces` concurrently through a logged `ConcurrentMap<_, V, IstMap>`
-/// seeded with `initial`, then runs the three oracle checks above.
+/// seeded with `initial`, then runs the four oracle checks above.
 fn drive_and_verify<V: Val>(
     ctx: &str,
     pool_threads: usize,
@@ -94,29 +125,32 @@ fn drive_and_verify<V: Val>(
         Options {
             pool_cutoff,
             log_rounds: true,
-            // This harness checks the *combining* path: every op — contains
-            // included — must appear in the round log, so the wait-free
-            // snapshot read path is pinned off.  The staleness-contract test
-            // below covers the snapshot path.
-            snapshot_reads: false,
             ..Options::default()
         },
     ));
 
-    let observed: Vec<Vec<bool>> = thread::scope(|s| {
+    // Writes acknowledged so far, to any client (see `common`).
+    let acked = AtomicU64::new(0);
+    let observed: Vec<Vec<Seen<V>>> = thread::scope(|s| {
         let handles: Vec<_> = traces
             .iter()
             .zip(0u64..)
             .map(|(trace, client)| {
-                let set = Arc::clone(&set);
+                let (set, acked) = (Arc::clone(&set), &acked);
                 s.spawn(move || {
                     trace
                         .iter()
                         .zip(0u64..)
-                        .map(|((kind, key), step)| match kind {
-                            OpKind::Insert => set.upsert(*key, V::of(client, step)),
-                            OpKind::Remove => set.remove(key),
-                            OpKind::Contains => set.contains(key),
+                        .map(|((kind, key), step)| {
+                            let wrote = match kind {
+                                OpKind::Insert => set.upsert(*key, V::of(client, step)),
+                                OpKind::Remove => set.remove(key),
+                                OpKind::Contains => {
+                                    return Seen::Read(read_key(&set, acked, *key, step))
+                                }
+                            };
+                            acked.fetch_add(1, Ordering::SeqCst);
+                            Seen::Wrote(wrote)
                         })
                         .collect()
                 })
@@ -126,10 +160,14 @@ fn drive_and_verify<V: Val>(
     });
 
     let rounds = set.take_rounds();
-    let total_ops: usize = traces.iter().map(|t| t.len()).sum();
+    let writes = traces
+        .iter()
+        .flatten()
+        .filter(|(kind, _)| *kind != OpKind::Contains)
+        .count();
     assert_eq!(
         rounds.iter().map(|r| r.ops.len()).sum::<usize>(),
-        total_ops,
+        writes,
         "{ctx}: logged op count"
     );
 
@@ -140,25 +178,26 @@ fn drive_and_verify<V: Val>(
     }
 
     // Check 1: the committed round order is a valid linearisation.
-    let mut oracle: BTreeMap<u64, V> = initial.iter().map(preload).collect();
+    let mut history: History<V> = History::new(initial.iter().map(preload).collect());
     for (r, round) in rounds.iter().enumerate() {
-        let expect = replay_round(&mut oracle, round);
+        let expect = history.apply(round);
         for (op, expect) in round.ops.iter().zip(expect) {
             assert_eq!(op.result, expect, "{ctx}: round {r}, op {op:?}");
         }
     }
 
-    // Check 2: clients observed exactly the logged multiset of results.
+    // Check 2: writers observed exactly the logged multiset of results.
+    // Check 4: every read is the state after a round it can have observed.
     let mut tally: HashMap<(CombinedOp, u64, bool), i64> = HashMap::new();
     for (trace, results) in traces.iter().zip(&observed) {
         assert_eq!(results.len(), trace.len(), "{ctx}: client result count");
-        for ((kind, key), &result) in trace.iter().zip(results) {
-            let kind = match kind {
-                OpKind::Insert => CombinedOp::Insert,
-                OpKind::Remove => CombinedOp::Remove,
-                OpKind::Contains => CombinedOp::Contains,
-            };
-            *tally.entry((kind, *key, result)).or_insert(0) += 1;
+        for ((kind, key), seen) in trace.iter().zip(results) {
+            match seen {
+                Seen::Read(read) => history.check(read, ctx),
+                Seen::Wrote(result) => {
+                    *tally.entry((write_kind(*kind), *key, *result)).or_insert(0) += 1
+                }
+            }
         }
     }
     for round in &rounds {
@@ -171,8 +210,12 @@ fn drive_and_verify<V: Val>(
     }
 
     // Check 3: the final structure matches the oracle, invariants intact.
-    let stats = set.stats();
-    assert_eq!(stats.ops, total_ops as u64, "{ctx}: stats.ops");
+    let oracle = &history.now;
+    assert_eq!(
+        set.metrics().counter("combine.ops"),
+        Some(writes as u64),
+        "{ctx}: combine.ops"
+    );
     let backing = Arc::try_unwrap(set)
         .unwrap_or_else(|_| panic!("{ctx}: client Arc leaked"))
         .into_inner();
@@ -286,54 +329,6 @@ fn drop_with_waiters_lifecycle() {
     }
 }
 
-/// The combiner advances `Stats` with plain single-writer load+store pairs,
-/// ordered so that `ops` is published before `rounds` (Release) and read
-/// back in the opposite order (Acquire).  That ordering is exactly what
-/// makes `ops >= rounds` and `pooled_rounds <= rounds` hold in *every*
-/// concurrent snapshot, not just quiescent ones — every committed round
-/// drained at least one op, and a snapshot that sees the round must see
-/// its ops.  Hammer the reader against four writers to catch any
-/// reordering regression in `bump_stats`.
-#[test]
-fn stats_snapshots_never_show_rounds_ahead_of_ops() {
-    let pool = Pool::new(2).unwrap();
-    let set = Arc::new(ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), pool));
-    let writers = 4usize;
-    let per_writer = 2_000u64;
-    thread::scope(|s| {
-        for w in 0..writers as u64 {
-            let set = Arc::clone(&set);
-            s.spawn(move || {
-                for i in 0..per_writer {
-                    let key = w * 100_000 + (i % 64);
-                    if i % 3 == 0 {
-                        set.remove(&key);
-                    } else {
-                        set.insert(key);
-                    }
-                }
-            });
-        }
-        let set = Arc::clone(&set);
-        s.spawn(move || {
-            for _ in 0..5_000 {
-                let st = set.stats();
-                assert!(
-                    st.ops >= st.rounds,
-                    "snapshot shows more rounds than ops: {st:?}"
-                );
-                assert!(
-                    st.pooled_rounds <= st.rounds,
-                    "snapshot shows more pooled rounds than rounds: {st:?}"
-                );
-            }
-        });
-    });
-    let st = set.stats();
-    assert_eq!(st.ops, writers as u64 * per_writer, "quiescent op total");
-    assert!(st.rounds >= 1 && st.rounds <= st.ops, "quiescent rounds");
-}
-
 /// Applies one committed round's writes to a key-set oracle (the replays
 /// below track membership only).
 fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
@@ -345,15 +340,14 @@ fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
             CombinedOp::Remove => {
                 oracle.remove(&op.key);
             }
-            CombinedOp::Contains => {}
         }
     }
 }
 
 /// Staleness-contract replay for the wait-free snapshot read path.
 ///
-/// Clients write disjoint key spaces (default options: snapshot reads
-/// *on*, plus the round log for the replay).  Three properties:
+/// Clients write disjoint key spaces (default options plus the round log
+/// for the replay).  Three properties:
 ///
 /// 1. **Read-your-writes** — immediately after an acknowledged write, a
 ///    snapshot `contains` of the same key reflects it (the combiner
@@ -380,8 +374,8 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
     let per_client = 400u64;
     let span = 97u64;
 
-    // Each client records its snapshot reads as (key, result, seq).
-    let reads: Vec<Vec<(u64, bool, u64)>> = thread::scope(|s| {
+    // Each client records its snapshot reads, exact at the snapshot's seq.
+    let reads: Vec<Vec<Read<()>>> = thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let set = Arc::clone(&set);
@@ -413,7 +407,14 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
                         );
                         last_seq = snap.seq();
                         let probe = c * 1_000_000 + ((i * 31) % span);
-                        recorded.push((probe, snap.view().contains(&probe), snap.seq()));
+                        recorded.push(Read {
+                            key: probe,
+                            answer: Answer::Present(snap.view().contains(&probe)),
+                            // This client's own acknowledged writes.
+                            acked: i + 1,
+                            lo: snap.seq(),
+                            hi: snap.seq(),
+                        });
                     }
                     recorded
                 })
@@ -422,19 +423,11 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Reads bypassed the combiner entirely: the round log holds writes
-    // only, and the op counter agrees.
+    // Reads bypassed the combiner entirely: only the writes were combined.
     let rounds = set.take_rounds();
-    assert!(
-        rounds
-            .iter()
-            .flat_map(|r| r.ops.iter())
-            .all(|op| !matches!(op.kind, CombinedOp::Contains)),
-        "snapshot reads must never enter a round"
-    );
     assert_eq!(
-        set.stats().ops,
-        clients * per_client,
+        set.metrics().counter("combine.ops"),
+        Some(clients * per_client),
         "only the writes may be combined"
     );
     assert!(
@@ -442,36 +435,14 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
         "every contains and read_snapshot must count as a snapshot read"
     );
 
-    // Property 3: replay the log; a read observed at seq s is checked
-    // against the oracle once every round with seq <= s has applied.
-    let mut events: Vec<(u64, u64, bool)> = reads
-        .iter()
-        .flatten()
-        .map(|&(key, result, seq)| (seq, key, result))
-        .collect();
-    events.sort_by_key(|&(seq, _, _)| seq);
-    let mut oracle: BTreeSet<u64> = BTreeSet::new();
-    let mut next = 0usize;
+    // Property 3: replay the log; a read observed at seq s must be the
+    // oracle's state after exactly the rounds with seq <= s.
+    let mut history: History<()> = History::new(BTreeMap::new());
     for round in &rounds {
-        while next < events.len() && events[next].0 < round.seq {
-            let (seq, key, result) = events[next];
-            assert_eq!(
-                result,
-                oracle.contains(&key),
-                "read of key {key} at snapshot seq {seq} does not match the round state"
-            );
-            next += 1;
-        }
-        apply_to_key_set(&mut oracle, round);
+        history.apply(round);
     }
-    while next < events.len() {
-        let (seq, key, result) = events[next];
-        assert_eq!(
-            result,
-            oracle.contains(&key),
-            "read of key {key} at snapshot seq {seq} does not match the final state"
-        );
-        next += 1;
+    for read in reads.iter().flatten() {
+        history.check(read, "staleness contract");
     }
 }
 
@@ -488,7 +459,7 @@ struct ValueRead {
 
 /// The committed-round replay at `V = u64`: concurrent upserts of distinct
 /// values onto *shared* keys (so clients keep overwriting each other),
-/// through the default front-end — snapshot reads on, round log on.
+/// through the default front-end with the round log on.
 ///
 /// (a) Replaying the round log reproduces every `bool`, the log's and the
 ///     clients' alike.
@@ -566,11 +537,11 @@ fn upserted_values_replay_against_the_committed_rounds() {
     // (a): sequential replay; remember each round's state and which round
     // wrote each (unique) value.
     let rounds = map.take_rounds();
-    let mut oracle: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut states: HashMap<u64, BTreeMap<u64, u64>> = HashMap::from([(0, oracle.clone())]);
+    let mut history: History<u64> = History::new(BTreeMap::new());
+    let mut states: HashMap<u64, BTreeMap<u64, u64>> = HashMap::from([(0, BTreeMap::new())]);
     let mut written: HashMap<u64, (u64, bool)> = HashMap::new();
     for round in &rounds {
-        let expect = replay_round(&mut oracle, round);
+        let expect = history.apply(round);
         for (op, expect) in round.ops.iter().zip(expect) {
             assert_eq!(op.result, expect, "round {}, op {op:?}", round.seq);
             if let Some(val) = op.val {
@@ -578,7 +549,7 @@ fn upserted_values_replay_against_the_committed_rounds() {
                 assert!(again.is_none(), "value {val:#x} was logged twice");
             }
         }
-        states.insert(round.seq, oracle.clone());
+        states.insert(round.seq, history.now.clone());
     }
     assert_eq!(
         written.len() as u64,
@@ -715,18 +686,11 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Ordered reads bypassed the combiner: the log holds writes only.
+    // Ordered reads bypassed the combiner: only the writes were combined.
     let rounds = set.take_rounds();
-    assert!(
-        rounds
-            .iter()
-            .flat_map(|r| r.ops.iter())
-            .all(|op| !matches!(op.kind, CombinedOp::Contains)),
-        "ordered reads must never enter a round"
-    );
     assert_eq!(
-        set.stats().ops,
-        clients * per_client,
+        set.metrics().counter("combine.ops"),
+        Some(clients * per_client),
         "only the writes may be combined"
     );
 
@@ -915,7 +879,7 @@ fn snapshot_keys_never_observes_a_half_applied_round() {
     );
 }
 
-/// `len` reads the published snapshot under the default options, so calling
+/// `len` reads the published snapshot, so calling
 /// it concurrently with mutating traffic must neither deadlock nor return
 /// out-of-thin-air values — and because snapshots are published in round
 /// order, a single reader must see monotonically non-decreasing lengths
@@ -948,4 +912,9 @@ fn concurrent_len_reads_stay_bounded() {
         });
     });
     assert_eq!(set.len(), writers * per_writer as usize);
+    // Quiescent, the counters are exact: every write is one op of one round.
+    let m = set.metrics();
+    let (ops, rounds) = (m.counter("combine.ops"), m.counter("combine.rounds"));
+    assert_eq!(ops, Some(writers as u64 * per_writer), "quiescent op total");
+    assert!(Some(1) <= rounds && rounds <= ops, "quiescent rounds");
 }

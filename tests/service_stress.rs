@@ -1,8 +1,8 @@
 //! Cross-shard linearizability stress suite for the sharded service tier.
 //!
 //! N point-op clients and M batch clients hammer a `service::ShardedSet`
-//! whose shards log every committed round.  Afterwards the test replays
-//! **each shard's log independently** against a `BTreeSet` oracle
+//! whose shards log every committed round — the writes.  Afterwards the
+//! test replays **each shard's log independently** against an oracle
 //! restricted to that shard's key range and demands that
 //!
 //! 1. every key a shard committed actually routes to that shard (the
@@ -11,13 +11,17 @@
 //!    of that shard's rounds — the committed order is a valid
 //!    linearisation *per shard*, which is exactly the contract the tier
 //!    documents (there is no cross-shard ordering guarantee to test),
-//! 3. the multiset of `(kind, key, result)` triples the clients observed
+//! 3. the multiset of `(kind, key, result)` triples the writers observed
 //!    (batch results flattened to per-key triples) equals the union of the
-//!    shard logs — every client op appears on exactly one shard, once,
-//!    with the result its client saw, and
+//!    shard logs — every client write appears on exactly one shard, once,
+//!    with the result its client saw,
 //! 4. each shard's final contents equal its oracle with tree invariants
 //!    intact, so the union of shard contents equals the union of the
-//!    per-shard sequential oracles.
+//!    per-shard sequential oracles, and
+//! 5. every read — point `contains`, a shard's `read_snapshot` handle, and
+//!    each key of a `batch_contains` — answered with the owning shard's
+//!    replayed state after a round it can have observed
+//!    (`common::History::check`).
 //!
 //! A separate set of tests drives a panicking backend through one shard
 //! and asserts the poison propagates to the tier: the bombing client
@@ -29,8 +33,12 @@
 
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
+
+mod common;
+use common::{write_kind, Answer, History, Read};
 
 use pbist_repro::{
     baselines::SortedArraySet,
@@ -52,16 +60,15 @@ fn to_script(ops: Vec<workloads::OpBatch>) -> BatchScript {
         .collect()
 }
 
-fn to_combined(kind: OpKind) -> CombinedOp {
-    match kind {
-        OpKind::Insert => CombinedOp::Insert,
-        OpKind::Remove => CombinedOp::Remove,
-        OpKind::Contains => CombinedOp::Contains,
-    }
+/// What a client saw from one call — a point op counts as a batch of one:
+/// the per-key results of a write, or the per-key records of a read.
+enum Seen {
+    Wrote(Vec<bool>),
+    Read(Vec<Read<()>>),
 }
 
 /// Drives point traces and batch scripts concurrently through a logged
-/// sharded tier seeded with `initial`, then runs the four checks above.
+/// sharded tier seeded with `initial`, then runs the five checks above.
 #[allow(clippy::too_many_arguments)]
 fn drive_and_verify_sharded<R>(
     ctx: &str,
@@ -90,92 +97,144 @@ fn drive_and_verify_sharded<R>(
                 Options {
                     pool_cutoff,
                     log_rounds: true,
-                    // The replay checks demand every op — contains included —
-                    // in the shard logs, so the wait-free snapshot read path
-                    // is pinned off.  The staleness-contract test below
-                    // covers the snapshot path.
-                    snapshot_reads: false,
                     ..Options::default()
                 },
             )
         })
         .collect();
-    let set = Arc::new(ShardedSet::with_options(
+    let set = ShardedSet::with_options(
         router.clone(),
         shards,
         Pool::new(tier_pool_threads).unwrap_or_else(|e| panic!("{ctx}: tier pool: {e}")),
         ShardedOptions { parallel_cutoff },
-    ));
+    );
 
-    let (point_results, batch_results): (Vec<Vec<bool>>, Vec<Vec<Vec<bool>>>) =
-        thread::scope(|s| {
-            let point_handles: Vec<_> = traces
-                .iter()
-                .map(|trace| {
-                    let set = Arc::clone(&set);
-                    s.spawn(move || {
-                        trace
-                            .iter()
-                            .map(|(kind, key)| match kind {
-                                OpKind::Insert => set.insert(*key),
-                                OpKind::Remove => set.remove(key),
-                                OpKind::Contains => set.contains(key),
-                            })
-                            .collect::<Vec<bool>>()
-                    })
+    // Writes acknowledged so far on each shard, to any client (see `common`).
+    let acked: Vec<AtomicU64> = (0..num_shards).map(|_| AtomicU64::new(0)).collect();
+    let (tier, router, acked) = (&set, &router, &acked);
+    let wrote = move |keys: &[u64], flags: Vec<bool>| {
+        for key in keys {
+            acked[router.shard_of(key)].fetch_add(1, Ordering::SeqCst);
+        }
+        Seen::Wrote(flags)
+    };
+    // A read through the tier, bracketed on every shard it can touch.
+    let read = move |keys: &[u64], call: &dyn Fn() -> Vec<bool>| {
+        let sample = |of: &dyn Fn(usize) -> u64| (0..num_shards).map(of).collect::<Vec<u64>>();
+        let seqs = |shard: usize| tier.shard(shard).committed_seq();
+        let acked = sample(&|shard| acked[shard].load(Ordering::SeqCst));
+        let (lo, flags, hi) = (sample(&seqs), call(), sample(&seqs));
+        let record = |(&key, found)| {
+            let shard = router.shard_of(&key);
+            Read {
+                key,
+                answer: Answer::Present(found),
+                acked: acked[shard],
+                lo: lo[shard],
+                hi: hi[shard],
+            }
+        };
+        Seen::Read(keys.iter().zip(flags).map(record).collect())
+    };
+    // A read through the owning shard's snapshot handle: exact at its seq.
+    let read_handle = move |key: u64| {
+        let shard = router.shard_of(&key);
+        let acked = acked[shard].load(Ordering::SeqCst);
+        let snap = tier.shard(shard).read_snapshot();
+        Seen::Read(vec![Read {
+            key,
+            answer: Answer::Present(snap.view().contains(&key)),
+            acked,
+            lo: snap.seq(),
+            hi: snap.seq(),
+        }])
+    };
+
+    let (point_results, batch_results): (Vec<Vec<Seen>>, Vec<Vec<Seen>>) = thread::scope(|s| {
+        let point_handles: Vec<_> = traces
+            .iter()
+            .map(|trace| {
+                s.spawn(move || {
+                    trace
+                        .iter()
+                        .zip(0u64..)
+                        .map(|((kind, key), step)| match kind {
+                            OpKind::Insert => wrote(&[*key], vec![tier.insert(*key)]),
+                            OpKind::Remove => wrote(&[*key], vec![tier.remove(key)]),
+                            OpKind::Contains if step % 4 == 3 => read_handle(*key),
+                            OpKind::Contains => read(&[*key], &|| vec![tier.contains(key)]),
+                        })
+                        .collect::<Vec<Seen>>()
                 })
-                .collect();
-            let batch_handles: Vec<_> = scripts
-                .iter()
-                .map(|script| {
-                    let set = Arc::clone(&set);
-                    s.spawn(move || {
-                        script
-                            .iter()
-                            .map(|(kind, batch)| match kind {
-                                OpKind::Insert => set.batch_insert(batch),
-                                OpKind::Remove => set.batch_remove(batch),
-                                OpKind::Contains => set.batch_contains(batch),
-                            })
-                            .collect::<Vec<Vec<bool>>>()
-                    })
+            })
+            .collect();
+        let batch_handles: Vec<_> = scripts
+            .iter()
+            .map(|script| {
+                s.spawn(move || {
+                    script
+                        .iter()
+                        .map(|(kind, batch)| match kind {
+                            OpKind::Insert => wrote(batch, tier.batch_insert(batch)),
+                            OpKind::Remove => wrote(batch, tier.batch_remove(batch)),
+                            OpKind::Contains => read(batch, &|| tier.batch_contains(batch)),
+                        })
+                        .collect::<Vec<Seen>>()
                 })
-                .collect();
-            (
-                point_handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect(),
-                batch_handles
-                    .into_iter()
-                    .map(|h| h.join().unwrap())
-                    .collect(),
-            )
-        });
+            })
+            .collect();
+        let join = |handles: Vec<thread::ScopedJoinHandle<'_, Vec<Seen>>>| {
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        };
+        (join(point_handles), join(batch_handles))
+    });
+
+    // Every client call with what its client saw, point ops as batches of one.
+    let results = || point_results.iter().chain(&batch_results);
+    let issued = traces
+        .iter()
+        .map(Vec::len)
+        .chain(scripts.iter().map(Vec::len));
+    for (issued, seen) in issued.zip(results()) {
+        assert_eq!(seen.len(), issued, "{ctx}: client result count");
+    }
+    let point_calls = traces
+        .iter()
+        .flatten()
+        .map(|(kind, key)| (*kind, std::slice::from_ref(key)));
+    let batch_calls = scripts
+        .iter()
+        .flatten()
+        .map(|(kind, batch)| (*kind, batch.as_slice()));
+    let calls: Vec<((OpKind, &[u64]), &Seen)> = point_calls
+        .chain(batch_calls)
+        .zip(results().flatten())
+        .collect();
 
     let shard_rounds = set.take_shard_rounds();
-    let point_ops: usize = traces.iter().map(Vec::len).sum();
-    let batch_keys: usize = scripts
+    let written: usize = calls
         .iter()
-        .flat_map(|script| script.iter().map(|(_, batch)| batch.len()))
+        .filter(|((kind, _), _)| *kind != OpKind::Contains)
+        .map(|((_, keys), _)| keys.len())
         .sum();
     assert_eq!(
         shard_rounds
             .iter()
             .flat_map(|rounds| rounds.iter().map(|r| r.ops.len()))
             .sum::<usize>(),
-        point_ops + batch_keys,
+        written,
         "{ctx}: logged op count across shards"
     );
 
     // Checks 1 + 2: per-shard routing invariant and linearisation replay.
-    let mut oracles: Vec<BTreeSet<u64>> = per_shard_initial
+    let mut histories: Vec<History<()>> = per_shard_initial
         .iter()
-        .map(|keys| keys.iter().copied().collect())
+        .map(|keys| History::new(keys.iter().map(|&k| (k, ())).collect()))
         .collect();
     for (shard, rounds) in shard_rounds.iter().enumerate() {
         for (r, round) in rounds.iter().enumerate() {
-            for op in &round.ops {
+            let expect = histories[shard].apply(round);
+            for (op, expect) in round.ops.iter().zip(expect) {
                 assert_eq!(
                     router.shard_of(&op.key),
                     shard,
@@ -183,11 +242,6 @@ fn drive_and_verify_sharded<R>(
                     op.key,
                     router.shard_of(&op.key)
                 );
-                let expect = match op.kind {
-                    CombinedOp::Insert => oracles[shard].insert(op.key),
-                    CombinedOp::Remove => oracles[shard].remove(&op.key),
-                    CombinedOp::Contains => oracles[shard].contains(&op.key),
-                };
                 assert_eq!(
                     op.result, expect,
                     "{ctx}: shard {shard}, round {r}, op {op:?}"
@@ -196,24 +250,23 @@ fn drive_and_verify_sharded<R>(
         }
     }
 
-    // Check 3: clients observed exactly the union of the shard logs.
+    // Check 3: writers observed exactly the union of the shard logs.
+    // Check 5: every read is its shard's state after a round it can have
+    // observed.
     let mut tally: HashMap<(CombinedOp, u64, bool), i64> = HashMap::new();
-    for (trace, results) in traces.iter().zip(&point_results) {
-        assert_eq!(
-            results.len(),
-            trace.len(),
-            "{ctx}: point client result count"
-        );
-        for ((kind, key), &result) in trace.iter().zip(results) {
-            *tally.entry((to_combined(*kind), *key, result)).or_insert(0) += 1;
-        }
-    }
-    for (script, results) in scripts.iter().zip(&batch_results) {
-        assert_eq!(results.len(), script.len(), "{ctx}: batch client op count");
-        for ((kind, batch), flags) in script.iter().zip(results) {
-            assert_eq!(flags.len(), batch.len(), "{ctx}: batch result width");
-            for (key, &flag) in batch.as_slice().iter().zip(flags) {
-                *tally.entry((to_combined(*kind), *key, flag)).or_insert(0) += 1;
+    for ((kind, keys), seen) in calls {
+        match seen {
+            Seen::Read(reads) => {
+                assert_eq!(reads.len(), keys.len(), "{ctx}: batch result width");
+                for read in reads {
+                    histories[router.shard_of(&read.key)].check(read, ctx);
+                }
+            }
+            Seen::Wrote(flags) => {
+                assert_eq!(flags.len(), keys.len(), "{ctx}: batch result width");
+                for (key, &flag) in keys.iter().zip(flags) {
+                    *tally.entry((write_kind(kind), *key, flag)).or_insert(0) += 1;
+                }
             }
         }
     }
@@ -231,19 +284,17 @@ fn drive_and_verify_sharded<R>(
     // Check 4: per-shard final contents match the per-shard oracles, so
     // the union of shard contents is the union of the oracles.
     assert!(!set.is_poisoned(), "{ctx}: tier poisoned by healthy run");
-    let backings = Arc::try_unwrap(set)
-        .unwrap_or_else(|_| panic!("{ctx}: client Arc leaked"))
-        .into_shards();
+    let backings = set.into_shards();
     let mut union_len = 0usize;
     for (shard, backing) in backings.into_iter().enumerate() {
         let tree = backing.into_inner();
         tree.check_invariants()
             .unwrap_or_else(|e| panic!("{ctx}: shard {shard} invariants: {e}"));
-        let oracle = &oracles[shard];
+        let oracle = &histories[shard].now;
         assert_eq!(tree.len(), oracle.len(), "{ctx}: shard {shard} final len");
         union_len += tree.len();
         if !oracle.is_empty() {
-            let present = Batch::from_unsorted(oracle.iter().copied().collect());
+            let present = Batch::from_unsorted(oracle.keys().copied().collect());
             assert!(
                 tree.batch_contains(&present).iter().all(|&hit| hit),
                 "{ctx}: shard {shard} lost an oracle key"
@@ -252,7 +303,7 @@ fn drive_and_verify_sharded<R>(
         let absent = Batch::from_unsorted(
             (0..500u64)
                 .map(|i| i * 41)
-                .filter(|k| !oracle.contains(k))
+                .filter(|k| !oracle.contains_key(k))
                 .collect(),
         );
         assert!(
@@ -262,7 +313,7 @@ fn drive_and_verify_sharded<R>(
     }
     assert_eq!(
         union_len,
-        oracles.iter().map(BTreeSet::len).sum::<usize>(),
+        histories.iter().map(|h| h.now.len()).sum::<usize>(),
         "{ctx}: union of shard contents"
     );
 }
