@@ -15,7 +15,7 @@ use std::fmt::Debug;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 
 /// A key→value map stored as two index-parallel sorted arrays.
 ///
@@ -26,9 +26,9 @@ use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
 /// beat.  Batched inserts are last-wins upserts (see the `batchapi` docs).
 #[derive(Debug, Clone, Default)]
 pub struct SortedArrayMap<K, V = ()> {
-    // `Arc`s so a clone — and with it `publish_root` — is O(1): a published
-    // snapshot shares both arrays, and updates that follow copy them out
-    // first (`Arc::make_mut`) or swap in freshly-built ones.
+    // `Arc`s so a clone — a published snapshot — is O(1): it shares both
+    // arrays, and updates that follow copy them out first
+    // (`Arc::make_mut`) or swap in freshly-built ones.
     keys: Arc<Vec<K>>,
     vals: Arc<Vec<V>>,
 }
@@ -233,20 +233,6 @@ impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
             Err(_) => false,
         }
     }
-
-    /// `O(1)`: the view is a clone of this handle, sharing both arrays;
-    /// later updates unshare them.
-    fn publish_root(&self) -> SharedView<K, V>
-    where
-        K: 'static,
-        V: 'static,
-    {
-        Arc::new(self.clone())
-    }
-
-    fn publish_clone_keys(&self) -> usize {
-        0 // publish_root shares the arrays, never copies them
-    }
 }
 
 #[cfg(test)]
@@ -345,29 +331,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_root_shares_the_array_and_stays_frozen() {
-        let mut set = SortedArraySet::from_sorted((0..1_000u64).map(|i| i * 2).collect());
-        let view = set.publish_root();
-        // O(1) publication: no copy, just a second strong reference.
-        assert_eq!(Arc::strong_count(&set.keys), 2);
-        assert!(view.contains(&4) && !view.contains(&5));
-        assert_eq!(view.len(), 1_000);
-
-        // Every mutation flavour unshares the snapshot rather than editing it.
-        assert!(set.insert_one(&5));
-        assert!(set.remove_one(&0));
-        set.batch_insert(&Batch::from_unsorted(vec![7u64, 9]));
-        set.batch_remove(&Batch::from_unsorted(vec![2u64]));
-        let mut out = Vec::new();
-        set.batch_insert_report(&Batch::from_unsorted(vec![11u64]), &mut out);
-        set.batch_remove_report(&Batch::from_unsorted(vec![4u64]), &mut out);
-        assert!(!view.contains(&5), "snapshot saw a later insert");
-        assert!(view.contains(&0), "snapshot saw a later remove");
-        assert_eq!(view.len(), 1_000);
-        assert!(set.contains(&11) && !set.contains(&4));
-    }
-
-    #[test]
     fn batch_ops_work_inside_a_pool() {
         let mut set = SortedArraySet::from_unsorted((0..10_000u64).map(|i| i * 3).collect());
         let batch = Batch::from_unsorted((0..50_000u64).map(|i| i % 20_000).collect());
@@ -392,7 +355,6 @@ mod tests {
     #[test]
     fn set_range_overrides_match_defaults() {
         let set = SortedArraySet::from_sorted((0..1_000u64).map(|i| i * 2).collect());
-        assert_eq!(set.publish_clone_keys(), 0);
         assert_eq!(
             set.range_keys(Bound::Included(&10), Bound::Excluded(&20)),
             vec![10, 12, 14, 16, 18]
@@ -461,8 +423,22 @@ mod tests {
     fn map_clone_is_a_snapshot() {
         let mut map = SortedArrayMap::from_unsorted_entries((0..100u64).map(|i| (i, i)).collect());
         let frozen = map.clone();
+        // O(1): no copy, just a second strong reference to each array.
+        assert_eq!(Arc::strong_count(&map.keys), 2);
+
+        // Every mutation flavour unshares the clone rather than editing it.
         map.batch_insert(&KvBatch::from_unsorted_entries(vec![(7u64, 700u64)]));
+        assert!(map.upsert_one(&200, &2));
+        assert!(map.remove_one(&0));
+        map.batch_remove(&Batch::from_unsorted(vec![2u64]));
+        let mut out = Vec::new();
+        map.batch_insert_report(&KvBatch::from_unsorted_entries(vec![(300, 3)]), &mut out);
+        map.batch_remove_report(&Batch::from_unsorted(vec![4u64]), &mut out);
         assert_eq!(map.get(&7), Some(700));
+        assert!(map.contains(&300) && !map.contains(&4));
         assert_eq!(frozen.get(&7), Some(7), "clone saw a later upsert");
+        assert!(!frozen.contains(&200), "clone saw a later insert");
+        assert!(frozen.contains(&0), "clone saw a later remove");
+        assert_eq!(frozen.len(), 100);
     }
 }

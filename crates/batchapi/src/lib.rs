@@ -16,15 +16,16 @@
 //! * [`MapView`] — the read half: point `get`/`contains`, `rank`,
 //!   `min`/`max`, batched lookups, `collect_*`, and the five ordered queries
 //!   (`range_*`, `range_count`, `kth`, `predecessor`, `successor`) with
-//!   their [`bounds_to_rank_interval`] defaults written once.  It is
-//!   object-safe: a published snapshot is a [`SharedView`], an
-//!   `Arc<dyn MapView>` a concurrent front-end swaps atomically so lookups
-//!   run wait-free against the last published root.
+//!   their [`bounds_to_rank_interval`] defaults written once.
 //! * [`BatchedMap`] — the backend trait: `MapView` plus the batched and
-//!   point mutators and [`BatchedMap::publish_root`].  The interpolation
-//!   search tree (`pbist::IstMap`), the flat sorted array
-//!   (`baselines::SortedArrayMap`) and any future backend implement it, so
-//!   harnesses and tests drive them through one interface.
+//!   point mutators.  The interpolation search tree (`pbist::IstMap`), the
+//!   flat sorted array (`baselines::SortedArrayMap`) and any future backend
+//!   implement it, so harnesses and tests drive them through one interface.
+//!   There is no publication method: a snapshot of a backend is a
+//!   **`clone()`** of it, which a concurrent front-end (`combine`) takes
+//!   after every round and serves wait-free reads from — so a backend meant
+//!   to sit behind one makes `Clone` cheap (both real backends share their
+//!   storage through `Arc`s and copy on write).
 //! * [`BatchedSet`] — a blanket façade over every `BatchedMap<K, ()>` that
 //!   adds only the one method whose *spelling* differs for sets
 //!   (`insert_one(&key)`); everything else a set does is already a
@@ -52,7 +53,6 @@
 
 use std::fmt;
 use std::ops::{Bound, Deref};
-use std::sync::Arc;
 
 /// A sorted batch of key/value pairs with strictly-increasing (hence
 /// deduplicated) keys.
@@ -468,16 +468,12 @@ impl KeyCodec for () {
     fn decode(_buf: &[u8]) {}
 }
 
-/// An immutable, shareable [`MapView`]: what [`BatchedMap::publish_root`]
-/// hands a concurrent front-end to serve wait-free reads from.
-pub type SharedView<K, V = ()> = Arc<dyn MapView<K, V> + Send + Sync>;
-
 /// The read half of an ordered key→value store: everything that can be
 /// asked of its contents at one linearisation point.
 ///
-/// Implemented by every live backend (as the supertrait of [`BatchedMap`])
-/// *and* by the frozen snapshots they publish ([`SharedView`]), so a query
-/// is written once and runs against either.  Batched lookups answer **per
+/// Implemented by every backend (as the supertrait of [`BatchedMap`]), and
+/// a published snapshot is a clone of the backend, so a query is written
+/// once and runs against either.  Batched lookups answer **per
 /// batch element, in batch (sorted) order**, and are expected to exploit a
 /// surrounding `forkjoin::Pool` when one is installed.
 ///
@@ -647,8 +643,8 @@ pub trait MapView<K, V = ()> {
 }
 
 /// An ordered key→value store driven by sorted operation batches: the
-/// workspace's one backend interface ([`MapView`] plus mutation and
-/// snapshot publication).  A set is a `BatchedMap<K, ()>`.
+/// workspace's one backend interface ([`MapView`] plus mutation).  A set is
+/// a `BatchedMap<K, ()>`.
 ///
 /// Mutations arrive as sorted, deduplicated batches ([`KvBatch`] for
 /// upserts — which for a set *is* a [`Batch`] — and [`Batch`] for removals)
@@ -704,48 +700,6 @@ pub trait BatchedMap<K, V = ()>: MapView<K, V> {
     {
         self.batch_remove(&Batch::from_unsorted(vec![key.clone()]))[0]
     }
-
-    /// Publishes an immutable view of the current contents, for a
-    /// concurrent front-end to serve wait-free reads from.
-    ///
-    /// The view must answer every [`MapView`] query exactly as the store
-    /// would at the moment of the call, and must stay valid (and unchanged)
-    /// while later mutations run — i.e. mutations must be copy-on-write
-    /// with respect to any outstanding view.  Backends whose update paths
-    /// already produce fresh nodes (`pbist` path-copies on update and
-    /// rebuilds drifted subtrees wholesale) publish in `O(1)` by handing
-    /// out their current root; the default clones the full contents into a
-    /// [`SortedVecView`], which is correct for any backend but `O(n)` per
-    /// publication.
-    ///
-    /// **Override requirement**: a combining front-end calls this after
-    /// *every mutating round*, so the default turns each round into a full
-    /// scan — fine for toy backends and tests, a performance bug in
-    /// production.  Any backend meant to sit behind `combine` should
-    /// override `publish_root` with a structural share **and** override
-    /// [`BatchedMap::publish_clone_keys`] to return `0` so the front-end's
-    /// `combine.publish_clone_keys` counter stays silent.
-    fn publish_root(&self) -> SharedView<K, V>
-    where
-        K: Ord + Clone + Send + Sync + 'static,
-        V: Clone + Send + Sync + 'static,
-    {
-        let (keys, vals) = self.collect_entries();
-        Arc::new(SortedVecView::new(keys, vals))
-    }
-
-    /// Number of keys [`BatchedMap::publish_root`] copies to build its view
-    /// — the per-publication cost a combining front-end pays after every
-    /// mutating round.  The default (`len()`) matches the default
-    /// `publish_root`, which clones the full contents; backends that
-    /// publish by structural sharing must override this to return `0`.
-    /// The flat-combining front-end feeds this into its
-    /// `combine.publish_clone_keys` counter, so an accidental O(n)-per-round
-    /// publication is visible in telemetry rather than silently tanking
-    /// write throughput.
-    fn publish_clone_keys(&self) -> usize {
-        self.len()
-    }
 }
 
 /// The set spelling of [`BatchedMap`]: implemented for every
@@ -765,78 +719,6 @@ pub trait BatchedSet<K>: BatchedMap<K, ()> {
 }
 
 impl<K, T: BatchedMap<K, ()> + ?Sized> BatchedSet<K> for T {}
-
-/// The fallback [`MapView`]: two index-parallel sorted arrays, queried by
-/// binary search.  [`BatchedMap::publish_root`]'s default implementation
-/// collects the store's contents into one of these.
-pub struct SortedVecView<K, V = ()> {
-    keys: Vec<K>,
-    vals: Vec<V>,
-}
-
-impl<K: Ord, V> SortedVecView<K, V> {
-    /// Wraps sorted, deduplicated keys and their index-parallel values
-    /// (checked with `debug_assert!`s).
-    pub fn new(keys: Vec<K>, vals: Vec<V>) -> SortedVecView<K, V> {
-        debug_assert!(
-            keys.windows(2).all(|w| w[0] < w[1]),
-            "keys must be strictly increasing"
-        );
-        debug_assert_eq!(keys.len(), vals.len(), "one value per key");
-        SortedVecView { keys, vals }
-    }
-}
-
-impl<K: Ord + Clone, V: Clone> MapView<K, V> for SortedVecView<K, V> {
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-
-    fn get(&self, key: &K) -> Option<V> {
-        let pos = self.keys.binary_search(key).ok()?;
-        Some(self.vals[pos].clone())
-    }
-
-    fn contains(&self, key: &K) -> bool {
-        self.keys.binary_search(key).is_ok()
-    }
-
-    fn rank(&self, key: &K) -> usize {
-        self.keys.partition_point(|k| k < key)
-    }
-
-    fn min(&self) -> Option<&K> {
-        self.keys.first()
-    }
-
-    fn max(&self) -> Option<&K> {
-        self.keys.last()
-    }
-
-    fn collect_entries(&self) -> (Vec<K>, Vec<V>) {
-        (self.keys.clone(), self.vals.clone())
-    }
-
-    // Ordered queries on sorted arrays are direct slice operations —
-    // `O(log n)` to locate plus the output copy, no full materialisation.
-
-    fn range_entries(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<(K, V)> {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        let pairs = self.keys[start..end].iter().zip(&self.vals[start..end]);
-        pairs.map(|(k, v)| (k.clone(), v.clone())).collect()
-    }
-
-    fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
-        let (start, end) =
-            bounds_to_rank_interval(self.len(), lo, hi, |k| self.rank(k), |k| self.contains(k));
-        self.keys[start..end].to_vec()
-    }
-
-    fn kth_entry(&self, k: usize) -> Option<(K, V)> {
-        Some((self.keys.get(k)?.clone(), self.vals[k].clone()))
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -1126,37 +1008,6 @@ mod tests {
     }
 
     #[test]
-    fn default_publish_root_freezes_the_contents() {
-        let mut set = toy_set(&[2, 4, 6]);
-        let view = set.publish_root();
-        assert_eq!(view.len(), 3);
-        assert!(!view.is_empty());
-        assert!(view.contains(&4) && !view.contains(&5));
-        assert_eq!(view.rank(&5), 2);
-        assert_eq!(view.min(), Some(&2));
-        assert_eq!(view.max(), Some(&6));
-        assert_eq!(
-            view.batch_contains(&Batch::from_unsorted(vec![1, 2, 6])),
-            vec![false, true, true]
-        );
-        // Mutations after a publication must not reach the frozen view.
-        set.insert_one(&5);
-        assert!(!view.contains(&5), "published views are immutable");
-        assert_eq!(view.collect_keys(), vec![2, 4, 6]);
-        let fresh = set.publish_root();
-        assert!(fresh.contains(&5));
-        let mut out = vec![true; 8]; // stale contents must be cleared
-        fresh.batch_contains_report(&Batch::empty(), &mut out);
-        assert!(out.is_empty());
-        // publish_clone_keys: the O(n) default reports exactly its length.
-        assert_eq!(set.publish_clone_keys(), 4);
-        // Empty views answer like empty stores.
-        let empty = toy_set(&[]).publish_root();
-        assert!(empty.is_empty());
-        assert_eq!((empty.min(), empty.max()), (None, None));
-    }
-
-    #[test]
     fn default_allocating_variants_match_report_ones() {
         let mut set = toy_set(&[2, 4, 6]);
         let batch = Batch::from_unsorted(vec![1u64, 2, 6, 9]);
@@ -1182,7 +1033,7 @@ mod tests {
     }
 
     /// The ordered-query defaults, driven through `Toy` (which overrides
-    /// none of them) and its published view, against a `BTreeSet` oracle.
+    /// none of them), against a `BTreeSet` oracle.
     #[test]
     fn default_ordered_queries_match_btreeset() {
         use std::collections::BTreeSet;
@@ -1217,16 +1068,6 @@ mod tests {
         assert_eq!(set.successor(&195), None);
         assert_eq!(set.successor(&194), Some(195));
         assert_eq!(set.successor(&25), Some(30));
-        // The published view answers through its slice overrides.
-        let view = set.publish_root();
-        assert_eq!(
-            view.range_keys(Included(&25), Excluded(&150)),
-            set.range_keys(Included(&25), Excluded(&150))
-        );
-        assert_eq!(view.range_count(Unbounded, Unbounded), 40);
-        assert_eq!(view.kth(5), Some(25));
-        assert_eq!(view.predecessor(&25), Some(20));
-        assert_eq!(view.successor(&25), Some(30));
     }
 
     #[test]
@@ -1250,23 +1091,21 @@ mod tests {
         );
         assert_eq!(map.len(), 3);
         assert!(!map.is_empty());
-        for view in [&map as &dyn MapView<u64, char>, &*map.publish_root()] {
-            assert_eq!(
-                view.range_entries(Included(&1), Excluded(&9)),
-                vec![(1, 'b'), (3, 'z')]
-            );
-            assert_eq!(view.range_keys(Unbounded, Unbounded), vec![1, 3, 9]);
-            assert_eq!(view.range_count(Excluded(&1), Unbounded), 2);
-            assert_eq!(view.kth_entry(0), Some((1, 'b')));
-            assert_eq!(view.kth_entry(3), None);
-            assert_eq!(view.kth(2), Some(9));
-            assert_eq!(view.predecessor(&3), Some(1));
-            assert_eq!(view.predecessor(&1), None);
-            assert_eq!(view.successor(&3), Some(9));
-            assert_eq!(view.successor(&9), None);
-            assert_eq!(view.get(&9), Some('q'));
-            assert!(view.contains(&9) && !view.contains(&2));
-        }
+        assert_eq!(
+            map.range_entries(Included(&1), Excluded(&9)),
+            vec![(1, 'b'), (3, 'z')]
+        );
+        assert_eq!(map.range_keys(Unbounded, Unbounded), vec![1, 3, 9]);
+        assert_eq!(map.range_count(Excluded(&1), Unbounded), 2);
+        assert_eq!(map.kth_entry(0), Some((1, 'b')));
+        assert_eq!(map.kth_entry(3), None);
+        assert_eq!(map.kth(2), Some(9));
+        assert_eq!(map.predecessor(&3), Some(1));
+        assert_eq!(map.predecessor(&1), None);
+        assert_eq!(map.successor(&3), Some(9));
+        assert_eq!(map.successor(&9), None);
+        assert_eq!(map.get(&9), Some('q'));
+        assert!(map.contains(&9) && !map.contains(&2));
         let gone = map.batch_remove(&Batch::from_unsorted(vec![1, 5]));
         assert_eq!(gone, vec![true, false]);
         assert_eq!(map.collect_entries(), (vec![3, 9], vec!['z', 'q']));

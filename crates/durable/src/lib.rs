@@ -12,13 +12,18 @@
 //!
 //! # The protocol
 //!
-//! * **Append.**  Every operation, after completing in memory, *publishes*:
+//! * **Append.**  Every write, after completing in memory, *publishes*:
 //!   it takes the wal lock, drains all committed-but-unappended rounds
 //!   (its own round among them — the combiner logs a round before
 //!   releasing any of its clients), strips ops whose replay could
 //!   not change state (see *What is logged*), and appends the remainder as
 //!   records.  The wal lock makes append order
 //!   equal commit order, so the log *is* the linearisation.
+//! * **Read.**  Reads never touch the WAL: they are the front-end's
+//!   wait-free snapshot reads and take no lock, so they never queue behind
+//!   another client's append or fsync.  They fail only on a wedged store
+//!   (below).  Every writer drains its own round, so no round waits on a
+//!   reader to reach the log.
 //! * **Group commit.**  Records accumulate until
 //!   [`DurableOptions::group_commit`] of them are pending, then one
 //!   `fsync` covers them all.  `group_commit: 1` fsyncs on every mutation
@@ -115,6 +120,7 @@ mod snapshot;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
@@ -172,11 +178,6 @@ struct Wal {
     since_snapshot: u64,
     /// Encode scratch, reused across appends.
     buf: Vec<u8>,
-    /// Set when an I/O error left the on-disk log in an unknown state;
-    /// every later durability call refuses, because appending past a
-    /// possibly-partial record would corrupt the log.  The in-memory set
-    /// keeps working; reopening the directory recovers the durable prefix.
-    wedged: bool,
 }
 
 impl Wal {
@@ -232,19 +233,28 @@ impl Metrics {
 /// checkpointed by snapshots, and recovered by [`DurableMap::open`].  See
 /// the crate docs for the protocol and the crash-consistency contract.
 ///
-/// Operations return `io::Result`: besides its own round, each call may
+/// Operations return `io::Result`: besides its own round, each write may
 /// drain and append *other* clients' rounds and trip the group-commit
 /// fsync, any of which can fail.  After an error the instance is
-/// *wedged* — later calls fail fast — and reopening the directory
-/// recovers everything durable up to that point.
+/// *wedged* — later calls, reads included, fail fast — and reopening the
+/// directory recovers everything durable up to that point.  Reads never
+/// touch the WAL; they fail only on a wedged store.
 pub struct DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
     V: Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, V> + Send,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
 {
     inner: ConcurrentMap<K, V, S>,
     wal: Mutex<Wal>,
+    /// Set when an I/O error left the on-disk log in an unknown state;
+    /// every later call refuses, because appending past a possibly-partial
+    /// record would corrupt the log (and a read would answer from a history
+    /// whose durable tail is unknown).  Stored (`Release`) under the wal
+    /// lock by the call that failed; loaded (`Acquire`) by every call,
+    /// the reads without the lock.  Reopening the directory recovers the
+    /// durable prefix.
+    wedged: AtomicBool,
     dir: PathBuf,
     group_commit: u64,
     snapshot_every: u64,
@@ -260,7 +270,7 @@ pub type DurableSet<K, S> = DurableMap<K, (), S>;
 impl<K, S> DurableSet<K, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, ()> + Send,
+    S: BatchedMap<K, ()> + Clone + Send + Sync,
 {
     /// Inserts `key`; `Ok(true)` iff it was newly inserted — the set
     /// spelling of [`DurableMap::upsert`].
@@ -273,7 +283,7 @@ impl<K, V, S> DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
     V: Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, V> + Send,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
 {
     /// Opens (creating if absent) the durable store rooted at `dir`,
     /// recovering any existing history: load the manifest's snapshot,
@@ -419,8 +429,8 @@ where
                 pending: 0,
                 since_snapshot: 0,
                 buf: Vec::new(),
-                wedged: false,
             }),
+            wedged: AtomicBool::new(false),
             dir,
             group_commit: options.group_commit.max(1),
             snapshot_every: options.snapshot_every,
@@ -447,21 +457,19 @@ where
         Ok(result)
     }
 
-    /// Membership test.  Reads change nothing, but the call still
-    /// publishes: it may drain and append *other* clients' committed
-    /// rounds, which is why it, too, can fail.
+    /// Membership test: the front-end's wait-free snapshot read.  Reads
+    /// never touch the WAL (no lock, no drain, no fsync); they fail only on
+    /// a wedged store.
     pub fn contains(&self, key: &K) -> io::Result<bool> {
-        let result = self.inner.contains(key);
-        self.publish()?;
-        Ok(result)
+        self.check_wedged()?;
+        Ok(self.inner.contains(key))
     }
 
-    /// The value stored under `key`, if any (publishes, like
+    /// The value stored under `key`, if any (a read, like
     /// [`DurableMap::contains`]).
     pub fn get(&self, key: &K) -> io::Result<Option<V>> {
-        let result = self.inner.get(key);
-        self.publish()?;
-        Ok(result)
+        self.check_wedged()?;
+        Ok(self.inner.get(key))
     }
 
     /// Batch upsert; one combining round, one WAL record.
@@ -478,26 +486,24 @@ where
         Ok(result)
     }
 
-    /// Batch membership test (publishes, like [`DurableMap::contains`]).
+    /// Batch membership test (a read, like [`DurableMap::contains`]).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        let result = self.inner.batch_contains(batch);
-        self.publish()?;
-        Ok(result)
+        self.check_wedged()?;
+        Ok(self.inner.batch_contains(batch))
     }
 
-    /// Batch value lookup (publishes, like [`DurableMap::contains`]).
+    /// Batch value lookup (a read, like [`DurableMap::contains`]).
     pub fn batch_get(&self, batch: &Batch<K>) -> io::Result<Vec<Option<V>>> {
-        let result = self.inner.batch_get(batch);
-        self.publish()?;
-        Ok(result)
+        self.check_wedged()?;
+        Ok(self.inner.batch_get(batch))
     }
 
-    /// Number of keys in the store (in memory; does not publish).
+    /// Number of keys in the store (in memory; never fails).
     pub fn len(&self) -> usize {
         self.inner.len()
     }
 
-    /// Whether the store is empty (in memory; does not publish).
+    /// Whether the store is empty (in memory; never fails).
     pub fn is_empty(&self) -> bool {
         self.inner.is_empty()
     }
@@ -550,7 +556,7 @@ where
         self.sync().map(|_| ())
     }
 
-    /// The post-op durability step: under the wal lock, drain every
+    /// The post-write durability step: under the wal lock, drain every
     /// committed round, append the mutations, and run group commit and
     /// the snapshot policy.  See the crate docs' protocol section.
     fn publish(&self) -> io::Result<()> {
@@ -566,18 +572,24 @@ where
         })
     }
 
-    /// Runs `f` under the wal lock with wedge bookkeeping: refuse if a
-    /// previous call failed, wedge if this one does.
-    fn with_wal<T>(&self, f: impl FnOnce(&Self, &mut Wal) -> io::Result<T>) -> io::Result<T> {
-        let mut wal = self.wal.lock().unwrap();
-        if wal.wedged {
+    /// Refuses when an earlier call wedged the store.
+    fn check_wedged(&self) -> io::Result<()> {
+        if self.wedged.load(Ordering::Acquire) {
             return Err(io::Error::other(
                 "durable store wedged by an earlier I/O error; reopen the directory to recover",
             ));
         }
+        Ok(())
+    }
+
+    /// Runs `f` under the wal lock with wedge bookkeeping: refuse if a
+    /// previous call failed, wedge if this one does.
+    fn with_wal<T>(&self, f: impl FnOnce(&Self, &mut Wal) -> io::Result<T>) -> io::Result<T> {
+        let mut wal = self.wal.lock().unwrap();
+        self.check_wedged()?;
         let result = f(self, &mut wal);
         if result.is_err() {
-            wal.wedged = true;
+            self.wedged.store(true, Ordering::Release);
         }
         result
     }
@@ -695,14 +707,14 @@ impl<K, V, S> Drop for DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
     V: Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, V> + Send,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
 {
     fn drop(&mut self) {
         // Best-effort final drain + fsync; `close()` is the error-
         // reporting path.  Skip when wedged (appending could corrupt) or
         // when the wal mutex is poisoned by a panicking thread.
         let Ok(mut wal) = self.wal.lock() else { return };
-        if wal.wedged || self.inner.is_poisoned() {
+        if self.wedged.load(Ordering::Acquire) || self.inner.is_poisoned() {
             return;
         }
         let _ = self
@@ -1158,6 +1170,94 @@ mod tests {
         assert_eq!(map.get(&1).unwrap(), Some(100));
         drop(map);
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The four reads, each of which must succeed (or fail) as one.
+    fn all_reads(store: &Store<u64, u64>) -> io::Result<()> {
+        let batch = Batch::from_unsorted(vec![1, 2]);
+        assert!(store.contains(&1)?);
+        assert_eq!(store.get(&1)?, Some(10));
+        assert_eq!(store.batch_contains(&batch)?, vec![true, false]);
+        assert_eq!(store.batch_get(&batch)?, vec![Some(10), None]);
+        Ok(())
+    }
+
+    /// Reads never touch the WAL: with the wal lock held by this thread —
+    /// another client's append or fsync in progress — a second thread's
+    /// reads must still return.  (They used to publish, and queued here.)
+    #[test]
+    fn reads_return_while_the_wal_lock_is_held() {
+        let dir = scratch_dir("readlock");
+        let store = Arc::new(open::<u64>(&dir, DurableOptions::default()));
+        store.upsert(1, 10).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let wal = store.wal.lock().unwrap();
+        let reader = {
+            let store = Arc::clone(&store);
+            thread::spawn(move || tx.send(all_reads(&store)).unwrap())
+        };
+        let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+        drop(wal);
+        reader.join().unwrap();
+        answered
+            .expect("reads blocked on the wal lock")
+            .expect("reads of a healthy store succeed");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_wedged_store_fails_reads_fast() {
+        let dir = scratch_dir("wedged");
+        let store = open::<u64>(&dir, DurableOptions::default());
+        store.upsert(1, 10).unwrap();
+        all_reads(&store).unwrap();
+        // A real I/O failure: with its directory gone the snapshot cannot
+        // be written, and the failed call wedges the store.
+        std::fs::remove_dir_all(&dir).unwrap();
+        store.snapshot().unwrap_err();
+        let err = all_reads(&store).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        let err = store.upsert(2, 20).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert_eq!(store.len(), 2, "the write itself still ran in memory");
+    }
+
+    /// Reads leave the WAL alone: the same write trace appends the same
+    /// records and bytes and trips the same fsyncs with reads interleaved
+    /// as without.
+    #[test]
+    fn interleaved_reads_leave_record_and_fsync_counts_unchanged() {
+        let run = |with_reads: bool| {
+            let dir = scratch_dir("readmix");
+            let store = open::<u64>(
+                &dir,
+                DurableOptions {
+                    group_commit: 8,
+                    ..DurableOptions::default()
+                },
+            );
+            store.upsert(1, 10).unwrap();
+            for i in 0..100u64 {
+                let key = i % 23 + 3;
+                if i % 3 == 2 {
+                    store.remove(&key).unwrap();
+                } else {
+                    store.upsert(key, i).unwrap();
+                }
+                if with_reads {
+                    all_reads(&store).unwrap();
+                }
+            }
+            let m = store.metrics();
+            drop(store);
+            std::fs::remove_dir_all(&dir).unwrap();
+            ["records_appended", "bytes_written", "fsyncs"]
+                .map(|name| m.counter(&format!("durable.{name}")).unwrap())
+        };
+        let quiet = run(false);
+        assert!(quiet[0] > 50 && quiet[2] > 5, "{quiet:?}");
+        assert_eq!(run(true), quiet);
     }
 
     /// A file too short to hold a header is what a crash during segment

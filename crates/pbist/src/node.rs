@@ -6,11 +6,11 @@
 //! keys separating its children plus the bounds of its key range, which is
 //! what the interpolation step needs.
 //!
-//! Children are held behind `Arc` so a published read snapshot
-//! ([`batchapi::SharedView`], via `IstMap::publish_root`) shares the tree
-//! structurally: updates copy-on-write exactly the root-to-leaf path they
-//! edit (`Arc::make_mut` clones a node only while a snapshot still
-//! references it), leaving every outstanding snapshot untouched.
+//! Children are held behind `Arc` so a published read snapshot (a clone of
+//! the `IstMap` handle) shares the tree structurally: updates copy-on-write
+//! exactly the root-to-leaf path they edit (`Arc::make_mut` clones a node
+//! only while a snapshot still references it), leaving every outstanding
+//! snapshot untouched.
 
 use std::sync::Arc;
 

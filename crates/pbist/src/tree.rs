@@ -5,7 +5,7 @@
 use std::ops::Bound;
 use std::sync::Arc;
 
-use batchapi::{Batch, BatchedMap, KvBatch, MapView, SharedView};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
@@ -39,9 +39,10 @@ use crate::{range, traverse, update};
 /// ```
 #[derive(Debug, Clone)]
 pub struct IstMap<K, V = ()> {
-    /// `Arc` so [`BatchedMap::publish_root`] can hand out the whole tree in
-    /// `O(1)`; updates go through `Arc::make_mut`, path-copying exactly the
-    /// nodes a published snapshot still shares.
+    /// `Arc` so a clone — a published snapshot — is `O(1)`: the root `Arc`
+    /// plus the metrics plumbing (reads served from it keep counting nodes
+    /// touched).  Updates go through `Arc::make_mut`, path-copying exactly
+    /// the nodes a clone still shares.
     root: Option<Arc<Node<K, V>>>,
     /// Gates metric recording; the recursion carries `None` when disabled,
     /// so the default configuration pays one branch per instrumented site.
@@ -373,22 +374,6 @@ where
             self.root = None;
         }
         removed
-    }
-
-    /// `O(1)`: the snapshot is a clone of this handle — the root `Arc` plus
-    /// the metrics plumbing, so reads served from it keep counting nodes
-    /// touched.  Updates after this call copy-on-write around the shared
-    /// nodes.
-    fn publish_root(&self) -> SharedView<K, V>
-    where
-        K: 'static,
-        V: 'static,
-    {
-        Arc::new(self.clone())
-    }
-
-    fn publish_clone_keys(&self) -> usize {
-        0 // publish_root clones one `Arc`, never the contents
     }
 }
 
@@ -786,47 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn publish_root_shares_structure_and_stays_frozen() {
-        let mut set = IstSet::from_sorted((0..10_000u64).map(|i| i * 2).collect());
-        let view = set.publish_root();
-        assert_eq!(view.len(), 10_000);
-        assert!(view.contains(&4) && !view.contains(&5));
-        assert_eq!(view.rank(&10), 5);
-        assert_eq!(view.min(), Some(&0));
-        assert_eq!(view.max(), Some(&19_998));
-
-        // Point and batched updates after publication copy-on-write: the
-        // live tree moves on, the snapshot does not.
-        assert!(set.insert_one(&5));
-        set.batch_insert(&Batch::from_unsorted(
-            (0..500u64).map(|i| i * 2 + 7).collect(),
-        ));
-        set.check_invariants().unwrap();
-        assert!(set.contains(&5));
-        assert!(!view.contains(&5), "snapshot saw a later insert");
-        assert_eq!(view.len(), 10_000, "snapshot length drifted");
-        assert_eq!(view.collect_keys().len(), 10_000);
-
-        // A fresh publication sees the new state; batch queries agree with
-        // the live tree on both the joint-traversal and point paths.
-        let fresh = set.publish_root();
-        assert!(fresh.contains(&5));
-        for batch_len in [4u64, 3_000] {
-            let probes = Batch::from_unsorted((0..batch_len).map(|i| i * 3).collect());
-            assert_eq!(fresh.batch_contains(&probes), set.batch_contains(&probes));
-        }
-
-        // Empty-set views answer like empty sets.
-        let empty: IstSet<u64> = IstSet::from_sorted(Vec::new());
-        let view = empty.publish_root();
-        assert!(view.is_empty());
-        assert!(!view.contains(&1));
-        assert_eq!(view.rank(&1), 0);
-        assert_eq!(view.min(), None);
-        assert!(view.collect_keys().is_empty());
-    }
-
-    #[test]
     fn metrics_disabled_by_default() {
         let mut set = IstSet::from_sorted((0..50_000u64).collect());
         assert!(set.contains(&7));
@@ -1102,10 +1046,39 @@ mod tests {
 
     #[test]
     fn clone_is_snapshot_via_cow() {
-        let mut map = IstMap::from_sorted_entries((0..10_000u64).map(|i| (i, i)).collect());
+        let mut map = IstMap::from_sorted_entries((0..10_000u64).map(|i| (i * 2, i)).collect());
         let frozen = map.clone();
-        map.batch_insert(&KvBatch::from_unsorted_entries(vec![(3, 999u64)]));
-        assert_eq!(map.get(&3), Some(999));
-        assert_eq!(frozen.get(&3), Some(3), "clone saw a later upsert");
+
+        // Batched and point updates after the clone copy-on-write: the
+        // live tree moves on, the clone does not.
+        map.batch_insert(&KvBatch::from_unsorted_entries(vec![(6, 999u64)]));
+        assert!(map.upsert_one(&5, &55));
+        assert!(map.remove_one(&0));
+        map.batch_insert(&KvBatch::from_unsorted_entries(
+            (0..500u64).map(|i| (i * 2 + 7, i)).collect(),
+        ));
+        map.check_invariants().unwrap();
+        assert_eq!(map.get(&6), Some(999));
+        assert_eq!(frozen.get(&6), Some(3), "clone saw a later upsert");
+        assert!(!frozen.contains(&5), "clone saw a later insert");
+        assert_eq!(frozen.min(), Some(&0), "clone saw a later remove");
+        assert_eq!(frozen.len(), 10_000, "clone length drifted");
+        assert_eq!(frozen.rank(&10), 5);
+        assert_eq!(frozen.collect_keys().len(), 10_000);
+
+        // A fresh clone sees the new state; batch queries agree with the
+        // live tree on both the joint-traversal and point paths.
+        let fresh = map.clone();
+        assert_eq!(fresh.get(&5), Some(55));
+        for batch_len in [4u64, 3_000] {
+            let probes = Batch::from_unsorted((0..batch_len).map(|i| i * 3).collect());
+            assert_eq!(fresh.batch_contains(&probes), map.batch_contains(&probes));
+        }
+
+        // A clone of the empty tree answers like an empty tree.
+        let empty: IstSet<u64> = IstSet::from_sorted(Vec::new()).clone();
+        assert!(empty.is_empty() && !empty.contains(&1));
+        assert_eq!((empty.rank(&1), empty.min()), (0, None));
+        assert!(empty.collect_keys().is_empty());
     }
 }

@@ -48,7 +48,7 @@ const TIER_MAGIC: &str = "pbtier-v1";
 pub struct DurableTier<K, S, R>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
+    S: BatchedSet<K> + Clone + Send + Sync,
 {
     router: R,
     shards: Vec<DurableSet<K, S>>,
@@ -56,6 +56,11 @@ where
 }
 
 /// Reads or creates the `TIER` manifest, enforcing a stable shard count.
+///
+/// A missing manifest beside existing `shard-*` directories is what a crash
+/// right after the first open can leave (or an operator's `rm`): the shard
+/// directories are then the record of the count, and only a router that
+/// partitions that many ways may recreate the manifest.
 fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
     let path = dir.join("TIER");
     match std::fs::File::open(&path) {
@@ -89,9 +94,31 @@ fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
             Ok(())
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
+            let mut existing = 0;
+            for entry in std::fs::read_dir(dir)? {
+                let name = entry?.file_name();
+                existing += name.to_string_lossy().starts_with("shard-") as usize;
+            }
+            if existing != 0 && existing != num_shards {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "tier at {} has no manifest but {existing} shard directories, and \
+                         the router partitions {num_shards} ways; resharding needs an \
+                         explicit migration",
+                        dir.display()
+                    ),
+                ));
+            }
             let mut file = std::fs::File::create(&path)?;
             write!(file, "{TIER_MAGIC}\n{num_shards}\n")?;
-            file.sync_all()
+            file.sync_all()?;
+            // The file's *name* is a directory entry: without this the
+            // fsynced manifest can be lost to a crash while the shard
+            // directories created after it survive.
+            #[cfg(unix)]
+            std::fs::File::open(dir)?.sync_all()?;
+            Ok(())
         }
         Err(e) => Err(e),
     }
@@ -100,7 +127,7 @@ fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
 impl<K, S, R> DurableTier<K, S, R>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Send,
+    S: BatchedSet<K> + Clone + Send + Sync,
     R: ShardRouter<K>,
 {
     /// Opens (creating if absent) the tier rooted at `dir`, recovering
@@ -286,11 +313,9 @@ mod tests {
         ))
     }
 
-    fn open(
-        dir: &Path,
-        num_shards: usize,
-        options: DurableOptions,
-    ) -> DurableTier<u64, IstSet<u64>, RangeRouter<u64>> {
+    type Tier = DurableTier<u64, IstSet<u64>, RangeRouter<u64>>;
+
+    fn try_open(dir: &Path, num_shards: usize, options: DurableOptions) -> io::Result<Tier> {
         DurableTier::open(
             dir,
             RangeRouter::new(num_shards, 0, 10_000),
@@ -298,7 +323,10 @@ mod tests {
             |_| Pool::new(1).unwrap(),
             |batch| IstSet::from_batch(&batch),
         )
-        .unwrap()
+    }
+
+    fn open(dir: &Path, num_shards: usize, options: DurableOptions) -> Tier {
+        try_open(dir, num_shards, options).unwrap()
     }
 
     #[test]
@@ -335,17 +363,44 @@ mod tests {
         tier.insert(5).unwrap();
         tier.close().unwrap();
 
-        let err = DurableTier::<u64, IstSet<u64>, _>::open(
-            &dir,
-            RangeRouter::new(3, 0u64, 10_000),
-            DurableOptions::default(),
-            |_| Pool::new(1).unwrap(),
-            |batch| IstSet::from_batch(&batch),
-        )
-        .map(|_| ())
-        .unwrap_err();
+        let err = try_open(&dir, 3, DurableOptions::default())
+            .map(|_| ())
+            .unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("2 shards"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A lost manifest (crash before its directory entry was durable) must
+    /// not let a different shard count in: the shard directories vouch for
+    /// the count, and only the matching router recreates `TIER`.
+    #[test]
+    fn a_lost_manifest_still_refuses_a_shard_count_change() {
+        let dir = scratch_dir("lost-manifest");
+        let tier = open(&dir, 2, DurableOptions::default());
+        tier.insert(5).unwrap();
+        tier.insert(9_000).unwrap();
+        tier.close().unwrap();
+        std::fs::remove_file(dir.join("TIER")).unwrap();
+
+        let err = try_open(&dir, 3, DurableOptions::default())
+            .map(|_| ())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("2 shard directories"), "{err}");
+        assert!(
+            !dir.join("TIER").exists(),
+            "a refused open wrote a manifest"
+        );
+        assert!(
+            !dir.join("shard-0002").exists(),
+            "a refused open made a shard"
+        );
+
+        let tier = open(&dir, 2, DurableOptions::default());
+        assert!(tier.contains(&5).unwrap() && tier.contains(&9_000).unwrap());
+        assert!(dir.join("TIER").exists(), "the matching open restores it");
+        tier.close().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

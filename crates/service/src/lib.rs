@@ -212,7 +212,7 @@ pub struct ShardedSet<K, S, R> {
 impl<K, S, R> ShardedSet<K, S, R>
 where
     K: Ord + Clone + Send + Sync + 'static,
-    S: BatchedSet<K> + Send,
+    S: BatchedSet<K> + Clone + Send + Sync,
     R: ShardRouter<K> + Sync,
 {
     /// Builds a tier from a router, its shards (one `ConcurrentSet` per

@@ -37,12 +37,11 @@ use std::sync::Arc;
 use std::thread;
 
 mod common;
-use common::{write_kind, Answer, History, Read};
+use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
-    baselines::SortedArraySet,
-    batchapi::{Batch, BatchedMap, MapView},
-    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, Round},
+    batchapi::{Batch, MapView},
+    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round},
     forkjoin::Pool,
     pbist::{IstMap, IstSet},
     workloads::{self, ClientTrace, OpKind},
@@ -467,8 +466,11 @@ struct ValueRead {
 ///     was acknowledged, returns exactly the state of the snapshot's own
 ///     seq — which covers my write — so the value is mine or a later
 ///     round's, never an older one.
-/// (c) A `ReadSnapshot` pinned early and held across hundreds of later
-///     rounds keeps returning the values of its own seq.
+/// (c) A `ReadSnapshot` pinned early and held across 10⁴ later rounds —
+///     the clients' concurrent ones, then a sequential tail — keeps
+///     returning the contents of its own seq throughout, and once the pin
+///     is dropped a `Weak` taken from it no longer upgrades: nothing in the
+///     front-end keeps a retired snapshot alive.
 #[test]
 fn upserted_values_replay_against_the_committed_rounds() {
     let map: Arc<ConcurrentMap<u64, u64, IstMap<u64, u64>>> =
@@ -483,18 +485,25 @@ fn upserted_values_replay_against_the_committed_rounds() {
     let clients = 4u64;
     let per_client = 400u64;
     let span = 53u64;
+    let pin_after = 200u64;
+    let pinned_rounds = 10_000u64;
     let everything = (Bound::Unbounded, Bound::Unbounded);
+    let contents = |snap: &ReadSnapshot<IstMap<u64, u64>>| {
+        let entries = snap.view().range_entries(everything.0, everything.1);
+        for (key, val) in &entries {
+            assert_eq!(snap.view().get(key), Some(*val), "pinned key {key}");
+        }
+        entries
+    };
 
-    type Pinned = (u64, Vec<(u64, u64)>);
-    type Observed = (Vec<(u64, bool)>, Vec<ValueRead>, Pinned);
-    let observed: Vec<Observed> = thread::scope(|s| {
+    type Observed = (Vec<(u64, bool)>, Vec<ValueRead>);
+    let (observed, pin, first): (Vec<Observed>, _, _) = thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
                 let map = Arc::clone(&map);
                 s.spawn(move || {
                     let mut upserts = Vec::new();
                     let mut reads = Vec::new();
-                    let mut pinned = None;
                     for i in 0..per_client {
                         let key = (c * 7 + i) % span;
                         let mine = u64::of(c, i);
@@ -509,29 +518,27 @@ fn upserted_values_replay_against_the_committed_rounds() {
                             got: snap.view().get(&key),
                             seq: snap.seq(),
                         });
-                        if i == per_client / 8 {
-                            let entries = snap.view().range_entries(everything.0, everything.1);
-                            pinned = Some((snap, entries));
-                        }
                         if i % 5 == 4 {
                             map.remove(&key);
                         }
                     }
-                    // (c): the pinned snapshot, hundreds of rounds later.
-                    let (snap, first) = pinned.expect("pinned at step per_client / 8");
-                    assert_eq!(
-                        snap.view().range_entries(everything.0, everything.1),
-                        first,
-                        "client {c}: a held snapshot's contents drifted"
-                    );
-                    for (key, val) in &first {
-                        assert_eq!(snap.view().get(key), Some(*val), "client {c}: key {key}");
-                    }
-                    (upserts, reads, (snap.seq(), first))
+                    (upserts, reads)
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        // (c): pin once the clients are under way, and keep comparing the
+        // pin with itself while they overwrite every key it holds.
+        while map.committed_seq() < pin_after {
+            thread::yield_now();
+        }
+        let pin = map.read_snapshot();
+        let first = contents(&pin);
+        while !handles.iter().all(|h| h.is_finished()) {
+            assert_eq!(contents(&pin), first, "a held snapshot's contents drifted");
+            thread::yield_now();
+        }
+        let observed = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (observed, pin, first)
     });
 
     // (a): sequential replay; remember each round's state and which round
@@ -557,7 +564,7 @@ fn upserted_values_replay_against_the_committed_rounds() {
         "every upsert is logged once"
     );
 
-    for (c, (upserts, reads, (pinned_seq, pinned))) in observed.iter().enumerate() {
+    for (c, (upserts, reads)) in observed.iter().enumerate() {
         for (val, saw) in upserts {
             assert_eq!(
                 written[val].1, *saw,
@@ -587,13 +594,39 @@ fn upserted_values_replay_against_the_committed_rounds() {
                 );
             }
         }
-        // (c): what the pinned snapshot held is its own seq's state.
-        let expect: Vec<(u64, u64)> = states[pinned_seq].iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(
-            pinned, &expect,
-            "client {c}: pinned snapshot seq {pinned_seq}"
-        );
     }
+
+    // (c): what the pin holds is its own seq's state — still, after a
+    // sequential tail (one round per op) has taken the history 10⁴ rounds
+    // past it.
+    let expect: Vec<(u64, u64)> = states[&pin.seq()].iter().map(|(k, v)| (*k, *v)).collect();
+    assert_eq!(first, expect, "pinned snapshot seq {}", pin.seq());
+    drop((rounds, states));
+    let mut step = 0u64;
+    while map.committed_seq() < pin.seq() + pinned_rounds {
+        let key = step % span;
+        if step % 5 == 4 {
+            map.remove(&key);
+        } else {
+            map.upsert(key, u64::of(clients, step));
+        }
+        step += 1;
+        if step.is_multiple_of(1_000) {
+            assert_eq!(contents(&pin), first, "pin drifted {step} tail rounds on");
+            map.take_rounds(); // keep the log from growing
+        }
+    }
+    assert_eq!(
+        contents(&pin),
+        first,
+        "pin drifted after {pinned_rounds} rounds"
+    );
+    let weak = Arc::downgrade(&pin);
+    drop(pin);
+    assert!(
+        weak.upgrade().is_none(),
+        "a retired snapshot outlived its last reader"
+    );
 }
 
 /// One recorded ordered read: everything a client learned from a single
@@ -740,49 +773,6 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
     }
 }
 
-/// A backend that panics when asked to insert `u64::MAX` — used to race
-/// `snapshot_keys` against a poisoning combiner.
-struct BombSet {
-    inner: SortedArraySet<u64>,
-}
-
-impl MapView<u64> for BombSet {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn get(&self, key: &u64) -> Option<()> {
-        self.inner.get(key)
-    }
-    fn contains(&self, key: &u64) -> bool {
-        self.inner.contains(key)
-    }
-    fn rank(&self, key: &u64) -> usize {
-        self.inner.rank(key)
-    }
-    fn min(&self) -> Option<&u64> {
-        self.inner.min()
-    }
-    fn max(&self) -> Option<&u64> {
-        self.inner.max()
-    }
-    fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
-        self.inner.collect_entries()
-    }
-}
-
-impl BatchedMap<u64> for BombSet {
-    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-        assert!(
-            !batch.as_slice().contains(&u64::MAX),
-            "BombSet: backend blew up mid-round"
-        );
-        self.inner.batch_insert_report(batch, out)
-    }
-    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-        self.inner.batch_remove_report(batch, out)
-    }
-}
-
 /// `snapshot_keys` racing a poisoning combiner: every successful
 /// `(keys, seq)` pair must equal the round-log oracle at exactly that
 /// seq — a half-applied (panicked) round's view must be structurally
@@ -792,9 +782,7 @@ impl BatchedMap<u64> for BombSet {
 #[test]
 fn snapshot_keys_never_observes_a_half_applied_round() {
     let set = Arc::new(ConcurrentSet::with_options(
-        BombSet {
-            inner: SortedArraySet::from_unsorted(Vec::new()),
-        },
+        BombSet::new(),
         Pool::new(1).unwrap(),
         Options {
             log_rounds: true,

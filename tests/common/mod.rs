@@ -9,14 +9,71 @@
 //! writes already acknowledged when it began: the rounds through the
 //! sampled seq must hold at least that many ops, or some round was
 //! acknowledged before it was published.
+//!
+//! Also here: [`BombSet`], the backend whose batched insert panics on
+//! demand, for the suites' poisoning cases.
 
 #![allow(dead_code)] // each suite uses its own subset
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
 
+use pbist_repro::baselines::SortedArraySet;
+use pbist_repro::batchapi::{Batch, BatchedMap, MapView};
 use pbist_repro::combine::{OpKind, Round};
 use pbist_repro::workloads;
+
+/// A backend that panics when asked to insert `u64::MAX` — the mid-round
+/// backend failure the poisoning contract is about.
+#[derive(Clone)]
+pub struct BombSet {
+    inner: SortedArraySet<u64>,
+}
+
+impl BombSet {
+    pub fn new() -> BombSet {
+        BombSet {
+            inner: SortedArraySet::from_unsorted(Vec::new()),
+        }
+    }
+}
+
+impl MapView<u64> for BombSet {
+    fn len(&self) -> usize {
+        self.inner.len()
+    }
+    fn get(&self, key: &u64) -> Option<()> {
+        self.inner.get(key)
+    }
+    fn contains(&self, key: &u64) -> bool {
+        self.inner.contains(key)
+    }
+    fn rank(&self, key: &u64) -> usize {
+        self.inner.rank(key)
+    }
+    fn min(&self) -> Option<&u64> {
+        self.inner.min()
+    }
+    fn max(&self) -> Option<&u64> {
+        self.inner.max()
+    }
+    fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
+        self.inner.collect_entries()
+    }
+}
+
+impl BatchedMap<u64> for BombSet {
+    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+        assert!(
+            !batch.as_slice().contains(&u64::MAX),
+            "BombSet: backend blew up mid-round"
+        );
+        self.inner.batch_insert_report(batch, out)
+    }
+    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+        self.inner.batch_remove_report(batch, out)
+    }
+}
 
 /// The round-log kind of a generated write; generated reads have none.
 pub fn write_kind(kind: workloads::OpKind) -> OpKind {

@@ -8,14 +8,13 @@
 //!
 //! One driver, generic over the value type, runs over both backends
 //! (`pbist` tree and sorted-array baseline) at `V = ()` (the set) and
-//! `V = u64`, checks the backend *and* its published [`SharedView`], and
-//! runs both outside any pool and inside a 4-worker `forkjoin::Pool`.  The
-//! oracle side never calls `BTreeMap::range` directly — it filters an
-//! iterator — because `range` panics on exactly the degenerate bounds this
-//! suite exists to pin (inverted and `Excluded == Excluded` pairs), which
-//! our surface defines as empty.
-//!
-//! [`SharedView`]: pbist_repro::batchapi::SharedView
+//! `V = u64`, checks the backend *and* a clone of it — what a front-end
+//! publishes as a snapshot — which must stay frozen under the next batch
+//! of updates, and runs both outside any pool and inside a 4-worker
+//! `forkjoin::Pool`.  The oracle side never calls `BTreeMap::range`
+//! directly — it filters an iterator — because `range` panics on exactly
+//! the degenerate bounds this suite exists to pin (inverted and
+//! `Excluded == Excluded` pairs), which our surface defines as empty.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
@@ -94,14 +93,14 @@ fn probe_bounds(rng: &mut SplitMix64, oracle: &BTreeSet<u64>) -> Vec<(Bound<u64>
     probes
 }
 
-/// Checks one read surface — a live backend or a published view, both
-/// are `MapView`s — against the oracle: the five ordered queries over the
-/// bound grid, with entries (values) wherever the surface returns them.
+/// Checks one read surface — a live backend or a frozen clone of one —
+/// against the oracle: the five ordered queries over the bound grid, with
+/// entries (values) wherever the surface returns them.
 fn check_ordered_queries<V: Val>(
     ctx: &str,
     oracle: &BTreeMap<u64, V>,
     rng: &mut SplitMix64,
-    view: &dyn MapView<u64, V>,
+    view: &impl MapView<u64, V>,
 ) {
     let keys: BTreeSet<u64> = oracle.keys().copied().collect();
     for (lo, hi) in probe_bounds(rng, &keys) {
@@ -183,13 +182,15 @@ fn even_key_batches(seed: u64) -> Vec<workloads::OpBatch> {
 
 /// Drives a backend through an upsert/remove history — duplicate keys
 /// inside one arrival batch pin the last-wins policy — checking flags,
-/// values (`get` / `batch_get`) and, on the backend *and on its published
-/// view*, the ordered queries after every batch.
-fn drive<V: Val, S: BatchedMap<u64, V>>(ctx: &str, store: &mut S, seed: u64) {
+/// values (`get` / `batch_get`) and the ordered queries after every batch
+/// — on the backend, and on the clone taken *before* the batch, which must
+/// still answer as the oracle did then.
+fn drive<V: Val, S: BatchedMap<u64, V> + Clone>(ctx: &str, store: &mut S, seed: u64) {
     let mut oracle: BTreeMap<u64, V> = BTreeMap::new();
     let mut rng = SplitMix64::new(seed ^ 0xD1CE);
     for (step, op) in even_key_batches(seed).iter().enumerate() {
         let ctx = format!("{ctx}, step {step}");
+        let (view, then) = (store.clone(), oracle.clone());
         match op.kind {
             OpKind::Insert => {
                 // Duplicate the head key (with a different value) to
@@ -245,13 +246,11 @@ fn drive<V: Val, S: BatchedMap<u64, V>>(ctx: &str, store: &mut S, seed: u64) {
             "{ctx}"
         );
         check_ordered_queries(&ctx, &oracle, &mut rng, &*store);
-        let view = store.publish_root();
-        check_ordered_queries(&format!("{ctx} (view)"), &oracle, &mut rng, &*view);
-        assert_eq!(
-            view.get(&probe),
-            oracle.get(&probe).cloned(),
-            "{ctx} (view)"
-        );
+        assert_eq!(view.len(), then.len(), "{ctx} (clone): len drifted");
+        if !then.is_empty() {
+            check_ordered_queries(&format!("{ctx} (clone)"), &then, &mut rng, &view);
+        }
+        assert_eq!(view.get(&probe), then.get(&probe).cloned(), "{ctx} (clone)");
     }
     assert!(
         !oracle.is_empty(),

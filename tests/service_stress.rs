@@ -38,11 +38,10 @@ use std::sync::Arc;
 use std::thread;
 
 mod common;
-use common::{write_kind, Answer, History, Read};
+use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
-    baselines::SortedArraySet,
-    batchapi::{Batch, BatchedMap, MapView},
+    batchapi::{Batch, MapView},
     combine::{ConcurrentSet, OpKind as CombinedOp, Options},
     forkjoin::Pool,
     pbist::IstSet,
@@ -453,57 +452,6 @@ fn one_worker_pools_with_forced_parallel_splits() {
 // ---------------------------------------------------------------------
 // Poison propagation
 // ---------------------------------------------------------------------
-
-/// A backend that panics when asked to insert `u64::MAX` — the mid-round
-/// backend failure the poisoning contract is about.
-struct BombSet {
-    inner: SortedArraySet<u64>,
-}
-
-impl BombSet {
-    fn new() -> BombSet {
-        BombSet {
-            inner: SortedArraySet::from_unsorted(Vec::new()),
-        }
-    }
-}
-
-impl MapView<u64> for BombSet {
-    fn len(&self) -> usize {
-        self.inner.len()
-    }
-    fn get(&self, key: &u64) -> Option<()> {
-        self.inner.get(key)
-    }
-    fn contains(&self, key: &u64) -> bool {
-        self.inner.contains(key)
-    }
-    fn rank(&self, key: &u64) -> usize {
-        self.inner.rank(key)
-    }
-    fn min(&self) -> Option<&u64> {
-        self.inner.min()
-    }
-    fn max(&self) -> Option<&u64> {
-        self.inner.max()
-    }
-    fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
-        self.inner.collect_entries()
-    }
-}
-
-impl BatchedMap<u64> for BombSet {
-    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-        assert!(
-            !batch.as_slice().contains(&u64::MAX),
-            "BombSet: backend blew up mid-round"
-        );
-        self.inner.batch_insert_report(batch, out)
-    }
-    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-        self.inner.batch_remove_report(batch, out)
-    }
-}
 
 /// Builds a 4-shard bomb-backed tier over `[0, 8_000]`; `u64::MAX` clamps
 /// into the top shard, so shards 0–2 never see the bomb key.
