@@ -62,7 +62,39 @@
 //!    waiters through the same fenced Dekker handshake as the scheduler's
 //!    sleep path (`SeqCst` fence, then a sleeper-count check; sleepers
 //!    register with a `SeqCst` RMW, fence, and re-check before waiting), so
-//!    a completion or an unlock can never be slept through.
+//!    a completion or an unlock can never be slept through.  Only then does
+//!    it drop the snapshot its publish retired (see *Reads*): freeing a
+//!    round's path copy is the combiner's own time, not its clients'.
+//!
+//! # Waiting
+//!
+//! A client that finds the flag taken — its op published, or a whole batch
+//! in hand — waits for its `done` flag or for the flag to come free.  How
+//! it waits depends on what the combiner is doing, which the flag itself
+//! says (free / held / held for a *long* round):
+//!
+//! * **Behind a point round it polls.**  A round of a few point ops is a
+//!   path copy, a publish and the acknowledgements: microseconds.  Parking
+//!   (a futex sleep, a wake-up syscall on the combiner's side, and the
+//!   scheduler's latency before the sleeper runs again) costs more than the
+//!   whole round, so the waiter polls — no `yield_now`, no syscall — for a
+//!   fixed budget (`POLL_BUDGET`, 32 µs) and parks only if that runs out: a
+//!   combiner that lost its CPU, or a point op that is slow for reasons of
+//!   the backend's own.  The budget is a constant taken from the measured
+//!   distribution of these waits, not an option: see its doc comment for
+//!   the numbers.
+//! * **Behind a long round it parks at once.**  A combiner about to run a
+//!   round inside the pool, or a whole pre-sorted batch, first marks the
+//!   flag *long*.  Such a round lasts tens of microseconds to milliseconds
+//!   and — on a machine with as many clients as cores — needs the waiter's
+//!   CPU for its pool workers; polling through it would be pure loss.
+//!
+//! Either way the sleeper handshake of step 6 is the only way onto or off
+//! the condvar, so the polling phase changes *when* a waiter sleeps, never
+//! whether it can be woken.  `combine.wait_ns` records each wait (when the
+//! front-end's timed metrics are on — they follow the pool's
+//! [`forkjoin::PoolBuilder::metrics`] switch) and `combine.sleeps` counts
+//! the ones that parked.
 //!
 //! # Batched ingress
 //!
@@ -132,6 +164,10 @@
 //! handful of atomic ops, no allocation, no lock, regardless of combiner
 //! activity.  Every round publishes, so the published snapshot's seq *is*
 //! the committed high-water mark ([`ConcurrentMap::committed_seq`]).
+//! Installing a snapshot displaces the one published two rounds earlier —
+//! usually the last reference to that round's path copy — which the
+//! combiner drops only after it has acknowledged its clients and released
+//! the flag; `combine.publish_ns` times clone, flip and that drop together.
 //!
 //! **Staleness contract.**  A read observes the state after some round
 //! `seq >= ` the client's last acknowledged write (publish happens before
@@ -187,20 +223,50 @@ use std::fmt;
 use std::mem;
 use std::ops::Bound;
 use std::ptr;
-use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicPtr, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use batchapi::{Batch, BatchedMap, KvBatch};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry};
 
-/// Iterations of the pure spin phase before a waiting client starts
-/// yielding.  Kept short: the combiner usually finishes small rounds fast,
-/// and on few-core machines long spins just steal its CPU.
-const SPIN_LIMIT: u32 = 64;
+/// How long a waiting client polls — no syscall, no `yield_now` — before it
+/// parks on the condvar (see the module docs' *Waiting* section).
+///
+/// Set from the measured wait histogram, not guessed: two clients spread
+/// over two `ConcurrentSet<_, IstSet>` shards of 5·10⁵ keys on the 2-vCPU
+/// box (`combine.wait_ns`, 1.8·10⁵ waits, point rounds only) wait 1.7 µs in
+/// the mean, ≤ 2 µs at the median, ≤ 8 µs at p99 and ≤ 32–64 µs at p99.9 —
+/// the tail being combiners that lost their vCPU mid-round.  A park costs
+/// about as much as that p99.9 (futex sleep + wake syscall + 20–50 µs before
+/// the sleeper runs again), so polling up to there and parking beyond it
+/// loses to neither.  With the budget at 8 / 20 / 32 / 50 µs the share of
+/// waits that park is 0.5 / 0.1 / 0.06 / 0.02 %, throughput flat (400–470
+/// kops/s) across all four; the spin → `yield_now` → condvar ladder this
+/// replaces (64 spins, 16 yields) parked 56 % of waits, mean wait 19.8 µs.
+const POLL_BUDGET: Duration = Duration::from_micros(32);
 
-/// Yields after the spin phase before falling back to the condvar.
-const YIELD_LIMIT: u32 = 16;
+/// Polls between two reads of the clock while waiting: a poll is two loads
+/// and a pause, so the deadline check is amortised over this many.
+const POLLS_PER_CLOCK_READ: u32 = 32;
+
+/// Spins a publishing combiner spends on a reader's borrow of the slot it
+/// is about to overwrite before it starts yielding: the borrow is one `Arc`
+/// clone or one point query, well under a microsecond unless its thread
+/// lost the CPU.
+const PUBLISH_SPINS: u32 = 128;
+
+/// The combiner flag's states.  `FREE → HELD` is the election CAS; the
+/// holder may raise `HELD → LONG` (a plain store: it owns the flag) before a
+/// round whose length a handful of point ops does not bound, and releases
+/// with a `Release` store of `FREE`.
+const FREE: u8 = 0;
+/// Held; the round in progress is a point round (or about to be known).
+const HELD: u8 = 1;
+/// Held by a combiner inside a pooled or whole-batch round: waiters park at
+/// once rather than poll through it.
+const LONG: u8 = 2;
 
 /// What a combined operation does to the store.  Rounds carry writes
 /// only — a read never enters one (see the module docs' *Reads* section).
@@ -323,6 +389,18 @@ struct CombineMetrics {
     /// `combine.snapshot_reads` — read operations served wait-free from the
     /// published snapshot (each batched read counts once).
     snapshot_reads: Arc<Counter>,
+    /// `combine.sleeps` — waits that ran out of polling (or met a long
+    /// round) and parked on the condvar: one futex sleep and one wake each.
+    sleeps: Arc<Counter>,
+    /// `combine.publish_ns` — what publication costs a round: the backend
+    /// clone, the snapshot-cell flip, and dropping the snapshot it retired
+    /// (the drop runs after the round's acknowledgements, see
+    /// `CombinerGuard`).  Timed only when the front-end's `obs` guard is on.
+    publish_ns: Arc<Histogram>,
+    /// `combine.wait_ns` — how long a client that found the flag taken
+    /// waited (polling plus any sleep) before its op was done or the flag
+    /// was free.  Timed only when the `obs` guard is on.
+    wait_ns: Arc<Histogram>,
 }
 
 impl CombineMetrics {
@@ -342,6 +420,9 @@ impl CombineMetrics {
             batch_rounds: registry.counter("combine.batch_rounds"),
             round_size: registry.histogram("combine.round_size"),
             snapshot_reads: registry.counter("combine.snapshot_reads"),
+            sleeps: registry.counter("combine.sleeps"),
+            publish_ns: registry.histogram("combine.publish_ns"),
+            wait_ns: registry.histogram("combine.wait_ns"),
         }
     }
 }
@@ -496,24 +577,34 @@ impl<T> SnapCell<T> {
         }
     }
 
-    /// Installs a new snapshot.  Caller must hold the combiner flag (single
+    /// Installs a new snapshot and hands back the one it displaced (two
+    /// publishes old, and usually the last reference to it — dropping it
+    /// frees that round's path copy, so the caller does it outside the
+    /// critical section).  Caller must hold the combiner flag (single
     /// writer); waits out readers still borrowing the inactive slot, which
     /// hold it for at most one read — an `Arc` clone ([`SnapCell::load`])
-    /// or a point query ([`SnapCell::with_snap`]).
-    fn publish(&self, snap: Arc<T>) {
+    /// or a point query ([`SnapCell::with_snap`]) — spinning first, since
+    /// that borrow is sub-microsecond unless its thread lost the CPU.
+    fn publish(&self, snap: Arc<T>) -> Arc<T> {
         let idx = 1 - self.active.load(Ordering::Relaxed);
         let slot = &self.slots[idx];
+        let mut spins = 0;
         while slot.readers.load(Ordering::SeqCst) != 0 {
-            std::hint::spin_loop();
-            std::thread::yield_now();
+            if spins < PUBLISH_SPINS {
+                spins += 1;
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
         }
         // SAFETY: slot `idx` is inactive (readers registering now target the
         // other slot, or will fail their re-check) and drained of readers;
         // the combiner flag excludes other writers.
-        unsafe { *slot.snap.get() = snap };
+        let retired = unsafe { mem::replace(&mut *slot.snap.get(), snap) };
         // The flip publishes the write above to readers: their `SeqCst`
         // re-check of `active` pairs with this store.
         self.active.store(idx, Ordering::SeqCst);
+        retired
     }
 }
 
@@ -571,9 +662,10 @@ struct Scratch<K, V> {
 pub struct ConcurrentMap<K, V, S> {
     /// Head of the Treiber-stack ingress list of published op slots.
     ingress: AtomicPtr<OpSlot<K, V>>,
-    /// The combiner flag: held (`true`) by at most one thread, which has
-    /// exclusive access to `set`, `scratch` and the log tail.
-    combiner: AtomicBool,
+    /// The combiner flag ([`FREE`], [`HELD`] or [`LONG`]): held by at most
+    /// one thread, which has exclusive access to `set`, `seq`, `scratch`,
+    /// `retired` and the log tail.
+    combiner: AtomicU8,
     /// The backing batched store.  Touched only while holding `combiner`.
     set: UnsafeCell<S>,
     /// Sequence number of the most recently committed round (starts at
@@ -589,6 +681,10 @@ pub struct ConcurrentMap<K, V, S> {
     /// the committed high-water mark.  Read lock-free by every read;
     /// written only while holding `combiner`.
     snap: SnapCell<ReadSnapshot<S>>,
+    /// The snapshot the last publish displaced, kept until the flag holder
+    /// lets go (see [`CombinerGuard`]).  Touched only while holding
+    /// `combiner`.
+    retired: UnsafeCell<Option<Retired<S>>>,
     /// Fork-join pool executing rounds of at least `pool_cutoff` ops.
     pool: Pool,
     /// See [`Options::pool_cutoff`].
@@ -613,6 +709,18 @@ pub struct ConcurrentMap<K, V, S> {
     registry: Registry,
     /// See [`CombineMetrics`].
     metrics: CombineMetrics,
+    /// Gates the metrics that need the clock (`combine.publish_ns`,
+    /// `combine.wait_ns`).  Follows the pool's telemetry switch
+    /// ([`forkjoin::PoolBuilder::metrics`]): a stack built to be measured is
+    /// measured at every layer, and the default pays no clock reads.
+    obs: obs::Obs,
+}
+
+/// A snapshot displaced by a publish, waiting to be dropped outside the
+/// critical section, with what its publish has cost so far (when timed).
+struct Retired<S> {
+    snap: Arc<ReadSnapshot<S>>,
+    publish_ns: Option<u64>,
 }
 
 /// A concurrent ordered set: the `V = ()` instance of [`ConcurrentMap`]
@@ -626,6 +734,12 @@ pub type ConcurrentSet<K, S> = ConcurrentMap<K, (), S>;
 /// woken waiters observe the poison rather than re-electing themselves
 /// onto a half-mutated store (or hanging on slots whose `done` will never
 /// come).
+///
+/// It also disposes of the snapshot the section's publish retired — *after*
+/// the release and the wake-up: by then every client of the round has been
+/// acknowledged and the next combiner can start, while this thread pays the
+/// cascade of refcount decrements and frees that dropping a round's path
+/// copy is.
 struct CombinerGuard<'a, K, V, S> {
     set: &'a ConcurrentMap<K, V, S>,
 }
@@ -639,7 +753,9 @@ impl<K, V, S> Drop for CombinerGuard<'_, K, V, S> {
             // poison by a waiter's fenced re-check.
             self.set.poisoned.store(true, Ordering::SeqCst);
         }
-        self.set.combiner.store(false, Ordering::Release);
+        // SAFETY: still the flag holder — exclusive access to `retired`.
+        let retired = unsafe { (*self.set.retired.get()).take() };
+        self.set.combiner.store(FREE, Ordering::Release);
         // Producer half of the Dekker handshake (see module docs): fence,
         // then look for registered sleepers.  The common no-sleeper case is
         // one fence and one load.  On poison, always notify: blocked
@@ -648,6 +764,23 @@ impl<K, V, S> Drop for CombinerGuard<'_, K, V, S> {
         if poisoning || self.set.sleepers.load(Ordering::Relaxed) > 0 {
             let _guard = self.set.sleep_mutex.lock().unwrap();
             self.set.progress.notify_all();
+        }
+        if let Some(retired) = retired {
+            self.set.drop_retired(retired);
+        }
+    }
+}
+
+impl<K, V, S> ConcurrentMap<K, V, S> {
+    /// Drops a retired snapshot — usually its last reference, so this frees
+    /// the path copy of the round that replaced it — and closes its
+    /// `combine.publish_ns` sample.
+    fn drop_retired(&self, retired: Retired<S>) {
+        let start = self.obs.now();
+        drop(retired.snap);
+        if let (Some(so_far), Some(start)) = (retired.publish_ns, start) {
+            let ns = so_far + start.elapsed().as_nanos() as u64;
+            self.metrics.publish_ns.record(ns);
         }
     }
 }
@@ -693,6 +826,7 @@ where
     pub fn with_options(set: S, pool: Pool, options: Options) -> ConcurrentMap<K, V, S> {
         let registry = Registry::new();
         let metrics = CombineMetrics::new(&registry);
+        let obs = obs::Obs::new(pool.metrics().enabled);
         // Publish the initial contents so the read path has a snapshot
         // before any round commits; its mark is the pre-history seq.
         let snap = SnapCell::new(Arc::new(ReadSnapshot {
@@ -701,10 +835,11 @@ where
         }));
         ConcurrentMap {
             ingress: AtomicPtr::new(ptr::null_mut()),
-            combiner: AtomicBool::new(false),
+            combiner: AtomicU8::new(FREE),
             set: UnsafeCell::new(set),
             seq: UnsafeCell::new(options.first_seq),
             snap,
+            retired: UnsafeCell::new(None),
             scratch: UnsafeCell::new(Scratch {
                 insert: Lane::new(),
                 remove: Lane::new(),
@@ -721,6 +856,7 @@ where
             poisoned: AtomicBool::new(false),
             registry,
             metrics,
+            obs,
         }
     }
 
@@ -927,6 +1063,7 @@ where
                 // SAFETY: we hold the combiner flag — exclusive set access.
                 let set = unsafe { &mut *self.set.get() };
                 let pooled = keys.len() >= self.pool_cutoff;
+                self.mark_long_round();
                 if pooled {
                     self.pool.install(|| run(set, out));
                 } else {
@@ -953,9 +1090,7 @@ where
                 self.bump_stats(keys.len() as u64, pooled);
                 return;
             }
-            self.wait_until(|| {
-                !self.combiner.load(Ordering::Acquire) || self.poisoned.load(Ordering::Acquire)
-            });
+            self.wait_until(|| self.combiner_free() || self.poisoned.load(Ordering::Acquire));
         }
     }
 
@@ -1044,8 +1179,7 @@ where
     pub fn read_at_least(&self, want: u64) -> Result<Arc<ReadSnapshot<S>>, FreshnessError> {
         loop {
             self.check_poisoned();
-            let idle = self.ingress.load(Ordering::Acquire).is_null()
-                && !self.combiner.load(Ordering::Acquire);
+            let idle = self.ingress.load(Ordering::Acquire).is_null() && self.combiner_free();
             let snap = self.snap.load();
             if snap.seq >= want {
                 self.metrics.snapshot_reads.inc();
@@ -1093,9 +1227,13 @@ where
 
     /// Snapshot of every named metric on the front-end's registry — the
     /// round, op and pooled-round counters (monotone; exact once the
-    /// front-end is quiescent), the fast/slow path split, the snapshot-read
-    /// and poison counts and the `combine.round_size` histogram.  Metric
-    /// names follow the workspace `<subsystem>.<metric>` convention.
+    /// front-end is quiescent), the fast/slow path split, the snapshot-read,
+    /// poison and `combine.sleeps` counts, the `combine.round_size`
+    /// histogram and — recorded only when the pool was built with
+    /// [`PoolBuilder::metrics`](forkjoin::PoolBuilder::metrics) on, since
+    /// they read the clock — the `combine.publish_ns` and `combine.wait_ns`
+    /// histograms.  Metric names follow the workspace `<subsystem>.<metric>`
+    /// convention.
     pub fn metrics(&self) -> obs::Snapshot {
         self.registry.snapshot()
     }
@@ -1241,7 +1379,7 @@ where
             // our op or wake us when they release.
             self.wait_until(|| {
                 slot.done.load(Ordering::Acquire)
-                    || !self.combiner.load(Ordering::Acquire)
+                    || self.combiner_free()
                     || self.poisoned.load(Ordering::Acquire)
             });
         }
@@ -1268,12 +1406,23 @@ where
     /// the combiner flag and call this *after* [`ConcurrentMap::next_seq`]
     /// but **before** logging the round or storing any client's `done`
     /// flag — publish-before-acknowledge is the whole read-your-writes
-    /// guarantee.
+    /// guarantee.  The snapshot this displaces is parked in `retired` for
+    /// the [`CombinerGuard`] to drop once the flag is free.
     fn commit_round_state(&self, seq: u64) {
+        let start = self.obs.now();
         // SAFETY: combiner flag held — exclusive set access (the round's
         // own `&mut` borrow is dead by the time this runs).
         let view = unsafe { &*self.set.get() }.clone();
-        self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
+        let snap = self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
+        let publish_ns = start.map(|start| start.elapsed().as_nanos() as u64);
+        // SAFETY: combiner flag held — exclusive access to `retired`.
+        let earlier = unsafe { &mut *self.retired.get() }.replace(Retired { snap, publish_ns });
+        // A second publish under one hold of the flag (a fast-path or batch
+        // op that first flushed published ops): only the last waits for the
+        // guard.
+        if let Some(earlier) = earlier {
+            self.drop_retired(earlier);
+        }
     }
 
     /// Allocates the sequence number for a round about to commit.  Caller
@@ -1293,8 +1442,21 @@ where
         // Acquire pairs with the Release unlock of the previous combiner,
         // carrying the backing set's state to this thread.
         self.combiner
-            .compare_exchange(false, true, Ordering::Acquire, Ordering::Relaxed)
+            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
+    }
+
+    /// `Acquire` so a waiter that sees the flag free also sees what the
+    /// releasing combiner published.
+    fn combiner_free(&self) -> bool {
+        self.combiner.load(Ordering::Acquire) == FREE
+    }
+
+    /// Marks the round about to run as one waiters should not poll through.
+    /// Caller must hold the combiner flag.  `Relaxed`: a hint, read by
+    /// waiters' polls; the unlock's `Release` store of `FREE` overwrites it.
+    fn mark_long_round(&self) {
+        self.combiner.store(LONG, Ordering::Relaxed);
     }
 
     /// Panics if a combiner panicked mid-round (see the struct docs'
@@ -1308,22 +1470,44 @@ where
         }
     }
 
-    /// Spin, then yield, then sleep until `ready` holds.  Sleeper half of
-    /// the Dekker handshake: register, fence, re-check, and only then wait,
-    /// so a concurrent round commit or unlock cannot be slept through.
+    /// Waits until `ready` holds: polls ([`ConcurrentMap::poll_until`]),
+    /// then parks ([`ConcurrentMap::park_until`]).
     fn wait_until(&self, mut ready: impl FnMut() -> bool) {
-        for _ in 0..SPIN_LIMIT {
-            if ready() {
-                return;
-            }
-            std::hint::spin_loop();
+        let start = Instant::now();
+        if !self.poll_until(&mut ready, start) {
+            self.park_until(&mut ready);
         }
-        for _ in 0..YIELD_LIMIT {
-            if ready() {
-                return;
-            }
-            std::thread::yield_now();
+        if self.obs.is_enabled() {
+            let waited = start.elapsed().as_nanos() as u64;
+            self.metrics.wait_ns.record(waited);
         }
+    }
+
+    /// Polls `ready` — no syscall — until it holds (`true`) or polling has
+    /// stopped paying (`false`): [`POLL_BUDGET`] has run out since `start`,
+    /// or the combiner has marked its round [`LONG`].
+    fn poll_until(&self, mut ready: impl FnMut() -> bool, start: Instant) -> bool {
+        loop {
+            for _ in 0..POLLS_PER_CLOCK_READ {
+                if ready() {
+                    return true;
+                }
+                if self.combiner.load(Ordering::Relaxed) == LONG {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= POLL_BUDGET {
+                return false;
+            }
+        }
+    }
+
+    /// Parks on the condvar until `ready` holds.  Sleeper half of the Dekker
+    /// handshake: register, fence, re-check, and only then wait, so a
+    /// concurrent round commit or unlock cannot be slept through.
+    fn park_until(&self, mut ready: impl FnMut() -> bool) {
+        self.metrics.sleeps.inc();
         let mut guard = self.sleep_mutex.lock().unwrap();
         self.sleepers.fetch_add(1, Ordering::SeqCst);
         fence(Ordering::SeqCst);
@@ -1420,6 +1604,7 @@ where
         };
         let pooled = (total as usize) >= self.pool_cutoff;
         if pooled {
+            self.mark_long_round();
             self.pool.install(|| run(set));
         } else {
             run(set);
@@ -1520,7 +1705,7 @@ mod tests {
     use super::*;
     use batchapi::MapView;
     use std::collections::BTreeSet;
-    use std::sync::Arc;
+    use std::sync::{mpsc, Arc};
 
     /// A sequential reference backend over a sorted `Vec` of pairs,
     /// implementing only the required trait methods (its `Clone` copies the
@@ -2075,6 +2260,150 @@ mod tests {
         // The supervisor-grade accessor still answers: the last published
         // snapshot predates the poisoned round.
         assert!(set.read_snapshot().view().contains(&3));
+    }
+
+    /// Key that parks [`Gated`]'s batched insert until the test releases it.
+    const GATE: u64 = 1 << 40;
+
+    /// A `VecSet` whose batched insert, given a batch holding [`GATE`],
+    /// reports on `entered` and then blocks on `release` — a round a test
+    /// can hold open for as long as it likes.  (A batch that also holds
+    /// `u64::MAX` panics once released: the inner set's bomb.)
+    #[derive(Clone)]
+    struct Gated {
+        inner: VecSet,
+        entered: mpsc::Sender<()>,
+        release: Arc<Mutex<mpsc::Receiver<()>>>,
+    }
+
+    impl MapView<u64, ()> for Gated {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn get(&self, key: &u64) -> Option<()> {
+            self.inner.get(key)
+        }
+        fn contains(&self, key: &u64) -> bool {
+            self.inner.contains(key)
+        }
+        fn rank(&self, key: &u64) -> usize {
+            self.inner.rank(key)
+        }
+        fn min(&self) -> Option<&u64> {
+            self.inner.min()
+        }
+        fn max(&self) -> Option<&u64> {
+            self.inner.max()
+        }
+        fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
+            self.inner.collect_entries()
+        }
+    }
+
+    impl BatchedMap<u64, ()> for Gated {
+        fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+            if batch.contains(&GATE) {
+                self.entered.send(()).unwrap();
+                self.release.lock().unwrap().recv().unwrap();
+            }
+            self.inner.batch_insert_report(batch, out);
+        }
+        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+            self.inner.batch_remove_report(batch, out);
+        }
+    }
+
+    /// A gated front-end (pool telemetry on, which turns the timed metrics
+    /// on), the "round is open" receiver and the release sender.
+    fn gated() -> (
+        Arc<ConcurrentSet<u64, Gated>>,
+        mpsc::Receiver<()>,
+        mpsc::Sender<()>,
+    ) {
+        let (entered_tx, entered) = mpsc::channel();
+        let (release, release_rx) = mpsc::channel();
+        let backend = Gated {
+            inner: VecMap(Vec::new()),
+            entered: entered_tx,
+            release: Arc::new(Mutex::new(release_rx)),
+        };
+        let pool = Pool::builder()
+            .num_threads(1)
+            .metrics(true)
+            .build()
+            .unwrap();
+        let options = Options {
+            pool_cutoff: 4,
+            ..Options::default()
+        };
+        let set = ConcurrentSet::with_options(backend, pool, options);
+        (Arc::new(set), entered, release)
+    }
+
+    /// Spawns a client inserting `7` behind the open round and returns once
+    /// it has parked — which it must, however long the round stays open:
+    /// at once behind a long round, when the poll budget runs out behind a
+    /// point round.
+    fn park_a_waiter(set: &Arc<ConcurrentSet<u64, Gated>>) -> std::thread::JoinHandle<bool> {
+        let waiter = {
+            let set = Arc::clone(set);
+            std::thread::spawn(move || set.insert(7))
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while set.metrics().counter("combine.sleeps") == Some(0) {
+            assert!(Instant::now() < deadline, "the waiter never parked");
+            std::thread::yield_now();
+        }
+        waiter
+    }
+
+    #[test]
+    fn handoff_parks_behind_an_open_round_and_wakes() {
+        // A whole batch at the pool cutoff is a long round; a point insert
+        // (the default `upsert_one` is a singleton batch) is not.
+        for long_round in [true, false] {
+            let (set, entered, release) = gated();
+            let holder = {
+                let set = Arc::clone(&set);
+                std::thread::spawn(move || match long_round {
+                    true => set.batch_insert(&Batch::from_unsorted(vec![GATE, 1, 2, 3])),
+                    false => vec![set.insert(GATE)],
+                })
+            };
+            entered.recv().unwrap();
+            let waiter = park_a_waiter(&set);
+            release.send(()).unwrap();
+            assert!(holder.join().unwrap().iter().all(|&newly| newly));
+            assert!(waiter.join().unwrap(), "7 was absent (long: {long_round})");
+            assert!(set.contains(&7) && set.contains(&GATE));
+
+            let m = set.metrics();
+            assert_eq!(m.counter("combine.slow_path_ops"), Some(1));
+            assert!(m.counter("combine.sleeps") >= Some(1));
+            let waits = m.histogram("combine.wait_ns").unwrap();
+            assert!(waits.count() >= 1, "the wait went untimed");
+            // Two rounds published, each timed once its retiree dropped.
+            assert_eq!(m.histogram("combine.publish_ns").unwrap().count(), 2);
+        }
+    }
+
+    #[test]
+    fn poisoned_long_round_wakes_and_panics_the_parked_waiter() {
+        let (set, entered, release) = gated();
+        let holder = {
+            let set = Arc::clone(&set);
+            std::thread::spawn(move || {
+                set.batch_insert(&Batch::from_unsorted(vec![GATE, 1, 2, u64::MAX]))
+            })
+        };
+        entered.recv().unwrap();
+        let waiter = park_a_waiter(&set);
+        release.send(()).unwrap();
+        assert!(holder.join().is_err(), "the bomb went off in the holder");
+        let payload = waiter.join().unwrap_err();
+        let msg = payload.downcast_ref::<&str>().expect("str payload");
+        assert!(msg.contains("poisoned"), "{msg}");
+        assert!(set.is_poisoned());
     }
 
     /// The same front-end at a real value type: upserts overwrite and report

@@ -14,6 +14,10 @@
 //! * [`node`] — the node representation and the key-interpolation trait
 //!   ([`node::InterpolateKey`]).  Nodes are generic over a per-key value
 //!   (`V = ()` for the set), so the set and the map are one structure.
+//! * [`children`] — [`children::Children`], an inner node's child array as
+//!   a two-level copy-on-write vector, and the one counted copy-on-write
+//!   helper: what makes a path copy under a live snapshot cost `≈ 2·√f`
+//!   refcounts per level instead of `f`.
 //! * [`tree`] — [`tree::IstMap`]: bulk parallel construction, interpolated
 //!   point lookups, and the [`batchapi::BatchedMap`] impl (last-wins
 //!   batched upserts); [`tree::IstSet`] is its `V = ()` alias.  A published
@@ -34,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub mod children;
 mod metrics;
 pub mod node;
 mod range;

@@ -30,6 +30,15 @@ pub(crate) struct IstMetrics {
     /// Total keys in those rebuilt subtrees — the actual restructuring
     /// work, since a rebuild is linear in the keys it flattens.
     pub(crate) rebuild_keys: Counter,
+    /// Nodes copied because a snapshot (a clone of the tree) still shared
+    /// them when an update reached them — the path-copy length.
+    pub(crate) cow_nodes: Counter,
+    /// `Arc` refcount increments those copies performed: one per chunk and
+    /// one for the router array when an inner node is copied, one per child
+    /// when a chunk is.  Each is a write to another allocation's cache line
+    /// (and a decrement later, when the snapshot retires), which is what
+    /// makes a copy cost more than its bytes.
+    pub(crate) cow_refs: Counter,
 }
 
 impl IstMetrics {
@@ -39,6 +48,8 @@ impl IstMetrics {
             leaves_edited: self.leaves_edited.get(),
             rebuilds: self.rebuilds.get(),
             rebuild_keys: self.rebuild_keys.get(),
+            cow_nodes: self.cow_nodes.get(),
+            cow_refs: self.cow_refs.get(),
         }
     }
 }
@@ -57,6 +68,11 @@ pub struct IstMetricsSnapshot {
     pub rebuilds: u64,
     /// Total keys flattened and re-split by those rebuilds.
     pub rebuild_keys: u64,
+    /// Nodes copied on write because a snapshot still shared them.
+    pub cow_nodes: u64,
+    /// Refcount increments performed by those copies (and by the chunk
+    /// copies beside them).
+    pub cow_refs: u64,
 }
 
 impl IstMetricsSnapshot {
@@ -68,14 +84,22 @@ impl IstMetricsSnapshot {
             leaves_edited: self.leaves_edited.saturating_sub(earlier.leaves_edited),
             rebuilds: self.rebuilds.saturating_sub(earlier.rebuilds),
             rebuild_keys: self.rebuild_keys.saturating_sub(earlier.rebuild_keys),
+            cow_nodes: self.cow_nodes.saturating_sub(earlier.cow_nodes),
+            cow_refs: self.cow_refs.saturating_sub(earlier.cow_refs),
         }
     }
 
     /// Renders the snapshot as one flat JSON object.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"nodes_touched\": {}, \"leaves_edited\": {}, \"rebuilds\": {}, \"rebuild_keys\": {}}}",
-            self.nodes_touched, self.leaves_edited, self.rebuilds, self.rebuild_keys,
+            "{{\"nodes_touched\": {}, \"leaves_edited\": {}, \"rebuilds\": {}, \"rebuild_keys\": {}, \
+             \"cow_nodes\": {}, \"cow_refs\": {}}}",
+            self.nodes_touched,
+            self.leaves_edited,
+            self.rebuilds,
+            self.rebuild_keys,
+            self.cow_nodes,
+            self.cow_refs,
         )
     }
 }
@@ -119,5 +143,14 @@ pub(crate) fn touch_rebuild(m: MetricsRef<'_>, keys: usize) {
     if let Some(m) = m {
         m.rebuilds.inc();
         m.rebuild_keys.add(keys as u64);
+    }
+}
+
+/// Counts a copy-on-write: `nodes` nodes copied, `refs` refcounts bumped.
+#[inline]
+pub(crate) fn touch_cow(m: MetricsRef<'_>, nodes: u64, refs: usize) {
+    if let Some(m) = m {
+        m.cow_nodes.add(nodes);
+        m.cow_refs.add(refs as u64);
     }
 }

@@ -1,18 +1,42 @@
 //! Node representation and the key-interpolation trait.
 //!
 //! An IST node's fanout grows with the size of its subtree (the paper uses
-//! `Θ(√n)` children at the root of an `n`-key subtree), so child arrays are
-//! `Vec`s rather than fixed-size arrays.  Each inner node keeps the router
-//! keys separating its children plus the bounds of its key range, which is
-//! what the interpolation step needs.
+//! `Θ(√n)` children at the root of an `n`-key subtree, capped here at
+//! [`MAX_FANOUT`]).  Each inner node keeps the router keys separating its
+//! children plus the bounds of its key range, which is what the
+//! interpolation step needs.
 //!
-//! Children are held behind `Arc` so a published read snapshot (a clone of
-//! the `IstMap` handle) shares the tree structurally: updates copy-on-write
-//! exactly the root-to-leaf path they edit (`Arc::make_mut` clones a node
-//! only while a snapshot still references it), leaving every outstanding
-//! snapshot untouched.
+//! # What a snapshot shares, and at which granularity
+//!
+//! A published read snapshot is a clone of the `IstMap` handle, and every
+//! round of the concurrent front-end publishes one — so in service the root
+//! is *always* shared, and every write copies the root-to-leaf path it
+//! edits (`children::cow` copies a node only while a snapshot still
+//! references it), leaving every outstanding snapshot untouched.
+//! What that copy costs is set by how an inner node holds its two arrays:
+//!
+//! * **Children** are a [`Children`]: `≈ √f` chunks of `≈ √f` `Arc`'d
+//!   subtrees each, every chunk behind its own `Arc`.  Copying the node
+//!   bumps one refcount per chunk; reaching the child being edited copies
+//!   one chunk (one refcount per child in it).  Per level that is `≈ 2·√f`
+//!   increments — 32 at the 256-child cap — where a flat `Vec` of `Arc`s
+//!   paid `f`, each on a different cache line, and paid them again as
+//!   decrements when the retired snapshot dropped.
+//! * **Routers** are one `Arc<[K]>`: copying the node bumps one refcount
+//!   and copies no keys.  The array itself is copied only when a router
+//!   *changes* — never on insert (a key routed to child `i ≥ 1` is at or
+//!   above that child's minimum, which is the router), on remove only when
+//!   a child's minimum or a whole child goes.
+//! * **Leaves** are plain arrays and are copied whole (≤ [`LEAF_CAPACITY`]
+//!   keys, one `memcpy`, no refcounts).
+//!
+//! The chunking is physical only: the logical child array, the fanout
+//! formula, the depth, and interpolation over one flat router array are
+//! exactly those of a flat node.
 
 use std::sync::Arc;
+
+use crate::children::Children;
 
 /// Maps a key to a position on the real line so a node can interpolate.
 ///
@@ -120,18 +144,25 @@ pub struct LeafNode<K, V = ()> {
 
 /// An inner node routing to `children.len()` subtrees.
 ///
-/// `routers[i]` is the smallest key of `children[i + 1]`; a search for `key`
-/// descends into `children[partition_point(routers, r <= key)]`.  The
+/// `routers[i]` is the smallest key of child `i + 1`; a search for `key`
+/// descends into child `partition_point(routers, r <= key)`.  The
 /// interpolation step uses `min`/`max` (the smallest and largest key in this
 /// subtree) to guess that index before touching the routers.
+///
+/// Cloning one — which is what a write under a live snapshot does to every
+/// inner node on its path — costs one refcount for the routers and one per
+/// child *chunk*, not one per child (see the [module docs](self)).
 #[derive(Debug, Clone)]
 pub struct InnerNode<K, V = ()> {
     /// Separator keys, strictly increasing; `len == children.len() - 1`.
-    pub routers: Vec<K>,
-    /// The subtrees, each non-empty.  `Arc` for structural sharing with
-    /// published read snapshots; the update path edits through
-    /// `Arc::make_mut` (copy-on-write).
-    pub children: Vec<Arc<Node<K, V>>>,
+    /// One flat array (interpolation and the corrective binary search index
+    /// it directly), shared whole with snapshots and replaced — never
+    /// edited in place while shared — only when a router changes.
+    pub routers: Arc<[K]>,
+    /// The subtrees, each non-empty, shared with snapshots chunk by chunk;
+    /// the update path reaches a child through `Children::get_mut` or
+    /// `Children::iter_mut_touched` (copy-on-write).
+    pub children: Children<K, V>,
     /// Total number of keys under this node.
     pub len: usize,
     /// Number of keys under this node when its subtree was last (re)built.

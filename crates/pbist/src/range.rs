@@ -77,7 +77,7 @@ pub(crate) fn range_for_each<'a, K, V, F>(
                     inner.routers.partition_point(|r| r <= b)
                 }
             };
-            for child in &inner.children[start..] {
+            for child in inner.children.iter().skip(start) {
                 if above_hi(child.min_key(), hi) {
                     break;
                 }
@@ -102,7 +102,7 @@ where
             }
         }
         Node::Inner(inner) => {
-            for child in &inner.children {
+            for child in inner.children.iter() {
                 emit_all(child, f);
             }
         }
@@ -122,12 +122,12 @@ pub(crate) fn kth_entry<K, V>(root: &Node<K, V>, k: usize) -> (&K, &V) {
         match node {
             Node::Leaf(leaf) => return (&leaf.keys[k], &leaf.vals[k]),
             Node::Inner(inner) => {
-                let mut idx = 0;
-                while k >= inner.children[idx].len() {
-                    k -= inner.children[idx].len();
-                    idx += 1;
+                let mut children = inner.children.iter();
+                node = children.next().expect("inner nodes have children");
+                while k >= node.len() {
+                    k -= node.len();
+                    node = children.next().expect("k < len: a later child holds it");
                 }
-                node = &inner.children[idx];
             }
         }
     }

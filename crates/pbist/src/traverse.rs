@@ -75,16 +75,21 @@ pub(crate) fn joint_query_into<K, V, R, F>(
             let mut tasks: Vec<QueryTask<'_, K, V, R>> = Vec::with_capacity(inner.children.len());
             let mut batch_rest = batch;
             let mut out_rest = out;
-            for (child, window) in inner.children.iter().zip(offsets.windows(2)) {
+            // Internal iteration: the chunked child array folds as nested
+            // slice loops, which a `for` over its flattening iterator
+            // would not.
+            let mut windows = offsets.windows(2);
+            inner.children.iter().for_each(|child| {
+                let window = windows.next().expect("one window per child");
                 let seg_len = window[1] - window[0];
                 let (batch_seg, batch_tail) = batch_rest.split_at(seg_len);
-                let (out_seg, out_tail) = out_rest.split_at_mut(seg_len);
+                let (out_seg, out_tail) = std::mem::take(&mut out_rest).split_at_mut(seg_len);
                 batch_rest = batch_tail;
                 out_rest = out_tail;
                 if seg_len > 0 {
-                    tasks.push((child.as_ref(), batch_seg, out_seg));
+                    tasks.push((child, batch_seg, out_seg));
                 }
-            }
+            });
             if batch.len() <= SEQ_BATCH_LEN {
                 for (child, batch_seg, out_seg) in tasks.iter_mut() {
                     joint_query_into(child, batch_seg, out_seg, m, answer);

@@ -7,6 +7,7 @@ use std::sync::Arc;
 
 use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 
+use crate::children::{cow, Children};
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
     interpolate_slot, InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY, MAX_FANOUT,
@@ -41,8 +42,8 @@ use crate::{range, traverse, update};
 pub struct IstMap<K, V = ()> {
     /// `Arc` so a clone — a published snapshot — is `O(1)`: the root `Arc`
     /// plus the metrics plumbing (reads served from it keep counting nodes
-    /// touched).  Updates go through `Arc::make_mut`, path-copying exactly
-    /// the nodes a clone still shares.
+    /// touched).  Updates go through `children::cow`, path-copying exactly
+    /// the nodes (and child chunks) a clone still shares.
     root: Option<Arc<Node<K, V>>>,
     /// Gates metric recording; the recursion carries `None` when disabled,
     /// so the default configuration pays one branch per instrumented site.
@@ -82,8 +83,9 @@ impl<K, V> IstMap<K, V> {
     }
 
     /// Snapshot of the tree's work counters: nodes touched, leaves edited,
-    /// rebuild count and keys.  All zero unless the tree was configured
-    /// with [`IstMap::with_metrics`].
+    /// rebuild count and keys, and what copy-on-write under live clones
+    /// cost (nodes copied, refcounts bumped).  All zero unless the tree was
+    /// configured with [`IstMap::with_metrics`].
     pub fn metrics(&self) -> IstMetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -154,7 +156,8 @@ where
     /// Verifies the tree's shape invariants — strictly increasing leaf runs
     /// within capacity with one value per key, router keys equal to each
     /// right sibling's minimum, consistent `len`/`min`/`max` at every inner
-    /// node — returning a description of the first violation.
+    /// node, child chunks of the width their count calls for with none
+    /// empty — returning a description of the first violation.
     ///
     /// Intended for tests and debugging after batched updates; cost is a
     /// full traversal.
@@ -295,8 +298,9 @@ where
         if batch.is_empty() {
             return;
         }
+        let m = metrics_ref(self.obs, &self.metrics);
         let root = match &mut self.root {
-            Some(root) => Arc::make_mut(root),
+            Some(root) => cow(root, m),
             None => {
                 self.root = Some(Arc::new(build(batch.keys(), batch.vals())));
                 out.resize(batch.len(), true);
@@ -306,7 +310,6 @@ where
         // Tiny batches: a loop of in-place point upserts is equivalent to
         // the batch recursion (sorted distinct keys, applied in order) and
         // allocation-free.
-        let m = metrics_ref(self.obs, &self.metrics);
         if batch.len() <= update::POINT_BATCH_LEN {
             out.extend(
                 batch
@@ -327,14 +330,14 @@ where
         if batch.is_empty() {
             return;
         }
+        let m = metrics_ref(self.obs, &self.metrics);
         let root = match &mut self.root {
-            Some(root) => Arc::make_mut(root),
+            Some(root) => cow(root, m),
             None => {
                 out.resize(batch.len(), false);
                 return;
             }
         };
-        let m = metrics_ref(self.obs, &self.metrics);
         if batch.len() <= update::POINT_BATCH_LEN {
             out.extend(batch.iter().map(|q| update::remove_one(root, q, m)));
         } else {
@@ -352,7 +355,7 @@ where
     fn upsert_one(&mut self, key: &K, val: &V) -> bool {
         let m = metrics_ref(self.obs, &self.metrics);
         match &mut self.root {
-            Some(root) => update::insert_one(Arc::make_mut(root), key, val, m),
+            Some(root) => update::insert_one(cow(root, m), key, val, m),
             None => {
                 self.root = Some(Arc::new(Node::Leaf(LeafNode {
                     keys: vec![key.clone()],
@@ -366,7 +369,7 @@ where
     fn remove_one(&mut self, key: &K) -> bool {
         let m = metrics_ref(self.obs, &self.metrics);
         let root = match &mut self.root {
-            Some(root) => Arc::make_mut(root),
+            Some(root) => cow(root, m),
             None => return false,
         };
         let removed = update::remove_one(root, key, m);
@@ -436,7 +439,7 @@ fn lookup_in<K: InterpolateKey, V, R>(
         match node {
             Node::Leaf(leaf) => return answer(leaf, key),
             Node::Inner(inner) => {
-                node = &inner.children[child_index(inner, key)];
+                node = inner.children.get(child_index(inner, key));
             }
         }
     }
@@ -452,8 +455,13 @@ fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) 
             Node::Leaf(leaf) => return before + leaf.keys.partition_point(|k| k < key),
             Node::Inner(inner) => {
                 let idx = child_index(inner, key);
-                before += inner.children[..idx].iter().map(|c| c.len()).sum::<usize>();
-                node = &inner.children[idx];
+                before += inner
+                    .children
+                    .iter()
+                    .take(idx)
+                    .map(|c| c.len())
+                    .sum::<usize>();
+                node = inner.children.get(idx);
             }
         }
     }
@@ -479,13 +487,13 @@ where
     let fanout = ((keys.len() as f64).sqrt() as usize).clamp(2, MAX_FANOUT);
     let chunk_len = keys.len().div_ceil(fanout);
     let chunks: Vec<(&[K], &[V])> = keys.chunks(chunk_len).zip(vals.chunks(chunk_len)).collect();
-    let routers: Vec<K> = chunks[1..].iter().map(|(c, _)| c[0].clone()).collect();
+    let routers: Arc<[K]> = chunks[1..].iter().map(|(c, _)| c[0].clone()).collect();
     // Each element is a whole subtree build: fork per chunk, not by the
     // element-count heuristic (which would never fork over <= 64 children).
     let children = parprim::map_with_grain(&chunks, 1, |(c, v)| Arc::new(build(c, v)));
     Node::Inner(InnerNode {
         routers,
-        children,
+        children: Children::from_vec(children),
         len: keys.len(),
         built_len: keys.len(),
         min: keys[0].clone(),
@@ -519,47 +527,46 @@ fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
             Ok(())
         }
         Node::Inner(inner) => {
-            if inner.children.len() < 2 {
+            inner.children.check()?;
+            let children: Vec<&Node<K, V>> = inner.children.iter().collect();
+            if children.len() < 2 {
                 return Err(format!(
                     "inner node with {} children was not hoisted",
-                    inner.children.len()
+                    children.len()
                 ));
             }
-            if inner.routers.len() + 1 != inner.children.len() {
+            if inner.routers.len() + 1 != children.len() {
                 return Err(format!(
                     "{} routers for {} children",
                     inner.routers.len(),
-                    inner.children.len()
+                    children.len()
                 ));
             }
-            let child_sum: usize = inner.children.iter().map(|c| c.len()).sum();
+            let child_sum: usize = children.iter().map(|c| c.len()).sum();
             if inner.len != child_sum {
                 return Err(format!(
                     "inner len {} but children sum to {child_sum}",
                     inner.len
                 ));
             }
-            if inner.children.iter().any(|c| c.is_empty()) {
+            if children.iter().any(|c| c.is_empty()) {
                 return Err("inner node kept an empty child".into());
             }
-            if inner.min != *inner.children[0].min_key() {
+            if inner.min != *children[0].min_key() {
                 return Err("inner min is not its first child's min".into());
             }
-            if inner.max != *inner.children[inner.children.len() - 1].max_key() {
+            if inner.max != *children[children.len() - 1].max_key() {
                 return Err("inner max is not its last child's max".into());
             }
             for (i, router) in inner.routers.iter().enumerate() {
-                if *router != *inner.children[i + 1].min_key() {
+                if *router != *children[i + 1].min_key() {
                     return Err(format!("router {i} is not child {}'s min", i + 1));
                 }
-                if *inner.children[i].max_key() >= *router {
+                if *children[i].max_key() >= *router {
                     return Err(format!("child {i} overlaps router {i}"));
                 }
             }
-            for child in &inner.children {
-                check_node(child)?;
-            }
-            Ok(())
+            children.into_iter().try_for_each(check_node)
         }
     }
 }
@@ -569,6 +576,15 @@ mod tests {
     use super::*;
     use batchapi::BatchedSet;
     use std::collections::BTreeMap;
+
+    /// SplitMix64, inlined to keep this crate dependency-free.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
 
     #[test]
     fn empty_tree_contains_nothing() {
@@ -726,12 +742,7 @@ mod tests {
         let mut oracle: BTreeSet<u64> = (0..6_000u64).map(|i| i * 3 % 5_000).collect();
         let mut state = 0xD1CEu64;
         for step in 0..6_000 {
-            // SplitMix64 step, inlined to keep this crate dependency-free.
-            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = splitmix(&mut state);
             let key = z % 5_000;
             let batch = Batch::from_unsorted(vec![key]);
             let mut out = Vec::new();
@@ -1042,6 +1053,218 @@ mod tests {
         for i in (0..6_000u64).step_by(97) {
             assert_eq!(map.get(&(i * 2 + 1)), Some(i + 500_000));
         }
+    }
+
+    /// The count gate: a point write under a live clone copies its path and
+    /// nothing wider.  10⁶ keys build a 256-child root over 62-child nodes
+    /// over 64-key leaves (depth 3), so a shared write copies three nodes;
+    /// with children in chunks of 16 (root) and 8 (below) that is
+    /// 1 + 16 refcounts for the root, 16 for its chunk, 1 + 8 for the node
+    /// below, 8 for its chunk: 50.  With flat child arrays (the parent of
+    /// this change) the same write bumped 256 + 62 = 318.
+    #[test]
+    fn shared_point_write_copies_chunks_not_the_fanout() {
+        let mut set =
+            IstSet::from_sorted((0..1_000_000u64).map(|i| i * 2).collect()).with_metrics(true);
+        let copied_by_insert = |set: &mut IstSet<u64>, key: u64| {
+            let before = set.metrics();
+            assert!(set.insert_one(&key));
+            let d = set.metrics().delta(&before);
+            (d.cow_nodes, d.cow_refs)
+        };
+        assert_eq!(
+            copied_by_insert(&mut set, 1),
+            (0, 0),
+            "nothing is shared yet"
+        );
+
+        let snapshot = set.clone();
+        let (nodes, refs) = copied_by_insert(&mut set, 3);
+        assert_eq!(nodes, 3, "one copy per level");
+        assert!((1..=64).contains(&refs), "{refs} refcounts for one write");
+        // The path is now the live tree's own: the same leaf again is free.
+        assert_eq!(copied_by_insert(&mut set, 5), (0, 0));
+        // Another leaf, half the tree away, under the same clone: the root
+        // is already unshared, so only its chunk and the two levels below.
+        let (nodes, refs) = copied_by_insert(&mut set, 1_000_001);
+        assert_eq!(nodes, 2, "the root was copied by the first write");
+        assert!((1..=40).contains(&refs), "{refs} refcounts below the root");
+
+        assert!(!snapshot.contains(&3) && !snapshot.contains(&1_000_001));
+        assert_eq!(snapshot.len(), 1_000_001);
+        drop(snapshot);
+        assert_eq!(copied_by_insert(&mut set, 1_500_001), (0, 0), "unshared");
+        set.check_invariants().unwrap();
+    }
+
+    enum Edit {
+        Upsert(u64),
+        Remove(u64),
+        BatchUpsert(Vec<u64>),
+        BatchRemove(Vec<u64>),
+    }
+
+    /// A tree, its oracle, and a clone of both taken before every step.
+    struct Frozen<V, F> {
+        map: IstMap<u64, V>,
+        oracle: BTreeMap<u64, V>,
+        held: Vec<(IstMap<u64, V>, BTreeMap<u64, V>)>,
+        val_of: F,
+    }
+
+    impl<V, F> Frozen<V, F>
+    where
+        V: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        F: Fn(u64, u64) -> V,
+    {
+        /// One step: hold a clone, apply `edit` to tree and oracle, audit.
+        fn step(&mut self, edit: Edit) {
+            self.held.push((self.map.clone(), self.oracle.clone()));
+            let step = self.held.len() as u64;
+            let (map, oracle) = (&mut self.map, &mut self.oracle);
+            match edit {
+                Edit::Upsert(key) => {
+                    let val = (self.val_of)(key, step);
+                    let fresh = oracle.insert(key, val.clone()).is_none();
+                    assert_eq!(map.upsert_one(&key, &val), fresh, "step {step}");
+                }
+                Edit::Remove(key) => {
+                    let present = oracle.remove(&key).is_some();
+                    assert_eq!(map.remove_one(&key), present, "step {step}");
+                }
+                Edit::BatchUpsert(keys) => {
+                    let batch = KvBatch::from_unsorted_entries(
+                        keys.iter().map(|&k| (k, (self.val_of)(k, step))).collect(),
+                    );
+                    let flags = map.batch_insert(&batch);
+                    for ((k, v), flag) in batch.entries().zip(flags) {
+                        assert_eq!(flag, oracle.insert(*k, v.clone()).is_none(), "key {k}");
+                    }
+                }
+                Edit::BatchRemove(keys) => {
+                    let batch = Batch::from_unsorted(keys);
+                    let flags = map.batch_remove(&batch);
+                    for (k, flag) in batch.iter().zip(flags) {
+                        assert_eq!(flag, oracle.remove(k).is_some(), "key {k}");
+                    }
+                }
+            }
+            map.check_invariants()
+                .unwrap_or_else(|e| panic!("step {step}: {e}"));
+            assert_eq!(map.len(), oracle.len(), "step {step}");
+        }
+
+        fn root_children(&self) -> Option<usize> {
+            match self.map.root.as_deref() {
+                Some(Node::Inner(inner)) => Some(inner.children.len()),
+                _ => None,
+            }
+        }
+    }
+
+    /// Drives a seeded point/batch trace through every structural edit of
+    /// the chunked child array — child removal by the point path and by the
+    /// batch path (both re-chunk), hoisting a lone child, leaf overflow,
+    /// drift rebuilds, draining to `None` — holding a clone taken *before*
+    /// each step, and checks every held clone against the oracle as it was
+    /// then, after all the later steps have run.
+    fn snapshots_stay_frozen<V>(val_of: impl Fn(u64, u64) -> V)
+    where
+        V: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+    {
+        const GAP: u64 = 1_000;
+        let oracle: BTreeMap<u64, V> = (0..5_000u64)
+            .map(|i| (i * GAP, val_of(i * GAP, 0)))
+            .collect();
+        let mut t = Frozen {
+            map: IstMap::from_sorted_entries(oracle.clone().into_iter().collect())
+                .with_metrics(true),
+            oracle,
+            held: Vec::new(),
+            val_of,
+        };
+
+        // Random point traffic: overwrites in place, fresh keys, removals.
+        let mut rng = 0xC0FFEEu64;
+        for _ in 0..300 {
+            let z = splitmix(&mut rng);
+            let key = z % 5_000 * GAP + (z >> 40) % 2;
+            t.step(if z >> 32 & 1 == 0 {
+                Edit::Upsert(key)
+            } else {
+                Edit::Remove(key)
+            });
+        }
+        // A point-remove sweep over whole leaves: each emptied leaf is
+        // removed from its parent, which re-chunks.
+        let before = t.root_children().expect("inner root");
+        for i in 1_000..1_250u64 {
+            t.step(Edit::Remove(i * GAP));
+            t.step(Edit::Remove(i * GAP + 1));
+        }
+        assert!(t.root_children().unwrap() < before, "no child was removed");
+        // The same through the batch path (`retain`).
+        let before = t.root_children().unwrap();
+        t.step(Edit::BatchRemove(
+            (2_000..2_400u64).map(|i| i * GAP).collect(),
+        ));
+        assert!(t.root_children().unwrap() < before, "no child was dropped");
+        // Overflow one leaf by point inserts, another by a batch.
+        let rebuilds = t.map.metrics().rebuilds;
+        for j in 1..=1_100u64 {
+            t.step(Edit::Upsert(3_000 * GAP + j));
+        }
+        assert!(t.map.metrics().rebuilds > rebuilds, "no point overflow");
+        let rebuilds = t.map.metrics().rebuilds;
+        t.step(Edit::BatchUpsert(
+            (0..1_500u64).map(|j| 4_000 * GAP + j * 3 + 1).collect(),
+        ));
+        assert!(t.map.metrics().rebuilds > rebuilds, "no batch overflow");
+        // Drain to a handful of keys in one corner: children go, subtrees
+        // drift below half their built size, a lone survivor is hoisted.
+        let keep = 4_000 * GAP..4_000 * GAP + 90;
+        let doomed: Vec<u64> = (t.oracle.keys().copied())
+            .filter(|k| !keep.contains(k))
+            .collect();
+        for run in doomed.chunks(700) {
+            t.step(Edit::BatchRemove(run.to_vec()));
+        }
+        assert_eq!(t.root_children(), None, "the survivor was not hoisted");
+        assert!(!t.map.is_empty());
+        // Down to nothing by point removes, and back.
+        for key in t.oracle.keys().copied().collect::<Vec<_>>() {
+            t.step(Edit::Remove(key));
+        }
+        assert!(t.map.root.is_none());
+        t.step(Edit::Upsert(42));
+        t.step(Edit::BatchUpsert((0..2_000u64).collect()));
+
+        assert!(t.map.metrics().cow_nodes > 0, "nothing was ever shared");
+        for (at, (clone, then)) in t.held.iter().enumerate() {
+            clone
+                .check_invariants()
+                .unwrap_or_else(|e| panic!("clone before step {}: {e}", at + 1));
+            let (keys, vals) = clone.collect_entries();
+            assert!(
+                keys.iter().eq(then.keys()) && vals.iter().eq(then.values()),
+                "clone taken before step {} moved",
+                at + 1
+            );
+            if let Some((key, val)) = then.iter().nth(then.len() / 2) {
+                assert_eq!(clone.get(key).as_ref(), Some(val));
+                assert_eq!(clone.rank(key), then.len() / 2);
+            }
+        }
+    }
+
+    #[test]
+    fn set_snapshots_stay_frozen_across_structural_edits() {
+        snapshots_stay_frozen(|_, _| ());
+    }
+
+    #[test]
+    fn map_snapshots_stay_frozen_across_structural_edits() {
+        snapshots_stay_frozen(|key, step| key ^ (step << 32));
     }
 
     #[test]

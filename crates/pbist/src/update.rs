@@ -5,8 +5,10 @@
 //! ([`crate::traverse`]): the batch is partitioned at each inner node and
 //! the children recurse on their sub-batches in parallel.  At the leaves the
 //! batch is merged in (insert) or filtered out (remove) with one sequential
-//! pass, and on the way back up every inner node refreshes its metadata
-//! (`len`, routers, `min`/`max`) from its children.  A subtree whose key
+//! pass, and on the way back up every inner node brings its metadata up to
+//! date: `len` and `min`/`max` always, the router array — which snapshots
+//! share whole — only when a removal took a child or a child's minimum
+//! (an insert can move no router).  A subtree whose key
 //! count has drifted outside `[built_len / 2, built_len * 2]` since it was
 //! last built — or a leaf that outgrew [`LEAF_CAPACITY`] — is rebuilt from
 //! its sorted keys, restoring the ideal `Θ(√n)` fanout; removals that empty
@@ -18,8 +20,11 @@
 //! takes the incoming value, reporting `false` ("not newly inserted").
 
 use std::mem::MaybeUninit;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::children::{cow, Children};
 use crate::metrics::{touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
 use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY};
 use crate::traverse::{partition_batch, SEQ_BATCH_LEN};
@@ -42,21 +47,13 @@ const SEQ_COLLECT_LEN: usize = 2048;
 /// the batched run.
 pub(crate) const POINT_BATCH_LEN: usize = 8;
 
-/// One child's share of a batched insert: the subtree, its contiguous
-/// key/value sub-batches, the matching output-flag slice, and the per-child
-/// count the recursion reports back.
-type InsertTask<'a, K, V> = (
-    &'a mut Node<K, V>,
-    &'a [K],
-    &'a [V],
-    &'a mut [MaybeUninit<bool>],
+/// One child's share of a batched update: its index, the subtree (already
+/// unshared), the range of the node's batch routed to it, the matching
+/// output-flag slice, and the per-child count the recursion reports back.
+type ChildTask<'a, K, V> = (
     usize,
-);
-
-/// One child's share of a batched removal (no values travel with it).
-type RemoveTask<'a, K, V> = (
     &'a mut Node<K, V>,
-    &'a [K],
+    Range<usize>,
     &'a mut [MaybeUninit<bool>],
     usize,
 );
@@ -95,46 +92,28 @@ where
             added
         }
         Node::Inner(inner) => {
-            let added = {
-                let offsets = partition_batch(&inner.routers, batch);
-                let mut tasks: Vec<InsertTask<'_, K, V>> = Vec::with_capacity(inner.children.len());
-                let mut batch_rest = batch;
-                let mut vals_rest = vals;
-                let mut out_rest = out;
-                for (child, window) in inner.children.iter_mut().zip(offsets.windows(2)) {
-                    let seg_len = window[1] - window[0];
-                    let (batch_seg, batch_tail) = batch_rest.split_at(seg_len);
-                    let (vals_seg, vals_tail) = vals_rest.split_at(seg_len);
-                    let (out_seg, out_tail) = out_rest.split_at_mut(seg_len);
-                    batch_rest = batch_tail;
-                    vals_rest = vals_tail;
-                    out_rest = out_tail;
-                    if seg_len > 0 {
-                        // Copy-on-write: only children actually receiving
-                        // updates are unshared from outstanding snapshots.
-                        tasks.push((Arc::make_mut(child), batch_seg, vals_seg, out_seg, 0));
-                    }
-                }
-                if batch.len() <= SEQ_BATCH_LEN {
-                    for (child, batch_seg, vals_seg, out_seg, count) in tasks.iter_mut() {
-                        *count = insert_into(child, batch_seg, vals_seg, out_seg, m);
-                    }
-                } else {
-                    // Fork per child: each task is a whole sub-update (see
-                    // the matching comment in `traverse`).
-                    parprim::for_each_mut_with_grain(
-                        &mut tasks,
-                        1,
-                        |(child, batch_seg, vals_seg, out_seg, count)| {
-                            *count = insert_into(child, batch_seg, vals_seg, out_seg, m);
-                        },
-                    );
-                }
-                tasks.iter().map(|task| task.4).sum::<usize>()
-            };
+            let InnerNode {
+                routers, children, ..
+            } = &mut *inner;
+            let added = for_each_child_batch(
+                routers,
+                children,
+                batch,
+                out,
+                m,
+                |_, child, seg, out_seg| {
+                    insert_into(child, &batch[seg.clone()], &vals[seg], out_seg, m)
+                },
+            );
             inner.len += added;
-            if added > 0 {
-                refresh_metadata(inner);
+            // Routers cannot move: a key routed to child `i >= 1` is at or
+            // above `routers[i - 1]`, that child's minimum.  Only the node's
+            // own bounds can, and only to the batch's ends.
+            if batch[0] < inner.min {
+                inner.min = batch[0].clone();
+            }
+            if batch[batch.len() - 1] > inner.max {
+                inner.max = batch[batch.len() - 1].clone();
             }
             added
         }
@@ -169,32 +148,38 @@ where
             removed
         }
         Node::Inner(inner) => {
-            let removed =
-                for_each_child_batch(inner, batch, out, |n, b, o| remove_from(n, b, o, m));
+            // Only a child the batch reached can have emptied or lost its
+            // minimum, so staleness is decided there, on lines the removal
+            // just touched, instead of by a scan of every child.  `Relaxed`:
+            // read after the (possibly forked) loop has joined.
+            let stale = AtomicBool::new(false);
+            let InnerNode {
+                routers, children, ..
+            } = &mut *inner;
+            let removed = for_each_child_batch(
+                routers,
+                children,
+                batch,
+                out,
+                m,
+                |idx, child, seg, out_seg| {
+                    let removed = remove_from(child, &batch[seg], out_seg, m);
+                    if removed > 0
+                        && (child.is_empty() || (idx > 0 && routers[idx - 1] != *child.min_key()))
+                    {
+                        stale.store(true, Ordering::Relaxed);
+                    }
+                    removed
+                },
+            );
             inner.len -= removed;
             if removed > 0 {
-                inner.children.retain(|c| !c.is_empty());
-                if inner.children.len() >= 2 {
-                    refresh_metadata(inner);
-                }
+                refresh_after_removal(inner, stale.into_inner(), m);
             }
             removed
         }
     };
-    // Prune inner nodes the retain above left degenerate: an emptied subtree
-    // becomes an empty leaf (for the parent to drop in turn) and a single
-    // surviving child is hoisted into its parent's slot.
-    if let Node::Inner(inner) = node {
-        if inner.children.len() < 2 {
-            *node = match inner.children.pop() {
-                Some(only) => Arc::unwrap_or_clone(only),
-                None => Node::Leaf(LeafNode {
-                    keys: Vec::new(),
-                    vals: Vec::new(),
-                }),
-            };
-        }
-    }
+    prune(node, m);
     maybe_rebuild(node, m);
     removed
 }
@@ -233,7 +218,7 @@ where
         },
         Node::Inner(inner) => {
             let idx = child_index(inner, key);
-            let added = insert_one(Arc::make_mut(&mut inner.children[idx]), key, val, m);
+            let added = insert_one(inner.children.get_mut(idx, m), key, val, m);
             if added {
                 inner.len += 1;
                 if *key < inner.min {
@@ -273,31 +258,33 @@ where
         },
         Node::Inner(inner) => {
             let idx = child_index(inner, key);
-            let removed = remove_one(Arc::make_mut(&mut inner.children[idx]), key, m);
+            let removed = remove_one(inner.children.get_mut(idx, m), key, m);
             if removed {
                 inner.len -= 1;
-                if inner.children[idx].is_empty() {
+                if inner.children.get(idx).is_empty() {
                     // Drop the emptied child and the router that named it
                     // (child 0 is named by no router; dropping it promotes
                     // router 0's key to plain first-child minimum).
-                    inner.children.remove(idx);
-                    inner.routers.remove(idx.saturating_sub(1));
-                } else {
+                    inner.children.remove(idx, m);
+                    let named = idx.saturating_sub(1);
+                    inner.routers = (inner.routers.iter().enumerate())
+                        .filter(|(i, _)| *i != named)
+                        .map(|(_, router)| router.clone())
+                        .collect();
+                } else if idx > 0 {
                     // Removing a child's minimum shifts the router that
                     // records it; removing its maximum shifts nothing.
-                    if idx > 0 {
-                        let child_min = inner.children[idx].min_key();
-                        if *child_min != inner.routers[idx - 1] {
-                            inner.routers[idx - 1] = child_min.clone();
-                        }
+                    let child_min = inner.children.get(idx).min_key();
+                    if *child_min != inner.routers[idx - 1] {
+                        Arc::make_mut(&mut inner.routers)[idx - 1] = child_min.clone();
                     }
                 }
-                if !inner.children.is_empty() {
-                    let first_min = inner.children[0].min_key();
+                if inner.children.len() > 0 {
+                    let first_min = inner.children.get(0).min_key();
                     if inner.min != *first_min {
                         inner.min = first_min.clone();
                     }
-                    let last_max = inner.children[inner.children.len() - 1].max_key();
+                    let last_max = inner.children.get(inner.children.len() - 1).max_key();
                     if inner.max != *last_max {
                         inner.max = last_max.clone();
                     }
@@ -306,12 +293,24 @@ where
             removed
         }
     };
-    // Same degenerate-node pruning as the batch path: hoist a lone child,
-    // collapse an emptied node into an empty leaf for the parent to drop.
+    prune(node, m);
+    maybe_rebuild(node, m);
+    removed
+}
+
+/// Prunes an inner node a removal left degenerate: an emptied subtree
+/// becomes an empty leaf (for the parent to drop in turn) and a single
+/// surviving child is hoisted into its parent's slot.
+fn prune<K: Clone, V: Clone>(node: &mut Node<K, V>, m: MetricsRef<'_>) {
     if let Node::Inner(inner) = node {
         if inner.children.len() < 2 {
-            *node = match inner.children.pop() {
-                Some(only) => Arc::unwrap_or_clone(only),
+            *node = match inner.children.take_only() {
+                Some(mut only) => {
+                    // Unshare first so a shared survivor's copy is counted;
+                    // the unwrap then moves.
+                    cow(&mut only, m);
+                    Arc::unwrap_or_clone(only)
+                }
                 None => Node::Leaf(LeafNode {
                     keys: Vec::new(),
                     vals: Vec::new(),
@@ -319,8 +318,6 @@ where
             };
         }
     }
-    maybe_rebuild(node, m);
-    removed
 }
 
 /// Flattens the subtree at `node` into parallel sorted key and value
@@ -376,13 +373,13 @@ fn collect_into<K, V>(
             let mut tasks: Vec<CollectTask<'_, K, V>> = Vec::with_capacity(inner.children.len());
             let mut keys_rest = keys_out;
             let mut vals_rest = vals_out;
-            for child in &inner.children {
-                let (kseg, ktail) = keys_rest.split_at_mut(child.len());
-                let (vseg, vtail) = vals_rest.split_at_mut(child.len());
+            inner.children.iter().for_each(|child| {
+                let (kseg, ktail) = std::mem::take(&mut keys_rest).split_at_mut(child.len());
+                let (vseg, vtail) = std::mem::take(&mut vals_rest).split_at_mut(child.len());
                 keys_rest = ktail;
                 vals_rest = vtail;
-                tasks.push((child.as_ref(), kseg, vseg));
-            }
+                tasks.push((child, kseg, vseg));
+            });
             if inner.len <= SEQ_COLLECT_LEN {
                 for (child, kseg, vseg) in tasks.iter_mut() {
                     collect_into(child, kseg, vseg);
@@ -396,62 +393,76 @@ fn collect_into<K, V>(
     }
 }
 
-/// Routes `batch` to `inner`'s children ([`partition_batch`]) and runs `op`
+/// Routes `batch` to `children` at `routers` ([`partition_batch`]) and runs `op`
 /// on every child that received a non-empty sub-batch — in parallel when the
-/// batch is large enough — returning the sum of the per-child results.
+/// batch is large enough — returning the sum of the per-child results.  `op`
+/// gets the child's index, the child, its range of `batch`, and the matching
+/// slice of `out`.
 fn for_each_child_batch<K, V, Op>(
-    inner: &mut InnerNode<K, V>,
+    routers: &[K],
+    children: &mut Children<K, V>,
     batch: &[K],
     out: &mut [MaybeUninit<bool>],
+    m: MetricsRef<'_>,
     op: Op,
 ) -> usize
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
-    Op: Fn(&mut Node<K, V>, &[K], &mut [MaybeUninit<bool>]) -> usize + Sync,
+    Op: Fn(usize, &mut Node<K, V>, Range<usize>, &mut [MaybeUninit<bool>]) -> usize + Sync,
 {
-    let offsets = partition_batch(&inner.routers, batch);
+    let offsets = partition_batch(routers, batch);
     // Last tuple slot collects the per-child count, since `for_each_mut`
     // has no return channel.
-    let mut tasks: Vec<RemoveTask<'_, K, V>> = Vec::with_capacity(inner.children.len());
-    let mut batch_rest = batch;
+    let mut tasks: Vec<ChildTask<'_, K, V>> = Vec::with_capacity(children.len());
     let mut out_rest = out;
-    for (child, window) in inner.children.iter_mut().zip(offsets.windows(2)) {
-        let seg_len = window[1] - window[0];
-        let (batch_seg, batch_tail) = batch_rest.split_at(seg_len);
-        let (out_seg, out_tail) = out_rest.split_at_mut(seg_len);
-        batch_rest = batch_tail;
+    // Copy-on-write: only children actually receiving updates — and only
+    // the chunks holding them — are unshared from outstanding snapshots.
+    let receives = |idx: usize| offsets[idx] < offsets[idx + 1];
+    children.for_each_touched(receives, m, |idx, child| {
+        let seg = offsets[idx]..offsets[idx + 1];
+        let (out_seg, out_tail) = std::mem::take(&mut out_rest).split_at_mut(seg.len());
         out_rest = out_tail;
-        if seg_len > 0 {
-            // Copy-on-write: only children actually receiving updates are
-            // unshared from outstanding snapshots.
-            tasks.push((Arc::make_mut(child), batch_seg, out_seg, 0));
-        }
-    }
+        tasks.push((idx, child, seg, out_seg, 0));
+    });
     if batch.len() <= SEQ_BATCH_LEN {
-        for (child, batch_seg, out_seg, count) in tasks.iter_mut() {
-            *count = op(child, batch_seg, out_seg);
+        for (idx, child, seg, out_seg, count) in tasks.iter_mut() {
+            *count = op(*idx, child, seg.clone(), out_seg);
         }
     } else {
         // Fork per child: each task is a whole sub-update (see the matching
         // comment in `traverse`).
-        parprim::for_each_mut_with_grain(&mut tasks, 1, |(child, batch_seg, out_seg, count)| {
-            *count = op(child, batch_seg, out_seg);
+        parprim::for_each_mut_with_grain(&mut tasks, 1, |(idx, child, seg, out_seg, count)| {
+            *count = op(*idx, child, seg.clone(), out_seg);
         });
     }
-    tasks.iter().map(|task| task.3).sum()
+    tasks.iter().map(|task| task.4).sum()
 }
 
-/// Recomputes `min`, `max` and the routers of `inner` from its (non-empty,
-/// at least two) children.  `len` is maintained incrementally by the caller.
-fn refresh_metadata<K: Ord + Clone, V>(inner: &mut InnerNode<K, V>) {
-    debug_assert!(inner.children.len() >= 2);
-    inner.min = inner.children[0].min_key().clone();
-    inner.max = inner.children[inner.children.len() - 1].max_key().clone();
-    inner.routers = inner.children[1..]
-        .iter()
-        .map(|child| child.min_key().clone())
-        .collect();
+/// Restores `inner`'s children, bounds and routers after a batched removal
+/// (`len` is maintained by the caller).  `stale` says a child emptied or
+/// lost its minimum: only then are emptied children dropped (which
+/// re-chunks) and the router array — shared whole with snapshots —
+/// replaced.  May leave fewer than two children for [`prune`].
+fn refresh_after_removal<K: Ord + Clone, V: Clone>(
+    inner: &mut InnerNode<K, V>,
+    stale: bool,
+    m: MetricsRef<'_>,
+) {
+    if stale {
+        inner.children.retain(|child| !child.is_empty(), m);
+    }
+    let children = &inner.children;
+    if children.len() < 2 {
+        return;
+    }
+    inner.min = children.get(0).min_key().clone();
+    inner.max = children.get(children.len() - 1).max_key().clone();
+    if stale {
+        let mut minima = Vec::with_capacity(children.len() - 1);
+        (children.iter().skip(1)).for_each(|child| minima.push(child.min_key().clone()));
+        inner.routers = minima.into();
+    }
 }
 
 /// Rebuilds the subtree at `node` from its sorted keys when its size has
