@@ -34,9 +34,9 @@
 //!    makes the usual Treiber ABA hazard irrelevant: nothing is ever popped
 //!    one-at-a-time, the combiner claims the whole list with one `swap`.
 //! 2. **Elect** — any client with a pending op may become the combiner by
-//!    CASing the `combiner` flag `false → true` (`Acquire`; the paired
-//!    `Release` store on unlock carries the backing set's mutations from
-//!    each combiner to the next).
+//!    CASing the `combiner` flag `FREE → HELD` (`Acquire`; the paired
+//!    `Release` store of `FREE` on unlock carries the backing set's
+//!    mutations from each combiner to the next).
 //! 3. **Combine** — the combiner swaps the ingress head to null
 //!    (`Acquire`, pairing with every publisher's `Release` CAS so slot
 //!    fields are visible), splits the drained slots by kind, and builds one

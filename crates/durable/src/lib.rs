@@ -131,7 +131,7 @@ use obs::{Counter, Gauge, Histogram, Registry};
 use crate::log::{
     list_segments, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
 };
-use crate::record::{encode_record, WalOp};
+use crate::record::{encode_record, payload_len, WalOp, MAX_PAYLOAD};
 use crate::snapshot::{
     commit_manifest, load_snapshot, read_manifest, remove_stale_snapshots, snapshot_path,
     write_snapshot,
@@ -473,7 +473,15 @@ where
     }
 
     /// Batch upsert; one combining round, one WAL record.
+    ///
+    /// # Errors
+    ///
+    /// `InvalidInput` — before anything commits, the store stays usable —
+    /// when the batch is too large for one record (256 MiB of payload:
+    /// ≈ 29.8 M `u64` keys, ≈ 15.8 M `u64 → u64` pairs; split it).  Same for
+    /// [`DurableMap::batch_remove`].
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
+        Self::check_fits_one_record(payload_len::<K, V>(batch.len(), 0))?;
         let result = self.inner.batch_insert(batch);
         self.publish()?;
         Ok(result)
@@ -481,6 +489,7 @@ where
 
     /// Batch remove; one combining round, one WAL record.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
+        Self::check_fits_one_record(payload_len::<K, V>(0, batch.len()))?;
         let result = self.inner.batch_remove(batch);
         self.publish()?;
         Ok(result)
@@ -572,6 +581,21 @@ where
         })
     }
 
+    /// Refuses a batch whose round could encode to a record that recovery
+    /// would read as a torn tail — discarding it and everything after it.
+    fn check_fits_one_record(payload: usize) -> io::Result<()> {
+        if payload > MAX_PAYLOAD {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "batch would log a {payload}-byte record; recovery accepts at most \
+                     {MAX_PAYLOAD} bytes, so split the batch"
+                ),
+            ));
+        }
+        Ok(())
+    }
+
     /// Refuses when an earlier call wedged the store.
     fn check_wedged(&self) -> io::Result<()> {
         if self.wedged.load(Ordering::Acquire) {
@@ -607,7 +631,7 @@ where
             // docs' logging rule): a failed remove replays to nothing, and
             // so does a failed insert unless it may have rewritten a value.
             // Sequence gaps this leaves in the WAL are expected.
-            let muts: Vec<WalOp<&K, &V>> = round
+            let mut muts = round
                 .ops
                 .iter()
                 .filter(|op| op.result || (op.kind == OpKind::Insert && V::WIDTH != 0))
@@ -618,8 +642,8 @@ where
                     }
                     OpKind::Remove => WalOp::Remove(&op.key),
                 })
-                .collect();
-            if muts.is_empty() {
+                .peekable();
+            if muts.peek().is_none() {
                 continue;
             }
             if wal.log.wants_rotation() {
@@ -633,7 +657,7 @@ where
             }
             let mut buf = std::mem::take(&mut wal.buf);
             buf.clear();
-            encode_record(round.seq, &muts, &mut buf);
+            encode_record(round.seq, muts, &mut buf);
             let appended = wal.log.append(&buf);
             self.metrics.bytes_written.add(buf.len() as u64);
             wal.buf = buf;
@@ -767,6 +791,7 @@ mod tests {
         larger_groups_amortise_fsyncs,
         only_ops_whose_replay_could_change_state_are_logged,
         batches_recover_with_last_wins_values,
+        an_oversize_batch_is_refused_before_anything_commits,
         snapshot_truncates_the_log_and_still_recovers,
         automatic_snapshots_fire_on_the_configured_cadence,
         segment_rotation_keeps_every_record,
@@ -948,6 +973,50 @@ mod tests {
             assert_eq!(hit, expect.is_some(), "key {key}");
             assert_eq!(val, expect, "key {key}");
         }
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Encode refuses what decode calls torn: a batch whose record would
+    /// pass `MAX_PAYLOAD` (1 MiB under `cfg(test)`) is turned away with
+    /// `InvalidInput` before its round commits — recovery would otherwise
+    /// discard that record and everything after it — and the store carries
+    /// on; the largest batch that fits is logged and recovered whole.
+    fn an_oversize_batch_is_refused_before_anything_commits<V: Val>() {
+        let dir = scratch_dir("oversize");
+        let store = open::<V>(&dir, DurableOptions::default());
+        store.upsert(1, V::of(1, 0)).unwrap();
+        let before = (appended(&store), store.inner().committed_seq());
+
+        let fits = (MAX_PAYLOAD - 12) / (1 + 8 + V::WIDTH);
+        let entries = |n: usize| {
+            let pairs = (10..10 + n as u64).map(|k| (k, V::of(k, 0))).collect();
+            KvBatch::from_sorted_entries(pairs).unwrap()
+        };
+        let err = store.batch_insert(&entries(fits + 1)).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let keys = (0..=(MAX_PAYLOAD as u64 - 12) / (1 + 8)).collect();
+        let err = store
+            .batch_remove(&Batch::from_sorted(keys).unwrap())
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
+        let after = (appended(&store), store.inner().committed_seq());
+        assert_eq!(
+            (after, store.len()),
+            (before, 1),
+            "a refused batch left a trace"
+        );
+
+        // Not wedged: the next call works, the boundary batch included.
+        assert!(store
+            .batch_insert(&entries(fits))
+            .unwrap()
+            .iter()
+            .all(|&b| b));
+        store.close().unwrap();
+        let store = open::<V>(&dir, DurableOptions::default());
+        assert_eq!(store.len(), fits + 1);
+        assert_eq!(store.metrics().counter("durable.torn_tails"), Some(0));
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

@@ -276,7 +276,7 @@ mod tests {
 
     fn one_record(seq: u64, key: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_record(seq, &[WalOp::Insert(&key, &())], &mut buf);
+        encode_record(seq, [WalOp::Insert(&key, &())].into_iter(), &mut buf);
         buf
     }
 

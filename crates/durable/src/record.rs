@@ -1,10 +1,10 @@
 //! The write-ahead log's record codec — one codec for every store, the
 //! set being the instance whose values are zero bytes wide.
 //!
-//! One record per *mutation* round (pure-`Contains` rounds never reach the
-//! log — a membership test changes nothing, so replaying it would be
-//! wasted work and the WAL's sequence numbers are allowed to have gaps
-//! where read-only rounds committed).  The wire layout is
+//! One record per round that logged anything (reads never enter a round,
+//! and a round whose every op failed — replaying it would change nothing —
+//! writes no record, so the WAL's sequence numbers are allowed to have
+//! gaps).  The wire layout is
 //!
 //! ```text
 //! [payload_len: u32 LE][checksum: u64 LE]    <- header, 12 bytes
@@ -32,12 +32,22 @@ pub(crate) const RECORD_HEADER: usize = 4 + 8;
 
 /// Upper bound on a single record's payload, as a plausibility filter: a
 /// corrupted length field must not convince the replayer to wait for
-/// gigabytes of payload that never existed.  256 MiB is far above any real
-/// round (a round holds at most one op per client thread).
-pub(crate) const MAX_PAYLOAD: usize = 256 << 20;
+/// gigabytes of payload that never existed.  A combined round of point ops
+/// holds one op per publishing client and stays far below it, but a
+/// whole-batch round is as large as its batch — 256 MiB is ≈ 29.8 M `u64`
+/// keys or ≈ 15.8 M `u64 → u64` pairs — so the store refuses a larger batch
+/// before it commits ([`payload_len`] is the rule): what decoding calls
+/// torn, encoding must never write.  (1 MiB under `cfg(test)`, so this
+/// crate's unit tests reach the limit without a 256 MiB batch.)
+pub(crate) const MAX_PAYLOAD: usize = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 
-/// Op kind tags on the wire.  `Contains` has no tag: read-only ops are
-/// stripped before encoding.
+/// Payload bytes of a record holding `inserts` inserts and `removes`
+/// removes (see the module docs' wire layout).
+pub(crate) fn payload_len<K: KeyCodec, V: KeyCodec>(inserts: usize, removes: usize) -> usize {
+    8 + 4 + inserts * (1 + K::WIDTH + V::WIDTH) + removes * (1 + K::WIDTH)
+}
+
+/// Op kind tags on the wire.
 const KIND_INSERT: u8 = 0;
 const KIND_REMOVE: u8 = 1;
 
@@ -64,8 +74,8 @@ pub(crate) enum WalOp<K, V> {
     Remove(K),
 }
 
-/// One decoded WAL record: a mutation round's sequence number and its
-/// surviving (non-`Contains`) operations in linearisation order.
+/// One decoded WAL record: a round's sequence number and its logged
+/// operations in linearisation order.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WalRecord<K, V> {
     pub(crate) seq: u64,
@@ -74,21 +84,24 @@ pub(crate) struct WalRecord<K, V> {
 
 /// Appends one encoded record for `(seq, ops)` to `buf`.
 ///
-/// `ops` must already be filtered down to mutations; the caller skips
-/// rounds whose mutation list is empty rather than writing empty records.
-pub(crate) fn encode_record<K: KeyCodec, V: KeyCodec>(
+/// `ops` are the round's ops already filtered down to the ones the logging
+/// rule keeps, as a lazy iterator: the op count — like the length and the
+/// checksum — is patched into place once they are in, so nobody collects
+/// them first.  The caller skips rounds that keep no op rather than writing
+/// empty records.
+pub(crate) fn encode_record<'a, K: KeyCodec + 'a, V: KeyCodec + 'a>(
     seq: u64,
-    ops: &[WalOp<&K, &V>],
+    ops: impl Iterator<Item = WalOp<&'a K, &'a V>>,
     buf: &mut Vec<u8>,
 ) {
-    // Reserved as if every op carried a value; the true length is read
-    // off the buffer once the ops are in.
-    buf.reserve(RECORD_HEADER + 8 + 4 + ops.len() * (1 + K::WIDTH + V::WIDTH));
+    // Reserved as if every op were kept and carried a value.
+    buf.reserve(RECORD_HEADER + payload_len::<K, V>(ops.size_hint().1.unwrap_or(0), 0));
     let header_at = buf.len();
     buf.extend_from_slice(&[0u8; RECORD_HEADER]);
     let payload_at = buf.len();
     buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(ops.len() as u32).to_le_bytes());
+    buf.extend_from_slice(&[0u8; 4]);
+    let mut n_ops = 0u32;
     for op in ops {
         let (kind, key, val) = match op {
             WalOp::Insert(key, val) => (KIND_INSERT, key, Some(val)),
@@ -103,8 +116,14 @@ pub(crate) fn encode_record<K: KeyCodec, V: KeyCodec>(
             buf.resize(at + V::WIDTH, 0);
             val.encode(&mut buf[at..]);
         }
+        n_ops += 1;
     }
     let payload_len = buf.len() - payload_at;
+    debug_assert!(
+        payload_len <= MAX_PAYLOAD,
+        "a {payload_len}-byte record would read back as a torn tail"
+    );
+    buf[payload_at + 8..payload_at + 12].copy_from_slice(&n_ops.to_le_bytes());
     let checksum = fnv1a(&buf[payload_at..]);
     buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
@@ -191,14 +210,11 @@ mod tests {
 
     fn encode<V: KeyCodec>(seq: u64, ops: &[WalOp<u64, V>]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let borrowed: Vec<WalOp<&u64, &V>> = ops
-            .iter()
-            .map(|op| match op {
-                WalOp::Insert(k, v) => WalOp::Insert(k, v),
-                WalOp::Remove(k) => WalOp::Remove(k),
-            })
-            .collect();
-        encode_record(seq, &borrowed, &mut buf);
+        let borrowed = ops.iter().map(|op| match op {
+            WalOp::Insert(k, v) => WalOp::Insert(k, v),
+            WalOp::Remove(k) => WalOp::Remove(k),
+        });
+        encode_record(seq, borrowed, &mut buf);
         buf
     }
 
@@ -216,6 +232,7 @@ mod tests {
             RECORD_HEADER + 8 + 4 + 3 * (1 + 8) + 2 * V::WIDTH,
             "inserts carry V::WIDTH value bytes, removes none"
         );
+        assert_eq!(buf.len(), RECORD_HEADER + payload_len::<u64, V>(2, 1));
         match decode_record::<u64, V>(&buf, 0) {
             DecodeOutcome::Record { record, consumed } => {
                 assert_eq!(consumed, buf.len());

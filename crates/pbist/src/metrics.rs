@@ -88,20 +88,6 @@ impl IstMetricsSnapshot {
             cow_refs: self.cow_refs.saturating_sub(earlier.cow_refs),
         }
     }
-
-    /// Renders the snapshot as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"nodes_touched\": {}, \"leaves_edited\": {}, \"rebuilds\": {}, \"rebuild_keys\": {}, \
-             \"cow_nodes\": {}, \"cow_refs\": {}}}",
-            self.nodes_touched,
-            self.leaves_edited,
-            self.rebuilds,
-            self.rebuild_keys,
-            self.cow_nodes,
-            self.cow_refs,
-        )
-    }
 }
 
 /// The handle the recursions carry: `None` when the set was built without

@@ -12,20 +12,25 @@
 //!   [`ShardRouter::shard_of`] call of routing overhead on top of the
 //!   shard's own fast path.
 //! * **Batched ops** ([`ShardedSet::batch_insert`] and friends) split one
-//!   incoming sorted [`Batch`] into per-shard sub-batches
-//!   ([`ShardRouter::split`] — for the range router a handful of narrowing
-//!   binary searches whose offsets are the exclusive scan of per-shard
-//!   counts, exactly the carve `pbist`'s joint traversal performs at every
-//!   inner node), execute the sub-batches (in parallel on the tier's
-//!   fork-join pool once the batch is large enough), and stitch per-op
-//!   results back into batch order by carving the output at the same
-//!   offsets.
+//!   incoming sorted [`Batch`] into contiguous per-shard sub-batches
+//!   ([`ShardRouter::split`] — a handful of narrowing binary searches whose
+//!   offsets are the exclusive scan of per-shard counts, exactly the carve
+//!   `pbist`'s joint traversal performs at every inner node), execute the
+//!   sub-batches (in parallel on the tier's fork-join pool once the batch
+//!   is large enough), and stitch per-op results back into batch order by
+//!   concatenating the per-shard runs.
 //!
 //! # Routing contract
 //!
-//! The router's assignment is total and stable, so **every operation on a
-//! key — point or batched — executes on the same shard**, and each shard
-//! serialises its operations through its combiner.  The tier therefore
+//! There is one routing discipline: the tier is an **ordered partition**
+//! of the key space.  The router's assignment is total, stable and
+//! *monotone* — shard `i` owns a contiguous key range below shard
+//! `i + 1`'s; that is the [`ShardRouter`] contract, checked by
+//! [`ShardRouter::split`] — so **every operation on a key — point or
+//! batched — executes on the same shard**, each shard serialises its
+//! operations through its combiner, and ordered queries visit shards in
+//! index order ([`ShardedSet::range_keys`] concatenates the per-shard runs,
+//! [`ShardedSet::kth`] walks cardinalities).  The tier therefore
 //! guarantees **per-shard linearizability**: restricted to any one shard's
 //! key range, the concurrent history is linearizable (each shard's commit
 //! log is a witness, replayable against a sequential oracle — the
@@ -91,10 +96,8 @@ mod durable_tier;
 mod router;
 
 pub use durable_tier::DurableTier;
-pub use router::{HashRouter, RangeRouter, ShardRouter, SplitBatch};
+pub use router::{RangeRouter, ShardRouter, SplitBatch};
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Bound;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -103,26 +106,6 @@ use batchapi::{Batch, BatchedSet};
 use combine::{ConcurrentSet, Round};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, Snapshot};
-
-/// Construction-time knobs for [`ShardedSet`].
-#[derive(Debug, Clone)]
-pub struct ShardedOptions {
-    /// Batches with at least this many keys execute their per-shard
-    /// sub-batches in parallel on the tier's fork-join pool; smaller ones
-    /// run the shards sequentially on the issuing thread (a pool
-    /// round-trip costs more than a couple of small sub-batches).  `0`
-    /// forces every split batch through the pool; `usize::MAX` keeps
-    /// everything sequential.
-    pub parallel_cutoff: usize,
-}
-
-impl Default for ShardedOptions {
-    fn default() -> ShardedOptions {
-        ShardedOptions {
-            parallel_cutoff: 256,
-        }
-    }
-}
 
 /// Handles cloned out of the tier registry once at construction, so the
 /// routing paths hit the atomics directly.
@@ -201,7 +184,6 @@ pub struct ShardedSet<K, S, R> {
     /// from every shard's own pool, so a tier worker blocking on a shard
     /// combiner can never form a wait cycle.
     pool: Pool,
-    parallel_cutoff: usize,
     /// Tier-level poison flag; set when any delegation into a shard
     /// unwinds.  Checked first by every tier operation.
     poisoned: AtomicBool,
@@ -216,24 +198,13 @@ where
     R: ShardRouter<K> + Sync,
 {
     /// Builds a tier from a router, its shards (one `ConcurrentSet` per
-    /// router shard, index-aligned), and the tier pool, with default
-    /// [`ShardedOptions`].
+    /// router shard, index-aligned), and the tier pool.
     ///
     /// # Panics
     ///
     /// Panics when `shards.len() != router.num_shards()` or no shards are
     /// given.
     pub fn new(router: R, shards: Vec<ConcurrentSet<K, S>>, pool: Pool) -> ShardedSet<K, S, R> {
-        ShardedSet::with_options(router, shards, pool, ShardedOptions::default())
-    }
-
-    /// [`ShardedSet::new`] with explicit [`ShardedOptions`].
-    pub fn with_options(
-        router: R,
-        shards: Vec<ConcurrentSet<K, S>>,
-        pool: Pool,
-        options: ShardedOptions,
-    ) -> ShardedSet<K, S, R> {
         assert!(!shards.is_empty(), "a tier needs at least one shard");
         assert_eq!(
             shards.len(),
@@ -248,7 +219,6 @@ where
             router,
             shards,
             pool,
-            parallel_cutoff: options.parallel_cutoff,
             poisoned: AtomicBool::new(false),
             registry,
             metrics,
@@ -313,41 +283,19 @@ where
     /// linearisation points (no cross-shard snapshot — see the
     /// [module docs](self)).
     pub fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_contains_report(batch, &mut out);
-        out
+        self.run_batch(BatchOp::Contains, batch)
     }
 
     /// Inserts every batch key on its owning shard; `result[i]` is `true`
     /// iff `batch[i]` was newly inserted.
     pub fn batch_insert(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_insert_report(batch, &mut out);
-        out
+        self.run_batch(BatchOp::Insert, batch)
     }
 
     /// Removes every batch key from its owning shard; `result[i]` is
     /// `true` iff `batch[i]` was present.
     pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_remove_report(batch, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`ShardedSet::batch_contains`] (flags
-    /// land in `out`, cleared first).
-    pub fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(BatchOp::Contains, batch, out);
-    }
-
-    /// Buffer-reusing variant of [`ShardedSet::batch_insert`].
-    pub fn batch_insert_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(BatchOp::Insert, batch, out);
-    }
-
-    /// Buffer-reusing variant of [`ShardedSet::batch_remove`].
-    pub fn batch_remove_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch(BatchOp::Remove, batch, out);
+        self.run_batch(BatchOp::Remove, batch)
     }
 
     /// Total keys across all shards.
@@ -391,28 +339,21 @@ where
     /// Keys in `(lo, hi)` across all shards, ascending.
     ///
     /// Every shard answers the full bounds from its own published
-    /// snapshot (a wait-free read); the tier then concatenates
-    /// the runs in shard order when the router is
-    /// [monotone](ShardRouter::monotone) and k-way merges them
-    /// otherwise.  Per-shard runs are per-shard linearisation points —
-    /// the stitched result is **not** a consistent cross-shard cut (same
-    /// contract as [`ShardedSet::len`]), but each shard's contribution
-    /// is exactly that shard's range at its own instant, so a quiescent
-    /// tier gets the exact range.
+    /// snapshot (a wait-free read) and the tier concatenates the runs in
+    /// shard order — shard `i`'s keys all sort below shard `i + 1`'s (the
+    /// [`ShardRouter`] contract).  Per-shard runs are per-shard
+    /// linearisation points — the stitched result is **not** a consistent
+    /// cross-shard cut (same contract as [`ShardedSet::len`]), but each
+    /// shard's contribution is exactly that shard's range at its own
+    /// instant, so a quiescent tier gets the exact range.
     pub fn range_keys(&self, lo: Bound<&K>, hi: Bound<&K>) -> Vec<K> {
         self.check_read_poisoned();
         self.metrics.range_ops.inc();
         let _promote = self.poison_guard();
-        let runs: Vec<Vec<K>> = self
-            .shards
+        self.shards
             .iter()
-            .map(|shard| shard.range_keys(lo, hi))
-            .collect();
-        if self.router.monotone() {
-            runs.into_iter().flatten().collect()
-        } else {
-            merge_sorted_runs(runs)
-        }
+            .flat_map(|shard| shard.range_keys(lo, hi))
+            .collect()
     }
 
     /// Number of keys in `(lo, hi)` across all shards — the sum of
@@ -430,8 +371,7 @@ where
 
     /// Greatest key strictly less than `key` anywhere in the tier — the
     /// maximum of the per-shard predecessors (each a per-shard
-    /// linearisation point).  Works for any router: a non-monotone
-    /// router scatters the candidates but `max` is order-insensitive.
+    /// linearisation point).
     pub fn predecessor(&self, key: &K) -> Option<K> {
         self.check_read_poisoned();
         self.metrics.range_ops.inc();
@@ -457,37 +397,24 @@ where
     /// The `k`-th smallest key (0-based) across all shards, or `None`
     /// when fewer than `k + 1` keys are held.
     ///
-    /// A [monotone](ShardRouter::monotone) router walks shards in index
-    /// order subtracting cardinalities (two reads per skipped shard);
-    /// otherwise the tier merges every shard's full key run and indexes
-    /// it.  Like every cross-shard aggregate this is not a consistent
-    /// cut: a shard that shrinks between the walk's `len` and `kth`
-    /// reads can make a concurrent call return `None` for a rank that
+    /// Walks shards in index order subtracting cardinalities (two reads
+    /// per skipped shard).  Like every cross-shard aggregate this is not a
+    /// consistent cut: a shard that shrinks between the walk's `len` and
+    /// `kth` reads can make a concurrent call return `None` for a rank that
     /// was momentarily occupied.
     pub fn kth(&self, k: usize) -> Option<K> {
         self.check_read_poisoned();
         self.metrics.range_ops.inc();
         let _promote = self.poison_guard();
-        if self.router.monotone() {
-            let mut k = k;
-            for shard in &self.shards {
-                let n = shard.len();
-                if k < n {
-                    return shard.kth(k);
-                }
-                k -= n;
+        let mut k = k;
+        for shard in &self.shards {
+            let n = shard.len();
+            if k < n {
+                return shard.kth(k);
             }
-            None
-        } else {
-            merge_sorted_runs(
-                self.shards
-                    .iter()
-                    .map(|shard| shard.range_keys(Bound::Unbounded, Bound::Unbounded))
-                    .collect(),
-            )
-            .into_iter()
-            .nth(k)
+            k -= n;
         }
+        None
     }
 
     /// Returns `true` when the tier — or any of its shards — is poisoned.
@@ -524,18 +451,17 @@ where
     }
 
     /// Splits `batch` across shards, executes every non-empty sub-batch on
-    /// its shard (in parallel on the tier pool once the batch reaches
-    /// `parallel_cutoff` keys), and stitches the per-shard flags back into
+    /// its shard (in parallel on the tier pool once a mutating batch reaches
+    /// `PARALLEL_CUTOFF` keys), and stitches the per-shard flags back into
     /// batch order.
-    fn run_batch(&self, op: BatchOp, batch: &Batch<K>, out: &mut Vec<bool>) {
+    fn run_batch(&self, op: BatchOp, batch: &Batch<K>) -> Vec<bool> {
         if matches!(op, BatchOp::Contains) {
             self.check_read_poisoned();
         } else {
             self.check_poisoned();
         }
-        out.clear();
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let split = self.router.split(batch);
         self.metrics.batches_split.inc();
@@ -559,12 +485,19 @@ where
             .map(|(shard, (sub, run))| (shard, sub, run))
             .collect();
 
+        // Mutating batches of at least this many keys, spread over more
+        // than one shard, run their sub-batches in parallel on the tier
+        // pool; smaller ones run the shards in turn on the issuing thread
+        // (a pool round-trip costs more than a couple of small
+        // sub-batches).  A constant, not an option: every caller ran at
+        // this value, and ROADMAP item 3 replaces it with one rule derived
+        // from the measured install and per-key costs.
+        const PARALLEL_CUTOFF: usize = 256;
         // All-read batches skip the tier pool: each sub-batch is answered
         // from its shard's published snapshot (a few binary searches), so
         // a pool round-trip would cost more than the reads themselves.
-        let pooled = !matches!(op, BatchOp::Contains)
-            && batch.len() >= self.parallel_cutoff
-            && tasks.len() > 1;
+        let pooled =
+            !matches!(op, BatchOp::Contains) && batch.len() >= PARALLEL_CUTOFF && tasks.len() > 1;
         if pooled {
             // Each task is a whole shard round, so fork with grain 1 (the
             // element-count heuristic would be wrong — see pbist::traverse).
@@ -578,7 +511,9 @@ where
                 self.exec_shard(op, *shard, sub, run);
             }
         }
-        split.stitch(&results, out);
+        let mut out = Vec::with_capacity(batch.len());
+        split.stitch(&results, &mut out);
+        out
     }
 
     /// Delegates one sub-batch to its shard, promoting any panic that
@@ -631,38 +566,14 @@ where
 const TIER_POISON_MSG: &str = "ShardedSet is poisoned: a shard's backend panicked mid-round, \
      so that shard's state is indeterminate";
 
-/// K-way merge of sorted runs (one per shard) into one ascending vector.
-/// A binary heap of run heads costs `O(n log k)`; shard ranges are
-/// disjoint (the router's assignment is total), so no dedup is needed.
-fn merge_sorted_runs<K: Ord>(runs: Vec<Vec<K>>) -> Vec<K> {
-    let total = runs.iter().map(Vec::len).sum();
-    let mut iters: Vec<std::vec::IntoIter<K>> = runs.into_iter().map(Vec::into_iter).collect();
-    let mut heap: BinaryHeap<Reverse<(K, usize)>> = BinaryHeap::with_capacity(iters.len());
-    for (run, iter) in iters.iter_mut().enumerate() {
-        if let Some(key) = iter.next() {
-            heap.push(Reverse((key, run)));
-        }
-    }
-    let mut out = Vec::with_capacity(total);
-    while let Some(Reverse((key, run))) = heap.pop() {
-        out.push(key);
-        if let Some(next) = iters[run].next() {
-            heap.push(Reverse((next, run)));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pbist::IstSet;
+    use std::collections::BTreeSet;
 
-    fn tier(
-        num_shards: usize,
-        parallel_cutoff: usize,
-    ) -> ShardedSet<u64, IstSet<u64>, RangeRouter<u64>> {
-        ShardedSet::with_options(
+    fn tier(num_shards: usize) -> ShardedSet<u64, IstSet<u64>, RangeRouter<u64>> {
+        ShardedSet::new(
             RangeRouter::new(num_shards, 0, 10_000),
             (0..num_shards)
                 .map(|_| {
@@ -670,13 +581,12 @@ mod tests {
                 })
                 .collect(),
             Pool::new(2).unwrap(),
-            ShardedOptions { parallel_cutoff },
         )
     }
 
     #[test]
     fn point_ops_route_and_have_set_semantics() {
-        let set = tier(4, 256);
+        let set = tier(4);
         assert!(set.insert(5));
         assert!(!set.insert(5));
         assert!(set.insert(9_999));
@@ -694,29 +604,33 @@ mod tests {
 
     #[test]
     fn batched_ops_split_execute_and_stitch() {
-        for cutoff in [0usize, usize::MAX] {
-            let set = tier(4, cutoff);
-            let batch = Batch::from_unsorted(vec![1u64, 2_600, 5_100, 7_600, 9_999]);
-            assert_eq!(set.batch_insert(&batch), vec![true; 5]);
-            assert_eq!(set.batch_insert(&batch), vec![false; 5]);
-            assert_eq!(set.batch_contains(&batch), vec![true; 5]);
-            let partial = Batch::from_unsorted(vec![1u64, 3, 5_100]);
-            assert_eq!(set.batch_remove(&partial), vec![true, false, true]);
-            assert_eq!(set.len(), 3);
+        // Five keys run the shards inline on the caller; 400 keys (>= the
+        // 256-key cut-off, spread over all four shards) run them in the
+        // tier pool.  Same answers either way.
+        for n in [5u64, 400] {
+            let set = tier(4);
+            let keys: Vec<u64> = (0..n).map(|i| i * (9_999 / (n - 1))).collect();
+            let batch = Batch::from_unsorted(keys.clone());
+            assert_eq!(set.batch_insert(&batch), vec![true; keys.len()]);
+            assert_eq!(set.batch_insert(&batch), vec![false; keys.len()]);
+            assert_eq!(set.batch_contains(&batch), vec![true; keys.len()]);
+            // Every other key, plus one that was never there.
+            let mut partial: Vec<u64> = keys.iter().copied().step_by(2).collect();
+            partial.push(3);
+            let partial = Batch::from_unsorted(partial);
+            let want: Vec<bool> = partial.iter().map(|k| *k != 3).collect();
+            assert_eq!(set.batch_remove(&partial), want);
+            assert_eq!(set.len(), keys.len() / 2);
 
             let m = set.metrics();
-            assert_eq!(
-                m.counter("service.batches_split"),
-                Some(4),
-                "cutoff {cutoff}"
-            );
+            assert_eq!(m.counter("service.batches_split"), Some(4), "{n} keys");
             let sizes = m.histogram("service.subbatch_size").unwrap();
             assert!(sizes.count() > 0);
-            // Each shard saw traffic: the 5-key batch covers all 4 ranges.
+            // Each shard saw traffic: the batch covers all 4 ranges.
             for (shard, snap) in set.shard_metrics().iter().enumerate() {
                 assert!(
                     snap.counter("combine.rounds").unwrap_or(0) > 0,
-                    "shard {shard} committed no rounds (cutoff {cutoff})"
+                    "shard {shard} committed no rounds ({n} keys)"
                 );
             }
         }
@@ -724,76 +638,48 @@ mod tests {
 
     #[test]
     fn empty_batches_are_no_ops() {
-        let set = tier(2, 256);
+        let set = tier(2);
         assert!(set.batch_insert(&Batch::empty()).is_empty());
-        let mut out = vec![true; 3];
-        set.batch_contains_report(&Batch::empty(), &mut out);
-        assert!(out.is_empty());
+        assert!(set.batch_contains(&Batch::empty()).is_empty());
         assert_eq!(set.metrics().counter("service.batches_split"), Some(0));
     }
 
     #[test]
     fn ordered_queries_stitch_across_shards() {
-        let set = tier(4, 0);
-        let keys: Vec<u64> = (0..100).map(|i| i * 97 % 9_973).collect();
-        set.batch_insert(&Batch::from_unsorted(keys.clone()));
-        let mut sorted = keys.clone();
-        sorted.sort_unstable();
-        sorted.dedup();
-
         use std::ops::Bound::{Excluded, Included, Unbounded};
-        assert_eq!(set.range_keys(Unbounded, Unbounded), sorted);
-        let lo = sorted[10];
-        let hi = sorted[90];
-        let want: Vec<u64> = sorted
-            .iter()
-            .copied()
-            .filter(|k| *k >= lo && *k < hi)
-            .collect();
-        assert_eq!(set.range_keys(Included(&lo), Excluded(&hi)), want);
-        assert_eq!(set.range_count(Included(&lo), Excluded(&hi)), want.len());
-        assert_eq!(set.predecessor(&sorted[50]), Some(sorted[49]));
-        assert_eq!(set.predecessor(&sorted[0]), None);
-        assert_eq!(set.successor(&sorted[50]), Some(sorted[51]));
-        assert_eq!(set.successor(sorted.last().unwrap()), None);
-        for k in [0usize, 1, 50, sorted.len() - 1] {
-            assert_eq!(set.kth(k), Some(sorted[k]), "rank {k}");
+        for num_shards in [1usize, 2, 3, 4, 8] {
+            let set = tier(num_shards);
+            let keys: Vec<u64> = (0..100).map(|i| i * 97 % 9_973).collect();
+            set.batch_insert(&Batch::from_unsorted(keys.clone()));
+            let oracle: BTreeSet<u64> = keys.into_iter().collect();
+            let sorted: Vec<u64> = oracle.iter().copied().collect();
+
+            assert_eq!(set.range_keys(Unbounded, Unbounded), sorted);
+            let (lo, hi) = (sorted[10], sorted[90]);
+            let want: Vec<u64> = oracle.range(lo..hi).copied().collect();
+            assert_eq!(set.range_keys(Included(&lo), Excluded(&hi)), want);
+            assert_eq!(set.range_count(Included(&lo), Excluded(&hi)), want.len());
+            for probe in [sorted[0], sorted[50], sorted[99], 5_000, 10_000] {
+                assert_eq!(
+                    set.predecessor(&probe),
+                    oracle.range(..probe).next_back().copied(),
+                    "{num_shards} shards, predecessor of {probe}"
+                );
+                assert_eq!(
+                    set.successor(&probe),
+                    oracle.range((Excluded(probe), Unbounded)).next().copied(),
+                    "{num_shards} shards, successor of {probe}"
+                );
+            }
+            for k in [0usize, 1, 50, sorted.len() - 1, sorted.len()] {
+                assert_eq!(
+                    set.kth(k),
+                    sorted.get(k).copied(),
+                    "{num_shards} shards, rank {k}"
+                );
+            }
+            assert!(set.metrics().counter("service.range_ops").unwrap() >= 9);
         }
-        assert_eq!(set.kth(sorted.len()), None);
-        assert!(set.metrics().counter("service.range_ops").unwrap() >= 9);
-    }
-
-    #[test]
-    fn non_monotone_router_merges_ordered_results() {
-        let router = HashRouter::new(3);
-        assert!(!ShardRouter::<u64>::monotone(&router));
-        let set = ShardedSet::with_options(
-            router,
-            (0..3)
-                .map(|_| {
-                    ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), Pool::new(1).unwrap())
-                })
-                .collect(),
-            Pool::new(2).unwrap(),
-            ShardedOptions { parallel_cutoff: 0 },
-        );
-        let keys: Vec<u64> = (0..200).map(|i| i * 13 % 1_009).collect();
-        set.batch_insert(&Batch::from_unsorted(keys.clone()));
-        let mut sorted = keys;
-        sorted.sort_unstable();
-        sorted.dedup();
-
-        use std::ops::Bound::{Included, Unbounded};
-        let got = set.range_keys(Unbounded, Unbounded);
-        assert_eq!(got, sorted, "hash-router runs must k-way merge sorted");
-        let lo = sorted[5];
-        assert_eq!(
-            set.range_keys(Included(&lo), Unbounded),
-            sorted[5..].to_vec()
-        );
-        assert_eq!(set.kth(7), Some(sorted[7]));
-        assert_eq!(set.predecessor(&sorted[9]), Some(sorted[8]));
-        assert_eq!(set.successor(&sorted[9]), Some(sorted[10]));
     }
 
     #[test]

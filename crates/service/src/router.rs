@@ -1,25 +1,16 @@
-//! Shard routers: deciding which shard owns a key, and splitting a sorted
-//! [`Batch`] into per-shard sub-batches with a stitch plan for the results.
+//! Shard routers: deciding which shard owns a key, and carving a sorted
+//! [`Batch`] into per-shard sub-batches whose results stitch back by
+//! concatenation.
 //!
-//! Two routing disciplines ship here:
-//!
-//! * [`RangeRouter`] — partitions the key space into contiguous ranges by
-//!   interpolating each key's [`InterpolateKey::to_ordinal`] position
-//!   between the configured bounds, so shard `i` owns the `i`-th equal
-//!   slice of the ordinal range.  Because the mapping is monotone, a sorted
-//!   batch splits into **contiguous** sub-batches: the split is a handful
-//!   of narrowing binary searches (the exclusive scan of per-shard counts,
-//!   exactly the carve-at-offsets idiom `pbist`'s joint traversal uses at
-//!   every inner node), and results stitch back by carving the output
-//!   buffer at the same offsets.
-//! * [`HashRouter`] — spreads keys by a fixed (deterministic) hash, which
-//!   resists skew: a contiguous hot range lands on every shard instead of
-//!   one.  The price is that a sorted batch interleaves arbitrarily across
-//!   shards, so splitting walks the batch once and stitching scatters
-//!   results back through a recorded per-key assignment.
-
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
+//! The tier is an **ordered partition** of the key space: shard `i` owns a
+//! contiguous key range below shard `i + 1`'s.  That is the paper's own
+//! discipline one level up — an inner node of `pbist` splits a sorted batch
+//! at its routers and carves the output at the same offsets — so a sorted
+//! batch splits into **contiguous** sub-batches with a handful of narrowing
+//! binary searches, per-shard results concatenate into batch order, and
+//! ordered queries visit shards in index order.  Monotonicity is the
+//! [`ShardRouter`] contract, not a flag; [`RangeRouter`] is the shipped
+//! implementation.
 
 use batchapi::Batch;
 use pbist::node::interpolate_slot;
@@ -27,83 +18,84 @@ use pbist::InterpolateKey;
 
 /// Assigns every key to one of a fixed number of shards.
 ///
-/// The assignment must be **total and stable**: the same key always routes
-/// to the same shard, for the router's whole lifetime.  That is what makes
-/// the tier's per-key history live entirely inside one shard — the ground
-/// for the per-shard linearizability contract (see the crate docs).
+/// # Contract
+///
+/// The assignment must be
+///
+/// * **total and stable** — the same key always routes to the same shard,
+///   `< num_shards()`, for the router's whole lifetime — which is what makes
+///   the tier's per-key history live entirely inside one shard (the ground
+///   for the per-shard linearizability contract, see the crate docs); and
+/// * **monotone** — `a <= b` implies `shard_of(a) <= shard_of(b)`, i.e.
+///   shard `i` owns a contiguous key range below shard `i + 1`'s.  Batched
+///   ops route by [`ShardRouter::split`]'s carve and point ops by
+///   [`ShardRouter::shard_of`]; only a monotone `shard_of` makes the two
+///   agree, and the tier's ordered queries concatenate per-shard runs in
+///   shard order.  `split` checks the contract and panics when it is broken.
 pub trait ShardRouter<K: Ord> {
     /// Number of shards this router partitions the key space across.
     fn num_shards(&self) -> usize;
 
-    /// The shard owning `key`; always `< num_shards()`.
+    /// The shard owning `key`; always `< num_shards()`, and monotone in
+    /// `key` (see the [contract](ShardRouter#contract)).
     fn shard_of(&self, key: &K) -> usize;
 
-    /// Whether the assignment is *monotone* in the key: `a <= b` implies
-    /// `shard_of(a) <= shard_of(b)`, i.e. shard `i` owns a contiguous key
-    /// range below shard `i + 1`'s.  Monotone routers let the tier answer
-    /// ordered queries by visiting shards in index order and concatenating
-    /// their (already sorted) runs; non-monotone routers force a k-way
-    /// merge.  Defaults to `false` — only claim monotonicity when it truly
-    /// holds, or [`ShardedSet::range_keys`](crate::ShardedSet::range_keys)
-    /// returns misordered results.
-    fn monotone(&self) -> bool {
-        false
-    }
-
-    /// Splits a sorted `batch` into one (possibly empty) sub-batch per
-    /// shard, plus the plan for stitching per-shard results back into
-    /// batch order.
+    /// Carves a sorted `batch` into one (possibly empty) contiguous
+    /// sub-batch per shard: each shard boundary is located with a binary
+    /// search over `shard_of` in the still-unassigned tail, so the offsets
+    /// come out as the exclusive scan of per-shard key counts — the same
+    /// idiom `pbist::traverse::partition_batch` uses at every inner node.
     ///
-    /// The default implementation walks the batch once, appending each key
-    /// to its shard's run (a subsequence of a strictly-increasing run is
-    /// strictly increasing, so every sub-batch is a valid [`Batch`]) and
-    /// recording the per-key assignment for the scatter stitch.  Routers
-    /// whose assignment is *monotone* in the key should override this with
-    /// the contiguous carve — see [`RangeRouter`].
+    /// # Panics
+    ///
+    /// Panics when `shard_of` disagrees with the carve — a router that is
+    /// not monotone (or not total) would otherwise send a key's batched and
+    /// point ops to different shards.  The two ends of every non-empty
+    /// sub-batch are always checked; every key is under `debug_assertions`.
     fn split(&self, batch: &Batch<K>) -> SplitBatch<K>
     where
         K: Clone,
     {
         let shards = self.num_shards();
-        let mut keys: Vec<Vec<K>> = (0..shards).map(|_| Vec::new()).collect();
-        let mut shard_of_index = Vec::with_capacity(batch.len());
-        for key in batch.iter() {
-            let shard = self.shard_of(key);
-            assert!(shard < shards, "shard_of returned {shard} >= {shards}");
-            keys[shard].push(key.clone());
-            shard_of_index.push(shard);
+        let mut offsets = Vec::with_capacity(shards + 1);
+        offsets.push(0);
+        let mut assigned = 0;
+        for next in 1..shards {
+            assigned += batch[assigned..].partition_point(|key| self.shard_of(key) < next);
+            offsets.push(assigned);
+        }
+        offsets.push(batch.len());
+        for (shard, ends) in offsets.windows(2).enumerate() {
+            let sub = &batch[ends[0]..ends[1]];
+            let check = |key: &K| {
+                let routed = self.shard_of(key);
+                assert!(
+                    routed == shard,
+                    "ShardRouter contract violated: shard_of must be monotone and < num_shards, \
+                     but a key carved into sub-batch {shard} of {shards} routes to shard {routed}"
+                );
+            };
+            if cfg!(debug_assertions) {
+                sub.iter().for_each(check);
+            } else {
+                sub.first().into_iter().chain(sub.last()).for_each(check);
+            }
         }
         SplitBatch {
-            sub_batches: keys
-                .into_iter()
-                .map(|run| {
-                    Batch::from_sorted(run).expect("a subsequence of a sorted batch stays sorted")
-                })
-                .collect(),
-            plan: StitchPlan::Scatter { shard_of_index },
+            sub_batches: batch.split_at_offsets(&offsets),
+            offsets,
         }
     }
 }
 
-/// How a [`SplitBatch`] maps per-shard result runs back to batch order.
-enum StitchPlan {
-    /// Batch order coincides with shard order (monotone router): shard
-    /// `s`'s results occupy `out[offsets[s]..offsets[s + 1]]`, `offsets`
-    /// being the exclusive scan of per-shard key counts.
-    Contiguous { offsets: Vec<usize> },
-    /// Arbitrary interleave: `shard_of_index[i]` names the shard that
-    /// received `batch[i]`, and results are scattered back through one
-    /// cursor per shard.
-    Scatter { shard_of_index: Vec<usize> },
-}
-
-/// One sorted batch carved into per-shard sub-batches, with the plan to
-/// stitch per-shard results back into batch order.  Produced by
-/// [`ShardRouter::split`]; consumed by the tier's batched operations (and
+/// One sorted batch carved into contiguous per-shard sub-batches.  Produced
+/// by [`ShardRouter::split`]; consumed by the tier's batched operations (and
 /// directly testable — see this crate's router property tests).
 pub struct SplitBatch<K> {
     sub_batches: Vec<Batch<K>>,
-    plan: StitchPlan,
+    /// The carve: sub-batch `s` is `batch[offsets[s]..offsets[s + 1]]`, so
+    /// `offsets` is the exclusive scan of per-shard key counts.
+    offsets: Vec<usize>,
 }
 
 impl<K: Ord> SplitBatch<K> {
@@ -115,11 +107,13 @@ impl<K: Ord> SplitBatch<K> {
 
     /// Total keys across all sub-batches (= the split batch's length).
     pub fn total_len(&self) -> usize {
-        self.sub_batches.iter().map(Batch::len).sum()
+        *self.offsets.last().expect("offsets hold [0, .., len]")
     }
 
     /// Stitches per-shard result runs back into batch order: `out[i]`
-    /// becomes the flag that `batch[i]`'s shard reported for it.
+    /// becomes the flag that `batch[i]`'s shard reported for it.  Shard
+    /// order is batch order, so this is the concatenation of the runs —
+    /// shard `s`'s flags land at `out[offsets[s]..offsets[s + 1]]`.
     /// `per_shard[s]` must hold exactly one flag per key of sub-batch `s`,
     /// in sub-batch order — which is what the shards' batched operations
     /// report.
@@ -135,37 +129,16 @@ impl<K: Ord> SplitBatch<K> {
             self.sub_batches.len(),
             "one result run per shard"
         );
-        for (shard, (run, sub)) in per_shard.iter().zip(&self.sub_batches).enumerate() {
+        out.clear();
+        for (shard, run) in per_shard.iter().enumerate() {
+            let keys = self.offsets[shard + 1] - self.offsets[shard];
             assert_eq!(
                 run.len(),
-                sub.len(),
-                "shard {shard} reported {} flags for {} keys",
-                run.len(),
-                sub.len()
+                keys,
+                "shard {shard} reported {} flags for {keys} keys",
+                run.len()
             );
-        }
-        out.clear();
-        match &self.plan {
-            StitchPlan::Contiguous { offsets } => {
-                // Shard order is batch order: concatenating the runs carves
-                // the output at exactly the split offsets.
-                for (shard, run) in per_shard.iter().enumerate() {
-                    debug_assert_eq!(
-                        out.len(),
-                        offsets[shard],
-                        "shard {shard}'s results must start at its carve offset"
-                    );
-                    out.extend_from_slice(run);
-                }
-            }
-            StitchPlan::Scatter { shard_of_index } => {
-                let mut cursors = vec![0usize; per_shard.len()];
-                out.extend(shard_of_index.iter().map(|&shard| {
-                    let flag = per_shard[shard][cursors[shard]];
-                    cursors[shard] += 1;
-                    flag
-                }));
-            }
+            out.extend_from_slice(run);
         }
     }
 }
@@ -173,11 +146,8 @@ impl<K: Ord> SplitBatch<K> {
 /// Range-partitioning router: shard `i` owns the keys whose
 /// [`InterpolateKey::to_ordinal`] position falls into the `i`-th equal
 /// slice of `[min, max]`.  Keys outside the bounds clamp to the edge
-/// shards, so the assignment is total.
-///
-/// Monotone by construction (`to_ordinal` is monotone), which buys the
-/// contiguous split: a sorted batch carves into per-shard sub-slices with
-/// `num_shards - 1` narrowing binary searches instead of a per-key walk.
+/// shards, so the assignment is total; `to_ordinal` is monotone and the
+/// slot interpolation preserves it, so the assignment is monotone.
 #[derive(Debug, Clone)]
 pub struct RangeRouter<K> {
     min: K,
@@ -209,73 +179,6 @@ impl<K: InterpolateKey> ShardRouter<K> for RangeRouter<K> {
 
     fn shard_of(&self, key: &K) -> usize {
         interpolate_slot(key, &self.min, &self.max, self.num_shards)
-    }
-
-    /// `to_ordinal` is monotone and the slot interpolation preserves it, so
-    /// shard ranges are contiguous and ordered by shard index.
-    fn monotone(&self) -> bool {
-        true
-    }
-
-    fn split(&self, batch: &Batch<K>) -> SplitBatch<K>
-    where
-        K: Clone,
-    {
-        // The monotone carve: locate each shard boundary with a binary
-        // search in the still-unassigned tail, so the offsets come out as
-        // the exclusive scan of per-shard key counts — the same idiom
-        // `pbist::traverse::partition_batch` uses at every inner node.
-        let mut offsets = Vec::with_capacity(self.num_shards + 1);
-        offsets.push(0);
-        let mut assigned = 0;
-        for shard in 0..self.num_shards - 1 {
-            assigned += batch[assigned..].partition_point(|key| self.shard_of(key) <= shard);
-            offsets.push(assigned);
-        }
-        offsets.push(batch.len());
-        SplitBatch {
-            sub_batches: batch.split_at_offsets(&offsets),
-            plan: StitchPlan::Contiguous { offsets },
-        }
-    }
-}
-
-/// Hash-partitioning router: shard = `hash(key) % num_shards`, with a
-/// fixed-key (deterministic across runs and processes) hasher, so traces
-/// and benchmarks replay exactly.
-///
-/// Use it when traffic is skewed: a contiguous hot key range that would
-/// swamp one [`RangeRouter`] shard spreads across all hash shards.  Not
-/// monotone, so batch splitting pays a per-key walk ([`ShardRouter`]'s
-/// default) instead of the contiguous carve.
-#[derive(Debug, Clone)]
-pub struct HashRouter {
-    num_shards: usize,
-}
-
-impl HashRouter {
-    /// A router spreading keys across `num_shards` by fixed hash.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `num_shards` is zero.
-    pub fn new(num_shards: usize) -> HashRouter {
-        assert!(num_shards > 0, "a router needs at least one shard");
-        HashRouter { num_shards }
-    }
-}
-
-impl<K: Ord + Hash> ShardRouter<K> for HashRouter {
-    fn num_shards(&self) -> usize {
-        self.num_shards
-    }
-
-    fn shard_of(&self, key: &K) -> usize {
-        // `DefaultHasher::new()` is the fixed-key SipHash construction —
-        // deterministic, unlike `RandomState`-seeded map hashers.
-        let mut hasher = DefaultHasher::new();
-        key.hash(&mut hasher);
-        (hasher.finish() % self.num_shards as u64) as usize
     }
 }
 
@@ -312,38 +215,27 @@ mod tests {
         }
     }
 
-    #[test]
-    fn hash_router_is_stable_and_covers_all_shards() {
-        let router = HashRouter::new(4);
-        for key in 0..200u64 {
-            assert_eq!(router.shard_of(&key), router.shard_of(&key));
-            assert!(router.shard_of(&key) < 4);
+    /// Routes by parity: total and stable, but not monotone — the carve and
+    /// `shard_of` cannot agree, so a batched op and a point op on the same
+    /// key would land on different shards.  `split` must refuse — and on
+    /// this batch (odd first key, even last key) the always-on check of the
+    /// sub-batch ends fires wherever the binary search lands.
+    struct ParityRouter;
+
+    impl ShardRouter<u64> for ParityRouter {
+        fn num_shards(&self) -> usize {
+            2
         }
-        let mut hit = [false; 4];
-        for key in 0..200u64 {
-            hit[router.shard_of(&key)] = true;
+
+        fn shard_of(&self, key: &u64) -> usize {
+            (key % 2) as usize
         }
-        assert!(
-            hit.iter().all(|&h| h),
-            "200 keys left a shard empty: {hit:?}"
-        );
     }
 
     #[test]
-    fn scatter_stitch_restores_batch_order() {
-        let router = HashRouter::new(3);
-        let batch = Batch::from_unsorted((0..40u64).collect());
-        let split = router.split(&batch);
-        // Echo each key's low bit as its "result" per shard.
-        let per_shard: Vec<Vec<bool>> = split
-            .sub_batches()
-            .iter()
-            .map(|sub| sub.iter().map(|k| k % 2 == 0).collect())
-            .collect();
-        let mut out = Vec::new();
-        split.stitch(&per_shard, &mut out);
-        let expect: Vec<bool> = batch.iter().map(|k| k % 2 == 0).collect();
-        assert_eq!(out, expect);
+    #[should_panic(expected = "ShardRouter contract violated")]
+    fn a_non_monotone_router_is_refused_by_split() {
+        ParityRouter.split(&Batch::from_unsorted((1..=40u64).collect()));
     }
 
     #[test]
@@ -357,14 +249,9 @@ mod tests {
     #[test]
     fn single_shard_routers_degenerate_cleanly() {
         let range = RangeRouter::new(1, 0u64, 10);
-        let hash = HashRouter::new(1);
         let batch = Batch::from_unsorted(vec![3u64, 7, 99]);
-        for split in [
-            range.split(&batch),
-            ShardRouter::<u64>::split(&hash, &batch),
-        ] {
-            assert_eq!(split.sub_batches().len(), 1);
-            assert_eq!(split.sub_batches()[0], batch);
-        }
+        let split = range.split(&batch);
+        assert_eq!(split.sub_batches().len(), 1);
+        assert_eq!(split.sub_batches()[0], batch);
     }
 }

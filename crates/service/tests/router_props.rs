@@ -9,15 +9,19 @@
 use batchapi::{Batch, BatchedMap, MapView};
 use combine::ConcurrentSet;
 use forkjoin::Pool;
-use service::{HashRouter, RangeRouter, ShardRouter, ShardedOptions, ShardedSet};
+use service::{RangeRouter, ShardRouter, ShardedSet};
 use workloads::{mixed_op_batches, OpKind};
 
-/// Builds a tier whose shards are `SortedArraySet`s, so the sharded and
-/// unsharded sides run the very same backend code.
-fn tier<R: ShardRouter<u64> + Sync>(
-    router: R,
-    parallel_cutoff: usize,
-) -> ShardedSet<u64, baselines::SortedArraySet<u64>, R> {
+/// Runs the same batched op script against the sharded tier and the
+/// unsharded reference; every per-op result vector must match, and so must
+/// the final contents.
+fn assert_split_then_stitch_equivalence(
+    router: RangeRouter<u64>,
+    ops: &[(OpKind, Batch<u64>)],
+    ctx: &str,
+) {
+    // The shards are `SortedArraySet`s, so the sharded and unsharded sides
+    // run the very same backend code.
     let shards = (0..router.num_shards())
         .map(|_| {
             ConcurrentSet::new(
@@ -26,24 +30,7 @@ fn tier<R: ShardRouter<u64> + Sync>(
             )
         })
         .collect();
-    ShardedSet::with_options(
-        router,
-        shards,
-        Pool::new(2).expect("tier pool"),
-        ShardedOptions { parallel_cutoff },
-    )
-}
-
-/// Runs the same batched op script against the sharded tier and the
-/// unsharded reference; every per-op result vector must match, and so must
-/// the final contents.
-fn assert_split_then_stitch_equivalence<R: ShardRouter<u64> + Sync>(
-    router: R,
-    ops: &[(OpKind, Batch<u64>)],
-    parallel_cutoff: usize,
-    ctx: &str,
-) {
-    let sharded = tier(router, parallel_cutoff);
+    let sharded = ShardedSet::new(router, shards, Pool::new(2).expect("tier pool"));
     let mut reference = baselines::SortedArraySet::from_unsorted(Vec::new());
 
     for (step, (kind, batch)) in ops.iter().enumerate() {
@@ -95,27 +82,17 @@ fn mixed_script(
 
 #[test]
 fn range_router_matches_unsharded_reference() {
+    // 64-key batches run the shards inline on the caller, 512-key batches
+    // (>= the tier's 256-key cut-off after dedup, spread over every shard)
+    // run them in the tier pool.
     for shards in [1usize, 2, 3, 4, 8] {
-        for cutoff in [0usize, usize::MAX] {
+        for batch_len in [64usize, 512] {
             assert_split_then_stitch_equivalence(
                 RangeRouter::new(shards, 0, 10_000),
-                &mixed_script(0xA11CE ^ shards as u64, 40, 64, 10_000),
-                cutoff,
-                &format!("range router, {shards} shards, cutoff {cutoff}"),
+                &mixed_script(0xA11CE ^ shards as u64, 40, batch_len, 10_000),
+                &format!("range router, {shards} shards, {batch_len}-key batches"),
             );
         }
-    }
-}
-
-#[test]
-fn hash_router_matches_unsharded_reference() {
-    for shards in [1usize, 3, 4, 8] {
-        assert_split_then_stitch_equivalence(
-            HashRouter::new(shards),
-            &mixed_script(0xB0B ^ shards as u64, 40, 64, 10_000),
-            0,
-            &format!("hash router, {shards} shards"),
-        );
     }
 }
 
@@ -138,7 +115,6 @@ fn batches_with_empty_sub_batches_round_trip() {
     assert_split_then_stitch_equivalence(
         RangeRouter::new(4, 0, 10_000),
         &ops,
-        0,
         "range router, all keys in shard 0",
     );
 
@@ -179,7 +155,6 @@ fn boundary_keys_on_shard_edges_route_consistently() {
     assert_split_then_stitch_equivalence(
         RangeRouter::new(4, 0u64, 100),
         &ops,
-        0,
         "range router, boundary keys",
     );
 }
@@ -197,7 +172,6 @@ fn out_of_range_keys_still_route_and_match() {
     assert_split_then_stitch_equivalence(
         RangeRouter::new(4, 100u64, 9_000),
         &ops,
-        0,
         "range router, out-of-range keys",
     );
 }

@@ -167,11 +167,6 @@ impl ZipfSampler {
     pub fn take(&mut self, count: usize) -> Vec<usize> {
         (0..count).map(|_| self.next_rank()).collect()
     }
-
-    /// Number of distinct ranks this sampler draws from.
-    pub fn num_ranks(&self) -> usize {
-        self.cdf.len()
-    }
 }
 
 /// What a generated operation batch does to a set.

@@ -45,7 +45,7 @@ use pbist_repro::{
     combine::{ConcurrentSet, OpKind as CombinedOp, Options},
     forkjoin::Pool,
     pbist::IstSet,
-    service::{HashRouter, RangeRouter, ShardRouter, ShardedOptions, ShardedSet},
+    service::{RangeRouter, ShardRouter, ShardedSet},
     workloads::{self, ClientTrace, OpKind},
 };
 
@@ -59,6 +59,33 @@ fn to_script(ops: Vec<workloads::OpBatch>) -> BatchScript {
         .collect()
 }
 
+/// Two batch clients, one on each side of the tier's pooled/inline decision
+/// (mutating batches of >= 256 keys spread over more than one shard run
+/// their sub-batches in the tier pool, smaller ones in turn on the caller):
+/// client 0 issues `small`-key batches, client 1 `large`-key ones.
+fn scripts_across_the_cutoff(
+    seed: u64,
+    small: usize,
+    large: usize,
+    range: u64,
+) -> Vec<BatchScript> {
+    let script = |salt, batches, len| {
+        to_script(workloads::mixed_op_batches(
+            seed ^ salt,
+            batches,
+            len,
+            0..range,
+            (2, 2, 1),
+        ))
+    };
+    let scripts = vec![script(0, 25, small), script(1, 10, large)];
+    assert!(
+        scripts[1].iter().all(|(_, batch)| batch.len() >= 256),
+        "seed {seed}: a large batch deduplicated below the 256-key cut-off"
+    );
+    scripts
+}
+
 /// What a client saw from one call — a point op counts as a batch of one:
 /// the per-key results of a write, or the per-key records of a read.
 enum Seen {
@@ -69,19 +96,16 @@ enum Seen {
 /// Drives point traces and batch scripts concurrently through a logged
 /// sharded tier seeded with `initial`, then runs the five checks above.
 #[allow(clippy::too_many_arguments)]
-fn drive_and_verify_sharded<R>(
+fn drive_and_verify_sharded(
     ctx: &str,
-    router: R,
+    router: RangeRouter<u64>,
     shard_pool_threads: usize,
     pool_cutoff: usize,
     tier_pool_threads: usize,
-    parallel_cutoff: usize,
     initial: &[u64],
     traces: &[ClientTrace],
     scripts: &[BatchScript],
-) where
-    R: ShardRouter<u64> + Send + Sync + Clone,
-{
+) {
     let num_shards = router.num_shards();
     let mut per_shard_initial: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
     for &key in initial {
@@ -101,11 +125,10 @@ fn drive_and_verify_sharded<R>(
             )
         })
         .collect();
-    let set = ShardedSet::with_options(
+    let set = ShardedSet::new(
         router.clone(),
         shards,
         Pool::new(tier_pool_threads).unwrap_or_else(|e| panic!("{ctx}: tier pool: {e}")),
-        ShardedOptions { parallel_cutoff },
     );
 
     // Writes acknowledged so far on each shard, to any client (see `common`).
@@ -318,24 +341,15 @@ fn drive_and_verify_sharded<R>(
 }
 
 /// Uniform point + batch traffic across shard counts 1–8 over a range
-/// router; per-shard linearizability must hold at every width.
+/// router, with batch clients on both sides of the tier's 256-key cut-off;
+/// per-shard linearizability must hold at every width.
 #[test]
 fn shard_counts_one_through_eight_linearize_per_shard() {
     for num_shards in [1usize, 2, 3, 4, 8] {
         let seed = 0x5EED ^ num_shards as u64;
         let initial = workloads::uniform_keys_distinct(seed, 400, 0..4_000);
         let traces = workloads::client_traces(seed, 3, 800, 0..4_000, (3, 2, 2));
-        let scripts: Vec<BatchScript> = (0..2)
-            .map(|c| {
-                to_script(workloads::mixed_op_batches(
-                    seed ^ c,
-                    25,
-                    48,
-                    0..4_000,
-                    (2, 2, 1),
-                ))
-            })
-            .collect();
+        let scripts = scripts_across_the_cutoff(seed, 48, 384, 4_000);
         let ctx = format!("seed {seed}, {num_shards} shards, range router");
         drive_and_verify_sharded(
             &ctx,
@@ -343,7 +357,6 @@ fn shard_counts_one_through_eight_linearize_per_shard() {
             1,
             Options::default().pool_cutoff,
             2,
-            64,
             &initial,
             &traces,
             &scripts,
@@ -353,7 +366,8 @@ fn shard_counts_one_through_eight_linearize_per_shard() {
 
 /// Zipf hot-key traffic: most ops hammer a few keys of one shard, the
 /// worst case for both duplicate resolution inside a shard round and
-/// skewed sub-batch splits at the tier.
+/// skewed sub-batch splits at the tier.  (300 hot keys deduplicate every
+/// batch far below the tier's cut-off: this one runs the shards inline.)
 #[test]
 fn zipf_hot_key_traffic_linearizes_across_shards() {
     let seed = 0x21AF;
@@ -379,34 +393,6 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
         2,
         Options::default().pool_cutoff,
         2,
-        64,
-        &initial,
-        &traces,
-        &scripts,
-    );
-}
-
-/// Hash-routed tier: the scatter split/stitch path under concurrency.
-#[test]
-fn hash_router_linearizes_per_shard() {
-    let seed = 0xCAFE;
-    let initial = workloads::uniform_keys_distinct(seed, 300, 0..3_000);
-    let traces = workloads::client_traces(seed, 3, 600, 0..3_000, (3, 2, 2));
-    let scripts = vec![to_script(workloads::mixed_op_batches(
-        seed,
-        25,
-        48,
-        0..3_000,
-        (2, 2, 1),
-    ))];
-    let ctx = format!("seed {seed}, 4 shards, hash router");
-    drive_and_verify_sharded(
-        &ctx,
-        HashRouter::new(4),
-        1,
-        Options::default().pool_cutoff,
-        2,
-        64,
         &initial,
         &traces,
         &scripts,
@@ -415,34 +401,24 @@ fn hash_router_linearizes_per_shard() {
 
 /// Everything forced through every pool with a single worker each:
 /// `pool_cutoff: 0` sends each shard round through that shard's 1-worker
-/// pool, `parallel_cutoff: 0` sends every split batch through the
-/// 1-worker tier pool.  The configuration where any blocking bug between
-/// the tier pool and the shard combiners becomes a deadlock instead of a
-/// slowdown.
+/// pool, and batches of >= 256 keys over four shards send every split
+/// through the 1-worker tier pool (the 32-key script beside them keeps the
+/// inline arm in the mix).  The configuration where any blocking bug
+/// between the tier pool and the shard combiners becomes a deadlock instead
+/// of a slowdown.
 #[test]
 fn one_worker_pools_with_forced_parallel_splits() {
     let seed = 0x1DEA;
     let initial = workloads::uniform_keys_distinct(seed, 200, 0..2_000);
     let traces = workloads::client_traces(seed, 2, 300, 0..2_000, (3, 2, 2));
-    let scripts: Vec<BatchScript> = (0..2)
-        .map(|c| {
-            to_script(workloads::mixed_op_batches(
-                seed ^ c,
-                15,
-                32,
-                0..2_000,
-                (2, 2, 1),
-            ))
-        })
-        .collect();
-    let ctx = format!("seed {seed}, 4 shards, 1-worker pools, all cutoffs 0");
+    let scripts = scripts_across_the_cutoff(seed, 32, 400, 2_000);
+    let ctx = format!("seed {seed}, 4 shards, 1-worker pools, pool_cutoff 0");
     drive_and_verify_sharded(
         &ctx,
         RangeRouter::new(4, 0, 2_000),
         1,
         0,
         1,
-        0,
         &initial,
         &traces,
         &scripts,
@@ -455,14 +431,13 @@ fn one_worker_pools_with_forced_parallel_splits() {
 
 /// Builds a 4-shard bomb-backed tier over `[0, 8_000]`; `u64::MAX` clamps
 /// into the top shard, so shards 0–2 never see the bomb key.
-fn bomb_tier(parallel_cutoff: usize) -> ShardedSet<u64, BombSet, RangeRouter<u64>> {
-    ShardedSet::with_options(
+fn bomb_tier() -> ShardedSet<u64, BombSet, RangeRouter<u64>> {
+    ShardedSet::new(
         RangeRouter::new(4, 0, 8_000),
         (0..4)
             .map(|_| ConcurrentSet::new(BombSet::new(), Pool::new(1).unwrap()))
             .collect(),
         Pool::new(2).unwrap(),
-        ShardedOptions { parallel_cutoff },
     )
 }
 
@@ -471,7 +446,7 @@ fn bomb_tier(parallel_cutoff: usize) -> ShardedSet<u64, BombSet, RangeRouter<u64
 /// joins (the test finishing at all is the no-hang assertion).
 #[test]
 fn backend_panic_in_one_shard_poisons_tier_without_hanging() {
-    let set = Arc::new(bomb_tier(0));
+    let set = Arc::new(bomb_tier());
     let bombed = thread::scope(|s| {
         // Victims hammer shards 0–2 (keys < 6_000) until they finish their
         // script or observe a poison panic.
@@ -556,12 +531,7 @@ fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
         .map(|_| ConcurrentSet::new(BombSet::new(), Pool::new(1).unwrap()))
         .collect();
     shards.push(bombed);
-    let set = ShardedSet::with_options(
-        RangeRouter::new(4, 0, 8_000),
-        shards,
-        Pool::new(2).unwrap(),
-        ShardedOptions { parallel_cutoff: 0 },
-    );
+    let set = ShardedSet::new(RangeRouter::new(4, 0, 8_000), shards, Pool::new(2).unwrap());
     assert!(
         set.is_poisoned(),
         "the health probe must see the shard poison"
@@ -622,15 +592,12 @@ fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
 /// read past its own last write going *backwards*).
 #[test]
 fn tier_snapshot_reads_observe_the_clients_own_writes() {
-    let set = Arc::new(ShardedSet::with_options(
+    let set = Arc::new(ShardedSet::new(
         RangeRouter::new(4, 0, 4_000_000),
         (0..4)
             .map(|_| ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), Pool::new(1).unwrap()))
             .collect(),
         Pool::new(2).unwrap(),
-        ShardedOptions {
-            parallel_cutoff: 64,
-        },
     ));
     let span = 89u64; // keys per client space, so writes revisit keys
     thread::scope(|s| {
@@ -685,28 +652,29 @@ fn tier_snapshot_reads_observe_the_clients_own_writes() {
 }
 
 /// A tier-level batch containing the bomb key panics the issuing client
-/// and poisons the tier — on both the sequential and the parallel
-/// split-execution paths.
+/// and poisons the tier — on both the inline (3 keys) and the pooled
+/// (>= 256 keys over all four shards) split-execution paths.
 #[test]
 fn batch_containing_bomb_key_poisons_tier() {
-    for parallel_cutoff in [0usize, usize::MAX] {
-        let set = bomb_tier(parallel_cutoff);
+    for filler in [2u64, 300] {
+        let set = bomb_tier();
         let healthy = Batch::from_unsorted(vec![10u64, 2_100, 4_100, 6_100]);
         assert_eq!(set.batch_insert(&healthy), vec![true; 4]);
-        let bomb = Batch::from_unsorted(vec![20u64, 2_200, u64::MAX]);
+        let mut keys: Vec<u64> = (0..filler).map(|i| 20 + i * (7_900 / filler)).collect();
+        keys.push(u64::MAX);
+        let bomb = Batch::from_unsorted(keys);
         let err = catch_unwind(AssertUnwindSafe(|| set.batch_insert(&bomb)));
-        assert!(
-            err.is_err(),
-            "bomb batch must panic (cutoff {parallel_cutoff})"
-        );
+        assert!(err.is_err(), "bomb batch must panic ({} keys)", bomb.len());
         assert!(
             set.is_poisoned(),
-            "tier must be poisoned after a bomb batch (cutoff {parallel_cutoff})"
+            "tier must be poisoned after a bomb batch ({} keys)",
+            bomb.len()
         );
         let follow_up = catch_unwind(AssertUnwindSafe(|| set.batch_contains(&healthy)));
         assert!(
             follow_up.is_err(),
-            "post-poison batches must fail fast (cutoff {parallel_cutoff})"
+            "post-poison batches must fail fast ({} keys)",
+            bomb.len()
         );
     }
 }
