@@ -106,8 +106,8 @@ impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> MapView<K, V> for Sor
         self.keys.last()
     }
 
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        *out = parprim::map(batch.keys(), |q| self.contains(q));
+    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
+        parprim::map(batch.keys(), |q| self.contains(q))
     }
 
     fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
@@ -152,13 +152,11 @@ impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> SortedArrayMap<K, V> 
 impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
     for SortedArrayMap<K, V>
 {
-    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
-        out.clear();
+    fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let found = parprim::map(batch.keys(), |q| self.keys.binary_search(q));
-        out.extend(found.iter().map(Result::is_err));
         // The genuinely new keys, read off the searches just done: a sorted
         // subsequence of the batch, disjoint from the existing keys, so the
         // merged array stays strictly increasing.
@@ -183,19 +181,18 @@ impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
         vals.extend_from_slice(&self.vals[copied..]);
         self.keys = Arc::new(parprim::merge(&self.keys, &fresh));
         self.vals = Arc::new(vals);
+        found.iter().map(Result::is_err).collect()
     }
 
-    fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
+    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let found = parprim::map(batch.keys(), |q| self.keys.binary_search(q));
-        out.extend(found.iter().map(Result::is_ok));
         let mut vals = Vec::with_capacity(self.vals.len());
         let mut copied = 0;
-        for pos in found.into_iter().flatten() {
-            vals.extend_from_slice(&self.vals[copied..pos]);
+        for pos in found.iter().flatten() {
+            vals.extend_from_slice(&self.vals[copied..*pos]);
             copied = pos + 1;
         }
         vals.extend_from_slice(&self.vals[copied..]);
@@ -203,6 +200,7 @@ impl<K: Ord + Clone + Send + Sync, V: Clone + Send + Sync> BatchedMap<K, V>
             batch.binary_search(k).is_err()
         }));
         self.vals = Arc::new(vals);
+        found.iter().map(Result::is_ok).collect()
     }
 
     // Point mutators: one binary search plus an in-place shift — the flat
@@ -299,25 +297,6 @@ mod tests {
         assert!(set.batch_insert(&empty).is_empty());
         assert!(set.batch_remove(&empty).is_empty());
         assert_eq!(set.as_slice(), &[1, 2, 3]);
-    }
-
-    #[test]
-    fn report_variants_match_allocating_ones() {
-        for batch_len in [10usize, 1_500] {
-            let keys: Vec<u64> = (0..5_000u64).map(|i| i * 2).collect();
-            let mut a = SortedArraySet::from_sorted(keys.clone());
-            let mut b = SortedArraySet::from_sorted(keys);
-            let batch = Batch::from_unsorted((0..batch_len as u64).map(|i| i * 3).collect());
-            let mut out = vec![true; 7]; // stale contents must be cleared
-
-            a.batch_contains_report(&batch, &mut out);
-            assert_eq!(out, b.batch_contains(&batch), "len {batch_len}");
-            a.batch_insert_report(&batch, &mut out);
-            assert_eq!(out, b.batch_insert(&batch), "len {batch_len}");
-            a.batch_remove_report(&batch, &mut out);
-            assert_eq!(out, b.batch_remove(&batch), "len {batch_len}");
-            assert_eq!(a.as_slice(), b.as_slice(), "len {batch_len}");
-        }
     }
 
     #[test]
@@ -431,11 +410,8 @@ mod tests {
         assert!(map.upsert_one(&200, &2));
         assert!(map.remove_one(&0));
         map.batch_remove(&Batch::from_unsorted(vec![2u64]));
-        let mut out = Vec::new();
-        map.batch_insert_report(&KvBatch::from_unsorted_entries(vec![(300, 3)]), &mut out);
-        map.batch_remove_report(&Batch::from_unsorted(vec![4u64]), &mut out);
         assert_eq!(map.get(&7), Some(700));
-        assert!(map.contains(&300) && !map.contains(&4));
+        assert!(map.contains(&200) && !map.contains(&2));
         assert_eq!(frozen.get(&7), Some(7), "clone saw a later upsert");
         assert!(!frozen.contains(&200), "clone saw a later insert");
         assert!(frozen.contains(&0), "clone saw a later remove");

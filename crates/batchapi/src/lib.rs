@@ -36,7 +36,7 @@
 //!
 //! # Upsert policy: last wins
 //!
-//! [`BatchedMap::batch_insert_report`] is an **upsert**: a key already
+//! [`BatchedMap::batch_insert`] is an **upsert**: a key already
 //! present keeps its slot but takes the batch's value, and its flag reports
 //! `false` (= not newly inserted).  Duplicate keys *within* one input are
 //! resolved at [`KvBatch::from_unsorted_entries`] by keeping the last
@@ -223,31 +223,6 @@ impl<K: Ord> Batch<K> {
                 Batch::from_keys(self.keys[w[0]..w[1]].to_vec())
             })
             .collect()
-    }
-
-    /// Merges two batches into one sorted, deduplicated batch in
-    /// `O(self.len() + other.len())` — the inverse of splitting, used to
-    /// recombine per-shard key sets into one view.  Keys present in both
-    /// inputs appear once.
-    pub fn merge(&self, other: &Batch<K>) -> Batch<K>
-    where
-        K: Clone,
-    {
-        let mut keys = Vec::with_capacity(self.keys.len() + other.keys.len());
-        let (mut a, mut b) = (self.keys.iter().peekable(), other.keys.iter().peekable());
-        while let (Some(&x), Some(&y)) = (a.peek(), b.peek()) {
-            match x.cmp(y) {
-                std::cmp::Ordering::Less => keys.push(a.next().expect("peeked").clone()),
-                std::cmp::Ordering::Greater => keys.push(b.next().expect("peeked").clone()),
-                std::cmp::Ordering::Equal => {
-                    keys.push(a.next().expect("peeked").clone());
-                    b.next();
-                }
-            }
-        }
-        keys.extend(a.cloned());
-        keys.extend(b.cloned());
-        Batch::from_keys(keys)
     }
 }
 
@@ -507,22 +482,11 @@ pub trait MapView<K, V = ()> {
     /// The largest key, or `None` for an empty store.
     fn max(&self) -> Option<&K>;
 
-    /// Answers one membership query per batch element into `out` (cleared
-    /// first, then filled to exactly `batch.len()` entries), so a caller
-    /// issuing many batches reuses one buffer instead of allocating a fresh
-    /// `Vec` per batch.  The default is a loop of point lookups; backends
-    /// with a joint traversal override it.
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
-        out.extend(batch.iter().map(|q| self.contains(q)));
-    }
-
-    /// Allocating variant of [`MapView::batch_contains_report`]:
-    /// `result[i]` is `true` iff `batch[i]` is present.
+    /// One membership query per batch element: `result[i]` is `true` iff
+    /// `batch[i]` is present.  The default is a loop of point lookups;
+    /// backends with a joint traversal override it.
     fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_contains_report(batch, &mut out);
-        out
+        batch.iter().map(|q| self.contains(q)).collect()
     }
 
     /// One lookup per batch element: `result[i]` is `batch[i]`'s value, or
@@ -650,33 +614,15 @@ pub trait MapView<K, V = ()> {
 /// upserts — which for a set *is* a [`Batch`] — and [`Batch`] for removals)
 /// and answer **per batch element, in batch order**.  Inserts follow the
 /// last-wins upsert policy in the crate docs.
-///
-/// The `_report` variants are the primitives: they write per-key flags into
-/// a caller-provided buffer (cleared first), so a combining front-end's
-/// round loop allocates nothing once the buffer has warmed up.
 pub trait BatchedMap<K, V = ()>: MapView<K, V> {
-    /// Upserts every pair: `out[i]` is `true` iff key `i` was **newly**
+    /// Upserts every pair: `result[i]` is `true` iff key `i` was **newly**
     /// inserted; `false` means it was present and now holds the batch's
     /// value.
-    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>);
+    fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool>;
 
-    /// Removes every batch key: `out[i]` is `true` iff `batch[i]` was
+    /// Removes every batch key: `result[i]` is `true` iff `batch[i]` was
     /// present (and its pair has now been removed).
-    fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>);
-
-    /// Allocating variant of [`BatchedMap::batch_insert_report`].
-    fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_insert_report(batch, &mut out);
-        out
-    }
-
-    /// Allocating variant of [`BatchedMap::batch_remove_report`].
-    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::new();
-        self.batch_remove_report(batch, &mut out);
-        out
-    }
+    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool>;
 
     /// Upserts a single pair, returning `true` iff the key was newly
     /// inserted — the degenerate batch.  The default wraps the pair in a
@@ -809,22 +755,6 @@ mod tests {
     #[should_panic(expected = "offsets must be non-decreasing")]
     fn split_at_offsets_rejects_decreasing_scans() {
         Batch::from_unsorted(vec![1u64, 2, 3]).split_at_offsets(&[0, 2, 1, 3]);
-    }
-
-    #[test]
-    fn merge_recombines_disjoint_and_overlapping_batches() {
-        let a = Batch::from_unsorted(vec![1u64, 3, 5]);
-        let b = Batch::from_unsorted(vec![2u64, 3, 6]);
-        assert_eq!(a.merge(&b).as_slice(), &[1, 2, 3, 5, 6]);
-        assert_eq!(b.merge(&a), a.merge(&b), "merge is symmetric");
-        let empty: Batch<u64> = Batch::empty();
-        assert_eq!(a.merge(&empty), a);
-        assert_eq!(empty.merge(&a), a);
-        // Split-then-merge round-trips.
-        let batch = Batch::from_unsorted((0..100u64).collect());
-        let parts = batch.split_at_offsets(&[0, 33, 66, 100]);
-        let rejoined = parts[0].merge(&parts[1]).merge(&parts[2]);
-        assert_eq!(rejoined, batch);
     }
 
     #[test]
@@ -964,30 +894,28 @@ mod tests {
     }
 
     impl<V: Clone> BatchedMap<u64, V> for Toy<V> {
-        fn batch_insert_report(&mut self, batch: &KvBatch<u64, V>, out: &mut Vec<bool>) {
-            out.clear();
-            for (k, v) in batch.entries() {
-                out.push(match self.find(k) {
-                    Ok(i) => {
-                        self.0[i].1 = v.clone();
-                        false
-                    }
-                    Err(i) => {
-                        self.0.insert(i, (*k, v.clone()));
-                        true
-                    }
-                });
-            }
+        fn batch_insert(&mut self, batch: &KvBatch<u64, V>) -> Vec<bool> {
+            let upsert = |(k, v): (&u64, &V)| match self.find(k) {
+                Ok(i) => {
+                    self.0[i].1 = v.clone();
+                    false
+                }
+                Err(i) => {
+                    self.0.insert(i, (*k, v.clone()));
+                    true
+                }
+            };
+            batch.entries().map(upsert).collect()
         }
-        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-            out.clear();
-            for k in batch.iter() {
+        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            let remove = |k: &u64| {
                 let found = self.find(k);
                 if let Ok(i) = found {
                     self.0.remove(i);
                 }
-                out.push(found.is_ok());
-            }
+                found.is_ok()
+            };
+            batch.iter().map(remove).collect()
         }
     }
 
@@ -1005,17 +933,6 @@ mod tests {
         let keys = set.collect_keys();
         assert_eq!(keys, vec![2, 4, 6]);
         assert!(Batch::from_sorted(keys).is_ok(), "collects a valid batch");
-    }
-
-    #[test]
-    fn default_allocating_variants_match_report_ones() {
-        let mut set = toy_set(&[2, 4, 6]);
-        let batch = Batch::from_unsorted(vec![1u64, 2, 6, 9]);
-        assert_eq!(set.batch_contains(&batch), vec![false, true, true, false]);
-        assert_eq!(set.batch_insert(&batch), vec![true, false, false, true]);
-        assert_eq!(toy_keys(&set), vec![1, 2, 4, 6, 9]);
-        assert_eq!(set.batch_remove(&batch), vec![true, true, true, true]);
-        assert_eq!(toy_keys(&set), vec![4]);
     }
 
     #[test]
@@ -1088,6 +1005,11 @@ mod tests {
         assert_eq!(
             map.batch_get(&Batch::from_unsorted(vec![1, 2, 9])),
             vec![Some('b'), None, Some('q')]
+        );
+        assert_eq!(
+            map.batch_contains(&Batch::from_unsorted(vec![1, 2, 9])),
+            vec![true, false, true],
+            "the default is a loop of point lookups"
         );
         assert_eq!(map.len(), 3);
         assert!(!map.is_empty());

@@ -173,10 +173,13 @@
 //! `seq >= ` the client's last acknowledged write (publish happens before
 //! acknowledgement, see above) but possibly older than rounds still in
 //! flight.  Each read is linearisable — it returns the state at one point
-//! between its invocation and its response — and a client that needs a
-//! floor it learned elsewhere uses [`ConcurrentMap::read_at_least`], which
-//! helps drain pending rounds until the published state covers a
-//! caller-supplied seq.
+//! between its invocation and its response.  The same floor holds for any
+//! mark the caller *observed*, however it learned it — a
+//! [`ConcurrentMap::committed_seq`], a [`ReadSnapshot::seq`], the seq of its
+//! own acknowledged write, relayed from another thread or not:
+//! [`ConcurrentMap::read_snapshot`]`().seq()` is `>=` that mark on the first
+//! load, with no helping and no waiting, because a seq is observable only
+//! once its round has published and the cell's seq never goes back.
 //!
 //! **Poisoning.**  Reads still fail fast on a poisoned front-end:
 //! they panic like every other operation rather than serve reads from a
@@ -339,9 +342,13 @@ pub struct Options {
     /// paying a pool round-trip for a handful of keys).  `0` forces every
     /// round through the pool; `usize::MAX` keeps everything inline.
     pub pool_cutoff: usize,
-    /// Record every committed round for [`ConcurrentMap::take_rounds`].
-    /// Off by default: the log clones every key and grows without bound,
-    /// so it is strictly a testing/debugging facility.
+    /// Keep the commit log: every committed round is appended (keys and
+    /// values cloned) for [`ConcurrentMap::take_rounds`] to drain.  This is
+    /// what a write-ahead log consumes — `durable` turns it on for every
+    /// store and drains it on every write, so there it never holds more
+    /// than the rounds since the last drain — and what the replay oracles
+    /// read.  Off by default, because a log nothing drains grows without
+    /// bound.
     pub log_rounds: bool,
     /// Sequence number the round counter starts *after*: the first
     /// committed round gets seq `first_seq + 1`.  `0` (the default) numbers
@@ -459,35 +466,6 @@ impl<S> ReadSnapshot<S> {
     }
 }
 
-/// [`ConcurrentMap::read_at_least`] was asked for a freshness mark that no
-/// committed round carries and that no in-flight work can produce: the
-/// front-end was observed idle with `committed < want`, so waiting longer
-/// would wait on writers that need never arrive.
-///
-/// Seeing this error means `want` was not an *observed* mark (every
-/// observed mark is already committed — rounds publish before they
-/// acknowledge); the caller is asking about the future.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FreshnessError {
-    /// The freshness floor the caller asked for.
-    pub want: u64,
-    /// The committed high-water mark when the front-end was seen idle.
-    pub committed: u64,
-}
-
-impl std::fmt::Display for FreshnessError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "read_at_least({}) cannot be satisfied: the front-end is idle \
-             at committed seq {} and no in-flight round can reach the mark",
-            self.want, self.committed
-        )
-    }
-}
-
-impl std::error::Error for FreshnessError {}
-
 /// One slot of the left-right snapshot cell: the snapshot plus the number
 /// of readers currently borrowing it.
 struct SnapSlot<T> {
@@ -560,20 +538,29 @@ impl<T> SnapCell<T> {
     /// in-flight read (still bounded — new readers land on the flipped
     /// slot).  Long reads (batch scans) should [`SnapCell::load`] and pay
     /// the clone instead.
+    ///
+    /// The window is unwind-safe: the borrow is released by a drop guard, so
+    /// a `read` that panics (a user `Ord` or `Clone`) leaves no count behind
+    /// for a later `publish` to wait on.  Nothing is poisoned — the snapshot
+    /// is immutable, so the next read finds it intact.
     fn with_snap<R>(&self, read: impl FnOnce(&Arc<T>) -> R) -> R {
+        struct Borrow<'a>(&'a AtomicUsize);
+        impl Drop for Borrow<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_sub(1, Ordering::Release);
+            }
+        }
         loop {
             let idx = self.active.load(Ordering::SeqCst);
             let slot = &self.slots[idx];
             slot.readers.fetch_add(1, Ordering::SeqCst);
+            let _borrow = Borrow(&slot.readers);
             if self.active.load(Ordering::SeqCst) == idx {
                 // SAFETY: registered on a slot re-verified active — the
                 // left-right protocol (see `Sync` impl) keeps the writer
-                // out until the release below.
-                let result = read(unsafe { &*slot.snap.get() });
-                slot.readers.fetch_sub(1, Ordering::Release);
-                return result;
+                // out until `_borrow` drops.
+                return read(unsafe { &*slot.snap.get() });
             }
-            slot.readers.fetch_sub(1, Ordering::Release);
         }
     }
 
@@ -608,29 +595,13 @@ impl<T> SnapCell<T> {
     }
 }
 
-/// Per-kind scratch for the round being combined.  Only the combiner (the
-/// thread holding the `combiner` flag) touches this; buffers are reused
-/// across rounds so a steady-state round allocates nothing.
-struct Lane<K, V> {
-    /// Drained slots of this kind, in publish order.
-    slots: Vec<*const OpSlot<K, V>>,
-    /// Reusable per-key flag buffer for the `_report` batch variants.
-    flags: Vec<bool>,
-}
-
-impl<K, V> Lane<K, V> {
-    fn new() -> Lane<K, V> {
-        Lane {
-            slots: Vec::new(),
-            flags: Vec::new(),
-        }
-    }
-}
-
-/// Combiner-only scratch state (guarded by the `combiner` flag).
+/// Combiner-only scratch state (guarded by the `combiner` flag), reused
+/// across rounds.
 struct Scratch<K, V> {
-    insert: Lane<K, V>,
-    remove: Lane<K, V>,
+    /// The round's drained insert slots, in publish order.
+    insert: Vec<*const OpSlot<K, V>>,
+    /// The round's drained remove slots, in publish order.
+    remove: Vec<*const OpSlot<K, V>>,
     /// The insert lane's `(key, value)` pairs in publish order, consumed by
     /// [`KvBatch::from_unsorted_entries`].
     entries: Vec<(K, V)>,
@@ -841,8 +812,8 @@ where
             snap,
             retired: UnsafeCell::new(None),
             scratch: UnsafeCell::new(Scratch {
-                insert: Lane::new(),
-                remove: Lane::new(),
+                insert: Vec::new(),
+                remove: Vec::new(),
                 entries: Vec::new(),
                 keys: Vec::new(),
                 claimed: Vec::new(),
@@ -975,9 +946,7 @@ where
     /// from one snapshot — one linearisation point, no round, on the
     /// caller's thread.
     pub fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_contains_report(batch, &mut out);
-        out
+        self.scan(|view| view.batch_contains(batch))
     }
 
     /// Upserts every pair of `batch` as one combining round; `result[i]` is
@@ -990,64 +959,35 @@ where
     /// round, and commits it to the round log like any other round.  Batches
     /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_insert_report(batch, &mut out);
-        out
+        self.run_batch_op(OpKind::Insert, batch, Some(batch.vals()), |set| {
+            set.batch_insert(batch)
+        })
     }
 
     /// Removes every key of `batch` as one combining round; `result[i]` is
     /// `true` iff `batch[i]` was present.  See
     /// [`ConcurrentMap::batch_insert`] for the linearisation contract.
     pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
-        self.batch_remove_report(batch, &mut out);
-        out
-    }
-
-    /// Buffer-reusing variant of [`ConcurrentMap::batch_contains`]: flags
-    /// land in `out` (cleared first), so a tier issuing many sub-batches
-    /// can reuse one buffer per shard.
-    pub fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.scan(|view| view.batch_contains_report(batch, out));
-    }
-
-    /// Buffer-reusing variant of [`ConcurrentMap::batch_insert`].
-    pub fn batch_insert_report(&self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
-        self.run_batch_op(
-            OpKind::Insert,
-            batch,
-            Some(batch.vals()),
-            out,
-            |set, out| set.batch_insert_report(batch, out),
-        );
-    }
-
-    /// Buffer-reusing variant of [`ConcurrentMap::batch_remove`].
-    pub fn batch_remove_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.run_batch_op(OpKind::Remove, batch, None, out, |set, out| {
-            set.batch_remove_report(batch, out)
-        });
+        self.run_batch_op(OpKind::Remove, batch, None, |set| set.batch_remove(batch))
     }
 
     /// Becomes the combiner (waiting out a concurrent one), flushes pending
     /// published ops, then executes one pre-sorted batch of `kind` ops over
     /// `keys` (with `vals` for inserts) as one round: `run` — the backend's
-    /// batched op — runs once, per-key flags land in `out`, and the round
-    /// is logged and counted exactly like a combined one.  Duplicate
+    /// batched op — runs once and its per-key flags are the result, and the
+    /// round is logged and counted exactly like a combined one.  Duplicate
     /// resolution never arises — a batch holds each key at most once.
     fn run_batch_op(
         &self,
         kind: OpKind,
         keys: &[K],
         vals: Option<&[V]>,
-        out: &mut Vec<bool>,
-        run: impl FnOnce(&mut S, &mut Vec<bool>) + Send,
-    ) {
-        out.clear();
+        run: impl FnOnce(&mut S) -> Vec<bool> + Send,
+    ) -> Vec<bool> {
         if keys.is_empty() {
             // Nothing to linearise: no round, no seq.
             self.check_poisoned();
-            return;
+            return Vec::new();
         }
         loop {
             self.check_poisoned();
@@ -1064,11 +1004,11 @@ where
                 let set = unsafe { &mut *self.set.get() };
                 let pooled = keys.len() >= self.pool_cutoff;
                 self.mark_long_round();
-                if pooled {
-                    self.pool.install(|| run(set, out));
+                let out = if pooled {
+                    self.pool.install(|| run(set))
                 } else {
-                    run(set, out);
-                }
+                    run(set)
+                };
                 debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
                 let seq = self.next_seq();
                 self.commit_round_state(seq);
@@ -1088,7 +1028,7 @@ where
                 }
                 self.metrics.batch_rounds.add_single_writer(1);
                 self.bump_stats(keys.len() as u64, pooled);
-                return;
+                return out;
             }
             self.wait_until(|| self.combiner_free() || self.poisoned.load(Ordering::Acquire));
         }
@@ -1136,67 +1076,11 @@ where
     }
 
     /// Seq of the last committed round — the published snapshot's seq,
-    /// since every round publishes before it acknowledges.  The high-water
-    /// mark a client passes to [`ConcurrentMap::read_at_least`] to read its
-    /// own (and every earlier acknowledged) write.
+    /// since every round publishes before it acknowledges.  Any later
+    /// [`ConcurrentMap::read_snapshot`] carries a seq `>=` this mark (the
+    /// module docs' *Staleness contract*).
     pub fn committed_seq(&self) -> u64 {
         self.snap.with_snap(|snap| snap.seq)
-    }
-
-    /// Snapshot read with a freshness floor: returns a snapshot whose seq
-    /// is `>= want`, waiting (and combining pending rounds itself when it
-    /// can) until one is published.
-    ///
-    /// # Bounded wait
-    ///
-    /// Every legitimately *observed* mark is already committed (rounds
-    /// publish before they acknowledge), so a caller passing a mark it
-    /// observed — [`ConcurrentMap::committed_seq`], a
-    /// [`ReadSnapshot::seq`], a durable log record — returns immediately.
-    /// A `want` above the committed mark can only be satisfied by rounds
-    /// still in flight; this call helps drain them, but once the
-    /// front-end has been seen idle (nothing published, no combiner
-    /// running) with the committed seq still short of `want`, no progress
-    /// this call can make will ever commit `want`, and it returns
-    /// [`FreshnessError`] instead of spinning forever.
-    ///
-    /// The error is never returned for a seq that a round committed before
-    /// the idle observation.  It is decided only from a snapshot loaded
-    /// *after* that observation, whose last step is an `Acquire` load
-    /// finding the combiner flag free.  Every combiner publishes its round
-    /// before its `Release` unlock, so whichever unlock that load read
-    /// from, that combiner's publish — and, the cell being monotone, every
-    /// earlier one — happens-before the snapshot load, which therefore
-    /// sees a committed `want` and returns it.  A writer that takes the
-    /// flag *after* the observation is exactly one that need never have
-    /// arrived.  (Two threads cannot be steered into that window without
-    /// a scheduler; ROADMAP item 4 lists the property.)
-    ///
-    /// # Panics
-    ///
-    /// Panics if the front-end is poisoned (`want` may never arrive);
-    /// the poison check repeats on every wait iteration.
-    pub fn read_at_least(&self, want: u64) -> Result<Arc<ReadSnapshot<S>>, FreshnessError> {
-        loop {
-            self.check_poisoned();
-            let idle = self.ingress.load(Ordering::Acquire).is_null() && self.combiner_free();
-            let snap = self.snap.load();
-            if snap.seq >= want {
-                self.metrics.snapshot_reads.inc();
-                return Ok(snap);
-            }
-            if idle {
-                return Err(FreshnessError {
-                    want,
-                    committed: snap.seq,
-                });
-            }
-            // Behind with work in flight: help drain it (we may become the
-            // combiner ourselves) rather than busy-waiting.
-            if !self.try_combine() {
-                std::thread::yield_now();
-            }
-        }
     }
 
     /// Collects every pair of the last published snapshot (ascending, as
@@ -1565,19 +1449,18 @@ where
                 OpKind::Insert => &mut *ins,
                 OpKind::Remove => &mut *rem,
             };
-            lane.slots.push(slot);
+            lane.push(slot);
             total += 1;
         }
-        for lane in [&mut *ins, &mut *rem] {
-            lane.slots.reverse();
-        }
+        ins.reverse();
+        rem.reverse();
         // SAFETY (both): slots stay pinned (as above); `key` and `val`
         // are read by shared reference, which `K: Sync`, `V: Sync` licence
         // across threads.
         keys.clear();
-        keys.extend(rem.slots.iter().map(|&s| unsafe { (*s).key.clone() }));
+        keys.extend(rem.iter().map(|&s| unsafe { (*s).key.clone() }));
         entries.clear();
-        entries.extend(ins.slots.iter().map(|&s| {
+        entries.extend(ins.iter().map(|&s| {
             let slot = unsafe { &*s };
             let val = slot.val.clone().expect("insert ops carry a value");
             (slot.key.clone(), val)
@@ -1593,22 +1476,25 @@ where
         // Execute in linearisation order: insert, remove.
         // SAFETY: combiner flag held — exclusive access to the set.
         let set = unsafe { &mut *self.set.get() };
-        let (ins_flags, rem_flags) = (&mut ins.flags, &mut rem.flags);
-        let mut run = |set: &mut S| {
-            if !ins_batch.is_empty() {
-                set.batch_insert_report(&ins_batch, ins_flags);
-            }
-            if !rem_batch.is_empty() {
-                set.batch_remove_report(&rem_batch, rem_flags);
-            }
+        let run = |set: &mut S| {
+            // An empty lane makes no backend call at all.
+            let ins_flags = match ins_batch.is_empty() {
+                true => Vec::new(),
+                false => set.batch_insert(&ins_batch),
+            };
+            let rem_flags = match rem_batch.is_empty() {
+                true => Vec::new(),
+                false => set.batch_remove(&rem_batch),
+            };
+            (ins_flags, rem_flags)
         };
         let pooled = (total as usize) >= self.pool_cutoff;
-        if pooled {
+        let (ins_flags, rem_flags) = if pooled {
             self.mark_long_round();
-            self.pool.install(|| run(set));
+            self.pool.install(|| run(set))
         } else {
-            run(set);
-        }
+            run(set)
+        };
 
         // Fan per-key flags back out to per-op results, logging the
         // linearised round if asked to.
@@ -1616,8 +1502,8 @@ where
             .log
             .as_ref()
             .map(|_| Vec::with_capacity(total as usize));
-        distribute(&ins.slots, &ins_batch, &ins.flags, claimed, &mut logged);
-        distribute(&rem.slots, &rem_batch, &rem.flags, claimed, &mut logged);
+        distribute(ins, &ins_batch, &ins_flags, claimed, &mut logged);
+        distribute(rem, &rem_batch, &rem_flags, claimed, &mut logged);
 
         // Log the round *before* releasing any client: once a `done` flag
         // is stored its client may return and immediately `take_rounds`,
@@ -1632,13 +1518,12 @@ where
 
         // Completion: after each `done` store the owning client may pop the
         // slot off its stack, so this loop is the combiner's last touch.
-        for lane in [&mut *ins, &mut *rem] {
-            for &slot in &lane.slots {
+        for lane in [ins, rem] {
+            for slot in lane.drain(..) {
                 // SAFETY: Release publishes the result write above; the
                 // slot is not accessed afterwards.
                 unsafe { (*slot).done.store(true, Ordering::Release) };
             }
-            lane.slots.clear();
         }
 
         // Reclaim the key buffer for the next round.
@@ -1711,7 +1596,8 @@ mod tests {
     /// implementing only the required trait methods (its `Clone` copies the
     /// `Vec`, so every publication is O(n) — fine at test sizes).
     /// Upserting the key `u64::MAX` through the *batched* path panics — the
-    /// bomb the poisoning tests plant.
+    /// bomb the poisoning tests plant — and so does asking `contains` for
+    /// it, the stand-in for a user `Ord` that panics mid-read.
     #[derive(Clone)]
     struct VecMap<V>(Vec<(u64, V)>);
 
@@ -1731,6 +1617,7 @@ mod tests {
             self.find(key).ok().map(|i| self.0[i].1.clone())
         }
         fn contains(&self, key: &u64) -> bool {
+            assert!(*key != u64::MAX, "bomb");
             self.find(key).is_ok()
         }
         fn rank(&self, key: &u64) -> usize {
@@ -1748,31 +1635,29 @@ mod tests {
     }
 
     impl<V: Clone> BatchedMap<u64, V> for VecMap<V> {
-        fn batch_insert_report(&mut self, batch: &KvBatch<u64, V>, out: &mut Vec<bool>) {
+        fn batch_insert(&mut self, batch: &KvBatch<u64, V>) -> Vec<bool> {
             assert!(!batch.contains(&u64::MAX), "bomb");
-            out.clear();
-            for (k, v) in batch.entries() {
-                out.push(match self.find(k) {
-                    Ok(i) => {
-                        self.0[i].1 = v.clone();
-                        false
-                    }
-                    Err(i) => {
-                        self.0.insert(i, (*k, v.clone()));
-                        true
-                    }
-                });
-            }
+            let upsert = |(k, v): (&u64, &V)| match self.find(k) {
+                Ok(i) => {
+                    self.0[i].1 = v.clone();
+                    false
+                }
+                Err(i) => {
+                    self.0.insert(i, (*k, v.clone()));
+                    true
+                }
+            };
+            batch.entries().map(upsert).collect()
         }
-        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-            out.clear();
-            for k in batch.iter() {
+        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            let remove = |k: &u64| {
                 let found = self.find(k);
                 if let Ok(i) = found {
                     self.0.remove(i);
                 }
-                out.push(found.is_ok());
-            }
+                found.is_ok()
+            };
+            batch.iter().map(remove).collect()
         }
     }
 
@@ -2031,9 +1916,7 @@ mod tests {
 
         // Empty batches are no-ops: no round, no flags, nothing logged.
         assert!(set.batch_insert(&Batch::empty()).is_empty());
-        let mut out = vec![true; 4];
-        set.batch_remove_report(&Batch::empty(), &mut out);
-        assert!(out.is_empty(), "report variant clears stale flags");
+        assert!(set.batch_remove(&Batch::empty()).is_empty());
         assert_eq!(counter(&set, "combine.rounds"), 3);
         assert_eq!(counter(&set, "combine.ops"), 1 + 3 + 2);
         assert!(set.take_rounds().is_empty());
@@ -2132,49 +2015,6 @@ mod tests {
     }
 
     #[test]
-    fn read_at_least_reads_the_named_write() {
-        let set = fresh();
-        set.insert(7);
-        let mark = set.committed_seq();
-        assert_eq!(mark, 1);
-        let snap = set.read_at_least(mark).unwrap();
-        assert!(snap.seq() >= mark);
-        assert!(snap.view().contains(&7));
-
-        // Reads leave the mark alone: it names the last write.
-        assert!(set.contains(&7));
-        assert_eq!(set.committed_seq(), mark);
-    }
-
-    #[test]
-    fn read_at_least_errors_on_unreachable_marks() {
-        // Regression: a `want` one past the last committed seq, with no
-        // concurrent writers, used to spin forever — nothing would ever
-        // commit it.  The bounded-wait contract returns an error instead.
-        let set = fresh();
-        set.insert(7);
-        let mark = set.committed_seq();
-        let err = set.read_at_least(mark + 1).unwrap_err();
-        assert_eq!(
-            err,
-            FreshnessError {
-                want: mark + 1,
-                committed: mark
-            }
-        );
-        assert!(err.to_string().contains("idle"), "{err}");
-        // The front-end is unharmed: observed marks still succeed, writes
-        // still commit and are then reachable.
-        assert!(set.read_at_least(mark).is_ok());
-        set.insert(8);
-        let snap = set.read_at_least(mark + 1).unwrap();
-        assert!(snap.view().contains(&8));
-        // An empty, never-written set errors for any positive mark.
-        let idle = fresh();
-        assert!(idle.read_at_least(1).is_err());
-    }
-
-    #[test]
     fn range_reads_are_wait_free_snapshot_reads() {
         let set = fresh();
         set.batch_insert(&Batch::from_unsorted((0..100u64).map(|i| i * 2).collect()));
@@ -2247,9 +2087,6 @@ mod tests {
             Box::new(|| {
                 set.batch_contains(&Batch::from_unsorted(vec![3u64]));
             }),
-            Box::new(|| {
-                let _ = set.read_at_least(1);
-            }),
         ];
         for read in reads {
             let after = std::panic::catch_unwind(std::panic::AssertUnwindSafe(read));
@@ -2260,6 +2097,33 @@ mod tests {
         // The supervisor-grade accessor still answers: the last published
         // snapshot predates the poisoned round.
         assert!(set.read_snapshot().view().contains(&3));
+    }
+
+    #[test]
+    fn a_read_that_panics_releases_its_borrow() {
+        // Regression: the panicking read's borrow count stayed on its slot,
+        // so the second publish after it — the one that reuses that slot —
+        // waited for ever with the combiner flag held.
+        let set = Arc::new(fresh());
+        let reader = {
+            let set = Arc::clone(&set);
+            std::thread::spawn(move || set.contains(&u64::MAX))
+        };
+        assert!(reader.join().is_err(), "the bomb went off in the reader");
+        let (done_tx, done) = mpsc::channel();
+        let writer = Arc::clone(&set);
+        std::thread::spawn(move || {
+            for k in 0..3 {
+                writer.insert(k);
+            }
+            done_tx.send(()).unwrap();
+        });
+        done.recv_timeout(Duration::from_secs(5))
+            .expect("a writer hung behind the leaked borrow");
+        // Reads do not poison: the snapshot the panic unwound over is intact.
+        assert!(!set.is_poisoned());
+        assert!(set.contains(&2));
+        assert_eq!(set.len(), 3);
     }
 
     /// Key that parks [`Gated`]'s batched insert until the test releases it.
@@ -2301,15 +2165,15 @@ mod tests {
     }
 
     impl BatchedMap<u64, ()> for Gated {
-        fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
             if batch.contains(&GATE) {
                 self.entered.send(()).unwrap();
                 self.release.lock().unwrap().recv().unwrap();
             }
-            self.inner.batch_insert_report(batch, out);
+            self.inner.batch_insert(batch)
         }
-        fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-            self.inner.batch_remove_report(batch, out);
+        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            self.inner.batch_remove(batch)
         }
     }
 

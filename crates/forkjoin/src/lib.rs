@@ -106,11 +106,6 @@ pub fn current_num_threads() -> usize {
     }
 }
 
-/// Returns `true` when the calling thread is a worker thread of some [`Pool`].
-pub fn in_pool() -> bool {
-    !WorkerThread::current().is_null()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -121,7 +116,6 @@ mod tests {
         let (a, b) = join(|| 1 + 1, || "hello".len());
         assert_eq!(a, 2);
         assert_eq!(b, 5);
-        assert!(!in_pool());
         assert_eq!(current_num_threads(), 1);
     }
 
@@ -136,9 +130,7 @@ mod tests {
     #[test]
     fn install_reports_pool_membership() {
         let pool = Pool::new(3).unwrap();
-        let (inside, threads) = pool.install(|| (in_pool(), current_num_threads()));
-        assert!(inside);
-        assert_eq!(threads, 3);
+        assert_eq!(pool.install(current_num_threads), 3);
     }
 
     #[test]

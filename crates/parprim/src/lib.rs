@@ -1,18 +1,16 @@
 //! Batch-parallel primitives on top of the [`forkjoin`] substrate.
 //!
-//! The parallel-batched interpolation search tree (crate `pbist`) expresses
-//! every batched operation — splitting a sorted batch across subtrees,
-//! counting per-subtree insertions, compacting result buffers — in terms of a
-//! small vocabulary of primitives.  This crate provides that vocabulary:
+//! Five functions, each with a caller outside this crate:
 //!
-//! * [`map`] / [`for_each`] / [`for_each_mut`] — element-wise parallelism
-//!   over slices,
-//! * [`reduce`] / [`map_reduce`] — parallel folds with an associative
-//!   combiner,
-//! * [`exclusive_scan`] / [`inclusive_scan`] — parallel prefix sums (the
-//!   workhorse of batch partitioning),
+//! * [`map`] — element-wise parallelism over a slice with the element-count
+//!   grain heuristic (`baselines`' batched lookups),
+//! * [`map_with_grain`] / [`for_each_mut_with_grain`] — the same with an
+//!   explicit sequential cutoff, for elements that are themselves large
+//!   tasks (`pbist`'s subtree build and per-child fan-out, `service`'s
+//!   per-shard sub-batches),
 //! * [`merge`] — stable parallel merge of two sorted batches,
-//! * [`filter`] — parallel order-preserving selection by predicate.
+//! * [`filter`] — parallel order-preserving selection by predicate
+//!   (`baselines`' batched insert and remove).
 //!
 //! Everything is built on binary [`forkjoin::join`], so these functions work
 //! both inside a [`forkjoin::Pool`] (where recursion forks across workers)
@@ -34,15 +32,11 @@
 
 mod filter;
 mod merge;
-mod reduce;
-mod scan;
 mod slice;
 
 pub use filter::filter;
 pub use merge::merge;
-pub use reduce::{map_reduce, reduce};
-pub use scan::{exclusive_scan, inclusive_scan};
-pub use slice::{for_each, for_each_mut, for_each_mut_with_grain, map, map_with_grain};
+pub use slice::{for_each_mut_with_grain, map, map_with_grain};
 
 /// The smallest slice worth forking for.  Below this, per-element work would
 /// have to be enormous for the fork overhead (a deque push/pop plus possible

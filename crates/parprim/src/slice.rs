@@ -1,5 +1,5 @@
-//! Element-wise parallelism over slices: [`map`], [`for_each`],
-//! [`for_each_mut`].
+//! Element-wise parallelism over slices: [`map`], [`map_with_grain`],
+//! [`for_each_mut_with_grain`].
 
 use std::mem::MaybeUninit;
 
@@ -72,61 +72,18 @@ where
     );
 }
 
-/// Calls `f` on every element of `items` in parallel.
-///
-/// ```
-/// use std::sync::atomic::{AtomicU64, Ordering};
-///
-/// let total = AtomicU64::new(0);
-/// parprim::for_each(&[1u64, 2, 3, 4], |x| {
-///     total.fetch_add(*x, Ordering::Relaxed);
-/// });
-/// assert_eq!(total.into_inner(), 10);
-/// ```
-pub fn for_each<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    for_each_rec(items, grain_for(items.len()), &f);
-}
-
-fn for_each_rec<T, F>(items: &[T], grain: usize, f: &F)
-where
-    T: Sync,
-    F: Fn(&T) + Sync,
-{
-    if items.len() <= grain {
-        items.iter().for_each(f);
-        return;
-    }
-    let mid = items.len() / 2;
-    let (lo, hi) = items.split_at(mid);
-    forkjoin::join(|| for_each_rec(lo, grain, f), || for_each_rec(hi, grain, f));
-}
-
-/// Calls `f` on a mutable reference to every element of `items` in parallel.
+/// Calls `f` on a mutable reference to every element of `items`, forking
+/// down to runs of `grain` elements (see [`map_with_grain`]; `grain = 1`
+/// forks for every element).
 ///
 /// The slice is split into disjoint halves before forking, so each element is
 /// visited by exactly one worker and no synchronisation is needed inside `f`.
 ///
 /// ```
 /// let mut values = vec![1, 2, 3];
-/// parprim::for_each_mut(&mut values, |x| *x *= 10);
+/// parprim::for_each_mut_with_grain(&mut values, 1, |x| *x *= 10);
 /// assert_eq!(values, vec![10, 20, 30]);
 /// ```
-pub fn for_each_mut<T, F>(items: &mut [T], f: F)
-where
-    T: Send,
-    F: Fn(&mut T) + Sync,
-{
-    let grain = grain_for(items.len());
-    for_each_mut_rec(items, grain, &f);
-}
-
-/// [`for_each_mut`] with an explicit sequential cutoff; see
-/// [`map_with_grain`] for when to prefer this over the element-count
-/// heuristic.
 pub fn for_each_mut_with_grain<T, F>(items: &mut [T], grain: usize, f: F)
 where
     T: Send,

@@ -41,73 +41,15 @@ fn map_matches_sequential_map() {
 #[test]
 fn for_each_mut_visits_every_element_once() {
     outside_and_inside_pool(|| {
-        let mut values = pseudo_random(2, N);
-        let expected: Vec<u64> = values.iter().map(|x| x.wrapping_mul(3)).collect();
-        parprim::for_each_mut(&mut values, |x| *x = x.wrapping_mul(3));
-        assert_eq!(values, expected);
-    });
-}
-
-#[test]
-fn reduce_matches_sequential_fold() {
-    let input = pseudo_random(3, N);
-    outside_and_inside_pool(|| {
-        let expected = input.iter().fold(0u64, |a, b| a.wrapping_add(*b));
-        assert_eq!(
-            parprim::reduce(&input, 0, |a, b| a.wrapping_add(b)),
-            expected
-        );
-    });
-}
-
-#[test]
-fn map_reduce_matches_sequential() {
-    let input = pseudo_random(4, N);
-    outside_and_inside_pool(|| {
-        let expected = input.iter().map(|x| x.count_ones() as u64).sum::<u64>();
-        assert_eq!(
-            parprim::map_reduce(&input, 0u64, |x| x.count_ones() as u64, |a, b| a + b),
-            expected
-        );
-    });
-}
-
-#[test]
-fn exclusive_scan_matches_sequential() {
-    let input: Vec<u64> = pseudo_random(5, N).iter().map(|x| x % 1000).collect();
-    outside_and_inside_pool(|| {
-        let mut expected = Vec::with_capacity(input.len());
-        let mut acc = 0u64;
-        for x in &input {
-            expected.push(acc);
-            acc += x;
+        // Grain 1 forks down to single elements; a grain above the length
+        // is one sequential run.
+        for grain in [1, N + 1] {
+            let mut values = pseudo_random(2, N);
+            let expected: Vec<u64> = values.iter().map(|x| x.wrapping_mul(3)).collect();
+            parprim::for_each_mut_with_grain(&mut values, grain, |x| *x = x.wrapping_mul(3));
+            assert_eq!(values, expected, "grain {grain}");
         }
-        let (scanned, total) = parprim::exclusive_scan(&input, 0, |a, b| a + b);
-        assert_eq!(scanned, expected);
-        assert_eq!(total, acc);
     });
-}
-
-#[test]
-fn inclusive_scan_matches_sequential() {
-    let input: Vec<u64> = pseudo_random(6, N).iter().map(|x| x % 1000).collect();
-    outside_and_inside_pool(|| {
-        let mut expected = Vec::with_capacity(input.len());
-        let mut acc = 0u64;
-        for x in &input {
-            acc += x;
-            expected.push(acc);
-        }
-        assert_eq!(parprim::inclusive_scan(&input, 0, |a, b| a + b), expected);
-    });
-}
-
-#[test]
-fn scan_of_empty_input_is_empty() {
-    let (scanned, total) = parprim::exclusive_scan(&[] as &[u64], 7, |a, b| a + b);
-    assert!(scanned.is_empty());
-    assert_eq!(total, 7);
-    assert!(parprim::inclusive_scan(&[] as &[u64], 0, |a, b| a + b).is_empty());
 }
 
 #[test]
@@ -207,37 +149,7 @@ fn panic_in_map_closure_propagates_and_pool_survives() {
     }));
     assert!(caught.is_err());
     assert_eq!(
-        pool.install(|| parprim::reduce(&input[..10], 0, |a, b| a + b)),
-        45
+        pool.install(|| parprim::map(&input[..10], |x| x + 1)),
+        (1..=10).collect::<Vec<u64>>()
     );
-}
-
-#[test]
-fn scan_with_non_neutral_identity_matches_sequential() {
-    // Regression: phase 1 used to seed every chunk's fold with the identity,
-    // double-counting a non-neutral identity at each chunk boundary inside a
-    // pool (same call, different answers depending on thread count).
-    let input: Vec<u64> = (0..10_000).map(|i| i % 7).collect();
-    outside_and_inside_pool(|| {
-        let mut expected_ex = Vec::with_capacity(input.len());
-        let mut acc = 1_000_000u64; // deliberately non-neutral
-        for x in &input {
-            expected_ex.push(acc);
-            acc += x;
-        }
-        let (scanned, total) = parprim::exclusive_scan(&input, 1_000_000, |a, b| a + b);
-        assert_eq!(scanned, expected_ex);
-        assert_eq!(total, acc);
-
-        let mut expected_in = Vec::with_capacity(input.len());
-        let mut acc = 1_000_000u64;
-        for x in &input {
-            acc += x;
-            expected_in.push(acc);
-        }
-        assert_eq!(
-            parprim::inclusive_scan(&input, 1_000_000, |a, b| a + b),
-            expected_in
-        );
-    });
 }

@@ -169,34 +169,33 @@ where
         }
     }
 
-    /// Answers one leaf-level query per batch key into `out` (cleared
-    /// first): point descents for tiny batches — a lookup batch has no
-    /// cross-key interaction, and they beat the joint traversal's per-node
-    /// scratch — the paper's joint traversal above that.  The traversal
-    /// writes flags straight into the caller's buffer, so reporting through
-    /// a reused `Vec` is allocation-free once it has warmed up (the
-    /// flat-combining front-end's round loop depends on this).
-    fn batch_lookup<R, F>(&self, batch: &[K], out: &mut Vec<R>, answer: &F)
+    /// Answers one leaf-level query per batch key: point descents for tiny
+    /// batches — a lookup batch has no cross-key interaction, and they beat
+    /// the joint traversal's per-node scratch — the paper's joint traversal
+    /// above that, writing answers straight into the result's spare
+    /// capacity.
+    fn batch_lookup<R, F>(&self, batch: &[K], answer: &F) -> Vec<R>
     where
         R: Default + Send,
         F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
     {
-        out.clear();
         let Some(root) = &self.root else {
-            out.resize_with(batch.len(), R::default);
-            return;
+            return batch.iter().map(|_| R::default()).collect();
         };
         let m = self.obs_metrics();
         if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(batch.iter().map(|q| lookup_in(root, q, m, answer)));
-            return;
+            return batch
+                .iter()
+                .map(|q| lookup_in(root, q, m, answer))
+                .collect();
         }
-        out.reserve(batch.len());
+        let mut out = Vec::with_capacity(batch.len());
         let slots = &mut out.spare_capacity_mut()[..batch.len()];
         traverse::joint_query_into(root, batch, slots, m, answer);
         // SAFETY: the traversal writes every one of the first `batch.len()`
         // slots exactly once (children cover disjoint batch segments).
         unsafe { out.set_len(batch.len()) };
+        out
     }
 }
 
@@ -238,14 +237,12 @@ where
         self.root.as_ref().map(|root| root.max_key())
     }
 
-    fn batch_contains_report(&self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        self.batch_lookup(batch, out, &leaf_has);
+    fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
+        self.batch_lookup(batch, &leaf_has)
     }
 
     fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
-        let mut out = Vec::new();
-        self.batch_lookup(batch, &mut out, &leaf_get);
-        out
+        self.batch_lookup(batch, &leaf_get)
     }
 
     /// Forks per subtree inside a pool — the parallel flatten the rebuild
@@ -293,63 +290,60 @@ where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
 {
-    fn batch_insert_report(&mut self, batch: &KvBatch<K, V>, out: &mut Vec<bool>) {
-        out.clear();
+    fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let m = metrics_ref(self.obs, &self.metrics);
         let root = match &mut self.root {
             Some(root) => cow(root, m),
             None => {
                 self.root = Some(Arc::new(build(batch.keys(), batch.vals())));
-                out.resize(batch.len(), true);
-                return;
+                return vec![true; batch.len()];
             }
         };
         // Tiny batches: a loop of in-place point upserts is equivalent to
-        // the batch recursion (sorted distinct keys, applied in order) and
-        // allocation-free.
+        // the batch recursion (sorted distinct keys, applied in order).
         if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(
-                batch
-                    .entries()
-                    .map(|(q, v)| update::insert_one(root, q, v, m)),
-            );
-            return;
+            return batch
+                .entries()
+                .map(|(q, v)| update::insert_one(root, q, v, m))
+                .collect();
         }
-        out.reserve(batch.len());
+        let mut out = Vec::with_capacity(batch.len());
         let slots = &mut out.spare_capacity_mut()[..batch.len()];
         update::insert_into(root, batch.keys(), batch.vals(), slots, m);
         // SAFETY: as in `batch_lookup` — every flag slot written once.
         unsafe { out.set_len(batch.len()) };
+        out
     }
 
-    fn batch_remove_report(&mut self, batch: &Batch<K>, out: &mut Vec<bool>) {
-        out.clear();
+    fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
         if batch.is_empty() {
-            return;
+            return Vec::new();
         }
         let m = metrics_ref(self.obs, &self.metrics);
         let root = match &mut self.root {
             Some(root) => cow(root, m),
-            None => {
-                out.resize(batch.len(), false);
-                return;
-            }
+            None => return vec![false; batch.len()],
         };
-        if batch.len() <= update::POINT_BATCH_LEN {
-            out.extend(batch.iter().map(|q| update::remove_one(root, q, m)));
+        let out = if batch.len() <= update::POINT_BATCH_LEN {
+            batch
+                .iter()
+                .map(|q| update::remove_one(root, q, m))
+                .collect()
         } else {
-            out.reserve(batch.len());
+            let mut out = Vec::with_capacity(batch.len());
             let slots = &mut out.spare_capacity_mut()[..batch.len()];
             update::remove_from(root, batch.keys(), slots, m);
             // SAFETY: as in `batch_lookup` — every flag slot written once.
             unsafe { out.set_len(batch.len()) };
-        }
+            out
+        };
         if root.is_empty() {
             self.root = None;
         }
+        out
     }
 
     fn upsert_one(&mut self, key: &K, val: &V) -> bool {
@@ -694,40 +688,18 @@ mod tests {
         assert!(set.is_empty());
         assert_eq!(set.len(), 0);
         set.check_invariants().unwrap();
+        // Every batched op answers per key on the rootless tree, and an
+        // empty batch answers nothing.
+        let probe = Batch::from_unsorted(vec![1, 2]);
+        assert_eq!(set.batch_contains(&probe), vec![false, false]);
+        assert_eq!(set.batch_remove(&probe), vec![false, false]);
+        assert!(set.batch_insert(&Batch::empty()).is_empty());
+        assert!(set.is_empty());
         // Insert into the emptied tree works again.
         let newly = set.batch_insert(&Batch::from_unsorted(vec![7, 3]));
         assert_eq!(newly, vec![true, true]);
         assert_eq!(set.len(), 2);
-    }
-
-    #[test]
-    fn report_variants_match_allocating_ones() {
-        let keys: Vec<u64> = (0..8_000u64).map(|i| i * 2).collect();
-        let mut a = IstSet::from_sorted(keys.clone());
-        let mut b = IstSet::from_sorted(keys);
-        let batch = Batch::from_unsorted((0..3_000u64).map(|i| i * 3).collect());
-        let mut out = vec![true; 3]; // stale contents must be cleared
-
-        a.batch_contains_report(&batch, &mut out);
-        assert_eq!(out, b.batch_contains(&batch));
-        a.batch_insert_report(&batch, &mut out);
-        assert_eq!(out, b.batch_insert(&batch));
-        a.batch_remove_report(&batch, &mut out);
-        assert_eq!(out, b.batch_remove(&batch));
-        assert_eq!(a.len(), b.len());
-        a.check_invariants().unwrap();
-
-        // Empty-set and empty-batch edges of the report paths.
-        let mut empty: IstSet<u64> = IstSet::from_sorted(Vec::new());
-        empty.batch_contains_report(&Batch::from_unsorted(vec![1, 2]), &mut out);
-        assert_eq!(out, vec![false, false]);
-        empty.batch_remove_report(&Batch::from_unsorted(vec![1]), &mut out);
-        assert_eq!(out, vec![false]);
-        empty.batch_insert_report(&Batch::from_unsorted(vec![4, 9]), &mut out);
-        assert_eq!(out, vec![true, true]);
-        empty.batch_insert_report(&Batch::empty(), &mut out);
-        assert!(out.is_empty());
-        assert_eq!(empty.len(), 2);
+        assert!(set.batch_remove(&Batch::empty()).is_empty());
     }
 
     #[test]
@@ -745,22 +717,13 @@ mod tests {
             let z = splitmix(&mut state);
             let key = z % 5_000;
             let batch = Batch::from_unsorted(vec![key]);
-            let mut out = Vec::new();
-            match z >> 32 & 3 {
+            let (out, expect) = match z >> 32 & 3 {
                 // Remove-leaning so the tree shrinks through rebuilds.
-                0 => {
-                    set.batch_insert_report(&batch, &mut out);
-                    assert_eq!(out, vec![oracle.insert(key)], "step {step}, key {key}");
-                }
-                1 | 2 => {
-                    set.batch_remove_report(&batch, &mut out);
-                    assert_eq!(out, vec![oracle.remove(&key)], "step {step}, key {key}");
-                }
-                _ => {
-                    set.batch_contains_report(&batch, &mut out);
-                    assert_eq!(out, vec![oracle.contains(&key)], "step {step}, key {key}");
-                }
-            }
+                0 => (set.batch_insert(&batch), oracle.insert(key)),
+                1 | 2 => (set.batch_remove(&batch), oracle.remove(&key)),
+                _ => (set.batch_contains(&batch), oracle.contains(&key)),
+            };
+            assert_eq!(out, vec![expect], "step {step}, key {key}");
             assert_eq!(set.len(), oracle.len(), "step {step}");
             set.check_invariants()
                 .unwrap_or_else(|e| panic!("step {step}, key {key}: {e}"));

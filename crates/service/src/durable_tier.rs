@@ -247,12 +247,6 @@ where
         self.shards.iter().map(DurableSet::snapshot).collect()
     }
 
-    /// Per-shard durable high-water marks (see
-    /// [`durable::DurableSet::durable_seq`]).
-    pub fn durable_seqs(&self) -> Vec<u64> {
-        self.shards.iter().map(DurableSet::durable_seq).collect()
-    }
-
     /// Per-shard `durable.*` metric snapshots, index-aligned with the
     /// router's shard numbering.
     pub fn shard_metrics(&self) -> Vec<Snapshot> {
@@ -420,7 +414,9 @@ mod tests {
         }
         let durable = tier.sync_all().unwrap();
         assert_eq!(durable.len(), 3);
-        assert_eq!(tier.durable_seqs(), durable);
+        for (shard, &mark) in durable.iter().enumerate() {
+            assert_eq!(tier.shard(shard).durable_seq(), mark, "shard {shard}");
+        }
         assert!(durable.iter().all(|&d| d > 0), "{durable:?}");
 
         let snaps = tier.snapshot_all().unwrap();

@@ -503,12 +503,12 @@ where
             // element-count heuristic would be wrong — see pbist::traverse).
             self.pool.install(|| {
                 parprim::for_each_mut_with_grain(&mut tasks, 1, |(shard, sub, run)| {
-                    self.exec_shard(op, *shard, sub, run);
+                    **run = self.exec_shard(op, *shard, sub);
                 });
             });
         } else {
             for (shard, sub, run) in &mut tasks {
-                self.exec_shard(op, *shard, sub, run);
+                **run = self.exec_shard(op, *shard, sub);
             }
         }
         let mut out = Vec::with_capacity(batch.len());
@@ -518,13 +518,13 @@ where
 
     /// Delegates one sub-batch to its shard, promoting any panic that
     /// escapes the shard to tier-level poison.
-    fn exec_shard(&self, op: BatchOp, shard: usize, sub: &Batch<K>, run: &mut Vec<bool>) {
+    fn exec_shard(&self, op: BatchOp, shard: usize, sub: &Batch<K>) -> Vec<bool> {
         let _promote = self.poison_guard();
         let shard = &self.shards[shard];
         match op {
-            BatchOp::Contains => shard.batch_contains_report(sub, run),
-            BatchOp::Insert => shard.batch_insert_report(sub, run),
-            BatchOp::Remove => shard.batch_remove_report(sub, run),
+            BatchOp::Contains => shard.batch_contains(sub),
+            BatchOp::Insert => shard.batch_insert(sub),
+            BatchOp::Remove => shard.batch_remove(sub),
         }
     }
 

@@ -105,11 +105,6 @@ impl<K: Ord> SplitBatch<K> {
         &self.sub_batches
     }
 
-    /// Total keys across all sub-batches (= the split batch's length).
-    pub fn total_len(&self) -> usize {
-        *self.offsets.last().expect("offsets hold [0, .., len]")
-    }
-
     /// Stitches per-shard result runs back into batch order: `out[i]`
     /// becomes the flag that `batch[i]`'s shard reported for it.  Shard
     /// order is batch order, so this is the concatenation of the runs —
@@ -207,7 +202,8 @@ mod tests {
         let batch = Batch::from_unsorted(vec![0u64, 10, 29, 30, 31, 60, 89, 90]);
         let split = router.split(&batch);
         assert_eq!(split.sub_batches().len(), 3);
-        assert_eq!(split.total_len(), batch.len());
+        let routed: usize = split.sub_batches().iter().map(|sub| sub.len()).sum();
+        assert_eq!(routed, batch.len());
         for (shard, sub) in split.sub_batches().iter().enumerate() {
             for key in sub.iter() {
                 assert_eq!(router.shard_of(key), shard, "key {key}");

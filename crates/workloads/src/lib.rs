@@ -10,8 +10,6 @@
 //! * [`ZipfSampler`] — Zipf-distributed ranks, for skewed access patterns.
 //! * [`mixed_op_batches`] / [`mixed_op_batches_zipf`] — sequences of mixed
 //!   read/write operation batches, the input shape of the batched-set API.
-//! * [`range_queries`] / [`scan_client_traces`] — half-open range scans and
-//!   point/scan read mixes, the input shape of the ordered-query surface.
 
 use std::ops::Range;
 
@@ -270,90 +268,6 @@ pub fn mixed_op_batches_zipf(
                 .map(|_| universe[zipf.next_rank()])
                 .collect();
             OpBatch { kind, keys }
-        })
-        .collect()
-}
-
-/// A read-only operation for workloads that mix point lookups with range
-/// scans — the input shape of the ordered-query surface
-/// (`range_keys`/`range_count` on the batched sets and the combining
-/// front-end's wait-free snapshot reads).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadOp {
-    /// Membership probe of one key.
-    Point(u64),
-    /// Scan of the half-open key interval `[lo, hi)`.
-    Scan(u64, u64),
-}
-
-/// Generates `count` half-open range queries `[lo, hi)` over `range`:
-/// spans are uniform in `[1, max_span]` (clamped to the range width) and
-/// each query lies entirely inside `range`.
-///
-/// ```
-/// let queries = workloads::range_queries(3, 16, 100..1000, 50);
-/// assert_eq!(queries.len(), 16);
-/// for (lo, hi) in queries {
-///     assert!(100 <= lo && lo < hi && hi <= 1000 && hi - lo <= 50);
-/// }
-/// ```
-///
-/// # Panics
-///
-/// Panics if `range` is empty or `max_span` is zero.
-pub fn range_queries(seed: u64, count: usize, range: Range<u64>, max_span: u64) -> Vec<(u64, u64)> {
-    assert!(range.start < range.end, "empty key range");
-    assert!(max_span > 0, "zero-width scans are not a workload");
-    let width = range.end - range.start;
-    let max_span = max_span.min(width);
-    let mut rng = SplitMix64::new(seed);
-    (0..count)
-        .map(|_| {
-            let span = 1 + rng.next_below(max_span);
-            let lo = range.start + rng.next_below(width - span + 1);
-            (lo, lo + span)
-        })
-        .collect()
-}
-
-/// Generates one [`ReadOp`] trace per client thread: each operation is a
-/// [`ReadOp::Scan`] with probability `scan_permille / 1000` (spans as in
-/// [`range_queries`]) and a [`ReadOp::Point`] probe otherwise.  Per-client
-/// seeds derive from `seed` exactly like [`client_traces`], so traces are
-/// independent, deterministic streams.
-///
-/// # Panics
-///
-/// Panics if `range` is empty, `max_span` is zero, or `scan_permille`
-/// exceeds 1000.
-pub fn scan_client_traces(
-    seed: u64,
-    clients: usize,
-    ops_per_client: usize,
-    range: Range<u64>,
-    max_span: u64,
-    scan_permille: u32,
-) -> Vec<Vec<ReadOp>> {
-    assert!(range.start < range.end, "empty key range");
-    assert!(max_span > 0, "zero-width scans are not a workload");
-    assert!(scan_permille <= 1000, "scan_permille is out of [0, 1000]");
-    let width = range.end - range.start;
-    let max_span = max_span.min(width);
-    let mut seeder = SplitMix64::new(seed);
-    (0..clients)
-        .map(|_| {
-            let mut rng = SplitMix64::new(seeder.next_u64());
-            (0..ops_per_client)
-                .map(|_| {
-                    if rng.next_below(1000) < u64::from(scan_permille) {
-                        let span = 1 + rng.next_below(max_span);
-                        let lo = range.start + rng.next_below(width - span + 1);
-                        ReadOp::Scan(lo, lo + span)
-                    } else {
-                        ReadOp::Point(range.start + rng.next_below(width))
-                    }
-                })
-                .collect()
         })
         .collect()
 }
@@ -639,57 +553,6 @@ mod tests {
         let mut all = uniform_keys_distinct(11, 64, 0..64);
         all.sort_unstable();
         assert_eq!(all, (0..64u64).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn range_queries_stay_inside_bounds_and_spans() {
-        let queries = range_queries(21, 500, 100..10_000, 64);
-        assert_eq!(queries.len(), 500);
-        for &(lo, hi) in &queries {
-            assert!(lo >= 100 && hi <= 10_000, "({lo}, {hi}) escapes the range");
-            assert!(lo < hi, "({lo}, {hi}) is not a forward interval");
-            assert!(hi - lo <= 64, "({lo}, {hi}) exceeds max_span");
-        }
-        assert_eq!(queries, range_queries(21, 500, 100..10_000, 64));
-        // Spans larger than the range clamp instead of panicking.
-        let wide = range_queries(5, 100, 0..10, 1_000);
-        assert!(wide.iter().all(|&(lo, hi)| hi <= 10 && hi - lo <= 10));
-    }
-
-    #[test]
-    fn scan_traces_honour_the_permille_knob() {
-        let traces = scan_client_traces(33, 4, 1_000, 0..50_000, 256, 100);
-        assert_eq!(traces.len(), 4);
-        let all: Vec<ReadOp> = traces.iter().flatten().copied().collect();
-        let scans = all
-            .iter()
-            .filter(|op| matches!(op, ReadOp::Scan(..)))
-            .count();
-        // 10% of 4000 ops; a ±4σ band (σ ≈ 19) is [324, 476].
-        assert!((324..=476).contains(&scans), "{scans} scans of 4000 ops");
-        for op in &all {
-            match *op {
-                ReadOp::Point(k) => assert!(k < 50_000),
-                ReadOp::Scan(lo, hi) => {
-                    assert!(lo < hi && hi <= 50_000 && hi - lo <= 256);
-                }
-            }
-        }
-        // The extremes degenerate to pure point / pure scan traces.
-        assert!(scan_client_traces(1, 2, 200, 0..100, 8, 0)
-            .iter()
-            .flatten()
-            .all(|op| matches!(op, ReadOp::Point(_))));
-        assert!(scan_client_traces(1, 2, 200, 0..100, 8, 1000)
-            .iter()
-            .flatten()
-            .all(|op| matches!(op, ReadOp::Scan(..))));
-        // Determinism and per-client stream independence.
-        assert_eq!(
-            traces,
-            scan_client_traces(33, 4, 1_000, 0..50_000, 256, 100)
-        );
-        assert_ne!(traces[0], traces[1]);
     }
 
     #[test]

@@ -450,7 +450,7 @@ struct ValueRead {
     key: u64,
     /// The (globally unique) value the client had just written to `key`.
     wrote: u64,
-    /// What `read_at_least(mark)` then `get` returned.
+    /// What `get` on the `read_snapshot()` taken after the write returned.
     got: Option<u64>,
     /// The seq of the snapshot that answered.
     seq: u64,
@@ -462,10 +462,11 @@ struct ValueRead {
 ///
 /// (a) Replaying the round log reproduces every `bool`, the log's and the
 ///     clients' alike.
-/// (b) `read_at_least(mark)` then `get`, with `mark` taken after my write
-///     was acknowledged, returns exactly the state of the snapshot's own
-///     seq — which covers my write — so the value is mine or a later
-///     round's, never an older one.
+/// (b) A plain `read_snapshot()` taken after my write was acknowledged has
+///     a seq at or past the `committed_seq()` mark sampled before it — on
+///     the first load, no helping, no waiting — and `get` on it returns
+///     exactly the state of that seq, which covers my write: the value is
+///     mine or a later round's, never an older one.
 /// (c) A `ReadSnapshot` pinned early and held across 10⁴ later rounds —
 ///     the clients' concurrent ones, then a sequential tail — keeps
 ///     returning the contents of its own seq throughout, and once the pin
@@ -511,7 +512,12 @@ fn upserted_values_replay_against_the_committed_rounds() {
                         // The round that wrote `mine` is committed (it
                         // acknowledged), so the mark is at or past it.
                         let mark = map.committed_seq();
-                        let snap = map.read_at_least(mark).expect("an observed mark");
+                        let snap = map.read_snapshot();
+                        assert!(
+                            snap.seq() >= mark,
+                            "client {c}: snapshot seq {} is behind the observed mark {mark}",
+                            snap.seq()
+                        );
                         reads.push(ValueRead {
                             key,
                             wrote: mine,
@@ -576,7 +582,7 @@ fn upserted_values_replay_against_the_committed_rounds() {
             let (my_seq, _) = written[&read.wrote];
             assert!(
                 read.seq >= my_seq,
-                "client {c}: read_at_least returned seq {} for a write in round {my_seq}",
+                "client {c}: read_snapshot returned seq {} for a write in round {my_seq}",
                 read.seq
             );
             assert_eq!(

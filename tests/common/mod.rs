@@ -63,15 +63,15 @@ impl MapView<u64> for BombSet {
 }
 
 impl BatchedMap<u64> for BombSet {
-    fn batch_insert_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
+    fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
         assert!(
             !batch.as_slice().contains(&u64::MAX),
             "BombSet: backend blew up mid-round"
         );
-        self.inner.batch_insert_report(batch, out)
+        self.inner.batch_insert(batch)
     }
-    fn batch_remove_report(&mut self, batch: &Batch<u64>, out: &mut Vec<bool>) {
-        self.inner.batch_remove_report(batch, out)
+    fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+        self.inner.batch_remove(batch)
     }
 }
 

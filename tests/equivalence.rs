@@ -7,7 +7,7 @@
 use pbist_repro::{
     baselines,
     batchapi::{Batch, BatchedMap, MapView},
-    forkjoin, parprim, pbist, workloads,
+    forkjoin, pbist, workloads,
 };
 
 #[test]
@@ -67,16 +67,4 @@ fn zipf_queries_hit_the_hot_keys() {
     // Every Zipf-selected query is a real key, so all lookups must hit.
     let hits = tree.batch_contains(&Batch::from_unsorted(queries));
     assert!(hits.iter().all(|&h| h));
-}
-
-#[test]
-fn scan_partitions_a_batch_by_subtree_counts() {
-    // The shape of the paper's batch partitioning: per-bucket counts scanned
-    // into offsets, validated here against direct arithmetic.
-    let counts: Vec<usize> = (0..257).map(|i| (i * 31) % 97).collect();
-    let (offsets, total) = parprim::exclusive_scan(&counts, 0, |a, b| a + b);
-    assert_eq!(total, counts.iter().sum::<usize>());
-    for (i, offset) in offsets.iter().enumerate() {
-        assert_eq!(*offset, counts[..i].iter().sum::<usize>());
-    }
 }
