@@ -185,11 +185,6 @@ impl<K: Ord> Batch<K> {
         &self.keys
     }
 
-    /// Consumes the batch, returning the sorted key vector.
-    pub fn into_vec(self) -> Vec<K> {
-        self.keys
-    }
-
     /// Splits the batch into `offsets.len() - 1` contiguous sub-batches:
     /// sub-batch `i` is `self[offsets[i]..offsets[i + 1]]` (possibly
     /// empty).  `offsets` is the exclusive scan of the per-segment key
@@ -681,7 +676,7 @@ mod tests {
     #[test]
     fn from_sorted_accepts_strictly_increasing() {
         let batch = Batch::from_sorted(vec![1u64, 2, 3]).unwrap();
-        assert_eq!(batch.into_vec(), vec![1, 2, 3]);
+        assert_eq!(batch.as_slice(), &[1, 2, 3]);
     }
 
     #[test]

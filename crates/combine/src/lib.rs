@@ -8,11 +8,12 @@
 //! are combined: clients publish one operation each into a lock-free list,
 //! one thread elects itself **combiner**, drains everything published so
 //! far into one batch per operation kind, executes the two batched updates
-//! on the backing store (inside a [`forkjoin::Pool`] when the round is
-//! large enough to parallelise), and hands each client its individual
-//! result.  **Reads** never enter a round: they are wait-free traversals of
-//! the snapshot the last round published (see *Reads* below) — in the
-//! paper, too, only `Insert`/`Remove` batches restructure the tree.
+//! on the backing store, and hands each client its individual result.
+//! Writes that arrive as whole batches skip the combining and, when large
+//! enough to parallelise, run inside a [`forkjoin::Pool`].  **Reads** never
+//! enter a round: they are wait-free traversals of the snapshot the last
+//! round published (see *Reads* below) — in the paper, too, only
+//! `Insert`/`Remove` batches restructure the tree.
 //!
 //! This is the classic *flat combining* construction (Hendler, Incze,
 //! Shavit & Tzafrir, SPAA '10) specialised to the batched-set API, where it
@@ -45,11 +46,12 @@
 //!    ops would applied one by one in publish order).
 //! 4. **Execute** — the two batched updates run in a fixed order:
 //!    `batch_insert`, then `batch_remove`.  That order is the round's
-//!    linearisation order (see below).  Rounds of at
-//!    least [`Options::pool_cutoff`] operations run inside the fork-join
-//!    pool; smaller rounds execute inline on the combiner thread, where the
-//!    batched operations degrade to their sequential paths — cheaper than a
-//!    pool round-trip for a handful of keys.
+//!    linearisation order (see below).  A combined round always runs
+//!    inline on the combiner's thread, and a round of one drained op takes
+//!    the backend's point path: a round holds one op per client blocked on
+//!    this store, so it is a handful of keys, and the tree does not fork a
+//!    sub-batch of [`POOL_CUTOFF`] keys or fewer however it is called.
+//!    The pool is for whole batches (see *Batched ingress*).
 //! 5. **Distribute** — per-key flags fan back out to per-op results (keys
 //!    duplicated across ops of one kind are resolved as if the ops ran
 //!    sequentially: the first insert/remove of a key in the round gets the
@@ -84,10 +86,10 @@
 //!   distribution of these waits, not an option: see its doc comment for
 //!   the numbers.
 //! * **Behind a long round it parks at once.**  A combiner about to run a
-//!   round inside the pool, or a whole pre-sorted batch, first marks the
-//!   flag *long*.  Such a round lasts tens of microseconds to milliseconds
-//!   and — on a machine with as many clients as cores — needs the waiter's
-//!   CPU for its pool workers; polling through it would be pure loss.
+//!   whole pre-sorted batch — and only that — first marks the flag *long*.
+//!   Such a round lasts tens of microseconds to milliseconds and — on a
+//!   machine with as many clients as cores — needs the waiter's CPU for its
+//!   pool workers; polling through it would be pure loss.
 //!
 //! Either way the sleeper handshake of step 6 is the only way onto or off
 //! the condvar, so the polling phase changes *when* a waiter sleeps, never
@@ -104,7 +106,10 @@
 //! [`ConcurrentMap::batch_remove`] make
 //! the caller the combiner, flush any point ops published before it won
 //! the flag, and execute the whole batch as one committed round (logged,
-//! counted, and poison-checked like any other).
+//! counted, and poison-checked like any other).  A batch of at least
+//! [`POOL_CUTOFF`] keys runs under [`forkjoin::Pool::install`], a smaller
+//! one on the caller's thread; these are the only rounds that enter the
+//! pool.
 //!
 //! # Linearisability
 //!
@@ -267,9 +272,20 @@ const PUBLISH_SPINS: u32 = 128;
 const FREE: u8 = 0;
 /// Held; the round in progress is a point round (or about to be known).
 const HELD: u8 = 1;
-/// Held by a combiner inside a pooled or whole-batch round: waiters park at
-/// once rather than poll through it.
+/// Held by a combiner inside a whole-batch round: waiters park at once
+/// rather than poll through it.
 const LONG: u8 = 2;
+
+/// A whole batch ([`ConcurrentMap::batch_insert`] /
+/// [`ConcurrentMap::batch_remove`]) of at least this many keys executes
+/// inside the fork-join pool; a smaller one runs on the caller's thread.
+///
+/// 512 because the tree does not fork below it: `pbist`'s traversal runs a
+/// sub-batch of 512 keys or fewer sequentially, so an `install` for a
+/// smaller batch would pay the pool round trip (tens of microseconds) and
+/// then run on one worker anyway.  Combined rounds never reach this: a round
+/// drained from published slots holds one op per blocked client.
+pub const POOL_CUTOFF: usize = 512;
 
 /// What a combined operation does to the store.  Rounds carry writes
 /// only — a read never enters one (see the module docs' *Reads* section).
@@ -333,15 +349,11 @@ pub struct Round<K, V = ()> {
     pub ops: Vec<RoundOp<K, V>>,
 }
 
-/// Construction-time knobs for [`ConcurrentMap`].
-#[derive(Debug, Clone)]
+/// Construction-time knobs for [`ConcurrentMap`]: two, both set by
+/// `durable`, which keeps the commit log and resumes a recovered history's
+/// numbering.  Everything else about a round is decided by its traffic.
+#[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Rounds with at least this many operations execute inside the
-    /// fork-join pool; smaller rounds run inline on the combiner thread
-    /// (the batched ops degrade to their sequential paths, which beats
-    /// paying a pool round-trip for a handful of keys).  `0` forces every
-    /// round through the pool; `usize::MAX` keeps everything inline.
-    pub pool_cutoff: usize,
     /// Keep the commit log: every committed round is appended (keys and
     /// values cloned) for [`ConcurrentMap::take_rounds`] to drain.  This is
     /// what a write-ahead log consumes — `durable` turns it on for every
@@ -357,16 +369,6 @@ pub struct Options {
     /// new rounds continue the old numbering and replay stays idempotent
     /// across restarts.
     pub first_seq: u64,
-}
-
-impl Default for Options {
-    fn default() -> Options {
-        Options {
-            pool_cutoff: 512,
-            log_rounds: false,
-            first_seq: 0,
-        }
-    }
 }
 
 /// Handles cloned out of the registry once at construction, so the hot
@@ -595,24 +597,6 @@ impl<T> SnapCell<T> {
     }
 }
 
-/// Combiner-only scratch state (guarded by the `combiner` flag), reused
-/// across rounds.
-struct Scratch<K, V> {
-    /// The round's drained insert slots, in publish order.
-    insert: Vec<*const OpSlot<K, V>>,
-    /// The round's drained remove slots, in publish order.
-    remove: Vec<*const OpSlot<K, V>>,
-    /// The insert lane's `(key, value)` pairs in publish order, consumed by
-    /// [`KvBatch::from_unsorted_entries`].
-    entries: Vec<(K, V)>,
-    /// The remove lane's keys in publish order; the buffer round-trips
-    /// through [`Batch::into_vec`].
-    keys: Vec<K>,
-    /// Tracks which batch keys have already been claimed by an earlier
-    /// duplicate op while distributing a lane's results.
-    claimed: Vec<bool>,
-}
-
 /// A concurrent ordered key→value store serving per-operation traffic from
 /// any number of client threads by flat-combining it into batches for a
 /// [`BatchedMap`] backend.
@@ -634,8 +618,8 @@ pub struct ConcurrentMap<K, V, S> {
     /// Head of the Treiber-stack ingress list of published op slots.
     ingress: AtomicPtr<OpSlot<K, V>>,
     /// The combiner flag ([`FREE`], [`HELD`] or [`LONG`]): held by at most
-    /// one thread, which has exclusive access to `set`, `seq`, `scratch`,
-    /// `retired` and the log tail.
+    /// one thread, which has exclusive access to `set`, `seq`, `retired`
+    /// and the log tail.
     combiner: AtomicU8,
     /// The backing batched store.  Touched only while holding `combiner`.
     set: UnsafeCell<S>,
@@ -645,8 +629,6 @@ pub struct ConcurrentMap<K, V, S> {
     /// even when the round log is off.  Touched only while holding
     /// `combiner`.
     seq: UnsafeCell<u64>,
-    /// Reused round buffers.  Touched only while holding `combiner`.
-    scratch: UnsafeCell<Scratch<K, V>>,
     /// The last published read snapshot (a clone of `set` + seq),
     /// republished by the combiner at the end of every round, so its seq is
     /// the committed high-water mark.  Read lock-free by every read;
@@ -656,10 +638,9 @@ pub struct ConcurrentMap<K, V, S> {
     /// lets go (see [`CombinerGuard`]).  Touched only while holding
     /// `combiner`.
     retired: UnsafeCell<Option<Retired<S>>>,
-    /// Fork-join pool executing rounds of at least `pool_cutoff` ops.
+    /// Fork-join pool executing whole batches of at least [`POOL_CUTOFF`]
+    /// keys.
     pool: Pool,
-    /// See [`Options::pool_cutoff`].
-    pool_cutoff: usize,
     /// Committed-round log, present when [`Options::log_rounds`] was set.
     /// Appended only by the combiner; the mutex serialises appends against
     /// concurrent [`ConcurrentMap::take_rounds`] drains.
@@ -756,8 +737,8 @@ impl<K, V, S> ConcurrentMap<K, V, S> {
     }
 }
 
-// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `scratch` and
-// the log tail are accessed only by the thread holding the `combiner` flag
+// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `seq`, `retired`
+// and the log tail are accessed only by the thread holding the `combiner` flag
 // (Acquire/Release on that flag sequences successive combiners), so they
 // need `Send` but not `Sync`; the published clones of `set` are read by
 // every thread at once, hence `S: Sync`.  The ingress list holds pointers
@@ -788,7 +769,7 @@ where
     S: BatchedMap<K, V> + Clone + Send + Sync,
 {
     /// Wraps `set` behind a flat-combining front-end with default
-    /// [`Options`], executing large rounds on `pool`.
+    /// [`Options`], executing large batches on `pool`.
     pub fn new(set: S, pool: Pool) -> ConcurrentMap<K, V, S> {
         ConcurrentMap::with_options(set, pool, Options::default())
     }
@@ -811,15 +792,7 @@ where
             seq: UnsafeCell::new(options.first_seq),
             snap,
             retired: UnsafeCell::new(None),
-            scratch: UnsafeCell::new(Scratch {
-                insert: Vec::new(),
-                remove: Vec::new(),
-                entries: Vec::new(),
-                keys: Vec::new(),
-                claimed: Vec::new(),
-            }),
             pool,
-            pool_cutoff: options.pool_cutoff,
             log: options.log_rounds.then(|| Mutex::new(Vec::new())),
             sleep_mutex: Mutex::new(()),
             progress: Condvar::new(),
@@ -957,7 +930,7 @@ where
     /// published before it won the flag — they were pending first, so they
     /// linearise first), runs the whole batch against the backend in one
     /// round, and commits it to the round log like any other round.  Batches
-    /// of at least [`Options::pool_cutoff`] keys execute inside the pool.
+    /// of at least [`POOL_CUTOFF`] keys execute inside the pool.
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
         self.run_batch_op(OpKind::Insert, batch, Some(batch.vals()), |set| {
             set.batch_insert(batch)
@@ -1002,19 +975,19 @@ where
                 self.combine_round();
                 // SAFETY: we hold the combiner flag — exclusive set access.
                 let set = unsafe { &mut *self.set.get() };
-                let pooled = keys.len() >= self.pool_cutoff;
-                self.mark_long_round();
+                // A whole batch is the one round waiters should not poll
+                // through.  `Relaxed`: a hint, read by waiters' polls; the
+                // unlock's `Release` store of `FREE` overwrites it.
+                self.combiner.store(LONG, Ordering::Relaxed);
+                let pooled = keys.len() >= POOL_CUTOFF;
                 let out = if pooled {
                     self.pool.install(|| run(set))
                 } else {
                     run(set)
                 };
                 debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
-                let seq = self.next_seq();
-                self.commit_round_state(seq);
-                if let Some(log) = &self.log {
-                    let ops = keys
-                        .iter()
+                self.commit_round(keys.len() as u64, || {
+                    keys.iter()
                         .zip(out.iter())
                         .enumerate()
                         .map(|(i, (key, &result))| RoundOp {
@@ -1023,11 +996,12 @@ where
                             val: vals.map(|vals| vals[i].clone()),
                             result,
                         })
-                        .collect();
-                    log.lock().unwrap().push(Round { seq, ops });
-                }
+                        .collect()
+                });
                 self.metrics.batch_rounds.add_single_writer(1);
-                self.bump_stats(keys.len() as u64, pooled);
+                if pooled {
+                    self.metrics.pooled_rounds.add_single_writer(1);
+                }
                 return out;
             }
             self.wait_until(|| self.combiner_free() || self.poisoned.load(Ordering::Acquire));
@@ -1157,13 +1131,11 @@ where
     /// `done` handshake, no key clone; under no contention the front-end
     /// costs one CAS + one load over a plain mutex.
     ///
-    /// Returns `None` when the path does not apply — the combiner flag is
-    /// taken, or the cutoff demands pooled rounds (`pool_cutoff <= 1`,
-    /// which routes every op through the batch machinery) — and the caller
-    /// must fall back to [`ConcurrentMap::run_op_published`].
+    /// Returns `None` when the combiner flag is taken, and the caller must
+    /// fall back to [`ConcurrentMap::run_op_published`].
     fn try_fast_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> Option<bool> {
         self.check_poisoned();
-        if self.pool_cutoff <= 1 || !self.lock_combiner() {
+        if !self.lock_combiner() {
             return None;
         }
         let _unlock = CombinerGuard { set: self };
@@ -1185,9 +1157,8 @@ where
         Some(self.run_point_op(kind, key, val))
     }
 
-    /// Executes one operation directly against the backend's point path,
-    /// logging it as a round of its own and counting it.  Caller must hold
-    /// the combiner flag.
+    /// Executes one operation directly against the backend's point path and
+    /// commits it as a round of its own.  Caller must hold the combiner flag.
     fn run_point_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
         // SAFETY: the caller holds the combiner flag — exclusive set access.
         let set = unsafe { &mut *self.set.get() };
@@ -1195,20 +1166,14 @@ where
             OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
             OpKind::Remove => set.remove_one(key),
         };
-        let seq = self.next_seq();
-        self.commit_round_state(seq);
-        if let Some(log) = &self.log {
-            log.lock().unwrap().push(Round {
-                seq,
-                ops: vec![RoundOp {
-                    kind,
-                    key: key.clone(),
-                    val: val.cloned(),
-                    result,
-                }],
-            });
-        }
-        self.bump_stats(1, false);
+        self.commit_round(1, || {
+            vec![RoundOp {
+                kind,
+                key: key.clone(),
+                val: val.cloned(),
+                result,
+            }]
+        });
         result
     }
 
@@ -1286,12 +1251,36 @@ where
         true
     }
 
-    /// Publishes the round's state as snapshot `seq`.  Caller must hold
-    /// the combiner flag and call this *after* [`ConcurrentMap::next_seq`]
-    /// but **before** logging the round or storing any client's `done`
-    /// flag — publish-before-acknowledge is the whole read-your-writes
-    /// guarantee.  The snapshot this displaces is parked in `retired` for
+    /// Commits the round of `len` ops the caller has just executed against
+    /// the backend — every round, of whatever origin, commits here.  Caller
+    /// must hold the combiner flag and must not have acknowledged any op of
+    /// the round yet (stored a slot's `done`, returned a result).  The order
+    /// is the contract: allocate the seq, **publish** the state as snapshot
+    /// `seq` — publish-before-acknowledge is the whole read-your-writes
+    /// guarantee — then **log** the round (`ops` builds its operations in
+    /// linearisation order, and runs only when the log is kept), because an
+    /// acknowledged client may return and immediately `take_rounds`, which
+    /// must already hold every round whose results have been observed.
+    ///
+    /// The counters are combiner-only — flag hand-off (Release unlock /
+    /// Acquire lock) orders successive combiners — so the single-writer
+    /// plain-load+store advance is exact without atomic RMWs.
+    fn commit_round(&self, len: u64, ops: impl FnOnce() -> Vec<RoundOp<K, V>>) {
+        let seq = self.next_seq();
+        self.commit_round_state(seq);
+        if let Some(log) = &self.log {
+            log.lock().unwrap().push(Round { seq, ops: ops() });
+        }
+        self.metrics.ops.add_single_writer(len);
+        self.metrics.round_size.record(len);
+        self.metrics.rounds.add_single_writer(1);
+    }
+
+    /// Publishes the round's state as snapshot `seq` ([`commit_round`]'s
+    /// second step).  The snapshot this displaces is parked in `retired` for
     /// the [`CombinerGuard`] to drop once the flag is free.
+    ///
+    /// [`commit_round`]: ConcurrentMap::commit_round
     fn commit_round_state(&self, seq: u64) {
         let start = self.obs.now();
         // SAFETY: combiner flag held — exclusive set access (the round's
@@ -1314,7 +1303,7 @@ where
     /// off through the flag's Release/Acquire pair, so seqs are strictly
     /// increasing and gap-free in commit order.
     fn next_seq(&self) -> u64 {
-        // SAFETY: combiner-exclusive (like `set` and `scratch`).
+        // SAFETY: combiner-exclusive (like `set`).
         unsafe {
             let seq = &mut *self.seq.get();
             *seq += 1;
@@ -1334,13 +1323,6 @@ where
     /// releasing combiner published.
     fn combiner_free(&self) -> bool {
         self.combiner.load(Ordering::Acquire) == FREE
-    }
-
-    /// Marks the round about to run as one waiters should not poll through.
-    /// Caller must hold the combiner flag.  `Relaxed`: a hint, read by
-    /// waiters' polls; the unlock's `Release` store of `FREE` overwrites it.
-    fn mark_long_round(&self) {
-        self.combiner.store(LONG, Ordering::Relaxed);
     }
 
     /// Panics if a combiner panicked mid-round (see the struct docs'
@@ -1401,7 +1383,8 @@ where
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Runs one combining round.  Caller must hold the combiner flag.
+    /// Runs one combining round — inline, on this thread.  Caller must hold
+    /// the combiner flag.
     fn combine_round(&self) {
         // Claim everything published so far.  Acquire pairs with the
         // publishers' Release CASes, making the slots' fields visible.
@@ -1409,140 +1392,86 @@ where
         if drained.is_null() {
             return;
         }
+        // SAFETY: every published slot stays pinned until its `done` flag
+        // is set, which this round has not done yet.
+        let newest = unsafe { &*drained };
         // Single-op round (the common case whenever clients do not outnumber
         // actual hardware concurrency): skip the batch machinery entirely
-        // and hit the backend's point path.  Only when the cutoff would not
-        // send a one-op round through the pool — `pool_cutoff <= 1` keeps
-        // its documented "everything pooled" meaning.
-        // SAFETY: the slot stays pinned until its `done` store below.
-        if self.pool_cutoff > 1 && unsafe { (*drained).next.load(Ordering::Relaxed) }.is_null() {
-            let slot = unsafe { &*drained };
-            let result = self.run_point_op(slot.kind, &slot.key, slot.val.as_ref());
+        // and hit the backend's point path.
+        if newest.next.load(Ordering::Relaxed).is_null() {
+            let result = self.run_point_op(newest.kind, &newest.key, newest.val.as_ref());
             // SAFETY: combiner-exclusive until the `done` store, which is
             // the last touch (Release publishes the result write).
             unsafe {
-                *slot.result.get() = result;
-                slot.done.store(true, Ordering::Release);
+                *newest.result.get() = result;
+                newest.done.store(true, Ordering::Release);
             }
             return;
         }
-        // SAFETY: combiner flag held — exclusive access to the scratch.
-        let scratch = unsafe { &mut *self.scratch.get() };
-        let Scratch {
-            insert: ins,
-            remove: rem,
-            entries,
-            keys,
-            claimed,
-        } = scratch;
 
         // Split by kind.  The Treiber stack yields newest-first; pushing
         // onto the lanes and reversing restores publish order.
-        let mut total: u64 = 0;
-        let mut cursor = drained;
+        let (mut ins, mut rem) = (Vec::new(), Vec::new());
+        let mut cursor: *const OpSlot<K, V> = drained;
         while !cursor.is_null() {
-            // SAFETY: every published slot stays pinned until its `done`
-            // flag is set, which this round has not done yet.
+            // SAFETY: pinned, as above.
             let slot = unsafe { &*cursor };
+            match slot.kind {
+                OpKind::Insert => ins.push(cursor),
+                OpKind::Remove => rem.push(cursor),
+            }
             cursor = slot.next.load(Ordering::Relaxed);
-            let lane = match slot.kind {
-                OpKind::Insert => &mut *ins,
-                OpKind::Remove => &mut *rem,
-            };
-            lane.push(slot);
-            total += 1;
         }
         ins.reverse();
         rem.reverse();
+
+        // One sorted batch per kind (publish order + stable sort + last-wins
+        // = the value the ops would leave behind applied one by one).
         // SAFETY (both): slots stay pinned (as above); `key` and `val`
         // are read by shared reference, which `K: Sync`, `V: Sync` licence
         // across threads.
-        keys.clear();
-        keys.extend(rem.iter().map(|&s| unsafe { (*s).key.clone() }));
-        entries.clear();
-        entries.extend(ins.iter().map(|&s| {
+        let entry = |&s: &*const OpSlot<K, V>| {
             let slot = unsafe { &*s };
             let val = slot.val.clone().expect("insert ops carry a value");
             (slot.key.clone(), val)
-        }));
+        };
+        let ins_batch = KvBatch::from_unsorted_entries(ins.iter().map(entry).collect());
+        let key = |&s: &*const OpSlot<K, V>| unsafe { (*s).key.clone() };
+        let rem_batch = Batch::from_unsorted(rem.iter().map(key).collect());
 
-        // One sorted batch per kind.  The remove keys' buffer comes back via
-        // `into_vec` below; the insert pairs are unzipped into the batch's
-        // own arrays (publish order + stable sort + last-wins = the value
-        // the ops would leave behind applied one by one).
-        let ins_batch = KvBatch::from_unsorted_entries(mem::take(entries));
-        let rem_batch = Batch::from_unsorted(mem::take(keys));
-
-        // Execute in linearisation order: insert, remove.
+        // Execute in linearisation order: insert, remove.  An empty lane
+        // makes no backend call at all.
         // SAFETY: combiner flag held — exclusive access to the set.
         let set = unsafe { &mut *self.set.get() };
-        let run = |set: &mut S| {
-            // An empty lane makes no backend call at all.
-            let ins_flags = match ins_batch.is_empty() {
-                true => Vec::new(),
-                false => set.batch_insert(&ins_batch),
-            };
-            let rem_flags = match rem_batch.is_empty() {
-                true => Vec::new(),
-                false => set.batch_remove(&rem_batch),
-            };
-            (ins_flags, rem_flags)
-        };
-        let pooled = (total as usize) >= self.pool_cutoff;
-        let (ins_flags, rem_flags) = if pooled {
-            self.mark_long_round();
-            self.pool.install(|| run(set))
-        } else {
-            run(set)
-        };
-
-        // Fan per-key flags back out to per-op results, logging the
-        // linearised round if asked to.
-        let mut logged = self
-            .log
-            .as_ref()
-            .map(|_| Vec::with_capacity(total as usize));
-        distribute(ins, &ins_batch, &ins_flags, claimed, &mut logged);
-        distribute(rem, &rem_batch, &rem_flags, claimed, &mut logged);
-
-        // Log the round *before* releasing any client: once a `done` flag
-        // is stored its client may return and immediately `take_rounds`,
-        // which must already contain every round whose results have been
-        // observed.  The snapshot publishes first for the same reason —
-        // a released client must find its write in the next snapshot read.
-        let seq = self.next_seq();
-        self.commit_round_state(seq);
-        if let (Some(log), Some(round)) = (&self.log, logged) {
-            log.lock().unwrap().push(Round { seq, ops: round });
+        if !ins_batch.is_empty() {
+            distribute(&ins, &ins_batch, &set.batch_insert(&ins_batch));
         }
+        if !rem_batch.is_empty() {
+            distribute(&rem, &rem_batch, &set.batch_remove(&rem_batch));
+        }
+
+        self.commit_round((ins.len() + rem.len()) as u64, || {
+            let op = |&s: &*const OpSlot<K, V>| {
+                // SAFETY: still pinned; `result` was written by `distribute`
+                // and is combiner-exclusive until the `done` store below.
+                let (slot, result) = unsafe { (&*s, *(*s).result.get()) };
+                RoundOp {
+                    kind: slot.kind,
+                    key: slot.key.clone(),
+                    val: slot.val.clone(),
+                    result,
+                }
+            };
+            ins.iter().chain(&rem).map(op).collect()
+        });
 
         // Completion: after each `done` store the owning client may pop the
         // slot off its stack, so this loop is the combiner's last touch.
-        for lane in [ins, rem] {
-            for slot in lane.drain(..) {
-                // SAFETY: Release publishes the result write above; the
-                // slot is not accessed afterwards.
-                unsafe { (*slot).done.store(true, Ordering::Release) };
-            }
+        for &slot in ins.iter().chain(&rem) {
+            // SAFETY: Release publishes the result write above; the slot is
+            // not accessed afterwards.
+            unsafe { (*slot).done.store(true, Ordering::Release) };
         }
-
-        // Reclaim the key buffer for the next round.
-        *keys = rem_batch.into_vec();
-
-        self.bump_stats(total, pooled);
-    }
-
-    /// Advances the counters for one committed round.  Combiner-only — the
-    /// caller holds the combiner flag, and flag hand-off (Release unlock /
-    /// Acquire lock) orders successive combiners — so the single-writer
-    /// plain-load+store advance is exact without atomic RMWs.
-    fn bump_stats(&self, ops: u64, pooled: bool) {
-        self.metrics.ops.add_single_writer(ops);
-        if pooled {
-            self.metrics.pooled_rounds.add_single_writer(1);
-        }
-        self.metrics.round_size.record(ops);
-        self.metrics.rounds.add_single_writer(1);
     }
 }
 
@@ -1552,15 +1481,9 @@ where
 /// batch flag, later duplicates observe the first one's effect (insert
 /// after insert → already present; remove after remove → already gone),
 /// exactly as the replayed linearisation does.
-fn distribute<K: Ord + Clone, V: Clone>(
-    slots: &[*const OpSlot<K, V>],
-    batch: &[K],
-    flags: &[bool],
-    claimed: &mut Vec<bool>,
-    logged: &mut Option<Vec<RoundOp<K, V>>>,
-) {
-    claimed.clear();
-    claimed.resize(batch.len(), false);
+fn distribute<K: Ord, V>(slots: &[*const OpSlot<K, V>], batch: &[K], flags: &[bool]) {
+    // Which batch keys an earlier duplicate op has already claimed.
+    let mut claimed = vec![false; batch.len()];
     for &ptr in slots {
         // SAFETY: slots stay pinned until their `done` store, which happens
         // after all `distribute` calls of the round.
@@ -1570,18 +1493,9 @@ fn distribute<K: Ord + Clone, V: Clone>(
             .expect("round batch is built from exactly these op keys");
         let first = !claimed[idx];
         claimed[idx] = true;
-        let result = first && flags[idx];
         // SAFETY: combiner-exclusive until `done` is set; the owning client
         // reads `result` only after its Acquire load of `done`.
-        unsafe { *slot.result.get() = result };
-        if let Some(log) = logged {
-            log.push(RoundOp {
-                kind: slot.kind,
-                key: slot.key.clone(),
-                val: slot.val.clone(),
-                result,
-            });
-        }
+        unsafe { *slot.result.get() = first && flags[idx] };
     }
 }
 
@@ -1595,9 +1509,10 @@ mod tests {
     /// A sequential reference backend over a sorted `Vec` of pairs,
     /// implementing only the required trait methods (its `Clone` copies the
     /// `Vec`, so every publication is O(n) — fine at test sizes).
-    /// Upserting the key `u64::MAX` through the *batched* path panics — the
-    /// bomb the poisoning tests plant — and so does asking `contains` for
-    /// it, the stand-in for a user `Ord` that panics mid-read.
+    /// Upserting the key `u64::MAX` panics — the bomb the poisoning tests
+    /// plant: it sits in `batch_insert`, which the provided `upsert_one` (a
+    /// singleton batch) reaches too — and so does asking `contains` for it,
+    /// the stand-in for a user `Ord` that panics mid-read.
     #[derive(Clone)]
     struct VecMap<V>(Vec<(u64, V)>);
 
@@ -1665,14 +1580,13 @@ mod tests {
         set.0.into_iter().map(|(k, ())| k).collect()
     }
 
-    /// The harness: rounds of four or more ops go through the pool, and the
-    /// round log is on so tests can replay it (and prove reads stay out).
+    /// The harness: the round log is on so tests can replay it (and prove
+    /// reads stay out).
     fn fresh() -> ConcurrentSet<u64, VecSet> {
         ConcurrentSet::with_options(
             VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
-                pool_cutoff: 4,
                 log_rounds: true,
                 ..Options::default()
             },
@@ -1752,7 +1666,6 @@ mod tests {
             VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
-                pool_cutoff: 4,
                 log_rounds: true,
                 first_seq: 41,
             },
@@ -1786,42 +1699,18 @@ mod tests {
 
     #[test]
     fn stats_count_pooled_rounds() {
-        // pool_cutoff 4 and single-op rounds: nothing goes through the pool.
+        // Point ops never go through the pool.
         let set = fresh();
         for k in 0..10 {
             set.insert(k);
         }
         assert_eq!(counter(&set, "combine.ops"), 10);
         assert_eq!(counter(&set, "combine.pooled_rounds"), 0);
-
-        // pool_cutoff 0: every round is a pool round.
-        let pooled = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 0,
-                log_rounds: false,
-                ..Options::default()
-            },
-        );
-        pooled.insert(1);
-        pooled.insert(2);
-        assert_eq!(counter(&pooled, "combine.pooled_rounds"), 2);
-        assert_eq!(counter(&pooled, "combine.rounds"), 2);
     }
 
     #[test]
     fn backend_panic_poisons_instead_of_wedging() {
-        // pool_cutoff 0 forces the batch path, whose `batch_insert` bombs.
-        let set = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 0,
-                log_rounds: false,
-                ..Options::default()
-            },
-        );
+        let set = fresh();
         assert!(set.insert(1));
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             set.insert(u64::MAX);
@@ -1864,20 +1753,21 @@ mod tests {
         let json = m.to_json();
         assert!(json.contains("\"combine.rounds\": 10"), "{json}");
 
-        // pool_cutoff <= 1 forbids the fast path; everything publishes.
-        let slow = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 0,
-                ..Options::default()
-            },
-        );
-        slow.insert(1);
-        slow.insert(2);
+        // A writer that finds the flag taken publishes: the holder of the
+        // open round took the fast path, the one behind it the slow one.
+        let (slow, entered, release) = gated();
+        let holder = {
+            let slow = Arc::clone(&slow);
+            std::thread::spawn(move || slow.insert(GATE))
+        };
+        entered.recv().unwrap();
+        let waiter = park_a_waiter(&slow);
+        release.send(()).unwrap();
+        assert!(holder.join().unwrap() && waiter.join().unwrap());
         let m = slow.metrics();
-        assert_eq!(m.counter("combine.fast_path_rounds"), Some(0));
-        assert_eq!(m.counter("combine.slow_path_ops"), Some(2));
+        assert_eq!(m.counter("combine.fast_path_rounds"), Some(1));
+        assert_eq!(m.counter("combine.slow_path_ops"), Some(1));
+        assert_eq!(m.counter("combine.rounds"), Some(2));
     }
 
     #[test]
@@ -1924,11 +1814,11 @@ mod tests {
 
     #[test]
     fn batched_surface_pools_large_batches() {
-        // pool_cutoff 4: a 5-key batch must execute inside the pool.
         let set = fresh();
-        set.batch_insert(&Batch::from_unsorted(vec![1u64, 2, 3, 4, 5]));
-        assert_eq!(counter(&set, "combine.pooled_rounds"), 1);
-        set.batch_remove(&Batch::from_unsorted(vec![1u64, 2]));
+        let keys = |n: usize| Batch::from_unsorted((0..n as u64).collect());
+        set.batch_insert(&keys(POOL_CUTOFF));
+        assert_eq!(counter(&set, "combine.pooled_rounds"), 1, "at the cutoff");
+        set.batch_remove(&keys(POOL_CUTOFF - 1));
         assert_eq!(
             counter(&set, "combine.pooled_rounds"),
             1,
@@ -1938,18 +1828,12 @@ mod tests {
 
     #[test]
     fn batched_surface_respects_poisoning() {
-        let set = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 0,
-                log_rounds: false,
-                ..Options::default()
-            },
-        );
+        let set = fresh();
         assert!(!set.is_poisoned());
+        // A bomb in a batch large enough to go off inside `Pool::install`.
+        let keys = (1..POOL_CUTOFF as u64).chain([u64::MAX]).collect();
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            set.batch_insert(&Batch::from_unsorted(vec![1u64, u64::MAX]));
+            set.batch_insert(&Batch::from_unsorted(keys));
         }));
         assert!(boom.is_err());
         assert!(set.is_poisoned(), "is_poisoned reports without panicking");
@@ -2052,14 +1936,7 @@ mod tests {
 
     #[test]
     fn snapshot_reads_panic_on_poison_without_blocking() {
-        let set = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                pool_cutoff: 0,
-                ..Options::default()
-            },
-        );
+        let set = fresh();
         assert!(set.insert(3));
         assert!(set.contains(&3), "snapshot read before poisoning");
         let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -2196,11 +2073,7 @@ mod tests {
             .metrics(true)
             .build()
             .unwrap();
-        let options = Options {
-            pool_cutoff: 4,
-            ..Options::default()
-        };
-        let set = ConcurrentSet::with_options(backend, pool, options);
+        let set = ConcurrentSet::new(backend, pool);
         (Arc::new(set), entered, release)
     }
 
@@ -2223,8 +2096,8 @@ mod tests {
 
     #[test]
     fn handoff_parks_behind_an_open_round_and_wakes() {
-        // A whole batch at the pool cutoff is a long round; a point insert
-        // (the default `upsert_one` is a singleton batch) is not.
+        // A whole batch is a long round; a point insert (the default
+        // `upsert_one` is a singleton batch) is not.
         for long_round in [true, false] {
             let (set, entered, release) = gated();
             let holder = {
@@ -2279,7 +2152,6 @@ mod tests {
             VecMap(Vec::new()),
             Pool::new(1).unwrap(),
             Options {
-                pool_cutoff: 4,
                 log_rounds: true,
                 ..Options::default()
             },

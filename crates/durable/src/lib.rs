@@ -126,7 +126,7 @@ use std::sync::{Arc, Mutex};
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
 use combine::{ConcurrentMap, OpKind, Options};
 use forkjoin::Pool;
-use obs::{Counter, Gauge, Histogram, Registry};
+use obs::{Counter, Histogram, Registry};
 
 use crate::log::{
     list_segments, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
@@ -176,9 +176,18 @@ struct Wal {
     pending: u64,
     /// Records appended since the last snapshot.
     since_snapshot: u64,
-    /// Encode scratch, reused across appends.
+    /// Encode scratch, reused across appends (see [`WAL_BUF_KEEP`]).
     buf: Vec<u8>,
 }
+
+/// The WAL keeps its encode buffer from one append to the next only while
+/// the buffer's capacity is at most this.  A whole-batch record may be as
+/// large as `MAX_PAYLOAD`, and a buffer grown for one such batch would
+/// otherwise stay allocated — per shard — for as long as the store is open.
+/// 1 MiB clears every record the benchmark writes (73 KB for a `batch-large`
+/// sub-batch, 295 KB for a prefill one), so no steady-state append
+/// reallocates.
+const WAL_BUF_KEEP: usize = 1 << 20;
 
 impl Wal {
     /// The name for the next segment: past the last appended record *and*
@@ -203,9 +212,11 @@ struct Metrics {
     torn_tails: Arc<Counter>,
     group_size: Arc<Histogram>,
     recovery_replayed: Arc<Histogram>,
-    appended_seq: Arc<Gauge>,
-    durable_seq: Arc<Gauge>,
-    snapshot_seq: Arc<Gauge>,
+    /// The three marks are counters moved by [`Counter::set_max`], all
+    /// written under the WAL lock.
+    appended_seq: Arc<Counter>,
+    durable_seq: Arc<Counter>,
+    snapshot_seq: Arc<Counter>,
 }
 
 impl Metrics {
@@ -221,9 +232,9 @@ impl Metrics {
             torn_tails: registry.counter("durable.torn_tails"),
             group_size: registry.histogram("durable.group_size"),
             recovery_replayed: registry.histogram("durable.recovery_replayed"),
-            appended_seq: registry.gauge("durable.appended_seq"),
-            durable_seq: registry.gauge("durable.durable_seq"),
-            snapshot_seq: registry.gauge("durable.snapshot_seq"),
+            appended_seq: registry.counter("durable.appended_seq"),
+            durable_seq: registry.counter("durable.durable_seq"),
+            snapshot_seq: registry.counter("durable.snapshot_seq"),
         }
     }
 }
@@ -332,7 +343,7 @@ where
             snap_seq = seq;
             contents.extend(keys.into_iter().zip(vals));
         }
-        metrics.snapshot_seq.set(snap_seq);
+        metrics.snapshot_seq.set_max(snap_seq);
 
         // 2. Replay the log tail in segment-name (= append) order.  A
         //    record seq that fails to strictly increase is treated like a
@@ -414,12 +425,11 @@ where
             Options {
                 log_rounds: true,
                 first_seq: max_seq,
-                ..Options::default()
             },
         );
 
-        metrics.appended_seq.set(max_seq);
-        metrics.durable_seq.set(max_seq);
+        metrics.appended_seq.set_max(max_seq);
+        metrics.durable_seq.set_max(max_seq);
         Ok(DurableMap {
             inner,
             wal: Mutex::new(Wal {
@@ -660,13 +670,15 @@ where
             encode_record(round.seq, muts, &mut buf);
             let appended = wal.log.append(&buf);
             self.metrics.bytes_written.add(buf.len() as u64);
-            wal.buf = buf;
+            if buf.capacity() <= WAL_BUF_KEEP {
+                wal.buf = buf;
+            }
             appended?;
             self.metrics.records_appended.inc();
             wal.appended_seq = round.seq;
             wal.pending += 1;
             wal.since_snapshot += 1;
-            self.metrics.appended_seq.set(round.seq);
+            self.metrics.appended_seq.set_max(round.seq);
         }
         Ok(())
     }
@@ -703,7 +715,7 @@ where
         let name = write_snapshot(&self.dir, snap_seq, &keys, &vals)?;
         commit_manifest(&self.dir, snap_seq, &name)?;
         self.metrics.snapshots.inc();
-        self.metrics.snapshot_seq.set(snap_seq);
+        self.metrics.snapshot_seq.set_max(snap_seq);
         self.metrics.durable_seq.set_max(snap_seq);
 
         // Every record in every segment now has seq <= snap_seq: the
@@ -865,7 +877,7 @@ mod tests {
         );
         for k in 0..10u64 {
             store.upsert(k, V::of(k, 0)).unwrap();
-            let appended = store.metrics().gauge("durable.appended_seq").unwrap();
+            let appended = store.metrics().counter("durable.appended_seq").unwrap();
             assert_eq!(
                 store.durable_seq(),
                 appended,
@@ -901,11 +913,11 @@ mod tests {
         assert_eq!(sizes.sum, 128);
         // Ops beyond the durable mark are pending, not lost: sync flushes.
         assert!(store.upsert(1000, V::of(1000, 0)).unwrap());
-        assert!(store.durable_seq() < store.metrics().gauge("durable.appended_seq").unwrap());
+        assert!(store.durable_seq() < store.metrics().counter("durable.appended_seq").unwrap());
         let durable = store.sync().unwrap();
         assert_eq!(
             durable,
-            store.metrics().gauge("durable.appended_seq").unwrap()
+            store.metrics().counter("durable.appended_seq").unwrap()
         );
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1013,9 +1025,15 @@ mod tests {
             .unwrap()
             .iter()
             .all(|&b| b));
+        // That record outgrew the encode scratch the WAL keeps; the next
+        // one starts a small buffer, which is kept.
+        let scratch = || store.wal.lock().unwrap().buf.capacity();
+        assert_eq!(scratch(), 0, "the WAL kept a record-limit-sized buffer");
+        store.remove(&1).unwrap();
+        assert!((1..=WAL_BUF_KEEP).contains(&scratch()));
         store.close().unwrap();
         let store = open::<V>(&dir, DurableOptions::default());
-        assert_eq!(store.len(), fits + 1);
+        assert_eq!(store.len(), fits);
         assert_eq!(store.metrics().counter("durable.torn_tails"), Some(0));
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1044,7 +1062,7 @@ mod tests {
         assert_eq!(store.get(&150).unwrap(), Some(V::of(150, 1)), "snapshotted");
         assert_eq!(store.get(&229).unwrap(), Some(V::of(229, 2)), "replayed");
         let m = store.metrics();
-        assert_eq!(m.gauge("durable.snapshot_seq"), Some(snap_seq));
+        assert_eq!(m.counter("durable.snapshot_seq"), Some(snap_seq));
         let replayed = m.histogram("durable.recovery_replayed").unwrap();
         assert_eq!(replayed.count(), 1);
         assert_eq!(replayed.sum, 30, "only the post-snapshot tail replays");
@@ -1150,12 +1168,12 @@ mod tests {
         for k in 0..5u64 {
             store.upsert(k, V::of(k, 0)).unwrap();
         }
-        let before = store.metrics().gauge("durable.appended_seq").unwrap();
+        let before = store.metrics().counter("durable.appended_seq").unwrap();
         store.close().unwrap();
 
         let store = open::<V>(&dir, DurableOptions::default());
         store.upsert(99, V::of(99, 0)).unwrap();
-        let after = store.metrics().gauge("durable.appended_seq").unwrap();
+        let after = store.metrics().counter("durable.appended_seq").unwrap();
         assert!(
             after > before,
             "new rounds must continue the old numbering ({after} vs {before})"

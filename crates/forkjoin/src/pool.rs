@@ -130,7 +130,6 @@ impl fmt::Debug for Pool {
 ///
 /// let pool = Pool::builder()
 ///     .num_threads(2)
-///     .thread_name_prefix("my-worker")
 ///     .build()
 ///     .expect("failed to build pool");
 /// assert_eq!(pool.num_threads(), 2);
@@ -138,7 +137,6 @@ impl fmt::Debug for Pool {
 #[derive(Debug, Clone)]
 pub struct PoolBuilder {
     num_threads: Option<usize>,
-    thread_name_prefix: String,
     stack_size: Option<usize>,
     metrics: bool,
 }
@@ -150,7 +148,6 @@ impl PoolBuilder {
     pub fn new() -> PoolBuilder {
         PoolBuilder {
             num_threads: None,
-            thread_name_prefix: String::from("forkjoin-worker"),
             stack_size: None,
             metrics: false,
         }
@@ -161,12 +158,6 @@ impl PoolBuilder {
     /// [`std::thread::available_parallelism`].
     pub fn num_threads(mut self, num_threads: usize) -> PoolBuilder {
         self.num_threads = Some(num_threads);
-        self
-    }
-
-    /// Sets the prefix for worker thread names (`<prefix>-<index>`).
-    pub fn thread_name_prefix(mut self, prefix: impl Into<String>) -> PoolBuilder {
-        self.thread_name_prefix = prefix.into();
         self
     }
 
@@ -200,8 +191,7 @@ impl PoolBuilder {
         let registry = Registry::new(num_threads, obs::Obs::new(self.metrics));
         let mut handles = Vec::with_capacity(num_threads);
         for index in 0..num_threads {
-            let mut builder =
-                thread::Builder::new().name(format!("{}-{}", self.thread_name_prefix, index));
+            let mut builder = thread::Builder::new().name(format!("forkjoin-worker-{index}"));
             if let Some(bytes) = self.stack_size {
                 builder = builder.stack_size(bytes);
             }
@@ -273,13 +263,9 @@ mod tests {
 
     #[test]
     fn workers_are_named_with_prefix() {
-        let pool = Pool::builder()
-            .num_threads(1)
-            .thread_name_prefix("custom")
-            .build()
-            .unwrap();
+        let pool = Pool::new(1).unwrap();
         let name = pool.install(|| thread::current().name().map(String::from));
-        assert_eq!(name.as_deref(), Some("custom-0"));
+        assert_eq!(name.as_deref(), Some("forkjoin-worker-0"));
     }
 
     #[test]

@@ -4,13 +4,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A monotone event counter: one relaxed `AtomicU64`.
 ///
-/// Two write disciplines, chosen per call site:
+/// Three write disciplines, chosen per call site:
 ///
 /// * [`Counter::inc`]/[`Counter::add`] — a relaxed `fetch_add`, safe for
 ///   any number of concurrent writers.  No increments are ever lost.
 /// * [`Counter::add_single_writer`] — plain load + store, for counters
 ///   owned by exactly one writer at a time (a combiner holding its flag, a
 ///   deque's owning worker).  Cheaper than an RMW on contended cache lines.
+/// * [`Counter::set_max`] — a relaxed `fetch_max`, for a counter that is a
+///   high-water mark (a log's fsynced sequence number) rather than a tally.
 ///
 /// Reads ([`Counter::get`]) are relaxed: exact once the writers are
 /// quiescent, momentarily stale while they run.
@@ -53,6 +55,16 @@ impl Counter {
         self.value.store(v + n, Ordering::Relaxed);
     }
 
+    /// Raises the counter to `value` if that moves it forward (relaxed RMW;
+    /// racing writers never move it backward).  Like every other write here
+    /// it publishes nothing but the number itself: a mark that vouches for
+    /// state elsewhere — bytes on disk — is raised after that state exists,
+    /// by the thread that made it so.
+    #[inline]
+    pub fn set_max(&self, value: u64) {
+        self.value.fetch_max(value, Ordering::Relaxed);
+    }
+
     /// Current value (relaxed; exact when writers are quiescent).
     #[inline]
     pub fn get(&self) -> u64 {
@@ -74,6 +86,27 @@ mod tests {
         c.add_single_writer(5);
         assert_eq!(c.get(), 10);
         assert_eq!(Counter::default().get(), 0);
+    }
+
+    #[test]
+    fn set_max_is_monotone_under_races() {
+        let c = Arc::new(Counter::new());
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let c = Arc::clone(&c);
+                thread::spawn(move || {
+                    for i in 0..10_000u64 {
+                        c.set_max(t * 10_000 + i);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        assert_eq!(c.get(), 3 * 10_000 + 9_999);
+        c.set_max(5);
+        assert_eq!(c.get(), 39_999, "set_max never regresses");
     }
 
     #[test]

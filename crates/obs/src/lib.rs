@@ -13,11 +13,9 @@
 //! * [`Counter`] — a relaxed `AtomicU64`.  Concurrent writers use
 //!   [`Counter::inc`]/[`Counter::add`] (one relaxed RMW); a single-writer
 //!   discipline (e.g. the flat-combining combiner) can use
-//!   [`Counter::add_single_writer`] (plain load + store, no RMW).
-//! * [`Gauge`] — a last-value metric (`Release` set / `Acquire` get, plus
-//!   a monotone [`Gauge::set_max`]), for quantities that *stand* somewhere
-//!   rather than accumulate: a durable log's fsynced high-water sequence
-//!   number, a segment's byte position.
+//!   [`Counter::add_single_writer`] (plain load + store, no RMW); a
+//!   high-water mark (a durable log's fsynced sequence number) moves with
+//!   [`Counter::set_max`].
 //! * [`Histogram`] — fixed power-of-two buckets, lock-free record, and
 //!   mergeable/subtractable [`HistSnapshot`]s.  Works for nanosecond
 //!   latencies and size distributions alike.
@@ -59,12 +57,10 @@
 #![warn(missing_docs)]
 
 mod counter;
-mod gauge;
 mod hist;
 mod registry;
 
 pub use counter::Counter;
-pub use gauge::Gauge;
 pub use hist::{bucket_bounds, bucket_index, HistSnapshot, Histogram, BUCKETS};
 pub use registry::{MetricValue, Registry, Snapshot};
 

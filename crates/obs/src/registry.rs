@@ -4,14 +4,12 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use crate::counter::Counter;
-use crate::gauge::Gauge;
 use crate::hist::{HistSnapshot, Histogram};
 
 /// A handle to one registered metric.
 #[derive(Clone)]
 enum Metric {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
 }
 
@@ -34,7 +32,6 @@ impl std::fmt::Debug for Metric {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             Metric::Counter(c) => f.debug_tuple("Counter").field(&c.get()).finish(),
-            Metric::Gauge(g) => f.debug_tuple("Gauge").field(&g.get()).finish(),
             Metric::Histogram(h) => f
                 .debug_tuple("Histogram")
                 .field(&h.snapshot().count())
@@ -62,24 +59,6 @@ impl Registry {
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::new())));
         match metric {
             Metric::Counter(c) => Arc::clone(c),
-            Metric::Gauge(_) => panic!("metric {name:?} is registered as a gauge"),
-            Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
-        }
-    }
-
-    /// Returns the gauge registered under `name`, creating it on first use.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `name` is already registered as another metric kind.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        let mut metrics = self.metrics.lock().unwrap();
-        let metric = metrics
-            .entry(name.to_string())
-            .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::new())));
-        match metric {
-            Metric::Gauge(g) => Arc::clone(g),
-            Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
             Metric::Histogram(_) => panic!("metric {name:?} is registered as a histogram"),
         }
     }
@@ -97,7 +76,6 @@ impl Registry {
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())));
         match metric {
             Metric::Histogram(h) => Arc::clone(h),
-            Metric::Gauge(_) => panic!("metric {name:?} is registered as a gauge"),
             Metric::Counter(_) => panic!("metric {name:?} is registered as a counter"),
         }
     }
@@ -111,7 +89,6 @@ impl Registry {
                 .map(|(name, metric)| {
                     let value = match metric {
                         Metric::Counter(c) => MetricValue::Counter(c.get()),
-                        Metric::Gauge(g) => MetricValue::Gauge(g.get()),
                         Metric::Histogram(h) => MetricValue::Histogram(Box::new(h.snapshot())),
                     };
                     (name.clone(), value)
@@ -126,8 +103,6 @@ impl Registry {
 pub enum MetricValue {
     /// A counter's current count.
     Counter(u64),
-    /// A gauge's last published value.
-    Gauge(u64),
     /// A histogram's current state (boxed: a [`HistSnapshot`] is 65
     /// buckets wide, far larger than the counter variant).
     Histogram(Box<HistSnapshot>),
@@ -152,14 +127,6 @@ impl Snapshot {
         }
     }
 
-    /// The gauge registered under `name`, if any.
-    pub fn gauge(&self, name: &str) -> Option<u64> {
-        match self.entries.get(name) {
-            Some(MetricValue::Gauge(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The histogram registered under `name`, if any.
     pub fn histogram(&self, name: &str) -> Option<&HistSnapshot> {
         match self.entries.get(name) {
@@ -174,10 +141,8 @@ impl Snapshot {
     }
 
     /// What changed since `earlier` was taken: counters subtract
-    /// (saturating), histograms subtract per bucket.  Gauges are
-    /// last-value, not accumulations — a delta carries the *current*
-    /// value unchanged.  Metrics registered only after `earlier` appear
-    /// unchanged.
+    /// (saturating), histograms subtract per bucket.  Metrics registered
+    /// only after `earlier` appear unchanged.
     pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
         Snapshot {
             entries: self
@@ -216,7 +181,7 @@ impl Snapshot {
             );
             out.push_str(&format!("\"{name}\": "));
             match value {
-                MetricValue::Counter(v) | MetricValue::Gauge(v) => out.push_str(&v.to_string()),
+                MetricValue::Counter(v) => out.push_str(&v.to_string()),
                 MetricValue::Histogram(h) => out.push_str(&h.to_json()),
             }
         }
@@ -246,34 +211,6 @@ mod tests {
         let reg = Registry::new();
         reg.counter("x.count");
         reg.histogram("x.count");
-    }
-
-    #[test]
-    #[should_panic(expected = "registered as a gauge")]
-    fn gauge_kind_mismatch_panics() {
-        let reg = Registry::new();
-        reg.gauge("x.mark");
-        reg.counter("x.mark");
-    }
-
-    #[test]
-    fn gauges_snapshot_as_last_values() {
-        let reg = Registry::new();
-        let g1 = reg.gauge("d.mark");
-        let g2 = reg.gauge("d.mark");
-        assert!(Arc::ptr_eq(&g1, &g2), "get-or-create returns one handle");
-        g1.set(17);
-        let before = reg.snapshot();
-        g1.set(12);
-        let after = reg.snapshot();
-        assert_eq!(before.gauge("d.mark"), Some(17));
-        assert_eq!(after.gauge("d.mark"), Some(12));
-        assert_eq!(after.counter("d.mark"), None, "kind-checked accessors");
-        // Deltas carry the current value, not a difference: a gauge is a
-        // position, and "position minus position" means nothing here.
-        assert_eq!(after.delta(&before).gauge("d.mark"), Some(12));
-        let json = after.to_json();
-        assert!(json.contains("\"d.mark\": 12"), "{json}");
     }
 
     #[test]

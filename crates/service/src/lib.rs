@@ -255,9 +255,11 @@ where
     pub fn insert(&self, key: K) -> bool {
         self.check_poisoned();
         self.metrics.point_ops.inc();
-        let shard = self.router.shard_of(&key);
+        // Route before arming the guard (here and in the two below): a
+        // panicking router is the caller's bug, not a shard's failure.
+        let shard = &self.shards[self.router.shard_of(&key)];
         let _promote = self.poison_guard();
-        self.shards[shard].insert(key)
+        shard.insert(key)
     }
 
     /// Removes `key` from its owning shard, returning `true` iff it was
@@ -265,8 +267,9 @@ where
     pub fn remove(&self, key: &K) -> bool {
         self.check_poisoned();
         self.metrics.point_ops.inc();
+        let shard = &self.shards[self.router.shard_of(key)];
         let _promote = self.poison_guard();
-        self.shards[self.router.shard_of(key)].remove(key)
+        shard.remove(key)
     }
 
     /// Returns `true` iff `key` is present on its owning shard — a
@@ -274,8 +277,9 @@ where
     pub fn contains(&self, key: &K) -> bool {
         self.check_read_poisoned();
         self.metrics.point_ops.inc();
+        let shard = &self.shards[self.router.shard_of(key)];
         let _promote = self.poison_guard();
-        self.shards[self.router.shard_of(key)].contains(key)
+        shard.contains(key)
     }
 
     /// Answers one membership query per batch key, split across shards.
@@ -572,14 +576,16 @@ mod tests {
     use pbist::IstSet;
     use std::collections::BTreeSet;
 
+    fn empty_shards(n: usize) -> Vec<ConcurrentSet<u64, IstSet<u64>>> {
+        let shard =
+            |_| ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), Pool::new(1).unwrap());
+        (0..n).map(shard).collect()
+    }
+
     fn tier(num_shards: usize) -> ShardedSet<u64, IstSet<u64>, RangeRouter<u64>> {
         ShardedSet::new(
             RangeRouter::new(num_shards, 0, 10_000),
-            (0..num_shards)
-                .map(|_| {
-                    ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), Pool::new(1).unwrap())
-                })
-                .collect(),
+            empty_shards(num_shards),
             Pool::new(2).unwrap(),
         )
     }
@@ -682,16 +688,43 @@ mod tests {
         }
     }
 
+    /// A two-way range router that panics when asked to route `u64::MAX`.
+    struct BombRouter(RangeRouter<u64>);
+
+    impl ShardRouter<u64> for BombRouter {
+        fn num_shards(&self) -> usize {
+            self.0.num_shards()
+        }
+        fn shard_of(&self, key: &u64) -> usize {
+            assert!(*key != u64::MAX, "router bomb");
+            self.0.shard_of(key)
+        }
+    }
+
+    #[test]
+    fn a_router_panic_is_not_a_shard_failure() {
+        let router = BombRouter(RangeRouter::new(2, 0, 10_000));
+        let set = ShardedSet::new(router, empty_shards(2), Pool::new(1).unwrap());
+        let calls: [&dyn Fn() -> bool; 3] = [
+            &|| set.remove(&u64::MAX),
+            &|| set.contains(&u64::MAX),
+            &|| set.insert(u64::MAX),
+        ];
+        for call in calls {
+            let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call));
+            assert!(unwound.is_err(), "the router's bomb went off");
+            assert!(!set.is_poisoned(), "every shard is healthy");
+            assert_eq!(set.metrics().counter("service.poisoned"), Some(0));
+        }
+        assert!(set.insert(7) && set.contains(&7) && set.remove(&7));
+    }
+
     #[test]
     #[should_panic(expected = "router partitions 3 ways but 2 shards")]
     fn shard_count_mismatch_is_rejected() {
         ShardedSet::new(
             RangeRouter::new(3, 0u64, 100),
-            (0..2)
-                .map(|_| {
-                    ConcurrentSet::new(IstSet::from_unsorted(Vec::new()), Pool::new(1).unwrap())
-                })
-                .collect(),
+            empty_shards(2),
             Pool::new(1).unwrap(),
         );
     }

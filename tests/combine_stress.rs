@@ -40,8 +40,11 @@ mod common;
 use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
-    batchapi::{Batch, MapView},
-    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round},
+    batchapi::{Batch, KvBatch, MapView},
+    combine::{
+        ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round,
+        POOL_CUTOFF,
+    },
     forkjoin::Pool,
     pbist::{IstMap, IstSet},
     workloads::{self, ClientTrace, OpKind},
@@ -105,14 +108,16 @@ fn read_key<V: Val>(
     }
 }
 
-/// Drives `traces` concurrently through a logged `ConcurrentMap<_, V, IstMap>`
-/// seeded with `initial`, then runs the four oracle checks above.
+/// Drives `traces` — and beside them one more client issuing `script`'s
+/// whole write batches — concurrently through a logged
+/// `ConcurrentMap<_, V, IstMap>` seeded with `initial`, then runs the four
+/// oracle checks above.
 fn drive_and_verify<V: Val>(
     ctx: &str,
     pool_threads: usize,
-    pool_cutoff: usize,
     initial: &[u64],
     traces: &[ClientTrace],
+    script: &[(CombinedOp, Batch<u64>)],
 ) {
     let ctx = &format!("{ctx}, V = {}", std::any::type_name::<V>());
     let pool = Pool::new(pool_threads).unwrap_or_else(|e| panic!("{ctx}: pool: {e}"));
@@ -122,7 +127,6 @@ fn drive_and_verify<V: Val>(
         backing,
         pool,
         Options {
-            pool_cutoff,
             log_rounds: true,
             ..Options::default()
         },
@@ -130,7 +134,25 @@ fn drive_and_verify<V: Val>(
 
     // Writes acknowledged so far, to any client (see `common`).
     let acked = AtomicU64::new(0);
-    let observed: Vec<Vec<Seen<V>>> = thread::scope(|s| {
+    let (observed, batch_flags): (Vec<Vec<Seen<V>>>, Vec<Vec<bool>>) = thread::scope(|s| {
+        let batcher = {
+            let (set, acked, client) = (Arc::clone(&set), &acked, traces.len() as u64);
+            s.spawn(move || {
+                let run = |((kind, batch), step): (&(CombinedOp, Batch<u64>), u64)| {
+                    let flags = match kind {
+                        CombinedOp::Insert => {
+                            let entry = |&k: &u64| (k, V::of(client, step));
+                            let entries = batch.iter().map(entry).collect();
+                            set.batch_insert(&KvBatch::from_unsorted_entries(entries))
+                        }
+                        CombinedOp::Remove => set.batch_remove(batch),
+                    };
+                    acked.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                    flags
+                };
+                script.iter().zip(0u64..).map(run).collect()
+            })
+        };
         let handles: Vec<_> = traces
             .iter()
             .zip(0u64..)
@@ -155,15 +177,17 @@ fn drive_and_verify<V: Val>(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let observed = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        (observed, batcher.join().unwrap())
     });
 
     let rounds = set.take_rounds();
-    let writes = traces
+    let point_writes = traces
         .iter()
         .flatten()
         .filter(|(kind, _)| *kind != OpKind::Contains)
         .count();
+    let writes = point_writes + script.iter().map(|(_, batch)| batch.len()).sum::<usize>();
     assert_eq!(
         rounds.iter().map(|r| r.ops.len()).sum::<usize>(),
         writes,
@@ -199,6 +223,12 @@ fn drive_and_verify<V: Val>(
             }
         }
     }
+    for ((kind, batch), flags) in script.iter().zip(&batch_flags) {
+        assert_eq!(flags.len(), batch.len(), "{ctx}: batch result width");
+        for (key, &result) in batch.iter().zip(flags) {
+            *tally.entry((*kind, *key, result)).or_insert(0) += 1;
+        }
+    }
     for round in &rounds {
         for op in &round.ops {
             *tally.entry((op.kind, op.key, op.result)).or_insert(0) -= 1;
@@ -214,6 +244,13 @@ fn drive_and_verify<V: Val>(
         set.metrics().counter("combine.ops"),
         Some(writes as u64),
         "{ctx}: combine.ops"
+    );
+    // The pool is for whole batches at the cut-off, and for nothing else.
+    let large = script.iter().filter(|(_, b)| b.len() >= POOL_CUTOFF);
+    assert_eq!(
+        set.metrics().counter("combine.pooled_rounds"),
+        Some(large.count() as u64),
+        "{ctx}: combine.pooled_rounds"
     );
     let backing = Arc::try_unwrap(set)
         .unwrap_or_else(|_| panic!("{ctx}: client Arc leaked"))
@@ -250,16 +287,15 @@ fn drive_and_verify<V: Val>(
 }
 
 /// Uniform traffic over a narrow key range (heavy cross-client collisions),
-/// across pool sizes 1–8 with the default inline/pool cutoff.
+/// across pool sizes 1–8.
 #[test]
 fn uniform_traffic_linearizes_across_pool_sizes() {
     for (seed, pool_threads) in [(1u64, 1usize), (2, 2), (3, 4), (4, 8)] {
         let initial = workloads::uniform_keys_distinct(seed ^ 0xA5A5, 600, 0..2_000);
         let traces = workloads::client_traces(seed, 4, 2_500, 0..2_000, (3, 2, 2));
-        let ctx = format!("seed {seed}, pool {pool_threads}, cutoff default");
-        let cutoff = Options::default().pool_cutoff;
-        drive_and_verify::<()>(&ctx, pool_threads, cutoff, &initial, &traces);
-        drive_and_verify::<u64>(&ctx, pool_threads, cutoff, &initial, &traces);
+        let ctx = format!("seed {seed}, pool {pool_threads}");
+        drive_and_verify::<()>(&ctx, pool_threads, &initial, &traces, &[]);
+        drive_and_verify::<u64>(&ctx, pool_threads, &initial, &traces, &[]);
     }
 }
 
@@ -272,25 +308,33 @@ fn zipf_hot_key_traffic_linearizes() {
         let initial: Vec<u64> = universe[..150].to_vec();
         let traces = workloads::client_traces_zipf(seed, 6, 800, &universe, 0.99, (2, 2, 1));
         let ctx = format!("seed {seed}, pool {pool_threads}, zipf");
-        let cutoff = Options::default().pool_cutoff;
-        drive_and_verify::<()>(&ctx, pool_threads, cutoff, &initial, &traces);
-        drive_and_verify::<u64>(&ctx, pool_threads, cutoff, &initial, &traces);
+        drive_and_verify::<()>(&ctx, pool_threads, &initial, &traces, &[]);
+        drive_and_verify::<u64>(&ctx, pool_threads, &initial, &traces, &[]);
     }
 }
 
-/// `pool_cutoff: 0` forces every round — even single-op ones — through
-/// `Pool::install`, exercising the pooled execution path that default
-/// configurations only hit on large rounds.  Run on a 1-worker pool, the
-/// configuration where a blocking bug becomes a deadlock rather than a
-/// slowdown.
+/// Whole batches of `POOL_CUTOFF` keys — each one a `Pool::install` under
+/// the combiner flag — beside point traffic on the same keys (and batches one
+/// key short of the cut-off, which stay on the caller).  Run on a 1-worker
+/// pool, the configuration where a blocking bug becomes a deadlock rather
+/// than a slowdown.
 #[test]
 fn one_worker_pool_with_forced_pool_rounds() {
     let seed = 7u64;
-    let initial = workloads::uniform_keys_distinct(seed, 400, 0..1_500);
-    let traces = workloads::client_traces(seed, 4, 400, 0..1_500, (3, 2, 2));
-    let ctx = format!("seed {seed}, pool 1, cutoff 0");
-    drive_and_verify::<()>(&ctx, 1, 0, &initial, &traces);
-    drive_and_verify::<u64>(&ctx, 1, 0, &initial, &traces);
+    let universe = 0..4 * POOL_CUTOFF as u64;
+    let initial = workloads::uniform_keys_distinct(seed, 400, universe.clone());
+    let traces = workloads::client_traces(seed, 4, 400, universe.clone(), (3, 2, 2));
+    let script: Vec<_> = (0..12u64)
+        .map(|i| {
+            let kind = [CombinedOp::Insert, CombinedOp::Remove][i as usize % 2];
+            let len = POOL_CUTOFF - usize::from(i % 4 == 3);
+            let keys = workloads::uniform_keys_distinct(seed ^ (i << 8), len, universe.clone());
+            (kind, Batch::from_unsorted(keys))
+        })
+        .collect();
+    let ctx = format!("seed {seed}, pool 1, {POOL_CUTOFF}-key batches");
+    drive_and_verify::<()>(&ctx, 1, &initial, &traces, &script);
+    drive_and_verify::<u64>(&ctx, 1, &initial, &traces, &script);
 }
 
 /// The owner's handle can be dropped while clients still hold theirs and

@@ -42,7 +42,7 @@ use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
     batchapi::{Batch, MapView},
-    combine::{ConcurrentSet, OpKind as CombinedOp, Options},
+    combine::{ConcurrentSet, OpKind as CombinedOp, Options, POOL_CUTOFF},
     forkjoin::Pool,
     pbist::IstSet,
     service::{RangeRouter, ShardRouter, ShardedSet},
@@ -95,12 +95,10 @@ enum Seen {
 
 /// Drives point traces and batch scripts concurrently through a logged
 /// sharded tier seeded with `initial`, then runs the five checks above.
-#[allow(clippy::too_many_arguments)]
 fn drive_and_verify_sharded(
     ctx: &str,
     router: RangeRouter<u64>,
     shard_pool_threads: usize,
-    pool_cutoff: usize,
     tier_pool_threads: usize,
     initial: &[u64],
     traces: &[ClientTrace],
@@ -118,7 +116,6 @@ fn drive_and_verify_sharded(
                 IstSet::from_unsorted(keys.clone()),
                 Pool::new(shard_pool_threads).unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
                 Options {
-                    pool_cutoff,
                     log_rounds: true,
                     ..Options::default()
                 },
@@ -355,7 +352,6 @@ fn shard_counts_one_through_eight_linearize_per_shard() {
             &ctx,
             RangeRouter::new(num_shards, 0, 4_000),
             1,
-            Options::default().pool_cutoff,
             2,
             &initial,
             &traces,
@@ -391,7 +387,6 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
         &ctx,
         RangeRouter::new(4, 0, 1_000_000),
         2,
-        Options::default().pool_cutoff,
         2,
         &initial,
         &traces,
@@ -399,30 +394,30 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
     );
 }
 
-/// Everything forced through every pool with a single worker each:
-/// `pool_cutoff: 0` sends each shard round through that shard's 1-worker
-/// pool, and batches of >= 256 keys over four shards send every split
-/// through the 1-worker tier pool (the 32-key script beside them keeps the
-/// inline arm in the mix).  The configuration where any blocking bug
-/// between the tier pool and the shard combiners becomes a deadlock instead
-/// of a slowdown.
+/// Everything forced through every pool with a single worker each: the
+/// large script's batches carry at least `POOL_CUTOFF` keys *per shard*, so
+/// every split goes through the 1-worker tier pool and every sub-batch from
+/// there through its shard's 1-worker pool (the 32-key script beside them
+/// keeps both inline arms in the mix).  The configuration where any
+/// blocking bug between the tier pool and the shard combiners becomes a
+/// deadlock instead of a slowdown.
 #[test]
 fn one_worker_pools_with_forced_parallel_splits() {
     let seed = 0x1DEA;
-    let initial = workloads::uniform_keys_distinct(seed, 200, 0..2_000);
-    let traces = workloads::client_traces(seed, 2, 300, 0..2_000, (3, 2, 2));
-    let scripts = scripts_across_the_cutoff(seed, 32, 400, 2_000);
-    let ctx = format!("seed {seed}, 4 shards, 1-worker pools, pool_cutoff 0");
-    drive_and_verify_sharded(
-        &ctx,
-        RangeRouter::new(4, 0, 2_000),
-        1,
-        0,
-        1,
-        &initial,
-        &traces,
-        &scripts,
-    );
+    let (shards, range) = (4, 16 * POOL_CUTOFF as u64);
+    let router = RangeRouter::new(shards, 0, range);
+    let initial = workloads::uniform_keys_distinct(seed, 200, 0..range);
+    let traces = workloads::client_traces(seed, 2, 300, 0..range, (3, 2, 2));
+    let scripts = scripts_across_the_cutoff(seed, 32, 6 * POOL_CUTOFF, range);
+    for (_, batch) in &scripts[1] {
+        let share = |shard| batch.iter().filter(|k| router.shard_of(k) == shard).count();
+        assert!(
+            (0..shards).all(|shard| share(shard) >= POOL_CUTOFF),
+            "seed {seed}: a shard's share of a large batch is below the shard pool's cut-off"
+        );
+    }
+    let ctx = format!("seed {seed}, {shards} shards, 1-worker pools, pooled sub-batches");
+    drive_and_verify_sharded(&ctx, router, 1, 1, &initial, &traces, &scripts);
 }
 
 // ---------------------------------------------------------------------
