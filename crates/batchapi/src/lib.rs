@@ -621,9 +621,10 @@ pub trait BatchedMap<K, V = ()>: MapView<K, V> {
 
     /// Upserts a single pair, returning `true` iff the key was newly
     /// inserted — the degenerate batch.  The default wraps the pair in a
-    /// singleton [`KvBatch`]; backends with a cheaper point path should
-    /// override (a combining front-end's rounds degenerate to single
-    /// operations whenever clients outnumber actual concurrency).
+    /// singleton [`KvBatch`]; a backend overrides to hand its batched
+    /// update the caller's key and value without the two `Vec`s, not to
+    /// run another algorithm (a combining front-end's rounds degenerate to
+    /// single operations whenever clients outnumber actual concurrency).
     fn upsert_one(&mut self, key: &K, val: &V) -> bool
     where
         K: Ord + Clone,

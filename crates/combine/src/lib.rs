@@ -50,7 +50,7 @@
 //!    inline on the combiner's thread, and a round of one drained op takes
 //!    the backend's point path: a round holds one op per client blocked on
 //!    this store, so it is a handful of keys, and the tree does not fork a
-//!    sub-batch of [`POOL_CUTOFF`] keys or fewer however it is called.
+//!    sub-batch of fewer than [`POOL_CUTOFF`] keys however it is called.
 //!    The pool is for whole batches (see *Batched ingress*).
 //! 5. **Distribute** — per-key flags fan back out to per-op results (keys
 //!    duplicated across ops of one kind are resolved as if the ops ran
@@ -280,11 +280,12 @@ const LONG: u8 = 2;
 /// [`ConcurrentMap::batch_remove`]) of at least this many keys executes
 /// inside the fork-join pool; a smaller one runs on the caller's thread.
 ///
-/// 512 because the tree does not fork below it: `pbist`'s traversal runs a
-/// sub-batch of 512 keys or fewer sequentially, so an `install` for a
-/// smaller batch would pay the pool round trip (tens of microseconds) and
-/// then run on one worker anyway.  Combined rounds never reach this: a round
-/// drained from published slots holds one op per blocked client.
+/// 512 because that is where the tree starts to fork: in `pbist` a batch of
+/// at least 512 keys forks per child and a smaller one descends
+/// sequentially, so an `install` for a smaller batch would pay the pool
+/// round trip (tens of microseconds) and then run on one worker anyway.
+/// Combined rounds never reach this: a round drained from published slots
+/// holds one op per blocked client.
 pub const POOL_CUTOFF: usize = 512;
 
 /// What a combined operation does to the store.  Rounds carry writes

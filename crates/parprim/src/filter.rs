@@ -3,7 +3,7 @@
 use std::mem::MaybeUninit;
 
 use crate::grain_for;
-use crate::slice::{for_each_mut_with_grain, map_with_grain};
+use crate::slice::{for_each_task, map_tasks};
 
 /// Collects the elements of `input` for which `keep` returns `true`,
 /// preserving their order, in parallel.
@@ -25,11 +25,9 @@ where
     F: Fn(&T) -> bool + Sync,
 {
     let chunks: Vec<&[T]> = input.chunks(grain_for(input.len()).max(1)).collect();
-    // Phase 1: filter each chunk independently (fork per chunk, grain 1 —
-    // each element here is a whole chunk of work).
-    let parts: Vec<Vec<T>> = map_with_grain(&chunks, 1, |c| {
-        c.iter().filter(|x| keep(x)).cloned().collect()
-    });
+    // Phase 1: filter each chunk independently.
+    let parts: Vec<Vec<T>> =
+        map_tasks(&chunks, |c| c.iter().filter(|x| keep(x)).cloned().collect());
     let total: usize = parts.iter().map(Vec::len).sum();
     let mut out = Vec::with_capacity(total);
     // Phase 2: move each chunk's survivors into its slice of the output.
@@ -43,14 +41,14 @@ where
             tasks.push((part, dst));
             rest = tail;
         }
-        for_each_mut_with_grain(&mut tasks, 1, |(part, dst)| {
+        for_each_task(&mut tasks, |(part, dst)| {
             for (x, slot) in part.drain(..).zip(dst.iter_mut()) {
                 slot.write(x);
             }
         });
     }
     // SAFETY: the tasks cover the first `total` spare slots exactly, and
-    // `for_each_mut_with_grain` returned normally, so all are initialised.
+    // `for_each_task` returned normally, so all are initialised.
     unsafe { out.set_len(total) };
     out
 }

@@ -4,10 +4,9 @@
 //!
 //! * [`map`] — element-wise parallelism over a slice with the element-count
 //!   grain heuristic (`baselines`' batched lookups),
-//! * [`map_with_grain`] / [`for_each_mut_with_grain`] — the same with an
-//!   explicit sequential cutoff, for elements that are themselves large
-//!   tasks (`pbist`'s subtree build and per-child fan-out, `service`'s
-//!   per-shard sub-batches),
+//! * [`map_tasks`] / [`for_each_task`] — one fork per element, for elements
+//!   that are themselves whole tasks (`pbist`'s subtree build and per-child
+//!   fan-out, `service`'s per-shard sub-batches),
 //! * [`merge`] — stable parallel merge of two sorted batches,
 //! * [`filter`] — parallel order-preserving selection by predicate
 //!   (`baselines`' batched insert and remove).
@@ -36,7 +35,7 @@ mod slice;
 
 pub use filter::filter;
 pub use merge::merge;
-pub use slice::{for_each_mut_with_grain, map, map_with_grain};
+pub use slice::{for_each_task, map, map_tasks};
 
 /// The smallest slice worth forking for.  Below this, per-element work would
 /// have to be enormous for the fork overhead (a deque push/pop plus possible

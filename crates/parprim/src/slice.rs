@@ -1,5 +1,5 @@
-//! Element-wise parallelism over slices: [`map`], [`map_with_grain`],
-//! [`for_each_mut_with_grain`].
+//! Element-wise parallelism over slices: [`map`] for cheap elements,
+//! [`map_tasks`] and [`for_each_task`] for elements that are whole tasks.
 
 use std::mem::MaybeUninit;
 
@@ -10,6 +10,8 @@ use crate::grain_for;
 ///
 /// Equivalent to `input.iter().map(f).collect()`, but split across the
 /// current pool's workers when called inside [`forkjoin::Pool::install`].
+/// The sequential cutoff is the element-count heuristic: per-element work is
+/// assumed cheap, so nothing forks below ~1000 elements.
 ///
 /// ```
 /// let doubled = parprim::map(&[1, 2, 3], |x| x * 2);
@@ -21,29 +23,34 @@ where
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    map_with_grain(input, grain_for(input.len()), f)
+    map_to_vec(input, grain_for(input.len()), &f)
 }
 
-/// [`map`] with an explicit sequential cutoff instead of the element-count
-/// heuristic.
-///
-/// The default cutoff assumes cheap per-element work and refuses to fork
-/// below ~1000 elements — the wrong call when each element is itself a large
-/// task (a chunk to fold, a subtree to build).  Pass `grain = 1` to fork for
-/// every element.
+/// [`map`] with one fork per element: each element is a whole sub-task (a
+/// chunk to filter, a subtree to build), so the element-count heuristic —
+/// which would never fork over a few hundred of them — is the wrong cutoff.
 ///
 /// ```
-/// let squares = parprim::map_with_grain(&[1u64, 2, 3], 1, |x| x * x);
+/// let squares = parprim::map_tasks(&[1u64, 2, 3], |x| x * x);
 /// assert_eq!(squares, vec![1, 4, 9]);
 /// ```
-pub fn map_with_grain<T, U, F>(input: &[T], grain: usize, f: F) -> Vec<U>
+pub fn map_tasks<T, U, F>(tasks: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    map_to_vec(tasks, 1, &f)
+}
+
+fn map_to_vec<T, U, F>(input: &[T], grain: usize, f: &F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
     let mut out = Vec::with_capacity(input.len());
-    map_into(input, out.spare_capacity_mut(), grain.max(1), &f);
+    map_into(input, out.spare_capacity_mut(), grain, f);
     // SAFETY: `map_into` returned normally, so every one of the first
     // `input.len()` slots has been written exactly once.
     unsafe { out.set_len(input.len()) };
@@ -72,39 +79,35 @@ where
     );
 }
 
-/// Calls `f` on a mutable reference to every element of `items`, forking
-/// down to runs of `grain` elements (see [`map_with_grain`]; `grain = 1`
-/// forks for every element).
+/// Calls `f` on a mutable reference to every element of `tasks`, one fork
+/// per element: each element is a whole sub-task (see [`map_tasks`]).
 ///
 /// The slice is split into disjoint halves before forking, so each element is
 /// visited by exactly one worker and no synchronisation is needed inside `f`.
 ///
 /// ```
 /// let mut values = vec![1, 2, 3];
-/// parprim::for_each_mut_with_grain(&mut values, 1, |x| *x *= 10);
+/// parprim::for_each_task(&mut values, |x| *x *= 10);
 /// assert_eq!(values, vec![10, 20, 30]);
 /// ```
-pub fn for_each_mut_with_grain<T, F>(items: &mut [T], grain: usize, f: F)
+pub fn for_each_task<T, F>(tasks: &mut [T], f: F)
 where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    for_each_mut_rec(items, grain.max(1), &f);
+    for_each_task_rec(tasks, &f);
 }
 
-fn for_each_mut_rec<T, F>(items: &mut [T], grain: usize, f: &F)
+fn for_each_task_rec<T, F>(tasks: &mut [T], f: &F)
 where
     T: Send,
     F: Fn(&mut T) + Sync,
 {
-    if items.len() <= grain {
-        items.iter_mut().for_each(f);
+    if tasks.len() <= 1 {
+        tasks.iter_mut().for_each(f);
         return;
     }
-    let mid = items.len() / 2;
-    let (lo, hi) = items.split_at_mut(mid);
-    forkjoin::join(
-        || for_each_mut_rec(lo, grain, f),
-        || for_each_mut_rec(hi, grain, f),
-    );
+    let mid = tasks.len() / 2;
+    let (lo, hi) = tasks.split_at_mut(mid);
+    forkjoin::join(|| for_each_task_rec(lo, f), || for_each_task_rec(hi, f));
 }

@@ -39,15 +39,25 @@ fn map_matches_sequential_map() {
 }
 
 #[test]
+fn map_tasks_matches_sequential_map() {
+    // Far fewer elements than `map`'s heuristic would ever fork over: the
+    // pooled run forks once per element all the same.
+    let input = pseudo_random(3, 300);
+    outside_and_inside_pool(|| {
+        let expected: Vec<u64> = input.iter().map(|x| x.rotate_left(9)).collect();
+        assert_eq!(parprim::map_tasks(&input, |x| x.rotate_left(9)), expected);
+        assert!(parprim::map_tasks(&[] as &[u64], |x| *x).is_empty());
+    });
+}
+
+#[test]
 fn for_each_mut_visits_every_element_once() {
     outside_and_inside_pool(|| {
-        // Grain 1 forks down to single elements; a grain above the length
-        // is one sequential run.
-        for grain in [1, N + 1] {
-            let mut values = pseudo_random(2, N);
+        for len in [0, 1, 2, N] {
+            let mut values = pseudo_random(2, len);
             let expected: Vec<u64> = values.iter().map(|x| x.wrapping_mul(3)).collect();
-            parprim::for_each_mut_with_grain(&mut values, grain, |x| *x = x.wrapping_mul(3));
-            assert_eq!(values, expected, "grain {grain}");
+            parprim::for_each_task(&mut values, |x| *x = x.wrapping_mul(3));
+            assert_eq!(values, expected, "len {len}");
         }
     });
 }

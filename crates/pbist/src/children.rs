@@ -183,17 +183,21 @@ impl<K: Clone, V: Clone> Children<K, V> {
         }
     }
 
-    /// Drops the children failing `keep`, re-chunking what is left.  When
-    /// every child passes, nothing is copied and no chunk is touched.
+    /// Drops the children failing `keep`, re-chunking what is left: every
+    /// surviving child's refcount is bumped once — the old chunks, shared
+    /// or not, are left to drop — which a removal, rare beside writes, can
+    /// afford.  When every child passes, nothing is copied and no chunk is
+    /// touched.
     pub(crate) fn retain(&mut self, keep: impl Fn(&Node<K, V>) -> bool, m: MetricsRef<'_>) {
-        if !self.iter().all(&keep) {
-            self.rechunk(|_, child| keep(child), m);
+        if self.iter().all(&keep) {
+            return;
         }
-    }
-
-    /// Removes child `idx`, re-chunking what is left.
-    pub(crate) fn remove(&mut self, idx: usize, m: MetricsRef<'_>) {
-        self.rechunk(|at, _| at != idx, m);
+        let flat: Vec<_> = (self.chunks.iter().flat_map(|chunk| chunk.iter()))
+            .filter(|child| keep(child))
+            .map(Arc::clone)
+            .collect();
+        touch_cow(m, 0, flat.len());
+        *self = Children::from_vec(flat);
     }
 
     /// Removes and returns the lone child of a container holding at most
@@ -203,19 +207,5 @@ impl<K: Clone, V: Clone> Children<K, V> {
         let only = self.chunks.first().map(|chunk| Arc::clone(&chunk[0]));
         *self = Children::from_vec(Vec::new());
         only
-    }
-
-    /// Rebuilds the chunks over the children `keep` passes (by index and
-    /// node).  Every surviving child's refcount is bumped once — the old
-    /// chunks, shared or not, are left to drop — which a removal, rare
-    /// beside writes, can afford.
-    fn rechunk(&mut self, keep: impl Fn(usize, &Node<K, V>) -> bool, m: MetricsRef<'_>) {
-        let flat: Vec<_> = (self.chunks.iter().flat_map(|chunk| chunk.iter()))
-            .enumerate()
-            .filter(|(idx, child)| keep(*idx, child))
-            .map(|(_, child)| Arc::clone(child))
-            .collect();
-        touch_cow(m, 0, flat.len());
-        *self = Children::from_vec(flat);
     }
 }

@@ -24,8 +24,9 @@
 //!   snapshot is a clone of the handle: one `Arc` on the root.
 //! * `traverse` (internal) — the joint sorted-batch membership/lookup
 //!   traversal: partition the batch at each inner node, fork per child.
-//! * `update` (internal) — batched insert/remove: route the batch to the
-//!   leaves in parallel, rebuild touched leaves, propagate router/`min`/
+//! * `update` (internal) — batched insert/remove, one recursion for every
+//!   batch size (a point write is a batch of one): route the batch to the
+//!   leaves in parallel, edit the touched leaves, propagate router/`min`/
 //!   `max`/`len` updates, and rebuild any subtree whose size drifts past the
 //!   rebuild threshold.
 //! * `range` (internal) — ordered queries: the descend-once range carve

@@ -160,8 +160,8 @@ pub struct InnerNode<K, V = ()> {
     /// edited in place while shared — only when a router changes.
     pub routers: Arc<[K]>,
     /// The subtrees, each non-empty, shared with snapshots chunk by chunk;
-    /// the update path reaches a child through `Children::get_mut` or
-    /// `Children::iter_mut_touched` (copy-on-write).
+    /// the update path reaches a child through `Children::get_mut` (a
+    /// one-key sub-batch) or `Children::for_each_touched` (copy-on-write).
     pub children: Children<K, V>,
     /// Total number of keys under this node.
     pub len: usize,

@@ -14,8 +14,11 @@ use std::mem::MaybeUninit;
 use crate::metrics::{touch_node, MetricsRef};
 use crate::node::{InterpolateKey, LeafNode, Node};
 
-/// Sub-batches at or below this length descend sequentially: forking per
-/// child would cost more than the remaining leaf work.
+/// A batch of at least this many keys forks per child and a smaller one
+/// descends sequentially: below it, forking would cost more than the
+/// remaining leaf work.  `combine::POOL_CUTOFF` is this number seen from the
+/// caller's side — a whole batch enters the pool exactly when the tree
+/// would fork it.
 pub(crate) const SEQ_BATCH_LEN: usize = 512;
 
 /// Splits a sorted `batch` at every router: the queries destined for child
@@ -90,15 +93,12 @@ pub(crate) fn joint_query_into<K, V, R, F>(
                     tasks.push((child, batch_seg, out_seg));
                 }
             });
-            if batch.len() <= SEQ_BATCH_LEN {
+            if batch.len() < SEQ_BATCH_LEN {
                 for (child, batch_seg, out_seg) in tasks.iter_mut() {
                     joint_query_into(child, batch_seg, out_seg, m, answer);
                 }
             } else {
-                // Fork per child: each task is a whole sub-traversal, so the
-                // element-count heuristic would be wrong here (see
-                // `parprim::map_with_grain`).
-                parprim::for_each_mut_with_grain(&mut tasks, 1, |(child, batch_seg, out_seg)| {
+                parprim::for_each_task(&mut tasks, |(child, batch_seg, out_seg)| {
                     joint_query_into(child, batch_seg, out_seg, m, answer);
                 });
             }

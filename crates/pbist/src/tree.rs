@@ -1,8 +1,11 @@
 //! The interpolation search tree store: bulk construction, lookups, and the
 //! batched-operations interface — one struct, generic over the per-key
-//! value, with the set as its `V = ()` instance.
+//! value, with the set as its `V = ()` instance.  Every write, of one key
+//! or a whole batch, is one call into `update`'s recursion.
 
+use std::mem::MaybeUninit;
 use std::ops::Bound;
+use std::slice;
 use std::sync::Arc;
 
 use batchapi::{Batch, BatchedMap, KvBatch, MapView};
@@ -23,7 +26,9 @@ use crate::{range, traverse, update};
 /// — partitioned across children at every inner node, forked per child —
 /// with updates rebuilding touched leaves and any subtree whose size drifts
 /// past the rebuild threshold (the paper's core contribution).  Batched
-/// inserts are last-wins upserts (see the `batchapi` crate docs).
+/// inserts are last-wins upserts (see the `batchapi` crate docs).  A point
+/// write (`upsert_one` / `remove_one`) is that same update on a batch of
+/// one: there is one update algorithm, whatever the batch size.
 ///
 /// Leaves carry a value array index-parallel to their key run; for the set
 /// ([`IstSet`]) that array is a zero-sized `Vec<()>` the compiler erases.
@@ -169,11 +174,8 @@ where
         }
     }
 
-    /// Answers one leaf-level query per batch key: point descents for tiny
-    /// batches — a lookup batch has no cross-key interaction, and they beat
-    /// the joint traversal's per-node scratch — the paper's joint traversal
-    /// above that, writing answers straight into the result's spare
-    /// capacity.
+    /// Answers one leaf-level query per batch key by the paper's joint
+    /// traversal, writing answers straight into the result's spare capacity.
     fn batch_lookup<R, F>(&self, batch: &[K], answer: &F) -> Vec<R>
     where
         R: Default + Send,
@@ -182,20 +184,43 @@ where
         let Some(root) = &self.root else {
             return batch.iter().map(|_| R::default()).collect();
         };
-        let m = self.obs_metrics();
-        if batch.len() <= update::POINT_BATCH_LEN {
-            return batch
-                .iter()
-                .map(|q| lookup_in(root, q, m, answer))
-                .collect();
-        }
         let mut out = Vec::with_capacity(batch.len());
         let slots = &mut out.spare_capacity_mut()[..batch.len()];
-        traverse::joint_query_into(root, batch, slots, m, answer);
+        traverse::joint_query_into(root, batch, slots, self.obs_metrics(), answer);
         // SAFETY: the traversal writes every one of the first `batch.len()`
         // slots exactly once (children cover disjoint batch segments).
         unsafe { out.set_len(batch.len()) };
         out
+    }
+
+    /// Upserts a non-empty sorted run — a whole batch or one pair — writing a
+    /// "newly inserted?" flag per key into `out`; returns the number added.
+    fn insert_sorted(&mut self, keys: &[K], vals: &[V], out: &mut [MaybeUninit<bool>]) -> usize {
+        let m = metrics_ref(self.obs, &self.metrics);
+        match &mut self.root {
+            Some(root) => update::insert_into(cow(root, m), keys, vals, out, m),
+            None => {
+                self.root = Some(Arc::new(build(keys, vals)));
+                out.fill(MaybeUninit::new(true));
+                keys.len()
+            }
+        }
+    }
+
+    /// Removes a non-empty sorted run of keys, writing a "was present?" flag
+    /// per key into `out`; returns the number removed.
+    fn remove_sorted(&mut self, keys: &[K], out: &mut [MaybeUninit<bool>]) -> usize {
+        let m = metrics_ref(self.obs, &self.metrics);
+        let Some(root) = &mut self.root else {
+            out.fill(MaybeUninit::new(false));
+            return 0;
+        };
+        let root = cow(root, m);
+        let removed = update::remove_from(root, keys, out, m);
+        if root.is_empty() {
+            self.root = None;
+        }
+        removed
     }
 }
 
@@ -291,114 +316,83 @@ where
     V: Clone + Send + Sync,
 {
     fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let m = metrics_ref(self.obs, &self.metrics);
-        let root = match &mut self.root {
-            Some(root) => cow(root, m),
-            None => {
-                self.root = Some(Arc::new(build(batch.keys(), batch.vals())));
-                return vec![true; batch.len()];
-            }
-        };
-        // Tiny batches: a loop of in-place point upserts is equivalent to
-        // the batch recursion (sorted distinct keys, applied in order).
-        if batch.len() <= update::POINT_BATCH_LEN {
-            return batch
-                .entries()
-                .map(|(q, v)| update::insert_one(root, q, v, m))
-                .collect();
-        }
         let mut out = Vec::with_capacity(batch.len());
-        let slots = &mut out.spare_capacity_mut()[..batch.len()];
-        update::insert_into(root, batch.keys(), batch.vals(), slots, m);
-        // SAFETY: as in `batch_lookup` — every flag slot written once.
-        unsafe { out.set_len(batch.len()) };
+        if !batch.is_empty() {
+            let slots = &mut out.spare_capacity_mut()[..batch.len()];
+            self.insert_sorted(batch.keys(), batch.vals(), slots);
+            // SAFETY: as in `batch_lookup` — every flag slot written once.
+            unsafe { out.set_len(batch.len()) };
+        }
         out
     }
 
     fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        if batch.is_empty() {
-            return Vec::new();
-        }
-        let m = metrics_ref(self.obs, &self.metrics);
-        let root = match &mut self.root {
-            Some(root) => cow(root, m),
-            None => return vec![false; batch.len()],
-        };
-        let out = if batch.len() <= update::POINT_BATCH_LEN {
-            batch
-                .iter()
-                .map(|q| update::remove_one(root, q, m))
-                .collect()
-        } else {
-            let mut out = Vec::with_capacity(batch.len());
+        let mut out = Vec::with_capacity(batch.len());
+        if !batch.is_empty() {
             let slots = &mut out.spare_capacity_mut()[..batch.len()];
-            update::remove_from(root, batch.keys(), slots, m);
+            self.remove_sorted(batch.keys(), slots);
             // SAFETY: as in `batch_lookup` — every flag slot written once.
             unsafe { out.set_len(batch.len()) };
-            out
-        };
-        if root.is_empty() {
-            self.root = None;
         }
         out
     }
 
+    // A point write is a batch of one: the overrides only spare the provided
+    // methods' `Vec`s (borrowed one-element slices, a flag slot on the stack).
+
     fn upsert_one(&mut self, key: &K, val: &V) -> bool {
-        let m = metrics_ref(self.obs, &self.metrics);
-        match &mut self.root {
-            Some(root) => update::insert_one(cow(root, m), key, val, m),
-            None => {
-                self.root = Some(Arc::new(Node::Leaf(LeafNode {
-                    keys: vec![key.clone()],
-                    vals: vec![val.clone()],
-                })));
-                true
-            }
-        }
+        let mut flag = [MaybeUninit::uninit()];
+        self.insert_sorted(slice::from_ref(key), slice::from_ref(val), &mut flag) == 1
     }
 
     fn remove_one(&mut self, key: &K) -> bool {
-        let m = metrics_ref(self.obs, &self.metrics);
-        let root = match &mut self.root {
-            Some(root) => cow(root, m),
-            None => return false,
-        };
-        let removed = update::remove_one(root, key, m);
-        if root.is_empty() {
-            self.root = None;
-        }
-        removed
+        let mut flag = [MaybeUninit::uninit()];
+        self.remove_sorted(slice::from_ref(key), &mut flag) == 1
     }
 }
 
-/// Picks the child of `inner` whose key range covers `key`: interpolate a
-/// guess, then correct it against the routers (cheap check first, binary
-/// search only when the guess is off).
-pub(crate) fn child_index<K: InterpolateKey, V>(inner: &InnerNode<K, V>, key: &K) -> usize {
-    let n = inner.children.len();
-    let guess = interpolate_slot(key, &inner.min, &inner.max, n);
-    let fits_left = guess == 0 || inner.routers[guess - 1] <= *key;
-    let fits_right = guess == n - 1 || *key < inner.routers[guess];
+/// Picks the child whose key range covers `key` in a node with these
+/// `routers` and subtree bounds `min`/`max`: interpolate a guess, then
+/// correct it against the routers (cheap check first, binary search only
+/// when the guess is off).  The one routing function — point reads, `rank`,
+/// and the update recursion's one-key route.
+pub(crate) fn child_index<K: InterpolateKey>(routers: &[K], min: &K, max: &K, key: &K) -> usize {
+    let n = routers.len() + 1;
+    let guess = interpolate_slot(key, min, max, n);
+    let fits_left = guess == 0 || routers[guess - 1] <= *key;
+    let fits_right = guess == n - 1 || *key < routers[guess];
     if fits_left && fits_right {
         return guess;
     }
-    inner.routers.partition_point(|r| r <= key)
+    routers.partition_point(|r| r <= key)
 }
+
+/// Interpolated probes [`leaf_search`] makes before it finishes by binary
+/// search.  Counted over every leaf of the four benchmark workloads' trees
+/// (uniform keys; 10⁵, 10⁶ and 2·10⁶ of them, bulk-built and grown by
+/// strided batches plus point churn), searching for every key between each
+/// leaf's bounds: 70–91 % of searches end within three probes, 99.6 % within
+/// five, none needed more than seven.  Twice that and a bit: a uniform leaf
+/// never falls back, and the loop stays a loop — at 8 or 10 the compiler
+/// unrolls it into as many copies of the probe, which cost `batch-small`
+/// `read_p50_us` 15 % end to end.
+const LEAF_PROBES: usize = 16;
 
 /// Interpolation search over one sorted leaf array, returning the index of
 /// `key` when present.
 ///
-/// Each probe interpolates within the remaining `[lo, hi)` window; the window
-/// shrinks every iteration, so this terminates even for key distributions
-/// where the interpolation guess is always wrong (then it degrades towards a
-/// linear scan — the classic interpolation-search worst case).
+/// Each probe interpolates within the remaining `[lo, hi)` window, which
+/// shrinks every iteration.  Where the guess keeps missing (one outlier
+/// stretches the range and every probe moves the window by a slot) the
+/// search stops guessing after [`LEAF_PROBES`] probes and binary searches
+/// what is left: `O(log len)` comparisons whatever the distribution.
 pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Option<usize> {
     let mut lo = 0;
     let mut hi = keys.len();
-    while lo < hi {
+    for _ in 0..LEAF_PROBES {
+        if lo == hi {
+            return None;
+        }
         let slot = lo + interpolate_slot(key, &keys[lo], &keys[hi - 1], hi - lo);
         match keys[slot].cmp(key) {
             std::cmp::Ordering::Equal => return Some(slot),
@@ -406,7 +400,7 @@ pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Option<usiz
             std::cmp::Ordering::Greater => hi = slot,
         }
     }
-    None
+    keys[lo..hi].binary_search(key).ok().map(|at| lo + at)
 }
 
 /// Leaf-level membership answer (the set's lookup).
@@ -433,7 +427,8 @@ fn lookup_in<K: InterpolateKey, V, R>(
         match node {
             Node::Leaf(leaf) => return answer(leaf, key),
             Node::Inner(inner) => {
-                node = inner.children.get(child_index(inner, key));
+                let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
+                node = inner.children.get(idx);
             }
         }
     }
@@ -448,7 +443,7 @@ fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) 
         match node {
             Node::Leaf(leaf) => return before + leaf.keys.partition_point(|k| k < key),
             Node::Inner(inner) => {
-                let idx = child_index(inner, key);
+                let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
                 before += inner
                     .children
                     .iter()
@@ -462,8 +457,8 @@ fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) 
 }
 
 /// Builds the subtree for one strictly-increasing run of keys (with its
-/// index-parallel values), recursing over children in parallel via
-/// `parprim::map`.
+/// index-parallel values), forking once per child chunk
+/// (`parprim::map_tasks`).
 pub(crate) fn build<K, V>(keys: &[K], vals: &[V]) -> Node<K, V>
 where
     K: InterpolateKey + Clone + Send + Sync,
@@ -482,9 +477,7 @@ where
     let chunk_len = keys.len().div_ceil(fanout);
     let chunks: Vec<(&[K], &[V])> = keys.chunks(chunk_len).zip(vals.chunks(chunk_len)).collect();
     let routers: Arc<[K]> = chunks[1..].iter().map(|(c, _)| c[0].clone()).collect();
-    // Each element is a whole subtree build: fork per chunk, not by the
-    // element-count heuristic (which would never fork over <= 64 children).
-    let children = parprim::map_with_grain(&chunks, 1, |(c, v)| Arc::new(build(c, v)));
+    let children = parprim::map_tasks(&chunks, |(c, v)| Arc::new(build(c, v)));
     Node::Inner(InnerNode {
         routers,
         children: Children::from_vec(children),
@@ -625,6 +618,50 @@ mod tests {
         }
     }
 
+    /// Ordered like the `u64` inside, counting every comparison.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    struct Counted(u64);
+
+    thread_local! {
+        static COMPARISONS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
+
+    impl Ord for Counted {
+        fn cmp(&self, other: &Counted) -> std::cmp::Ordering {
+            COMPARISONS.set(COMPARISONS.get() + 1);
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl PartialOrd for Counted {
+        fn partial_cmp(&self, other: &Counted) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl InterpolateKey for Counted {
+        fn to_ordinal(&self) -> f64 {
+            self.0 as f64
+        }
+    }
+
+    #[test]
+    fn leaf_search_is_logarithmic_on_a_skewed_leaf() {
+        // A full leaf of dense keys and one outlier: every interpolated
+        // guess lands in the first slot, so guessing alone walks the leaf.
+        let mut keys: Vec<Counted> = (0..LEAF_CAPACITY as u64 - 1).map(Counted).collect();
+        keys.push(Counted(u64::MAX));
+        let budget = 2 * LEAF_CAPACITY.ilog2() as usize + LEAF_PROBES;
+        let probes = (0..=LEAF_CAPACITY as u64).chain([u64::MAX - 1, u64::MAX]);
+        for probe in probes.map(Counted) {
+            let expected = keys.binary_search(&probe).ok();
+            COMPARISONS.set(0);
+            assert_eq!(leaf_search(&keys, &probe), expected, "{probe:?}");
+            let spent = COMPARISONS.get();
+            assert!(spent <= budget, "{probe:?}: {spent} comparisons");
+        }
+    }
+
     #[test]
     fn batch_contains_partitions_jointly() {
         let keys: Vec<u64> = (0..30_000u64).map(|i| i * 7).collect();
@@ -704,7 +741,7 @@ mod tests {
 
     #[test]
     fn point_path_matches_oracle_with_invariants() {
-        // Batches at or below POINT_BATCH_LEN take the in-place point path;
+        // One-key batches take the recursion's one-key route at every level;
         // hammer it with colliding singletons against a BTreeSet oracle,
         // auditing the shape after every op.  The narrow key range makes
         // removals hit child minima (router rewrites) and empty out leaves
@@ -729,7 +766,7 @@ mod tests {
                 .unwrap_or_else(|e| panic!("step {step}, key {key}: {e}"));
         }
         // Drain everything through the trait's point mutators: exercises
-        // root collapse and the `insert_one`/`remove_one` overrides.
+        // root collapse and the `upsert_one`/`remove_one` overrides.
         for key in oracle.clone() {
             assert!(set.remove_one(&key));
             assert!(!set.remove_one(&key));
@@ -813,10 +850,141 @@ mod tests {
         let d = set.metrics().delta(&before);
         assert!(d.nodes_touched > 0);
         assert_eq!(d.leaves_edited, 0, "a miss edits nothing");
-        // Tiny batches route through the point ops and still count.
+        // Two keys landing in one leaf are one edited leaf.
         let before = set.metrics();
         set.batch_insert(&Batch::from_unsorted(vec![3, 5]));
-        assert_eq!(set.metrics().delta(&before).leaves_edited, 2);
+        assert_eq!(set.metrics().delta(&before).leaves_edited, 1);
+    }
+
+    /// A point write is a batch of one, checked: one seeded trace applied
+    /// through the point methods, as one-key batches and as 2-, 8-, 9- and
+    /// 600-key batches answers every step alike and leaves the same keys,
+    /// with the shape audited after every call — and the two one-key forms
+    /// do the same counted work, path copies under held clones included.
+    #[test]
+    fn one_trace_gives_one_answer_at_every_batch_width() {
+        use std::collections::BTreeSet;
+        const RANGE: u64 = 2_048;
+        // Runs of one kind; step `i` names key `i · 1103 mod RANGE`, so any
+        // `RANGE` consecutive steps name distinct keys.  The first pass over
+        // the keys leans 7 : 1 to removes — leaves empty, children go, the
+        // root drifts into a rebuild and collapses to a leaf — the second
+        // as far to inserts, which overflow that leaf back into a tree.
+        let mut rng = 0x5EED_0001u64;
+        let mut trace: Vec<(bool, u64)> = Vec::new();
+        while trace.len() < 4_000 {
+            let z = splitmix(&mut rng);
+            let run = [1, 1, 2, 3, 8, 9, 30, 700][(z >> 40) as usize % 8];
+            let insert = (z & 7 == 0) != (trace.len() as u64 >= RANGE);
+            let at = trace.len() as u64;
+            trace.extend((at..at + run).map(|i| (insert, i * 1_103 % RANGE)));
+        }
+        trace.truncate(4_000);
+
+        // Three keys in four resident: removes hit and miss, inserts too.
+        let resident = || (0..RANGE).filter(|key| key % 4 != 0).collect::<Vec<u64>>();
+
+        // `width` keys per call at most; `None` is the point methods.
+        let apply = |width: Option<usize>| {
+            let mut set = IstSet::from_sorted(resident()).with_metrics(true);
+            let before = set.metrics();
+            let mut held = set.clone();
+            let mut flags = Vec::with_capacity(trace.len());
+            let mut rest = &trace[..];
+            while let [(insert, first), ..] = *rest {
+                // The longest prefix that is one batch: one kind, no
+                // repeated key, so any order of application agrees.
+                let mut len = 1;
+                while len < width.unwrap_or(1).min(rest.len())
+                    && rest[len].0 == insert
+                    && rest[..len].iter().all(|step| step.1 != rest[len].1)
+                {
+                    len += 1;
+                }
+                let (group, tail) = rest.split_at(len);
+                rest = tail;
+                match (width, insert) {
+                    (None, true) => flags.push(set.insert_one(&first)),
+                    (None, false) => flags.push(set.remove_one(&first)),
+                    (Some(_), _) => {
+                        let batch = Batch::from_unsorted(group.iter().map(|step| step.1).collect());
+                        let out = if insert {
+                            set.batch_insert(&batch)
+                        } else {
+                            set.batch_remove(&batch)
+                        };
+                        // Flags come back in key order; the trace wants
+                        // them in step order.
+                        let at = |key| batch.keys().binary_search(key).unwrap();
+                        flags.extend(group.iter().map(|step| out[at(&step.1)]));
+                    }
+                }
+                set.check_invariants()
+                    .unwrap_or_else(|e| panic!("width {width:?}, step {}: {e}", flags.len()));
+                // A fresh clone every 64 steps keeps the next writes' paths
+                // shared, as a published snapshot does.
+                if flags.len() / 64 != (flags.len() - len) / 64 {
+                    held = set.clone();
+                }
+            }
+            drop(held);
+            (flags, set.collect_keys(), set.metrics().delta(&before))
+        };
+
+        let mut oracle: BTreeSet<u64> = resident().into_iter().collect();
+        let expected: Vec<bool> = (trace.iter())
+            .map(|&(insert, key)| {
+                if insert {
+                    oracle.insert(key)
+                } else {
+                    oracle.remove(&key)
+                }
+            })
+            .collect();
+        let (point_flags, point_keys, point_work) = apply(None);
+        assert_eq!(point_flags, expected);
+        assert!(point_keys.iter().eq(oracle.iter()));
+        assert!(
+            point_work.cow_nodes > 0 && point_work.rebuilds >= 2,
+            "the trace never copied a path, or never shrank and regrew: {point_work:?}"
+        );
+        let (flags, keys, work) = apply(Some(1));
+        assert!(flags == expected && keys == point_keys, "one-key batches");
+        assert_eq!(work, point_work, "a one-key batch is a point write");
+        for width in [2, 8, 9, 600] {
+            let (flags, keys, _) = apply(Some(width));
+            assert!(flags == expected && keys == point_keys, "width {width}");
+        }
+    }
+
+    /// A batch of `SEQ_BATCH_LEN` keys forks and one a key short does not —
+    /// the same boundary `combine::POOL_CUTOFF` enters the pool at — seen
+    /// in the pool's own count of `join`s made on its workers.
+    #[test]
+    fn a_batch_at_the_sequential_cutoff_forks_and_one_below_does_not() {
+        let pool = forkjoin::Pool::builder()
+            .num_threads(2)
+            .metrics(true)
+            .build()
+            .unwrap();
+        let joins = || pool.metrics().join_latency.count();
+        let mut set = IstSet::from_sorted((0..100_000u64).map(|i| i * 2).collect());
+        let odd = |n: u64| Batch::from_unsorted((0..n).map(|i| i * 390 + 1).collect());
+        let cutoff = traverse::SEQ_BATCH_LEN as u64;
+
+        let below = odd(cutoff - 1);
+        pool.install(|| set.batch_insert(&below));
+        pool.install(|| set.batch_contains(&below));
+        pool.install(|| set.batch_remove(&below));
+        assert_eq!(joins(), 0, "{} keys forked", cutoff - 1);
+
+        let at = odd(cutoff);
+        pool.install(|| set.batch_insert(&at));
+        let inserted = joins();
+        assert!(inserted > 0, "{cutoff} keys did not fork");
+        pool.install(|| set.batch_contains(&at));
+        assert!(joins() > inserted, "{cutoff} lookups did not fork");
+        set.check_invariants().unwrap();
     }
 
     #[test]
@@ -929,7 +1097,7 @@ mod tests {
         assert!(map.upsert_one(&10, &"ten"));
         assert!(!map.upsert_one(&10, &"TEN"), "upsert reports not-new");
         assert_eq!(map.get(&10), Some("TEN"), "point upsert overwrote");
-        // Tiny batch (≤ POINT_BATCH_LEN) routes through the point path.
+        // A two-key batch: one partition at the root, one-key routes below.
         let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(10, "x"), (11, "y")]));
         assert_eq!(flags, vec![false, true]);
         assert_eq!(map.get(&10), Some("x"));
@@ -1126,8 +1294,8 @@ mod tests {
     }
 
     /// Drives a seeded point/batch trace through every structural edit of
-    /// the chunked child array — child removal by the point path and by the
-    /// batch path (both re-chunk), hoisting a lone child, leaf overflow,
+    /// the chunked child array — child removal by point removes and by a
+    /// batch (both re-chunk), hoisting a lone child, leaf overflow,
     /// drift rebuilds, draining to `None` — holding a clone taken *before*
     /// each step, and checks every held clone against the oracle as it was
     /// then, after all the later steps have run.
@@ -1166,7 +1334,7 @@ mod tests {
             t.step(Edit::Remove(i * GAP + 1));
         }
         assert!(t.root_children().unwrap() < before, "no child was removed");
-        // The same through the batch path (`retain`).
+        // The same by one batch.
         let before = t.root_children().unwrap();
         t.step(Edit::BatchRemove(
             (2_000..2_400u64).map(|i| i * GAP).collect(),
@@ -1252,8 +1420,8 @@ mod tests {
         assert_eq!(frozen.rank(&10), 5);
         assert_eq!(frozen.collect_keys().len(), 10_000);
 
-        // A fresh clone sees the new state; batch queries agree with the
-        // live tree on both the joint-traversal and point paths.
+        // A fresh clone sees the new state; batch queries, tiny and large,
+        // agree with the live tree.
         let fresh = map.clone();
         assert_eq!(fresh.get(&5), Some(55));
         for batch_len in [4u64, 3_000] {

@@ -1,18 +1,29 @@
 //! The paper's batched updates: insert and remove sorted batches in
 //! parallel, rebuilding drifted subtrees.
 //!
-//! Both operations follow the same shape as the joint traversal
-//! ([`crate::traverse`]): the batch is partitioned at each inner node and
-//! the children recurse on their sub-batches in parallel.  At the leaves the
-//! batch is merged in (insert) or filtered out (remove) with one sequential
-//! pass, and on the way back up every inner node brings its metadata up to
-//! date: `len` and `min`/`max` always, the router array — which snapshots
-//! share whole — only when a removal took a child or a child's minimum
-//! (an insert can move no router).  A subtree whose key
+//! One recursion per operation serves every batch size, a point write
+//! included — it is a batch of one ([`crate::IstMap`] hands the recursion
+//! one-element slices).  Both operations follow the same shape as the joint
+//! traversal ([`crate::traverse`]): the batch is partitioned at each inner
+//! node and the children recurse on their sub-batches in parallel.  At the
+//! leaves the batch is merged in (insert) or filtered out (remove) with one
+//! sequential pass, and on the way back up every inner node brings its
+//! metadata up to date: `len` and `min`/`max` always, the router array —
+//! which snapshots share whole — only when a removal took a child or a
+//! child's minimum (an insert can move no router).  A subtree whose key
 //! count has drifted outside `[built_len / 2, built_len * 2]` since it was
 //! last built — or a leaf that outgrew [`LEAF_CAPACITY`] — is rebuilt from
 //! its sorted keys, restoring the ideal `Θ(√n)` fanout; removals that empty
 //! a subtree are pruned by the parent (single survivors are hoisted).
+//!
+//! A *sub*-batch of one key — every level of a point write, and most levels
+//! below the root for a handful of keys — skips the general step's scratch
+//! at the two places where it would cost more than the step: routing
+//! (`for_each_child_batch` interpolates the one child instead of
+//! partitioning the batch and sweeping the child array) and the leaf
+//! (`insert_into_leaf` / `remove_from_leaf` edit the run in place instead of
+//! merging it into a fresh one).  The bookkeeping, the router repair,
+//! pruning and the rebuild rule are the same code for one key or 16 384.
 //!
 //! Everything here is generic over the per-key value `V` ([`crate::IstMap`]
 //! carries real values; the set instantiates `V = ()`, which the compiler
@@ -24,7 +35,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::children::{cow, Children};
+use crate::children::cow;
 use crate::metrics::{touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
 use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY};
 use crate::traverse::{partition_batch, SEQ_BATCH_LEN};
@@ -40,18 +51,12 @@ const REBUILD_FACTOR: usize = 2;
 /// [`collect_kv`]; above it, collection forks per child.
 const SEQ_COLLECT_LEN: usize = 2048;
 
-/// Batches at or below this length run as a loop of point operations
-/// ([`insert_one`] / [`remove_one`]) instead of the batch recursion, whose
-/// per-level scratch allocations dominate for a handful of keys.  Applying
-/// a sorted, deduplicated batch key-by-key is observationally identical to
-/// the batched run.
-pub(crate) const POINT_BATCH_LEN: usize = 8;
-
-/// One child's share of a batched update: its index, the subtree (already
-/// unshared), the range of the node's batch routed to it, the matching
-/// output-flag slice, and the per-child count the recursion reports back.
+/// One child's share of a batched update: the router recording its minimum
+/// (none for the first child), the subtree (already unshared), the range of
+/// the node's batch routed to it, the matching output-flag slice, and the
+/// per-child count the recursion reports back.
 type ChildTask<'a, K, V> = (
-    usize,
+    Option<&'a K>,
     &'a mut Node<K, V>,
     Range<usize>,
     &'a mut [MaybeUninit<bool>],
@@ -92,19 +97,9 @@ where
             added
         }
         Node::Inner(inner) => {
-            let InnerNode {
-                routers, children, ..
-            } = &mut *inner;
-            let added = for_each_child_batch(
-                routers,
-                children,
-                batch,
-                out,
-                m,
-                |_, child, seg, out_seg| {
-                    insert_into(child, &batch[seg.clone()], &vals[seg], out_seg, m)
-                },
-            );
+            let added = for_each_child_batch(inner, batch, out, m, |_, child, seg, out_seg| {
+                insert_into(child, &batch[seg.clone()], &vals[seg], out_seg, m)
+            });
             inner.len += added;
             // Routers cannot move: a key routed to child `i >= 1` is at or
             // above `routers[i - 1]`, that child's minimum.  Only the node's
@@ -153,142 +148,19 @@ where
             // just touched, instead of by a scan of every child.  `Relaxed`:
             // read after the (possibly forked) loop has joined.
             let stale = AtomicBool::new(false);
-            let InnerNode {
-                routers, children, ..
-            } = &mut *inner;
-            let removed = for_each_child_batch(
-                routers,
-                children,
-                batch,
-                out,
-                m,
-                |idx, child, seg, out_seg| {
+            let removed =
+                for_each_child_batch(inner, batch, out, m, |router, child, seg, out_seg| {
                     let removed = remove_from(child, &batch[seg], out_seg, m);
                     if removed > 0
-                        && (child.is_empty() || (idx > 0 && routers[idx - 1] != *child.min_key()))
+                        && (child.is_empty() || router.is_some_and(|min| min != child.min_key()))
                     {
                         stale.store(true, Ordering::Relaxed);
                     }
                     removed
-                },
-            );
+                });
             inner.len -= removed;
             if removed > 0 {
                 refresh_after_removal(inner, stale.into_inner(), m);
-            }
-            removed
-        }
-    };
-    prune(node, m);
-    maybe_rebuild(node, m);
-    removed
-}
-
-/// Upserts a single pair: interpolated descent, in-place leaf edit,
-/// in-place metadata maintenance.  Returns `true` iff the key was newly
-/// added (`false` = present; its value was overwritten).
-///
-/// This is the allocation-free fast path behind tiny batches — the shape
-/// the flat-combining front-end produces under low contention, where the
-/// batch recursion's per-level scratch (partition offsets, task lists,
-/// refreshed router vectors) costs more than the whole operation.
-///
-/// Metadata stays exact without touching the router array: the descent
-/// picks child `i` because `routers[i-1] <= key`, and `routers[i-1]` *is*
-/// child `i`'s minimum, so a newly inserted key can never become the
-/// minimum of any child except child 0 — whose minimum no router records.
-pub(crate) fn insert_one<K, V>(node: &mut Node<K, V>, key: &K, val: &V, m: MetricsRef<'_>) -> bool
-where
-    K: InterpolateKey + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    touch_node(m);
-    let added = match node {
-        Node::Leaf(leaf) => match leaf.keys.binary_search(key) {
-            Ok(pos) => {
-                leaf.vals[pos] = val.clone();
-                false
-            }
-            Err(pos) => {
-                leaf.keys.insert(pos, key.clone());
-                leaf.vals.insert(pos, val.clone());
-                touch_leaf_edit(m, true);
-                true
-            }
-        },
-        Node::Inner(inner) => {
-            let idx = child_index(inner, key);
-            let added = insert_one(inner.children.get_mut(idx, m), key, val, m);
-            if added {
-                inner.len += 1;
-                if *key < inner.min {
-                    inner.min = key.clone();
-                }
-                if *key > inner.max {
-                    inner.max = key.clone();
-                }
-            }
-            added
-        }
-    };
-    maybe_rebuild(node, m);
-    added
-}
-
-/// Removes a single key: interpolated descent, in-place leaf edit, in-place
-/// metadata maintenance (the counterpart of [`insert_one`]).  Returns
-/// `true` iff the key was present.  May leave `node` as an **empty leaf**
-/// when it held exactly this key; callers prune it (as with
-/// [`remove_from`]).
-pub(crate) fn remove_one<K, V>(node: &mut Node<K, V>, key: &K, m: MetricsRef<'_>) -> bool
-where
-    K: InterpolateKey + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-{
-    touch_node(m);
-    let removed = match node {
-        Node::Leaf(leaf) => match leaf.keys.binary_search(key) {
-            Ok(pos) => {
-                leaf.keys.remove(pos);
-                leaf.vals.remove(pos);
-                touch_leaf_edit(m, true);
-                true
-            }
-            Err(_) => false,
-        },
-        Node::Inner(inner) => {
-            let idx = child_index(inner, key);
-            let removed = remove_one(inner.children.get_mut(idx, m), key, m);
-            if removed {
-                inner.len -= 1;
-                if inner.children.get(idx).is_empty() {
-                    // Drop the emptied child and the router that named it
-                    // (child 0 is named by no router; dropping it promotes
-                    // router 0's key to plain first-child minimum).
-                    inner.children.remove(idx, m);
-                    let named = idx.saturating_sub(1);
-                    inner.routers = (inner.routers.iter().enumerate())
-                        .filter(|(i, _)| *i != named)
-                        .map(|(_, router)| router.clone())
-                        .collect();
-                } else if idx > 0 {
-                    // Removing a child's minimum shifts the router that
-                    // records it; removing its maximum shifts nothing.
-                    let child_min = inner.children.get(idx).min_key();
-                    if *child_min != inner.routers[idx - 1] {
-                        Arc::make_mut(&mut inner.routers)[idx - 1] = child_min.clone();
-                    }
-                }
-                if inner.children.len() > 0 {
-                    let first_min = inner.children.get(0).min_key();
-                    if inner.min != *first_min {
-                        inner.min = first_min.clone();
-                    }
-                    let last_max = inner.children.get(inner.children.len() - 1).max_key();
-                    if inner.max != *last_max {
-                        inner.max = last_max.clone();
-                    }
-                }
             }
             removed
         }
@@ -385,7 +257,7 @@ fn collect_into<K, V>(
                     collect_into(child, kseg, vseg);
                 }
             } else {
-                parprim::for_each_mut_with_grain(&mut tasks, 1, |(child, kseg, vseg)| {
+                parprim::for_each_task(&mut tasks, |(child, kseg, vseg)| {
                     collect_into(child, kseg, vseg);
                 });
             }
@@ -393,14 +265,17 @@ fn collect_into<K, V>(
     }
 }
 
-/// Routes `batch` to `children` at `routers` ([`partition_batch`]) and runs `op`
-/// on every child that received a non-empty sub-batch — in parallel when the
-/// batch is large enough — returning the sum of the per-child results.  `op`
-/// gets the child's index, the child, its range of `batch`, and the matching
-/// slice of `out`.
+/// Routes `batch` to `inner`'s children and runs `op` on every child that
+/// received a non-empty sub-batch — in parallel when the batch is large
+/// enough — returning the sum of the per-child results.  `op` gets the
+/// router recording the child's minimum (`None` for the first child), the
+/// child, its range of `batch`, and the matching slice of `out`.
+///
+/// A sub-batch of one key is routed by the interpolated [`child_index`] and
+/// unshares just its child — no offsets, no task list, no sweep over the
+/// child array; anything longer is split by [`partition_batch`].
 fn for_each_child_batch<K, V, Op>(
-    routers: &[K],
-    children: &mut Children<K, V>,
+    inner: &mut InnerNode<K, V>,
     batch: &[K],
     out: &mut [MaybeUninit<bool>],
     m: MetricsRef<'_>,
@@ -409,10 +284,16 @@ fn for_each_child_batch<K, V, Op>(
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
-    Op: Fn(usize, &mut Node<K, V>, Range<usize>, &mut [MaybeUninit<bool>]) -> usize + Sync,
+    Op: Fn(Option<&K>, &mut Node<K, V>, Range<usize>, &mut [MaybeUninit<bool>]) -> usize + Sync,
 {
+    let (routers, children) = (&*inner.routers, &mut inner.children);
+    let router_of = |idx: usize| idx.checked_sub(1).map(|at| &routers[at]);
+    if let [key] = batch {
+        let idx = child_index(routers, &inner.min, &inner.max, key);
+        return op(router_of(idx), children.get_mut(idx, m), 0..1, out);
+    }
     let offsets = partition_batch(routers, batch);
-    // Last tuple slot collects the per-child count, since `for_each_mut`
+    // Last tuple slot collects the per-child count, since `for_each_task`
     // has no return channel.
     let mut tasks: Vec<ChildTask<'_, K, V>> = Vec::with_capacity(children.len());
     let mut out_rest = out;
@@ -423,17 +304,15 @@ where
         let seg = offsets[idx]..offsets[idx + 1];
         let (out_seg, out_tail) = std::mem::take(&mut out_rest).split_at_mut(seg.len());
         out_rest = out_tail;
-        tasks.push((idx, child, seg, out_seg, 0));
+        tasks.push((router_of(idx), child, seg, out_seg, 0));
     });
-    if batch.len() <= SEQ_BATCH_LEN {
-        for (idx, child, seg, out_seg, count) in tasks.iter_mut() {
-            *count = op(*idx, child, seg.clone(), out_seg);
+    if batch.len() < SEQ_BATCH_LEN {
+        for (router, child, seg, out_seg, count) in tasks.iter_mut() {
+            *count = op(*router, child, seg.clone(), out_seg);
         }
     } else {
-        // Fork per child: each task is a whole sub-update (see the matching
-        // comment in `traverse`).
-        parprim::for_each_mut_with_grain(&mut tasks, 1, |(idx, child, seg, out_seg, count)| {
-            *count = op(*idx, child, seg.clone(), out_seg);
+        parprim::for_each_task(&mut tasks, |(router, child, seg, out_seg, count)| {
+            *count = op(*router, child, seg.clone(), out_seg);
         });
     }
     tasks.iter().map(|task| task.4).sum()
@@ -492,12 +371,25 @@ where
 /// keys take the incoming value (upsert).  The leaf may exceed
 /// [`LEAF_CAPACITY`] afterwards — [`maybe_rebuild`] gives it inner
 /// structure.
+/// A single key is edited in place; more are merged in one pass.
 fn insert_into_leaf<K: Ord + Clone, V: Clone>(
     leaf: &mut LeafNode<K, V>,
     batch: &[K],
     vals: &[V],
     out: &mut [MaybeUninit<bool>],
 ) -> usize {
+    if let ([key], [val]) = (batch, vals) {
+        let found = leaf.keys.binary_search(key);
+        match found {
+            Ok(pos) => leaf.vals[pos] = val.clone(),
+            Err(pos) => {
+                leaf.keys.insert(pos, key.clone());
+                leaf.vals.insert(pos, val.clone());
+            }
+        }
+        out[0].write(found.is_err());
+        return found.is_err() as usize;
+    }
     let keys = &leaf.keys;
     let old_vals = &leaf.vals;
     let mut merged = Vec::with_capacity(keys.len() + batch.len());
@@ -533,11 +425,21 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
 
 /// Filters `batch` out of one leaf's sorted run, flagging which elements
 /// were present; returns the number removed.  May leave the leaf empty.
+/// A single key is removed in place; more are filtered in one pass.
 fn remove_from_leaf<K: Ord + Clone, V: Clone>(
     leaf: &mut LeafNode<K, V>,
     batch: &[K],
     out: &mut [MaybeUninit<bool>],
 ) -> usize {
+    if let [key] = batch {
+        let found = leaf.keys.binary_search(key);
+        if let Ok(pos) = found {
+            leaf.keys.remove(pos);
+            leaf.vals.remove(pos);
+        }
+        out[0].write(found.is_ok());
+        return found.is_ok() as usize;
+    }
     let keys = &leaf.keys;
     let old_vals = &leaf.vals;
     let mut kept = Vec::with_capacity(keys.len());

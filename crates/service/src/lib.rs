@@ -503,10 +503,8 @@ where
         let pooled =
             !matches!(op, BatchOp::Contains) && batch.len() >= PARALLEL_CUTOFF && tasks.len() > 1;
         if pooled {
-            // Each task is a whole shard round, so fork with grain 1 (the
-            // element-count heuristic would be wrong — see pbist::traverse).
             self.pool.install(|| {
-                parprim::for_each_mut_with_grain(&mut tasks, 1, |(shard, sub, run)| {
+                parprim::for_each_task(&mut tasks, |(shard, sub, run)| {
                     **run = self.exec_shard(op, *shard, sub);
                 });
             });

@@ -1,0 +1,120 @@
+//! The allocation gate: what a point operation on the tree asks of the
+//! allocator, counted.  A point write runs the batch recursion on a batch
+//! of one; this is the guard that it is served as a point — no per-level
+//! scratch — and the first committed allocation numbers for whole batches.
+//!
+//! An integration test of its own so the counting `#[global_allocator]`
+//! wraps this binary alone.  Counts are per thread, so the harness's other
+//! threads cannot leak into them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use pbist_repro::batchapi::{Batch, BatchedMap, BatchedSet, MapView};
+use pbist_repro::pbist::IstSet;
+use pbist_repro::workloads;
+
+/// `System`, counting this thread's `alloc` and `realloc` calls.
+struct Counting;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded to `System` unchanged; the counter is a
+// const-initialised thread-local `Cell` with no destructor, so touching it
+// neither allocates nor runs during thread teardown.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.set(ALLOCATIONS.get() + 1);
+        // SAFETY: the caller's contract, passed through.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations `work` makes on this thread, per unit of `per`.
+fn allocations_per(per: usize, work: impl FnOnce()) -> f64 {
+    let before = ALLOCATIONS.get();
+    work();
+    (ALLOCATIONS.get() - before) as f64 / per as f64
+}
+
+#[test]
+fn point_operations_allocate_like_points() {
+    const N: u64 = 1_000_000;
+    const OPS: usize = 10_000;
+    // The even keys of `[0, 2N)` resident; seeded odd keys are fresh and
+    // seeded even keys present, each drawn before the counted window.
+    let mut set = IstSet::from_sorted((0..N).map(|i| i * 2).collect());
+    let mut seed = 0xA110C;
+    let mut draw = |odd: u64| -> Vec<u64> {
+        seed += 1;
+        let ranks = workloads::uniform_keys(seed, OPS, 0..N);
+        ranks.into_iter().map(|rank| rank * 2 + odd).collect()
+    };
+
+    let reads = draw(0).into_iter().chain(draw(1)).collect::<Vec<_>>();
+    let contains = allocations_per(reads.len(), || {
+        assert_eq!(reads.iter().filter(|&key| set.contains(key)).count(), OPS);
+    });
+
+    let fresh = draw(1);
+    let insert = allocations_per(OPS, || {
+        for key in &fresh {
+            set.insert_one(key);
+        }
+    });
+    let present = draw(0);
+    let remove = allocations_per(OPS, || {
+        for key in &present {
+            set.remove_one(key);
+        }
+    });
+
+    // Under a live clone — every round of the concurrent front-end — each
+    // write copies its path first.
+    let (fresh, present) = (draw(1), draw(0));
+    let shared = allocations_per(2 * OPS, || {
+        for (new, old) in fresh.iter().zip(&present) {
+            let snapshot = set.clone();
+            set.insert_one(new);
+            drop(snapshot);
+            let snapshot = set.clone();
+            set.remove_one(old);
+            drop(snapshot);
+        }
+    });
+    set.check_invariants().unwrap();
+
+    println!(
+        "allocations per op: contains {contains}, insert_one {insert}, remove_one {remove}, \
+         point write under a live clone {shared}"
+    );
+    assert_eq!(contains, 0.0, "a point read allocates");
+    assert!(insert <= 1.0, "unshared insert_one: {insert} allocations");
+    assert!(remove <= 0.05, "unshared remove_one: {remove} allocations");
+    assert!(shared <= 10.0, "shared point write: {shared} allocations");
+
+    // Whole batches, reported for ROADMAP item 7 to halve; nothing asserted.
+    let batch = Batch::from_unsorted((0..16_384u64).map(|i| i * 122 + 1).collect());
+    let lookup = allocations_per(batch.len(), || drop(set.batch_contains(&batch)));
+    let upsert = allocations_per(batch.len(), || drop(set.batch_insert(&batch)));
+    println!(
+        "allocations per key of one {}-key batch: batch_contains {lookup}, batch_insert {upsert}",
+        batch.len()
+    );
+}
