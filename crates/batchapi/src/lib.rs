@@ -623,8 +623,11 @@ pub trait BatchedMap<K, V = ()>: MapView<K, V> {
     /// inserted — the degenerate batch.  The default wraps the pair in a
     /// singleton [`KvBatch`]; a backend overrides to hand its batched
     /// update the caller's key and value without the two `Vec`s, not to
-    /// run another algorithm (a combining front-end's rounds degenerate to
-    /// single operations whenever clients outnumber actual concurrency).
+    /// run another algorithm.  This and [`BatchedMap::remove_one`] are what
+    /// a combining front-end calls for every point write: `combine` applies
+    /// a round's ops one by one in publish order (a round holds one op per
+    /// blocked client — too few keys for a batch to pay), and only a whole
+    /// caller-supplied batch reaches `batch_insert` / `batch_remove`.
     fn upsert_one(&mut self, key: &K, val: &V) -> bool
     where
         K: Ord + Clone,

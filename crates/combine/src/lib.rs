@@ -7,8 +7,9 @@
 //! `V = ()` alias) is the ingress layer between the two worlds.  **Writes**
 //! are combined: clients publish one operation each into a lock-free list,
 //! one thread elects itself **combiner**, drains everything published so
-//! far into one batch per operation kind, executes the two batched updates
-//! on the backing store, and hands each client its individual result.
+//! far, applies it to the backing store op by op in publish order, commits
+//! the lot as one round — one sequence number, one published snapshot, one
+//! log entry — and hands each client its individual result.
 //! Writes that arrive as whole batches skip the combining and, when large
 //! enough to parallelise, run inside a [`forkjoin::Pool`].  **Reads** never
 //! enter a round: they are wait-free traversals of the snapshot the last
@@ -16,9 +17,18 @@
 //! `Insert`/`Remove` batches restructure the tree.
 //!
 //! This is the classic *flat combining* construction (Hendler, Incze,
-//! Shavit & Tzafrir, SPAA '10) specialised to the batched-set API, where it
-//! is a particularly good fit: combining does not just cut synchronisation
-//! — the drained round *is* the sorted batch the backend is optimised for.
+//! Shavit & Tzafrir, SPAA '10), whose combiner applies the published ops one
+//! by one.  What combining buys here is the synchronisation — one flag
+//! hand-off, one publish and one log append per round instead of per op —
+//! not a batch for the tree: a round holds one op per client *blocked* on
+//! this store, and the tree does not fork a batch of fewer than
+//! [`POOL_CUTOFF`] keys however it is called.  Measured (10⁶-key
+//! `pbist::IstSet`, one thread, a fair insert/remove mix): forming a sorted
+//! batch per kind from a k-op round and fanning the flags back cost
+//! 1.4–2.2× the k point ops it replaced at k = 2 … 16, under a live
+//! snapshot (which is every round here) as well as unshared, and was at
+//! best level with them at k = 64 and 128; 32 client threads on one shard
+//! form rounds of 1.02 ops in the mean, 1 at the 99th percentile.
 //!
 //! # Protocol
 //!
@@ -38,29 +48,23 @@
 //!    CASing the `combiner` flag `FREE → HELD` (`Acquire`; the paired
 //!    `Release` store of `FREE` on unlock carries the backing set's
 //!    mutations from each combiner to the next).
-//! 3. **Combine** — the combiner swaps the ingress head to null
-//!    (`Acquire`, pairing with every publisher's `Release` CAS so slot
-//!    fields are visible), splits the drained slots by kind, and builds one
-//!    sorted batch per kind (a [`KvBatch`] for the inserts, whose slots
-//!    carry their values; duplicate keys collapse last-wins, exactly as the
-//!    ops would applied one by one in publish order).
-//! 4. **Execute** — the two batched updates run in a fixed order:
-//!    `batch_insert`, then `batch_remove`.  That order is the round's
-//!    linearisation order (see below).  A combined round always runs
-//!    inline on the combiner's thread, and a round of one drained op takes
-//!    the backend's point path: a round holds one op per client blocked on
-//!    this store, so it is a handful of keys, and the tree does not fork a
-//!    sub-batch of fewer than [`POOL_CUTOFF`] keys however it is called.
-//!    The pool is for whole batches (see *Batched ingress*).
-//! 5. **Distribute** — per-key flags fan back out to per-op results (keys
-//!    duplicated across ops of one kind are resolved as if the ops ran
-//!    sequentially: the first insert/remove of a key in the round gets the
-//!    batch's flag, later duplicates observe the first one's effect).  Each
-//!    slot's result is written *before* its `done` flag is set (`Release`);
-//!    after that store the combiner never touches the slot again, because
-//!    the client — who pairs with an `Acquire` load — is free to pop it off
-//!    its stack.
-//! 6. **Wake** — the combiner releases the `combiner` flag and then wakes
+//! 3. **Apply in publish order** — the combiner swaps the ingress head to
+//!    null (`Acquire`, pairing with every publisher's `Release` CAS so slot
+//!    fields are visible), reverses the drained list's links in place (the
+//!    stack yields newest-first), and runs each slot's op against the
+//!    backend's point path ([`BatchedMap::upsert_one`] /
+//!    [`BatchedMap::remove_one`]), oldest first, writing the slot's result
+//!    as it goes.  That order is the round's linearisation order (see
+//!    below), and a round of one is the same loop running once.  The round
+//!    then commits once: one seq, one snapshot publish, one log entry.  A
+//!    combined round always runs inline on the combiner's thread; the pool
+//!    is for whole batches (see *Batched ingress*).
+//! 4. **Acknowledge** — each slot's result is written *before* its `done`
+//!    flag is set (`Release`), and every `done` store comes after the
+//!    round's publish; after that store the combiner never touches the
+//!    slot again, because the client — who pairs with an `Acquire` load —
+//!    is free to pop it off its stack.
+//! 5. **Wake** — the combiner releases the `combiner` flag and then wakes
 //!    waiters through the same fenced Dekker handshake as the scheduler's
 //!    sleep path (`SeqCst` fence, then a sleeper-count check; sleepers
 //!    register with a `SeqCst` RMW, fence, and re-check before waiting), so
@@ -91,7 +95,7 @@
 //!   machine with as many clients as cores — needs the waiter's CPU for its
 //!   pool workers; polling through it would be pure loss.
 //!
-//! Either way the sleeper handshake of step 6 is the only way onto or off
+//! Either way the sleeper handshake of step 5 is the only way onto or off
 //! the condvar, so the polling phase changes *when* a waiter sleeps, never
 //! whether it can be woken.  `combine.wait_ns` records each wait (when the
 //! front-end's timed metrics are on — they follow the pool's
@@ -115,10 +119,10 @@
 //!
 //! Each round commits atomically between two combiner-lock critical
 //! sections, and every operation in it was pending (published, not yet
-//! completed) for the round's whole execution, so ordering the round's ops
-//! `insert → remove` (ties within a kind in publish order,
-//! duplicates resolved first-wins) is a valid linearisation; rounds
-//! themselves are ordered by combiner succession, which respects real time
+//! completed) for the round's whole execution, so any order of them is a
+//! valid linearisation: a round's ops linearise in publish order, the order
+//! they are applied in.  Rounds themselves are ordered by combiner
+//! succession, which respects real time
 //! (an op completed in round *r* was drained before *r* executed, so any op
 //! starting later publishes after the drain and lands in a later round).
 //! [`ConcurrentMap::take_rounds`] exposes the committed order (when
@@ -333,9 +337,11 @@ pub struct RoundOp<K, V = ()> {
     pub result: bool,
 }
 
-/// One committed combining round: its operations in linearisation order
-/// (`Insert` ops first, then `Remove`; publish order within each kind).  Replaying rounds in commit order against a sequential map
-/// must reproduce every `result` — the stress suite's oracle check.
+/// One committed combining round: its operations in linearisation order —
+/// publish order for a combined round, batch (key) order for a whole batch.
+/// Replaying rounds in commit order against a sequential map, each round's
+/// ops in the order given, must reproduce every `result` — the stress
+/// suite's oracle check.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Round<K, V = ()> {
     /// The round's sequence number: rounds commit with strictly increasing,
@@ -599,7 +605,7 @@ impl<T> SnapCell<T> {
 }
 
 /// A concurrent ordered key→value store serving per-operation traffic from
-/// any number of client threads by flat-combining it into batches for a
+/// any number of client threads by flat-combining it into rounds over a
 /// [`BatchedMap`] backend.
 ///
 /// See the [module docs](self) for the protocol and its memory-ordering
@@ -609,7 +615,7 @@ impl<T> SnapCell<T> {
 ///
 /// # Poisoning
 ///
-/// If a backend batch operation panics while a combiner executes a round,
+/// If a backend operation panics while a combiner executes a round,
 /// the store's state — and the results of every operation drained into that
 /// round — are indeterminate.  The front-end then behaves like a poisoned
 /// `Mutex`: the panic propagates on the combining thread, clients whose
@@ -652,7 +658,7 @@ pub struct ConcurrentMap<K, V, S> {
     progress: Condvar,
     /// Clients currently blocked on `progress`.
     sleepers: AtomicUsize,
-    /// Set when a combiner panicked mid-round (a backend batch op threw):
+    /// Set when a combiner panicked mid-round (a backend op threw):
     /// the backing store's state — and the results of any op drained into
     /// that round — are indeterminate, so every subsequent operation
     /// panics instead of blocking forever.  Mutex-poisoning semantics.
@@ -945,12 +951,12 @@ where
         self.run_batch_op(OpKind::Remove, batch, None, |set| set.batch_remove(batch))
     }
 
-    /// Becomes the combiner (waiting out a concurrent one), flushes pending
-    /// published ops, then executes one pre-sorted batch of `kind` ops over
-    /// `keys` (with `vals` for inserts) as one round: `run` — the backend's
-    /// batched op — runs once and its per-key flags are the result, and the
-    /// round is logged and counted exactly like a combined one.  Duplicate
-    /// resolution never arises — a batch holds each key at most once.
+    /// Becomes the combiner (waiting out a concurrent one; the pending
+    /// published ops are flushed on the way in), then executes one pre-sorted
+    /// batch of `kind` ops over `keys` (with `vals` for inserts) as one round:
+    /// `run` — the backend's batched op — runs once and its per-key flags
+    /// are the result, and the round is logged and counted exactly like a
+    /// combined one.
     fn run_batch_op(
         &self,
         kind: OpKind,
@@ -963,50 +969,42 @@ where
             self.check_poisoned();
             return Vec::new();
         }
-        loop {
-            self.check_poisoned();
-            if self.lock_combiner() {
-                let _unlock = CombinerGuard { set: self };
-                // Same post-CAS re-check as `try_fast_op`: never execute
-                // after a poisoning release.
-                self.check_poisoned();
-                // Ops published before we won the flag were pending before
-                // this batch arrived; linearise them first, as the fast
-                // path does.
-                self.combine_round();
-                // SAFETY: we hold the combiner flag — exclusive set access.
-                let set = unsafe { &mut *self.set.get() };
-                // A whole batch is the one round waiters should not poll
-                // through.  `Relaxed`: a hint, read by waiters' polls; the
-                // unlock's `Release` store of `FREE` overwrites it.
-                self.combiner.store(LONG, Ordering::Relaxed);
-                let pooled = keys.len() >= POOL_CUTOFF;
-                let out = if pooled {
-                    self.pool.install(|| run(set))
-                } else {
-                    run(set)
-                };
-                debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
-                self.commit_round(keys.len() as u64, || {
-                    keys.iter()
-                        .zip(out.iter())
-                        .enumerate()
-                        .map(|(i, (key, &result))| RoundOp {
-                            kind,
-                            key: key.clone(),
-                            val: vals.map(|vals| vals[i].clone()),
-                            result,
-                        })
-                        .collect()
-                });
-                self.metrics.batch_rounds.add_single_writer(1);
-                if pooled {
-                    self.metrics.pooled_rounds.add_single_writer(1);
-                }
-                return out;
+        let _held = loop {
+            if let Some(held) = self.try_hold() {
+                break held;
             }
             self.wait_until(|| self.combiner_free() || self.poisoned.load(Ordering::Acquire));
+        };
+        // SAFETY: we hold the combiner flag — exclusive set access.
+        let set = unsafe { &mut *self.set.get() };
+        // A whole batch is the one round waiters should not poll through.
+        // `Relaxed`: a hint, read by waiters' polls; the unlock's `Release`
+        // store of `FREE` overwrites it.
+        self.combiner.store(LONG, Ordering::Relaxed);
+        let pooled = keys.len() >= POOL_CUTOFF;
+        let out = if pooled {
+            self.pool.install(|| run(set))
+        } else {
+            run(set)
+        };
+        debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
+        self.commit_round(keys.len() as u64, || {
+            keys.iter()
+                .zip(out.iter())
+                .enumerate()
+                .map(|(i, (key, &result))| RoundOp {
+                    kind,
+                    key: key.clone(),
+                    val: vals.map(|vals| vals[i].clone()),
+                    result,
+                })
+                .collect()
+        });
+        self.metrics.batch_rounds.add_single_writer(1);
+        if pooled {
+            self.metrics.pooled_rounds.add_single_writer(1);
         }
+        out
     }
 
     /// Returns `true` when a combiner panic has
@@ -1124,22 +1122,18 @@ where
         self.set.into_inner()
     }
 
-    /// The uncontended fast path: if nobody is combining, become the
-    /// combiner *without* publishing a slot — flush whatever is already
-    /// published (ops pending longer than ours must not be starved, and
-    /// linearising them first keeps the log order honest), then run our
-    /// own op directly against the backend's point path.  No slot, no
-    /// `done` handshake, no key clone; under no contention the front-end
-    /// costs one CAS + one load over a plain mutex.
-    ///
-    /// Returns `None` when the combiner flag is taken, and the caller must
-    /// fall back to [`ConcurrentMap::run_op_published`].
-    fn try_fast_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> Option<bool> {
+    /// Takes the combiner flag if it is free — the one way in for the fast
+    /// path, a publisher electing itself and a whole batch — and flushes
+    /// whatever is already published: those ops were pending before the
+    /// holder's own, so they must not be starved, and linearising them first
+    /// keeps the log order honest.  The flag is released (and waiters woken)
+    /// when the returned guard drops.  `None` when the flag is taken.
+    fn try_hold(&self) -> Option<CombinerGuard<'_, K, V, S>> {
         self.check_poisoned();
         if !self.lock_combiner() {
             return None;
         }
-        let _unlock = CombinerGuard { set: self };
+        let held = CombinerGuard { set: self };
         // Re-check *after* winning the flag: the pre-CAS check races a
         // poisoning combiner's release, and proceeding here would both
         // combine on the half-mutated set and dereference slots abandoned
@@ -1147,26 +1141,22 @@ where
         // with the poisoner's Release unlock, which its poison store
         // preceded, so this load cannot miss the poison.
         self.check_poisoned();
-        // A plain load dodges the swap's locked RMW in the common empty
-        // case.  Missing a racing publish is harmless: its publisher
-        // observes our unlock (spin recheck or the Dekker handshake)
-        // and elects itself next.
-        if !self.ingress.load(Ordering::Acquire).is_null() {
-            self.combine_round();
-        }
-        self.metrics.fast_path_rounds.add_single_writer(1);
-        Some(self.run_point_op(kind, key, val))
+        self.combine_round();
+        Some(held)
     }
 
-    /// Executes one operation directly against the backend's point path and
-    /// commits it as a round of its own.  Caller must hold the combiner flag.
-    fn run_point_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
-        // SAFETY: the caller holds the combiner flag — exclusive set access.
-        let set = unsafe { &mut *self.set.get() };
-        let result = match kind {
-            OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
-            OpKind::Remove => set.remove_one(key),
-        };
+    /// The uncontended fast path: if nobody is combining, become the
+    /// combiner *without* publishing a slot and run our own op directly
+    /// against the backend's point path, as a round of its own.  No slot, no
+    /// `done` handshake, no key clone; under no contention the front-end
+    /// costs one CAS + one load over a plain mutex.
+    ///
+    /// Returns `None` when the combiner flag is taken, and the caller must
+    /// fall back to [`ConcurrentMap::run_op_published`].
+    fn try_fast_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> Option<bool> {
+        let _held = self.try_hold()?;
+        self.metrics.fast_path_rounds.add_single_writer(1);
+        let result = self.apply(kind, key, val);
         self.commit_round(1, || {
             vec![RoundOp {
                 kind,
@@ -1175,7 +1165,18 @@ where
                 result,
             }]
         });
-        result
+        Some(result)
+    }
+
+    /// Executes one operation against the backend's point path.  Caller
+    /// must hold the combiner flag (and commit the round the op belongs to).
+    fn apply(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
+        // SAFETY: the caller holds the combiner flag — exclusive set access.
+        let set = unsafe { &mut *self.set.get() };
+        match kind {
+            OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
+            OpKind::Remove => set.remove_one(key),
+        }
     }
 
     /// The contended path: publishes a slot, then combines or waits until
@@ -1221,9 +1222,8 @@ where
             // memory is abandoned exactly like every other poisoned path —
             // nothing dereferences it again, because every entry point
             // panics before touching the ingress list.
-            self.check_poisoned();
-            if self.try_combine() {
-                continue; // a round committed; our op may be done now
+            if self.try_hold().is_some() {
+                continue; // we combined a round; our op may be done now
             }
             // Someone else holds the combiner flag; they will either drain
             // our op or wake us when they release.
@@ -1238,20 +1238,6 @@ where
         unsafe { *slot.result.get() }
     }
 
-    /// Attempts to become the combiner; on success runs one round, unlocks
-    /// and wakes waiters.  Returns whether a round was run.
-    fn try_combine(&self) -> bool {
-        if !self.lock_combiner() {
-            return false;
-        }
-        let _unlock = CombinerGuard { set: self };
-        // Same post-CAS re-check as `try_fast_op`: never drain after a
-        // poisoning release.
-        self.check_poisoned();
-        self.combine_round();
-        true
-    }
-
     /// Commits the round of `len` ops the caller has just executed against
     /// the backend — every round, of whatever origin, commits here.  Caller
     /// must hold the combiner flag and must not have acknowledged any op of
@@ -1263,53 +1249,35 @@ where
     /// acknowledged client may return and immediately `take_rounds`, which
     /// must already hold every round whose results have been observed.
     ///
-    /// The counters are combiner-only — flag hand-off (Release unlock /
-    /// Acquire lock) orders successive combiners — so the single-writer
-    /// plain-load+store advance is exact without atomic RMWs.
+    /// The seq and the counters are combiner-only — flag hand-off (Release
+    /// unlock / Acquire lock) orders successive combiners — so seqs are
+    /// strictly increasing and gap-free in commit order, and the
+    /// single-writer plain-load+store advance is exact without atomic RMWs.
     fn commit_round(&self, len: u64, ops: impl FnOnce() -> Vec<RoundOp<K, V>>) {
-        let seq = self.next_seq();
-        self.commit_round_state(seq);
+        let start = self.obs.now();
+        // SAFETY: combiner flag held — exclusive access to `seq`, `set` (the
+        // round's own `&mut` borrow is dead by the time this runs) and
+        // `retired`.
+        let (seq, view, retired) = unsafe {
+            let seq = &mut *self.seq.get();
+            *seq += 1;
+            (*seq, (*self.set.get()).clone(), &mut *self.retired.get())
+        };
+        let snap = self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
+        let publish_ns = start.map(|start| start.elapsed().as_nanos() as u64);
+        // The snapshot this displaced waits in `retired` for the
+        // [`CombinerGuard`] to drop once the flag is free.  A second publish
+        // under one hold of the flag (a fast-path or batch op that first
+        // flushed published ops): only the last waits for the guard.
+        if let Some(earlier) = retired.replace(Retired { snap, publish_ns }) {
+            self.drop_retired(earlier);
+        }
         if let Some(log) = &self.log {
             log.lock().unwrap().push(Round { seq, ops: ops() });
         }
         self.metrics.ops.add_single_writer(len);
         self.metrics.round_size.record(len);
         self.metrics.rounds.add_single_writer(1);
-    }
-
-    /// Publishes the round's state as snapshot `seq` ([`commit_round`]'s
-    /// second step).  The snapshot this displaces is parked in `retired` for
-    /// the [`CombinerGuard`] to drop once the flag is free.
-    ///
-    /// [`commit_round`]: ConcurrentMap::commit_round
-    fn commit_round_state(&self, seq: u64) {
-        let start = self.obs.now();
-        // SAFETY: combiner flag held — exclusive set access (the round's
-        // own `&mut` borrow is dead by the time this runs).
-        let view = unsafe { &*self.set.get() }.clone();
-        let snap = self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
-        let publish_ns = start.map(|start| start.elapsed().as_nanos() as u64);
-        // SAFETY: combiner flag held — exclusive access to `retired`.
-        let earlier = unsafe { &mut *self.retired.get() }.replace(Retired { snap, publish_ns });
-        // A second publish under one hold of the flag (a fast-path or batch
-        // op that first flushed published ops): only the last waits for the
-        // guard.
-        if let Some(earlier) = earlier {
-            self.drop_retired(earlier);
-        }
-    }
-
-    /// Allocates the sequence number for a round about to commit.  Caller
-    /// must hold the combiner flag; successive combiners hand the counter
-    /// off through the flag's Release/Acquire pair, so seqs are strictly
-    /// increasing and gap-free in commit order.
-    fn next_seq(&self) -> u64 {
-        // SAFETY: combiner-exclusive (like `set`).
-        unsafe {
-            let seq = &mut *self.seq.get();
-            *seq += 1;
-            *seq
-        }
     }
 
     fn lock_combiner(&self) -> bool {
@@ -1384,119 +1352,70 @@ where
         self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
-    /// Runs one combining round — inline, on this thread.  Caller must hold
-    /// the combiner flag.
+    /// Runs one combining round — inline, on this thread: every op published
+    /// so far, applied to the backend's point path in publish order and
+    /// committed as one round.  Caller must hold the combiner flag.
     fn combine_round(&self) {
+        // A plain load dodges the swap's locked RMW in the common empty
+        // case (`Relaxed`: only compared with null — the swap below is what
+        // makes a slot's fields visible).  Missing a racing publish is
+        // harmless: its publisher observes our unlock (spin recheck or the
+        // Dekker handshake) and elects itself next.
+        if self.ingress.load(Ordering::Relaxed).is_null() {
+            return;
+        }
         // Claim everything published so far.  Acquire pairs with the
         // publishers' Release CASes, making the slots' fields visible.
-        let drained = self.ingress.swap(ptr::null_mut(), Ordering::Acquire);
-        if drained.is_null() {
-            return;
-        }
+        let mut newer = self.ingress.swap(ptr::null_mut(), Ordering::Acquire);
+        // The Treiber stack yields newest-first: reverse the links in place
+        // to restore publish order.  The drained list is the combiner's own
+        // — a publisher writes `next` only before its CAS.
+        let mut oldest: *mut OpSlot<K, V> = ptr::null_mut();
+        let mut len = 0;
         // SAFETY: every published slot stays pinned until its `done` flag
-        // is set, which this round has not done yet.
-        let newest = unsafe { &*drained };
-        // Single-op round (the common case whenever clients do not outnumber
-        // actual hardware concurrency): skip the batch machinery entirely
-        // and hit the backend's point path.
-        if newest.next.load(Ordering::Relaxed).is_null() {
-            let result = self.run_point_op(newest.kind, &newest.key, newest.val.as_ref());
-            // SAFETY: combiner-exclusive until the `done` store, which is
-            // the last touch (Release publishes the result write).
-            unsafe {
-                *newest.result.get() = result;
-                newest.done.store(true, Ordering::Release);
-            }
-            return;
+        // is set, which is the last thing this round does to it.
+        while let Some(slot) = unsafe { newer.as_ref() } {
+            let older = slot.next.load(Ordering::Relaxed);
+            slot.next.store(oldest, Ordering::Relaxed);
+            (oldest, newer) = (newer, older);
+            len += 1;
         }
-
-        // Split by kind.  The Treiber stack yields newest-first; pushing
-        // onto the lanes and reversing restores publish order.
-        let (mut ins, mut rem) = (Vec::new(), Vec::new());
-        let mut cursor: *const OpSlot<K, V> = drained;
-        while !cursor.is_null() {
-            // SAFETY: pinned, as above.
-            let slot = unsafe { &*cursor };
-            match slot.kind {
-                OpKind::Insert => ins.push(cursor),
-                OpKind::Remove => rem.push(cursor),
-            }
-            cursor = slot.next.load(Ordering::Relaxed);
-        }
-        ins.reverse();
-        rem.reverse();
-
-        // One sorted batch per kind (publish order + stable sort + last-wins
-        // = the value the ops would leave behind applied one by one).
-        // SAFETY (both): slots stay pinned (as above); `key` and `val`
-        // are read by shared reference, which `K: Sync`, `V: Sync` licence
-        // across threads.
-        let entry = |&s: &*const OpSlot<K, V>| {
-            let slot = unsafe { &*s };
-            let val = slot.val.clone().expect("insert ops carry a value");
-            (slot.key.clone(), val)
+        // The round's slots, oldest first.  Each slot's link is read
+        // *before* the slot is yielded, so a consumer may set `done` — after
+        // which the slot is gone — as its last touch.
+        let round = || {
+            let mut cursor: *const OpSlot<K, V> = oldest;
+            std::iter::from_fn(move || {
+                // SAFETY: pinned as above, and the links are ours.
+                let slot = unsafe { cursor.as_ref() }?;
+                cursor = slot.next.load(Ordering::Relaxed);
+                Some(slot)
+            })
         };
-        let ins_batch = KvBatch::from_unsorted_entries(ins.iter().map(entry).collect());
-        let key = |&s: &*const OpSlot<K, V>| unsafe { (*s).key.clone() };
-        let rem_batch = Batch::from_unsorted(rem.iter().map(key).collect());
-
-        // Execute in linearisation order: insert, remove.  An empty lane
-        // makes no backend call at all.
-        // SAFETY: combiner flag held — exclusive access to the set.
-        let set = unsafe { &mut *self.set.get() };
-        if !ins_batch.is_empty() {
-            distribute(&ins, &ins_batch, &set.batch_insert(&ins_batch));
+        // Publish order is the round's linearisation order (see the module
+        // docs); a round of one is this loop running once.
+        for slot in round() {
+            let result = self.apply(slot.kind, &slot.key, slot.val.as_ref());
+            // SAFETY: combiner-exclusive until the `done` store; the owning
+            // client reads `result` only after its Acquire load of `done`.
+            unsafe { *slot.result.get() = result };
         }
-        if !rem_batch.is_empty() {
-            distribute(&rem, &rem_batch, &set.batch_remove(&rem_batch));
-        }
-
-        self.commit_round((ins.len() + rem.len()) as u64, || {
-            let op = |&s: &*const OpSlot<K, V>| {
-                // SAFETY: still pinned; `result` was written by `distribute`
-                // and is combiner-exclusive until the `done` store below.
-                let (slot, result) = unsafe { (&*s, *(*s).result.get()) };
-                RoundOp {
-                    kind: slot.kind,
-                    key: slot.key.clone(),
-                    val: slot.val.clone(),
-                    result,
-                }
+        self.commit_round(len, || {
+            let op = |slot: &OpSlot<K, V>| RoundOp {
+                kind: slot.kind,
+                key: slot.key.clone(),
+                val: slot.val.clone(),
+                // SAFETY: written above, still combiner-exclusive.
+                result: unsafe { *slot.result.get() },
             };
-            ins.iter().chain(&rem).map(op).collect()
+            round().map(op).collect()
         });
-
-        // Completion: after each `done` store the owning client may pop the
-        // slot off its stack, so this loop is the combiner's last touch.
-        for &slot in ins.iter().chain(&rem) {
-            // SAFETY: Release publishes the result write above; the slot is
-            // not accessed afterwards.
-            unsafe { (*slot).done.store(true, Ordering::Release) };
+        // Completion: after each `done` store (Release publishes the result
+        // write) the owning client may pop the slot off its stack, so it is
+        // the combiner's last touch — `round` has read `next` already.
+        for slot in round() {
+            slot.done.store(true, Ordering::Release);
         }
-    }
-}
-
-/// Writes one lane's per-op results from its batch's per-key flags.
-///
-/// Duplicated keys resolve sequentially: the first op on a key gets the
-/// batch flag, later duplicates observe the first one's effect (insert
-/// after insert → already present; remove after remove → already gone),
-/// exactly as the replayed linearisation does.
-fn distribute<K: Ord, V>(slots: &[*const OpSlot<K, V>], batch: &[K], flags: &[bool]) {
-    // Which batch keys an earlier duplicate op has already claimed.
-    let mut claimed = vec![false; batch.len()];
-    for &ptr in slots {
-        // SAFETY: slots stay pinned until their `done` store, which happens
-        // after all `distribute` calls of the round.
-        let slot = unsafe { &*ptr };
-        let idx = batch
-            .binary_search(&slot.key)
-            .expect("round batch is built from exactly these op keys");
-        let first = !claimed[idx];
-        claimed[idx] = true;
-        // SAFETY: combiner-exclusive until `done` is set; the owning client
-        // reads `result` only after its Acquire load of `done`.
-        unsafe { *slot.result.get() = first && flags[idx] };
     }
 }
 
@@ -2010,7 +1929,8 @@ mod tests {
     /// A `VecSet` whose batched insert, given a batch holding [`GATE`],
     /// reports on `entered` and then blocks on `release` — a round a test
     /// can hold open for as long as it likes.  (A batch that also holds
-    /// `u64::MAX` panics once released: the inner set's bomb.)
+    /// `u64::MAX` panics once released: the inner set's bomb.  Removing
+    /// `u64::MAX` panics too — the bomb a combined round meets mid-way.)
     #[derive(Clone)]
     struct Gated {
         inner: VecSet,
@@ -2051,12 +1971,14 @@ mod tests {
             self.inner.batch_insert(batch)
         }
         fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            assert!(!batch.contains(&u64::MAX), "bomb");
             self.inner.batch_remove(batch)
         }
     }
 
     /// A gated front-end (pool telemetry on, which turns the timed metrics
-    /// on), the "round is open" receiver and the release sender.
+    /// on; round log on), the "round is open" receiver and the release
+    /// sender.
     fn gated() -> (
         Arc<ConcurrentSet<u64, Gated>>,
         mpsc::Receiver<()>,
@@ -2074,25 +1996,156 @@ mod tests {
             .metrics(true)
             .build()
             .unwrap();
-        let set = ConcurrentSet::new(backend, pool);
+        let options = Options {
+            log_rounds: true,
+            ..Options::default()
+        };
+        let set = ConcurrentSet::with_options(backend, pool, options);
         (Arc::new(set), entered, release)
     }
 
-    /// Spawns a client inserting `7` behind the open round and returns once
+    /// Spawns a client running `op` behind the open round and returns once
     /// it has parked — which it must, however long the round stays open:
     /// at once behind a long round, when the poll budget runs out behind a
-    /// point round.
-    fn park_a_waiter(set: &Arc<ConcurrentSet<u64, Gated>>) -> std::thread::JoinHandle<bool> {
-        let waiter = {
+    /// point round.  A client parks only after it has published, so parking
+    /// clients one after another fixes their publish order.
+    fn park_behind<T: Send + 'static>(
+        set: &Arc<ConcurrentSet<u64, Gated>>,
+        op: impl FnOnce(&ConcurrentSet<u64, Gated>) -> T + Send + 'static,
+    ) -> std::thread::JoinHandle<T> {
+        let parked = set.metrics().counter("combine.sleeps");
+        let client = {
             let set = Arc::clone(set);
-            std::thread::spawn(move || set.insert(7))
+            std::thread::spawn(move || op(&set))
         };
         let deadline = Instant::now() + Duration::from_secs(30);
-        while set.metrics().counter("combine.sleeps") == Some(0) {
-            assert!(Instant::now() < deadline, "the waiter never parked");
+        while set.metrics().counter("combine.sleeps") == parked {
+            assert!(Instant::now() < deadline, "the client never parked");
             std::thread::yield_now();
         }
-        waiter
+        client
+    }
+
+    /// [`park_behind`] for a client inserting `7`.
+    fn park_a_waiter(set: &Arc<ConcurrentSet<u64, Gated>>) -> std::thread::JoinHandle<bool> {
+        park_behind(set, |set| set.insert(7))
+    }
+
+    /// Joins `client`, failing the test if it has not finished in 30 s: a
+    /// client left waiting on a round that will never acknowledge it is the
+    /// failure these tests exist to catch.
+    fn join_bounded<T>(client: std::thread::JoinHandle<T>) -> std::thread::Result<T> {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !client.is_finished() {
+            assert!(Instant::now() < deadline, "a client hung");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        client.join()
+    }
+
+    /// Holds a whole-batch round open over `{1, 2, 3, GATE}`: the flag is
+    /// `LONG`, so every client started before the returned sender fires
+    /// parks as soon as it has published.
+    fn hold_a_long_round(
+        set: &Arc<ConcurrentSet<u64, Gated>>,
+        entered: &mpsc::Receiver<()>,
+    ) -> std::thread::JoinHandle<Vec<bool>> {
+        let holder = {
+            let set = Arc::clone(set);
+            std::thread::spawn(move || set.batch_insert(&Batch::from_unsorted(vec![GATE, 1, 2, 3])))
+        };
+        entered.recv().unwrap();
+        holder
+    }
+
+    #[test]
+    fn a_rounds_ops_linearise_in_publish_order() {
+        let (set, entered, release) = gated();
+        let holder = hold_a_long_round(&set, &entered);
+        // Published in this order, all into the one round the first client
+        // to wake combines.
+        let x = 50;
+        let clients = [
+            park_behind(&set, move |set| set.remove(&x)),
+            park_behind(&set, move |set| set.insert(x)),
+            park_behind(&set, move |set| set.insert(x)),
+        ];
+        release.send(()).unwrap();
+        assert_eq!(join_bounded(holder).unwrap(), vec![true; 4]);
+        let results: Vec<bool> = clients
+            .into_iter()
+            .map(|client| join_bounded(client).unwrap())
+            .collect();
+        assert_eq!(
+            results,
+            [false, true, false],
+            "remove observed an insert published after it"
+        );
+        assert!(set.contains(&x));
+
+        let rounds = set.take_rounds();
+        assert_eq!(rounds.len(), 2, "the batch, then one combined round");
+        let logged: Vec<(OpKind, u64, bool)> = rounds[1]
+            .ops
+            .iter()
+            .map(|op| (op.kind, op.key, op.result))
+            .collect();
+        assert_eq!(
+            logged,
+            [
+                (OpKind::Remove, x, false),
+                (OpKind::Insert, x, true),
+                (OpKind::Insert, x, false)
+            ]
+        );
+        let mut oracle = BTreeSet::new();
+        for op in rounds.iter().flat_map(|round| &round.ops) {
+            let expect = match op.kind {
+                OpKind::Insert => oracle.insert(op.key),
+                OpKind::Remove => oracle.remove(&op.key),
+            };
+            assert_eq!(op.result, expect, "replaying {op:?}");
+        }
+        assert_eq!(set.snapshot_keys().0, Vec::from_iter(oracle));
+    }
+
+    #[test]
+    fn a_panic_mid_round_publishes_none_of_the_round() {
+        let (set, entered, release) = gated();
+        let holder = hold_a_long_round(&set, &entered);
+        // A three-op round whose second op is the bomb: by the time it goes
+        // off, `insert(20)` has been applied to the working copy.
+        let clients = [
+            park_behind(&set, |set| set.insert(20)),
+            park_behind(&set, |set| set.remove(&u64::MAX)),
+            park_behind(&set, |set| set.insert(21)),
+        ];
+        release.send(()).unwrap();
+        assert_eq!(join_bounded(holder).unwrap(), vec![true; 4]);
+
+        // Whichever client woke first combined the round and carries the
+        // backend's own panic; the other two fail with the poison message,
+        // and so does every later writer.  Nobody hangs.
+        let message = |payload: Box<dyn std::any::Any + Send>| {
+            *payload.downcast_ref::<&str>().expect("str payload")
+        };
+        let mut messages: Vec<&str> = clients
+            .into_iter()
+            .map(|client| message(join_bounded(client).expect_err("the round was acknowledged")))
+            .collect();
+        messages.sort_by_key(|msg| msg.contains("poisoned"));
+        assert_eq!(messages[0], "bomb");
+        assert!(messages[1..].iter().all(|msg| msg.contains("poisoned")));
+        assert!(set.is_poisoned());
+        let later = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.insert(5)));
+        assert!(message(later.unwrap_err()).contains("poisoned"));
+
+        // A panicking round never publishes: the snapshot is the state the
+        // batch round left, at its seq, with none of the applied ops in it.
+        let snap = set.read_snapshot();
+        assert_eq!(snap.seq(), 1);
+        assert_eq!(snap.view().collect_keys(), vec![1, 2, 3, GATE]);
+        assert_eq!(set.take_rounds().len(), 1, "the round was never logged");
     }
 
     #[test]

@@ -83,8 +83,8 @@ impl Default for Histogram {
     }
 }
 
-/// An owned copy of a [`Histogram`]'s state: mergeable, subtractable,
-/// renderable.
+/// An owned copy of a [`Histogram`]'s state, with its summary statistics
+/// and JSON rendering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HistSnapshot {
     /// Per-bucket sample counts (see [`bucket_bounds`] for ranges).
@@ -115,26 +115,6 @@ impl HistSnapshot {
             0.0
         } else {
             self.sum as f64 / count as f64
-        }
-    }
-
-    /// Per-bucket sum of two snapshots.  Saturating, which keeps merging
-    /// associative and commutative even at the (never realistic) `u64`
-    /// boundary — per-worker histograms can be folded in any order.
-    pub fn merge(&self, other: &HistSnapshot) -> HistSnapshot {
-        HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_add(other.buckets[i])),
-            sum: self.sum.saturating_add(other.sum),
-        }
-    }
-
-    /// What was recorded since `earlier` was taken (per-bucket saturating
-    /// subtraction; both snapshots must come from the same histogram for
-    /// the result to mean anything).
-    pub fn delta(&self, earlier: &HistSnapshot) -> HistSnapshot {
-        HistSnapshot {
-            buckets: std::array::from_fn(|i| self.buckets[i].saturating_sub(earlier.buckets[i])),
-            sum: self.sum.saturating_sub(earlier.sum),
         }
     }
 
@@ -221,20 +201,6 @@ mod tests {
         h.snapshot()
     }
 
-    #[test]
-    fn merge_is_associative_and_commutative() {
-        let a = snap_of(&[0, 1, 1, 7, 900, u64::MAX]);
-        let b = snap_of(&[2, 3, 64, 64, 64]);
-        let c = snap_of(&[5, 1 << 40, 1 << 41]);
-        assert_eq!(a.merge(&b), b.merge(&a));
-        assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
-        // Identity and counts add up.
-        let empty = HistSnapshot::default();
-        assert_eq!(a.merge(&empty), a);
-        assert_eq!(a.merge(&b).count(), a.count() + b.count());
-        assert_eq!(a.merge(&b).sum, a.sum + b.sum);
-    }
-
     /// Four threads hammer one histogram; the result must equal the same
     /// samples recorded sequentially — no sample lost, none misfiled.
     #[test]
@@ -272,24 +238,6 @@ mod tests {
         }
         assert_eq!(shared.snapshot(), sequential.snapshot());
         assert_eq!(shared.snapshot().count(), hammer_threads * per_thread);
-    }
-
-    #[test]
-    fn snapshot_delta_isolates_the_new_samples() {
-        let h = Histogram::new();
-        for v in [1u64, 5, 5, 300] {
-            h.record(v);
-        }
-        let before = h.snapshot();
-        for v in [2u64, 5, 1 << 20] {
-            h.record(v);
-        }
-        let after = h.snapshot();
-        let delta = after.delta(&before);
-        assert_eq!(delta, snap_of(&[2, 5, 1 << 20]));
-        // delta(x, x) is empty; before + delta reassembles after.
-        assert_eq!(after.delta(&after), HistSnapshot::default());
-        assert_eq!(before.merge(&delta), after);
     }
 
     #[test]

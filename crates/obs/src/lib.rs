@@ -17,13 +17,13 @@
 //!   high-water mark (a durable log's fsynced sequence number) moves with
 //!   [`Counter::set_max`].
 //! * [`Histogram`] — fixed power-of-two buckets, lock-free record, and
-//!   mergeable/subtractable [`HistSnapshot`]s.  Works for nanosecond
-//!   latencies and size distributions alike.
+//!   owned [`HistSnapshot`]s.  Works for nanosecond latencies and size
+//!   distributions alike.
 //! * [`Registry`] — named metrics with get-or-create handle lookup
 //!   ([`Registry::counter`]/[`Registry::histogram`]); handles are `Arc`s
 //!   cloned out once, so hot paths never touch the registry lock.  A
-//!   [`Snapshot`] captures every metric at once and supports
-//!   [`Snapshot::delta`] and deterministic JSON rendering.
+//!   [`Snapshot`] captures every metric at once, looked up by name, with
+//!   deterministic JSON rendering.
 //! * [`Obs`] — the zero-cost-when-disabled guard: a `#[cfg]`-free runtime
 //!   flag.  Every instrumentation site routes through an `#[inline]` method
 //!   that tests the flag first, so a disabled guard is a single

@@ -135,35 +135,6 @@ impl Snapshot {
         }
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
-    pub fn iter(&self) -> impl Iterator<Item = (&str, &MetricValue)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// What changed since `earlier` was taken: counters subtract
-    /// (saturating), histograms subtract per bucket.  Metrics registered
-    /// only after `earlier` appear unchanged.
-    pub fn delta(&self, earlier: &Snapshot) -> Snapshot {
-        Snapshot {
-            entries: self
-                .entries
-                .iter()
-                .map(|(name, value)| {
-                    let value = match (value, earlier.entries.get(name)) {
-                        (MetricValue::Counter(now), Some(MetricValue::Counter(then))) => {
-                            MetricValue::Counter(now.saturating_sub(*then))
-                        }
-                        (MetricValue::Histogram(now), Some(MetricValue::Histogram(then))) => {
-                            MetricValue::Histogram(Box::new(now.delta(then)))
-                        }
-                        _ => value.clone(),
-                    };
-                    (name.clone(), value)
-                })
-                .collect(),
-        }
-    }
-
     /// Renders the snapshot as one JSON object, metrics keyed by name in
     /// deterministic (sorted) order.
     pub fn to_json(&self) -> String {
@@ -214,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_delta_and_json() {
+    fn snapshot_lookup_and_json() {
         let reg = Registry::new();
         let c = reg.counter("a.count");
         let h = reg.histogram("a.sizes");
@@ -225,22 +196,17 @@ mod tests {
         h.record(200);
         let after = reg.snapshot();
 
+        // A snapshot is a capture, not a view.
+        assert_eq!(before.counter("a.count"), Some(5));
         assert_eq!(after.counter("a.count"), Some(7));
         assert_eq!(after.histogram("a.sizes").unwrap().count(), 2);
         assert_eq!(after.counter("missing"), None);
         assert_eq!(after.histogram("a.count"), None);
-
-        let delta = after.delta(&before);
-        assert_eq!(delta.counter("a.count"), Some(2));
-        let sizes = delta.histogram("a.sizes").unwrap();
-        assert_eq!(sizes.count(), 1);
-        assert_eq!(sizes.sum, 200);
 
         let json = after.to_json();
         assert!(json.contains("\"a.count\": 7"), "{json}");
         assert!(json.contains("\"a.sizes\": {"), "{json}");
         // Deterministic: same registry state renders identically.
         assert_eq!(json, reg.snapshot().to_json());
-        assert_eq!(after.iter().count(), 2);
     }
 }

@@ -9,8 +9,6 @@
 //! the output buffer at the same offsets — the offsets themselves being the
 //! exclusive scan of the per-child query counts.
 
-use std::mem::MaybeUninit;
-
 use crate::metrics::{touch_node, MetricsRef};
 use crate::node::{InterpolateKey, LeafNode, Node};
 
@@ -42,10 +40,10 @@ pub(crate) fn partition_batch<K: Ord>(routers: &[K], batch: &[K]) -> Vec<usize> 
 
 /// One child's share of a joint traversal: the subtree, its contiguous
 /// sub-batch, and the matching slice of the output buffer.
-type QueryTask<'a, K, V, R> = (&'a Node<K, V>, &'a [K], &'a mut [MaybeUninit<R>]);
+type QueryTask<'a, K, V, R> = (&'a Node<K, V>, &'a [K], &'a mut [R]);
 
 /// Answers `batch` (sorted, strictly increasing) against the subtree at
-/// `node`, writing one `answer` per query into `out` (same order):
+/// `node`, writing one `answer` per query over `out`'s slots (same order):
 /// partitions `batch` at each inner node's routers, recurses per child
 /// (forked once the batch is large enough), and answers each query at its
 /// leaf — a membership flag for `batch_contains`, a value for `batch_get`.
@@ -56,7 +54,7 @@ type QueryTask<'a, K, V, R> = (&'a Node<K, V>, &'a [K], &'a mut [MaybeUninit<R>]
 pub(crate) fn joint_query_into<K, V, R, F>(
     node: &Node<K, V>,
     batch: &[K],
-    out: &mut [MaybeUninit<R>],
+    out: &mut [R],
     m: MetricsRef<'_>,
     answer: &F,
 ) where
@@ -70,7 +68,7 @@ pub(crate) fn joint_query_into<K, V, R, F>(
     match node {
         Node::Leaf(leaf) => {
             for (q, slot) in batch.iter().zip(out.iter_mut()) {
-                slot.write(answer(leaf, q));
+                *slot = answer(leaf, q);
             }
         }
         Node::Inner(inner) => {

@@ -3,7 +3,6 @@
 //! value, with the set as its `V = ()` instance.  Every write, of one key
 //! or a whole batch, is one call into `update`'s recursion.
 
-use std::mem::MaybeUninit;
 use std::ops::Bound;
 use std::slice;
 use std::sync::Arc;
@@ -175,33 +174,28 @@ where
     }
 
     /// Answers one leaf-level query per batch key by the paper's joint
-    /// traversal, writing answers straight into the result's spare capacity.
+    /// traversal, each answer written over its `R::default()` slot.
     fn batch_lookup<R, F>(&self, batch: &[K], answer: &F) -> Vec<R>
     where
         R: Default + Send,
         F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
     {
-        let Some(root) = &self.root else {
-            return batch.iter().map(|_| R::default()).collect();
-        };
-        let mut out = Vec::with_capacity(batch.len());
-        let slots = &mut out.spare_capacity_mut()[..batch.len()];
-        traverse::joint_query_into(root, batch, slots, self.obs_metrics(), answer);
-        // SAFETY: the traversal writes every one of the first `batch.len()`
-        // slots exactly once (children cover disjoint batch segments).
-        unsafe { out.set_len(batch.len()) };
+        let mut out: Vec<R> = batch.iter().map(|_| R::default()).collect();
+        if let Some(root) = &self.root {
+            traverse::joint_query_into(root, batch, &mut out, self.obs_metrics(), answer);
+        }
         out
     }
 
     /// Upserts a non-empty sorted run — a whole batch or one pair — writing a
     /// "newly inserted?" flag per key into `out`; returns the number added.
-    fn insert_sorted(&mut self, keys: &[K], vals: &[V], out: &mut [MaybeUninit<bool>]) -> usize {
+    fn insert_sorted(&mut self, keys: &[K], vals: &[V], out: &mut [bool]) -> usize {
         let m = metrics_ref(self.obs, &self.metrics);
         match &mut self.root {
             Some(root) => update::insert_into(cow(root, m), keys, vals, out, m),
             None => {
                 self.root = Some(Arc::new(build(keys, vals)));
-                out.fill(MaybeUninit::new(true));
+                out.fill(true);
                 keys.len()
             }
         }
@@ -209,10 +203,10 @@ where
 
     /// Removes a non-empty sorted run of keys, writing a "was present?" flag
     /// per key into `out`; returns the number removed.
-    fn remove_sorted(&mut self, keys: &[K], out: &mut [MaybeUninit<bool>]) -> usize {
+    fn remove_sorted(&mut self, keys: &[K], out: &mut [bool]) -> usize {
         let m = metrics_ref(self.obs, &self.metrics);
         let Some(root) = &mut self.root else {
-            out.fill(MaybeUninit::new(false));
+            out.fill(false);
             return 0;
         };
         let root = cow(root, m);
@@ -316,23 +310,17 @@ where
     V: Clone + Send + Sync,
 {
     fn batch_insert(&mut self, batch: &KvBatch<K, V>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
+        let mut out = vec![false; batch.len()];
         if !batch.is_empty() {
-            let slots = &mut out.spare_capacity_mut()[..batch.len()];
-            self.insert_sorted(batch.keys(), batch.vals(), slots);
-            // SAFETY: as in `batch_lookup` — every flag slot written once.
-            unsafe { out.set_len(batch.len()) };
+            self.insert_sorted(batch.keys(), batch.vals(), &mut out);
         }
         out
     }
 
     fn batch_remove(&mut self, batch: &Batch<K>) -> Vec<bool> {
-        let mut out = Vec::with_capacity(batch.len());
+        let mut out = vec![false; batch.len()];
         if !batch.is_empty() {
-            let slots = &mut out.spare_capacity_mut()[..batch.len()];
-            self.remove_sorted(batch.keys(), slots);
-            // SAFETY: as in `batch_lookup` — every flag slot written once.
-            unsafe { out.set_len(batch.len()) };
+            self.remove_sorted(batch.keys(), &mut out);
         }
         out
     }
@@ -341,13 +329,11 @@ where
     // methods' `Vec`s (borrowed one-element slices, a flag slot on the stack).
 
     fn upsert_one(&mut self, key: &K, val: &V) -> bool {
-        let mut flag = [MaybeUninit::uninit()];
-        self.insert_sorted(slice::from_ref(key), slice::from_ref(val), &mut flag) == 1
+        self.insert_sorted(slice::from_ref(key), slice::from_ref(val), &mut [false]) == 1
     }
 
     fn remove_one(&mut self, key: &K) -> bool {
-        let mut flag = [MaybeUninit::uninit()];
-        self.remove_sorted(slice::from_ref(key), &mut flag) == 1
+        self.remove_sorted(slice::from_ref(key), &mut [false]) == 1
     }
 }
 

@@ -59,7 +59,7 @@ type ChildTask<'a, K, V> = (
     Option<&'a K>,
     &'a mut Node<K, V>,
     Range<usize>,
-    &'a mut [MaybeUninit<bool>],
+    &'a mut [bool],
     usize,
 );
 
@@ -79,7 +79,7 @@ pub(crate) fn insert_into<K, V>(
     node: &mut Node<K, V>,
     batch: &[K],
     vals: &[V],
-    out: &mut [MaybeUninit<bool>],
+    out: &mut [bool],
     m: MetricsRef<'_>,
 ) -> usize
 where
@@ -126,7 +126,7 @@ where
 pub(crate) fn remove_from<K, V>(
     node: &mut Node<K, V>,
     batch: &[K],
-    out: &mut [MaybeUninit<bool>],
+    out: &mut [bool],
     m: MetricsRef<'_>,
 ) -> usize
 where
@@ -277,14 +277,14 @@ fn collect_into<K, V>(
 fn for_each_child_batch<K, V, Op>(
     inner: &mut InnerNode<K, V>,
     batch: &[K],
-    out: &mut [MaybeUninit<bool>],
+    out: &mut [bool],
     m: MetricsRef<'_>,
     op: Op,
 ) -> usize
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
-    Op: Fn(Option<&K>, &mut Node<K, V>, Range<usize>, &mut [MaybeUninit<bool>]) -> usize + Sync,
+    Op: Fn(Option<&K>, &mut Node<K, V>, Range<usize>, &mut [bool]) -> usize + Sync,
 {
     let (routers, children) = (&*inner.routers, &mut inner.children);
     let router_of = |idx: usize| idx.checked_sub(1).map(|at| &routers[at]);
@@ -376,7 +376,7 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
     leaf: &mut LeafNode<K, V>,
     batch: &[K],
     vals: &[V],
-    out: &mut [MaybeUninit<bool>],
+    out: &mut [bool],
 ) -> usize {
     if let ([key], [val]) = (batch, vals) {
         let found = leaf.keys.binary_search(key);
@@ -387,7 +387,7 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
                 leaf.vals.insert(pos, val.clone());
             }
         }
-        out[0].write(found.is_err());
+        out[0] = found.is_err();
         return found.is_err() as usize;
     }
     let keys = &leaf.keys;
@@ -408,12 +408,12 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
             merged.push(keys[i].clone());
             merged_vals.push(v.clone());
             i += 1;
-            slot.write(false);
+            *slot = false;
         } else {
             merged.push(q.clone());
             merged_vals.push(v.clone());
             added += 1;
-            slot.write(true);
+            *slot = true;
         }
     }
     merged.extend_from_slice(&keys[i..]);
@@ -429,7 +429,7 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
 fn remove_from_leaf<K: Ord + Clone, V: Clone>(
     leaf: &mut LeafNode<K, V>,
     batch: &[K],
-    out: &mut [MaybeUninit<bool>],
+    out: &mut [bool],
 ) -> usize {
     if let [key] = batch {
         let found = leaf.keys.binary_search(key);
@@ -437,7 +437,7 @@ fn remove_from_leaf<K: Ord + Clone, V: Clone>(
             leaf.keys.remove(pos);
             leaf.vals.remove(pos);
         }
-        out[0].write(found.is_ok());
+        out[0] = found.is_ok();
         return found.is_ok() as usize;
     }
     let keys = &leaf.keys;
@@ -455,9 +455,9 @@ fn remove_from_leaf<K: Ord + Clone, V: Clone>(
         if i < keys.len() && keys[i] == *q {
             i += 1;
             removed += 1;
-            slot.write(true);
+            *slot = true;
         } else {
-            slot.write(false);
+            *slot = false;
         }
     }
     kept.extend_from_slice(&keys[i..]);
