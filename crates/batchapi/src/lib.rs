@@ -113,16 +113,6 @@ pub enum BatchError {
     },
 }
 
-impl BatchError {
-    /// Position of the first adjacent pair violating the strict-increase
-    /// invariant, whichever way it violated it.
-    pub fn index(&self) -> usize {
-        match self {
-            BatchError::Duplicate { index } | BatchError::OutOfOrder { index } => *index,
-        }
-    }
-}
-
 impl fmt::Display for BatchError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -706,13 +696,13 @@ mod tests {
     #[test]
     fn from_sorted_error_message_names_the_offending_index() {
         let dup = Batch::from_sorted(vec![10u64, 20, 20]).unwrap_err();
-        assert_eq!(dup.index(), 1);
+        assert_eq!(dup, BatchError::Duplicate { index: 1 });
         let msg = dup.to_string();
         assert!(msg.contains("keys[1]"), "{msg}");
         assert!(msg.contains("duplicate key at index 1"), "{msg}");
 
         let ooo = Batch::from_sorted(vec![10u64, 20, 15]).unwrap_err();
-        assert_eq!(ooo.index(), 1);
+        assert_eq!(ooo, BatchError::OutOfOrder { index: 1 });
         let msg = ooo.to_string();
         assert!(msg.contains("keys[1]"), "{msg}");
         assert!(msg.contains("out of order at index 1"), "{msg}");

@@ -45,7 +45,7 @@
 //! let rounds = reg.counter("combine.rounds");
 //! let sizes = reg.histogram("combine.round_size");
 //!
-//! let obs = obs::Obs::enabled();
+//! let obs = obs::Obs::new(true);
 //! obs.hit(&rounds);
 //! obs.record(&sizes, 17);
 //!
@@ -83,11 +83,6 @@ pub struct Obs {
 }
 
 impl Obs {
-    /// A guard whose instrumentation sites are live.
-    pub const fn enabled() -> Obs {
-        Obs { enabled: true }
-    }
-
     /// A guard whose instrumentation sites compile to a skipped branch.
     pub const fn disabled() -> Obs {
         Obs { enabled: false }

@@ -23,7 +23,8 @@
 //!   batched upserts); [`tree::IstSet`] is its `V = ()` alias.  A published
 //!   snapshot is a clone of the handle: one `Arc` on the root.
 //! * `traverse` (internal) — the joint sorted-batch membership/lookup
-//!   traversal: partition the batch at each inner node, fork per child.
+//!   traversal: route the batch by runs at each inner node, gallop through
+//!   each leaf, fork by splitting a large sub-batch in half.
 //! * `update` (internal) — batched insert/remove, one recursion for every
 //!   batch size (a point write is a batch of one): route the batch to the
 //!   leaves in parallel, edit the touched leaves, propagate router/`min`/

@@ -1,52 +1,41 @@
 //! The paper's joint sorted-batch traversal for lookups.
 //!
 //! Instead of descending once per query, a whole sorted batch moves through
-//! the tree together: at each inner node the batch is split at the routers
-//! with binary searches ([`partition_batch`]) and every child recurses on its
-//! own contiguous sub-batch, forked via the `forkjoin` substrate.  Because
-//! the batch is sorted, each child's answers land in a contiguous slice of
-//! the output, so results are stitched back in batch order simply by carving
-//! the output buffer at the same offsets — the offsets themselves being the
-//! exclusive scan of the per-child query counts.
+//! the tree together.  At each inner node the sub-batch is walked as *runs*:
+//! the first unassigned key is routed by the interpolated
+//! [`child_index`](crate::tree::child_index), the end of its run — the keys
+//! below that child's upper router — is found by galloping forward from it,
+//! the child recurses on the run, and the walk continues from the run's end.
+//! Each child so receives one contiguous run, and because the batch is
+//! sorted its answers land in the matching contiguous slice of the output:
+//! results are in batch order with nothing to stitch, and no per-node
+//! scratch is allocated.
+//!
+//! At a leaf the whole run is answered by one forward walk over the leaf's
+//! keys: each query gallops from the previous query's position to its own
+//! lower bound, `O(log gap)` comparisons per query whatever the key
+//! distribution — a sorted run meeting a sorted array is a merge.
+//!
+//! A sub-batch of at least [`SEQ_BATCH_LEN`] keys is split at the child
+//! boundary nearest its middle and the two halves run the same walk under
+//! `forkjoin::join`, so a steal takes half of what is left; outside a pool
+//! `join` runs the halves in turn.
 
 use crate::metrics::{touch_node, MetricsRef};
-use crate::node::{InterpolateKey, LeafNode, Node};
+use crate::node::{InnerNode, InterpolateKey, LeafNode, Node};
+use crate::tree::child_index;
 
-/// A batch of at least this many keys forks per child and a smaller one
-/// descends sequentially: below it, forking would cost more than the
-/// remaining leaf work.  `combine::POOL_CUTOFF` is this number seen from the
-/// caller's side — a whole batch enters the pool exactly when the tree
-/// would fork it.
+/// A sub-batch of at least this many keys is split in two and the halves
+/// forked; a smaller one walks its runs sequentially: below it, forking
+/// would cost more than the remaining leaf work.  `combine::POOL_CUTOFF` is
+/// this number seen from the caller's side — a whole batch enters the pool
+/// exactly when the tree would fork it.
 pub(crate) const SEQ_BATCH_LEN: usize = 512;
 
-/// Splits a sorted `batch` at every router: the queries destined for child
-/// `i` are `batch[offsets[i]..offsets[i + 1]]`, where `offsets` is the
-/// returned vector of length `routers.len() + 2`.
-///
-/// Each router is located by a binary search in the still-unassigned tail,
-/// so one partition costs `O(fanout · log |batch|)`.  The offsets are
-/// exactly the exclusive scan of the per-child query counts.
-pub(crate) fn partition_batch<K: Ord>(routers: &[K], batch: &[K]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(routers.len() + 2);
-    offsets.push(0);
-    let mut assigned = 0;
-    for router in routers {
-        assigned += batch[assigned..].partition_point(|q| q < router);
-        offsets.push(assigned);
-    }
-    offsets.push(batch.len());
-    offsets
-}
-
-/// One child's share of a joint traversal: the subtree, its contiguous
-/// sub-batch, and the matching slice of the output buffer.
-type QueryTask<'a, K, V, R> = (&'a Node<K, V>, &'a [K], &'a mut [R]);
-
 /// Answers `batch` (sorted, strictly increasing) against the subtree at
-/// `node`, writing one `answer` per query over `out`'s slots (same order):
-/// partitions `batch` at each inner node's routers, recurses per child
-/// (forked once the batch is large enough), and answers each query at its
-/// leaf — a membership flag for `batch_contains`, a value for `batch_get`.
+/// `node`, writing one `answer` per query over `out`'s slots (same order).
+/// `answer` gets the query's leaf and its index there, if present — a
+/// membership flag for `batch_contains`, a value for `batch_get`.
 ///
 /// `m` counts each node entered **once per traversal**, not once per
 /// query routed through it — exactly the sharing the joint traversal buys
@@ -58,47 +47,120 @@ pub(crate) fn joint_query_into<K, V, R, F>(
     m: MetricsRef<'_>,
     answer: &F,
 ) where
-    K: InterpolateKey + Clone + Send + Sync,
+    K: InterpolateKey + Send + Sync,
     V: Send + Sync,
     R: Send,
-    F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
+    F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
 {
     debug_assert_eq!(batch.len(), out.len());
     touch_node(m);
     match node {
-        Node::Leaf(leaf) => {
-            for (q, slot) in batch.iter().zip(out.iter_mut()) {
-                *slot = answer(leaf, q);
-            }
+        Node::Leaf(leaf) => answer_run(leaf, batch, out, answer),
+        Node::Inner(inner) => route_runs(inner, batch, out, m, answer),
+    }
+}
+
+/// Hands every run of `batch` to the child it routes to, in order; a
+/// sub-batch of [`SEQ_BATCH_LEN`] keys or more is first split at a child
+/// boundary and its halves forked, each running this same walk.
+fn route_runs<K, V, R, F>(
+    inner: &InnerNode<K, V>,
+    batch: &[K],
+    out: &mut [R],
+    m: MetricsRef<'_>,
+    answer: &F,
+) where
+    K: InterpolateKey + Send + Sync,
+    V: Send + Sync,
+    R: Send,
+    F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
+{
+    let routers = &*inner.routers;
+    if batch.len() >= SEQ_BATCH_LEN {
+        if let Some(at) = split_point(inner, batch) {
+            let (left, right) = batch.split_at(at);
+            let (out_left, out_right) = out.split_at_mut(at);
+            forkjoin::join(
+                || route_runs(inner, left, out_left, m, answer),
+                || route_runs(inner, right, out_right, m, answer),
+            );
+            return;
         }
-        Node::Inner(inner) => {
-            let offsets = partition_batch(&inner.routers, batch);
-            let mut tasks: Vec<QueryTask<'_, K, V, R>> = Vec::with_capacity(inner.children.len());
-            let mut batch_rest = batch;
-            let mut out_rest = out;
-            // Internal iteration: the chunked child array folds as nested
-            // slice loops, which a `for` over its flattening iterator
-            // would not.
-            let mut windows = offsets.windows(2);
-            inner.children.iter().for_each(|child| {
-                let window = windows.next().expect("one window per child");
-                let seg_len = window[1] - window[0];
-                let (batch_seg, batch_tail) = batch_rest.split_at(seg_len);
-                let (out_seg, out_tail) = std::mem::take(&mut out_rest).split_at_mut(seg_len);
-                batch_rest = batch_tail;
-                out_rest = out_tail;
-                if seg_len > 0 {
-                    tasks.push((child, batch_seg, out_seg));
-                }
-            });
-            if batch.len() < SEQ_BATCH_LEN {
-                for (child, batch_seg, out_seg) in tasks.iter_mut() {
-                    joint_query_into(child, batch_seg, out_seg, m, answer);
-                }
-            } else {
-                parprim::for_each_task(&mut tasks, |(child, batch_seg, out_seg)| {
-                    joint_query_into(child, batch_seg, out_seg, m, answer);
-                });
+    }
+    let mut start = 0;
+    while start < batch.len() {
+        let child = child_index(routers, &inner.min, &inner.max, &batch[start]);
+        let end = match routers.get(child) {
+            Some(upper) => start + 1 + gallop(&batch[start + 1..], |q| q < upper),
+            None => batch.len(),
+        };
+        joint_query_into(
+            inner.children.get(child),
+            &batch[start..end],
+            &mut out[start..end],
+            m,
+            answer,
+        );
+        start = end;
+    }
+}
+
+/// The child boundary inside `batch` nearest its middle: where the run of
+/// the middle key's child starts or ends, whichever is closer and not an
+/// end of `batch`.  `None` when the whole sub-batch routes to one child.
+fn split_point<K: InterpolateKey, V>(inner: &InnerNode<K, V>, batch: &[K]) -> Option<usize> {
+    let mid = batch.len() / 2;
+    let routers = &*inner.routers;
+    let child = child_index(routers, &inner.min, &inner.max, &batch[mid]);
+    let below = |router: &K| batch.partition_point(|q| q < router);
+    let start = child.checked_sub(1).map_or(0, |at| below(&routers[at]));
+    let end = routers.get(child).map_or(batch.len(), below);
+    [start, end]
+        .into_iter()
+        .filter(|&at| 0 < at && at < batch.len())
+        .min_by_key(|&at| at.abs_diff(mid))
+}
+
+/// Answers a sorted run against one leaf with one forward walk: each query
+/// gallops from where the previous one stopped to its own lower bound.
+fn answer_run<K: Ord, V, R, F>(leaf: &LeafNode<K, V>, batch: &[K], out: &mut [R], answer: &F)
+where
+    F: Fn(&LeafNode<K, V>, Option<usize>) -> R,
+{
+    let keys = &leaf.keys;
+    let mut at = 0;
+    for (q, slot) in batch.iter().zip(out) {
+        at += gallop(&keys[at..], |k| k < q);
+        let found = keys.get(at).filter(|k| *k == q).map(|_| at);
+        *slot = answer(leaf, found);
+    }
+}
+
+/// The length of `items`' prefix on which `below` holds (`below` must hold
+/// on a prefix and nowhere after it), by exponential search from the front:
+/// probes at 1, 2, 4, … elements, then a binary search inside the last
+/// doubling — `O(log i)` comparisons for an answer of `i`.
+fn gallop<T>(items: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let mut lo = 0;
+    let mut hi = 1;
+    while hi <= items.len() && below(&items[hi - 1]) {
+        lo = hi;
+        hi *= 2;
+    }
+    let end = (hi - 1).min(items.len());
+    lo + items[lo..end].partition_point(below)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::gallop;
+
+    #[test]
+    fn gallop_finds_every_prefix_length() {
+        for len in 0..70usize {
+            let items: Vec<usize> = (0..len).collect();
+            for cut in 0..=len {
+                assert_eq!(gallop(&items, |&x| x < cut), cut, "len {len}, cut {cut}");
             }
         }
     }

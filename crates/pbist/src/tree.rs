@@ -178,7 +178,7 @@ where
     fn batch_lookup<R, F>(&self, batch: &[K], answer: &F) -> Vec<R>
     where
         R: Default + Send,
-        F: Fn(&LeafNode<K, V>, &K) -> R + Sync,
+        F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
     {
         let mut out: Vec<R> = batch.iter().map(|_| R::default()).collect();
         if let Some(root) = &self.root {
@@ -389,29 +389,32 @@ pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Option<usiz
     keys[lo..hi].binary_search(key).ok().map(|at| lo + at)
 }
 
-/// Leaf-level membership answer (the set's lookup).
-fn leaf_has<K: InterpolateKey, V>(leaf: &LeafNode<K, V>, key: &K) -> bool {
-    leaf_search(&leaf.keys, key).is_some()
+/// Leaf-level membership answer (the set's lookup), given where the key
+/// was found in `leaf`.
+fn leaf_has<K, V>(_leaf: &LeafNode<K, V>, found: Option<usize>) -> bool {
+    found.is_some()
 }
 
-/// Leaf-level value answer (the map's lookup).
-fn leaf_get<K: InterpolateKey, V: Clone>(leaf: &LeafNode<K, V>, key: &K) -> Option<V> {
-    leaf_search(&leaf.keys, key).map(|i| leaf.vals[i].clone())
+/// Leaf-level value answer (the map's lookup), given where the key was
+/// found in `leaf`.
+fn leaf_get<K, V: Clone>(leaf: &LeafNode<K, V>, found: Option<usize>) -> Option<V> {
+    found.map(|i| leaf.vals[i].clone())
 }
 
 /// The interpolated point-lookup descent: routes `key` to its leaf and
-/// answers there with `answer` ([`leaf_has`] or [`leaf_get`]).
+/// answers there with `answer` ([`leaf_has`] or [`leaf_get`]) on what
+/// [`leaf_search`] found.
 fn lookup_in<K: InterpolateKey, V, R>(
     root: &Node<K, V>,
     key: &K,
     m: MetricsRef<'_>,
-    answer: &impl Fn(&LeafNode<K, V>, &K) -> R,
+    answer: &impl Fn(&LeafNode<K, V>, Option<usize>) -> R,
 ) -> R {
     let mut node = root;
     loop {
         touch_node(m);
         match node {
-            Node::Leaf(leaf) => return answer(leaf, key),
+            Node::Leaf(leaf) => return answer(leaf, leaf_search(&leaf.keys, key)),
             Node::Inner(inner) => {
                 let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
                 node = inner.children.get(idx);
@@ -645,6 +648,144 @@ mod tests {
             assert_eq!(leaf_search(&keys, &probe), expected, "{probe:?}");
             let spent = COMPARISONS.get();
             assert!(spent <= budget, "{probe:?}: {spent} comparisons");
+        }
+    }
+
+    /// Picks `m` distinct entries of `pool` (`m <= pool.len()`), in order.
+    fn pick_sorted(seed: &mut u64, pool: &[u64], m: usize) -> Vec<u64> {
+        let mut picked = std::collections::BTreeSet::new();
+        while picked.len() < m {
+            picked.insert(pool[(splitmix(seed) % pool.len() as u64) as usize]);
+        }
+        picked.into_iter().collect()
+    }
+
+    #[test]
+    fn a_leaf_answers_a_sorted_run_in_log_gap_comparisons() {
+        // The skewed leaf above, and an evenly spread one; the run mixes
+        // hits with misses `len` past each key (and `u64::MAX` clamped).
+        let len = LEAF_CAPACITY as u64;
+        let skewed: Vec<u64> = (0..len - 1).chain([u64::MAX]).collect();
+        let even: Vec<u64> = (0..len).map(|i| i * 1_000).collect();
+        let mut seed = 0x1EAF;
+        for keys in [skewed, even] {
+            let leaf = Node::Leaf(LeafNode {
+                keys: keys.iter().copied().map(Counted).collect(),
+                vals: vec![(); keys.len()],
+            });
+            let mut pool: Vec<u64> = keys
+                .iter()
+                .flat_map(|&k| [k, k.saturating_add(len)])
+                .collect();
+            pool.sort_unstable();
+            pool.dedup();
+            for m in [1, 8, 64, 1024] {
+                let run = pick_sorted(&mut seed, &pool, m);
+                let expected: Vec<bool> =
+                    run.iter().map(|q| keys.binary_search(q).is_ok()).collect();
+                assert!(expected.contains(&false) || m == 1, "m = {m}: no misses");
+                let queries: Vec<Counted> = run.into_iter().map(Counted).collect();
+                let mut out = vec![false; m];
+                COMPARISONS.set(0);
+                traverse::joint_query_into(&leaf, &queries, &mut out, None, &leaf_has);
+                let spent = COMPARISONS.get() as f64;
+                assert_eq!(out, expected, "m = {m}");
+                let bound = 4.0 * m as f64 * ((len as f64 / m as f64 + 1.0).log2() + 1.0);
+                assert!(
+                    spent <= bound,
+                    "m = {m}: {spent} comparisons, bound {bound}"
+                );
+            }
+        }
+    }
+
+    /// Every router key of every inner node, and every leaf's keys, in
+    /// key order.
+    fn routers_and_leaves(
+        node: &Node<u64, u64>,
+        routers: &mut Vec<u64>,
+        leaves: &mut Vec<Vec<u64>>,
+    ) {
+        match node {
+            Node::Leaf(leaf) => leaves.push(leaf.keys.clone()),
+            Node::Inner(inner) => {
+                routers.extend_from_slice(&inner.routers);
+                inner
+                    .children
+                    .iter()
+                    .for_each(|child| routers_and_leaves(child, routers, leaves));
+            }
+        }
+    }
+
+    /// The joint traversal answers each key as the point descent does,
+    /// whatever sub-batches it carves: widths on both sides of the fork
+    /// cutoff, keys outside the tree's range, on every router, crowded into
+    /// one leaf or spread one per leaf — on a bulk-built tree, a churned one
+    /// and the empty one, inside a pool and outside.
+    #[test]
+    fn joint_lookup_equals_point_lookup_at_every_sub_batch_shape() {
+        let n = 300_000u64;
+        let bulk = IstMap::from_sorted_entries((1..=n).map(|i| (i * 4, i)).collect());
+        let mut churned = bulk.clone();
+        let mut held = Vec::new();
+        for round in 0..6u64 {
+            held.push(churned.clone());
+            let fresh = (0..20_000u64)
+                .map(|i| (i * 60 + 4 * round + 1, i))
+                .collect();
+            churned.batch_insert(&KvBatch::from_unsorted_entries(fresh));
+            held.push(churned.clone());
+            let gone = (0..20_000u64).map(|i| i * 52 + 4 * round + 4).collect();
+            churned.batch_remove(&Batch::from_unsorted(gone));
+        }
+        churned.check_invariants().unwrap();
+        let empty: IstMap<u64, u64> = IstMap::from_sorted_entries(Vec::new());
+        let pool = forkjoin::Pool::new(2).unwrap();
+        let mut seed = 0x5AB;
+
+        for map in [&bulk, &churned, &empty] {
+            let min = map.min().map_or(3, |k| *k);
+            let max = map.max().map_or(100_000, |k| *k);
+            let (lo, hi) = (min.saturating_sub(3), max + 3);
+            let mut shapes: Vec<Vec<u64>> = Vec::new();
+            let range: Vec<u64> = (lo..=hi).step_by(3).collect();
+            for width in [1, 2, 511, 512, 16_384] {
+                shapes.push(pick_sorted(&mut seed, &range, width));
+            }
+            shapes.push((lo..min).chain(max + 1..=hi).collect());
+            if let Some(root) = &map.root {
+                let (mut routers, mut leaves) = (Vec::new(), Vec::new());
+                routers_and_leaves(root, &mut routers, &mut leaves);
+                shapes.push(routers.iter().flat_map(|&r| [r - 1, r, r + 1]).collect());
+                let crowded = &leaves[leaves.len() / 2];
+                shapes.push((crowded[0]..=crowded[crowded.len() - 1]).collect());
+                shapes.push(leaves.iter().map(|leaf| leaf[leaf.len() / 2]).collect());
+            }
+            for keys in shapes {
+                let batch = Batch::from_unsorted(keys);
+                let has: Vec<bool> = batch.iter().map(|k| map.contains(k)).collect();
+                let got: Vec<Option<u64>> = batch.iter().map(|k| map.get(k)).collect();
+                for in_pool in [false, true] {
+                    let (joint_has, joint_got) = if in_pool {
+                        pool.install(|| (map.batch_contains(&batch), map.batch_get(&batch)))
+                    } else {
+                        (map.batch_contains(&batch), map.batch_get(&batch))
+                    };
+                    let at = format!(
+                        "{} keys from {:?}, pooled {in_pool}",
+                        batch.len(),
+                        batch.keys().first()
+                    );
+                    assert!(joint_has == has, "batch_contains: {at}");
+                    assert!(joint_got == got, "batch_get: {at}");
+                }
+            }
+        }
+        for snapshot in &held {
+            let batch = Batch::from_unsorted((0..4 * n + 8).step_by(7).collect());
+            let has: Vec<bool> = batch.iter().map(|k| snapshot.contains(k)).collect();
+            assert_eq!(pool.install(|| snapshot.batch_contains(&batch)), has);
         }
     }
 

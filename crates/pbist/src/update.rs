@@ -3,9 +3,10 @@
 //!
 //! One recursion per operation serves every batch size, a point write
 //! included — it is a batch of one ([`crate::IstMap`] hands the recursion
-//! one-element slices).  Both operations follow the same shape as the joint
-//! traversal ([`crate::traverse`]): the batch is partitioned at each inner
-//! node and the children recurse on their sub-batches in parallel.  At the
+//! one-element slices).  Both operations split the batch at every router of
+//! each inner node ([`partition_batch`]) and the children recurse on their
+//! sub-batches, in parallel from [`SEQ_BATCH_LEN`] keys (the lookup
+//! traversal in [`crate::traverse`] walks runs instead).  At the
 //! leaves the batch is merged in (insert) or filtered out (remove) with one
 //! sequential pass, and on the way back up every inner node brings its
 //! metadata up to date: `len` and `min`/`max` always, the router array —
@@ -38,7 +39,7 @@ use std::sync::Arc;
 use crate::children::cow;
 use crate::metrics::{touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
 use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY};
-use crate::traverse::{partition_batch, SEQ_BATCH_LEN};
+use crate::traverse::SEQ_BATCH_LEN;
 use crate::tree::{build, child_index};
 
 /// A subtree is rebuilt when its size leaves
@@ -263,6 +264,25 @@ fn collect_into<K, V>(
             }
         }
     }
+}
+
+/// Splits a sorted `batch` at every router: the keys destined for child
+/// `i` are `batch[offsets[i]..offsets[i + 1]]`, where `offsets` is the
+/// returned vector of length `routers.len() + 2`.
+///
+/// Each router is located by a binary search in the still-unassigned tail,
+/// so one partition costs `O(fanout · log |batch|)`.  The offsets are
+/// exactly the exclusive scan of the per-child key counts.
+fn partition_batch<K: Ord>(routers: &[K], batch: &[K]) -> Vec<usize> {
+    let mut offsets = Vec::with_capacity(routers.len() + 2);
+    offsets.push(0);
+    let mut assigned = 0;
+    for router in routers {
+        assigned += batch[assigned..].partition_point(|q| q < router);
+        offsets.push(assigned);
+    }
+    offsets.push(batch.len());
+    offsets
 }
 
 /// Routes `batch` to `inner`'s children and runs `op` on every child that

@@ -29,7 +29,7 @@
 //! ```
 
 use std::io::{self, Read, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use batchapi::{Batch, BatchedSet, KeyCodec};
 use durable::{DurableOptions, DurableSet};
@@ -52,7 +52,6 @@ where
 {
     router: R,
     shards: Vec<DurableSet<K, S>>,
-    dir: PathBuf,
 }
 
 /// Reads or creates the `TIER` manifest, enforcing a stable shard count.
@@ -153,9 +152,9 @@ where
         MP: FnMut(usize) -> Pool,
         F: FnMut(Batch<K>) -> S,
     {
-        let dir = dir.as_ref().to_path_buf();
-        std::fs::create_dir_all(&dir)?;
-        check_tier_manifest(&dir, router.num_shards())?;
+        let dir = dir.as_ref();
+        std::fs::create_dir_all(dir)?;
+        check_tier_manifest(dir, router.num_shards())?;
         let shards = (0..router.num_shards())
             .map(|i| {
                 DurableSet::open(
@@ -166,26 +165,12 @@ where
                 )
             })
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(DurableTier {
-            router,
-            shards,
-            dir,
-        })
+        Ok(DurableTier { router, shards })
     }
 
     /// Number of shards in the tier.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The tier's router.
-    pub fn router(&self) -> &R {
-        &self.router
-    }
-
-    /// The tier's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Inserts `key` on its owning shard; `Ok(true)` iff newly inserted.
@@ -295,6 +280,7 @@ mod tests {
     use super::*;
     use crate::RangeRouter;
     use pbist::IstSet;
+    use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);

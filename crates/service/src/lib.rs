@@ -230,11 +230,6 @@ where
         self.shards.len()
     }
 
-    /// The tier's router.
-    pub fn router(&self) -> &R {
-        &self.router
-    }
-
     /// One shard's front-end (its seq, snapshots and metrics), by router
     /// index.
     ///

@@ -44,7 +44,7 @@ pub trait ShardRouter<K: Ord> {
     /// sub-batch per shard: each shard boundary is located with a binary
     /// search over `shard_of` in the still-unassigned tail, so the offsets
     /// come out as the exclusive scan of per-shard key counts — the same
-    /// idiom `pbist::traverse::partition_batch` uses at every inner node.
+    /// idiom the tree's batched update uses at every inner node.
     ///
     /// # Panics
     ///

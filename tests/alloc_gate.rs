@@ -1,7 +1,8 @@
 //! The allocation gate: what a point operation on the tree asks of the
 //! allocator, counted.  A point write runs the batch recursion on a batch
 //! of one; this is the guard that it is served as a point — no per-level
-//! scratch — and the first committed allocation numbers for whole batches.
+//! scratch — and that a batched lookup allocates its answers and nothing
+//! per node.
 //!
 //! An integration test of its own so the counting `#[global_allocator]`
 //! wraps this binary alone.  Counts are per thread, so the harness's other
@@ -109,12 +110,19 @@ fn point_operations_allocate_like_points() {
     assert!(remove <= 0.05, "unshared remove_one: {remove} allocations");
     assert!(shared <= 10.0, "shared point write: {shared} allocations");
 
-    // Whole batches, reported for ROADMAP item 7 to halve; nothing asserted.
+    // Whole batches: a lookup outside a pool allocates its answer vector
+    // and nothing per node; the upsert is reported for ROADMAP item 7 to
+    // halve, nothing asserted.
     let batch = Batch::from_unsorted((0..16_384u64).map(|i| i * 122 + 1).collect());
     let lookup = allocations_per(batch.len(), || drop(set.batch_contains(&batch)));
     let upsert = allocations_per(batch.len(), || drop(set.batch_insert(&batch)));
     println!(
         "allocations per key of one {}-key batch: batch_contains {lookup}, batch_insert {upsert}",
         batch.len()
+    );
+    let per_call = lookup * batch.len() as f64;
+    assert!(
+        per_call <= 2.0,
+        "batch_contains: {per_call} allocations per call"
     );
 }
