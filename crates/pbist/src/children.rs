@@ -16,6 +16,13 @@
 //! never add or drop a child (an overflowing leaf is rebuilt in its own
 //! slot), so the array is re-chunked only when a child is removed.
 //!
+//! The update walk reaches the children through a `Window` — all of them
+//! from `Children::window`, or a part — which hands out the slot of the
+//! child a run routes to, unsharing that child's chunk first, and splits in
+//! two for a fork: between chunks as they stand, or inside a chunk once
+//! that chunk is unshared, so the halves of a split never reach the same
+//! chunk.
+//!
 //! [`MAX_FANOUT`]: crate::node::MAX_FANOUT
 
 use std::sync::Arc;
@@ -53,7 +60,8 @@ fn chunk_shift(len: usize) -> u32 {
 }
 
 /// Unshares `node` from any snapshot still holding it and returns it
-/// mutably — the one place the update path copies a node.  A copy is
+/// mutably — how the update path copies an inner node (a shared leaf is
+/// not copied but replaced by its new run).  A copy is
 /// counted in `cow_nodes`, and the refcount increments it performs (an inner
 /// node's router array and one per chunk; a leaf's arrays hold none) in
 /// `cow_refs`.
@@ -153,34 +161,10 @@ impl<K, V> Children<K, V> {
 }
 
 impl<K: Clone, V: Clone> Children<K, V> {
-    /// Child `idx`, unshared for editing: copies the chunk that holds it
-    /// and then the child itself, each only if a snapshot still shares it.
-    pub(crate) fn get_mut(&mut self, idx: usize, m: MetricsRef<'_>) -> &mut Node<K, V> {
-        let chunk = cow_chunk(&mut self.chunks[idx >> self.shift], m);
-        cow(&mut chunk[idx & ((1 << self.shift) - 1)], m)
-    }
-
-    /// Calls `visit` on the children whose index satisfies `touched`, each
-    /// unshared for editing, with their indices.  Chunks holding no touched
-    /// child are left shared.
-    pub(crate) fn for_each_touched<'a>(
-        &'a mut self,
-        touched: impl Fn(usize) -> bool,
-        m: MetricsRef<'_>,
-        mut visit: impl FnMut(usize, &'a mut Node<K, V>),
-    ) {
-        let shift = self.shift;
-        for (c, chunk) in self.chunks.iter_mut().enumerate() {
-            let base = c << shift;
-            if !(base..base + chunk.len()).any(&touched) {
-                continue;
-            }
-            for (offset, child) in cow_chunk(chunk, m).iter_mut().enumerate() {
-                if touched(base + offset) {
-                    visit(base + offset, cow(child, m));
-                }
-            }
-        }
+    /// All the children as one mutable window, for the update walk to
+    /// reach the ones it edits and to split for a fork.
+    pub(crate) fn window(&mut self) -> Window<'_, K, V> {
+        Window::new(0, &mut [], &mut self.chunks, &mut [], self.shift)
     }
 
     /// Drops the children failing `keep`, re-chunking what is left: every
@@ -207,5 +191,99 @@ impl<K: Clone, V: Clone> Children<K, V> {
         let only = self.chunks.first().map(|chunk| Arc::clone(&chunk[0]));
         *self = Children::from_vec(Vec::new());
         only
+    }
+}
+
+/// A run of consecutive children lent mutably to one branch of the update
+/// walk: the end of one chunk, whole chunks, the start of another.  Whole
+/// chunks stay shared until a child in them is reached; a chunk cut by
+/// [`Window::split_at`] is unshared first and each half keeps its part.
+pub(crate) struct Window<'a, K, V> {
+    /// Index in the node of the window's first child.
+    start: usize,
+    /// Children of a chunk the window starts inside of; when chunks or a
+    /// tail follow, they run to that chunk's end.
+    head: &'a mut [Arc<Node<K, V>>],
+    /// Whole chunks.
+    chunks: &'a mut [Arc<Chunk<K, V>>],
+    /// The first children of a chunk the window ends inside of.
+    tail: &'a mut [Arc<Node<K, V>>],
+    /// The node's chunk width, as a shift.
+    shift: u32,
+}
+
+impl<'a, K: Clone, V: Clone> Window<'a, K, V> {
+    fn new(
+        start: usize,
+        head: &'a mut [Arc<Node<K, V>>],
+        chunks: &'a mut [Arc<Chunk<K, V>>],
+        tail: &'a mut [Arc<Node<K, V>>],
+        shift: u32,
+    ) -> Window<'a, K, V> {
+        Window {
+            start,
+            head,
+            chunks,
+            tail,
+            shift,
+        }
+    }
+
+    /// The slot of child `idx` (an index into the whole node), its chunk
+    /// unshared for editing; the child itself is the caller's to copy or
+    /// replace.
+    pub(crate) fn slot(&mut self, idx: usize, m: MetricsRef<'_>) -> &mut Arc<Node<K, V>> {
+        let at = idx - self.start;
+        if at < self.head.len() {
+            return &mut self.head[at];
+        }
+        let (at, body) = (at - self.head.len(), self.chunks.len() << self.shift);
+        match self.chunks.get_mut(at >> self.shift) {
+            Some(chunk) => &mut cow_chunk(chunk, m)[at & ((1 << self.shift) - 1)],
+            None => &mut self.tail[at - body],
+        }
+    }
+
+    /// Cuts the window before child `idx`, which must lie strictly inside
+    /// it: between chunks as they stand, or inside a chunk once that chunk
+    /// is unshared.
+    pub(crate) fn split_at(self, idx: usize, m: MetricsRef<'_>) -> (Self, Self) {
+        let Window {
+            start,
+            head,
+            chunks,
+            tail,
+            shift,
+        } = self;
+        let at = idx - start;
+        if at <= head.len() {
+            let (left, right) = head.split_at_mut(at);
+            return (
+                Window::new(start, left, &mut [], &mut [], shift),
+                Window::new(idx, right, chunks, tail, shift),
+            );
+        }
+        let at = at - head.len();
+        let (c, offset) = (at >> shift, at & ((1 << shift) - 1));
+        if c >= chunks.len() {
+            let (left, right) = tail.split_at_mut(at - (chunks.len() << shift));
+            return (
+                Window::new(start, head, chunks, left, shift),
+                Window::new(idx, right, &mut [], &mut [], shift),
+            );
+        }
+        let (before, rest) = chunks.split_at_mut(c);
+        if offset == 0 {
+            return (
+                Window::new(start, head, before, &mut [], shift),
+                Window::new(idx, &mut [], rest, tail, shift),
+            );
+        }
+        let (cut, after) = rest.split_first_mut().expect("chunk `c` is in the window");
+        let (left, right) = cow_chunk(cut, m).split_at_mut(offset);
+        (
+            Window::new(start, head, before, left, shift),
+            Window::new(idx, right, after, tail, shift),
+        )
     }
 }

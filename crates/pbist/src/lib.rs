@@ -5,9 +5,11 @@
 //! the key's position within the node's key range — rather than binary
 //! searching, giving expected `O(log log n)` searches.  The paper batches
 //! operations (search/insert/delete arrive as sorted batches) and processes
-//! each batch in parallel across the tree, using exactly the primitives in
-//! `parprim`: partition the batch across children with binary searches,
-//! recurse with `forkjoin::join`, and combine per-subtree counts with scans.
+//! each batch in parallel across the tree: at every inner node the sorted
+//! batch is walked as runs — one interpolated route and one gallop per
+//! child it reaches — a large sub-batch is split in half at a child
+//! boundary and the halves recursed on with `forkjoin::join`, and at each
+//! leaf the run meets the leaf's sorted keys in one galloping merge.
 //!
 //! # Layout
 //!
@@ -15,9 +17,10 @@
 //!   ([`node::InterpolateKey`]).  Nodes are generic over a per-key value
 //!   (`V = ()` for the set), so the set and the map are one structure.
 //! * [`children`] — [`children::Children`], an inner node's child array as
-//!   a two-level copy-on-write vector, and the one counted copy-on-write
-//!   helper: what makes a path copy under a live snapshot cost `≈ 2·√f`
-//!   refcounts per level instead of `f`.
+//!   a two-level copy-on-write vector, the counted copy-on-write helper,
+//!   and the mutable windows the update walk splits to fork: what makes a
+//!   path copy under a live snapshot cost `≈ 2·√f` refcounts per level
+//!   instead of `f`.
 //! * [`tree`] — [`tree::IstMap`]: bulk parallel construction, interpolated
 //!   point lookups, and the [`batchapi::BatchedMap`] impl (last-wins
 //!   batched upserts); [`tree::IstSet`] is its `V = ()` alias.  A published
@@ -26,10 +29,12 @@
 //!   traversal: route the batch by runs at each inner node, gallop through
 //!   each leaf, fork by splitting a large sub-batch in half.
 //! * `update` (internal) — batched insert/remove, one recursion for every
-//!   batch size (a point write is a batch of one): route the batch to the
-//!   leaves in parallel, edit the touched leaves, propagate router/`min`/
-//!   `max`/`len` updates, and rebuild any subtree whose size drifts past the
-//!   rebuild threshold.
+//!   batch size (a point write is a batch of one): the lookups' run walk,
+//!   forking over disjoint windows of a node's children; each touched leaf
+//!   built once, by a galloping copy-merge from the old run (a uniquely
+//!   owned leaf given one key is edited in place); router/`min`/`max`/`len`
+//!   updates propagated, and any subtree whose size drifts past the rebuild
+//!   threshold rebuilt.
 //! * `range` (internal) — ordered queries: the descend-once range carve
 //!   (binary searches only in the two boundary leaves, interior subtrees
 //!   concatenated wholesale) and the `k`-th-smallest selection descent.

@@ -27,8 +27,10 @@
 //!   *changes* — never on insert (a key routed to child `i ≥ 1` is at or
 //!   above that child's minimum, which is the router), on remove only when
 //!   a child's minimum or a whole child goes.
-//! * **Leaves** are plain arrays and are copied whole (≤ [`LEAF_CAPACITY`]
-//!   keys, one `memcpy`, no refcounts).
+//! * **Leaves** are plain arrays (≤ [`LEAF_CAPACITY`] keys, no refcounts)
+//!   and are not cloned: a write builds the leaf's new run once, straight
+//!   from the shared one, into a new node, and a removal that finds none
+//!   of its keys leaves the leaf shared.
 //!
 //! The chunking is physical only: the logical child array, the fanout
 //! formula, the depth, and interpolation over one flat router array are
@@ -160,8 +162,8 @@ pub struct InnerNode<K, V = ()> {
     /// edited in place while shared — only when a router changes.
     pub routers: Arc<[K]>,
     /// The subtrees, each non-empty, shared with snapshots chunk by chunk;
-    /// the update path reaches a child through `Children::get_mut` (a
-    /// one-key sub-batch) or `Children::for_each_touched` (copy-on-write).
+    /// the update path reaches a child's slot through a `Children::window`,
+    /// which unshares the chunk holding it.
     pub children: Children<K, V>,
     /// Total number of keys under this node.
     pub len: usize,

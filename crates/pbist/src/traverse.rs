@@ -1,11 +1,13 @@
-//! The paper's joint sorted-batch traversal for lookups.
+//! The paper's joint sorted-batch traversal for lookups, and the run walk
+//! the batched updates share with it.
 //!
 //! Instead of descending once per query, a whole sorted batch moves through
-//! the tree together.  At each inner node the sub-batch is walked as *runs*:
-//! the first unassigned key is routed by the interpolated
-//! [`child_index`](crate::tree::child_index), the end of its run — the keys
-//! below that child's upper router — is found by galloping forward from it,
-//! the child recurses on the run, and the walk continues from the run's end.
+//! the tree together.  At each inner node the sub-batch is walked as *runs*
+//! ([`Routing::for_each_run`]): the first unassigned key is routed by the
+//! interpolated [`child_index`](crate::tree::child_index), the end of its
+//! run — the keys below that child's upper router — is found by galloping
+//! forward from it, the child recurses on the run, and the walk continues
+//! from the run's end.
 //! Each child so receives one contiguous run, and because the batch is
 //! sorted its answers land in the matching contiguous slice of the output:
 //! results are in batch order with nothing to stitch, and no per-node
@@ -17,9 +19,13 @@
 //! distribution — a sorted run meeting a sorted array is a merge.
 //!
 //! A sub-batch of at least [`SEQ_BATCH_LEN`] keys is split at the child
-//! boundary nearest its middle and the two halves run the same walk under
-//! `forkjoin::join`, so a steal takes half of what is left; outside a pool
-//! `join` runs the halves in turn.
+//! boundary nearest its middle ([`Routing::split_point`]) and the two halves
+//! run the same walk under `forkjoin::join`, so a steal takes half of what
+//! is left; outside a pool `join` runs the halves in turn.  The batched
+//! updates (`crate::update`) walk, split and gallop with the same
+//! functions.
+
+use std::ops::Range;
 
 use crate::metrics::{touch_node, MetricsRef};
 use crate::node::{InnerNode, InterpolateKey, LeafNode, Node};
@@ -75,9 +81,10 @@ fn route_runs<K, V, R, F>(
     R: Send,
     F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
 {
-    let routers = &*inner.routers;
+    let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
+    let routing = Routing { routers, min, max };
     if batch.len() >= SEQ_BATCH_LEN {
-        if let Some(at) = split_point(inner, batch) {
+        if let Some(at) = routing.split_point(batch) {
             let (left, right) = batch.split_at(at);
             let (out_left, out_right) = out.split_at_mut(at);
             forkjoin::join(
@@ -87,38 +94,62 @@ fn route_runs<K, V, R, F>(
             return;
         }
     }
-    let mut start = 0;
-    while start < batch.len() {
-        let child = child_index(routers, &inner.min, &inner.max, &batch[start]);
-        let end = match routers.get(child) {
-            Some(upper) => start + 1 + gallop(&batch[start + 1..], |q| q < upper),
-            None => batch.len(),
-        };
-        joint_query_into(
-            inner.children.get(child),
-            &batch[start..end],
-            &mut out[start..end],
-            m,
-            answer,
-        );
-        start = end;
-    }
+    routing.for_each_run(batch, |child, run| {
+        let (keys, answers) = (&batch[run.clone()], &mut out[run]);
+        joint_query_into(inner.children.get(child), keys, answers, m, answer);
+    });
 }
 
-/// The child boundary inside `batch` nearest its middle: where the run of
-/// the middle key's child starts or ends, whichever is closer and not an
-/// end of `batch`.  `None` when the whole sub-batch routes to one child.
-fn split_point<K: InterpolateKey, V>(inner: &InnerNode<K, V>, batch: &[K]) -> Option<usize> {
-    let mid = batch.len() / 2;
-    let routers = &*inner.routers;
-    let child = child_index(routers, &inner.min, &inner.max, &batch[mid]);
-    let below = |router: &K| batch.partition_point(|q| q < router);
-    let start = child.checked_sub(1).map_or(0, |at| below(&routers[at]));
-    let end = routers.get(child).map_or(batch.len(), below);
-    [start, end]
-        .into_iter()
-        .filter(|&at| 0 < at && at < batch.len())
-        .min_by_key(|&at| at.abs_diff(mid))
+/// What routing a key through one inner node reads.  Borrowed field by
+/// field, so the update walk can hold it beside a mutable window of the
+/// same node's children.
+pub(crate) struct Routing<'a, K> {
+    /// The node's routers: `routers[i]` is child `i + 1`'s minimum.
+    pub(crate) routers: &'a [K],
+    /// The node's smallest key, where interpolation starts.
+    pub(crate) min: &'a K,
+    /// The node's largest key, where interpolation ends.
+    pub(crate) max: &'a K,
+}
+
+impl<K: InterpolateKey> Routing<'_, K> {
+    /// The child `key` routes to.
+    pub(crate) fn child(&self, key: &K) -> usize {
+        child_index(self.routers, self.min, self.max, key)
+    }
+
+    /// Calls `visit` with every run of the sorted `batch`, in order: the
+    /// child it routes to and its range of `batch`.
+    pub(crate) fn for_each_run(&self, batch: &[K], mut visit: impl FnMut(usize, Range<usize>)) {
+        let mut start = 0;
+        while start < batch.len() {
+            let child = self.child(&batch[start]);
+            let end = match self.routers.get(child) {
+                Some(upper) => start + 1 + gallop(&batch[start + 1..], |q| q < upper),
+                None => batch.len(),
+            };
+            visit(child, start..end);
+            start = end;
+        }
+    }
+
+    /// The child boundary inside `batch` nearest its middle: where the run
+    /// of the middle key's child starts or ends, whichever is closer and not
+    /// an end of `batch`.  `None` when the whole sub-batch routes to one
+    /// child.
+    pub(crate) fn split_point(&self, batch: &[K]) -> Option<usize> {
+        let mid = batch.len() / 2;
+        let child = self.child(&batch[mid]);
+        let below = |router: &K| batch.partition_point(|q| q < router);
+        let start = child
+            .checked_sub(1)
+            .map_or(0, |at| below(&self.routers[at]));
+        let end = self.routers.get(child).map_or(batch.len(), below);
+        [start, end]
+            .into_iter()
+            .filter(|&at| 0 < at && at < batch.len())
+            .min_by_key(|&at| at.abs_diff(mid))
+    }
 }
 
 /// Answers a sorted run against one leaf with one forward walk: each query
@@ -140,7 +171,7 @@ where
 /// on a prefix and nowhere after it), by exponential search from the front:
 /// probes at 1, 2, 4, … elements, then a binary search inside the last
 /// doubling — `O(log i)` comparisons for an answer of `i`.
-fn gallop<T>(items: &[T], below: impl Fn(&T) -> bool) -> usize {
+pub(crate) fn gallop<T>(items: &[T], below: impl Fn(&T) -> bool) -> usize {
     let mut lo = 0;
     let mut hi = 1;
     while hi <= items.len() && below(&items[hi - 1]) {

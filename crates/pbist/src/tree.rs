@@ -9,7 +9,7 @@ use std::sync::Arc;
 
 use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 
-use crate::children::{cow, Children};
+use crate::children::Children;
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
     interpolate_slot, InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY, MAX_FANOUT,
@@ -22,9 +22,11 @@ use crate::{range, traverse, update};
 /// subtrees in parallel when called inside a [`forkjoin::Pool`].  Point
 /// lookups descend by interpolation; batched operations arrive through the
 /// [`batchapi::BatchedMap`] impl, which processes each sorted batch jointly
-/// — partitioned across children at every inner node, forked per child —
-/// with updates rebuilding touched leaves and any subtree whose size drifts
-/// past the rebuild threshold (the paper's core contribution).  Batched
+/// — walked as runs at every inner node, one run per child it reaches, a
+/// large sub-batch split in half at a child boundary and the halves forked,
+/// each leaf meeting its run in one galloping merge — with updates building
+/// each touched leaf once and rebuilding any subtree whose size drifts past
+/// the rebuild threshold (the paper's core contribution).  Batched
 /// inserts are last-wins upserts (see the `batchapi` crate docs).  A point
 /// write (`upsert_one` / `remove_one`) is that same update on a batch of
 /// one: there is one update algorithm, whatever the batch size.
@@ -46,8 +48,9 @@ use crate::{range, traverse, update};
 pub struct IstMap<K, V = ()> {
     /// `Arc` so a clone — a published snapshot — is `O(1)`: the root `Arc`
     /// plus the metrics plumbing (reads served from it keep counting nodes
-    /// touched).  Updates go through `children::cow`, path-copying exactly
-    /// the nodes (and child chunks) a clone still shares.
+    /// touched).  Updates path-copy exactly the inner nodes (and child
+    /// chunks) a clone still shares, and put a shared leaf's new run in a
+    /// new node.
     root: Option<Arc<Node<K, V>>>,
     /// Gates metric recording; the recursion carries `None` when disabled,
     /// so the default configuration pays one branch per instrumented site.
@@ -192,7 +195,7 @@ where
     fn insert_sorted(&mut self, keys: &[K], vals: &[V], out: &mut [bool]) -> usize {
         let m = metrics_ref(self.obs, &self.metrics);
         match &mut self.root {
-            Some(root) => update::insert_into(cow(root, m), keys, vals, out, m),
+            Some(root) => update::insert_into(root, keys, vals, out, m),
             None => {
                 self.root = Some(Arc::new(build(keys, vals)));
                 out.fill(true);
@@ -209,7 +212,6 @@ where
             out.fill(false);
             return 0;
         };
-        let root = cow(root, m);
         let removed = update::remove_from(root, keys, out, m);
         if root.is_empty() {
             self.root = None;
@@ -341,7 +343,7 @@ where
 /// `routers` and subtree bounds `min`/`max`: interpolate a guess, then
 /// correct it against the routers (cheap check first, binary search only
 /// when the guess is off).  The one routing function — point reads, `rank`,
-/// and the update recursion's one-key route.
+/// and the first key of every run the batched walks route.
 pub(crate) fn child_index<K: InterpolateKey>(routers: &[K], min: &K, max: &K, key: &K) -> usize {
     let n = routers.len() + 1;
     let guess = interpolate_slot(key, min, max, n);
@@ -699,6 +701,75 @@ mod tests {
         }
     }
 
+    /// The update twin of the test above: a sorted run upserted into or
+    /// removed from a shared leaf is merged in `O(log gap)` comparisons per
+    /// key, straight from the old run, and a removal run that finds none of
+    /// its keys leaves the leaf shared.
+    #[test]
+    fn a_leaf_merges_a_sorted_run_in_log_gap_comparisons() {
+        let len = LEAF_CAPACITY as u64;
+        let skewed: Vec<u64> = (0..len - 1).chain([u64::MAX]).collect();
+        let even: Vec<u64> = (0..len).map(|i| i * 1_000).collect();
+        let mut seed = 0x3E46E;
+        for keys in [skewed, even] {
+            let leaf = Arc::new(Node::Leaf(LeafNode {
+                keys: keys.iter().copied().map(Counted).collect(),
+                vals: vec![(); keys.len()],
+            }));
+            let mut pool: Vec<u64> = keys
+                .iter()
+                .flat_map(|&k| [k, k.saturating_add(len)])
+                .collect();
+            pool.sort_unstable();
+            pool.dedup();
+            for (m, insert) in [8, 64, 1024]
+                .into_iter()
+                .flat_map(|m| [(m, true), (m, false)])
+            {
+                let run = pick_sorted(&mut seed, &pool, m);
+                let queries: Vec<Counted> = run.iter().copied().map(Counted).collect();
+                let mut slot = Arc::clone(&leaf);
+                let mut out = vec![false; m];
+                COMPARISONS.set(0);
+                if insert {
+                    update::insert_into(&mut slot, &queries, &vec![(); m], &mut out, None);
+                } else {
+                    update::remove_from(&mut slot, &queries, &mut out, None);
+                }
+                let spent = COMPARISONS.get() as f64;
+                let mut oracle: std::collections::BTreeSet<u64> = keys.iter().copied().collect();
+                let expected: Vec<bool> = (run.iter())
+                    .map(|q| {
+                        if insert {
+                            oracle.insert(*q)
+                        } else {
+                            oracle.remove(q)
+                        }
+                    })
+                    .collect();
+                let at = format!("m = {m}, insert {insert}");
+                assert_eq!(out, expected, "{at}");
+                let (merged, _) = update::collect_kv(&slot);
+                assert!(merged.iter().map(|k| k.0).eq(oracle), "{at}: contents");
+                let bound = 4.0 * m as f64 * ((len as f64 / m as f64 + 1.0).log2() + 1.0);
+                assert!(spent <= bound, "{at}: {spent} comparisons, bound {bound}");
+            }
+            let misses: Vec<Counted> = (pool.iter().copied())
+                .filter(|k| keys.binary_search(k).is_err())
+                .take(64)
+                .map(Counted)
+                .collect();
+            let mut slot = Arc::clone(&leaf);
+            let mut out = vec![true; misses.len()];
+            assert_eq!(update::remove_from(&mut slot, &misses, &mut out, None), 0);
+            assert!(!out.contains(&true));
+            assert!(
+                Arc::ptr_eq(&slot, &leaf),
+                "a removal that missed copied the leaf"
+            );
+        }
+    }
+
     /// Every router key of every inner node, and every leaf's keys, in
     /// key order.
     fn routers_and_leaves(
@@ -789,6 +860,94 @@ mod tests {
         }
     }
 
+    /// The update twin of the test above: `batch_insert` and `batch_remove`
+    /// agree with a `BTreeMap` at every sub-batch shape the run walk carves
+    /// — widths on both sides of the fork cutoff, keys outside the tree's
+    /// range, on every router, crowded into one leaf or spread one per leaf,
+    /// a fork-sized sub-batch inside one chunk of the root's children —
+    /// inside a pool and outside, and a clone held across each call keeps
+    /// what it held.
+    #[test]
+    fn batched_update_equals_oracle_at_every_sub_batch_shape() {
+        let n = 300_000u64;
+        let entries: Vec<(u64, u64)> = (1..=n).map(|i| (i * 4, i)).collect();
+        let bulk = IstMap::from_sorted_entries(entries.clone());
+        let before: BTreeMap<u64, u64> = entries.into_iter().collect();
+        let root = bulk.root.as_deref().unwrap();
+        let (mut routers, mut leaves) = (Vec::new(), Vec::new());
+        routers_and_leaves(root, &mut routers, &mut leaves);
+        let Node::Inner(root) = root else {
+            panic!("{n} keys build an inner root")
+        };
+        let (min, max) = (4, 4 * n);
+        let mut seed = 0x0DD5;
+        let range: Vec<u64> = (0..=max + 3).step_by(3).collect();
+        let mut shapes: Vec<Vec<u64>> = [1, 2, 511, 512, 16_384]
+            .into_iter()
+            .map(|width| pick_sorted(&mut seed, &range, width))
+            .collect();
+        shapes.push((0..min).chain(max + 1..=max + 3).collect());
+        shapes.push(routers.iter().flat_map(|&r| [r - 1, r, r + 1]).collect());
+        let crowded = &leaves[leaves.len() / 2];
+        shapes.push((crowded[0]..=crowded[crowded.len() - 1]).collect());
+        shapes.push(leaves.iter().map(|leaf| leaf[leaf.len() / 2]).collect());
+        // Children `width + 1 ..= width + width / 2` share the root's second
+        // chunk, so 600 keys among them fork inside it.
+        let width = (0..)
+            .map(|s| 1usize << s)
+            .find(|w| w * w >= root.children.len());
+        let width = width.unwrap();
+        let chunk: Vec<u64> = (root.routers[width]..root.routers[width + width / 2]).collect();
+        shapes.push(pick_sorted(&mut seed, &chunk, 600));
+        let pool = forkjoin::Pool::new(2).unwrap();
+
+        for keys in shapes {
+            for (insert, in_pool) in [(true, false), (true, true), (false, false), (false, true)] {
+                let mut map = bulk.clone();
+                let mut oracle = before.clone();
+                let held = map.clone();
+                let at = format!(
+                    "{} keys from {:?}, insert {insert}, pooled {in_pool}",
+                    keys.len(),
+                    keys.first()
+                );
+                let run = |call: &mut (dyn FnMut() -> Vec<bool> + Send)| {
+                    if in_pool {
+                        pool.install(call)
+                    } else {
+                        call()
+                    }
+                };
+                let (flags, expected): (Vec<bool>, Vec<bool>) = if insert {
+                    let entries = keys.iter().map(|&k| (k, k ^ 0xF00D)).collect();
+                    let batch = KvBatch::from_unsorted_entries(entries);
+                    let flags = run(&mut || map.batch_insert(&batch));
+                    let newly = batch
+                        .entries()
+                        .map(|(k, v)| oracle.insert(*k, *v).is_none());
+                    (flags, newly.collect())
+                } else {
+                    let batch = Batch::from_unsorted(keys.clone());
+                    let flags = run(&mut || map.batch_remove(&batch));
+                    (
+                        flags,
+                        batch.iter().map(|k| oracle.remove(k).is_some()).collect(),
+                    )
+                };
+                assert!(flags == expected, "flags: {at}");
+                map.check_invariants()
+                    .unwrap_or_else(|e| panic!("{at}: {e}"));
+                for (tree, want) in [(&map, &oracle), (&held, &before)] {
+                    let (ks, vs) = tree.collect_entries();
+                    assert!(
+                        ks.iter().eq(want.keys()) && vs.iter().eq(want.values()),
+                        "contents: {at}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn batch_contains_partitions_jointly() {
         let keys: Vec<u64> = (0..30_000u64).map(|i| i * 7).collect();
@@ -868,7 +1027,7 @@ mod tests {
 
     #[test]
     fn point_path_matches_oracle_with_invariants() {
-        // One-key batches take the recursion's one-key route at every level;
+        // One-key batches are the recursion's degenerate run at every level;
         // hammer it with colliding singletons against a BTreeSet oracle,
         // auditing the shape after every op.  The narrow key range makes
         // removals hit child minima (router rewrites) and empty out leaves
@@ -1224,7 +1383,7 @@ mod tests {
         assert!(map.upsert_one(&10, &"ten"));
         assert!(!map.upsert_one(&10, &"TEN"), "upsert reports not-new");
         assert_eq!(map.get(&10), Some("TEN"), "point upsert overwrote");
-        // A two-key batch: one partition at the root, one-key routes below.
+        // A two-key batch: one run merged into the root leaf.
         let flags = map.batch_insert(&KvBatch::from_unsorted_entries(vec![(10, "x"), (11, "y")]));
         assert_eq!(flags, vec![false, true]);
         assert_eq!(map.get(&10), Some("x"));

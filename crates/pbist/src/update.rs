@@ -3,28 +3,31 @@
 //!
 //! One recursion per operation serves every batch size, a point write
 //! included — it is a batch of one ([`crate::IstMap`] hands the recursion
-//! one-element slices).  Both operations split the batch at every router of
-//! each inner node ([`partition_batch`]) and the children recurse on their
-//! sub-batches, in parallel from [`SEQ_BATCH_LEN`] keys (the lookup
-//! traversal in [`crate::traverse`] walks runs instead).  At the
-//! leaves the batch is merged in (insert) or filtered out (remove) with one
-//! sequential pass, and on the way back up every inner node brings its
-//! metadata up to date: `len` and `min`/`max` always, the router array —
-//! which snapshots share whole — only when a removal took a child or a
-//! child's minimum (an insert can move no router).  A subtree whose key
-//! count has drifted outside `[built_len / 2, built_len * 2]` since it was
-//! last built — or a leaf that outgrew [`LEAF_CAPACITY`] — is rebuilt from
-//! its sorted keys, restoring the ideal `Θ(√n)` fanout; removals that empty
-//! a subtree are pruned by the parent (single survivors are hoisted).
+//! one-element slices).  It walks the batch as the lookup traversal does
+//! ([`crate::traverse`]): at an inner node the first unassigned key is
+//! routed by the interpolated `child_index`, the end of its run galloped
+//! over the batch, and the child recurses on the run; a one-key batch is
+//! the degenerate run.  A sub-batch of at least [`SEQ_BATCH_LEN`] keys is
+//! first split at the child boundary nearest its middle and the halves run
+//! under `forkjoin::join`, each on its own [`Window`] of the child array.
+//! On the way back up every inner node brings its metadata up to date:
+//! `len` and `min`/`max` always, the router array — which snapshots share
+//! whole — only when a removal took a child or a child's minimum (an
+//! insert can move no router).  A subtree whose key count has drifted
+//! outside `[built_len / 2, built_len * 2]` since it was last built — or a
+//! leaf that outgrew [`LEAF_CAPACITY`] — is rebuilt from its sorted keys,
+//! restoring the ideal `Θ(√n)` fanout; removals that empty a subtree are
+//! pruned by the parent (single survivors are hoisted).
 //!
-//! A *sub*-batch of one key — every level of a point write, and most levels
-//! below the root for a handful of keys — skips the general step's scratch
-//! at the two places where it would cost more than the step: routing
-//! (`for_each_child_batch` interpolates the one child instead of
-//! partitioning the batch and sweeping the child array) and the leaf
-//! (`insert_into_leaf` / `remove_from_leaf` edit the run in place instead of
-//! merging it into a fresh one).  The bookkeeping, the router repair,
-//! pruning and the rebuild rule are the same code for one key or 16 384.
+//! The recursion holds every node by its `Arc` slot, so a leaf is built
+//! once.  A uniquely owned leaf given one key is edited in place.  Every
+//! other run is merged straight from the old — possibly shared — leaf into
+//! new arrays allocated once: each batch key gallops from the previous
+//! key's position to its own, and the gap before it is copied whole
+//! (`extend_from_slice`, keys and values alike), `O(log gap)` comparisons
+//! per key.  Replacing a shared leaf so is its one copy, counted in
+//! `cow_nodes`; a removal run that finds none of its keys leaves the leaf
+//! as it was, shared or not.
 //!
 //! Everything here is generic over the per-key value `V` ([`crate::IstMap`]
 //! carries real values; the set instantiates `V = ()`, which the compiler
@@ -36,11 +39,11 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use crate::children::cow;
-use crate::metrics::{touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
+use crate::children::{cow, Window};
+use crate::metrics::{touch_cow, touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
 use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY};
-use crate::traverse::SEQ_BATCH_LEN;
-use crate::tree::{build, child_index};
+use crate::traverse::{gallop, Routing, SEQ_BATCH_LEN};
+use crate::tree::build;
 
 /// A subtree is rebuilt when its size leaves
 /// `[built_len / REBUILD_FACTOR, built_len * REBUILD_FACTOR]`.  Factor 2
@@ -52,18 +55,6 @@ const REBUILD_FACTOR: usize = 2;
 /// [`collect_kv`]; above it, collection forks per child.
 const SEQ_COLLECT_LEN: usize = 2048;
 
-/// One child's share of a batched update: the router recording its minimum
-/// (none for the first child), the subtree (already unshared), the range of
-/// the node's batch routed to it, the matching output-flag slice, and the
-/// per-child count the recursion reports back.
-type ChildTask<'a, K, V> = (
-    Option<&'a K>,
-    &'a mut Node<K, V>,
-    Range<usize>,
-    &'a mut [bool],
-    usize,
-);
-
 /// One child's share of a parallel flatten: the subtree and its slices of
 /// the output key and value buffers.
 type CollectTask<'a, K, V> = (
@@ -73,11 +64,11 @@ type CollectTask<'a, K, V> = (
 );
 
 /// Upserts the sorted `batch` (keys with index-parallel `vals`) into the
-/// subtree at `node`, writing one "newly inserted?" flag per batch element
+/// subtree in `slot`, writing one "newly inserted?" flag per batch element
 /// into `out` (batch order) and returning how many keys were actually
 /// added.  Keys already present take the incoming value and flag `false`.
 pub(crate) fn insert_into<K, V>(
-    node: &mut Node<K, V>,
+    slot: &mut Arc<Node<K, V>>,
     batch: &[K],
     vals: &[V],
     out: &mut [bool],
@@ -91,41 +82,48 @@ where
     debug_assert_eq!(batch.len(), vals.len());
     debug_assert!(!batch.is_empty());
     touch_node(m);
-    let added = match node {
-        Node::Leaf(leaf) => {
-            let added = insert_into_leaf(leaf, batch, vals, out);
-            touch_leaf_edit(m, added > 0);
-            added
+    let added = if matches!(**slot, Node::Leaf(_)) {
+        let added = insert_into_leaf(slot, batch, vals, out, m);
+        touch_leaf_edit(m, added > 0);
+        added
+    } else {
+        let Node::Inner(inner) = cow(slot, m) else {
+            unreachable!("not a leaf")
+        };
+        let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
+        let added = walk_runs(
+            &Routing { routers, min, max },
+            inner.children.window(),
+            batch,
+            0,
+            out,
+            m,
+            &|_, child, run, flags| insert_into(child, &batch[run.clone()], &vals[run], flags, m),
+        );
+        inner.len += added;
+        // Routers cannot move: a key routed to child `i >= 1` is at or
+        // above `routers[i - 1]`, that child's minimum.  Only the node's
+        // own bounds can, and only to the batch's ends.
+        if batch[0] < inner.min {
+            inner.min = batch[0].clone();
         }
-        Node::Inner(inner) => {
-            let added = for_each_child_batch(inner, batch, out, m, |_, child, seg, out_seg| {
-                insert_into(child, &batch[seg.clone()], &vals[seg], out_seg, m)
-            });
-            inner.len += added;
-            // Routers cannot move: a key routed to child `i >= 1` is at or
-            // above `routers[i - 1]`, that child's minimum.  Only the node's
-            // own bounds can, and only to the batch's ends.
-            if batch[0] < inner.min {
-                inner.min = batch[0].clone();
-            }
-            if batch[batch.len() - 1] > inner.max {
-                inner.max = batch[batch.len() - 1].clone();
-            }
-            added
+        if batch[batch.len() - 1] > inner.max {
+            inner.max = batch[batch.len() - 1].clone();
         }
+        added
     };
-    maybe_rebuild(node, m);
+    maybe_rebuild(slot, m);
     added
 }
 
-/// Removes the sorted `batch` from the subtree at `node`, writing one "was
+/// Removes the sorted `batch` from the subtree in `slot`, writing one "was
 /// present?" flag per batch element into `out` (batch order) and returning
 /// how many keys were actually removed.
 ///
-/// May leave `node` as an **empty leaf** when the batch wipes the subtree
+/// May leave an **empty leaf** in `slot` when the batch wipes the subtree
 /// out; callers (the parent node, or `IstMap` at the root) prune it.
 pub(crate) fn remove_from<K, V>(
-    node: &mut Node<K, V>,
+    slot: &mut Arc<Node<K, V>>,
     batch: &[K],
     out: &mut [bool],
     m: MetricsRef<'_>,
@@ -137,59 +135,104 @@ where
     debug_assert_eq!(batch.len(), out.len());
     debug_assert!(!batch.is_empty());
     touch_node(m);
-    let removed = match node {
-        Node::Leaf(leaf) => {
-            let removed = remove_from_leaf(leaf, batch, out);
-            touch_leaf_edit(m, removed > 0);
-            removed
+    let removed = if matches!(**slot, Node::Leaf(_)) {
+        let removed = remove_from_leaf(slot, batch, out, m);
+        touch_leaf_edit(m, removed > 0);
+        removed
+    } else {
+        let Node::Inner(inner) = cow(slot, m) else {
+            unreachable!("not a leaf")
+        };
+        let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
+        // Only a child the batch reached can have emptied or lost its
+        // minimum, so staleness is decided there, on lines the removal
+        // just touched, instead of by a scan of every child.  `Relaxed`:
+        // read after the (possibly forked) walk has joined.
+        let stale = AtomicBool::new(false);
+        let removed = walk_runs(
+            &Routing { routers, min, max },
+            inner.children.window(),
+            batch,
+            0,
+            out,
+            m,
+            &|router, child, run, flags| {
+                let removed = remove_from(child, &batch[run], flags, m);
+                if removed > 0
+                    && (child.is_empty() || router.is_some_and(|min| min != child.min_key()))
+                {
+                    stale.store(true, Ordering::Relaxed);
+                }
+                removed
+            },
+        );
+        inner.len -= removed;
+        if removed > 0 {
+            refresh_after_removal(inner, stale.into_inner(), m);
         }
-        Node::Inner(inner) => {
-            // Only a child the batch reached can have emptied or lost its
-            // minimum, so staleness is decided there, on lines the removal
-            // just touched, instead of by a scan of every child.  `Relaxed`:
-            // read after the (possibly forked) loop has joined.
-            let stale = AtomicBool::new(false);
-            let removed =
-                for_each_child_batch(inner, batch, out, m, |router, child, seg, out_seg| {
-                    let removed = remove_from(child, &batch[seg], out_seg, m);
-                    if removed > 0
-                        && (child.is_empty() || router.is_some_and(|min| min != child.min_key()))
-                    {
-                        stale.store(true, Ordering::Relaxed);
-                    }
-                    removed
-                });
-            inner.len -= removed;
-            if removed > 0 {
-                refresh_after_removal(inner, stale.into_inner(), m);
-            }
-            removed
-        }
+        removed
     };
-    prune(node, m);
-    maybe_rebuild(node, m);
+    prune(slot);
+    maybe_rebuild(slot, m);
     removed
+}
+
+/// Hands every run of `batch` — the node's keys from `base` on, with their
+/// slice of `out` — to the child it routes to, in order, and sums what
+/// `op` returns.  A sub-batch of [`SEQ_BATCH_LEN`] keys or more is first
+/// split at a child boundary and its halves forked, each walking its own
+/// part of `window`.  `op` gets the router recording the child's minimum
+/// (`None` for the first child), the child's slot, the run's range of the
+/// node's batch, and the run's slice of `out`.
+fn walk_runs<K, V, Op>(
+    routing: &Routing<'_, K>,
+    mut window: Window<'_, K, V>,
+    batch: &[K],
+    base: usize,
+    out: &mut [bool],
+    m: MetricsRef<'_>,
+    op: &Op,
+) -> usize
+where
+    K: InterpolateKey + Clone + Send + Sync,
+    V: Clone + Send + Sync,
+    Op: Fn(Option<&K>, &mut Arc<Node<K, V>>, Range<usize>, &mut [bool]) -> usize + Sync,
+{
+    if batch.len() >= SEQ_BATCH_LEN {
+        if let Some(at) = routing.split_point(batch) {
+            let (left, right) = window.split_at(routing.child(&batch[at]), m);
+            let (batch_left, batch_right) = batch.split_at(at);
+            let (out_left, out_right) = out.split_at_mut(at);
+            let (a, b) = forkjoin::join(
+                || walk_runs(routing, left, batch_left, base, out_left, m, op),
+                || walk_runs(routing, right, batch_right, base + at, out_right, m, op),
+            );
+            return a + b;
+        }
+    }
+    let mut total = 0;
+    routing.for_each_run(batch, |child, run| {
+        let router = child.checked_sub(1).map(|at| &routing.routers[at]);
+        let span = base + run.start..base + run.end;
+        total += op(router, window.slot(child, m), span, &mut out[run]);
+    });
+    total
 }
 
 /// Prunes an inner node a removal left degenerate: an emptied subtree
 /// becomes an empty leaf (for the parent to drop in turn) and a single
-/// surviving child is hoisted into its parent's slot.
-fn prune<K: Clone, V: Clone>(node: &mut Node<K, V>, m: MetricsRef<'_>) {
-    if let Node::Inner(inner) = node {
-        if inner.children.len() < 2 {
-            *node = match inner.children.take_only() {
-                Some(mut only) => {
-                    // Unshare first so a shared survivor's copy is counted;
-                    // the unwrap then moves.
-                    cow(&mut only, m);
-                    Arc::unwrap_or_clone(only)
-                }
-                None => Node::Leaf(LeafNode {
-                    keys: Vec::new(),
-                    vals: Vec::new(),
-                }),
-            };
-        }
+/// surviving child is hoisted into its parent's slot, shared or not.
+fn prune<K: Clone, V: Clone>(slot: &mut Arc<Node<K, V>>) {
+    let Some(Node::Inner(inner)) = Arc::get_mut(slot) else {
+        return;
+    };
+    if inner.children.len() < 2 {
+        *slot = inner.children.take_only().unwrap_or_else(|| {
+            Arc::new(Node::Leaf(LeafNode {
+                keys: Vec::new(),
+                vals: Vec::new(),
+            }))
+        });
     }
 }
 
@@ -266,78 +309,6 @@ fn collect_into<K, V>(
     }
 }
 
-/// Splits a sorted `batch` at every router: the keys destined for child
-/// `i` are `batch[offsets[i]..offsets[i + 1]]`, where `offsets` is the
-/// returned vector of length `routers.len() + 2`.
-///
-/// Each router is located by a binary search in the still-unassigned tail,
-/// so one partition costs `O(fanout · log |batch|)`.  The offsets are
-/// exactly the exclusive scan of the per-child key counts.
-fn partition_batch<K: Ord>(routers: &[K], batch: &[K]) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(routers.len() + 2);
-    offsets.push(0);
-    let mut assigned = 0;
-    for router in routers {
-        assigned += batch[assigned..].partition_point(|q| q < router);
-        offsets.push(assigned);
-    }
-    offsets.push(batch.len());
-    offsets
-}
-
-/// Routes `batch` to `inner`'s children and runs `op` on every child that
-/// received a non-empty sub-batch — in parallel when the batch is large
-/// enough — returning the sum of the per-child results.  `op` gets the
-/// router recording the child's minimum (`None` for the first child), the
-/// child, its range of `batch`, and the matching slice of `out`.
-///
-/// A sub-batch of one key is routed by the interpolated [`child_index`] and
-/// unshares just its child — no offsets, no task list, no sweep over the
-/// child array; anything longer is split by [`partition_batch`].
-fn for_each_child_batch<K, V, Op>(
-    inner: &mut InnerNode<K, V>,
-    batch: &[K],
-    out: &mut [bool],
-    m: MetricsRef<'_>,
-    op: Op,
-) -> usize
-where
-    K: InterpolateKey + Clone + Send + Sync,
-    V: Clone + Send + Sync,
-    Op: Fn(Option<&K>, &mut Node<K, V>, Range<usize>, &mut [bool]) -> usize + Sync,
-{
-    let (routers, children) = (&*inner.routers, &mut inner.children);
-    let router_of = |idx: usize| idx.checked_sub(1).map(|at| &routers[at]);
-    if let [key] = batch {
-        let idx = child_index(routers, &inner.min, &inner.max, key);
-        return op(router_of(idx), children.get_mut(idx, m), 0..1, out);
-    }
-    let offsets = partition_batch(routers, batch);
-    // Last tuple slot collects the per-child count, since `for_each_task`
-    // has no return channel.
-    let mut tasks: Vec<ChildTask<'_, K, V>> = Vec::with_capacity(children.len());
-    let mut out_rest = out;
-    // Copy-on-write: only children actually receiving updates — and only
-    // the chunks holding them — are unshared from outstanding snapshots.
-    let receives = |idx: usize| offsets[idx] < offsets[idx + 1];
-    children.for_each_touched(receives, m, |idx, child| {
-        let seg = offsets[idx]..offsets[idx + 1];
-        let (out_seg, out_tail) = std::mem::take(&mut out_rest).split_at_mut(seg.len());
-        out_rest = out_tail;
-        tasks.push((router_of(idx), child, seg, out_seg, 0));
-    });
-    if batch.len() < SEQ_BATCH_LEN {
-        for (router, child, seg, out_seg, count) in tasks.iter_mut() {
-            *count = op(*router, child, seg.clone(), out_seg);
-        }
-    } else {
-        parprim::for_each_task(&mut tasks, |(router, child, seg, out_seg, count)| {
-            *count = op(*router, child, seg.clone(), out_seg);
-        });
-    }
-    tasks.iter().map(|task| task.4).sum()
-}
-
 /// Restores `inner`'s children, bounds and routers after a batched removal
 /// (`len` is maintained by the caller).  `stale` says a child emptied or
 /// lost its minimum: only then are emptied children dropped (which
@@ -358,21 +329,22 @@ fn refresh_after_removal<K: Ord + Clone, V: Clone>(
     inner.min = children.get(0).min_key().clone();
     inner.max = children.get(children.len() - 1).max_key().clone();
     if stale {
-        let mut minima = Vec::with_capacity(children.len() - 1);
-        (children.iter().skip(1)).for_each(|child| minima.push(child.min_key().clone()));
-        inner.routers = minima.into();
+        // An iterator of known length collects into the `Arc` directly.
+        inner.routers = (1..children.len())
+            .map(|idx| children.get(idx).min_key().clone())
+            .collect();
     }
 }
 
-/// Rebuilds the subtree at `node` from its sorted keys when its size has
+/// Rebuilds the subtree in `slot` from its sorted keys when its size has
 /// drifted past the rebuild threshold (or a leaf outgrew its capacity),
 /// restoring the ideal `Θ(√n)`-fanout shape.
-fn maybe_rebuild<K, V>(node: &mut Node<K, V>, m: MetricsRef<'_>)
+fn maybe_rebuild<K, V>(slot: &mut Arc<Node<K, V>>, m: MetricsRef<'_>)
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
 {
-    let drifted = match node {
+    let drifted = match &**slot {
         Node::Leaf(leaf) => leaf.keys.len() > LEAF_CAPACITY,
         Node::Inner(inner) => {
             inner.len > inner.built_len * REBUILD_FACTOR
@@ -380,25 +352,25 @@ where
         }
     };
     if drifted {
-        touch_rebuild(m, node.len());
-        let (keys, vals) = collect_kv(node);
-        *node = build(&keys, &vals);
+        touch_rebuild(m, slot.len());
+        let (keys, vals) = collect_kv(slot);
+        *slot = Arc::new(build(&keys, &vals));
     }
 }
 
-/// Merges `batch` (keys with parallel `vals`) into one leaf's sorted run,
-/// flagging which elements were new; returns the number added.  Present
-/// keys take the incoming value (upsert).  The leaf may exceed
-/// [`LEAF_CAPACITY`] afterwards — [`maybe_rebuild`] gives it inner
-/// structure.
-/// A single key is edited in place; more are merged in one pass.
+/// Upserts a sorted run into the leaf in `slot`, flagging which keys were
+/// new; returns how many.  One key into a leaf the tree owns alone is
+/// inserted in place; anything else is merged into a new leaf by
+/// [`upsert_run`].  The leaf may exceed [`LEAF_CAPACITY`] afterwards —
+/// [`maybe_rebuild`] gives it inner structure.
 fn insert_into_leaf<K: Ord + Clone, V: Clone>(
-    leaf: &mut LeafNode<K, V>,
+    slot: &mut Arc<Node<K, V>>,
     batch: &[K],
     vals: &[V],
     out: &mut [bool],
+    m: MetricsRef<'_>,
 ) -> usize {
-    if let ([key], [val]) = (batch, vals) {
+    if let (Some(Node::Leaf(leaf)), [key], [val]) = (Arc::get_mut(slot), batch, vals) {
         let found = leaf.keys.binary_search(key);
         match found {
             Ok(pos) => leaf.vals[pos] = val.clone(),
@@ -410,48 +382,26 @@ fn insert_into_leaf<K: Ord + Clone, V: Clone>(
         out[0] = found.is_err();
         return found.is_err() as usize;
     }
-    let keys = &leaf.keys;
-    let old_vals = &leaf.vals;
-    let mut merged = Vec::with_capacity(keys.len() + batch.len());
-    let mut merged_vals = Vec::with_capacity(keys.len() + batch.len());
-    let mut i = 0;
-    let mut added = 0;
-    for ((q, v), slot) in batch.iter().zip(vals.iter()).zip(out.iter_mut()) {
-        while i < keys.len() && keys[i] < *q {
-            merged.push(keys[i].clone());
-            merged_vals.push(old_vals[i].clone());
-            i += 1;
-        }
-        if i < keys.len() && keys[i] == *q {
-            // Present already: keep the stored key, take the batch's value
-            // (upsert), report "not newly inserted".
-            merged.push(keys[i].clone());
-            merged_vals.push(v.clone());
-            i += 1;
-            *slot = false;
-        } else {
-            merged.push(q.clone());
-            merged_vals.push(v.clone());
-            added += 1;
-            *slot = true;
-        }
-    }
-    merged.extend_from_slice(&keys[i..]);
-    merged_vals.extend_from_slice(&old_vals[i..]);
-    leaf.keys = merged;
-    leaf.vals = merged_vals;
+    let Node::Leaf(leaf) = &**slot else {
+        unreachable!("a leaf's slot")
+    };
+    let merged = upsert_run(leaf, batch, vals, out);
+    let added = merged.keys.len() - leaf.keys.len();
+    replace_leaf(slot, merged, m);
     added
 }
 
-/// Filters `batch` out of one leaf's sorted run, flagging which elements
-/// were present; returns the number removed.  May leave the leaf empty.
-/// A single key is removed in place; more are filtered in one pass.
+/// Removes a sorted run from the leaf in `slot`, flagging which keys were
+/// present; returns how many.  May leave the leaf empty.  One key from a
+/// leaf the tree owns alone is removed in place; anything else builds a new
+/// leaf by [`remove_run`] — unless no key of the run is there.
 fn remove_from_leaf<K: Ord + Clone, V: Clone>(
-    leaf: &mut LeafNode<K, V>,
+    slot: &mut Arc<Node<K, V>>,
     batch: &[K],
     out: &mut [bool],
+    m: MetricsRef<'_>,
 ) -> usize {
-    if let [key] = batch {
+    if let (Some(Node::Leaf(leaf)), [key]) = (Arc::get_mut(slot), batch) {
         let found = leaf.keys.binary_search(key);
         if let Ok(pos) = found {
             leaf.keys.remove(pos);
@@ -460,29 +410,93 @@ fn remove_from_leaf<K: Ord + Clone, V: Clone>(
         out[0] = found.is_ok();
         return found.is_ok() as usize;
     }
-    let keys = &leaf.keys;
-    let old_vals = &leaf.vals;
-    let mut kept = Vec::with_capacity(keys.len());
-    let mut kept_vals = Vec::with_capacity(keys.len());
-    let mut i = 0;
-    let mut removed = 0;
-    for (q, slot) in batch.iter().zip(out.iter_mut()) {
-        while i < keys.len() && keys[i] < *q {
-            kept.push(keys[i].clone());
-            kept_vals.push(old_vals[i].clone());
-            i += 1;
-        }
-        if i < keys.len() && keys[i] == *q {
-            i += 1;
-            removed += 1;
-            *slot = true;
-        } else {
-            *slot = false;
+    let Node::Leaf(leaf) = &**slot else {
+        unreachable!("a leaf's slot")
+    };
+    let Some(kept) = remove_run(leaf, batch, out) else {
+        return 0;
+    };
+    let removed = leaf.keys.len() - kept.keys.len();
+    replace_leaf(slot, kept, m);
+    removed
+}
+
+/// Puts `leaf` in `slot`: over the old leaf when the tree owns it alone,
+/// else in a new node — a shared leaf's one copy, counted.
+fn replace_leaf<K, V>(slot: &mut Arc<Node<K, V>>, leaf: LeafNode<K, V>, m: MetricsRef<'_>) {
+    match Arc::get_mut(slot) {
+        Some(node) => *node = Node::Leaf(leaf),
+        None => {
+            touch_cow(m, 1, 0);
+            *slot = Arc::new(Node::Leaf(leaf));
         }
     }
-    kept.extend_from_slice(&keys[i..]);
-    kept_vals.extend_from_slice(&old_vals[i..]);
-    leaf.keys = kept;
-    leaf.vals = kept_vals;
-    removed
+}
+
+/// `leaf` with the sorted run `batch` (and its `vals`) upserted, built in
+/// one forward walk: each key gallops from the previous key's position to
+/// its own and the gap before it is copied whole.  Flags new keys in `out`.
+/// The arrays are sized for every key of the run new, so nothing regrows;
+/// each key already present leaves one slot spare.
+fn upsert_run<K: Ord + Clone, V: Clone>(
+    leaf: &LeafNode<K, V>,
+    batch: &[K],
+    vals: &[V],
+    out: &mut [bool],
+) -> LeafNode<K, V> {
+    let (keys, old) = (&leaf.keys, &leaf.vals);
+    let room = keys.len() + batch.len();
+    let mut run = LeafNode {
+        keys: Vec::with_capacity(room),
+        vals: Vec::with_capacity(room),
+    };
+    let mut at = 0;
+    for ((q, v), new) in batch.iter().zip(vals).zip(out) {
+        let end = at + gallop(&keys[at..], |k| k < q);
+        run.keys.extend_from_slice(&keys[at..end]);
+        run.vals.extend_from_slice(&old[at..end]);
+        at = end;
+        let present = keys.get(at) == Some(q);
+        // A present key keeps its stored copy and takes the batch's value.
+        run.keys.push((if present { &keys[at] } else { q }).clone());
+        run.vals.push(v.clone());
+        at += present as usize;
+        *new = !present;
+    }
+    run.keys.extend_from_slice(&keys[at..]);
+    run.vals.extend_from_slice(&old[at..]);
+    run
+}
+
+/// `leaf` without the keys of the sorted run `batch`, built in the same
+/// forward walk as [`upsert_run`] — or `None` when none of them is there.
+/// Flags present keys in `out`.  The arrays are allocated at the first
+/// hit, sized for the leaf less that key; each further hit leaves one slot
+/// spare.
+fn remove_run<K: Ord + Clone, V: Clone>(
+    leaf: &LeafNode<K, V>,
+    batch: &[K],
+    out: &mut [bool],
+) -> Option<LeafNode<K, V>> {
+    let (keys, vals) = (&leaf.keys, &leaf.vals);
+    let mut kept: Option<LeafNode<K, V>> = None;
+    let (mut at, mut copied) = (0, 0);
+    for (q, present) in batch.iter().zip(out) {
+        at += gallop(&keys[at..], |k| k < q);
+        *present = keys.get(at) == Some(q);
+        if *present {
+            let run = kept.get_or_insert_with(|| LeafNode {
+                keys: Vec::with_capacity(keys.len() - 1),
+                vals: Vec::with_capacity(keys.len() - 1),
+            });
+            run.keys.extend_from_slice(&keys[copied..at]);
+            run.vals.extend_from_slice(&vals[copied..at]);
+            at += 1;
+            copied = at;
+        }
+    }
+    let mut run = kept?;
+    run.keys.extend_from_slice(&keys[copied..]);
+    run.vals.extend_from_slice(&vals[copied..]);
+    Some(run)
 }
