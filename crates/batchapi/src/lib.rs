@@ -174,41 +174,6 @@ impl<K: Ord> Batch<K> {
     pub fn as_slice(&self) -> &[K] {
         &self.keys
     }
-
-    /// Splits the batch into `offsets.len() - 1` contiguous sub-batches:
-    /// sub-batch `i` is `self[offsets[i]..offsets[i + 1]]` (possibly
-    /// empty).  `offsets` is the exclusive scan of the per-segment key
-    /// counts — exactly the shape `pbist`'s joint traversal produces when
-    /// it partitions a batch at a node's routers, and what a sharded
-    /// service tier produces when it carves a batch at shard boundaries.
-    ///
-    /// Every sub-batch is a contiguous slice of a strictly-increasing run,
-    /// so it is itself a valid batch; no re-validation happens.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `offsets` is not a valid exclusive scan over this batch:
-    /// fewer than two entries, not non-decreasing, first entry not `0`, or
-    /// last entry not `self.len()`.
-    pub fn split_at_offsets(&self, offsets: &[usize]) -> Vec<Batch<K>>
-    where
-        K: Clone,
-    {
-        assert!(offsets.len() >= 2, "offsets needs at least [0, len]");
-        assert_eq!(offsets[0], 0, "offsets must start at 0");
-        assert_eq!(
-            *offsets.last().expect("len checked above"),
-            self.keys.len(),
-            "offsets must end at the batch length"
-        );
-        offsets
-            .windows(2)
-            .map(|w| {
-                assert!(w[0] <= w[1], "offsets must be non-decreasing");
-                Batch::from_keys(self.keys[w[0]..w[1]].to_vec())
-            })
-            .collect()
-    }
 }
 
 impl<K: Ord, V> KvBatch<K, V> {
@@ -273,6 +238,45 @@ impl<K, V> KvBatch<K, V> {
     /// Returns `true` when the batch holds no keys.
     pub fn is_empty(&self) -> bool {
         self.keys.is_empty()
+    }
+
+    /// Splits the batch into `offsets.len() - 1` contiguous sub-batches:
+    /// sub-batch `i` holds the pairs at `offsets[i]..offsets[i + 1]`
+    /// (possibly empty).  `offsets` is the exclusive scan of the per-segment key
+    /// counts — exactly the shape `pbist`'s joint traversal produces when
+    /// it partitions a batch at a node's routers, and what a sharded
+    /// service tier produces when it carves a batch at shard boundaries.
+    ///
+    /// Every sub-batch is a contiguous slice of a strictly-increasing run,
+    /// so it is itself a valid batch; no re-validation happens.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `offsets` is not a valid exclusive scan over this batch:
+    /// fewer than two entries, not non-decreasing, first entry not `0`, or
+    /// last entry not `self.len()`.
+    pub fn split_at_offsets(&self, offsets: &[usize]) -> Vec<KvBatch<K, V>>
+    where
+        K: Clone,
+        V: Clone,
+    {
+        assert!(offsets.len() >= 2, "offsets needs at least [0, len]");
+        assert_eq!(offsets[0], 0, "offsets must start at 0");
+        assert_eq!(
+            *offsets.last().expect("len checked above"),
+            self.keys.len(),
+            "offsets must end at the batch length"
+        );
+        offsets
+            .windows(2)
+            .map(|w| {
+                assert!(w[0] <= w[1], "offsets must be non-decreasing");
+                KvBatch {
+                    keys: self.keys[w[0]..w[1]].to_vec(),
+                    vals: self.vals[w[0]..w[1]].to_vec(),
+                }
+            })
+            .collect()
     }
 
     /// Iterates the pairs in key order.

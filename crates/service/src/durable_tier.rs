@@ -1,17 +1,10 @@
-//! The durable sharded tier: one [`durable::DurableSet`] per shard, one
-//! directory per shard, tier-wide recovery on open.
+//! The durable tier: one [`DurableMap`] per shard, one directory per
+//! shard, tier-wide recovery on open.
 //!
-//! Composition, not new machinery: routing is the same [`ShardRouter`]
-//! contract as [`ShardedSet`](crate::ShardedSet), and durability is each
-//! shard's own WAL + snapshot protocol (see the [`durable`] crate docs).
-//! Because every key maps to exactly one shard, each shard's log is a
-//! complete, self-contained history of its key range — shards recover
-//! independently and in any order, and there is no cross-shard
-//! coordination to get wrong.  The price is the same contract as the
-//! in-memory tier: per-shard linearizability (and now per-shard
-//! durability), with no cross-shard ordering or atomicity.  A
-//! [`DurableTier::sync_all`] is N independent per-shard durability
-//! points, not a consistent cut.
+//! Durability is each shard's own WAL + snapshot protocol (see the
+//! [`durable`] crate docs).  Because every key maps to exactly one shard,
+//! each shard's log is a complete history of its key range, so shards
+//! recover independently and in any order.
 //!
 //! On disk a tier is a directory of shard directories plus a small `TIER`
 //! file recording the shard count.  Reopening with a router that
@@ -23,35 +16,51 @@
 //! ```text
 //! tier-dir/
 //!   TIER            shard-count manifest
-//!   shard-0000/     a durable::DurableSet directory (WAL + snapshots)
+//!   shard-0000/     a durable::DurableMap directory (WAL + snapshots)
 //!   shard-0001/
 //!   ...
 //! ```
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::Path;
 
-use batchapi::{Batch, BatchedSet, KeyCodec};
-use durable::{DurableOptions, DurableSet};
+use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
+use combine::ConcurrentMap;
+use durable::{DurableMap, DurableOptions, DurableSet};
 use forkjoin::Pool;
 use obs::Snapshot;
 
-use crate::router::ShardRouter;
+use crate::{Shard, ShardRouter, Tier};
 
 /// First line of the `TIER` manifest file.
 const TIER_MAGIC: &str = "pbtier-v1";
 
-/// A durable, sharded concurrent set: a [`ShardRouter`] over N
-/// [`durable::DurableSet`] shards, each persisting its own key range in
-/// its own subdirectory.  See the crate docs' Durability section for the
-/// on-disk layout and the (per-shard) consistency contract.
-pub struct DurableTier<K, S, R>
+/// The durable sharded set: [`DurableSet`] shards.
+pub type DurableTier<K, S, R> = Tier<DurableSet<K, S>, R>;
+
+impl<K, V, S> Shard for DurableMap<K, V, S>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Clone + Send + Sync,
+    V: Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
 {
-    router: R,
-    shards: Vec<DurableSet<K, S>>,
+    type Key = K;
+    type Val = V;
+    type Backend = S;
+    type Error = io::Error;
+
+    fn front(&self) -> &ConcurrentMap<K, V, S> {
+        self.inner()
+    }
+
+    /// The store's `durable.*` registry.
+    fn metrics(&self) -> Snapshot {
+        DurableMap::metrics(self)
+    }
+
+    fn in_shard(err: io::Error, index: usize) -> io::Error {
+        io::Error::new(err.kind(), format!("shard {index}: {err}"))
+    }
 }
 
 /// Reads or creates the `TIER` manifest, enforcing a stable shard count.
@@ -62,51 +71,36 @@ where
 /// partitions that many ways may recreate the manifest.
 fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
     let path = dir.join("TIER");
-    match std::fs::File::open(&path) {
-        Ok(mut file) => {
-            let mut text = String::new();
-            file.read_to_string(&mut text)?;
+    let refuse = |why: String| Err(io::Error::new(io::ErrorKind::InvalidData, why));
+    let migrate =
+        format!("the router partitions {num_shards} ways; resharding needs an explicit migration");
+    match std::fs::read_to_string(&path) {
+        Ok(text) => {
             let mut lines = text.lines();
-            let (magic, count) = (lines.next(), lines.next());
-            if magic != Some(TIER_MAGIC) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} is not a tier manifest", path.display()),
-                ));
+            if lines.next() != Some(TIER_MAGIC) {
+                return refuse(format!("{} is not a tier manifest", path.display()));
             }
-            let recorded: usize = count.and_then(|c| c.trim().parse().ok()).ok_or_else(|| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} has no shard count", path.display()),
-                )
-            })?;
-            if recorded != num_shards {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "tier at {} was created with {recorded} shards but the router \
-                         partitions {num_shards} ways; resharding needs an explicit migration",
-                        dir.display()
-                    ),
-                ));
+            match lines
+                .next()
+                .and_then(|count| count.trim().parse::<usize>().ok())
+            {
+                None => refuse(format!("{} has no shard count", path.display())),
+                Some(recorded) if recorded != num_shards => refuse(format!(
+                    "tier at {} was created with {recorded} shards but {migrate}",
+                    dir.display()
+                )),
+                Some(_) => Ok(()),
             }
-            Ok(())
         }
         Err(e) if e.kind() == io::ErrorKind::NotFound => {
             let mut existing = 0;
             for entry in std::fs::read_dir(dir)? {
-                let name = entry?.file_name();
-                existing += name.to_string_lossy().starts_with("shard-") as usize;
+                existing += entry?.file_name().to_string_lossy().starts_with("shard-") as usize;
             }
             if existing != 0 && existing != num_shards {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "tier at {} has no manifest but {existing} shard directories, and \
-                         the router partitions {num_shards} ways; resharding needs an \
-                         explicit migration",
-                        dir.display()
-                    ),
+                return refuse(format!(
+                    "tier at {} has no manifest but {existing} shard directories, and {migrate}",
+                    dir.display()
                 ));
             }
             let mut file = std::fs::File::create(&path)?;
@@ -123,14 +117,15 @@ fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
     }
 }
 
-impl<K, S, R> DurableTier<K, S, R>
+impl<K, V, S, R> Tier<DurableMap<K, V, S>, R>
 where
     K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedSet<K> + Clone + Send + Sync,
+    V: Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
     R: ShardRouter<K>,
 {
     /// Opens (creating if absent) the tier rooted at `dir`, recovering
-    /// every shard: `shard-<i>/` is opened as a [`DurableSet`] with
+    /// every shard: `shard-<i>/` is opened as a [`DurableMap`] with
     /// `options`, a pool built by `make_pool(i)` (pools are per shard —
     /// a shard's combiner must never block on another shard's workers),
     /// and a backend built by `make_backend` (called once per shard with
@@ -146,18 +141,18 @@ where
         options: DurableOptions,
         mut make_pool: MP,
         mut make_backend: F,
-    ) -> io::Result<DurableTier<K, S, R>>
+    ) -> io::Result<Self>
     where
         P: AsRef<Path>,
         MP: FnMut(usize) -> Pool,
-        F: FnMut(Batch<K>) -> S,
+        F: FnMut(KvBatch<K, V>) -> S,
     {
         let dir = dir.as_ref();
         std::fs::create_dir_all(dir)?;
         check_tier_manifest(dir, router.num_shards())?;
         let shards = (0..router.num_shards())
             .map(|i| {
-                DurableSet::open(
+                DurableMap::open(
                     dir.join(format!("shard-{i:04}")),
                     make_pool(i),
                     options.clone(),
@@ -165,113 +160,84 @@ where
                 )
             })
             .collect::<io::Result<Vec<_>>>()?;
-        Ok(DurableTier { router, shards })
+        Ok(Tier::from_shards(router, shards))
     }
 
-    /// Number of shards in the tier.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Inserts `key` on its owning shard; `Ok(true)` iff newly inserted.
-    /// Durability timing is the shard's group-commit contract
-    /// ([`durable::DurableSet::insert`]).
-    pub fn insert(&self, key: K) -> io::Result<bool> {
-        self.shards[self.router.shard_of(&key)].insert(key)
+    /// Upserts `key → val` on its owning shard; `Ok(true)` iff newly
+    /// inserted.  Durability timing is the shard's group-commit contract
+    /// ([`DurableMap::upsert`]).
+    pub fn upsert(&self, key: K, val: V) -> io::Result<bool> {
+        self.shard_of(&key).upsert(key, val)
     }
 
     /// Removes `key` from its owning shard; `Ok(true)` iff it was present.
     pub fn remove(&self, key: &K) -> io::Result<bool> {
-        self.shards[self.router.shard_of(key)].remove(key)
+        self.shard_of(key).remove(key)
     }
 
-    /// Membership test on the owning shard.
+    /// Membership test on the owning shard (fails on a wedged shard).
     pub fn contains(&self, key: &K) -> io::Result<bool> {
-        self.shards[self.router.shard_of(key)].contains(key)
+        self.shard_of(key).contains(key)
     }
 
-    /// Splits `batch` across shards, runs one durable batch insert per
-    /// non-empty sub-batch, and stitches results back into batch order.
-    /// Sub-batches run sequentially: each is a durability point, and a
-    /// mid-batch error reports exactly which prefix of shards committed.
-    pub fn batch_insert(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.run_batch(batch, |shard, sub| self.shards[shard].batch_insert(sub))
+    /// The value under `key`, read like [`Tier::contains`].
+    pub fn get(&self, key: &K) -> io::Result<Option<V>> {
+        self.shard_of(key).get(key)
     }
 
-    /// Batched remove; see [`DurableTier::batch_insert`].
+    /// Upserts every pair of `batch`, one durable batch per touched shard;
+    /// `result[i]` is `true` iff `batch[i]` was newly inserted.  Each
+    /// sub-batch is a durability point; on an error see the
+    /// [crate docs](crate#failures) for which shards committed.
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
+        self.run_batch(batch, DurableMap::batch_insert)
+    }
+
+    /// Batched remove; see [`Tier::batch_insert`].
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.run_batch(batch, |shard, sub| self.shards[shard].batch_remove(sub))
+        self.run_batch(batch, DurableMap::batch_remove)
     }
 
-    /// Batched membership; see [`DurableTier::batch_insert`].
+    /// Batched membership (fails on a wedged shard).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.run_batch(batch, |shard, sub| self.shards[shard].batch_contains(sub))
+        self.run_batch(batch, DurableMap::batch_contains)
     }
 
-    /// Total keys across all shards (per-shard counts at independent
-    /// instants; not a consistent cut).
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(DurableSet::len).sum()
-    }
-
-    /// Whether every shard is empty (same caveat as [`DurableTier::len`]).
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(DurableSet::is_empty)
+    /// Batched value lookup (fails on a wedged shard).
+    pub fn batch_get(&self, batch: &Batch<K>) -> io::Result<Vec<Option<V>>> {
+        self.run_batch(batch, DurableMap::batch_get)
     }
 
     /// Forces every shard's log onto disk; returns the per-shard durable
     /// high-water marks, index-aligned with the router's numbering.
     pub fn sync_all(&self) -> io::Result<Vec<u64>> {
-        self.shards.iter().map(DurableSet::sync).collect()
+        self.shards.iter().map(DurableMap::sync).collect()
     }
 
     /// Snapshots every shard (truncating its log); returns the per-shard
     /// snapshot seqs.  N independent per-shard checkpoints, not an
     /// atomic tier-wide one.
     pub fn snapshot_all(&self) -> io::Result<Vec<u64>> {
-        self.shards.iter().map(DurableSet::snapshot).collect()
-    }
-
-    /// Per-shard `durable.*` metric snapshots, index-aligned with the
-    /// router's shard numbering.
-    pub fn shard_metrics(&self) -> Vec<Snapshot> {
-        self.shards.iter().map(DurableSet::metrics).collect()
-    }
-
-    /// Direct access to one shard (for its combiner stats/metrics).
-    ///
-    /// # Panics
-    ///
-    /// Panics when `shard >= num_shards()`.
-    pub fn shard(&self, shard: usize) -> &DurableSet<K, S> {
-        &self.shards[shard]
+        self.shards.iter().map(DurableMap::snapshot).collect()
     }
 
     /// Drains and fsyncs every shard, then closes; first error wins (the
     /// remaining shards still run their best-effort `Drop` sync).
     pub fn close(self) -> io::Result<()> {
-        self.shards.into_iter().try_for_each(DurableSet::close)
+        self.shards.into_iter().try_for_each(DurableMap::close)
     }
+}
 
-    fn run_batch<F>(&self, batch: &Batch<K>, mut exec: F) -> io::Result<Vec<bool>>
-    where
-        F: FnMut(usize, &Batch<K>) -> io::Result<Vec<bool>>,
-    {
-        if batch.is_empty() {
-            return Ok(Vec::new());
-        }
-        let split = self.router.split(batch);
-        let mut results: Vec<Vec<bool>> = Vec::with_capacity(self.shards.len());
-        for (shard, sub) in split.sub_batches().iter().enumerate() {
-            results.push(if sub.is_empty() {
-                Vec::new()
-            } else {
-                exec(shard, sub)?
-            });
-        }
-        let mut out = Vec::with_capacity(batch.len());
-        split.stitch(&results, &mut out);
-        Ok(out)
+impl<K, S, R> DurableTier<K, S, R>
+where
+    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
+    S: BatchedMap<K, ()> + Clone + Send + Sync,
+    R: ShardRouter<K>,
+{
+    /// Inserts `key`; `Ok(true)` iff newly inserted — the set spelling of
+    /// [`Tier::upsert`].
+    pub fn insert(&self, key: K) -> io::Result<bool> {
+        self.upsert(key, ())
     }
 }
 
@@ -279,7 +245,7 @@ where
 mod tests {
     use super::*;
     use crate::RangeRouter;
-    use pbist::IstSet;
+    use pbist::{IstMap, IstSet};
     use std::path::PathBuf;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -293,9 +259,9 @@ mod tests {
         ))
     }
 
-    type Tier = DurableTier<u64, IstSet<u64>, RangeRouter<u64>>;
+    type SetTier = DurableTier<u64, IstSet<u64>, RangeRouter<u64>>;
 
-    fn try_open(dir: &Path, num_shards: usize, options: DurableOptions) -> io::Result<Tier> {
+    fn try_open(dir: &Path, num_shards: usize, options: DurableOptions) -> io::Result<SetTier> {
         DurableTier::open(
             dir,
             RangeRouter::new(num_shards, 0, 10_000),
@@ -305,7 +271,7 @@ mod tests {
         )
     }
 
-    fn open(dir: &Path, num_shards: usize, options: DurableOptions) -> Tier {
+    fn open(dir: &Path, num_shards: usize, options: DurableOptions) -> SetTier {
         try_open(dir, num_shards, options).unwrap()
     }
 
@@ -419,6 +385,81 @@ mod tests {
         // Snapshot-only recovery (logs were truncated).
         let tier = open(&dir, 3, DurableOptions::default());
         assert_eq!(tier.len(), 90);
+        tier.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batch that fails on one shard names that shard and keeps the
+    /// error's kind; the shard below it committed, durably.
+    #[test]
+    fn a_mid_batch_error_names_its_shard() {
+        let dir = scratch_dir("wedge");
+        let tier = open(&dir, 2, DurableOptions::default());
+        std::fs::remove_dir_all(dir.join("shard-0001")).unwrap();
+        assert!(
+            tier.shard(1).snapshot().is_err(),
+            "shard 1 lost its directory"
+        );
+        let batch = Batch::from_unsorted(vec![1u64, 2, 9_000]);
+        let err = tier.batch_insert(&batch).unwrap_err();
+        assert!(err.to_string().starts_with("shard 1: "), "{err}");
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert_eq!(err.kind(), io::ErrorKind::Other);
+        // Shard 1 ran its sub-batch in memory before its log failed: point
+        // reads refuse, while `len` and the ordered queries serve 9 000.
+        let refused = tier.contains(&9_000).unwrap_err();
+        assert!(refused.to_string().contains("wedged"), "{refused}");
+        assert_eq!(tier.len(), 3);
+        use std::ops::Bound::Unbounded;
+        assert_eq!(tier.range_keys(Unbounded, Unbounded), vec![1, 2, 9_000]);
+        assert_eq!(tier.kth(2), Some(9_000));
+        // Shard 0 closes cleanly before the wedged shard 1 reports.
+        assert!(tier.close().is_err());
+
+        let tier = open(&dir, 2, DurableOptions::default());
+        assert_eq!(
+            tier.batch_contains(&batch).unwrap(),
+            vec![true, true, false]
+        );
+        tier.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A map tier: values survive close and reopen exactly, and the ordered
+    /// queries read across shards.
+    #[test]
+    fn a_map_tier_recovers_its_values_exactly() {
+        type MapTier = Tier<DurableMap<u64, u64, IstMap<u64, u64>>, RangeRouter<u64>>;
+        let dir = scratch_dir("map");
+        let open_map = || -> MapTier {
+            Tier::open(
+                &dir,
+                RangeRouter::new(3, 0, 10_000),
+                DurableOptions::default(),
+                |_| Pool::new(1).unwrap(),
+                |batch| IstMap::from_batch(&batch),
+            )
+            .unwrap()
+        };
+        let tier = open_map();
+        let pairs: Vec<(u64, u64)> = (0..60u64).map(|i| (i * 163, i)).collect();
+        let batch = KvBatch::from_unsorted_entries(pairs.clone());
+        assert_eq!(tier.batch_insert(&batch).unwrap(), vec![true; 60]);
+        assert!(!tier.upsert(163, 1_000).unwrap(), "an upsert overwrites");
+        assert!(tier.remove(&0).unwrap());
+        tier.close().unwrap();
+
+        let tier = open_map();
+        let mut want: Vec<(u64, u64)> = pairs[1..].to_vec();
+        want[0].1 = 1_000;
+        let keys = Batch::from_unsorted(want.iter().map(|&(k, _)| k).collect());
+        let vals: Vec<Option<u64>> = want.iter().map(|&(_, v)| Some(v)).collect();
+        assert_eq!(tier.batch_get(&keys).unwrap(), vals);
+        assert_eq!(tier.get(&163).unwrap(), Some(1_000));
+        assert_eq!(tier.get(&0).unwrap(), None);
+        use std::ops::Bound::Unbounded;
+        assert_eq!(tier.range_entries(Unbounded, Unbounded), want);
+        assert_eq!(tier.kth_entry(1), Some(want[1]));
         tier.close().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }

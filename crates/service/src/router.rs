@@ -1,5 +1,5 @@
 //! Shard routers: deciding which shard owns a key, and carving a sorted
-//! [`Batch`] into per-shard sub-batches whose results stitch back by
+//! [`KvBatch`] into per-shard sub-batches whose results stitch back by
 //! concatenation.
 //!
 //! The tier is an **ordered partition** of the key space: shard `i` owns a
@@ -12,7 +12,7 @@
 //! [`ShardRouter`] contract, not a flag; [`RangeRouter`] is the shipped
 //! implementation.
 
-use batchapi::Batch;
+use batchapi::KvBatch;
 use pbist::node::interpolate_slot;
 use pbist::InterpolateKey;
 
@@ -40,11 +40,11 @@ pub trait ShardRouter<K: Ord> {
     /// `key` (see the [contract](ShardRouter#contract)).
     fn shard_of(&self, key: &K) -> usize;
 
-    /// Carves a sorted `batch` into one (possibly empty) contiguous
-    /// sub-batch per shard: each shard boundary is located with a binary
-    /// search over `shard_of` in the still-unassigned tail, so the offsets
-    /// come out as the exclusive scan of per-shard key counts — the same
-    /// idiom the tree's batched update uses at every inner node.
+    /// Carves a sorted `batch`, keys and values together, into one (possibly
+    /// empty) contiguous sub-batch per shard: each shard boundary is located
+    /// with a binary search over `shard_of` in the still-unassigned tail, so
+    /// the offsets come out as the exclusive scan of per-shard key counts —
+    /// the same idiom the tree's batched update uses at every inner node.
     ///
     /// # Panics
     ///
@@ -52,7 +52,7 @@ pub trait ShardRouter<K: Ord> {
     /// not monotone (or not total) would otherwise send a key's batched and
     /// point ops to different shards.  The two ends of every non-empty
     /// sub-batch are always checked; every key is under `debug_assertions`.
-    fn split(&self, batch: &Batch<K>) -> SplitBatch<K>
+    fn split<V: Clone>(&self, batch: &KvBatch<K, V>) -> SplitBatch<K, V>
     where
         K: Clone,
     {
@@ -91,34 +91,34 @@ pub trait ShardRouter<K: Ord> {
 /// One sorted batch carved into contiguous per-shard sub-batches.  Produced
 /// by [`ShardRouter::split`]; consumed by the tier's batched operations (and
 /// directly testable — see this crate's router property tests).
-pub struct SplitBatch<K> {
-    sub_batches: Vec<Batch<K>>,
+pub struct SplitBatch<K, V> {
+    sub_batches: Vec<KvBatch<K, V>>,
     /// The carve: sub-batch `s` is `batch[offsets[s]..offsets[s + 1]]`, so
     /// `offsets` is the exclusive scan of per-shard key counts.
     offsets: Vec<usize>,
 }
 
-impl<K: Ord> SplitBatch<K> {
+impl<K, V> SplitBatch<K, V> {
     /// The per-shard sub-batches, indexed by shard; empty shards hold
     /// empty batches.
-    pub fn sub_batches(&self) -> &[Batch<K>] {
+    pub fn sub_batches(&self) -> &[KvBatch<K, V>] {
         &self.sub_batches
     }
 
     /// Stitches per-shard result runs back into batch order: `out[i]`
-    /// becomes the flag that `batch[i]`'s shard reported for it.  Shard
-    /// order is batch order, so this is the concatenation of the runs —
-    /// shard `s`'s flags land at `out[offsets[s]..offsets[s + 1]]`.
-    /// `per_shard[s]` must hold exactly one flag per key of sub-batch `s`,
-    /// in sub-batch order — which is what the shards' batched operations
-    /// report.
+    /// becomes the result (a flag, a looked-up value) that `batch[i]`'s shard
+    /// reported for it.  Shard order is batch order, so this is the
+    /// concatenation of the runs — shard `s`'s results land at
+    /// `out[offsets[s]..offsets[s + 1]]`.  `per_shard[s]` must hold exactly
+    /// one result per key of sub-batch `s`, in sub-batch order — which is
+    /// what the shards' batched operations report.
     ///
     /// # Panics
     ///
     /// Panics when `per_shard` disagrees with the split's shape (wrong
     /// shard count or a result run whose length differs from its
     /// sub-batch).
-    pub fn stitch(&self, per_shard: &[Vec<bool>], out: &mut Vec<bool>) {
+    pub fn stitch<T: Clone>(&self, per_shard: &[Vec<T>], out: &mut Vec<T>) {
         assert_eq!(
             per_shard.len(),
             self.sub_batches.len(),
@@ -130,7 +130,7 @@ impl<K: Ord> SplitBatch<K> {
             assert_eq!(
                 run.len(),
                 keys,
-                "shard {shard} reported {} flags for {keys} keys",
+                "shard {shard} reported {} results for {keys} keys",
                 run.len()
             );
             out.extend_from_slice(run);
@@ -180,6 +180,7 @@ impl<K: InterpolateKey> ShardRouter<K> for RangeRouter<K> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use batchapi::Batch;
 
     #[test]
     fn range_router_is_monotone_and_total() {
@@ -235,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "reported 1 flags for 2 keys")]
+    #[should_panic(expected = "reported 1 results for 2 keys")]
     fn stitch_rejects_mismatched_result_runs() {
         let router = RangeRouter::new(1, 0u64, 10);
         let split = router.split(&Batch::from_unsorted(vec![1u64, 2]));

@@ -2,44 +2,76 @@
 //! the per-shard results must be observationally equivalent to running the
 //! whole batch against a single unsharded backend.
 //!
-//! The reference is a plain [`baselines::SortedArraySet`] driven through
-//! the [`batchapi::BatchedSet`] surface — sequential, so any divergence is
-//! the router's fault, not a concurrency artefact.
+//! The reference is a plain [`baselines::SortedArrayMap`] driven through
+//! the [`batchapi::BatchedMap`] surface — sequential, so any divergence is
+//! the router's fault, not a concurrency artefact.  Every script runs at
+//! `V = ()` (the set) and at `V = u64`, where each insert carries every key
+//! twice with different values (the later wins) and each lookup batch is
+//! answered by `batch_get` as well as `batch_contains`.
 
-use batchapi::{Batch, BatchedMap, MapView};
-use combine::ConcurrentSet;
+use std::fmt::Debug;
+
+use baselines::SortedArrayMap;
+use batchapi::{Batch, BatchedMap, KvBatch, MapView};
+use combine::ConcurrentMap;
 use forkjoin::Pool;
-use service::{RangeRouter, ShardRouter, ShardedSet};
+use service::{RangeRouter, ShardRouter, Tier};
 use workloads::{mixed_op_batches, OpKind};
+
+/// The value types the scripts run at.
+trait Val: Clone + PartialEq + Debug + Send + Sync + 'static {
+    /// The value key `key` carries in arrival `arrival` of step `step`.
+    fn of(key: u64, step: usize, arrival: usize) -> Self;
+}
+
+impl Val for () {
+    fn of(_key: u64, _step: usize, _arrival: usize) {}
+}
+
+impl Val for u64 {
+    fn of(key: u64, step: usize, arrival: usize) -> u64 {
+        key ^ (step as u64) << 32 ^ (arrival as u64) << 48
+    }
+}
 
 /// Runs the same batched op script against the sharded tier and the
 /// unsharded reference; every per-op result vector must match, and so must
-/// the final contents.
-fn assert_split_then_stitch_equivalence(
+/// the final contents, values included.
+fn assert_split_then_stitch_equivalence<V: Val>(
     router: RangeRouter<u64>,
     ops: &[(OpKind, Batch<u64>)],
     ctx: &str,
 ) {
-    // The shards are `SortedArraySet`s, so the sharded and unsharded sides
-    // run the very same backend code.
+    let ctx = format!("{ctx}, V = {}", std::any::type_name::<V>());
+    let empty = || SortedArrayMap::<u64, V>::from_unsorted_entries(Vec::new());
+    // The shards are `SortedArrayMap`s too, so the sharded and unsharded
+    // sides run the very same backend code.
     let shards = (0..router.num_shards())
-        .map(|_| {
-            ConcurrentSet::new(
-                baselines::SortedArraySet::from_unsorted(Vec::new()),
-                Pool::new(1).expect("shard pool"),
-            )
-        })
+        .map(|_| ConcurrentMap::new(empty(), Pool::new(1).expect("shard pool")))
         .collect();
-    let sharded = ShardedSet::new(router, shards, Pool::new(2).expect("tier pool"));
-    let mut reference = baselines::SortedArraySet::from_unsorted(Vec::new());
+    let sharded = Tier::new(router, shards, Pool::new(1).expect("unused pool"));
+    let mut reference = empty();
 
     for (step, (kind, batch)) in ops.iter().enumerate() {
         let (got, want) = match kind {
-            OpKind::Contains => (
-                sharded.batch_contains(batch),
-                reference.batch_contains(batch),
-            ),
-            OpKind::Insert => (sharded.batch_insert(batch), reference.batch_insert(batch)),
+            OpKind::Contains => {
+                assert_eq!(
+                    sharded.batch_get(batch),
+                    reference.batch_get(batch),
+                    "{ctx}: step {step} batch_get diverged"
+                );
+                (
+                    sharded.batch_contains(batch),
+                    reference.batch_contains(batch),
+                )
+            }
+            OpKind::Insert => {
+                let pairs = batch
+                    .iter()
+                    .flat_map(|&k| (0..2).map(move |arrival| (k, V::of(k, step, arrival))));
+                let pairs = KvBatch::from_unsorted_entries(pairs.collect());
+                (sharded.batch_insert(&pairs), reference.batch_insert(&pairs))
+            }
             OpKind::Remove => (sharded.batch_remove(batch), reference.batch_remove(batch)),
         };
         assert_eq!(
@@ -55,17 +87,31 @@ fn assert_split_then_stitch_equivalence(
         reference.len(),
         "{ctx}: final sizes diverged"
     );
-    let mut union: Vec<u64> = sharded
+    let mut union: Vec<(u64, V)> = sharded
         .into_shards()
         .into_iter()
-        .flat_map(|shard| shard.into_inner().as_slice().to_vec())
+        .flat_map(|shard| {
+            let (keys, vals) = shard.into_inner().collect_entries();
+            keys.into_iter().zip(vals)
+        })
         .collect();
-    union.sort_unstable();
+    union.sort_unstable_by_key(|&(key, _)| key);
+    let (keys, vals) = reference.collect_entries();
     assert_eq!(
         union,
-        reference.as_slice().to_vec(),
+        keys.into_iter().zip(vals).collect::<Vec<_>>(),
         "{ctx}: union of shard contents != reference contents"
     );
+}
+
+/// The equivalence at both value types.
+fn assert_equivalence_for_sets_and_maps(
+    router: RangeRouter<u64>,
+    ops: &[(OpKind, Batch<u64>)],
+    ctx: &str,
+) {
+    assert_split_then_stitch_equivalence::<()>(router.clone(), ops, ctx);
+    assert_split_then_stitch_equivalence::<u64>(router, ops, ctx);
 }
 
 fn mixed_script(
@@ -82,14 +128,14 @@ fn mixed_script(
 
 #[test]
 fn range_router_matches_unsharded_reference() {
-    // 64-key batches run the shards inline on the caller, 512-key batches
-    // (>= the tier's 256-key cut-off after dedup, spread over every shard)
-    // run them in the tier pool.
+    // 64-key batches stay under every shard's pool cut-off; 4 096-key
+    // batches put ≥ 512 keys on each shard at up to 4 shards, so those
+    // sub-batches run in their shard's pool (20 of those suffice).
     for shards in [1usize, 2, 3, 4, 8] {
-        for batch_len in [64usize, 512] {
-            assert_split_then_stitch_equivalence(
+        for (batch_len, batches) in [(64usize, 40), (4_096, 20)] {
+            assert_equivalence_for_sets_and_maps(
                 RangeRouter::new(shards, 0, 10_000),
-                &mixed_script(0xA11CE ^ shards as u64, 40, batch_len, 10_000),
+                &mixed_script(0xA11CE ^ shards as u64, batches, batch_len, 10_000),
                 &format!("range router, {shards} shards, {batch_len}-key batches"),
             );
         }
@@ -112,7 +158,7 @@ fn batches_with_empty_sub_batches_round_trip() {
         };
         ops.push((kind, batch.clone()));
     }
-    assert_split_then_stitch_equivalence(
+    assert_equivalence_for_sets_and_maps(
         RangeRouter::new(4, 0, 10_000),
         &ops,
         "range router, all keys in shard 0",
@@ -153,7 +199,7 @@ fn boundary_keys_on_shard_edges_route_consistently() {
         (OpKind::Remove, edges.clone()),
         (OpKind::Insert, edges),
     ];
-    assert_split_then_stitch_equivalence(
+    assert_equivalence_for_sets_and_maps(
         RangeRouter::new(4, 0u64, 100),
         &ops,
         "range router, boundary keys",
@@ -170,9 +216,32 @@ fn out_of_range_keys_still_route_and_match() {
         (OpKind::Contains, wild.clone()),
         (OpKind::Remove, wild),
     ];
-    assert_split_then_stitch_equivalence(
+    assert_equivalence_for_sets_and_maps(
         RangeRouter::new(4, 100u64, 9_000),
         &ops,
         "range router, out-of-range keys",
     );
+}
+
+/// The carve moves values with their keys: a split map batch stitches back
+/// into the batch's own pairs.
+#[test]
+fn a_map_batch_splits_with_its_values() {
+    let router = RangeRouter::new(3, 0u64, 90);
+    let batch = KvBatch::from_unsorted_entries((0..=90u64).map(|k| (k, k * 10)).collect());
+    let split = router.split(&batch);
+    let per_shard: Vec<Vec<u64>> = split
+        .sub_batches()
+        .iter()
+        .map(|sub| {
+            assert!(
+                sub.entries().all(|(&k, &v)| v == k * 10),
+                "a value left its key"
+            );
+            sub.vals().to_vec()
+        })
+        .collect();
+    let mut stitched = Vec::new();
+    split.stitch(&per_shard, &mut stitched);
+    assert_eq!(stitched, batch.vals());
 }

@@ -11,7 +11,11 @@
 //! `V = u64`, checks the backend *and* a clone of it — what a front-end
 //! publishes as a snapshot — which must stay frozen under the next batch
 //! of updates, and runs both outside any pool and inside a 4-worker
-//! `forkjoin::Pool`.  The oracle side never calls `BTreeMap::range`
+//! `forkjoin::Pool`.  `drive_tier` runs the ordered queries through
+//! `service::Tier` — in memory at 1, 2, 3 and 8 shards and at both value
+//! types, and one durable map tier — where every answer is stitched across
+//! shards, with bounds straddling the shard edges and keys outside the
+//! router's `[min, max]`.  The oracle side never calls `BTreeMap::range`
 //! directly — it filters an iterator — because `range` panics on exactly
 //! the degenerate bounds this suite exists to pin (inverted and
 //! `Excluded == Excluded` pairs), which our surface defines as empty.
@@ -22,8 +26,11 @@ use std::ops::Bound;
 use pbist_repro::{
     baselines::SortedArrayMap,
     batchapi::{Batch, BatchedMap, KvBatch, MapView},
+    combine::ConcurrentMap,
+    durable::{DurableMap, DurableOptions},
     forkjoin::Pool,
     pbist::IstMap,
+    service::{RangeRouter, Shard, ShardRouter, Tier},
     workloads::{self, OpKind, SplitMix64},
 };
 
@@ -41,6 +48,72 @@ impl Val for () {
 impl Val for u64 {
     fn of(key: u64, step: usize, arrival: usize) -> u64 {
         key ^ (step as u64) << 32 ^ arrival as u64
+    }
+}
+
+/// The ordered-query surface, as a backend's [`MapView`] and a tier both
+/// offer it.
+trait Ordered<V> {
+    fn range_entries(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)>;
+    fn range_keys(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<u64>;
+    fn range_count(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize;
+    fn kth(&self, k: usize) -> Option<u64>;
+    fn kth_entry(&self, k: usize) -> Option<(u64, V)>;
+    fn predecessor(&self, key: &u64) -> Option<u64>;
+    fn successor(&self, key: &u64) -> Option<u64>;
+}
+
+/// A backend (or a clone of one), read through its [`MapView`].
+struct OnView<'a, M>(&'a M);
+
+impl<V: Val, M: MapView<u64, V>> Ordered<V> for OnView<'_, M> {
+    fn range_entries(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)> {
+        self.0.range_entries(lo, hi)
+    }
+    fn range_keys(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<u64> {
+        self.0.range_keys(lo, hi)
+    }
+    fn range_count(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
+        self.0.range_count(lo, hi)
+    }
+    fn kth(&self, k: usize) -> Option<u64> {
+        self.0.kth(k)
+    }
+    fn kth_entry(&self, k: usize) -> Option<(u64, V)> {
+        self.0.kth_entry(k)
+    }
+    fn predecessor(&self, key: &u64) -> Option<u64> {
+        self.0.predecessor(key)
+    }
+    fn successor(&self, key: &u64) -> Option<u64> {
+        self.0.successor(key)
+    }
+}
+
+/// A tier, read through its own stitched ordered queries.
+struct OnTier<'a, Sh, R>(&'a Tier<Sh, R>);
+
+impl<V: Val, Sh: Shard<Key = u64, Val = V>, R: ShardRouter<u64>> Ordered<V> for OnTier<'_, Sh, R> {
+    fn range_entries(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<(u64, V)> {
+        self.0.range_entries(lo, hi)
+    }
+    fn range_keys(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> Vec<u64> {
+        self.0.range_keys(lo, hi)
+    }
+    fn range_count(&self, lo: Bound<&u64>, hi: Bound<&u64>) -> usize {
+        self.0.range_count(lo, hi)
+    }
+    fn kth(&self, k: usize) -> Option<u64> {
+        self.0.kth(k)
+    }
+    fn kth_entry(&self, k: usize) -> Option<(u64, V)> {
+        self.0.kth_entry(k)
+    }
+    fn predecessor(&self, key: &u64) -> Option<u64> {
+        self.0.predecessor(key)
+    }
+    fn successor(&self, key: &u64) -> Option<u64> {
+        self.0.successor(key)
     }
 }
 
@@ -93,17 +166,30 @@ fn probe_bounds(rng: &mut SplitMix64, oracle: &BTreeSet<u64>) -> Vec<(Bound<u64>
     probes
 }
 
-/// Checks one read surface — a live backend or a frozen clone of one —
-/// against the oracle: the five ordered queries over the bound grid, with
-/// entries (values) wherever the surface returns them.
+/// Checks one read surface — a live backend, a frozen clone of one, or a
+/// tier — against the oracle: the five ordered queries over the bound grid,
+/// with entries (values) wherever the surface returns them.  Every key of
+/// `edges` adds bounds just around it and is a predecessor / successor
+/// probe.
 fn check_ordered_queries<V: Val>(
     ctx: &str,
     oracle: &BTreeMap<u64, V>,
     rng: &mut SplitMix64,
-    view: &impl MapView<u64, V>,
+    view: &impl Ordered<V>,
+    edges: &[u64],
 ) {
+    use Bound::{Excluded, Included, Unbounded};
     let keys: BTreeSet<u64> = oracle.keys().copied().collect();
-    for (lo, hi) in probe_bounds(rng, &keys) {
+    let mut bounds = probe_bounds(rng, &keys);
+    for &edge in edges {
+        bounds.push((
+            Included(edge.saturating_sub(5)),
+            Excluded(edge.saturating_add(5)),
+        ));
+        bounds.push((Excluded(edge), Unbounded));
+        bounds.push((Unbounded, Included(edge)));
+    }
+    for (lo, hi) in bounds {
         let expected: Vec<(u64, V)> = oracle
             .iter()
             .filter(|(&k, _)| in_bounds(k, lo.as_ref(), hi.as_ref()))
@@ -146,14 +232,15 @@ fn check_ordered_queries<V: Val>(
     let min = sorted[0];
     let max = sorted[n - 1];
     let interior = sorted[n / 2];
-    for probe in [
+    let probes = [
         min,
         max,
         min.wrapping_sub(1),
         max + 1,
         interior,
         interior | 1,
-    ] {
+    ];
+    for probe in probes.into_iter().chain(edges.iter().copied()) {
         assert_eq!(
             view.predecessor(&probe),
             sorted.iter().copied().rfind(|&k| k < probe),
@@ -245,10 +332,16 @@ fn drive<V: Val, S: BatchedMap<u64, V> + Clone>(ctx: &str, store: &mut S, seed: 
             store.contains(&probe) && !store.contains(&(probe | 1)),
             "{ctx}"
         );
-        check_ordered_queries(&ctx, &oracle, &mut rng, &*store);
+        check_ordered_queries(&ctx, &oracle, &mut rng, &OnView(&*store), &[]);
         assert_eq!(view.len(), then.len(), "{ctx} (clone): len drifted");
         if !then.is_empty() {
-            check_ordered_queries(&format!("{ctx} (clone)"), &then, &mut rng, &view);
+            check_ordered_queries(
+                &format!("{ctx} (clone)"),
+                &then,
+                &mut rng,
+                &OnView(&view),
+                &[],
+            );
         }
         assert_eq!(view.get(&probe), then.get(&probe).cloned(), "{ctx} (clone)");
     }
@@ -256,6 +349,118 @@ fn drive<V: Val, S: BatchedMap<u64, V> + Clone>(ctx: &str, store: &mut S, seed: 
         !oracle.is_empty(),
         "{ctx}: workload never populated the store"
     );
+}
+
+/// Drives the same kind of history through a tier's own batched writes
+/// (`insert`, `remove`), checking its stitched ordered queries against the
+/// oracle after every batch.  `edges` are the router's shard boundaries and
+/// keys outside its range.
+fn drive_tier<V: Val>(
+    ctx: &str,
+    seed: u64,
+    edges: &[u64],
+    tier: &impl Ordered<V>,
+    insert: impl Fn(&KvBatch<u64, V>) -> Vec<bool>,
+    remove: impl Fn(&Batch<u64>) -> Vec<bool>,
+) {
+    let mut oracle: BTreeMap<u64, V> = BTreeMap::new();
+    let mut rng = SplitMix64::new(seed ^ 0x7135);
+    for (step, op) in even_key_batches(seed).iter().enumerate() {
+        let ctx = format!("{ctx}, step {step}");
+        match op.kind {
+            OpKind::Insert => {
+                let pairs: Vec<(u64, V)> = op
+                    .keys
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (k, V::of(k, step, i)))
+                    .collect();
+                let batch = KvBatch::from_unsorted_entries(pairs.clone());
+                let expected: Vec<bool> = batch.iter().map(|k| !oracle.contains_key(k)).collect();
+                assert_eq!(insert(&batch), expected, "{ctx}: insert flags diverged");
+                oracle.extend(pairs);
+            }
+            OpKind::Remove => {
+                let batch = Batch::from_unsorted(op.keys.clone());
+                let expected: Vec<bool> =
+                    batch.iter().map(|k| oracle.remove(k).is_some()).collect();
+                assert_eq!(remove(&batch), expected, "{ctx}: remove flags diverged");
+            }
+            OpKind::Contains => continue,
+        }
+        if !oracle.is_empty() {
+            check_ordered_queries(&ctx, &oracle, &mut rng, tier, edges);
+        }
+    }
+}
+
+/// The router the tiers run under — `[2 000, 18 000]`, so the history's
+/// keys below and above it clamp into the edge shards — with its probe
+/// keys: every shard boundary, and keys outside the range.
+fn tier_router(shards: usize) -> (RangeRouter<u64>, Vec<u64>) {
+    let router = RangeRouter::new(shards, 2_000u64, 18_000);
+    let mut edges: Vec<u64> = (1..20_000u64)
+        .filter(|k| router.shard_of(k) != router.shard_of(&(k - 1)))
+        .collect();
+    assert_eq!(edges.len(), shards - 1, "one edge between each two shards");
+    edges.extend([0, 1_999, 18_001, 19_999, u64::MAX]);
+    (router, edges)
+}
+
+/// The in-memory tier at one value type, at 1, 2, 3 and 8 shards.
+fn tier_grid<V: Val>() {
+    for shards in [1usize, 2, 3, 8] {
+        let (router, edges) = tier_router(shards);
+        let fronts = (0..shards)
+            .map(|_| {
+                let tree: IstMap<u64, V> = IstMap::from_sorted_entries(Vec::new());
+                ConcurrentMap::new(tree, Pool::new(1).unwrap())
+            })
+            .collect();
+        let tier = Tier::new(router, fronts, Pool::new(1).unwrap());
+        drive_tier(
+            &format!("{shards}-shard tier"),
+            21,
+            &edges,
+            &OnTier(&tier),
+            |batch| tier.batch_insert(batch),
+            |batch| tier.batch_remove(batch),
+        );
+    }
+}
+
+#[test]
+fn set_tiers_match_oracle() {
+    tier_grid::<()>();
+}
+
+#[test]
+fn map_tiers_match_oracle() {
+    tier_grid::<u64>();
+}
+
+#[test]
+fn a_durable_map_tier_matches_oracle() {
+    let dir = std::env::temp_dir().join(format!("range-props-tier-{}", std::process::id()));
+    let (router, edges) = tier_router(3);
+    let tier: Tier<DurableMap<u64, u64, IstMap<u64, u64>>, _> = Tier::open(
+        &dir,
+        router,
+        DurableOptions::default(),
+        |_| Pool::new(1).unwrap(),
+        |recovered| IstMap::from_batch(&recovered),
+    )
+    .unwrap();
+    drive_tier(
+        "3-shard durable tier",
+        22,
+        &edges,
+        &OnTier(&tier),
+        |batch| tier.batch_insert(batch).unwrap(),
+        |batch| tier.batch_remove(batch).unwrap(),
+    );
+    tier.close().unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Both backends at one value type, outside any pool.

@@ -1,9 +1,9 @@
 //! Cross-shard linearizability stress suite for the sharded service tier.
 //!
-//! N point-op clients and M batch clients hammer a `service::ShardedSet`
-//! whose shards log every committed round — the writes.  Afterwards the
-//! test replays **each shard's log independently** against an oracle
-//! restricted to that shard's key range and demands that
+//! N point-op clients and M batch clients hammer a `service::Tier` whose
+//! shards log every committed round — the writes.  Afterwards the test
+//! replays **each shard's log independently** against an oracle restricted
+//! to that shard's key range and demands that
 //!
 //! 1. every key a shard committed actually routes to that shard (the
 //!    router's assignment is total and the tier never mis-delivers),
@@ -11,17 +11,20 @@
 //!    of that shard's rounds — the committed order is a valid
 //!    linearisation *per shard*, which is exactly the contract the tier
 //!    documents (there is no cross-shard ordering guarantee to test),
-//! 3. the multiset of `(kind, key, result)` triples the writers observed
-//!    (batch results flattened to per-key triples) equals the union of the
-//!    shard logs — every client write appears on exactly one shard, once,
-//!    with the result its client saw,
-//! 4. each shard's final contents equal its oracle with tree invariants
-//!    intact, so the union of shard contents equals the union of the
-//!    per-shard sequential oracles, and
-//! 5. every read — point `contains`, a shard's `read_snapshot` handle, and
-//!    each key of a `batch_contains` — answered with the owning shard's
-//!    replayed state after a round it can have observed
-//!    (`common::History::check`).
+//! 3. the multiset of `(kind, key, value, result)` tuples the writers
+//!    observed (batch results flattened to per-key tuples) equals the union
+//!    of the shard logs — every client write appears on exactly one shard,
+//!    once, with the value its client sent and the result its client saw,
+//! 4. each shard's final contents, values included, equal its oracle with
+//!    tree invariants intact, so the union of shard contents equals the
+//!    union of the per-shard sequential oracles, and
+//! 5. every read — point `contains` / `get`, a shard's `read_snapshot`
+//!    handle, and each key of a `batch_contains` / `batch_get` — answered
+//!    with the owning shard's replayed state after a round it can have
+//!    observed (`common::History::check`).
+//!
+//! The replay runs at `V = ()` (a `ShardedSet`) and at `V = u64` (a map
+//! tier), where every write carries a value derived from its key and call.
 //!
 //! A separate set of tests drives a panicking backend through one shard
 //! and asserts the poison propagates to the tier: the bombing client
@@ -31,7 +34,9 @@
 //! Every failure message carries the active seed and configuration so CI
 //! failures replay without bisecting.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::fmt::Debug;
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -41,13 +46,29 @@ mod common;
 use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
-    batchapi::{Batch, MapView},
-    combine::{ConcurrentSet, OpKind as CombinedOp, Options, POOL_CUTOFF},
+    batchapi::{Batch, KvBatch, MapView},
+    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, POOL_CUTOFF},
     forkjoin::Pool,
-    pbist::IstSet,
-    service::{RangeRouter, ShardRouter, ShardedSet},
+    pbist::{IstMap, IstSet},
+    service::{RangeRouter, ShardRouter, ShardedSet, Tier},
     workloads::{self, ClientTrace, OpKind},
 };
+
+/// The value types the replay runs at.
+trait Val: Clone + PartialEq + Eq + Hash + Debug + Send + Sync + 'static {
+    /// The value a write of `key` carries in call `call` of its client.
+    fn of(key: u64, call: u64) -> Self;
+}
+
+impl Val for () {
+    fn of(_key: u64, _call: u64) {}
+}
+
+impl Val for u64 {
+    fn of(key: u64, call: u64) -> u64 {
+        key ^ call << 40
+    }
+}
 
 /// One batch client's script: pre-validated batches, so observed result
 /// vectors align index-for-index with batch keys when tallying.
@@ -59,16 +80,9 @@ fn to_script(ops: Vec<workloads::OpBatch>) -> BatchScript {
         .collect()
 }
 
-/// Two batch clients, one on each side of the tier's pooled/inline decision
-/// (mutating batches of >= 256 keys spread over more than one shard run
-/// their sub-batches in the tier pool, smaller ones in turn on the caller):
-/// client 0 issues `small`-key batches, client 1 `large`-key ones.
-fn scripts_across_the_cutoff(
-    seed: u64,
-    small: usize,
-    large: usize,
-    range: u64,
-) -> Vec<BatchScript> {
+/// Two batch clients: client 0 issues `small`-key batches, client 1
+/// `large`-key ones.
+fn small_and_large_scripts(seed: u64, small: usize, large: usize, range: u64) -> Vec<BatchScript> {
     let script = |salt, batches, len| {
         to_script(workloads::mixed_op_batches(
             seed ^ salt,
@@ -78,42 +92,49 @@ fn scripts_across_the_cutoff(
             (2, 2, 1),
         ))
     };
-    let scripts = vec![script(0, 25, small), script(1, 10, large)];
-    assert!(
-        scripts[1].iter().all(|(_, batch)| batch.len() >= 256),
-        "seed {seed}: a large batch deduplicated below the 256-key cut-off"
-    );
-    scripts
+    vec![script(0, 25, small), script(1, 10, large)]
+}
+
+/// The values a write call carries: `V::of(key, call)` for every key.
+fn entries<V: Val>(keys: &[u64], call: u64) -> Vec<(u64, V)> {
+    keys.iter().map(|&key| (key, V::of(key, call))).collect()
 }
 
 /// What a client saw from one call — a point op counts as a batch of one:
 /// the per-key results of a write, or the per-key records of a read.
-enum Seen {
+enum Seen<V> {
     Wrote(Vec<bool>),
-    Read(Vec<Read<()>>),
+    Read(Vec<Read<V>>),
 }
 
+/// Per client, what it saw from each of its calls.
+type Seens<V> = Vec<Vec<Seen<V>>>;
+
+/// One client call: its kind, its keys, and its index in its client's
+/// sequence (which derives the values its writes carried).
+type Call<'a> = (OpKind, &'a [u64], u64);
+
 /// Drives point traces and batch scripts concurrently through a logged
-/// sharded tier seeded with `initial`, then runs the five checks above.
-fn drive_and_verify_sharded(
+/// tier seeded with `initial`, then runs the five checks above.
+fn drive_and_verify_sharded<V: Val>(
     ctx: &str,
     router: RangeRouter<u64>,
     shard_pool_threads: usize,
-    tier_pool_threads: usize,
     initial: &[u64],
     traces: &[ClientTrace],
     scripts: &[BatchScript],
 ) {
+    let ctx = &format!("{ctx}, V = {}", std::any::type_name::<V>());
     let num_shards = router.num_shards();
-    let mut per_shard_initial: Vec<Vec<u64>> = vec![Vec::new(); num_shards];
+    let mut per_shard_initial: Vec<BTreeMap<u64, V>> = vec![BTreeMap::new(); num_shards];
     for &key in initial {
-        per_shard_initial[router.shard_of(&key)].push(key);
+        per_shard_initial[router.shard_of(&key)].insert(key, V::of(key, u64::MAX));
     }
     let shards = per_shard_initial
         .iter()
-        .map(|keys| {
-            ConcurrentSet::with_options(
-                IstSet::from_unsorted(keys.clone()),
+        .map(|entries| {
+            ConcurrentMap::with_options(
+                IstMap::from_sorted_entries(entries.clone().into_iter().collect()),
                 Pool::new(shard_pool_threads).unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
                 Options {
                     log_rounds: true,
@@ -122,11 +143,7 @@ fn drive_and_verify_sharded(
             )
         })
         .collect();
-    let set = ShardedSet::new(
-        router.clone(),
-        shards,
-        Pool::new(tier_pool_threads).unwrap_or_else(|e| panic!("{ctx}: tier pool: {e}")),
-    );
+    let set = Tier::new(router.clone(), shards, Pool::new(1).unwrap());
 
     // Writes acknowledged so far on each shard, to any client (see `common`).
     let acked: Vec<AtomicU64> = (0..num_shards).map(|_| AtomicU64::new(0)).collect();
@@ -138,23 +155,25 @@ fn drive_and_verify_sharded(
         Seen::Wrote(flags)
     };
     // A read through the tier, bracketed on every shard it can touch.
-    let read = move |keys: &[u64], call: &dyn Fn() -> Vec<bool>| {
+    let read = move |keys: &[u64], call: &dyn Fn() -> Vec<Answer<V>>| {
         let sample = |of: &dyn Fn(usize) -> u64| (0..num_shards).map(of).collect::<Vec<u64>>();
         let seqs = |shard: usize| tier.shard(shard).committed_seq();
         let acked = sample(&|shard| acked[shard].load(Ordering::SeqCst));
-        let (lo, flags, hi) = (sample(&seqs), call(), sample(&seqs));
-        let record = |(&key, found)| {
+        let (lo, answers, hi) = (sample(&seqs), call(), sample(&seqs));
+        let record = |(&key, answer)| {
             let shard = router.shard_of(&key);
             Read {
                 key,
-                answer: Answer::Present(found),
+                answer,
                 acked: acked[shard],
                 lo: lo[shard],
                 hi: hi[shard],
             }
         };
-        Seen::Read(keys.iter().zip(flags).map(record).collect())
+        Seen::Read(keys.iter().zip(answers).map(record).collect())
     };
+    let present = |flags: Vec<bool>| flags.into_iter().map(Answer::Present).collect();
+    let values = |vals: Vec<Option<V>>| vals.into_iter().map(Answer::Value).collect();
     // A read through the owning shard's snapshot handle: exact at its seq.
     let read_handle = move |key: u64| {
         let shard = router.shard_of(&key);
@@ -162,14 +181,14 @@ fn drive_and_verify_sharded(
         let snap = tier.shard(shard).read_snapshot();
         Seen::Read(vec![Read {
             key,
-            answer: Answer::Present(snap.view().contains(&key)),
+            answer: Answer::Value(snap.view().get(&key)),
             acked,
             lo: snap.seq(),
             hi: snap.seq(),
         }])
     };
 
-    let (point_results, batch_results): (Vec<Vec<Seen>>, Vec<Vec<Seen>>) = thread::scope(|s| {
+    let (point_results, batch_results): (Seens<V>, Seens<V>) = thread::scope(|s| {
         let point_handles: Vec<_> = traces
             .iter()
             .map(|trace| {
@@ -177,13 +196,20 @@ fn drive_and_verify_sharded(
                     trace
                         .iter()
                         .zip(0u64..)
-                        .map(|((kind, key), step)| match kind {
-                            OpKind::Insert => wrote(&[*key], vec![tier.insert(*key)]),
-                            OpKind::Remove => wrote(&[*key], vec![tier.remove(key)]),
-                            OpKind::Contains if step % 4 == 3 => read_handle(*key),
-                            OpKind::Contains => read(&[*key], &|| vec![tier.contains(key)]),
+                        .map(|(&(kind, key), call)| match kind {
+                            OpKind::Insert => {
+                                wrote(&[key], vec![tier.upsert(key, V::of(key, call))])
+                            }
+                            OpKind::Remove => wrote(&[key], vec![tier.remove(&key)]),
+                            OpKind::Contains if call % 4 == 3 => read_handle(key),
+                            OpKind::Contains if call % 4 == 1 => {
+                                read(&[key], &|| vec![Answer::Value(tier.get(&key))])
+                            }
+                            OpKind::Contains => {
+                                read(&[key], &|| vec![Answer::Present(tier.contains(&key))])
+                            }
                         })
-                        .collect::<Vec<Seen>>()
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
@@ -193,22 +219,33 @@ fn drive_and_verify_sharded(
                 s.spawn(move || {
                     script
                         .iter()
-                        .map(|(kind, batch)| match kind {
-                            OpKind::Insert => wrote(batch, tier.batch_insert(batch)),
+                        .zip(0u64..)
+                        .map(|((kind, batch), call)| match kind {
+                            OpKind::Insert => {
+                                let pairs = entries(batch, call);
+                                let pairs = KvBatch::from_sorted_entries(pairs).unwrap();
+                                wrote(batch, tier.batch_insert(&pairs))
+                            }
                             OpKind::Remove => wrote(batch, tier.batch_remove(batch)),
-                            OpKind::Contains => read(batch, &|| tier.batch_contains(batch)),
+                            OpKind::Contains if call % 2 == 1 => {
+                                read(batch, &|| values(tier.batch_get(batch)))
+                            }
+                            OpKind::Contains => {
+                                read(batch, &|| present(tier.batch_contains(batch)))
+                            }
                         })
-                        .collect::<Vec<Seen>>()
+                        .collect::<Vec<_>>()
                 })
             })
             .collect();
-        let join = |handles: Vec<thread::ScopedJoinHandle<'_, Vec<Seen>>>| {
+        let join = |handles: Vec<thread::ScopedJoinHandle<'_, Vec<Seen<V>>>>| {
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         };
         (join(point_handles), join(batch_handles))
     });
 
-    // Every client call with what its client saw, point ops as batches of one.
+    // Every client call with what its client saw, point ops as batches of
+    // one, and the values its writes carried.
     let results = || point_results.iter().chain(&batch_results);
     let issued = traces
         .iter()
@@ -217,24 +254,30 @@ fn drive_and_verify_sharded(
     for (issued, seen) in issued.zip(results()) {
         assert_eq!(seen.len(), issued, "{ctx}: client result count");
     }
-    let point_calls = traces
-        .iter()
-        .flatten()
-        .map(|(kind, key)| (*kind, std::slice::from_ref(key)));
-    let batch_calls = scripts
-        .iter()
-        .flatten()
-        .map(|(kind, batch)| (*kind, batch.as_slice()));
-    let calls: Vec<((OpKind, &[u64]), &Seen)> = point_calls
+    let point_calls = traces.iter().flat_map(|trace| {
+        trace
+            .iter()
+            .zip(0u64..)
+            .map(|((kind, key), call)| (*kind, std::slice::from_ref(key), call))
+    });
+    let batch_calls = scripts.iter().flat_map(|script| {
+        script
+            .iter()
+            .zip(0u64..)
+            .map(|((kind, batch), call)| (*kind, batch.as_slice(), call))
+    });
+    let calls: Vec<(Call<'_>, &Seen<V>)> = point_calls
         .chain(batch_calls)
         .zip(results().flatten())
         .collect();
 
-    let shard_rounds = set.take_shard_rounds();
+    let shard_rounds: Vec<_> = (0..num_shards)
+        .map(|shard| set.shard(shard).take_rounds())
+        .collect();
     let written: usize = calls
         .iter()
-        .filter(|((kind, _), _)| *kind != OpKind::Contains)
-        .map(|((_, keys), _)| keys.len())
+        .filter(|((kind, ..), _)| *kind != OpKind::Contains)
+        .map(|((_, keys, _), _)| keys.len())
         .sum();
     assert_eq!(
         shard_rounds
@@ -246,10 +289,7 @@ fn drive_and_verify_sharded(
     );
 
     // Checks 1 + 2: per-shard routing invariant and linearisation replay.
-    let mut histories: Vec<History<()>> = per_shard_initial
-        .iter()
-        .map(|keys| History::new(keys.iter().map(|&k| (k, ())).collect()))
-        .collect();
+    let mut histories: Vec<History<V>> = per_shard_initial.into_iter().map(History::new).collect();
     for (shard, rounds) in shard_rounds.iter().enumerate() {
         for (r, round) in rounds.iter().enumerate() {
             let expect = histories[shard].apply(round);
@@ -269,11 +309,11 @@ fn drive_and_verify_sharded(
         }
     }
 
-    // Check 3: writers observed exactly the union of the shard logs.
-    // Check 5: every read is its shard's state after a round it can have
-    // observed.
-    let mut tally: HashMap<(CombinedOp, u64, bool), i64> = HashMap::new();
-    for ((kind, keys), seen) in calls {
+    // Check 3: writers observed exactly the union of the shard logs, values
+    // included.  Check 5: every read is its shard's state after a round it
+    // can have observed.
+    let mut tally: HashMap<(CombinedOp, u64, Option<V>, bool), i64> = HashMap::new();
+    for ((kind, keys, call), seen) in calls {
         match seen {
             Seen::Read(reads) => {
                 assert_eq!(reads.len(), keys.len(), "{ctx}: batch result width");
@@ -283,8 +323,9 @@ fn drive_and_verify_sharded(
             }
             Seen::Wrote(flags) => {
                 assert_eq!(flags.len(), keys.len(), "{ctx}: batch result width");
-                for (key, &flag) in keys.iter().zip(flags) {
-                    *tally.entry((write_kind(kind), *key, flag)).or_insert(0) += 1;
+                for (&key, &flag) in keys.iter().zip(flags) {
+                    let val = (kind == OpKind::Insert).then(|| V::of(key, call));
+                    *tally.entry((write_kind(kind), key, val, flag)).or_insert(0) += 1;
                 }
             }
         }
@@ -292,7 +333,8 @@ fn drive_and_verify_sharded(
     for rounds in &shard_rounds {
         for round in rounds {
             for op in &round.ops {
-                *tally.entry((op.kind, op.key, op.result)).or_insert(0) -= 1;
+                let entry = (op.kind, op.key, op.val.clone(), op.result);
+                *tally.entry(entry).or_insert(0) -= 1;
             }
         }
     }
@@ -303,42 +345,21 @@ fn drive_and_verify_sharded(
     // Check 4: per-shard final contents match the per-shard oracles, so
     // the union of shard contents is the union of the oracles.
     assert!(!set.is_poisoned(), "{ctx}: tier poisoned by healthy run");
-    let backings = set.into_shards();
-    let mut union_len = 0usize;
-    for (shard, backing) in backings.into_iter().enumerate() {
+    for (shard, backing) in set.into_shards().into_iter().enumerate() {
         let tree = backing.into_inner();
         tree.check_invariants()
             .unwrap_or_else(|e| panic!("{ctx}: shard {shard} invariants: {e}"));
-        let oracle = &histories[shard].now;
-        assert_eq!(tree.len(), oracle.len(), "{ctx}: shard {shard} final len");
-        union_len += tree.len();
-        if !oracle.is_empty() {
-            let present = Batch::from_unsorted(oracle.keys().copied().collect());
-            assert!(
-                tree.batch_contains(&present).iter().all(|&hit| hit),
-                "{ctx}: shard {shard} lost an oracle key"
-            );
-        }
-        let absent = Batch::from_unsorted(
-            (0..500u64)
-                .map(|i| i * 41)
-                .filter(|k| !oracle.contains_key(k))
-                .collect(),
-        );
+        let (keys, vals) = tree.collect_entries();
         assert!(
-            !tree.batch_contains(&absent).iter().any(|&hit| hit),
-            "{ctx}: shard {shard} holds a key its oracle does not"
+            keys.into_iter().zip(vals).eq(histories[shard].now.clone()),
+            "{ctx}: shard {shard} final contents differ from its oracle"
         );
     }
-    assert_eq!(
-        union_len,
-        histories.iter().map(|h| h.now.len()).sum::<usize>(),
-        "{ctx}: union of shard contents"
-    );
 }
 
 /// Uniform point + batch traffic across shard counts 1–8 over a range
-/// router, with batch clients on both sides of the tier's 256-key cut-off;
+/// router, with batch clients on both sides of the shards' pool cut-off
+/// (48 keys, and 1 536 keys: ≥ 512 per shard at one to three shards);
 /// per-shard linearizability must hold at every width.
 #[test]
 fn shard_counts_one_through_eight_linearize_per_shard() {
@@ -346,12 +367,33 @@ fn shard_counts_one_through_eight_linearize_per_shard() {
         let seed = 0x5EED ^ num_shards as u64;
         let initial = workloads::uniform_keys_distinct(seed, 400, 0..4_000);
         let traces = workloads::client_traces(seed, 3, 800, 0..4_000, (3, 2, 2));
-        let scripts = scripts_across_the_cutoff(seed, 48, 384, 4_000);
+        let scripts = small_and_large_scripts(seed, 48, 1_536, 4_000);
         let ctx = format!("seed {seed}, {num_shards} shards, range router");
-        drive_and_verify_sharded(
+        drive_and_verify_sharded::<()>(
             &ctx,
             RangeRouter::new(num_shards, 0, 4_000),
             1,
+            &initial,
+            &traces,
+            &scripts,
+        );
+    }
+}
+
+/// The same replay on a map tier: every logged `RoundOp::val` must be the
+/// value its client sent, and the replayed values must answer every `get`
+/// and `batch_get` and equal the final contents.
+#[test]
+fn a_map_tier_linearizes_per_shard_with_its_values() {
+    for num_shards in [1usize, 3] {
+        let seed = 0x3A9 ^ num_shards as u64;
+        let initial = workloads::uniform_keys_distinct(seed, 400, 0..4_000);
+        let traces = workloads::client_traces(seed, 3, 800, 0..4_000, (3, 2, 2));
+        let scripts = small_and_large_scripts(seed, 48, 1_536, 4_000);
+        let ctx = format!("seed {seed}, {num_shards} shards, map tier");
+        drive_and_verify_sharded::<u64>(
+            &ctx,
+            RangeRouter::new(num_shards, 0, 4_000),
             2,
             &initial,
             &traces,
@@ -362,8 +404,7 @@ fn shard_counts_one_through_eight_linearize_per_shard() {
 
 /// Zipf hot-key traffic: most ops hammer a few keys of one shard, the
 /// worst case for both duplicate resolution inside a shard round and
-/// skewed sub-batch splits at the tier.  (300 hot keys deduplicate every
-/// batch far below the tier's cut-off: this one runs the shards inline.)
+/// skewed sub-batch splits at the tier.
 #[test]
 fn zipf_hot_key_traffic_linearizes_across_shards() {
     let seed = 0x21AF;
@@ -383,10 +424,9 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
         })
         .collect();
     let ctx = format!("seed {seed}, 4 shards, zipf 0.99");
-    drive_and_verify_sharded(
+    drive_and_verify_sharded::<()>(
         &ctx,
         RangeRouter::new(4, 0, 1_000_000),
-        2,
         2,
         &initial,
         &traces,
@@ -394,13 +434,12 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
     );
 }
 
-/// Everything forced through every pool with a single worker each: the
+/// Everything forced through every shard's pool with a single worker: the
 /// large script's batches carry at least `POOL_CUTOFF` keys *per shard*, so
-/// every split goes through the 1-worker tier pool and every sub-batch from
-/// there through its shard's 1-worker pool (the 32-key script beside them
-/// keeps both inline arms in the mix).  The configuration where any
-/// blocking bug between the tier pool and the shard combiners becomes a
-/// deadlock instead of a slowdown.
+/// every sub-batch runs in its shard's 1-worker pool (the 32-key script
+/// beside them keeps the inline arm in the mix).  The configuration where
+/// any blocking bug between the caller's loop and the shard combiners
+/// becomes a deadlock instead of a slowdown.
 #[test]
 fn one_worker_pools_with_forced_parallel_splits() {
     let seed = 0x1DEA;
@@ -408,7 +447,7 @@ fn one_worker_pools_with_forced_parallel_splits() {
     let router = RangeRouter::new(shards, 0, range);
     let initial = workloads::uniform_keys_distinct(seed, 200, 0..range);
     let traces = workloads::client_traces(seed, 2, 300, 0..range, (3, 2, 2));
-    let scripts = scripts_across_the_cutoff(seed, 32, 6 * POOL_CUTOFF, range);
+    let scripts = small_and_large_scripts(seed, 32, 6 * POOL_CUTOFF, range);
     for (_, batch) in &scripts[1] {
         let share = |shard| batch.iter().filter(|k| router.shard_of(k) == shard).count();
         assert!(
@@ -417,7 +456,7 @@ fn one_worker_pools_with_forced_parallel_splits() {
         );
     }
     let ctx = format!("seed {seed}, {shards} shards, 1-worker pools, pooled sub-batches");
-    drive_and_verify_sharded(&ctx, router, 1, 1, &initial, &traces, &scripts);
+    drive_and_verify_sharded::<()>(&ctx, router, 1, &initial, &traces, &scripts);
 }
 
 // ---------------------------------------------------------------------
@@ -490,6 +529,11 @@ fn backend_panic_in_one_shard_poisons_tier_without_hanging() {
     });
     assert!(bombed, "the bomb insert must panic");
     assert!(set.is_poisoned(), "tier must observe the shard poison");
+    assert_eq!(
+        set.metrics().counter("service.poisoned"),
+        Some(1),
+        "the probe alone must count the poisoning"
+    );
     let err = catch_unwind(AssertUnwindSafe(|| set.contains(&5))).unwrap_err();
     let msg = err
         .downcast_ref::<String>()
@@ -510,8 +554,8 @@ fn backend_panic_in_one_shard_poisons_tier_without_hanging() {
 /// through its own guards (here: poisoned before the tier is even built)
 /// used to kill read entry points with the shard's own poison message
 /// while `is_poisoned()` already reported the tier state.  Every read
-/// entry point must fail fast with the *tier-level* poison error — and
-/// the failed read promotes the shard poison into the tier flag.
+/// entry point must fail fast with the *tier-level* poison error, and the
+/// health probe alone already counts the poisoning.
 #[test]
 fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
     // Detonate a lone shard first, outside any tier guard.
@@ -530,6 +574,11 @@ fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
     assert!(
         set.is_poisoned(),
         "the health probe must see the shard poison"
+    );
+    assert_eq!(
+        set.metrics().counter("service.poisoned"),
+        Some(1),
+        "the health probe must count the poisoning"
     );
 
     let healthy_batch = Batch::from_unsorted(vec![10u64, 2_100, 4_100]);
@@ -570,13 +619,13 @@ fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
             .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_default();
         assert!(
-            msg.starts_with("ShardedSet is poisoned"),
+            msg.starts_with("tier is poisoned"),
             "{name} must raise the tier-level poison error, got: {msg:?}"
         );
     }
     assert!(
         set.metrics().counter("service.poisoned").unwrap_or(0) >= 1,
-        "the failed reads must promote the shard poison to tier level"
+        "the tier must count the poisoning"
     );
 }
 
@@ -619,9 +668,9 @@ fn tier_snapshot_reads_observe_the_clients_own_writes() {
                         "client {c} step {i}: read of own write went stale"
                     );
                     if i % 16 == 7 {
-                        // The all-read batched path (bypasses the tier
-                        // pool): membership of the client's whole space
-                        // must match its local oracle exactly.
+                        // The all-read batched path: membership of the
+                        // client's whole space must match its local oracle
+                        // exactly.
                         let space =
                             Batch::from_unsorted((0..span).map(|r| c * 1_000_000 + r).collect());
                         let flags = set.batch_contains(&space);
@@ -647,11 +696,12 @@ fn tier_snapshot_reads_observe_the_clients_own_writes() {
 }
 
 /// A tier-level batch containing the bomb key panics the issuing client
-/// and poisons the tier — on both the inline (3 keys) and the pooled
-/// (>= 256 keys over all four shards) split-execution paths.
+/// and poisons the tier — with a few keys, and with a sub-batch of at least
+/// `POOL_CUTOFF` keys running in the bombed shard's pool.
 #[test]
 fn batch_containing_bomb_key_poisons_tier() {
-    for filler in [2u64, 300] {
+    // 2 600 filler keys put ≈ 600 on the bombed top shard.
+    for filler in [2u64, 2_600] {
         let set = bomb_tier();
         let healthy = Batch::from_unsorted(vec![10u64, 2_100, 4_100, 6_100]);
         assert_eq!(set.batch_insert(&healthy), vec![true; 4]);
