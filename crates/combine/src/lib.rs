@@ -9,7 +9,8 @@
 //! one thread elects itself **combiner**, drains everything published so
 //! far, applies it to the backing store op by op in publish order, commits
 //! the lot as one round — one sequence number, one published snapshot, one
-//! log entry — and hands each client its individual result.
+//! call into the store's [`CommitSink`] — and hands each client its
+//! individual result.
 //! Writes that arrive as whole batches skip the combining and, when large
 //! enough to parallelise, run inside a [`forkjoin::Pool`].  **Reads** never
 //! enter a round: they are wait-free traversals of the snapshot the last
@@ -19,10 +20,10 @@
 //! This is the classic *flat combining* construction (Hendler, Incze,
 //! Shavit & Tzafrir, SPAA '10), whose combiner applies the published ops one
 //! by one.  What combining buys here is the synchronisation — one flag
-//! hand-off, one publish and one log append per round instead of per op —
-//! not a batch for the tree: a round holds one op per client *blocked* on
-//! this store, and the tree does not fork a batch of fewer than
-//! [`POOL_CUTOFF`] keys however it is called.  Measured (10⁶-key
+//! hand-off, one publish and one commit to the sink per round instead of
+//! per op — not a batch for the tree: a round holds one op per client
+//! *blocked* on this store, and the tree does not fork a batch of fewer
+//! than [`POOL_CUTOFF`] keys however it is called.  Measured (10⁶-key
 //! `pbist::IstSet`, one thread, a fair insert/remove mix): forming a sorted
 //! batch per kind from a k-op round and fanning the flags back cost
 //! 1.4–2.2× the k point ops it replaced at k = 2 … 16, under a live
@@ -56,9 +57,11 @@
 //!    [`BatchedMap::remove_one`]), oldest first, writing the slot's result
 //!    as it goes.  That order is the round's linearisation order (see
 //!    below), and a round of one is the same loop running once.  The round
-//!    then commits once: one seq, one snapshot publish, one log entry.  A
-//!    combined round always runs inline on the combiner's thread; the pool
-//!    is for whole batches (see *Batched ingress*).
+//!    then commits once: one seq, one snapshot publish, one
+//!    [`CommitSink::commit`] — the round's ops borrowed straight from their
+//!    slots, nothing cloned.  A combined round always runs inline on the
+//!    combiner's thread; the pool is for whole batches (see *Batched
+//!    ingress*).
 //! 4. **Acknowledge** — each slot's result is written *before* its `done`
 //!    flag is set (`Release`), and every `done` store comes after the
 //!    round's publish; after that store the combiner never touches the
@@ -109,8 +112,9 @@
 //! machinery entirely: [`ConcurrentMap::batch_insert`] /
 //! [`ConcurrentMap::batch_remove`] make
 //! the caller the combiner, flush any point ops published before it won
-//! the flag, and execute the whole batch as one committed round (logged,
-//! counted, and poison-checked like any other).  A batch of at least
+//! the flag, and execute the whole batch as one committed round (handed to
+//! the sink as the batch's keys, values and flags, counted, and
+//! poison-checked like any other).  A batch of at least
 //! [`POOL_CUTOFF`] keys runs under [`forkjoin::Pool::install`], a smaller
 //! one on the caller's thread; these are the only rounds that enter the
 //! pool.
@@ -125,8 +129,9 @@
 //! succession, which respects real time
 //! (an op completed in round *r* was drained before *r* executed, so any op
 //! starting later publishes after the drain and lands in a later round).
-//! [`ConcurrentMap::take_rounds`] exposes the committed order (when
-//! [`Options::log_rounds`] is set) so tests can replay it against a
+//! The [`CommitSink`] receives exactly that order, under the flag.  A
+//! front-end built over a [`RoundLog`] keeps it for
+//! [`ConcurrentMap::take_rounds`], so tests can replay it against a
 //! sequential oracle — `tests/combine_stress.rs` does exactly that, and
 //! checks every read against the replayed state of the rounds its snapshot
 //! can have reflected.
@@ -134,16 +139,18 @@
 //! # Round sequence numbers
 //!
 //! Every committed round carries a sequence number: strictly increasing,
-//! gap-free, starting at [`Options::first_seq`]` + 1` ([`Round::seq`] in the
-//! log).  Because the seq order *is* the linearisation order, a single
-//! `u64` names any prefix of the history, which is what two consumers need:
+//! gap-free, starting at [`Options::first_seq`]` + 1` (the `seq` handed to
+//! [`CommitSink::commit`]).  Because the seq order *is* the linearisation
+//! order, a single `u64` names any prefix of the history, which is what two
+//! consumers need:
 //!
-//! * **Durable replay is idempotent.**  A write-ahead log downstream of
-//!   [`ConcurrentMap::take_rounds`] records each round under its seq; a
-//!   snapshot taken via [`ConcurrentMap::snapshot_keys`] records the
-//!   high-water mark it reflects.  Recovery loads the snapshot and applies
-//!   only records with `seq >` the mark — records at or below it (or
-//!   replayed twice across restarts) change nothing.
+//! * **Durable replay is idempotent.**  A write-ahead log behind the
+//!   [`CommitSink`] records each round under its seq; a snapshot taken via
+//!   [`ConcurrentMap::snapshot_keys`] records the high-water mark it
+//!   reflects — and taken under [`ConcurrentMap::hold_sink`], that mark is
+//!   exactly the last round the sink has seen.  Recovery loads the snapshot
+//!   and applies only records with `seq >` the mark — records at or below
+//!   it (or replayed twice across restarts) change nothing.
 //! * **Read-your-writes for readers.**  A client that completed a write in
 //!   round *s* reads from a published snapshot whose seq is `>= s` — its
 //!   own write is visible — because the combiner publishes the new root
@@ -323,7 +330,59 @@ struct OpSlot<K, V> {
     done: AtomicBool,
 }
 
-/// One operation as committed by a combining round, for the round log.
+/// One op of a committing round, borrowed from the round: `(kind, key,
+/// value, result)`, the value `Some` for an insert.
+pub type CommittedOp<'a, K, V> = (OpKind, &'a K, Option<&'a V>, bool);
+
+/// Where a [`ConcurrentMap`]'s committed rounds go: the store's commit log,
+/// kept by whoever needs one — `durable`'s write-ahead log, the replay
+/// oracles' in-memory [`RoundLog`] — and [`NoLog`] by default.
+///
+/// [`CommitSink::commit`] runs inside every round's commit, under the
+/// combiner flag: after the round's snapshot is published, before any of
+/// its ops is acknowledged.  So a sink sees every round exactly once, in
+/// seq order, with no lock of its own, and a client whose call has returned
+/// finds its round already in the sink.  Between commits the sink is
+/// reached through [`ConcurrentMap::hold_sink`].
+pub trait CommitSink<K: 'static, V: 'static>: Send {
+    /// Takes round `seq`'s ops, in linearisation order.
+    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>);
+}
+
+/// The default [`CommitSink`]: keeps nothing.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct NoLog;
+
+impl<K: 'static, V: 'static> CommitSink<K, V> for NoLog {
+    fn commit<'a>(&mut self, _: u64, _: impl Iterator<Item = CommittedOp<'a, K, V>>) {}
+}
+
+/// An in-memory [`CommitSink`]: every committed round, its keys and values
+/// cloned, kept for [`ConcurrentMap::take_rounds`] to drain — what the
+/// replay oracles read.  Nothing else drains it, so it grows until taken.
+#[derive(Debug)]
+pub struct RoundLog<K, V = ()>(Vec<Round<K, V>>);
+
+impl<K, V> Default for RoundLog<K, V> {
+    fn default() -> RoundLog<K, V> {
+        RoundLog(Vec::new())
+    }
+}
+
+impl<K: Clone + Send + 'static, V: Clone + Send + 'static> CommitSink<K, V> for RoundLog<K, V> {
+    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
+        let op = |(kind, key, val, result): CommittedOp<K, V>| RoundOp {
+            kind,
+            key: key.clone(),
+            val: val.cloned(),
+            result,
+        };
+        let ops = ops.map(op).collect();
+        self.0.push(Round { seq, ops });
+    }
+}
+
+/// One operation as committed by a combining round, for the [`RoundLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundOp<K, V = ()> {
     /// What the operation did.
@@ -331,7 +390,7 @@ pub struct RoundOp<K, V = ()> {
     /// The key it applied to.
     pub key: K,
     /// The value an `Insert` wrote (`None` for a `Remove`) — what a
-    /// write-ahead log downstream needs to replay the upsert.
+    /// replay needs to redo the upsert.
     pub val: Option<V>,
     /// The result handed back to the issuing client.
     pub result: bool,
@@ -356,19 +415,12 @@ pub struct Round<K, V = ()> {
     pub ops: Vec<RoundOp<K, V>>,
 }
 
-/// Construction-time knobs for [`ConcurrentMap`]: two, both set by
-/// `durable`, which keeps the commit log and resumes a recovered history's
-/// numbering.  Everything else about a round is decided by its traffic.
+/// Construction-time knobs for [`ConcurrentMap`]: one, set by `durable`,
+/// which resumes a recovered history's numbering.  Where committed rounds
+/// go is the front-end's [`CommitSink`], a type rather than a knob;
+/// everything else about a round is decided by its traffic.
 #[derive(Debug, Clone, Default)]
 pub struct Options {
-    /// Keep the commit log: every committed round is appended (keys and
-    /// values cloned) for [`ConcurrentMap::take_rounds`] to drain.  This is
-    /// what a write-ahead log consumes — `durable` turns it on for every
-    /// store and drains it on every write, so there it never holds more
-    /// than the rounds since the last drain — and what the replay oracles
-    /// read.  Off by default, because a log nothing drains grows without
-    /// bound.
-    pub log_rounds: bool,
     /// Sequence number the round counter starts *after*: the first
     /// committed round gets seq `first_seq + 1`.  `0` (the default) numbers
     /// a fresh history `1, 2, 3, …`; a durability tier recovering an
@@ -613,6 +665,9 @@ impl<T> SnapCell<T> {
 /// `&self`.  Rounds return one `bool` per op whatever `V` is; reads are
 /// served from the published snapshot, which carries the values.
 ///
+/// `L` is the [`CommitSink`] every committed round goes to ([`NoLog`]
+/// unless built [`with_sink`](ConcurrentMap::with_sink)).
+///
 /// # Poisoning
 ///
 /// If a backend operation panics while a combiner executes a round,
@@ -621,20 +676,18 @@ impl<T> SnapCell<T> {
 /// `Mutex`: the panic propagates on the combining thread, clients whose
 /// operations were in that round panic instead of blocking forever, and
 /// every subsequent operation panics immediately.
-pub struct ConcurrentMap<K, V, S> {
+pub struct ConcurrentMap<K, V, S, L = NoLog> {
     /// Head of the Treiber-stack ingress list of published op slots.
     ingress: AtomicPtr<OpSlot<K, V>>,
     /// The combiner flag ([`FREE`], [`HELD`] or [`LONG`]): held by at most
     /// one thread, which has exclusive access to `set`, `seq`, `retired`
-    /// and the log tail.
+    /// and `sink`.
     combiner: AtomicU8,
     /// The backing batched store.  Touched only while holding `combiner`.
     set: UnsafeCell<S>,
     /// Sequence number of the most recently committed round (starts at
-    /// [`Options::first_seq`]).  Advanced by the combiner for **every**
-    /// committed round, logged or not, so snapshot seqs stay meaningful
-    /// even when the round log is off.  Touched only while holding
-    /// `combiner`.
+    /// [`Options::first_seq`]).  Advanced by the combiner for every
+    /// committed round.  Touched only while holding `combiner`.
     seq: UnsafeCell<u64>,
     /// The last published read snapshot (a clone of `set` + seq),
     /// republished by the combiner at the end of every round, so its seq is
@@ -648,10 +701,9 @@ pub struct ConcurrentMap<K, V, S> {
     /// Fork-join pool executing whole batches of at least [`POOL_CUTOFF`]
     /// keys.
     pool: Pool,
-    /// Committed-round log, present when [`Options::log_rounds`] was set.
-    /// Appended only by the combiner; the mutex serialises appends against
-    /// concurrent [`ConcurrentMap::take_rounds`] drains.
-    log: Option<Mutex<Vec<Round<K, V>>>>,
+    /// Where committed rounds go.  Touched only while holding `combiner`:
+    /// by `commit_round`, and by [`ConcurrentMap::hold_sink`].
+    sink: UnsafeCell<L>,
     /// Guards `progress` (never the data — that is what `combiner` is for).
     sleep_mutex: Mutex<()>,
     /// Signalled after every round commit and combiner unlock.
@@ -685,7 +737,7 @@ struct Retired<S> {
 /// A concurrent ordered set: the `V = ()` instance of [`ConcurrentMap`]
 /// (its insert slots carry a zero-sized value), with the value-less
 /// [`insert`](ConcurrentMap::insert) spelling.
-pub type ConcurrentSet<K, S> = ConcurrentMap<K, (), S>;
+pub type ConcurrentSet<K, S, L = NoLog> = ConcurrentMap<K, (), S, L>;
 
 /// Releases the combiner flag (and wakes waiters) on every exit from a
 /// combining critical section — **including unwinds**.  A panic while
@@ -699,11 +751,11 @@ pub type ConcurrentSet<K, S> = ConcurrentMap<K, (), S>;
 /// acknowledged and the next combiner can start, while this thread pays the
 /// cascade of refcount decrements and frees that dropping a round's path
 /// copy is.
-struct CombinerGuard<'a, K, V, S> {
-    set: &'a ConcurrentMap<K, V, S>,
+struct CombinerGuard<'a, K, V, S, L> {
+    set: &'a ConcurrentMap<K, V, S, L>,
 }
 
-impl<K, V, S> Drop for CombinerGuard<'_, K, V, S> {
+impl<K, V, S, L> Drop for CombinerGuard<'_, K, V, S, L> {
     fn drop(&mut self) {
         let poisoning = std::thread::panicking();
         if poisoning {
@@ -730,59 +782,10 @@ impl<K, V, S> Drop for CombinerGuard<'_, K, V, S> {
     }
 }
 
-impl<K, V, S> ConcurrentMap<K, V, S> {
-    /// Drops a retired snapshot — usually its last reference, so this frees
-    /// the path copy of the round that replaced it — and closes its
-    /// `combine.publish_ns` sample.
-    fn drop_retired(&self, retired: Retired<S>) {
-        let start = self.obs.now();
-        drop(retired.snap);
-        if let (Some(so_far), Some(start)) = (retired.publish_ns, start) {
-            let ns = so_far + start.elapsed().as_nanos() as u64;
-            self.metrics.publish_ns.record(ns);
-        }
-    }
-}
-
-// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `seq`, `retired`
-// and the log tail are accessed only by the thread holding the `combiner` flag
-// (Acquire/Release on that flag sequences successive combiners), so they
-// need `Send` but not `Sync`; the published clones of `set` are read by
-// every thread at once, hence `S: Sync`.  The ingress list holds pointers
-// to `OpSlot`s pinned on client stacks; the publish CAS (Release) / drain
-// swap (Acquire) pair transfers them to the combiner, which reads `key` and
-// `val` by shared reference from another thread — hence `K: Sync`,
-// `V: Sync` — and hands them back through the `done` Release/Acquire pair,
-// after which only the owning client touches them.
-unsafe impl<K: Send + Sync, V: Send + Sync, S: Send + Sync> Sync for ConcurrentMap<K, V, S> {}
-unsafe impl<K: Send, V: Send, S: Send + Sync> Send for ConcurrentMap<K, V, S> {}
-
-impl<K, S> ConcurrentSet<K, S>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    S: BatchedMap<K, ()> + Clone + Send + Sync,
-{
-    /// Inserts `key`, returning `true` iff it was newly inserted — the
-    /// set spelling of [`ConcurrentMap::upsert`].
-    pub fn insert(&self, key: K) -> bool {
-        self.upsert(key, ())
-    }
-}
-
-impl<K, V, S> ConcurrentMap<K, V, S>
-where
-    K: Ord + Clone + Send + Sync + 'static,
-    V: Clone + Send + Sync + 'static,
-    S: BatchedMap<K, V> + Clone + Send + Sync,
-{
-    /// Wraps `set` behind a flat-combining front-end with default
-    /// [`Options`], executing large batches on `pool`.
-    pub fn new(set: S, pool: Pool) -> ConcurrentMap<K, V, S> {
-        ConcurrentMap::with_options(set, pool, Options::default())
-    }
-
-    /// Wraps `set` with explicit [`Options`].
-    pub fn with_options(set: S, pool: Pool, options: Options) -> ConcurrentMap<K, V, S> {
+impl<K, V, S: Clone, L> ConcurrentMap<K, V, S, L> {
+    /// Wraps `set` with explicit [`Options`], committing every round to
+    /// `sink`.
+    pub fn with_sink(set: S, pool: Pool, options: Options, sink: L) -> ConcurrentMap<K, V, S, L> {
         let registry = Registry::new();
         let metrics = CombineMetrics::new(&registry);
         let obs = obs::Obs::new(pool.metrics().enabled);
@@ -800,7 +803,7 @@ where
             snap,
             retired: UnsafeCell::new(None),
             pool,
-            log: options.log_rounds.then(|| Mutex::new(Vec::new())),
+            sink: UnsafeCell::new(sink),
             sleep_mutex: Mutex::new(()),
             progress: Condvar::new(),
             sleepers: AtomicUsize::new(0),
@@ -810,7 +813,167 @@ where
             obs,
         }
     }
+}
 
+impl<K, V, S, L> ConcurrentMap<K, V, S, L> {
+    /// Drops a retired snapshot — usually its last reference, so this frees
+    /// the path copy of the round that replaced it — and closes its
+    /// `combine.publish_ns` sample.
+    fn drop_retired(&self, retired: Retired<S>) {
+        let start = self.obs.now();
+        drop(retired.snap);
+        if let (Some(so_far), Some(start)) = (retired.publish_ns, start) {
+            let ns = so_far + start.elapsed().as_nanos() as u64;
+            self.metrics.publish_ns.record(ns);
+        }
+    }
+
+    /// Returns `true` when a combiner panic has
+    /// [poisoned](ConcurrentMap#poisoning) the front-end.  Unlike the
+    /// operations, this never panics — it is how a supervising layer (a
+    /// sharded tier) inspects shard health without tripping the poison
+    /// itself.
+    pub fn is_poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::Acquire)
+    }
+
+    /// Runs `f` on the [`CommitSink`] while holding the combiner flag — the
+    /// one way to reach the sink between commits.  Waits out a round in
+    /// progress; no round commits until `f` returns, so the sink has seen
+    /// exactly the rounds through [`ConcurrentMap::committed_seq`].  Reads
+    /// go on meanwhile (they never touch the flag); ops published meanwhile
+    /// are left to the next combiner.  It works on a poisoned front-end too
+    /// — a poisoned round never reached the sink — and, like a round, a
+    /// panic in `f` poisons the front-end.
+    pub fn hold_sink<T>(&self, f: impl FnOnce(&mut L) -> T) -> T {
+        while !self.lock_combiner() {
+            self.wait_until(|| self.combiner_free());
+        }
+        let _held = CombinerGuard { set: self };
+        // SAFETY: we hold the combiner flag — exclusive access to `sink`.
+        f(unsafe { &mut *self.sink.get() })
+    }
+
+    fn lock_combiner(&self) -> bool {
+        // Acquire pairs with the Release unlock of the previous combiner,
+        // carrying the backing set's state to this thread.
+        self.combiner
+            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// `Acquire` so a waiter that sees the flag free also sees what the
+    /// releasing combiner published.
+    fn combiner_free(&self) -> bool {
+        self.combiner.load(Ordering::Acquire) == FREE
+    }
+
+    /// Waits until `ready` holds: polls ([`ConcurrentMap::poll_until`]),
+    /// then parks ([`ConcurrentMap::park_until`]).
+    fn wait_until(&self, mut ready: impl FnMut() -> bool) {
+        let start = Instant::now();
+        if !self.poll_until(&mut ready, start) {
+            self.park_until(&mut ready);
+        }
+        if self.obs.is_enabled() {
+            let waited = start.elapsed().as_nanos() as u64;
+            self.metrics.wait_ns.record(waited);
+        }
+    }
+
+    /// Polls `ready` — no syscall — until it holds (`true`) or polling has
+    /// stopped paying (`false`): [`POLL_BUDGET`] has run out since `start`,
+    /// or the combiner has marked its round [`LONG`].
+    fn poll_until(&self, mut ready: impl FnMut() -> bool, start: Instant) -> bool {
+        loop {
+            for _ in 0..POLLS_PER_CLOCK_READ {
+                if ready() {
+                    return true;
+                }
+                if self.combiner.load(Ordering::Relaxed) == LONG {
+                    return false;
+                }
+                std::hint::spin_loop();
+            }
+            if start.elapsed() >= POLL_BUDGET {
+                return false;
+            }
+        }
+    }
+
+    /// Parks on the condvar until `ready` holds.  Sleeper half of the Dekker
+    /// handshake: register, fence, re-check, and only then wait, so a
+    /// concurrent round commit or unlock cannot be slept through.
+    fn park_until(&self, mut ready: impl FnMut() -> bool) {
+        self.metrics.sleeps.inc();
+        let mut guard = self.sleep_mutex.lock().unwrap();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        fence(Ordering::SeqCst);
+        while !ready() {
+            guard = self.progress.wait(guard).unwrap();
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `seq`, `retired`
+// and `sink` are accessed only by the thread holding the `combiner` flag
+// (Acquire/Release on that flag sequences successive combiners), so they
+// need `Send` but not `Sync`; the published clones of `set` are read by
+// every thread at once, hence `S: Sync`.  The ingress list holds pointers
+// to `OpSlot`s pinned on client stacks; the publish CAS (Release) / drain
+// swap (Acquire) pair transfers them to the combiner, which reads `key` and
+// `val` by shared reference from another thread — hence `K: Sync`,
+// `V: Sync` — and hands them back through the `done` Release/Acquire pair,
+// after which only the owning client touches them.
+unsafe impl<K: Send + Sync, V: Send + Sync, S: Send + Sync, L: Send> Sync
+    for ConcurrentMap<K, V, S, L>
+{
+}
+unsafe impl<K: Send, V: Send, S: Send + Sync, L: Send> Send for ConcurrentMap<K, V, S, L> {}
+
+impl<K, S, L> ConcurrentSet<K, S, L>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    S: BatchedMap<K, ()> + Clone + Send + Sync,
+    L: CommitSink<K, ()>,
+{
+    /// Inserts `key`, returning `true` iff it was newly inserted — the
+    /// set spelling of [`ConcurrentMap::upsert`].
+    pub fn insert(&self, key: K) -> bool {
+        self.upsert(key, ())
+    }
+}
+
+impl<K, V, S: Clone> ConcurrentMap<K, V, S> {
+    /// Wraps `set` behind a flat-combining front-end with default
+    /// [`Options`] and no commit log, executing large batches on `pool`.
+    pub fn new(set: S, pool: Pool) -> ConcurrentMap<K, V, S> {
+        ConcurrentMap::with_options(set, pool, Options::default())
+    }
+
+    /// Wraps `set` with explicit [`Options`] and no commit log.
+    pub fn with_options(set: S, pool: Pool, options: Options) -> ConcurrentMap<K, V, S> {
+        ConcurrentMap::with_sink(set, pool, options, NoLog)
+    }
+}
+
+impl<K, V, S> ConcurrentMap<K, V, S, RoundLog<K, V>> {
+    /// Drains the [`RoundLog`]: every round committed since the last drain,
+    /// in commit order.  Replaying them sequentially reproduces every
+    /// client-observed result.
+    pub fn take_rounds(&self) -> Vec<Round<K, V>> {
+        self.hold_sink(|log| mem::take(&mut log.0))
+    }
+}
+
+impl<K, V, S, L> ConcurrentMap<K, V, S, L>
+where
+    K: Ord + Clone + Send + Sync + 'static,
+    V: Clone + Send + Sync + 'static,
+    S: BatchedMap<K, V> + Clone + Send + Sync,
+    L: CommitSink<K, V>,
+{
     /// Upserts `key → val`, returning `true` iff the key was newly inserted
     /// (`false`: it was present and now holds `val`).
     ///
@@ -936,7 +1099,7 @@ where
     /// through: the caller becomes the combiner (flushing any point ops
     /// published before it won the flag — they were pending first, so they
     /// linearise first), runs the whole batch against the backend in one
-    /// round, and commits it to the round log like any other round.  Batches
+    /// round, and commits it to the sink like any other round.  Batches
     /// of at least [`POOL_CUTOFF`] keys execute inside the pool.
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
         self.run_batch_op(OpKind::Insert, batch, Some(batch.vals()), |set| {
@@ -955,8 +1118,8 @@ where
     /// published ops are flushed on the way in), then executes one pre-sorted
     /// batch of `kind` ops over `keys` (with `vals` for inserts) as one round:
     /// `run` — the backend's batched op — runs once and its per-key flags
-    /// are the result, and the round is logged and counted exactly like a
-    /// combined one.
+    /// are the result, and the round is committed and counted exactly like
+    /// a combined one.
     fn run_batch_op(
         &self,
         kind: OpKind,
@@ -988,32 +1151,14 @@ where
             run(set)
         };
         debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
-        self.commit_round(keys.len() as u64, || {
-            keys.iter()
-                .zip(out.iter())
-                .enumerate()
-                .map(|(i, (key, &result))| RoundOp {
-                    kind,
-                    key: key.clone(),
-                    val: vals.map(|vals| vals[i].clone()),
-                    result,
-                })
-                .collect()
-        });
+        let ops = (keys.iter().zip(&out).enumerate())
+            .map(|(i, (key, &result))| (kind, key, vals.map(|vals| &vals[i]), result));
+        self.commit_round(keys.len() as u64, ops);
         self.metrics.batch_rounds.add_single_writer(1);
         if pooled {
             self.metrics.pooled_rounds.add_single_writer(1);
         }
         out
-    }
-
-    /// Returns `true` when a combiner panic has
-    /// [poisoned](ConcurrentMap#poisoning) the front-end.  Unlike the
-    /// operations, this never panics — it is how a supervising layer (a
-    /// sharded tier) inspects shard health without tripping the poison
-    /// itself.
-    pub fn is_poisoned(&self) -> bool {
-        self.poisoned.load(Ordering::Acquire)
     }
 
     /// A short read (point query, rank arithmetic): the query runs inside
@@ -1104,16 +1249,6 @@ where
         self.pool.metrics()
     }
 
-    /// Drains the committed-round log (empty unless built with
-    /// [`Options::log_rounds`]).  Rounds are in commit order; replaying
-    /// them sequentially reproduces every client-observed result.
-    pub fn take_rounds(&self) -> Vec<Round<K, V>> {
-        match &self.log {
-            Some(log) => mem::take(&mut *log.lock().unwrap()),
-            None => Vec::new(),
-        }
-    }
-
     /// Consumes the front-end, returning the backing set (and shutting the
     /// pool down).  Owning `self` proves no operation is in flight, so no
     /// published slot can be pending.
@@ -1128,7 +1263,7 @@ where
     /// holder's own, so they must not be starved, and linearising them first
     /// keeps the log order honest.  The flag is released (and waiters woken)
     /// when the returned guard drops.  `None` when the flag is taken.
-    fn try_hold(&self) -> Option<CombinerGuard<'_, K, V, S>> {
+    fn try_hold(&self) -> Option<CombinerGuard<'_, K, V, S, L>> {
         self.check_poisoned();
         if !self.lock_combiner() {
             return None;
@@ -1157,14 +1292,7 @@ where
         let _held = self.try_hold()?;
         self.metrics.fast_path_rounds.add_single_writer(1);
         let result = self.apply(kind, key, val);
-        self.commit_round(1, || {
-            vec![RoundOp {
-                kind,
-                key: key.clone(),
-                val: val.cloned(),
-                result,
-            }]
-        });
+        self.commit_round(1, std::iter::once((kind, key, val, result)));
         Some(result)
     }
 
@@ -1244,24 +1372,25 @@ where
     /// the round yet (stored a slot's `done`, returned a result).  The order
     /// is the contract: allocate the seq, **publish** the state as snapshot
     /// `seq` — publish-before-acknowledge is the whole read-your-writes
-    /// guarantee — then **log** the round (`ops` builds its operations in
-    /// linearisation order, and runs only when the log is kept), because an
-    /// acknowledged client may return and immediately `take_rounds`, which
-    /// must already hold every round whose results have been observed.
+    /// guarantee — then hand the round to the **sink** (`ops`, the round's
+    /// operations in linearisation order), because an acknowledged client
+    /// may return and at once rely on its round being in the sink: on the
+    /// write-ahead log, or in the log a replay takes.
     ///
     /// The seq and the counters are combiner-only — flag hand-off (Release
     /// unlock / Acquire lock) orders successive combiners — so seqs are
     /// strictly increasing and gap-free in commit order, and the
     /// single-writer plain-load+store advance is exact without atomic RMWs.
-    fn commit_round(&self, len: u64, ops: impl FnOnce() -> Vec<RoundOp<K, V>>) {
+    fn commit_round<'a>(&self, len: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
         let start = self.obs.now();
         // SAFETY: combiner flag held — exclusive access to `seq`, `set` (the
-        // round's own `&mut` borrow is dead by the time this runs) and
-        // `retired`.
-        let (seq, view, retired) = unsafe {
+        // round's own `&mut` borrow is dead by the time this runs),
+        // `retired` and `sink`.
+        let (seq, view, retired, sink) = unsafe {
             let seq = &mut *self.seq.get();
             *seq += 1;
-            (*seq, (*self.set.get()).clone(), &mut *self.retired.get())
+            let view = (*self.set.get()).clone();
+            (*seq, view, &mut *self.retired.get(), &mut *self.sink.get())
         };
         let snap = self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
         let publish_ns = start.map(|start| start.elapsed().as_nanos() as u64);
@@ -1272,26 +1401,10 @@ where
         if let Some(earlier) = retired.replace(Retired { snap, publish_ns }) {
             self.drop_retired(earlier);
         }
-        if let Some(log) = &self.log {
-            log.lock().unwrap().push(Round { seq, ops: ops() });
-        }
+        sink.commit(seq, ops);
         self.metrics.ops.add_single_writer(len);
         self.metrics.round_size.record(len);
         self.metrics.rounds.add_single_writer(1);
-    }
-
-    fn lock_combiner(&self) -> bool {
-        // Acquire pairs with the Release unlock of the previous combiner,
-        // carrying the backing set's state to this thread.
-        self.combiner
-            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// `Acquire` so a waiter that sees the flag free also sees what the
-    /// releasing combiner published.
-    fn combiner_free(&self) -> bool {
-        self.combiner.load(Ordering::Acquire) == FREE
     }
 
     /// Panics if a combiner panicked mid-round (see the struct docs'
@@ -1303,53 +1416,6 @@ where
                  so the backing store's state is indeterminate"
             );
         }
-    }
-
-    /// Waits until `ready` holds: polls ([`ConcurrentMap::poll_until`]),
-    /// then parks ([`ConcurrentMap::park_until`]).
-    fn wait_until(&self, mut ready: impl FnMut() -> bool) {
-        let start = Instant::now();
-        if !self.poll_until(&mut ready, start) {
-            self.park_until(&mut ready);
-        }
-        if self.obs.is_enabled() {
-            let waited = start.elapsed().as_nanos() as u64;
-            self.metrics.wait_ns.record(waited);
-        }
-    }
-
-    /// Polls `ready` — no syscall — until it holds (`true`) or polling has
-    /// stopped paying (`false`): [`POLL_BUDGET`] has run out since `start`,
-    /// or the combiner has marked its round [`LONG`].
-    fn poll_until(&self, mut ready: impl FnMut() -> bool, start: Instant) -> bool {
-        loop {
-            for _ in 0..POLLS_PER_CLOCK_READ {
-                if ready() {
-                    return true;
-                }
-                if self.combiner.load(Ordering::Relaxed) == LONG {
-                    return false;
-                }
-                std::hint::spin_loop();
-            }
-            if start.elapsed() >= POLL_BUDGET {
-                return false;
-            }
-        }
-    }
-
-    /// Parks on the condvar until `ready` holds.  Sleeper half of the Dekker
-    /// handshake: register, fence, re-check, and only then wait, so a
-    /// concurrent round commit or unlock cannot be slept through.
-    fn park_until(&self, mut ready: impl FnMut() -> bool) {
-        self.metrics.sleeps.inc();
-        let mut guard = self.sleep_mutex.lock().unwrap();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        while !ready() {
-            guard = self.progress.wait(guard).unwrap();
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     /// Runs one combining round — inline, on this thread: every op published
@@ -1400,16 +1466,12 @@ where
             // client reads `result` only after its Acquire load of `done`.
             unsafe { *slot.result.get() = result };
         }
-        self.commit_round(len, || {
-            let op = |slot: &OpSlot<K, V>| RoundOp {
-                kind: slot.kind,
-                key: slot.key.clone(),
-                val: slot.val.clone(),
-                // SAFETY: written above, still combiner-exclusive.
-                result: unsafe { *slot.result.get() },
-            };
-            round().map(op).collect()
+        let ops = round().map(|slot| {
+            // SAFETY: written above, still combiner-exclusive.
+            let result = unsafe { *slot.result.get() };
+            (slot.kind, &slot.key, slot.val.as_ref(), result)
         });
+        self.commit_round(len, ops);
         // Completion: after each `done` store (Release publishes the result
         // write) the owning client may pop the slot off its stack, so it is
         // the combiner's last touch — `round` has read `next` already.
@@ -1500,20 +1562,30 @@ mod tests {
         set.0.into_iter().map(|(k, ())| k).collect()
     }
 
-    /// The harness: the round log is on so tests can replay it (and prove
-    /// reads stay out).
-    fn fresh() -> ConcurrentSet<u64, VecSet> {
-        ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                log_rounds: true,
-                ..Options::default()
-            },
-        )
+    type Logged<S> = ConcurrentSet<u64, S, RoundLog<u64>>;
+
+    /// The harness: rounds go to a `RoundLog` so tests can replay them (and
+    /// prove reads stay out).
+    fn fresh() -> Logged<VecSet> {
+        logged(VecMap(Vec::new()), Pool::new(1).unwrap(), 0)
     }
 
-    fn counter(set: &ConcurrentSet<u64, VecSet>, name: &str) -> u64 {
+    /// A front-end over `backend` logging to a `RoundLog`, numbering its
+    /// rounds from `first_seq + 1`.
+    fn logged<V, S>(
+        backend: S,
+        pool: Pool,
+        first_seq: u64,
+    ) -> ConcurrentMap<u64, V, S, RoundLog<u64, V>>
+    where
+        V: Clone + Send + Sync + 'static,
+        S: BatchedMap<u64, V> + Clone + Send + Sync,
+    {
+        let options = Options { first_seq };
+        ConcurrentMap::with_sink(backend, pool, options, RoundLog::default())
+    }
+
+    fn counter(set: &Logged<VecSet>, name: &str) -> u64 {
         set.metrics().counter(name).unwrap()
     }
 
@@ -1582,14 +1654,7 @@ mod tests {
         assert_eq!(set.take_rounds()[0].seq, 4);
 
         // first_seq seeds the counter (the recovery path).
-        let resumed = ConcurrentSet::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                log_rounds: true,
-                first_seq: 41,
-            },
-        );
+        let resumed: Logged<VecSet> = logged(VecMap(Vec::new()), Pool::new(1).unwrap(), 41);
         resumed.insert(7);
         assert_eq!(resumed.take_rounds()[0].seq, 42);
     }
@@ -1977,13 +2042,9 @@ mod tests {
     }
 
     /// A gated front-end (pool telemetry on, which turns the timed metrics
-    /// on; round log on), the "round is open" receiver and the release
+    /// on; rounds logged), the "round is open" receiver and the release
     /// sender.
-    fn gated() -> (
-        Arc<ConcurrentSet<u64, Gated>>,
-        mpsc::Receiver<()>,
-        mpsc::Sender<()>,
-    ) {
+    fn gated() -> (Arc<Logged<Gated>>, mpsc::Receiver<()>, mpsc::Sender<()>) {
         let (entered_tx, entered) = mpsc::channel();
         let (release, release_rx) = mpsc::channel();
         let backend = Gated {
@@ -1996,12 +2057,7 @@ mod tests {
             .metrics(true)
             .build()
             .unwrap();
-        let options = Options {
-            log_rounds: true,
-            ..Options::default()
-        };
-        let set = ConcurrentSet::with_options(backend, pool, options);
-        (Arc::new(set), entered, release)
+        (Arc::new(logged(backend, pool, 0)), entered, release)
     }
 
     /// Spawns a client running `op` behind the open round and returns once
@@ -2010,8 +2066,8 @@ mod tests {
     /// point round.  A client parks only after it has published, so parking
     /// clients one after another fixes their publish order.
     fn park_behind<T: Send + 'static>(
-        set: &Arc<ConcurrentSet<u64, Gated>>,
-        op: impl FnOnce(&ConcurrentSet<u64, Gated>) -> T + Send + 'static,
+        set: &Arc<Logged<Gated>>,
+        op: impl FnOnce(&Logged<Gated>) -> T + Send + 'static,
     ) -> std::thread::JoinHandle<T> {
         let parked = set.metrics().counter("combine.sleeps");
         let client = {
@@ -2027,7 +2083,7 @@ mod tests {
     }
 
     /// [`park_behind`] for a client inserting `7`.
-    fn park_a_waiter(set: &Arc<ConcurrentSet<u64, Gated>>) -> std::thread::JoinHandle<bool> {
+    fn park_a_waiter(set: &Arc<Logged<Gated>>) -> std::thread::JoinHandle<bool> {
         park_behind(set, |set| set.insert(7))
     }
 
@@ -2047,7 +2103,7 @@ mod tests {
     /// `LONG`, so every client started before the returned sender fires
     /// parks as soon as it has published.
     fn hold_a_long_round(
-        set: &Arc<ConcurrentSet<u64, Gated>>,
+        set: &Arc<Logged<Gated>>,
         entered: &mpsc::Receiver<()>,
     ) -> std::thread::JoinHandle<Vec<bool>> {
         let holder = {
@@ -2202,14 +2258,7 @@ mod tests {
     /// carries each insert's value for a WAL downstream.
     #[test]
     fn values_ride_the_rounds_and_the_snapshot() {
-        let map: ConcurrentMap<u64, char, VecMap<char>> = ConcurrentMap::with_options(
-            VecMap(Vec::new()),
-            Pool::new(1).unwrap(),
-            Options {
-                log_rounds: true,
-                ..Options::default()
-            },
-        );
+        let map = logged(VecMap(Vec::new()), Pool::new(1).unwrap(), 0);
         assert!(map.upsert(5, 'a'));
         assert!(!map.upsert(5, 'b'), "present: overwritten, not new");
         assert_eq!(map.get(&5), Some('b'));

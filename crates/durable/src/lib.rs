@@ -3,44 +3,55 @@
 //!
 //! The flat-combining combiner already produces exactly the artefact a
 //! write-ahead log needs: a totally-ordered stream of committed rounds,
-//! each stamped with a gap-free sequence number (`combine::Round::seq`).
-//! [`DurableMap`] (and [`DurableSet`], its `V = ()` alias) drains that stream
-//! ([`combine::ConcurrentMap::take_rounds`]) and appends one checksummed
-//! record per *mutation* round to an
-//! append-only segment log, amortising `fsync` over groups of rounds the
-//! same way combining amortises tree descents over groups of keys.
+//! each stamped with a gap-free sequence number.  So the log *is* the
+//! front-end's commit sink: [`DurableMap`] (and [`DurableSet`], its `V = ()`
+//! alias) builds its [`combine::ConcurrentMap`] over a [`Wal`], and the
+//! combiner that commits a round appends one checksummed record per
+//! *mutation* round to an append-only segment log, amortising `fsync` over
+//! groups of rounds the same way combining amortises the flag hand-off over
+//! groups of ops.
 //!
 //! # The protocol
 //!
-//! * **Append.**  Every write, after completing in memory, *publishes*:
-//!   it takes the wal lock, drains all committed-but-unappended rounds
-//!   (its own round among them — the combiner logs a round before
-//!   releasing any of its clients), strips ops whose replay could
-//!   not change state (see *What is logged*), and appends the remainder as
-//!   records.  The wal lock makes append order
-//!   equal commit order, so the log *is* the linearisation.
+//! * **Append under the flag.**  A round's commit hands its ops to the
+//!   [`Wal`] ([`combine::CommitSink`]) while the combiner still holds the
+//!   combiner flag — after the round's snapshot is published, before any of
+//!   its clients is acknowledged.  The sink strips ops whose replay could
+//!   not change state (see *What is logged*), encodes the rest straight
+//!   from the round's borrowed keys and values into one reused buffer, and
+//!   appends it (a `write`).  The flag makes append order equal commit
+//!   order, so the log *is* the linearisation, with no lock of its own, and
+//!   every round — a write issued through [`DurableMap::inner`] too — is in
+//!   the log when its call returns.
+//! * **Group commit.**  Records accumulate until
+//!   [`DurableOptions::group_commit`] of them form a full group; the append
+//!   that completes a group fsyncs the active segment, still under the
+//!   flag, and only then advances [`DurableMap::durable_seq`] to its seq, so
+//!   state at or below it survives any crash.  `group_commit: 1` makes
+//!   every mutation round a group — each op is durable before its call
+//!   returns; larger groups trade bounded post-crash loss for an order of
+//!   magnitude fewer fsyncs.  [`DurableMap::sync`] forces the boundary.
+//!   A failed fsync wedges the store before the flag is released, and no
+//!   round appends or fsyncs after it: Linux reports a writeback error to
+//!   one fsync of a file only, so a retry could succeed for lost pages.
+//!   (Handing the fsync to the returning writers, outside the flag, was
+//!   measured: on the benchmark's two-client `point-write` it was not
+//!   faster beyond run-to-run spread — see ROADMAP item 1.)
 //! * **Read.**  Reads never touch the WAL: they are the front-end's
 //!   wait-free snapshot reads and take no lock, so they never queue behind
-//!   another client's append or fsync.  They fail only on a wedged store
-//!   (below).  Every writer drains its own round, so no round waits on a
-//!   reader to reach the log.
-//! * **Group commit.**  Records accumulate until
-//!   [`DurableOptions::group_commit`] of them are pending, then one
-//!   `fsync` covers them all.  `group_commit: 1` fsyncs on every mutation
-//!   round — each op is durable before its call returns; larger groups
-//!   trade bounded post-crash loss for an order of magnitude fewer
-//!   fsyncs.  [`DurableMap::durable_seq`] is the contract either way: it
-//!   advances only when records reach disk, so state at or below it
-//!   survives any crash.  [`DurableMap::sync`] forces the boundary.
+//!   an append or an fsync.  They fail only on a wedged store (below).
+//! * **Rotate.**  When the active segment reaches
+//!   [`DurableOptions::segment_bytes`], the append that finds it full first
+//!   fsyncs it, then starts the next segment.
 //! * **Snapshot.**  Every [`DurableOptions::snapshot_every`] appended
 //!   records (or on [`DurableMap::snapshot`]), the store's full contents are
-//!   captured at one linearisation point ([`combine::ConcurrentMap::snapshot_entries`],
-//!   which serves the combiner-published read snapshot without entering a
-//!   round), written to a snapshot file, and committed by atomically
-//!   renaming a manifest into place.  Because the combiner publishes a
-//!   round's snapshot *before* appending the round to the commit log, the
-//!   snapshot's seq covers every record already drained into the wal, so
-//!   *all* segments are deleted and the log restarts empty — bounded disk,
+//!   captured under the combiner flag
+//!   ([`combine::ConcurrentMap::hold_sink`], then
+//!   [`combine::ConcurrentMap::snapshot_entries`]), written to a snapshot
+//!   file, and committed by atomically renaming a manifest into place.
+//!   Under the flag the published snapshot's seq *is* the last round the
+//!   log has seen, so it covers every record in every segment: *all*
+//!   segments are deleted and the log restarts empty — bounded disk,
 //!   bounded recovery.
 //! * **Recover.**  [`DurableMap::open`] loads the manifest's snapshot (if
 //!   any) and replays log records with seq above it, in segment-name
@@ -121,10 +132,10 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, OnceLock};
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
-use combine::{ConcurrentMap, OpKind, Options};
+use combine::{CommitSink, CommittedOp, ConcurrentMap, OpKind, Options};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry};
 
@@ -162,22 +173,57 @@ impl Default for DurableOptions {
     }
 }
 
-/// The wal-side mutable state, all under one mutex: the lock is what makes
-/// WAL append order equal round commit order.
+/// A store's write-ahead log, as its front-end's [`CommitSink`]: the
+/// combiner committing a round appends it here, under the combiner flag
+/// (see the crate docs' protocol).  It has no API of its own — it is what
+/// [`DurableMap::inner`]'s type names.
 #[derive(Debug)]
-struct Wal {
+pub struct Wal {
     log: SegmentLog,
-    /// Seq of the last record appended (starts at the recovery mark).
-    appended_seq: u64,
     /// Highest segment name ever created; names must strictly increase so
     /// that segment-name order stays append order (see `next_name`).
     last_name: u64,
-    /// Records appended since the last fsync.
+    /// Records appended since the last group was counted.
     pending: u64,
     /// Records appended since the last snapshot.
     since_snapshot: u64,
+    /// The group and snapshot cadences (a `group_commit` of 0 acts as 1:
+    /// `pending` is at least 1 when compared).
+    options: DurableOptions,
     /// Encode scratch, reused across appends (see [`WAL_BUF_KEEP`]).
     buf: Vec<u8>,
+    shared: Arc<Shared>,
+}
+
+/// What the log shares with the writers outside the combiner flag: the
+/// snapshot they take, the wedge they report, and the metrics.
+#[derive(Debug)]
+struct Shared {
+    /// Set once `snapshot_every` records have been appended since the last
+    /// snapshot: the next returning writer takes one.
+    snapshot_due: AtomicBool,
+    /// What wedged the store, once an I/O error has.
+    wedged: OnceLock<String>,
+    metrics: Metrics,
+}
+
+impl Shared {
+    /// Wedges the store on `err` (the first cause sticks) and returns it.
+    fn wedge(&self, err: io::Error) -> io::Error {
+        let _ = self.wedged.set(err.to_string());
+        err
+    }
+
+    /// Refuses when an earlier I/O error wedged the store.
+    fn check_wedged(&self) -> io::Result<()> {
+        match self.wedged.get() {
+            None => Ok(()),
+            Some(cause) => Err(io::Error::other(format!(
+                "durable store wedged by an earlier I/O error ({cause}); \
+                 reopen the directory to recover"
+            ))),
+        }
+    }
 }
 
 /// The WAL keeps its encode buffer from one append to the next only while
@@ -189,20 +235,102 @@ struct Wal {
 /// reallocates.
 const WAL_BUF_KEEP: usize = 1 << 20;
 
+impl<K: KeyCodec + 'static, V: KeyCodec + 'static> CommitSink<K, V> for Wal {
+    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
+        // Keep only ops whose replay could change state (the crate docs'
+        // logging rule): a failed remove replays to nothing, and so does a
+        // failed insert unless it may have rewritten a value.  Sequence
+        // gaps this leaves in the WAL are expected.
+        let mut muts = ops
+            .filter(|&(kind, .., result)| result || (kind == OpKind::Insert && V::WIDTH != 0))
+            .map(|(kind, key, val, _)| match kind {
+                OpKind::Insert => WalOp::Insert(key, val.expect("insert ops carry a value")),
+                OpKind::Remove => WalOp::Remove(key),
+            })
+            .peekable();
+        // Past an I/O error nothing more is appended or fsynced: the log's
+        // tail is unknown (and a retried fsync could report success for
+        // pages a failed one lost), and the writers report the wedge.
+        if muts.peek().is_none() || self.shared.wedged.get().is_some() {
+            return;
+        }
+        self.buf.clear();
+        encode_record(seq, muts, &mut self.buf);
+        if let Err(err) = self.append(seq) {
+            self.shared.wedge(err);
+        }
+    }
+}
+
 impl Wal {
+    /// Appends round `seq`'s record, encoded in `buf`, rotating first when
+    /// the active segment is full, and counts it into its group, fsyncing
+    /// the group once it is full.
+    fn append(&mut self, seq: u64) -> io::Result<()> {
+        if self.log.wants_rotation() {
+            self.rotate(self.next_name())?;
+        }
+        let appended = self.log.append(&self.buf);
+        let metrics = &self.shared.metrics;
+        metrics.bytes_written.add(self.buf.len() as u64);
+        if self.buf.capacity() > WAL_BUF_KEEP {
+            self.buf = Vec::new();
+        }
+        appended?;
+        metrics.records_appended.inc();
+        metrics.appended_seq.set_max(seq);
+        self.since_snapshot += 1;
+        if self.options.snapshot_every > 0 && self.since_snapshot >= self.options.snapshot_every {
+            self.shared.snapshot_due.store(true, Ordering::Relaxed);
+        }
+        self.pending += 1;
+        if self.pending >= self.options.group_commit {
+            self.seal()?;
+        }
+        Ok(())
+    }
+
     /// The name for the next segment: past the last appended record *and*
-    /// past every name already used (post-snapshot segments can carry
-    /// late-drained records numbered below their name, so `appended_seq`
-    /// alone could repeat a name and truncate a live segment).
+    /// past every name already used (open and snapshot name the active
+    /// segment past the recovered or snapshotted seq, which can be above
+    /// the last record, so `appended_seq` alone could repeat a name and
+    /// truncate a live segment).
     fn next_name(&self) -> u64 {
-        (self.appended_seq + 1).max(self.last_name + 1)
+        (self.shared.metrics.appended_seq.get() + 1).max(self.last_name + 1)
+    }
+
+    /// Seals the active segment and starts segment `name`.
+    fn rotate(&mut self, name: u64) -> io::Result<()> {
+        self.seal()?;
+        self.log.rotate(name)?;
+        self.last_name = name;
+        self.shared.metrics.segments_created.inc();
+        Ok(())
+    }
+
+    /// Fsyncs every appended record not yet durable and counts the group
+    /// they form, then advances the durable mark past them.  Runs under the
+    /// combiner flag: when an append fills a group, before a rotation, and
+    /// for `sync`, a snapshot and `close`.
+    fn seal(&mut self) -> io::Result<()> {
+        let metrics = &self.shared.metrics;
+        if self.pending > 0 {
+            metrics.group_size.record(self.pending);
+            self.pending = 0;
+        }
+        let appended = metrics.appended_seq.get();
+        if appended > metrics.durable_seq.get() {
+            self.log.sync()?;
+            metrics.fsyncs.inc();
+            metrics.durable_seq.set_max(appended);
+        }
+        Ok(())
     }
 }
 
 /// Handles to the `durable.*` metrics, resolved once at construction.
 #[derive(Debug)]
 struct Metrics {
-    rounds_drained: Arc<Counter>,
     records_appended: Arc<Counter>,
     bytes_written: Arc<Counter>,
     fsyncs: Arc<Counter>,
@@ -212,8 +340,8 @@ struct Metrics {
     torn_tails: Arc<Counter>,
     group_size: Arc<Histogram>,
     recovery_replayed: Arc<Histogram>,
-    /// The three marks are counters moved by [`Counter::set_max`], all
-    /// written under the WAL lock.
+    /// The three marks are counters moved by [`Counter::set_max`], under
+    /// the combiner flag.
     appended_seq: Arc<Counter>,
     durable_seq: Arc<Counter>,
     snapshot_seq: Arc<Counter>,
@@ -222,7 +350,6 @@ struct Metrics {
 impl Metrics {
     fn new(registry: &Registry) -> Metrics {
         Metrics {
-            rounds_drained: registry.counter("durable.rounds_drained"),
             records_appended: registry.counter("durable.records_appended"),
             bytes_written: registry.counter("durable.bytes_written"),
             fsyncs: registry.counter("durable.fsyncs"),
@@ -244,33 +371,24 @@ impl Metrics {
 /// checkpointed by snapshots, and recovered by [`DurableMap::open`].  See
 /// the crate docs for the protocol and the crash-consistency contract.
 ///
-/// Operations return `io::Result`: besides its own round, each write may
-/// drain and append *other* clients' rounds and trip the group-commit
-/// fsync, any of which can fail.  After an error the instance is
-/// *wedged* — later calls, reads included, fail fast — and reopening the
-/// directory recovers everything durable up to that point.  Reads never
-/// touch the WAL; they fail only on a wedged store.
-pub struct DurableMap<K, V, S>
-where
-    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    V: Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, V> + Clone + Send + Sync,
-{
-    inner: ConcurrentMap<K, V, S>,
-    wal: Mutex<Wal>,
-    /// Set when an I/O error left the on-disk log in an unknown state;
-    /// every later call refuses, because appending past a possibly-partial
-    /// record would corrupt the log (and a read would answer from a history
-    /// whose durable tail is unknown).  Stored (`Release`) under the wal
-    /// lock by the call that failed; loaded (`Acquire`) by every call,
-    /// the reads without the lock.  Reopening the directory recovers the
-    /// durable prefix.
-    wedged: AtomicBool,
+/// Operations return `io::Result`: a write's round is appended at commit
+/// (possibly by another client's combiner) and fsynced there if it
+/// completes a group, and the write may then take a snapshot; any of these
+/// can fail.  After an error the instance is *wedged* — later calls, reads
+/// included, fail fast — and reopening the directory recovers everything
+/// durable up to that point.
+/// Reads never touch the WAL; they fail only on a wedged store.
+pub struct DurableMap<K, V, S> {
+    inner: ConcurrentMap<K, V, S, Wal>,
+    /// The log's state outside the flag, shared with the [`Wal`].  Once an
+    /// I/O error has left the on-disk log in an unknown state, its `wedged`
+    /// cause makes every later call refuse: appending past a
+    /// possibly-partial record would corrupt the log, and a read would
+    /// answer from a history whose durable tail is unknown.  Reopening the
+    /// directory recovers the durable prefix.
+    shared: Arc<Shared>,
     dir: PathBuf,
-    group_commit: u64,
-    snapshot_every: u64,
     registry: Registry,
-    metrics: Metrics,
 }
 
 /// A durable concurrent set: the `V = ()` instance of [`DurableMap`] —
@@ -414,38 +532,32 @@ where
         metrics.segments_created.inc();
 
         // 5. The backend, from the recovered contents, behind a front-end
-        //    whose round log the WAL consumes and whose round numbering
+        //    that commits its rounds to the WAL and whose round numbering
         //    continues where the history left off.
         let batch = KvBatch::from_sorted_entries(contents.into_iter().collect())
             .expect("BTreeMap iterates strictly ascending");
         let backend = make_backend(batch);
-        let inner = ConcurrentMap::with_options(
-            backend,
-            pool,
-            Options {
-                log_rounds: true,
-                first_seq: max_seq,
-            },
-        );
-
         metrics.appended_seq.set_max(max_seq);
         metrics.durable_seq.set_max(max_seq);
-        Ok(DurableMap {
-            inner,
-            wal: Mutex::new(Wal {
-                log,
-                appended_seq: max_seq,
-                last_name: name,
-                pending: 0,
-                since_snapshot: 0,
-                buf: Vec::new(),
-            }),
-            wedged: AtomicBool::new(false),
-            dir,
-            group_commit: options.group_commit.max(1),
-            snapshot_every: options.snapshot_every,
-            registry,
+        let shared = Arc::new(Shared {
+            snapshot_due: AtomicBool::new(false),
+            wedged: OnceLock::new(),
             metrics,
+        });
+        let wal = Wal {
+            log,
+            last_name: name,
+            pending: 0,
+            since_snapshot: 0,
+            options,
+            buf: Vec::new(),
+            shared: Arc::clone(&shared),
+        };
+        Ok(DurableMap {
+            inner: ConcurrentMap::with_sink(backend, pool, Options { first_seq: max_seq }, wal),
+            shared,
+            dir,
+            registry,
         })
     }
 
@@ -455,31 +567,25 @@ where
     /// once [`DurableMap::durable_seq`] passes its round (see the crate
     /// docs).
     pub fn upsert(&self, key: K, val: V) -> io::Result<bool> {
-        let result = self.inner.upsert(key, val);
-        self.publish()?;
-        Ok(result)
+        self.settle(self.inner.upsert(key, val))
     }
 
     /// Removes `key`; `Ok(true)` iff it was present.
     pub fn remove(&self, key: &K) -> io::Result<bool> {
-        let result = self.inner.remove(key);
-        self.publish()?;
-        Ok(result)
+        self.settle(self.inner.remove(key))
     }
 
     /// Membership test: the front-end's wait-free snapshot read.  Reads
-    /// never touch the WAL (no lock, no drain, no fsync); they fail only on
+    /// never touch the WAL (no lock, no append, no fsync); they fail only on
     /// a wedged store.
     pub fn contains(&self, key: &K) -> io::Result<bool> {
-        self.check_wedged()?;
-        Ok(self.inner.contains(key))
+        self.read(|inner| inner.contains(key))
     }
 
     /// The value stored under `key`, if any (a read, like
     /// [`DurableMap::contains`]).
     pub fn get(&self, key: &K) -> io::Result<Option<V>> {
-        self.check_wedged()?;
-        Ok(self.inner.get(key))
+        self.read(|inner| inner.get(key))
     }
 
     /// Batch upsert; one combining round, one WAL record.
@@ -492,29 +598,23 @@ where
     /// [`DurableMap::batch_remove`].
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
         Self::check_fits_one_record(payload_len::<K, V>(batch.len(), 0))?;
-        let result = self.inner.batch_insert(batch);
-        self.publish()?;
-        Ok(result)
+        self.settle(self.inner.batch_insert(batch))
     }
 
     /// Batch remove; one combining round, one WAL record.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
         Self::check_fits_one_record(payload_len::<K, V>(0, batch.len()))?;
-        let result = self.inner.batch_remove(batch);
-        self.publish()?;
-        Ok(result)
+        self.settle(self.inner.batch_remove(batch))
     }
 
     /// Batch membership test (a read, like [`DurableMap::contains`]).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.check_wedged()?;
-        Ok(self.inner.batch_contains(batch))
+        self.read(|inner| inner.batch_contains(batch))
     }
 
     /// Batch value lookup (a read, like [`DurableMap::contains`]).
     pub fn batch_get(&self, batch: &Batch<K>) -> io::Result<Vec<Option<V>>> {
-        self.check_wedged()?;
-        Ok(self.inner.batch_get(batch))
+        self.read(|inner| inner.batch_get(batch))
     }
 
     /// Number of keys in the store (in memory; never fails).
@@ -530,28 +630,22 @@ where
     /// Forces everything committed so far onto disk and returns the new
     /// durable high-water sequence number.
     pub fn sync(&self) -> io::Result<u64> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            this.fsync_wal(wal)?;
-            Ok(this.metrics.durable_seq.get())
-        })
+        self.hold_wal(Wal::seal)?;
+        Ok(self.durable_seq())
     }
 
     /// Takes a snapshot now (regardless of [`DurableOptions::snapshot_every`])
     /// and truncates the log; returns the snapshot's sequence number.
     /// Everything at or below it is durable when this returns.
     pub fn snapshot(&self) -> io::Result<u64> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            this.snapshot_wal(wal)
-        })
+        self.hold_wal(|wal| self.snapshot_wal(wal))
     }
 
     /// The durable high-water mark: every round with seq at or below this
     /// has reached disk (via fsynced records or a committed snapshot) and
     /// survives any crash.
     pub fn durable_seq(&self) -> u64 {
-        self.metrics.durable_seq.get()
+        self.shared.metrics.durable_seq.get()
     }
 
     /// Snapshot of the `durable.*` metrics (see the README's metrics
@@ -562,33 +656,37 @@ where
     }
 
     /// The wrapped flat-combining front-end, for its metrics and
-    /// snapshots.  Issuing *writes* through it does not lose them — they are
-    /// drained on the next publish — but they bypass group commit's
-    /// timing, so their durability point is some later client's call.
-    pub fn inner(&self) -> &ConcurrentMap<K, V, S> {
+    /// snapshots.  A write issued through it is logged at commit like any
+    /// other — its record is appended when the call returns, and fsynced if
+    /// it completes a group — and is durable at the next group or
+    /// [`DurableMap::sync`]; it takes no snapshot and reports no wedge.
+    pub fn inner(&self) -> &ConcurrentMap<K, V, S, Wal> {
         &self.inner
     }
 
-    /// Drains and fsyncs, then closes.  [`Drop`] does the same on a best-
-    /// effort basis; `close` is the variant that reports the error.
+    /// Fsyncs what is pending, then closes.  [`Drop`] does the same on a
+    /// best-effort basis; `close` is the variant that reports the error.
     pub fn close(self) -> io::Result<()> {
         self.sync().map(|_| ())
     }
 
-    /// The post-write durability step: under the wal lock, drain every
-    /// committed round, append the mutations, and run group commit and
-    /// the snapshot policy.  See the crate docs' protocol section.
-    fn publish(&self) -> io::Result<()> {
-        self.with_wal(|this, wal| {
-            this.drain_into(wal)?;
-            if wal.pending >= this.group_commit {
-                this.fsync_wal(wal)?;
-            }
-            if this.snapshot_every > 0 && wal.since_snapshot >= this.snapshot_every {
-                this.snapshot_wal(wal)?;
-            }
-            Ok(())
-        })
+    /// What a write does once its round has committed (and so been
+    /// appended, and fsynced if it completed a group), before it returns
+    /// the round's `result`: report a wedge, and take a snapshot if one is
+    /// due.  No lock is taken unless a snapshot is.
+    fn settle<T>(&self, result: T) -> io::Result<T> {
+        self.shared.check_wedged()?;
+        // One writer claims a due snapshot and takes it.
+        let snapshot_due = &self.shared.snapshot_due;
+        if snapshot_due.load(Ordering::Relaxed) && snapshot_due.swap(false, Ordering::Relaxed) {
+            self.hold_wal(|wal| self.snapshot_wal(wal))?;
+        }
+        Ok(result)
+    }
+
+    /// Runs `read` on the front-end's snapshot, unless the store is wedged.
+    fn read<T>(&self, read: impl FnOnce(&ConcurrentMap<K, V, S, Wal>) -> T) -> io::Result<T> {
+        self.shared.check_wedged().map(|()| read(&self.inner))
     }
 
     /// Refuses a batch whose round could encode to a record that recovery
@@ -606,156 +704,61 @@ where
         Ok(())
     }
 
-    /// Refuses when an earlier call wedged the store.
-    fn check_wedged(&self) -> io::Result<()> {
-        if self.wedged.load(Ordering::Acquire) {
-            return Err(io::Error::other(
-                "durable store wedged by an earlier I/O error; reopen the directory to recover",
-            ));
-        }
-        Ok(())
+    /// Runs `f` on the log under the combiner flag
+    /// ([`ConcurrentMap::hold_sink`]) with the wedge bookkeeping: refuse if
+    /// the store is wedged, wedge it if `f` fails.
+    fn hold_wal<T>(&self, f: impl FnOnce(&mut Wal) -> io::Result<T>) -> io::Result<T> {
+        self.inner.hold_sink(|wal| {
+            self.shared.check_wedged()?;
+            f(wal).map_err(|err| self.shared.wedge(err))
+        })
     }
 
-    /// Runs `f` under the wal lock with wedge bookkeeping: refuse if a
-    /// previous call failed, wedge if this one does.
-    fn with_wal<T>(&self, f: impl FnOnce(&Self, &mut Wal) -> io::Result<T>) -> io::Result<T> {
-        let mut wal = self.wal.lock().unwrap();
-        self.check_wedged()?;
-        let result = f(self, &mut wal);
-        if result.is_err() {
-            self.wedged.store(true, Ordering::Release);
-        }
-        result
-    }
-
-    /// Drains the combiner's round log and appends one record per
-    /// mutation round.  Caller holds the wal lock.
-    fn drain_into(&self, wal: &mut Wal) -> io::Result<()> {
-        let rounds = self.inner.take_rounds();
-        if rounds.is_empty() {
-            return Ok(());
-        }
-        self.metrics.rounds_drained.add(rounds.len() as u64);
-        for round in &rounds {
-            // Keep only ops whose replay could change state (the crate
-            // docs' logging rule): a failed remove replays to nothing, and
-            // so does a failed insert unless it may have rewritten a value.
-            // Sequence gaps this leaves in the WAL are expected.
-            let mut muts = round
-                .ops
-                .iter()
-                .filter(|op| op.result || (op.kind == OpKind::Insert && V::WIDTH != 0))
-                .map(|op| match op.kind {
-                    OpKind::Insert => {
-                        let val = op.val.as_ref().expect("insert ops carry a value");
-                        WalOp::Insert(&op.key, val)
-                    }
-                    OpKind::Remove => WalOp::Remove(&op.key),
-                })
-                .peekable();
-            if muts.peek().is_none() {
-                continue;
-            }
-            if wal.log.wants_rotation() {
-                // Seal the active segment before abandoning it: its
-                // records must never wait on a rotated-away fd.
-                self.fsync_wal(wal)?;
-                let name = wal.next_name();
-                wal.log.rotate(name)?;
-                wal.last_name = name;
-                self.metrics.segments_created.inc();
-            }
-            let mut buf = std::mem::take(&mut wal.buf);
-            buf.clear();
-            encode_record(round.seq, muts, &mut buf);
-            let appended = wal.log.append(&buf);
-            self.metrics.bytes_written.add(buf.len() as u64);
-            if buf.capacity() <= WAL_BUF_KEEP {
-                wal.buf = buf;
-            }
-            appended?;
-            self.metrics.records_appended.inc();
-            wal.appended_seq = round.seq;
-            wal.pending += 1;
-            wal.since_snapshot += 1;
-            self.metrics.appended_seq.set_max(round.seq);
-        }
-        Ok(())
-    }
-
-    /// Fsyncs the active segment, advancing the durable mark over every
-    /// pending record.  Caller holds the wal lock.
-    fn fsync_wal(&self, wal: &mut Wal) -> io::Result<()> {
-        if wal.pending == 0 {
-            return Ok(());
-        }
-        wal.log.sync()?;
-        self.metrics.fsyncs.inc();
-        self.metrics.group_size.record(wal.pending);
-        wal.pending = 0;
-        self.metrics.durable_seq.set_max(wal.appended_seq);
-        Ok(())
-    }
-
-    /// Takes and commits a snapshot, then truncates the log.  Caller
-    /// holds the wal lock and has drained.
+    /// Takes and commits a snapshot, then truncates the log.  Runs under
+    /// the combiner flag ([`DurableMap::hold_wal`]).
     fn snapshot_wal(&self, wal: &mut Wal) -> io::Result<u64> {
         // Seal what is already appended: the snapshot supersedes it, but
         // if the snapshot fails mid-way the log must still stand alone.
-        self.fsync_wal(wal)?;
+        wal.seal()?;
 
         // One linearisation point: contents plus their high-water seq,
-        // read from the combiner-published snapshot (no round entered).
-        // Every record drained above carries seq <= snap_seq, because its
-        // round published the snapshot cell *before* entering the commit
-        // log and the cell is monotone.  Rounds that publish between the
-        // drain and this load land in the *next* segment with seq <= snap
-        // — skipped at replay, harmless (the snapshot already holds them).
+        // read from the combiner-published snapshot.  Under the flag no
+        // round is between its publish and its append, so that seq is the
+        // last round the log has seen: every record in every segment has
+        // seq <= snap_seq, and truncation deletes whole segments.
         let (keys, vals, snap_seq) = self.inner.snapshot_entries();
         let name = write_snapshot(&self.dir, snap_seq, &keys, &vals)?;
         commit_manifest(&self.dir, snap_seq, &name)?;
-        self.metrics.snapshots.inc();
-        self.metrics.snapshot_seq.set_max(snap_seq);
-        self.metrics.durable_seq.set_max(snap_seq);
+        let metrics = &self.shared.metrics;
+        metrics.snapshots.inc();
+        metrics.snapshot_seq.set_max(snap_seq);
+        metrics.durable_seq.set_max(snap_seq);
 
-        // Every record in every segment now has seq <= snap_seq: the
-        // snapshot covers them all, so truncation deletes whole segments.
         let survivors = list_segments(&self.dir)?;
         let next = wal.next_name().max(snap_seq + 1);
-        wal.log.rotate(next)?;
-        wal.last_name = next;
-        self.metrics.segments_created.inc();
+        wal.rotate(next)?;
         let active = log::segment_path(&self.dir, next);
         for (_, path) in survivors {
             if path != active {
                 std::fs::remove_file(&path)?;
-                self.metrics.segments_deleted.inc();
+                metrics.segments_deleted.inc();
             }
         }
         remove_stale_snapshots(&self.dir, &snapshot_path(&self.dir, snap_seq))?;
         log::sync_dir(&self.dir)?;
         wal.since_snapshot = 0;
+        self.shared.snapshot_due.store(false, Ordering::Relaxed);
         Ok(snap_seq)
     }
 }
 
-impl<K, V, S> Drop for DurableMap<K, V, S>
-where
-    K: Ord + Clone + Send + Sync + KeyCodec + 'static,
-    V: Clone + Send + Sync + KeyCodec + 'static,
-    S: BatchedMap<K, V> + Clone + Send + Sync,
-{
+impl<K, V, S> Drop for DurableMap<K, V, S> {
     fn drop(&mut self) {
-        // Best-effort final drain + fsync; `close()` is the error-
-        // reporting path.  Skip when wedged (appending could corrupt) or
-        // when the wal mutex is poisoned by a panicking thread.
-        let Ok(mut wal) = self.wal.lock() else { return };
-        if self.wedged.load(Ordering::Acquire) || self.inner.is_poisoned() {
-            return;
+        // Best-effort final fsync; `close()` is the error-reporting path.
+        // Skipped when wedged (the log's tail is unknown) or poisoned.
+        if self.shared.wedged.get().is_none() && !self.inner.is_poisoned() {
+            let _ = self.inner.hold_sink(Wal::seal);
         }
-        let _ = self
-            .drain_into(&mut wal)
-            .and_then(|()| self.fsync_wal(&mut wal));
     }
 }
 
@@ -1027,7 +1030,7 @@ mod tests {
             .all(|&b| b));
         // That record outgrew the encode scratch the WAL keeps; the next
         // one starts a small buffer, which is kept.
-        let scratch = || store.wal.lock().unwrap().buf.capacity();
+        let scratch = || store.inner().hold_sink(|wal| wal.buf.capacity());
         assert_eq!(scratch(), 0, "the WAL kept a record-limit-sized buffer");
         store.remove(&1).unwrap();
         assert!((1..=WAL_BUF_KEEP).contains(&scratch()));
@@ -1269,26 +1272,128 @@ mod tests {
         Ok(())
     }
 
-    /// Reads never touch the WAL: with the wal lock held by this thread —
-    /// another client's append or fsync in progress — a second thread's
-    /// reads must still return.  (They used to publish, and queued here.)
+    /// Reads never touch the WAL: with the log held by this thread through
+    /// the combiner flag — a sync or snapshot in progress — a second
+    /// thread's reads must still return.
     #[test]
-    fn reads_return_while_the_wal_lock_is_held() {
+    fn reads_return_while_the_log_is_held() {
         let dir = scratch_dir("readlock");
         let store = Arc::new(open::<u64>(&dir, DurableOptions::default()));
         store.upsert(1, 10).unwrap();
         let (tx, rx) = std::sync::mpsc::channel();
-        let wal = store.wal.lock().unwrap();
-        let reader = {
-            let store = Arc::clone(&store);
-            thread::spawn(move || tx.send(all_reads(&store)).unwrap())
-        };
-        let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
-        drop(wal);
+        let answered = store.inner().hold_sink(|_wal| {
+            let reader = {
+                let store = Arc::clone(&store);
+                thread::spawn(move || tx.send(all_reads(&store)).unwrap())
+            };
+            let answered = rx.recv_timeout(std::time::Duration::from_secs(10));
+            (answered, reader)
+        });
+        let (answered, reader) = answered;
         reader.join().unwrap();
         answered
-            .expect("reads blocked on the wal lock")
+            .expect("reads blocked on the held log")
             .expect("reads of a healthy store succeed");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An I/O error inside a round's commit — here a rotation that cannot
+    /// create the next segment, because a directory sits at its path —
+    /// wedges the store: the write whose round hit it fails, every later
+    /// call fails fast, and a reopen recovers every write acknowledged
+    /// before it.
+    #[test]
+    fn an_io_failure_inside_a_commit_wedges_the_store() {
+        let dir = scratch_dir("commitfail");
+        let options = || DurableOptions {
+            group_commit: 1,
+            segment_bytes: 1,
+            ..DurableOptions::default()
+        };
+        let store = open::<u64>(&dir, options());
+        // Every record fills a segment, so every append rotates first, to
+        // the name after the newest segment's.
+        for k in 1..=5u64 {
+            store.upsert(k, k * 10).unwrap();
+        }
+        let (newest, _) = *list_segments(&dir).unwrap().last().unwrap();
+        let planted = log::segment_path(&dir, newest + 1);
+        std::fs::create_dir(&planted).unwrap();
+        let err = store.upsert(6, 60).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        let err = store.get(&1).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        let err = store.upsert(7, 70).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert!(store.sync().is_err() && store.snapshot().is_err());
+        drop(store);
+
+        std::fs::remove_dir(&planted).unwrap();
+        let store = open::<u64>(&dir, options());
+        let (keys, vals, _) = store.inner().snapshot_entries();
+        assert_eq!(keys, vec![1, 2, 3, 4, 5], "acknowledged writes lost");
+        assert_eq!(vals, vec![10, 20, 30, 40, 50]);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A failed fsync wedges the store under the flag, and nothing is
+    /// appended or fsynced after it — not by a write through `inner()`,
+    /// which skips the wedge check, not by `sync` — so the durable mark
+    /// never moves again.  Linux reports a writeback error to one fsync of
+    /// a file only, so a retry could return `Ok` for pages that never
+    /// reached disk.  Here the active segment is swapped for a pipe (whose
+    /// fsync fails) for one write, then back, so a retry would succeed.
+    #[test]
+    fn a_failed_fsync_wedges_before_any_retry() {
+        let dir = scratch_dir("fsyncfail");
+        let options = || DurableOptions {
+            group_commit: 1,
+            ..DurableOptions::default()
+        };
+        let store = open::<u64>(&dir, options());
+        store.upsert(1, 10).unwrap();
+        let durable = store.durable_seq();
+        let (_reader, writer) = io::pipe().unwrap();
+        let pipe = std::fs::File::from(std::os::fd::OwnedFd::from(writer));
+        let segment = store.inner().hold_sink(|wal| wal.log.swap_file(pipe));
+        let err = store.upsert(2, 20).unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        store.inner().hold_sink(|wal| wal.log.swap_file(segment));
+
+        assert!(store.inner().upsert(3, 30), "the write runs in memory");
+        let err = store.sync().unwrap_err();
+        assert!(err.to_string().contains("wedged"), "{err}");
+        assert_eq!(
+            store.durable_seq(),
+            durable,
+            "an fsync ran after a failed one"
+        );
+        assert_eq!(store.metrics().counter("durable.fsyncs"), Some(1));
+        drop(store);
+        let store = open::<u64>(&dir, options());
+        assert_eq!(store.inner().snapshot_keys().0, vec![1]);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A write through `inner()` commits to the log like any other: its
+    /// record is appended by the time the call returns, with no further
+    /// `DurableMap` call, and `sync` makes it durable.
+    #[test]
+    fn a_write_through_inner_is_appended_at_commit() {
+        let dir = scratch_dir("inner");
+        let store = open::<u64>(&dir, DurableOptions::default());
+        store.upsert(1, 10).unwrap();
+        assert!(store.inner().upsert(2, 20));
+        let seq = store.inner().committed_seq();
+        let appended = store.metrics().counter("durable.appended_seq").unwrap();
+        assert_eq!(appended, seq, "the inner write's round was not appended");
+        assert_eq!(store.sync().unwrap(), seq);
+        drop(store);
+        let store = open::<u64>(&dir, DurableOptions::default());
+        assert_eq!(store.get(&2).unwrap(), Some(20));
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

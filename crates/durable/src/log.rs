@@ -154,6 +154,12 @@ impl SegmentLog {
     pub(crate) fn bytes(&self) -> u64 {
         self.bytes
     }
+
+    /// Replaces the active segment's file handle, returning the old one.
+    #[cfg(test)]
+    pub(crate) fn swap_file(&mut self, file: File) -> File {
+        std::mem::replace(&mut self.file, file)
+    }
 }
 
 /// Path of the segment named `seq` inside `dir`.

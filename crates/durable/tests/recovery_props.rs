@@ -381,7 +381,7 @@ fn an_oversized_record_appends_whole_to_one_fresh_segment<V: Val>() {
         "fixture should already have rotated under 64-byte segments: {before:?}"
     );
 
-    // One batch round drains to one WAL record: 200 keys is a single
+    // One batch round commits to one WAL record: 200 keys is a single
     // record ~25x the segment threshold.
     let big: Vec<(u64, V)> = (1_000..1_200u64).map(|k| (k, V::of(k, 1))).collect();
     assert!(

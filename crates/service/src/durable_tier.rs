@@ -26,7 +26,7 @@ use std::path::Path;
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
 use combine::ConcurrentMap;
-use durable::{DurableMap, DurableOptions, DurableSet};
+use durable::{DurableMap, DurableOptions, DurableSet, Wal};
 use forkjoin::Pool;
 use obs::Snapshot;
 
@@ -47,9 +47,10 @@ where
     type Key = K;
     type Val = V;
     type Backend = S;
+    type Sink = Wal;
     type Error = io::Error;
 
-    fn front(&self) -> &ConcurrentMap<K, V, S> {
+    fn front(&self) -> &ConcurrentMap<K, V, S, Wal> {
         self.inner()
     }
 
@@ -221,7 +222,7 @@ where
         self.shards.iter().map(DurableMap::snapshot).collect()
     }
 
-    /// Drains and fsyncs every shard, then closes; first error wins (the
+    /// Fsyncs every shard, then closes; first error wins (the
     /// remaining shards still run their best-effort `Drop` sync).
     pub fn close(self) -> io::Result<()> {
         self.shards.into_iter().try_for_each(DurableMap::close)

@@ -113,7 +113,7 @@ use std::ops::Bound;
 use std::sync::Arc;
 
 use batchapi::{Batch, BatchedMap, KvBatch};
-use combine::{ConcurrentMap, ConcurrentSet};
+use combine::{CommitSink, ConcurrentMap, ConcurrentSet};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, Snapshot};
 
@@ -128,11 +128,13 @@ pub trait Shard {
     type Val: Clone + Send + Sync + 'static;
     /// The backend behind the front-end.
     type Backend: BatchedMap<Self::Key, Self::Val> + Clone + Send + Sync;
+    /// Where the front-end's committed rounds go.
+    type Sink: CommitSink<Self::Key, Self::Val>;
     /// What the shard's operations fail with.
     type Error;
 
     /// The shard's in-memory front-end.
-    fn front(&self) -> &ConcurrentMap<Self::Key, Self::Val, Self::Backend>;
+    fn front(&self) -> &ConcurrentMap<Self::Key, Self::Val, Self::Backend, Self::Sink>;
 
     /// The shard's own metric snapshot.
     fn metrics(&self) -> Snapshot;
@@ -141,18 +143,20 @@ pub trait Shard {
     fn in_shard(err: Self::Error, index: usize) -> Self::Error;
 }
 
-impl<K, V, S> Shard for ConcurrentMap<K, V, S>
+impl<K, V, S, L> Shard for ConcurrentMap<K, V, S, L>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     S: BatchedMap<K, V> + Clone + Send + Sync,
+    L: CommitSink<K, V>,
 {
     type Key = K;
     type Val = V;
     type Backend = S;
+    type Sink = L;
     type Error = Infallible;
 
-    fn front(&self) -> &ConcurrentMap<K, V, S> {
+    fn front(&self) -> &ConcurrentMap<K, V, S, L> {
         self
     }
 
@@ -359,7 +363,7 @@ where
     }
 
     /// Every shard's front-end in shard order, after the poison check.
-    fn fronts(&self) -> impl Iterator<Item = &ConcurrentMap<K, V, Sh::Backend>> {
+    fn fronts(&self) -> impl Iterator<Item = &ConcurrentMap<K, V, Sh::Backend, Sh::Sink>> {
         self.check_poisoned();
         self.shards.iter().map(Shard::front)
     }
@@ -406,11 +410,12 @@ where
 
 /// The in-memory tier: its shards never fail, so these return bare values.
 /// Every call panics if the tier is [poisoned](crate#failures).
-impl<K, V, S, R> Tier<ConcurrentMap<K, V, S>, R>
+impl<K, V, S, L, R> Tier<ConcurrentMap<K, V, S, L>, R>
 where
     K: Ord + Clone + Send + Sync + 'static,
     V: Clone + Send + Sync + 'static,
     S: BatchedMap<K, V> + Clone + Send + Sync,
+    L: CommitSink<K, V>,
     R: ShardRouter<K>,
 {
     /// Builds a tier from a router and its shards (one front-end per router
@@ -422,7 +427,7 @@ where
     ///
     /// Panics when `shards.len() != router.num_shards()` or no shards are
     /// given.
-    pub fn new(router: R, shards: Vec<ConcurrentMap<K, V, S>>, _pool: Pool) -> Self {
+    pub fn new(router: R, shards: Vec<ConcurrentMap<K, V, S, L>>, _pool: Pool) -> Self {
         Tier::from_shards(router, shards)
     }
 
@@ -470,10 +475,11 @@ where
     }
 }
 
-impl<K, S, R> ShardedSet<K, S, R>
+impl<K, S, L, R> Tier<ConcurrentSet<K, S, L>, R>
 where
     K: Ord + Clone + Send + Sync + 'static,
     S: BatchedMap<K, ()> + Clone + Send + Sync,
+    L: CommitSink<K, ()>,
     R: ShardRouter<K>,
 {
     /// Inserts `key`; `true` iff newly inserted — the set spelling of

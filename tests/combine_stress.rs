@@ -42,7 +42,7 @@ use common::{write_kind, Answer, BombSet, History, Read};
 use pbist_repro::{
     batchapi::{Batch, KvBatch, MapView},
     combine::{
-        ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round,
+        ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round, RoundLog,
         POOL_CUTOFF,
     },
     forkjoin::Pool,
@@ -71,6 +71,9 @@ impl Val for u64 {
 /// The client id the pre-loaded contents are written under.
 const PRELOAD: u64 = 0xFFFF;
 
+/// The front-end under test: the tree, its rounds kept for the replay.
+type Logged<V> = ConcurrentMap<u64, V, IstMap<u64, V>, RoundLog<u64, V>>;
+
 /// What a client saw from one op of its trace.
 enum Seen<V> {
     Wrote(bool),
@@ -80,12 +83,7 @@ enum Seen<V> {
 /// Reads `key` through the surface `step` picks — three of four through the
 /// front-end's own calls, bracketed by the committed seq; the fourth through
 /// a snapshot handle, whose answer must be the state at exactly its seq.
-fn read_key<V: Val>(
-    set: &ConcurrentMap<u64, V, IstMap<u64, V>>,
-    acked: &AtomicU64,
-    key: u64,
-    step: u64,
-) -> Read<V> {
+fn read_key<V: Val>(set: &Logged<V>, acked: &AtomicU64, key: u64, step: u64) -> Read<V> {
     let acked = acked.load(Ordering::SeqCst);
     let (lo, answer, hi) = if step % 4 == 3 {
         let snap = set.read_snapshot();
@@ -123,13 +121,11 @@ fn drive_and_verify<V: Val>(
     let pool = Pool::new(pool_threads).unwrap_or_else(|e| panic!("{ctx}: pool: {e}"));
     let preload = |&k: &u64| (k, V::of(PRELOAD, k));
     let backing = IstMap::from_unsorted_entries(initial.iter().map(preload).collect());
-    let set = Arc::new(ConcurrentMap::with_options(
+    let set = Arc::new(ConcurrentMap::with_sink(
         backing,
         pool,
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        RoundLog::default(),
     ));
 
     // Writes acknowledged so far, to any client (see `common`).
@@ -405,13 +401,11 @@ fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
 #[test]
 fn snapshot_reads_satisfy_the_staleness_contract() {
     let pool = Pool::new(2).unwrap();
-    let set = Arc::new(ConcurrentSet::with_options(
+    let set = Arc::new(ConcurrentSet::with_sink(
         IstSet::from_unsorted(Vec::new()),
         pool,
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        RoundLog::default(),
     ));
     let clients = 4u64;
     let per_client = 400u64;
@@ -518,15 +512,12 @@ struct ValueRead {
 ///     front-end keeps a retired snapshot alive.
 #[test]
 fn upserted_values_replay_against_the_committed_rounds() {
-    let map: Arc<ConcurrentMap<u64, u64, IstMap<u64, u64>>> =
-        Arc::new(ConcurrentMap::with_options(
-            IstMap::from_sorted_entries(Vec::new()),
-            Pool::new(2).unwrap(),
-            Options {
-                log_rounds: true,
-                ..Options::default()
-            },
-        ));
+    let map: Arc<Logged<u64>> = Arc::new(ConcurrentMap::with_sink(
+        IstMap::from_sorted_entries(Vec::new()),
+        Pool::new(2).unwrap(),
+        Options::default(),
+        RoundLog::default(),
+    ));
     let clients = 4u64;
     let per_client = 400u64;
     let span = 53u64;
@@ -705,13 +696,11 @@ struct RangeRead {
 #[test]
 fn snapshot_range_reads_replay_against_the_committed_rounds() {
     let pool = Pool::new(2).unwrap();
-    let set = Arc::new(ConcurrentSet::with_options(
+    let set = Arc::new(ConcurrentSet::with_sink(
         IstSet::from_unsorted(Vec::new()),
         pool,
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        RoundLog::default(),
     ));
     let clients = 4u64;
     let per_client = 300u64;
@@ -831,13 +820,11 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
 /// answers with the last good snapshot.
 #[test]
 fn snapshot_keys_never_observes_a_half_applied_round() {
-    let set = Arc::new(ConcurrentSet::with_options(
+    let set = Arc::new(ConcurrentSet::with_sink(
         BombSet::new(),
         Pool::new(1).unwrap(),
-        Options {
-            log_rounds: true,
-            ..Options::default()
-        },
+        Options::default(),
+        RoundLog::default(),
     ));
 
     let observed: Vec<Vec<(Vec<u64>, u64)>> = thread::scope(|s| {

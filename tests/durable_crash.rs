@@ -19,7 +19,11 @@
 //!   tear observed.
 //!
 //! The child writes disjoint batches `[i*B, (i+1)*B)` in order, so "which
-//! prefix survived" is readable straight off the recovered length.
+//! prefix survived" is readable straight off the recovered length.  Some
+//! runs use two writer threads, each with its own key range and its own
+//! ACKs, so that one writer's rounds interleave with — and may be
+//! combined into the fsynced groups of — the other's: each thread's
+//! recovered batches must be a prefix of its own sequence.
 //!
 //! The suite is generic over the value type and runs twice: at `V = ()`
 //! (the set) and at `V = u64`, where each key `k` carries the derived value
@@ -33,7 +37,7 @@ use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
 use pbist_repro::{
-    batchapi::{Batch, KeyCodec, KvBatch},
+    batchapi::{KeyCodec, KvBatch},
     durable::{DurableMap, DurableOptions},
     forkjoin::Pool,
     pbist::IstMap,
@@ -50,6 +54,11 @@ const DIR_ENV: &str = "DURABLE_CRASH_DIR";
 const GROUP_ENV: &str = "DURABLE_CRASH_GROUP";
 /// Which value type the child runs at ([`Val::NAME`]).
 const VALUES_ENV: &str = "DURABLE_CRASH_VALUES";
+/// How many writer threads the child runs.
+const WRITERS_ENV: &str = "DURABLE_CRASH_WRITERS";
+
+/// Writer `t` owns the keys `[t * STRIDE, (t + 1) * STRIDE)`.
+const STRIDE: u64 = 1 << 32;
 
 /// The value types the suite runs at.
 trait Val: Clone + PartialEq + std::fmt::Debug + Send + Sync + KeyCodec + 'static {
@@ -84,33 +93,44 @@ fn open<V: Val>(dir: &PathBuf, group_commit: u64) -> DurableMap<u64, V, IstMap<u
     .expect("open durable store")
 }
 
-/// The child: upsert batch `i` = `[i*B, (i+1)*B)` with derived values,
-/// then acknowledge it by printing `ACK <i> <durable_seq>` on a flushed
-/// line.  Runs until the parent kills it.
-fn run_child<V: Val>() -> ! {
-    let dir = PathBuf::from(std::env::var_os(DIR_ENV).expect("child needs the dir"));
-    let group: u64 = std::env::var(GROUP_ENV)
-        .expect("child needs the group size")
-        .parse()
-        .expect("group size");
-    let set = open::<V>(&dir, group);
-    let stdout = std::io::stdout();
-    let mut i = 0u64;
-    loop {
-        let entries = (i * BATCH..(i + 1) * BATCH).map(|k| (k, V::of(k)));
-        let batch = KvBatch::from_unsorted_entries(entries.collect());
-        set.batch_insert(&batch).expect("child batch_insert");
-        // One flushed line per acknowledged batch: pipes are block-
-        // buffered, and an ACK the parent never sees is no ACK at all.
-        let mut out = stdout.lock();
-        writeln!(out, "ACK {i} {}", set.durable_seq()).expect("child stdout");
-        out.flush().expect("child flush");
-        i += 1;
-    }
+fn env_u64(name: &str) -> u64 {
+    let value = std::env::var(name).unwrap_or_else(|_| panic!("child needs {name}"));
+    value.parse().expect(name)
 }
 
-/// One parent run: spawn the child, kill it after `acks` acknowledged
-/// batches, recover, verify the contract — keys *and* values.
+/// The child: each writer thread `t` upserts its batch `i` =
+/// `t * STRIDE + [i*B, (i+1)*B)` with derived values, then acknowledges it
+/// by printing `ACK <t> <i> <durable_seq>` on a flushed line.  Runs until
+/// the parent kills it.
+fn run_child<V: Val>() -> ! {
+    let dir = PathBuf::from(std::env::var_os(DIR_ENV).expect("child needs the dir"));
+    let set = open::<V>(&dir, env_u64(GROUP_ENV));
+    let write = |t: u64| -> ! {
+        let stdout = std::io::stdout();
+        let mut i = 0u64;
+        loop {
+            let keys = t * STRIDE + i * BATCH..t * STRIDE + (i + 1) * BATCH;
+            let batch = KvBatch::from_unsorted_entries(keys.map(|k| (k, V::of(k))).collect());
+            set.batch_insert(&batch).expect("child batch_insert");
+            // One flushed line per acknowledged batch: pipes are block-
+            // buffered, and an ACK the parent never sees is no ACK at all.
+            let mut out = stdout.lock();
+            writeln!(out, "ACK {t} {i} {}", set.durable_seq()).expect("child stdout");
+            out.flush().expect("child flush");
+            i += 1;
+        }
+    };
+    std::thread::scope(|s| {
+        for t in 1..env_u64(WRITERS_ENV) {
+            s.spawn(move || write(t));
+        }
+        write(0)
+    })
+}
+
+/// One parent run: spawn the child with `writers` writer threads, kill it
+/// after `acks` acknowledged batches (over all writers), recover, verify
+/// the contract — keys *and* values, per writer.
 ///
 /// `tear_tail` appends garbage to the dead child's last log segment
 /// before recovering.  A `SIGKILL` alone cannot produce a torn record —
@@ -118,9 +138,15 @@ fn run_child<V: Val>() -> ! {
 /// process, and each record is one `write` — so this stands in for the
 /// crash that *does* tear: power loss mid-write.  Returns whether the
 /// first recovery observed a torn tail.
-fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) -> bool {
+fn crash_once<V: Val>(
+    tag: &str,
+    group_commit: u64,
+    writers: u64,
+    acks: u64,
+    tear_tail: bool,
+) -> bool {
     let dir = std::env::temp_dir().join(format!(
-        "durable-crash-{}-{}-g{group_commit}-a{acks}",
+        "durable-crash-{}-{}-g{group_commit}-w{writers}-a{acks}",
         std::process::id(),
         V::NAME
     ));
@@ -137,6 +163,7 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
         .env(DIR_ENV, &dir)
         .env(GROUP_ENV, group_commit.to_string())
         .env(VALUES_ENV, V::NAME)
+        .env(WRITERS_ENV, writers.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -146,7 +173,9 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
     // the instant the threshold arrives: the child is then almost
     // certainly inside a later append/fsync — exactly "mid-commit".
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut last_ack = None;
+    // Per writer, the batches it acknowledged; and the highest durable
+    // mark any writer reported.
+    let mut acked = vec![0u64; writers as usize];
     let mut last_durable = 0u64;
     for line in BufReader::new(stdout).lines() {
         let line = line.expect("read child line");
@@ -154,21 +183,28 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
         if parts.next() != Some("ACK") {
             continue;
         }
-        let i: u64 = parts.next().expect("ack index").parse().expect("ack index");
-        last_durable = parts
-            .next()
-            .expect("ack durable_seq")
-            .parse()
-            .expect("ack durable_seq");
-        last_ack = Some(i);
-        if i + 1 >= acks {
+        let mut field = |name| -> u64 {
+            let field = parts.next().unwrap_or_else(|| panic!("ack {name}"));
+            field.parse().unwrap_or_else(|_| panic!("ack {name}"))
+        };
+        let (t, i, durable) = (field("writer"), field("index"), field("durable_seq"));
+        assert_eq!(
+            acked[t as usize], i,
+            "{tag}: writer {t} acknowledged out of order"
+        );
+        acked[t as usize] = i + 1;
+        last_durable = last_durable.max(durable);
+        if acked.iter().sum::<u64>() >= acks {
             break;
         }
     }
     child.kill().expect("SIGKILL child");
     child.wait().expect("reap child");
-    let last_ack = last_ack.expect("child produced no ACKs");
-    assert_eq!(last_ack + 1, acks, "{tag}: parent read the wrong ACK count");
+    assert_eq!(
+        acked.iter().sum::<u64>(),
+        acks,
+        "{tag}: parent read the wrong ACK count"
+    );
 
     if tear_tail {
         // The power-loss signature: the log ends in bytes that are not a
@@ -198,43 +234,50 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
         assert!(torn, "{tag}: the injected tear went unnoticed");
     }
 
-    // Round granularity: an exact prefix of whole batches survived.
-    let len = set.len() as u64;
-    assert_eq!(
-        len % BATCH,
-        0,
-        "{tag}: recovered a fraction of a batch ({len} keys)"
-    );
-    let batches = len / BATCH;
+    // Round granularity, per writer: an exact prefix of its whole batches
+    // survived — every key of its range below the count, each carrying the
+    // exact value it was committed with.
+    let (keys, vals, _) = set.inner().snapshot_entries();
+    let mut batches = 0u64;
+    for t in 0..writers {
+        let mine: Vec<(u64, V)> = (keys.iter().copied().zip(vals.iter().cloned()))
+            .filter(|&(key, _)| key / STRIDE == t)
+            .collect();
+        let len = mine.len() as u64;
+        assert_eq!(
+            len % BATCH,
+            0,
+            "{tag}: writer {t}: recovered a fraction of a batch ({len} keys)"
+        );
+        let expect = (t * STRIDE..t * STRIDE + len).map(|key| (key, V::of(key)));
+        assert!(
+            mine.into_iter().eq(expect),
+            "{tag}: writer {t}: the recovered keys are no prefix of its batches"
+        );
+        if group_commit == 1 {
+            // Every return was an fsync: each writer's last ACKed batch is
+            // covered by the guarantee, not just the durable-mark prefix.
+            assert!(
+                len / BATCH >= acked[t as usize],
+                "{tag}: writer {t} acknowledged {} batches under group_commit=1, \
+                 but only {} survived",
+                acked[t as usize],
+                len / BATCH
+            );
+        }
+        batches += len / BATCH;
+    }
 
-    // Acknowledged implies recovered.  Batch i is the child's round
-    // seq i + 1 (fresh dir, one round per batch_insert), so batches
-    // `0..last_durable` were durable when the child last reported.
+    // Acknowledged implies recovered.  Every batch is one round, and a
+    // fresh directory numbers the rounds 1, 2, … with each one logged, so
+    // rounds `1..=last_durable` — that many batches — were on disk when a
+    // writer last reported.
     assert!(
         batches >= last_durable,
         "{tag}: durable_seq said {last_durable} batches were on disk, \
          but only {batches} were recovered"
     );
-    if group_commit == 1 {
-        // Every return was an fsync: the last ACKed batch itself is
-        // covered by the guarantee, not just the durable-mark prefix.
-        assert!(
-            batches > last_ack,
-            "{tag}: batch {last_ack} was acknowledged under group_commit=1 \
-             but did not survive ({batches} batches recovered)"
-        );
-    }
-    // And the prefix really is the contents: every key below the count,
-    // each carrying the exact value it was committed with.
-    let probe = Batch::from_unsorted((0..len).collect());
-    let hits = set.batch_get(&probe).expect("probe recovered store");
-    for (key, hit) in (0..len).zip(hits) {
-        assert_eq!(
-            hit,
-            Some(V::of(key)),
-            "{tag}: key {key} missing or recovered with the wrong value"
-        );
-    }
+    let len = set.len() as u64;
     drop(set);
 
     // Recovery healed the tear (truncation), so a second open replays a
@@ -246,7 +289,7 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
         "{tag}: second open still sees a torn tail"
     );
     assert_eq!(set.len() as u64, len, "{tag}: second recovery differs");
-    for key in 0..len {
+    for &key in &keys {
         assert_eq!(
             set.get(&key).expect("get"),
             Some(V::of(key)),
@@ -262,21 +305,31 @@ fn crash_once<V: Val>(tag: &str, group_commit: u64, acks: u64, tear_tail: bool) 
 /// The whole crash grid at one value type.
 fn crash_grid<V: Val>() {
     let mut torn_seen = 0u32;
-    for (group_commit, acks, tear_tail) in [
-        (1u64, 3u64, false),
-        (1, 11, true),
-        (1, 29, false),
-        (4, 5, true),
-        (4, 17, false),
-        (16, 40, true),
-    ] {
-        let tag = format!("{}/g{group_commit}/a{acks}/tear={tear_tail}", V::NAME);
-        if crash_once::<V>(&tag, group_commit, acks, tear_tail) {
+    let grid = [
+        (1u64, 1u64, 3u64, false),
+        (1, 1, 11, true),
+        (1, 1, 29, false),
+        (4, 1, 5, true),
+        (4, 1, 17, false),
+        (16, 1, 40, true),
+        (1, 2, 30, false),
+        (16, 2, 60, true),
+    ];
+    for (group_commit, writers, acks, tear_tail) in grid {
+        let tag = format!(
+            "{}/g{group_commit}/w{writers}/a{acks}/tear={tear_tail}",
+            V::NAME
+        );
+        if crash_once::<V>(&tag, group_commit, writers, acks, tear_tail) {
             torn_seen += 1;
         }
     }
-    assert!(torn_seen >= 3, "the injected tears must all be observed");
-    println!("{}: runs that hit a torn tail: {torn_seen}/6", V::NAME);
+    assert!(torn_seen >= 4, "the injected tears must all be observed");
+    println!(
+        "{}: runs that hit a torn tail: {torn_seen}/{}",
+        V::NAME,
+        grid.len()
+    );
 }
 
 #[test]

@@ -47,7 +47,7 @@ use common::{write_kind, Answer, BombSet, History, Read};
 
 use pbist_repro::{
     batchapi::{Batch, KvBatch, MapView},
-    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, POOL_CUTOFF},
+    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, RoundLog, POOL_CUTOFF},
     forkjoin::Pool,
     pbist::{IstMap, IstSet},
     service::{RangeRouter, ShardRouter, ShardedSet, Tier},
@@ -133,13 +133,11 @@ fn drive_and_verify_sharded<V: Val>(
     let shards = per_shard_initial
         .iter()
         .map(|entries| {
-            ConcurrentMap::with_options(
+            ConcurrentMap::with_sink(
                 IstMap::from_sorted_entries(entries.clone().into_iter().collect()),
                 Pool::new(shard_pool_threads).unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
-                Options {
-                    log_rounds: true,
-                    ..Options::default()
-                },
+                Options::default(),
+                RoundLog::default(),
             )
         })
         .collect();
