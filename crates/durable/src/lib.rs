@@ -47,17 +47,22 @@
 //!   records (or on [`DurableMap::snapshot`]), the store's full contents are
 //!   captured under the combiner flag
 //!   ([`combine::ConcurrentMap::hold_sink`], then
-//!   [`combine::ConcurrentMap::snapshot_entries`]), written to a snapshot
-//!   file, and committed by atomically renaming a manifest into place.
-//!   Under the flag the published snapshot's seq *is* the last round the
-//!   log has seen, so it covers every record in every segment: *all*
-//!   segments are deleted and the log restarts empty — bounded disk,
-//!   bounded recovery.
-//! * **Recover.**  [`DurableMap::open`] loads the manifest's snapshot (if
-//!   any) and replays log records with seq above it, in segment-name
-//!   order, into a fresh backend.  A torn final record — the signature of
-//!   a crash mid-append — ends replay cleanly and is truncated away; the
-//!   new combiner's numbering resumes from the recovered high-water seq
+//!   [`combine::ConcurrentMap::snapshot_entries`]) and written to
+//!   `snap-<seq>.tmp`, which is fsynced, renamed to `snap-<seq>.snap`,
+//!   and committed by an fsync of the directory: the rename is the commit
+//!   point, so a crash mid-write leaves the previous snapshot in force —
+//!   also when the new one is taken at the same seq.  Under the flag the
+//!   published snapshot's seq *is* the last round the log has seen, so it
+//!   covers every record in every segment: once it is committed, *all*
+//!   segments and every other `snap-*` file are deleted and the log
+//!   restarts empty — bounded disk, bounded recovery.
+//! * **Recover.**  [`DurableMap::open`] loads the highest-seq
+//!   `snap-*.snap` in the directory (if any; a leftover `.tmp` is never
+//!   read) and replays log records with seq above it, in segment-name
+//!   order, into a fresh backend: the directory listing is the only
+//!   index.  A torn final record — the signature of a crash mid-append —
+//!   ends replay cleanly and is truncated away; the new combiner's
+//!   numbering resumes from the recovered high-water seq
 //!   ([`combine::Options::first_seq`]), so a later recovery replays the
 //!   continued history without seq collisions.
 //!
@@ -140,13 +145,10 @@ use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry};
 
 use crate::log::{
-    list_segments, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
+    list_files, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
 };
 use crate::record::{encode_record, payload_len, WalOp, MAX_PAYLOAD};
-use crate::snapshot::{
-    commit_manifest, load_snapshot, read_manifest, remove_stale_snapshots, snapshot_path,
-    write_snapshot,
-};
+use crate::snapshot::{load_snapshot, remove_stale_snapshots, snapshot_path, write_snapshot};
 
 /// Construction-time knobs for [`DurableMap`].
 #[derive(Debug, Clone)]
@@ -415,20 +417,21 @@ where
     S: BatchedMap<K, V> + Clone + Send + Sync,
 {
     /// Opens (creating if absent) the durable store rooted at `dir`,
-    /// recovering any existing history: load the manifest's snapshot,
-    /// replay the log tail above it, truncate a torn final record, and
-    /// seed a fresh backend via `make_backend` (e.g.
+    /// recovering any existing history: load the highest-seq committed
+    /// snapshot, replay the log tail above it, truncate a torn final
+    /// record, and seed a fresh backend via `make_backend` (e.g.
     /// `IstMap::from_batch`).  Large recovered batches build on `pool`,
     /// which the front-end then uses for large rounds.
     ///
     /// # Errors
     ///
-    /// I/O failure, or `InvalidData` when a *committed* artefact (the
-    /// manifest or the snapshot it points to) is damaged — that is real
-    /// corruption, unlike a torn log tail, which is an expected crash
-    /// signature and recovered from silently — or when the directory was
-    /// written by a store with other key/value widths.  A failed open
-    /// changes nothing on disk.
+    /// I/O failure, or `InvalidData` when the *committed* snapshot (the
+    /// highest-seq `snap-*.snap`) is damaged or its header names another
+    /// seq than its file name — that is real corruption, never a reason to
+    /// fall back to an older root, unlike a torn log tail, which is an
+    /// expected crash signature and recovered from silently — or when the
+    /// directory was written by a store with other key/value widths.  A
+    /// failed open changes nothing on disk.
     pub fn open<P, F>(
         dir: P,
         pool: Pool,
@@ -444,20 +447,11 @@ where
         let registry = Registry::new();
         let metrics = Metrics::new(&registry);
 
-        // 1. The snapshot, if one was ever committed.
+        // 1. The highest-seq committed snapshot, if one was ever taken.
         let mut contents: BTreeMap<K, V> = BTreeMap::new();
         let mut snap_seq = 0u64;
-        if let Some((seq, path)) = read_manifest(&dir)? {
-            let (file_seq, keys, vals) = load_snapshot::<K, V>(&path)?;
-            if file_seq != seq {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "manifest says seq {seq} but snapshot {} says {file_seq}",
-                        path.display()
-                    ),
-                ));
-            }
+        if let Some((seq, path)) = list_files(&dir, "snap-", ".snap")?.pop() {
+            let (keys, vals) = load_snapshot::<K, V>(&path, seq)?;
             snap_seq = seq;
             contents.extend(keys.into_iter().zip(vals));
         }
@@ -468,7 +462,7 @@ where
         //    checksum failure: the valid log ends there.  A segment written
         //    at other widths is an error, returned before anything below
         //    can "heal" it.
-        let segments = list_segments(&dir)?;
+        let segments = list_files(&dir, "wal-", ".log")?;
         let mut max_seq = snap_seq;
         let mut last_record_seq = 0u64;
         let mut replayed = 0u64;
@@ -727,14 +721,15 @@ where
         // last round the log has seen: every record in every segment has
         // seq <= snap_seq, and truncation deletes whole segments.
         let (keys, vals, snap_seq) = self.inner.snapshot_entries();
-        let name = write_snapshot(&self.dir, snap_seq, &keys, &vals)?;
-        commit_manifest(&self.dir, snap_seq, &name)?;
+        write_snapshot(&self.dir, snap_seq, &keys, &vals)?;
         let metrics = &self.shared.metrics;
         metrics.snapshots.inc();
         metrics.snapshot_seq.set_max(snap_seq);
         metrics.durable_seq.set_max(snap_seq);
 
-        let survivors = list_segments(&self.dir)?;
+        // The snapshot is committed (renamed, directory fsynced): only now
+        // may the segments and older snapshots it supersedes go.
+        let survivors = list_files(&self.dir, "wal-", ".log")?;
         let next = wal.next_name().max(snap_seq + 1);
         wal.rotate(next)?;
         let active = log::segment_path(&self.dir, next);
@@ -1052,7 +1047,7 @@ mod tests {
         assert!(snap_seq >= 200);
         assert_eq!(store.durable_seq(), snap_seq);
         // Post-snapshot, exactly one (fresh, near-empty) segment remains.
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_files(&dir, "wal-", ".log").unwrap();
         assert_eq!(segments.len(), 1);
         // And the history continues past it.
         for k in 200..230u64 {
@@ -1109,7 +1104,7 @@ mod tests {
         }
         store.sync().unwrap();
         assert!(
-            list_segments(&dir).unwrap().len() > 1,
+            list_files(&dir, "wal-", ".log").unwrap().len() > 1,
             "64-byte segments must have rotated"
         );
         drop(store);
@@ -1317,7 +1312,7 @@ mod tests {
         for k in 1..=5u64 {
             store.upsert(k, k * 10).unwrap();
         }
-        let (newest, _) = *list_segments(&dir).unwrap().last().unwrap();
+        let (newest, _) = *list_files(&dir, "wal-", ".log").unwrap().last().unwrap();
         let planted = log::segment_path(&dir, newest + 1);
         std::fs::create_dir(&planted).unwrap();
         let err = store.upsert(6, 60).unwrap_err();
@@ -1450,6 +1445,52 @@ mod tests {
         let quiet = run(false);
         assert!(quiet[0] > 50 && quiet[2] > 5, "{quiet:?}");
         assert_eq!(run(true), quiet);
+    }
+
+    /// A snapshot cut short mid-write is a `.tmp` that never became the
+    /// root: open ignores it — even when its seq is above the committed
+    /// snapshot's — and the next snapshot reaps it.
+    #[test]
+    fn a_partial_snapshot_is_ignored_and_reaped() {
+        let dir = scratch_dir("partial");
+        let store = open::<u64>(&dir, DurableOptions::default());
+        for k in 0..20u64 {
+            store.upsert(k, k + 100).unwrap();
+        }
+        let seq = store.snapshot().unwrap();
+        store.upsert(20, 120).unwrap();
+        drop(store);
+        let partial = snapshot_path(&dir, seq + 50).with_extension("tmp");
+        std::fs::write(&partial, b"PBSNP").unwrap();
+
+        let store = open::<u64>(&dir, DurableOptions::default());
+        let (keys, vals, _) = store.inner().snapshot_entries();
+        assert_eq!(keys, (0..=20).collect::<Vec<u64>>());
+        assert_eq!(vals, (100..=120).collect::<Vec<u64>>());
+        assert!(partial.exists(), "open deletes nothing");
+        let seq = store.snapshot().unwrap();
+        assert!(!partial.exists(), "the next snapshot reaps the leftover");
+        let snapshots = list_files(&dir, "snap-", ".snap").unwrap();
+        assert_eq!(snapshots, vec![(seq, snapshot_path(&dir, seq))]);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A snapshot's name is its claim to be the root at that seq; a file
+    /// renamed to another seq's name is refused, not trusted.
+    #[test]
+    fn a_snapshot_under_another_seqs_name_is_refused() {
+        let dir = scratch_dir("misnamed");
+        let store = open::<u64>(&dir, DurableOptions::default());
+        store.upsert(1, 10).unwrap();
+        let seq = store.snapshot().unwrap();
+        drop(store);
+        std::fs::rename(snapshot_path(&dir, seq), snapshot_path(&dir, seq + 1)).unwrap();
+        let err = try_open::<u64, u64>(&dir, DurableOptions::default())
+            .err()
+            .expect("a misnamed snapshot must not open");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A file too short to hold a header is what a crash during segment

@@ -1,4 +1,5 @@
-//! Append-only segment files for the write-ahead log.
+//! Append-only segment files for the write-ahead log, and the one
+//! directory listing that finds segments and snapshots alike.
 //!
 //! The log is a directory of segments named `wal-<seq>.log` (20-digit
 //! zero-padded, so lexicographic name order is numeric seq order).  A
@@ -12,6 +13,11 @@
 //! 2. a snapshot at seq `S` makes *every* record in *every* current
 //!    segment redundant (all have seq <= `S`), so truncation after a
 //!    snapshot deletes whole segments — never a byte range.
+//!
+//! The directory listing is the store's only index: no file records which
+//! other files count.  [`list_files`] reads the seq out of each name, for
+//! segments (`wal-<seq>.log`) and committed snapshots (`snap-<seq>.snap`)
+//! alike, and recovery takes the highest-seq snapshot as its root.
 //!
 //! Every segment opens with an 8-byte header: the format tag, the key and
 //! value widths it was written with, and the format version (see
@@ -167,28 +173,32 @@ pub(crate) fn segment_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("wal-{seq:020}.log"))
 }
 
-/// All segment files in `dir`, sorted by their name's sequence number.
-/// Files that do not match the `wal-<digits>.log` pattern are ignored
-/// (the manifest and snapshots share the directory).
-pub(crate) fn list_segments(dir: &Path) -> io::Result<Vec<(u64, PathBuf)>> {
-    let mut segments = Vec::new();
+/// Every file in `dir` named `<prefix><seq><suffix>`, sorted by `seq`:
+/// `("wal-", ".log")` lists the segments, `("snap-", ".snap")` the
+/// committed snapshots.  Any other name is ignored — segments and
+/// snapshots share the directory, and a snapshot still being written is a
+/// `snap-<seq>.tmp`.
+pub(crate) fn list_files(
+    dir: &Path,
+    prefix: &str,
+    suffix: &str,
+) -> io::Result<Vec<(u64, PathBuf)>> {
+    let mut files = Vec::new();
     for entry in fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        let Some(stem) = name
-            .strip_prefix("wal-")
-            .and_then(|rest| rest.strip_suffix(".log"))
-        else {
-            continue;
-        };
-        let Ok(seq) = stem.parse::<u64>() else {
-            continue;
-        };
-        segments.push((seq, entry.path()));
+        let seq = name.to_str().and_then(|name| {
+            name.strip_prefix(prefix)?
+                .strip_suffix(suffix)?
+                .parse()
+                .ok()
+        });
+        if let Some(seq) = seq {
+            files.push((seq, entry.path()));
+        }
     }
-    segments.sort_unstable_by_key(|&(seq, _)| seq);
-    Ok(segments)
+    files.sort_unstable_by_key(|&(seq, _)| seq);
+    Ok(files)
 }
 
 /// How one segment's replay ended.
@@ -300,7 +310,7 @@ mod tests {
         }
         log.sync().unwrap();
 
-        let segments = list_segments(&dir).unwrap();
+        let segments = list_files(&dir, "wal-", ".log").unwrap();
         assert!(segments.len() > 1, "rotation should have split the log");
         assert!(segments.windows(2).all(|w| w[0].0 < w[1].0));
 
@@ -386,12 +396,14 @@ mod tests {
     fn listing_ignores_non_segment_files() {
         let dir = scratch_dir("list");
         SegmentLog::create(&dir, 2, 64, segment_magic::<u64, ()>()).unwrap();
-        fs::write(dir.join("MANIFEST"), b"m").unwrap();
         fs::write(dir.join("snap-00000000000000000001.snap"), b"s").unwrap();
+        fs::write(dir.join("snap-00000000000000000009.tmp"), b"t").unwrap();
         fs::write(dir.join("wal-junk.log"), b"j").unwrap();
-        let segments = list_segments(&dir).unwrap();
-        assert_eq!(segments.len(), 1);
-        assert_eq!(segments[0].0, 2);
+        let segments = list_files(&dir, "wal-", ".log").unwrap();
+        assert_eq!(segments, vec![(2, segment_path(&dir, 2))]);
+        let snapshots = list_files(&dir, "snap-", ".snap").unwrap();
+        assert_eq!(snapshots.len(), 1, "a .tmp is not a snapshot");
+        assert_eq!(snapshots[0].0, 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -16,7 +16,7 @@
 //!    (and heal, so a second open is clean) — except in the header's
 //!    width/version bytes, where the segment now claims to belong to a
 //!    differently-typed store: that open must *refuse* and change nothing.
-//!    A flipped manifest or snapshot byte must refuse to open with
+//!    A flipped byte of the committed snapshot must refuse to open with
 //!    `InvalidData` — never panic, and never silently fall back to an
 //!    emptier state.
 
@@ -456,33 +456,32 @@ fn flipping_any_manifest_or_snapshot_byte_refuses_to_open<V: Val>() {
         })
         .expect("fixture has a snapshot");
 
-    for target in ["MANIFEST", snap_name.to_str().unwrap()] {
-        let len = fs::metadata(base.join(target)).unwrap().len() as usize;
-        for at in 0..len {
-            let dir = scratch_dir("snap-fuzz");
-            copy_dir(&base, &dir);
-            flip_byte(&dir.join(target), at);
-
-            // The manifest authorised deleting older log segments, so a
-            // damaged manifest or snapshot cannot degrade to "no
-            // snapshot" — that would present data loss as a clean open.
-            let err = try_open::<V>(&dir, DurableOptions::default())
-                .err()
-                .unwrap_or_else(|| panic!("{target} byte {at}: corrupt root opened anyway"));
-            assert_eq!(
-                err.kind(),
-                io::ErrorKind::InvalidData,
-                "{target} byte {at}: wrong error kind ({err})"
-            );
-        }
-        // The un-flipped copy still opens: the fixture itself is sound.
-        let dir = scratch_dir("snap-fuzz-sound");
+    let len = fs::metadata(base.join(&snap_name)).unwrap().len() as usize;
+    for at in 0..len {
+        let dir = scratch_dir("snap-fuzz");
         copy_dir(&base, &dir);
-        let set = open::<V>(&dir, 1, 0);
-        let expect: Vec<(u64, V)> = (0..15u64).map(|k| (k, V::of(k, 0))).collect();
-        assert_eq!(contents(&set), expect);
-        drop(set);
+        flip_byte(&dir.join(&snap_name), at);
+
+        // Committing the snapshot authorised deleting older log segments,
+        // so a damaged one cannot degrade to "no snapshot" — that would
+        // present data loss as a clean open.
+        let err = try_open::<V>(&dir, DurableOptions::default())
+            .err()
+            .unwrap_or_else(|| panic!("snapshot byte {at}: corrupt root opened anyway"));
+        assert_eq!(
+            err.kind(),
+            io::ErrorKind::InvalidData,
+            "snapshot byte {at}: wrong error kind ({err})"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
+    // The un-flipped copy still opens: the fixture itself is sound.
+    let dir = scratch_dir("snap-fuzz-sound");
+    copy_dir(&base, &dir);
+    let set = open::<V>(&dir, 1, 0);
+    let expect: Vec<(u64, V)> = (0..15u64).map(|k| (k, V::of(k, 0))).collect();
+    assert_eq!(contents(&set), expect);
+    drop(set);
+    fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&base).unwrap();
 }

@@ -6,22 +6,23 @@
 //! each shard's log is a complete history of its key range, so shards
 //! recover independently and in any order.
 //!
-//! On disk a tier is a directory of shard directories plus a small `TIER`
-//! file recording the shard count.  Reopening with a router that
-//! partitions a different number of ways is refused: records would route
-//! to different shards than the ones whose logs hold them, silently
+//! On disk a tier is a directory of shard directories, each named for its
+//! index *and* the shard count, so the names record the count and no other
+//! file does.  Reopening with a router that partitions a different number
+//! of ways is refused, because it would create other names: records would
+//! route to different shards than the ones whose logs hold them, silently
 //! splitting the history.  (Resharding would need an explicit migration —
-//! out of scope here.)
+//! out of scope here.)  A tier whose first open crashed part-way holds only
+//! some of its shard directories; their names still record the count.
 //!
 //! ```text
 //! tier-dir/
-//!   TIER            shard-count manifest
-//!   shard-0000/     a durable::DurableMap directory (WAL + snapshots)
-//!   shard-0001/
-//!   ...
+//!   shard-0000-of-0003/   a durable::DurableMap directory (WAL + snapshots)
+//!   shard-0001-of-0003/
+//!   shard-0002-of-0003/
 //! ```
 
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
@@ -31,9 +32,6 @@ use forkjoin::Pool;
 use obs::Snapshot;
 
 use crate::{Shard, ShardRouter, Tier};
-
-/// First line of the `TIER` manifest file.
-const TIER_MAGIC: &str = "pbtier-v1";
 
 /// The durable sharded set: [`DurableSet`] shards.
 pub type DurableTier<K, S, R> = Tier<DurableSet<K, S>, R>;
@@ -64,58 +62,9 @@ where
     }
 }
 
-/// Reads or creates the `TIER` manifest, enforcing a stable shard count.
-///
-/// A missing manifest beside existing `shard-*` directories is what a crash
-/// right after the first open can leave (or an operator's `rm`): the shard
-/// directories are then the record of the count, and only a router that
-/// partitions that many ways may recreate the manifest.
-fn check_tier_manifest(dir: &Path, num_shards: usize) -> io::Result<()> {
-    let path = dir.join("TIER");
-    let refuse = |why: String| Err(io::Error::new(io::ErrorKind::InvalidData, why));
-    let migrate =
-        format!("the router partitions {num_shards} ways; resharding needs an explicit migration");
-    match std::fs::read_to_string(&path) {
-        Ok(text) => {
-            let mut lines = text.lines();
-            if lines.next() != Some(TIER_MAGIC) {
-                return refuse(format!("{} is not a tier manifest", path.display()));
-            }
-            match lines
-                .next()
-                .and_then(|count| count.trim().parse::<usize>().ok())
-            {
-                None => refuse(format!("{} has no shard count", path.display())),
-                Some(recorded) if recorded != num_shards => refuse(format!(
-                    "tier at {} was created with {recorded} shards but {migrate}",
-                    dir.display()
-                )),
-                Some(_) => Ok(()),
-            }
-        }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => {
-            let mut existing = 0;
-            for entry in std::fs::read_dir(dir)? {
-                existing += entry?.file_name().to_string_lossy().starts_with("shard-") as usize;
-            }
-            if existing != 0 && existing != num_shards {
-                return refuse(format!(
-                    "tier at {} has no manifest but {existing} shard directories, and {migrate}",
-                    dir.display()
-                ));
-            }
-            let mut file = std::fs::File::create(&path)?;
-            write!(file, "{TIER_MAGIC}\n{num_shards}\n")?;
-            file.sync_all()?;
-            // The file's *name* is a directory entry: without this the
-            // fsynced manifest can be lost to a crash while the shard
-            // directories created after it survive.
-            #[cfg(unix)]
-            std::fs::File::open(dir)?.sync_all()?;
-            Ok(())
-        }
-        Err(e) => Err(e),
-    }
+/// The directory of shard `index` in a tier of `num_shards`.
+fn shard_dir(index: usize, num_shards: usize) -> String {
+    format!("shard-{index:04}-of-{num_shards:04}")
 }
 
 impl<K, V, S, R> Tier<DurableMap<K, V, S>, R>
@@ -126,7 +75,7 @@ where
     R: ShardRouter<K>,
 {
     /// Opens (creating if absent) the tier rooted at `dir`, recovering
-    /// every shard: `shard-<i>/` is opened as a [`DurableMap`] with
+    /// every shard: `shard-<i>-of-<n>/` is opened as a [`DurableMap`] with
     /// `options`, a pool built by `make_pool(i)` (pools are per shard —
     /// a shard's combiner must never block on another shard's workers),
     /// and a backend built by `make_backend` (called once per shard with
@@ -134,8 +83,10 @@ where
     ///
     /// # Errors
     ///
-    /// Any shard's recovery error propagates; additionally `InvalidData`
-    /// when `dir` holds a tier created with a different shard count.
+    /// Any shard's recovery error propagates; additionally `InvalidData`,
+    /// before anything is created, when `dir` holds a `shard-*` entry this
+    /// router would not create — a tier created with a different shard
+    /// count.
     pub fn open<P, MP, F>(
         dir: P,
         router: R,
@@ -149,18 +100,40 @@ where
         F: FnMut(KvBatch<K, V>) -> S,
     {
         let dir = dir.as_ref();
+        let n = router.num_shards();
         std::fs::create_dir_all(dir)?;
-        check_tier_manifest(dir, router.num_shards())?;
-        let shards = (0..router.num_shards())
+        for entry in std::fs::read_dir(dir)? {
+            let name = entry?.file_name().to_string_lossy().into_owned();
+            if name.starts_with("shard-") && !(0..n).any(|i| name == shard_dir(i, n)) {
+                // `shard-0000-of-0002` records 2 shards; any other name, none.
+                let recorded = name
+                    .rsplit_once("-of-")
+                    .and_then(|(_, r)| r.parse::<usize>().ok());
+                let created = recorded.map_or("another layout".into(), |r| format!("{r} shards"));
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "tier at {} was created with {created} ({name}), but the router \
+                         partitions {n} ways; resharding needs an explicit migration",
+                        dir.display()
+                    ),
+                ));
+            }
+        }
+        let shards = (0..n)
             .map(|i| {
                 DurableMap::open(
-                    dir.join(format!("shard-{i:04}")),
+                    dir.join(shard_dir(i, n)),
                     make_pool(i),
                     options.clone(),
                     &mut make_backend,
                 )
             })
             .collect::<io::Result<Vec<_>>>()?;
+        // The shard directories' names are directory entries of the tier:
+        // without this a crash could keep their contents and lose them.
+        #[cfg(unix)]
+        std::fs::File::open(dir)?.sync_all()?;
         Ok(Tier::from_shards(router, shards))
     }
 
@@ -288,7 +261,7 @@ mod tests {
         assert_eq!(tier.len(), 5);
         // Every shard directory exists and is a durable set root.
         for i in 0..4 {
-            assert!(dir.join(format!("shard-{i:04}")).is_dir());
+            assert!(dir.join(format!("shard-{i:04}-of-0004")).is_dir());
         }
         tier.close().unwrap();
 
@@ -318,35 +291,40 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// A lost manifest (crash before its directory entry was durable) must
-    /// not let a different shard count in: the shard directories vouch for
-    /// the count, and only the matching router recreates `TIER`.
+    /// A first open that crashed after creating one shard directory leaves
+    /// a partly created tier: the name it left still records the count, so
+    /// only that count reopens it, and a refused open creates nothing.
     #[test]
-    fn a_lost_manifest_still_refuses_a_shard_count_change() {
-        let dir = scratch_dir("lost-manifest");
+    fn a_partly_created_tier_reopens_only_at_its_count() {
+        let dir = scratch_dir("partial");
+        std::fs::create_dir_all(dir.join("shard-0000-of-0002")).unwrap();
+        let listing = || {
+            let mut names: Vec<String> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                .collect();
+            names.sort();
+            names
+        };
+        for num_shards in [1, 3] {
+            let err = try_open(&dir, num_shards, DurableOptions::default())
+                .map(|_| ())
+                .unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().contains("2 shards"), "{err}");
+            assert_eq!(
+                listing(),
+                ["shard-0000-of-0002"],
+                "a refused open made a shard"
+            );
+        }
         let tier = open(&dir, 2, DurableOptions::default());
         tier.insert(5).unwrap();
         tier.insert(9_000).unwrap();
         tier.close().unwrap();
-        std::fs::remove_file(dir.join("TIER")).unwrap();
-
-        let err = try_open(&dir, 3, DurableOptions::default())
-            .map(|_| ())
-            .unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("2 shard directories"), "{err}");
-        assert!(
-            !dir.join("TIER").exists(),
-            "a refused open wrote a manifest"
-        );
-        assert!(
-            !dir.join("shard-0002").exists(),
-            "a refused open made a shard"
-        );
-
+        assert_eq!(listing(), ["shard-0000-of-0002", "shard-0001-of-0002"]);
         let tier = open(&dir, 2, DurableOptions::default());
         assert!(tier.contains(&5).unwrap() && tier.contains(&9_000).unwrap());
-        assert!(dir.join("TIER").exists(), "the matching open restores it");
         tier.close().unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -396,7 +374,7 @@ mod tests {
     fn a_mid_batch_error_names_its_shard() {
         let dir = scratch_dir("wedge");
         let tier = open(&dir, 2, DurableOptions::default());
-        std::fs::remove_dir_all(dir.join("shard-0001")).unwrap();
+        std::fs::remove_dir_all(dir.join("shard-0001-of-0002")).unwrap();
         assert!(
             tier.shard(1).snapshot().is_err(),
             "shard 1 lost its directory"

@@ -25,14 +25,24 @@
 //! combined into the fsynced groups of — the other's: each thread's
 //! recovered batches must be a prefix of its own sequence.
 //!
+//! Some rows snapshot every 3 records, so kills also land inside a
+//! snapshot's write, its rename and the truncation after it.
+//!
 //! The suite is generic over the value type and runs twice: at `V = ()`
 //! (the set) and at `V = u64`, where each key `k` carries the derived value
 //! `k * 2 + 1` and the contract is strictly stronger — every key must come
 //! back with the exact value it was committed with.  A recovery that
 //! replays keys but invents, drops, or cross-wires values passes the first
 //! run and fails the second.
+//!
+//! A second test kills a snapshot at a known point: a child reopens a
+//! snapshotted store and snapshots it again under a file-size limit far
+//! below the snapshot's size, so `SIGXFSZ` stops it mid-write.  Whether the
+//! new snapshot has the committed one's seq or a later one, the committed
+//! snapshot must still recover every key with its value.
 
 use std::io::{BufRead, BufReader, Write};
+use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -56,6 +66,10 @@ const GROUP_ENV: &str = "DURABLE_CRASH_GROUP";
 const VALUES_ENV: &str = "DURABLE_CRASH_VALUES";
 /// How many writer threads the child runs.
 const WRITERS_ENV: &str = "DURABLE_CRASH_WRITERS";
+/// The child's `snapshot_every`.
+const SNAPSHOT_ENV: &str = "DURABLE_CRASH_SNAPSHOT_EVERY";
+/// Child mode of the repeated-snapshot test: reopen, snapshot, exit.
+const RESNAPSHOT_CHILD_ENV: &str = "DURABLE_CRASH_RESNAPSHOT_CHILD";
 
 /// Writer `t` owns the keys `[t * STRIDE, (t + 1) * STRIDE)`.
 const STRIDE: u64 = 1 << 32;
@@ -80,12 +94,17 @@ impl Val for u64 {
     }
 }
 
-fn open<V: Val>(dir: &PathBuf, group_commit: u64) -> DurableMap<u64, V, IstMap<u64, V>> {
+fn open<V: Val>(
+    dir: &PathBuf,
+    group_commit: u64,
+    snapshot_every: u64,
+) -> DurableMap<u64, V, IstMap<u64, V>> {
     DurableMap::open(
         dir,
         Pool::new(1).expect("pool"),
         DurableOptions {
             group_commit,
+            snapshot_every,
             ..DurableOptions::default()
         },
         |batch| IstMap::from_batch(&batch),
@@ -104,7 +123,7 @@ fn env_u64(name: &str) -> u64 {
 /// the parent kills it.
 fn run_child<V: Val>() -> ! {
     let dir = PathBuf::from(std::env::var_os(DIR_ENV).expect("child needs the dir"));
-    let set = open::<V>(&dir, env_u64(GROUP_ENV));
+    let set = open::<V>(&dir, env_u64(GROUP_ENV), env_u64(SNAPSHOT_ENV));
     let write = |t: u64| -> ! {
         let stdout = std::io::stdout();
         let mut i = 0u64;
@@ -128,9 +147,9 @@ fn run_child<V: Val>() -> ! {
     })
 }
 
-/// One parent run: spawn the child with `writers` writer threads, kill it
-/// after `acks` acknowledged batches (over all writers), recover, verify
-/// the contract — keys *and* values, per writer.
+/// One parent run: spawn the child with `writers` writer threads and
+/// `snapshot_every`, kill it after `acks` acknowledged batches (over all
+/// writers), recover, verify the contract — keys *and* values, per writer.
 ///
 /// `tear_tail` appends garbage to the dead child's last log segment
 /// before recovering.  A `SIGKILL` alone cannot produce a torn record —
@@ -142,11 +161,12 @@ fn crash_once<V: Val>(
     tag: &str,
     group_commit: u64,
     writers: u64,
+    snapshot_every: u64,
     acks: u64,
     tear_tail: bool,
 ) -> bool {
     let dir = std::env::temp_dir().join(format!(
-        "durable-crash-{}-{}-g{group_commit}-w{writers}-a{acks}",
+        "durable-crash-{}-{}-g{group_commit}-w{writers}-s{snapshot_every}-a{acks}",
         std::process::id(),
         V::NAME
     ));
@@ -164,6 +184,7 @@ fn crash_once<V: Val>(
         .env(GROUP_ENV, group_commit.to_string())
         .env(VALUES_ENV, V::NAME)
         .env(WRITERS_ENV, writers.to_string())
+        .env(SNAPSHOT_ENV, snapshot_every.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::null())
         .spawn()
@@ -228,7 +249,7 @@ fn crash_once<V: Val>(
 
     // Recover.  The child died with batches in flight (and possibly a
     // torn tail); open() must succeed regardless.
-    let set = open::<V>(&dir, 1);
+    let set = open::<V>(&dir, 1, 0);
     let torn = set.metrics().counter("durable.torn_tails").unwrap_or(0) > 0;
     if tear_tail {
         assert!(torn, "{tag}: the injected tear went unnoticed");
@@ -270,8 +291,8 @@ fn crash_once<V: Val>(
 
     // Acknowledged implies recovered.  Every batch is one round, and a
     // fresh directory numbers the rounds 1, 2, … with each one logged, so
-    // rounds `1..=last_durable` — that many batches — were on disk when a
-    // writer last reported.
+    // rounds `1..=last_durable` — that many batches — were on disk (in the
+    // log or a snapshot) when a writer last reported.
     assert!(
         batches >= last_durable,
         "{tag}: durable_seq said {last_durable} batches were on disk, \
@@ -282,7 +303,7 @@ fn crash_once<V: Val>(
 
     // Recovery healed the tear (truncation), so a second open replays a
     // clean log and sees the same state.
-    let set = open::<V>(&dir, 1);
+    let set = open::<V>(&dir, 1, 0);
     assert_eq!(
         set.metrics().counter("durable.torn_tails"),
         Some(0),
@@ -305,22 +326,27 @@ fn crash_once<V: Val>(
 /// The whole crash grid at one value type.
 fn crash_grid<V: Val>() {
     let mut torn_seen = 0u32;
+    // (group_commit, writers, snapshot_every, acks, tear_tail)
     let grid = [
-        (1u64, 1u64, 3u64, false),
-        (1, 1, 11, true),
-        (1, 1, 29, false),
-        (4, 1, 5, true),
-        (4, 1, 17, false),
-        (16, 1, 40, true),
-        (1, 2, 30, false),
-        (16, 2, 60, true),
+        (1u64, 1u64, 0u64, 3u64, false),
+        (1, 1, 0, 11, true),
+        (1, 1, 0, 29, false),
+        (4, 1, 0, 5, true),
+        (4, 1, 0, 17, false),
+        (16, 1, 0, 40, true),
+        (1, 2, 0, 30, false),
+        (16, 2, 0, 60, true),
+        (1, 1, 3, 23, false),
+        (16, 1, 3, 50, false),
+        (1, 2, 3, 31, false),
+        (16, 2, 3, 61, true),
     ];
-    for (group_commit, writers, acks, tear_tail) in grid {
+    for (group_commit, writers, snapshot_every, acks, tear_tail) in grid {
         let tag = format!(
-            "{}/g{group_commit}/w{writers}/a{acks}/tear={tear_tail}",
+            "{}/g{group_commit}/w{writers}/s{snapshot_every}/a{acks}/tear={tear_tail}",
             V::NAME
         );
-        if crash_once::<V>(&tag, group_commit, writers, acks, tear_tail) {
+        if crash_once::<V>(&tag, group_commit, writers, snapshot_every, acks, tear_tail) {
             torn_seen += 1;
         }
     }
@@ -343,4 +369,80 @@ fn kill9_mid_commit_loses_nothing_acknowledged() {
     }
     crash_grid::<()>();
     crash_grid::<u64>();
+}
+
+/// The repeated-snapshot child: reopen the store, snapshot it, exit.  Run
+/// under a 4 KiB file-size limit, it dies of `SIGXFSZ` mid-write.
+fn run_resnapshot_child() -> ! {
+    let dir = PathBuf::from(std::env::var_os(DIR_ENV).expect("child needs the dir"));
+    let set = open::<u64>(&dir, 1, 0);
+    set.snapshot().expect("child snapshot");
+    std::process::exit(0)
+}
+
+/// Regression: a snapshot retaken at an unchanged seq once overwrote the
+/// committed snapshot file in place, after its log segments were deleted,
+/// so a crash mid-write lost the whole store.  The committed snapshot
+/// must survive a kill at any point of the next one's write — at the same
+/// seq (no write in between) and at a new one (one write in between).
+#[test]
+fn a_repeated_snapshot_killed_mid_write_loses_nothing() {
+    if std::env::var_os(RESNAPSHOT_CHILD_ENV).is_some() {
+        run_resnapshot_child();
+    }
+    // 20 000 `u64 → u64` entries: a 320 KB snapshot, far past the limit.
+    const KEYS: u64 = 20_000;
+    const SIGXFSZ: i32 = 25;
+    for write_between in [false, true] {
+        let tag = format!("write_between={write_between}");
+        let dir = std::env::temp_dir().join(format!(
+            "durable-resnapshot-{}-{write_between}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let keys = 0..KEYS + write_between as u64;
+
+        let set = open::<u64>(&dir, 1, 0);
+        let pairs = (0..KEYS).map(|k| (k, u64::of(k))).collect();
+        set.batch_insert(&KvBatch::from_unsorted_entries(pairs))
+            .expect("prefill");
+        set.snapshot().expect("first snapshot");
+        if write_between {
+            set.upsert(KEYS, u64::of(KEYS)).expect("write in between");
+        }
+        set.close().expect("close");
+
+        let exe = std::env::current_exe().expect("current_exe");
+        let status = Command::new("sh")
+            .arg("-c")
+            .arg("ulimit -f 8; exec \"$0\" \"$@\"")
+            .arg(&exe)
+            .arg("--exact")
+            .arg("a_repeated_snapshot_killed_mid_write_loses_nothing")
+            .arg("--nocapture")
+            .env(RESNAPSHOT_CHILD_ENV, "1")
+            .env(DIR_ENV, &dir)
+            .stdout(Stdio::null())
+            .stderr(Stdio::null())
+            .status()
+            .expect("run child");
+        assert_eq!(
+            status.signal(),
+            Some(SIGXFSZ),
+            "{tag}: the child's snapshot was not cut mid-write ({status})"
+        );
+
+        let set = open::<u64>(&dir, 1, 0);
+        let (got_keys, got_vals, _) = set.inner().snapshot_entries();
+        assert!(
+            got_keys.iter().copied().eq(keys.clone()),
+            "{tag}: keys lost"
+        );
+        assert!(
+            got_vals.iter().copied().eq(keys.map(u64::of)),
+            "{tag}: values differ"
+        );
+        drop(set);
+        std::fs::remove_dir_all(&dir).expect("cleanup");
+    }
 }
