@@ -72,8 +72,11 @@
 //!    sleep path (`SeqCst` fence, then a sleeper-count check; sleepers
 //!    register with a `SeqCst` RMW, fence, and re-check before waiting), so
 //!    a completion or an unlock can never be slept through.  Only then does
-//!    it drop the snapshot its publish retired (see *Reads*): freeing a
-//!    round's path copy is the combiner's own time, not its clients'.
+//!    a point round's combiner drop the snapshot its publish retired (see
+//!    *Reads*): freeing a three-node path copy is the combiner's own time,
+//!    not its clients'.  A pooled round has already handed what it
+//!    displaced to the pool ([`forkjoin::Pool::spawn`]) before it let go,
+//!    so its caller drops nothing.
 //!
 //! # Waiting
 //!
@@ -117,7 +120,8 @@
 //! poison-checked like any other).  A batch of at least
 //! [`POOL_CUTOFF`] keys runs under [`forkjoin::Pool::install`], a smaller
 //! one on the caller's thread; these are the only rounds that enter the
-//! pool.
+//! pool, and the only ones whose displaced snapshot an idle worker frees
+//! (see *Publication protocol*).
 //!
 //! # Linearisability
 //!
@@ -180,10 +184,30 @@
 //! handful of atomic ops, no allocation, no lock, regardless of combiner
 //! activity.  Every round publishes, so the published snapshot's seq *is*
 //! the committed high-water mark ([`ConcurrentMap::committed_seq`]).
-//! Installing a snapshot displaces the one published two rounds earlier —
-//! usually the last reference to that round's path copy — which the
-//! combiner drops only after it has acknowledged its clients and released
-//! the flag; `combine.publish_ns` times clone, flip and that drop together.
+//!
+//! What a publish displaces depends on the round:
+//!
+//! * **A point round** (and a whole batch under [`POOL_CUTOFF`]) writes one
+//!   slot.  That displaces the snapshot published two rounds earlier —
+//!   usually the last reference to that round's path copy — which the
+//!   combiner drops only after it has acknowledged its clients and released
+//!   the flag; `combine.publish_ns` times clone, flip and that drop
+//!   together.  Refilling both slots on every round cost about 5 % of a
+//!   point-read-heavy benchmark's throughput, for a three-node path copy
+//!   freed a round early.
+//! * **A pooled round** writes both: after the flip it waits out the
+//!   borrowers of the slot it just made inactive, as it did for the other,
+//!   and stores the same snapshot there.  So the cell keeps no version
+//!   older than the last, and the next batch copy-merges with one old
+//!   version alive instead of two.  What the two stores displaced — the
+//!   version one round old, whose leaves this round just copied from, a
+//!   few thousand of them on a large batch — goes to the pool as one
+//!   [`forkjoin::Pool::spawn`]ed teardown, freed by an idle worker while
+//!   the caller starts its next call (the RCU idea: a version is freed
+//!   after its grace period, on someone else's time).  A later `install`
+//!   queues behind it in the pool's FIFO injector, so a shard holds at
+//!   most about one unfreed version per worker.  `combine.publish_ns` then
+//!   ends at the publish.
 //!
 //! **Staleness contract.**  A read observes the state after some round
 //! `seq >= ` the client's last acknowledged write (publish happens before
@@ -297,6 +321,11 @@ const LONG: u8 = 2;
 /// round trip (tens of microseconds) and then run on one worker anyway.
 /// Combined rounds never reach this: a round drained from published slots
 /// holds one op per blocked client.
+///
+/// The same line decides who frees the version a round displaces: a pooled
+/// round publishes into both snapshot slots and spawns the teardown on the
+/// pool, any other round leaves it to the combiner after the flag's
+/// release (see the module docs' *Publication protocol*).
 pub const POOL_CUTOFF: usize = 512;
 
 /// What a combined operation does to the store.  Rounds carry writes
@@ -461,9 +490,12 @@ struct CombineMetrics {
     /// round) and parked on the condvar: one futex sleep and one wake each.
     sleeps: Arc<Counter>,
     /// `combine.publish_ns` — what publication costs a round: the backend
-    /// clone, the snapshot-cell flip, and dropping the snapshot it retired
-    /// (the drop runs after the round's acknowledgements, see
-    /// `CombinerGuard`).  Timed only when the front-end's `obs` guard is on.
+    /// clone and the snapshot-cell flip, and for a point round also
+    /// dropping the snapshot it retired (the drop runs after the round's
+    /// acknowledgements, see `CombinerGuard`).  A pooled round's sample
+    /// ends at its publish — the second slot's store included — since its
+    /// teardown runs on the pool.  Timed only when the front-end's `obs`
+    /// guard is on.
     publish_ns: Arc<Histogram>,
     /// `combine.wait_ns` — how long a client that found the flag taken
     /// waited (polling plus any sleep) before its op was done or the flag
@@ -629,12 +661,32 @@ impl<T> SnapCell<T> {
     /// publishes old, and usually the last reference to it — dropping it
     /// frees that round's path copy, so the caller does it outside the
     /// critical section).  Caller must hold the combiner flag (single
-    /// writer); waits out readers still borrowing the inactive slot, which
-    /// hold it for at most one read — an `Arc` clone ([`SnapCell::load`])
-    /// or a point query ([`SnapCell::with_snap`]) — spinning first, since
-    /// that borrow is sub-microsecond unless its thread lost the CPU.
+    /// writer).
     fn publish(&self, snap: Arc<T>) -> Arc<T> {
         let idx = 1 - self.active.load(Ordering::Relaxed);
+        let retired = self.replace_drained(idx, snap);
+        // The flip publishes the write to readers: their `SeqCst` re-check
+        // of `active` pairs with this store.
+        self.active.store(idx, Ordering::SeqCst);
+        retired
+    }
+
+    /// [`SnapCell::publish`], then the same snapshot into the slot the flip
+    /// left inactive, once its borrowers are drained: both slots hold
+    /// `snap`, and the cell keeps no older version alive.  Hands back both
+    /// displaced snapshots — the one published a round earlier among them.
+    fn publish_both(&self, snap: Arc<T>) -> [Arc<T>; 2] {
+        let older = self.publish(Arc::clone(&snap));
+        let idx = 1 - self.active.load(Ordering::Relaxed);
+        [older, self.replace_drained(idx, snap)]
+    }
+
+    /// Stores `snap` into the inactive slot `idx` once the readers still
+    /// borrowing it are gone, returning what it held.  They hold it for at
+    /// most one read — an `Arc` clone ([`SnapCell::load`]) or a point query
+    /// ([`SnapCell::with_snap`]) — so the wait spins first, since that
+    /// borrow is sub-microsecond unless its thread lost the CPU.
+    fn replace_drained(&self, idx: usize, snap: Arc<T>) -> Arc<T> {
         let slot = &self.slots[idx];
         let mut spins = 0;
         while slot.readers.load(Ordering::SeqCst) != 0 {
@@ -648,11 +700,7 @@ impl<T> SnapCell<T> {
         // SAFETY: slot `idx` is inactive (readers registering now target the
         // other slot, or will fail their re-check) and drained of readers;
         // the combiner flag excludes other writers.
-        let retired = unsafe { mem::replace(&mut *slot.snap.get(), snap) };
-        // The flip publishes the write above to readers: their `SeqCst`
-        // re-check of `active` pairs with this store.
-        self.active.store(idx, Ordering::SeqCst);
-        retired
+        unsafe { mem::replace(&mut *slot.snap.get(), snap) }
     }
 }
 
@@ -694,12 +742,12 @@ pub struct ConcurrentMap<K, V, S, L = NoLog> {
     /// the committed high-water mark.  Read lock-free by every read;
     /// written only while holding `combiner`.
     snap: SnapCell<ReadSnapshot<S>>,
-    /// The snapshot the last publish displaced, kept until the flag holder
-    /// lets go (see [`CombinerGuard`]).  Touched only while holding
+    /// The snapshot the last point publish displaced, kept until the flag
+    /// holder lets go (see [`CombinerGuard`]).  Touched only while holding
     /// `combiner`.
     retired: UnsafeCell<Option<Retired<S>>>,
     /// Fork-join pool executing whole batches of at least [`POOL_CUTOFF`]
-    /// keys.
+    /// keys, and freeing the versions their publishes displace.
     pool: Pool,
     /// Where committed rounds go.  Touched only while holding `combiner`:
     /// by `commit_round`, and by [`ConcurrentMap::hold_sink`].
@@ -746,11 +794,11 @@ pub type ConcurrentSet<K, S, L = NoLog> = ConcurrentMap<K, (), S, L>;
 /// onto a half-mutated store (or hanging on slots whose `done` will never
 /// come).
 ///
-/// It also disposes of the snapshot the section's publish retired — *after*
-/// the release and the wake-up: by then every client of the round has been
-/// acknowledged and the next combiner can start, while this thread pays the
-/// cascade of refcount decrements and frees that dropping a round's path
-/// copy is.
+/// It also disposes of the snapshot a point round's publish retired —
+/// *after* the release and the wake-up: by then every client of the round
+/// has been acknowledged and the next combiner can start, while this thread
+/// pays the refcount decrements and frees that dropping a path copy is.  A
+/// pooled round leaves nothing here: its teardown is already on the pool.
 struct CombinerGuard<'a, K, V, S, L> {
     set: &'a ConcurrentMap<K, V, S, L>,
 }
@@ -1101,7 +1149,10 @@ where
     /// linearise first), runs the whole batch against the backend in one
     /// round, and commits it to the sink like any other round.  Batches
     /// of at least [`POOL_CUTOFF`] keys execute inside the pool.
-    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool>
+    where
+        S: 'static,
+    {
         self.run_batch_op(OpKind::Insert, batch, Some(batch.vals()), |set| {
             set.batch_insert(batch)
         })
@@ -1110,7 +1161,10 @@ where
     /// Removes every key of `batch` as one combining round; `result[i]` is
     /// `true` iff `batch[i]` was present.  See
     /// [`ConcurrentMap::batch_insert`] for the linearisation contract.
-    pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
+    pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool>
+    where
+        S: 'static,
+    {
         self.run_batch_op(OpKind::Remove, batch, None, |set| set.batch_remove(batch))
     }
 
@@ -1126,7 +1180,10 @@ where
         keys: &[K],
         vals: Option<&[V]>,
         run: impl FnOnce(&mut S) -> Vec<bool> + Send,
-    ) -> Vec<bool> {
+    ) -> Vec<bool>
+    where
+        S: 'static,
+    {
         if keys.is_empty() {
             // Nothing to linearise: no round, no seq.
             self.check_poisoned();
@@ -1153,7 +1210,13 @@ where
         debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
         let ops = (keys.iter().zip(&out).enumerate())
             .map(|(i, (key, &result))| (kind, key, vals.map(|vals| &vals[i]), result));
-        self.commit_round(keys.len() as u64, ops);
+        let displaced = self.commit_round(keys.len() as u64, ops, pooled);
+        if let Some(displaced) = displaced {
+            // The old version's teardown — thousands of leaves this round
+            // copied from — goes to an idle worker while the caller moves
+            // on; the next `install` queues behind it in the injector.
+            self.pool.spawn(move || drop(displaced));
+        }
         self.metrics.batch_rounds.add_single_writer(1);
         if pooled {
             self.metrics.pooled_rounds.add_single_writer(1);
@@ -1292,7 +1355,7 @@ where
         let _held = self.try_hold()?;
         self.metrics.fast_path_rounds.add_single_writer(1);
         let result = self.apply(kind, key, val);
-        self.commit_round(1, std::iter::once((kind, key, val, result)));
+        self.commit_round(1, std::iter::once((kind, key, val, result)), false);
         Some(result)
     }
 
@@ -1377,11 +1440,21 @@ where
     /// may return and at once rely on its round being in the sink: on the
     /// write-ahead log, or in the log a replay takes.
     ///
+    /// A `pooled` round publishes into both slots of the cell and returns
+    /// what that displaced, for the caller to hand to the pool; any other
+    /// round publishes into one, and the snapshot it displaced waits in
+    /// `retired` for the [`CombinerGuard`].
+    ///
     /// The seq and the counters are combiner-only — flag hand-off (Release
     /// unlock / Acquire lock) orders successive combiners — so seqs are
     /// strictly increasing and gap-free in commit order, and the
     /// single-writer plain-load+store advance is exact without atomic RMWs.
-    fn commit_round<'a>(&self, len: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
+    fn commit_round<'a>(
+        &self,
+        len: u64,
+        ops: impl Iterator<Item = CommittedOp<'a, K, V>>,
+        pooled: bool,
+    ) -> Option<[Arc<ReadSnapshot<S>>; 2]> {
         let start = self.obs.now();
         // SAFETY: combiner flag held — exclusive access to `seq`, `set` (the
         // round's own `&mut` borrow is dead by the time this runs),
@@ -1392,19 +1465,30 @@ where
             let view = (*self.set.get()).clone();
             (*seq, view, &mut *self.retired.get(), &mut *self.sink.get())
         };
-        let snap = self.snap.publish(Arc::new(ReadSnapshot { seq, view }));
-        let publish_ns = start.map(|start| start.elapsed().as_nanos() as u64);
-        // The snapshot this displaced waits in `retired` for the
-        // [`CombinerGuard`] to drop once the flag is free.  A second publish
-        // under one hold of the flag (a fast-path or batch op that first
-        // flushed published ops): only the last waits for the guard.
-        if let Some(earlier) = retired.replace(Retired { snap, publish_ns }) {
-            self.drop_retired(earlier);
-        }
+        let snap = Arc::new(ReadSnapshot { seq, view });
+        let publish_ns = || start.map(|start| start.elapsed().as_nanos() as u64);
+        let displaced = if pooled {
+            let displaced = self.snap.publish_both(snap);
+            if let Some(ns) = publish_ns() {
+                self.metrics.publish_ns.record(ns);
+            }
+            Some(displaced)
+        } else {
+            let snap = self.snap.publish(snap);
+            let publish_ns = publish_ns();
+            // A second publish under one hold of the flag (a fast-path or
+            // batch op that first flushed published ops): only the last
+            // waits for the guard.
+            if let Some(earlier) = retired.replace(Retired { snap, publish_ns }) {
+                self.drop_retired(earlier);
+            }
+            None
+        };
         sink.commit(seq, ops);
         self.metrics.ops.add_single_writer(len);
         self.metrics.round_size.record(len);
         self.metrics.rounds.add_single_writer(1);
+        displaced
     }
 
     /// Panics if a combiner panicked mid-round (see the struct docs'
@@ -1471,7 +1555,7 @@ where
             let result = unsafe { *slot.result.get() };
             (slot.kind, &slot.key, slot.val.as_ref(), result)
         });
-        self.commit_round(len, ops);
+        self.commit_round(len, ops, false);
         // Completion: after each `done` store (Release publishes the result
         // write) the owning client may pop the slot off its stack, so it is
         // the combiner's last touch — `round` has read `next` already.
@@ -1881,6 +1965,110 @@ mod tests {
         let (keys, seq) = set.snapshot_keys();
         assert_eq!((keys, seq), (vec![2, 3, 10], 3));
         assert_eq!(set.committed_seq(), 3, "snapshot consumed no seq");
+    }
+
+    /// A [`VecSet`] that counts its live instances in `live`: the
+    /// front-end's own version plus every published clone still alive.
+    struct Counted {
+        set: VecSet,
+        live: Arc<AtomicUsize>,
+    }
+
+    impl Clone for Counted {
+        fn clone(&self) -> Counted {
+            self.live.fetch_add(1, Ordering::SeqCst);
+            Counted {
+                set: self.set.clone(),
+                live: Arc::clone(&self.live),
+            }
+        }
+    }
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.live.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    impl MapView<u64, ()> for Counted {
+        fn len(&self) -> usize {
+            self.set.len()
+        }
+        fn get(&self, key: &u64) -> Option<()> {
+            self.set.get(key)
+        }
+        fn contains(&self, key: &u64) -> bool {
+            self.set.contains(key)
+        }
+        fn rank(&self, key: &u64) -> usize {
+            self.set.rank(key)
+        }
+        fn min(&self) -> Option<&u64> {
+            self.set.min()
+        }
+        fn max(&self) -> Option<&u64> {
+            self.set.max()
+        }
+        fn collect_entries(&self) -> (Vec<u64>, Vec<()>) {
+            self.set.collect_entries()
+        }
+    }
+
+    impl BatchedMap<u64, ()> for Counted {
+        fn batch_insert(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            self.set.batch_insert(batch)
+        }
+        fn batch_remove(&mut self, batch: &Batch<u64>) -> Vec<bool> {
+            self.set.batch_remove(batch)
+        }
+    }
+
+    #[test]
+    fn a_pooled_round_keeps_one_old_version_and_frees_it_on_the_pool() {
+        const THREADS: usize = 2;
+        let live = Arc::new(AtomicUsize::new(1));
+        let backend = Counted {
+            set: VecMap(Vec::new()),
+            live: Arc::clone(&live),
+        };
+        let set = ConcurrentSet::new(backend, Pool::new(THREADS).unwrap());
+        let keys = Batch::from_unsorted((0..POOL_CUTOFF as u64).collect());
+        set.batch_insert(&keys);
+        let pin = set.read_snapshot();
+        let pinned = pin.seq();
+        // The front-end's version, the published one (in both slots) and
+        // the pin, plus the versions of the teardowns not yet run: at most
+        // one job queued since the last `install` took its turn, and one
+        // running per worker, each holding at most two versions.
+        let bound = 3 + 2 * (1 + THREADS);
+        for round in 0..1000 {
+            let flags = if round % 2 == 0 {
+                set.batch_remove(&keys)
+            } else {
+                set.batch_insert(&keys)
+            };
+            assert_eq!(flags, vec![true; POOL_CUTOFF], "round {round}");
+            let versions = live.load(Ordering::SeqCst);
+            assert!(versions <= bound, "round {round}: {versions} live versions");
+            assert_eq!(pin.seq(), pinned, "the pin stays at its own seq");
+            assert_eq!(pin.view().len(), POOL_CUTOFF, "the pin's contents stay");
+        }
+        assert_eq!(set.metrics().counter("combine.pooled_rounds"), Some(1001));
+        // Both slots hold the last pooled round's snapshot; a point round
+        // publishes into one, so the previous version stays in the other.
+        let seq_in = |slot: usize| {
+            // SAFETY: no round is in flight, so no writer touches the slot.
+            unsafe { (&*set.snap.slots[slot].snap.get()).seq }
+        };
+        let last = set.committed_seq();
+        assert_eq!((seq_in(0), seq_in(1)), (last, last));
+        assert!(set.insert(u64::MAX - 1));
+        let active = set.snap.active.load(Ordering::SeqCst);
+        assert_eq!((seq_in(active), seq_in(1 - active)), (last + 1, last));
+        drop(pin);
+        let backend = set.into_inner();
+        assert_eq!(live.load(Ordering::SeqCst), 1, "only the backend is left");
+        assert_eq!(backend.len(), POOL_CUTOFF + 1);
     }
 
     #[test]

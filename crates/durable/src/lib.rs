@@ -590,13 +590,19 @@ where
     /// when the batch is too large for one record (256 MiB of payload:
     /// ≈ 29.8 M `u64` keys, ≈ 15.8 M `u64 → u64` pairs; split it).  Same for
     /// [`DurableMap::batch_remove`].
-    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>>
+    where
+        S: 'static,
+    {
         Self::check_fits_one_record(payload_len::<K, V>(batch.len(), 0))?;
         self.settle(self.inner.batch_insert(batch))
     }
 
     /// Batch remove; one combining round, one WAL record.
-    pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
+    pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>>
+    where
+        S: 'static,
+    {
         Self::check_fits_one_record(payload_len::<K, V>(0, batch.len()))?;
         self.settle(self.inner.batch_remove(batch))
     }

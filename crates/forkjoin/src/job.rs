@@ -200,10 +200,58 @@ where
     }
 }
 
+/// A fire-and-forget job on the heap: no latch and no result slot, because
+/// nobody waits for it ([`Pool::spawn`](crate::Pool::spawn)).  Executing it
+/// frees it.  `#[repr(C)]` with the header first, as for [`StackJob`].
+#[repr(C)]
+pub(crate) struct HeapJob<F: FnOnce() + Send> {
+    header: JobHeader,
+    func: F,
+}
+
+impl<F: FnOnce() + Send> HeapJob<F> {
+    /// Boxes `func` and leaks it as a job reference; the one `execute` of
+    /// that reference runs and frees it.
+    pub(crate) fn into_job_ref(func: F) -> JobRef {
+        let job = Box::new(HeapJob {
+            header: JobHeader::new(Self::execute_erased),
+            func,
+        });
+        // SAFETY: the header is at offset 0 of the leaked job, which lives
+        // until `execute_erased` reclaims it.
+        unsafe { JobRef::new(Box::into_raw(job).cast::<JobHeader>()) }
+    }
+
+    /// Runs and frees the job.  A panic has nowhere to go — no caller waits
+    /// for the result — so it aborts the process rather than unwind into
+    /// the worker loop or vanish.
+    ///
+    /// # Safety
+    ///
+    /// `header` must come from [`HeapJob::into_job_ref`] of exactly this
+    /// `F`, executed at most once.
+    unsafe fn execute_erased(header: *const JobHeader) {
+        let job = Box::from_raw(header as *mut Self);
+        if panic::catch_unwind(AssertUnwindSafe(job.func)).is_err() {
+            std::process::abort();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::latch::SpinLatch;
+
+    #[test]
+    fn heap_job_runs_once_and_frees_its_closure() {
+        let token = std::sync::Arc::new(());
+        let held = std::sync::Arc::clone(&token);
+        let job_ref = HeapJob::into_job_ref(move || drop(held));
+        assert_eq!(std::sync::Arc::strong_count(&token), 2);
+        unsafe { job_ref.execute() };
+        assert_eq!(std::sync::Arc::strong_count(&token), 1);
+    }
 
     #[test]
     fn stack_job_roundtrip_through_job_ref() {

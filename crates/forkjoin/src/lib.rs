@@ -14,8 +14,8 @@
 //!   a single CAS — `join`'s hot path never takes a lock (see the `deque`
 //!   module for the memory-ordering contract).  A mutexed FIFO injector
 //!   queue receives jobs submitted from outside the pool (via
-//!   [`Pool::install`]); it is touched once per external submission, not
-//!   once per `join`.
+//!   [`Pool::install`]) and the fire-and-forget jobs of [`Pool::spawn`]; it
+//!   is touched once per submission, not once per `join`.
 //! * [`join(a, b)`](join) called **on a worker thread** pushes `b` onto the
 //!   local deque, runs `a` inline, and then either pops `b` back (if nobody
 //!   stole it) or helps with other work until the thief finishes `b`.

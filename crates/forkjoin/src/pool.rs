@@ -2,7 +2,8 @@
 //! and graceful shutdown.
 //!
 //! A [`Pool`] owns its worker threads: dropping the pool asks every worker to
-//! finish the jobs it can still see and exit, then joins the OS threads.  The
+//! finish the jobs it can still see and exit, then joins the OS threads — so
+//! every job handed to [`Pool::spawn`] has run by the time the drop returns.  The
 //! shared [`Registry`] outlives the `Pool` handle only as long as a worker
 //! still holds an `Arc` to it, i.e. until the last worker has unwound.
 
@@ -11,7 +12,7 @@ use std::io;
 use std::sync::Arc;
 use std::thread;
 
-use crate::job::StackJob;
+use crate::job::{HeapJob, StackJob};
 use crate::latch::LockLatch;
 use crate::metrics::PoolMetrics;
 use crate::registry::{worker_main, Registry, WorkerThread};
@@ -22,7 +23,7 @@ use crate::registry::{worker_main, Registry, WorkerThread};
 /// Construct one with [`Pool::new`] (just a thread count) or [`Pool::builder`]
 /// (thread naming, stack size).  Enter the pool with [`Pool::install`]; inside
 /// the installed closure, every [`join`](crate::join) call forks onto the
-/// pool's workers.
+/// pool's workers.  [`Pool::spawn`] hands it a job nobody waits for.
 pub struct Pool {
     registry: Arc<Registry>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -101,6 +102,23 @@ impl Pool {
         // SAFETY: the latch has fired, so the worker that executed the job
         // has recorded an outcome and will never touch the job again.
         unsafe { job.extract_result() }
+    }
+
+    /// Queues `job` to run once on one of the pool's workers and returns at
+    /// once: fire and forget, for work whose caller need not wait — freeing
+    /// a data structure's old version, say.
+    ///
+    /// The job joins the same FIFO injector as [`Pool::install`], from
+    /// outside the pool or from one of its workers alike, so an `install`
+    /// from outside made after a `spawn` starts only once every earlier
+    /// spawned job has been taken by a worker.  Every spawned job runs before the pool's
+    /// `drop` returns.  A job that panics aborts the process: nobody waits
+    /// for it to take the panic.
+    pub fn spawn<F>(&self, job: F)
+    where
+        F: FnOnce() + Send + 'static,
+    {
+        self.registry.inject(HeapJob::into_job_ref(job));
     }
 }
 
@@ -249,6 +267,7 @@ impl std::error::Error for PoolBuildError {
 mod tests {
     use super::*;
     use crate::metrics::WorkerMetricsSnapshot;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn zero_threads_is_rejected() {
@@ -314,6 +333,44 @@ mod tests {
             assert_eq!(pool.install(|| 1), 1);
             drop(pool);
         }
+    }
+
+    /// A shared tally of spawned jobs, each adding its own bit once.
+    fn tally() -> Arc<AtomicU64> {
+        Arc::new(AtomicU64::new(0))
+    }
+
+    fn spawn_bits(pool: &Pool, tally: &Arc<AtomicU64>, n: u32) {
+        for bit in 0..n {
+            let tally = Arc::clone(tally);
+            pool.spawn(move || {
+                let before = tally.fetch_add(1 << bit, Ordering::Relaxed);
+                assert_eq!(before & (1 << bit), 0, "job {bit} ran twice");
+            });
+        }
+    }
+
+    #[test]
+    fn spawned_jobs_run_before_the_drop_returns() {
+        for threads in [1, 2, 3] {
+            let tally = tally();
+            let pool = Pool::new(threads).unwrap();
+            spawn_bits(&pool, &tally, 40);
+            drop(pool);
+            let ran = tally.load(Ordering::Relaxed);
+            assert_eq!(ran, (1 << 40) - 1, "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn a_job_spawned_from_a_worker_runs_once() {
+        let tally = tally();
+        let pool = Pool::new(1).unwrap();
+        pool.install(|| spawn_bits(&pool, &tally, 8));
+        // A later install queues behind the spawned jobs in the FIFO
+        // injector, so the one worker has run them all when it returns.
+        pool.install(|| {});
+        assert_eq!(tally.load(Ordering::Relaxed), 0xff);
     }
 
     #[test]

@@ -120,7 +120,9 @@ impl Registry {
         self.queues.len()
     }
 
-    /// Submits a job from outside the pool.
+    /// Submits a job to the FIFO injector: from outside the pool
+    /// ([`Pool::install`](crate::Pool::install)), or from anywhere for a
+    /// job nobody waits for ([`Pool::spawn`](crate::Pool::spawn)).
     pub(crate) fn inject(&self, job: JobRef) {
         self.injector.push(job);
         self.notify_work();
@@ -264,6 +266,11 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize) {
     WORKER_THREAD.with(|cell| cell.set(&worker));
 
     loop {
+        // Read the flag *before* probing the queues: a job injected before
+        // `terminate` (a `Pool::spawn` nobody waits for) happens-before this
+        // `Acquire` load, so the probe below finds it, and a worker leaves
+        // only once a probe that followed the flag came up empty.
+        let terminating = worker.registry.terminating.load(Ordering::Acquire);
         // SAFETY: this thread is the owner of `queues[index]`.
         let job = unsafe { worker.pop() }.or_else(|| worker.registry.steal_work(worker.index));
         match job {
@@ -278,12 +285,8 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize) {
                 // once.
                 unsafe { job.execute() };
             }
-            None => {
-                if worker.registry.terminating.load(Ordering::Acquire) {
-                    break;
-                }
-                worker.registry.sleep_until_work(worker.index);
-            }
+            None if terminating => break,
+            None => worker.registry.sleep_until_work(worker.index),
         }
     }
 

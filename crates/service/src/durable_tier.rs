@@ -163,12 +163,18 @@ where
     /// `result[i]` is `true` iff `batch[i]` was newly inserted.  Each
     /// sub-batch is a durability point; on an error see the
     /// [crate docs](crate#failures) for which shards committed.
-    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>> {
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>>
+    where
+        S: 'static,
+    {
         self.run_batch(batch, DurableMap::batch_insert)
     }
 
     /// Batched remove; see [`Tier::batch_insert`].
-    pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
+    pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>>
+    where
+        S: 'static,
+    {
         self.run_batch(batch, DurableMap::batch_remove)
     }
 

@@ -453,13 +453,19 @@ where
 
     /// Upserts every pair of `batch` on its owning shard; `result[i]` is
     /// `true` iff `batch[i]` was newly inserted.
-    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool> {
+    pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> Vec<bool>
+    where
+        S: 'static,
+    {
         ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_insert(sub))))
     }
 
     /// Removes every batch key; `result[i]` is `true` iff `batch[i]` was
     /// present.
-    pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool> {
+    pub fn batch_remove(&self, batch: &Batch<K>) -> Vec<bool>
+    where
+        S: 'static,
+    {
         ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_remove(sub))))
     }
 

@@ -2,7 +2,9 @@
 //!
 //! The Chase-Lev deque swap moved `join`'s hot path off mutexes, so steal
 //! races, lost wakeups, and shutdown hangs can no longer be ruled out by
-//! lock discipline — they have to be shaken out empirically.  These tests
+//! lock discipline — they have to be shaken out empirically.  The same goes
+//! for `Pool::spawn`'s fire-and-forget jobs, which nobody waits for: one
+//! lost in the injector at shutdown would go unnoticed but for the tally.  These tests
 //! hammer the scheduler across pool sizes 1–8 (on any host, including
 //! single-core CI runners, where oversubscription maximises preemption at
 //! awkward interleavings) and check every result against sequential
@@ -236,6 +238,50 @@ fn drop_with_jobs_in_flight_joins_all_workers() {
     drop(pool);
     for handle in handles {
         assert_eq!(handle.join().unwrap(), 20 * 201);
+    }
+}
+
+/// Fire-and-forget jobs from four outside threads, interleaved with their
+/// installs; every fourth job is spawned from inside an install, i.e. from
+/// a worker.  Each job forks once, and the pool is dropped as soon as the
+/// last client returns, so the drop itself runs whatever is still queued.
+/// Every job must run exactly once, at every pool size.
+#[test]
+fn spawns_interleaved_with_installs_each_run_exactly_once() {
+    const CLIENTS: usize = 4;
+    const SPAWNS: usize = 400;
+    for &threads in POOL_SIZES {
+        let pool = Arc::new(Pool::new(threads).unwrap());
+        let runs: Arc<Vec<AtomicUsize>> =
+            Arc::new((0..CLIENTS * SPAWNS).map(|_| AtomicUsize::new(0)).collect());
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (pool, runs) = (Arc::clone(&pool), Arc::clone(&runs));
+                thread::spawn(move || {
+                    for i in 0..SPAWNS {
+                        let job = client * SPAWNS + i;
+                        let runs = Arc::clone(&runs);
+                        let run = move || {
+                            join(|| runs[job].fetch_add(1, Ordering::Relaxed), || ());
+                        };
+                        if i % 4 == 0 {
+                            let ((), doubled) = pool.install(|| join(|| pool.spawn(run), || i * 2));
+                            assert_eq!(doubled, i * 2);
+                        } else {
+                            pool.spawn(run);
+                        }
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        drop(Arc::into_inner(pool).expect("every client has let go"));
+        for (job, count) in runs.iter().enumerate() {
+            let count = count.load(Ordering::Relaxed);
+            assert_eq!(count, 1, "threads={threads}: job {job} ran {count} times");
+        }
     }
 }
 
