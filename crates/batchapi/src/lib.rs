@@ -618,10 +618,9 @@ pub trait BatchedMap<K, V = ()>: MapView<K, V> {
     /// singleton [`KvBatch`]; a backend overrides to hand its batched
     /// update the caller's key and value without the two `Vec`s, not to
     /// run another algorithm.  This and [`BatchedMap::remove_one`] are what
-    /// a combining front-end calls for every point write: `combine` applies
-    /// a round's ops one by one in publish order (a round holds one op per
-    /// blocked client — too few keys for a batch to pay), and only a whole
-    /// caller-supplied batch reaches `batch_insert` / `batch_remove`.
+    /// a concurrent front-end calls for every point write: `combine` commits
+    /// each as a round of one (too few keys for a batch to pay), and only a
+    /// whole caller-supplied batch reaches `batch_insert` / `batch_remove`.
     fn upsert_one(&mut self, key: &K, val: &V) -> bool
     where
         K: Ord + Clone,

@@ -1,22 +1,21 @@
 //! Durability tier: a write-ahead log, snapshots and crash recovery
-//! layered over the flat-combining front-end's commit log.
+//! layered over the concurrent front-end's commit log.
 //!
-//! The flat-combining combiner already produces exactly the artefact a
-//! write-ahead log needs: a totally-ordered stream of committed rounds,
-//! each stamped with a gap-free sequence number.  So the log *is* the
-//! front-end's commit sink: [`DurableMap`] (and [`DurableSet`], its `V = ()`
-//! alias) builds its [`combine::ConcurrentMap`] over a [`Wal`], and the
-//! combiner that commits a round appends one checksummed record per
-//! *mutation* round to an append-only segment log, amortising `fsync` over
-//! groups of rounds the same way combining amortises the flag hand-off over
-//! groups of ops.
+//! The front-end already produces exactly the artefact a write-ahead log
+//! needs: a totally-ordered stream of committed rounds — one per point
+//! write, one per whole batch — each stamped with a gap-free sequence
+//! number.  So the log *is* the front-end's commit sink: [`DurableMap`]
+//! (and [`DurableSet`], its `V = ()` alias) builds its
+//! [`combine::ConcurrentMap`] over a [`Wal`], and the writer that commits a
+//! round appends one checksummed record per *mutation* round to an
+//! append-only segment log, amortising `fsync` over groups of rounds.
 //!
 //! # The protocol
 //!
 //! * **Append under the flag.**  A round's commit hands its ops to the
-//!   [`Wal`] ([`combine::CommitSink`]) while the combiner still holds the
-//!   combiner flag — after the round's snapshot is published, before any of
-//!   its clients is acknowledged.  The sink strips ops whose replay could
+//!   [`Wal`] ([`combine::CommitSink`]) while its writer still holds the
+//!   combiner flag — after the round's snapshot is published, before the
+//!   writer's call returns.  The sink strips ops whose replay could
 //!   not change state (see *What is logged*), encodes the rest straight
 //!   from the round's borrowed keys and values into one reused buffer, and
 //!   appends it (a `write`).  The flag makes append order equal commit
@@ -61,7 +60,7 @@
 //!   read) and replays log records with seq above it, in segment-name
 //!   order, into a fresh backend: the directory listing is the only
 //!   index.  A torn final record — the signature of a crash mid-append —
-//!   ends replay cleanly and is truncated away; the new combiner's
+//!   ends replay cleanly and is truncated away; the new front-end's
 //!   numbering resumes from the recovered high-water seq
 //!   ([`combine::Options::first_seq`]), so a later recovery replays the
 //!   continued history without seq collisions.
@@ -176,7 +175,7 @@ impl Default for DurableOptions {
 }
 
 /// A store's write-ahead log, as its front-end's [`CommitSink`]: the
-/// combiner committing a round appends it here, under the combiner flag
+/// writer committing a round appends it here, under the combiner flag
 /// (see the crate docs' protocol).  It has no API of its own — it is what
 /// [`DurableMap::inner`]'s type names.
 #[derive(Debug)]
@@ -374,9 +373,8 @@ impl Metrics {
 /// the crate docs for the protocol and the crash-consistency contract.
 ///
 /// Operations return `io::Result`: a write's round is appended at commit
-/// (possibly by another client's combiner) and fsynced there if it
-/// completes a group, and the write may then take a snapshot; any of these
-/// can fail.  After an error the instance is *wedged* — later calls, reads
+/// and fsynced there if it completes a group, and the write may then take
+/// a snapshot; any of these can fail.  After an error the instance is *wedged* — later calls, reads
 /// included, fail fast — and reopening the directory recovers everything
 /// durable up to that point.
 /// Reads never touch the WAL; they fail only on a wedged store.
@@ -582,7 +580,7 @@ where
         self.read(|inner| inner.get(key))
     }
 
-    /// Batch upsert; one combining round, one WAL record.
+    /// Batch upsert; one round, one WAL record.
     ///
     /// # Errors
     ///
@@ -598,7 +596,7 @@ where
         self.settle(self.inner.batch_insert(batch))
     }
 
-    /// Batch remove; one combining round, one WAL record.
+    /// Batch remove; one round, one WAL record.
     pub fn batch_remove(&self, batch: &Batch<K>) -> io::Result<Vec<bool>>
     where
         S: 'static,
@@ -655,7 +653,7 @@ where
         self.registry.snapshot()
     }
 
-    /// The wrapped flat-combining front-end, for its metrics and
+    /// The wrapped concurrent front-end, for its metrics and
     /// snapshots.  A write issued through it is logged at commit like any
     /// other — its record is appended when the call returns, and fsynced if
     /// it completes a group — and is durable at the next group or

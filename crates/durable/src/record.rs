@@ -32,12 +32,12 @@ pub(crate) const RECORD_HEADER: usize = 4 + 8;
 
 /// Upper bound on a single record's payload, as a plausibility filter: a
 /// corrupted length field must not convince the replayer to wait for
-/// gigabytes of payload that never existed.  A combined round of point ops
-/// holds one op per publishing client and stays far below it, but a
-/// whole-batch round is as large as its batch — 256 MiB is ≈ 29.8 M `u64`
-/// keys or ≈ 15.8 M `u64 → u64` pairs — so the store refuses a larger batch
-/// before it commits ([`payload_len`] is the rule): what decoding calls
-/// torn, encoding must never write.  (1 MiB under `cfg(test)`, so this
+/// gigabytes of payload that never existed.  A point write's round holds
+/// one op and stays far below it, but a whole-batch round is as large as
+/// its batch — 256 MiB is ≈ 29.8 M `u64` keys or ≈ 15.8 M `u64 → u64`
+/// pairs — so the store refuses a larger batch before it commits
+/// ([`payload_len`] is the rule): what decoding calls torn, encoding must
+/// never write.  (1 MiB under `cfg(test)`, so this
 /// crate's unit tests reach the limit without a 256 MiB batch.)
 pub(crate) const MAX_PAYLOAD: usize = if cfg!(test) { 1 << 20 } else { 256 << 20 };
 

@@ -1,7 +1,7 @@
 //! Std-only metrics substrate for the workspace.
 //!
 //! The ROADMAP's measurement problem is that the bench box has one core:
-//! flat-combining rounds collapse to size ≈ 1 and contention never
+//! point-write rounds are one op each and contention never
 //! materialises, so wall-clock scaling says little.  Credible performance
 //! claims must instead lean on *algorithmic* counters — round sizes, steal
 //! counts, nodes touched, rebuild work — which is exactly what this crate
@@ -12,7 +12,7 @@
 //!
 //! * [`Counter`] — a relaxed `AtomicU64`.  Concurrent writers use
 //!   [`Counter::inc`]/[`Counter::add`] (one relaxed RMW); a single-writer
-//!   discipline (e.g. the flat-combining combiner) can use
+//!   discipline (e.g. the holder of `combine`'s combiner flag) can use
 //!   [`Counter::add_single_writer`] (plain load + store, no RMW); a
 //!   high-water mark (a durable log's fsynced sequence number) moves with
 //!   [`Counter::set_max`].

@@ -112,7 +112,7 @@ use std::convert::Infallible;
 use std::ops::Bound;
 use std::sync::Arc;
 
-use batchapi::{Batch, BatchedMap, KvBatch};
+use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 use combine::{CommitSink, ConcurrentMap, ConcurrentSet};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry, Snapshot};
@@ -312,14 +312,14 @@ where
     }
 
     /// The `k`-th smallest pair (0-based) across all shards.  Walks shards in
-    /// index order subtracting cardinalities (two reads per skipped shard),
-    /// so a shard that shrinks between its `len` and `kth_entry` reads can
-    /// make a concurrent call return `None` for a rank momentarily occupied.
+    /// index order subtracting cardinalities, each shard's count and pick
+    /// read from one snapshot of it.
     pub fn kth_entry(&self, mut k: usize) -> Option<(K, V)> {
         for front in self.fronts() {
-            let n = front.len();
+            let snap = front.read_snapshot();
+            let n = snap.view().len();
             if k < n {
-                return front.kth_entry(k);
+                return snap.view().kth_entry(k);
             }
             k -= n;
         }
@@ -616,6 +616,39 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn kth_answers_an_occupied_rank_under_concurrent_writes() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::time::{Duration, Instant};
+        // Shard 0 holds 0..10 and, on and off, its top key 4 999; shard 1
+        // always holds 5 000..5 010.  Rank 10 is 4 999 or 5 000, never empty.
+        let set = tier(2);
+        set.batch_insert(&Batch::from_unsorted((0..10).chain(5_000..5_010).collect()));
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stop.load(Ordering::Relaxed) {
+                    set.insert(4_999);
+                    set.remove(&4_999);
+                }
+            });
+            let deadline = Instant::now() + Duration::from_millis(500);
+            let mut calls = 0u64;
+            let wrong = loop {
+                let kth = set.kth(10);
+                if !matches!(kth, Some(4_999 | 5_000)) {
+                    break Some(kth);
+                }
+                calls += 1;
+                if calls.is_multiple_of(1_000) && Instant::now() >= deadline {
+                    break None;
+                }
+            };
+            stop.store(true, Ordering::Relaxed);
+            assert_eq!(wrong, None, "kth(10) after {calls} calls");
+        });
     }
 
     /// A two-way range router that panics when asked to route `u64::MAX`.

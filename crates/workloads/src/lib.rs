@@ -323,8 +323,8 @@ pub fn client_traces(
 
 /// Like [`client_traces`], but keys are drawn from `universe` by
 /// Zipf-distributed rank with exponent `theta` — hot-key traffic, where
-/// concurrent clients collide on the same keys and the combining layer's
-/// duplicate resolution actually gets exercised.
+/// concurrent clients collide on the same keys and the front-end's
+/// ordering of racing writes actually gets exercised.
 ///
 /// # Panics
 ///

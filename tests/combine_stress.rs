@@ -1,7 +1,7 @@
-//! Linearizability-style stress suite for the flat-combining front-end.
+//! Linearizability-style stress suite for the concurrent front-end.
 //!
 //! N client threads issue recorded single-op traces through a
-//! `combine::ConcurrentMap` over the real tree.  The combiner logs every
+//! `combine::ConcurrentMap` over the real tree.  A round log keeps every
 //! committed round — the writes; afterwards the test replays the rounds
 //! **sequentially** against a `BTreeMap` oracle and demands that
 //!
@@ -21,8 +21,8 @@
 //! writes, so "which write won" is decidable from the contents alone.
 //!
 //! Together with the fact that round commit order respects real time (an op
-//! that completed before another started was drained in an earlier round,
-//! and a round publishes its snapshot before it acknowledges),
+//! that completed before another started committed in an earlier round,
+//! and a round publishes its snapshot before its caller returns),
 //! this is a linearizability check for the whole history.
 //!
 //! Every failure message carries the active seed and configuration so CI
@@ -389,9 +389,9 @@ fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
 /// for the replay).  Three properties:
 ///
 /// 1. **Read-your-writes** — immediately after an acknowledged write, a
-///    snapshot `contains` of the same key reflects it (the combiner
-///    publishes the snapshot *before* acknowledging the round, and no
-///    other client touches the key).
+///    snapshot `contains` of the same key reflects it (a round publishes
+///    its snapshot *before* its write returns, and no other client touches
+///    the key).
 /// 2. **Monotonicity** — a single client's observed snapshot seqs never
 ///    go backwards.
 /// 3. **Exactness at the observed seq** — replaying the round log, every
@@ -460,12 +460,22 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Reads bypassed the combiner entirely: only the writes were combined.
+    // Reads bypassed the combiner flag entirely: only the writes made
+    // rounds, and a point write's round is that write alone.
     let rounds = set.take_rounds();
     assert_eq!(
         set.metrics().counter("combine.ops"),
         Some(clients * per_client),
-        "only the writes may be combined"
+        "only the writes may enter rounds"
+    );
+    assert!(
+        rounds.iter().all(|round| round.ops.len() == 1),
+        "a point write committed in a round with another op"
+    );
+    assert_eq!(
+        set.metrics().counter("combine.rounds"),
+        set.metrics().counter("combine.ops"),
+        "one round per point write"
     );
     assert!(
         set.metrics().counter("combine.snapshot_reads").unwrap_or(0) >= clients * per_client * 2,
@@ -720,8 +730,8 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
                         } else {
                             set.remove(&key);
                         }
-                        // The wait-free wrappers must answer without
-                        // combining; their results are checked only for
+                        // The wait-free wrappers must answer without a
+                        // round; their results are checked only for
                         // plausibility here (they may come from a newer
                         // snapshot than the one recorded below).
                         let quick = set.range_count(
@@ -758,12 +768,12 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     });
 
-    // Ordered reads bypassed the combiner: only the writes were combined.
+    // Ordered reads bypassed the combiner flag: only the writes made rounds.
     let rounds = set.take_rounds();
     assert_eq!(
         set.metrics().counter("combine.ops"),
         Some(clients * per_client),
-        "only the writes may be combined"
+        "only the writes may enter rounds"
     );
 
     // Replay: a read observed at seq s is checked against the oracle once
