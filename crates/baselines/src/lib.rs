@@ -10,6 +10,7 @@
 //! `pbist::IstMap` through the same trait.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt::Debug;
 use std::ops::Bound;

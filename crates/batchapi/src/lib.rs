@@ -23,7 +23,7 @@
 //!   implement it, so harnesses and tests drive them through one interface.
 //!   There is no publication method: a snapshot of a backend is a
 //!   **`clone()`** of it, which a concurrent front-end (`combine`) takes
-//!   after every round and serves wait-free reads from — so a backend meant
+//!   after every round and serves its reads from — so a backend meant
 //!   to sit behind one makes `Clone` cheap (both real backends share their
 //!   storage through `Arc`s and copy on write).
 //! * [`BatchedSet`] — a blanket façade over every `BatchedMap<K, ()>` that
@@ -50,6 +50,7 @@
 //! implementations on top of `parprim`/`forkjoin`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::fmt;
 use std::ops::{Bound, Deref};

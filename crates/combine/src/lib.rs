@@ -5,15 +5,18 @@
 //! not arrive that way — many client threads each issue *single* inserts,
 //! removes and lookups.  [`ConcurrentMap`] (and [`ConcurrentSet`], its
 //! `V = ()` alias) is the layer between the two worlds.  **Writes** are
-//! serialised by one flag, the *combiner flag*: a point write waits for it,
+//! serialised by one lock, the *combiner flag* — a [`std::sync::Mutex`] over
+//! the backend, the round counter and the commit sink; the name outlives the
+//! flat combining it once served.  A point write takes it,
 //! applies its own op to the backing store's point path and commits it as a
 //! round of one — one sequence number, one published snapshot, one call
 //! into the store's [`CommitSink`] — before it returns its result.  Writes
 //! that arrive as whole batches commit the same way, one round per batch,
 //! and when large enough to parallelise run inside a [`forkjoin::Pool`].
-//! **Reads** never enter a round: they are wait-free traversals of the
-//! snapshot the last round published (see *Reads* below) — in the paper,
-//! too, only `Insert`/`Remove` batches restructure the tree.
+//! **Reads** never enter a round: they are traversals of the snapshot the
+//! last round published, behind a [`std::sync::RwLock`] held for a pointer
+//! swap at a time (see *Reads* below) — in the paper, too, only
+//! `Insert`/`Remove` batches restructure the tree.
 //!
 //! **Why a point write does not combine.**  Flat combining (Hendler,
 //! Incze, Shavit & Tzafrir, SPAA '10) would have a writer that finds the
@@ -30,10 +33,9 @@
 //!
 //! # Protocol
 //!
-//! 1. **Hold** — a writer CASes the combiner flag `FREE → HELD`
-//!    (`Acquire`; the paired `Release` store of `FREE` on unlock carries the
-//!    backing store's mutations from each holder to the next).  A writer
-//!    that finds it taken waits (see *Waiting*) and tries again.
+//! 1. **Hold** — a writer locks the combiner flag (see *Waiting*); the
+//!    mutex's release/acquire carries the backing store's mutations from
+//!    each holder to the next.
 //! 2. **Apply** — the holder runs its own op against the backend's point
 //!    path ([`BatchedMap::upsert_one`] / [`BatchedMap::remove_one`]) on its
 //!    own thread; a whole batch runs against the batched path instead (see
@@ -42,44 +44,41 @@
 //!    [`CommitSink::commit`] with the round's ops borrowed from the caller,
 //!    nothing cloned.  The publish comes first: a round is in the snapshot
 //!    before its caller can return.
-//! 4. **Release and wake** — the holder stores `FREE` and then wakes
-//!    waiters through the same fenced Dekker handshake as the scheduler's
-//!    sleep path (`SeqCst` fence, then a sleeper-count check; sleepers
-//!    register with a `SeqCst` RMW, fence, and re-check before waiting), so
-//!    an unlock can never be slept through.  Only then does a point round's
-//!    holder drop the snapshot its publish retired (see *Reads*): the next
-//!    writer need not wait out the frees of a three-node path copy.  A
-//!    pooled round has already handed what it displaced to the pool
-//!    ([`forkjoin::Pool::spawn`]) before it let go, so its caller drops
+//! 4. **Release** — the holder unlocks the flag.  Only then does a point
+//!    round's caller drop the snapshot its publish displaced (see *Reads*):
+//!    the next writer need not wait out the frees of a three-node path
+//!    copy.  A pooled round has already handed what it displaced to the
+//!    pool ([`forkjoin::Pool::spawn`]) before it let go, so its caller drops
 //!    nothing.
 //!
 //! # Waiting
 //!
 //! A writer that finds the flag taken waits for it to come free.  How it
-//! waits depends on what the holder is doing, which the flag itself says
-//! (free / held / held for a *long* round):
+//! waits depends on what the holder is doing:
 //!
 //! * **Behind a point round it polls.**  A point round is a path copy, a
 //!   publish and a commit: microseconds.  Parking (a futex sleep, a wake-up
 //!   syscall on the holder's side, and the scheduler's latency before the
 //!   sleeper runs again) costs more than the whole round, so the waiter
-//!   polls — no `yield_now`, no syscall — for a fixed budget
-//!   (`POLL_BUDGET`, 32 µs) and parks only if that runs out: a holder that
-//!   lost its CPU, or a point op that is slow for reasons of the backend's
-//!   own.  The budget is a constant taken from the measured distribution of
-//!   these waits, not an option: see its doc comment for the numbers.
-//! * **Behind a long round it parks at once.**  A holder about to run a
-//!   whole pre-sorted batch — and only that — first marks the flag *long*.
-//!   Such a round lasts tens of microseconds to milliseconds and — on a
-//!   machine with as many clients as cores — needs the waiter's CPU for its
-//!   pool workers; polling through it would be pure loss.
+//!   polls `try_lock` — no `yield_now`, no syscall — for a fixed budget
+//!   (`POLL_BUDGET`, 32 µs) and calls the blocking `lock()` only if that
+//!   runs out: a holder that lost its CPU, or a point op that is slow for
+//!   reasons of the backend's own.  The budget is a constant taken from the
+//!   measured distribution of these waits, not an option: see its doc
+//!   comment for the numbers.
+//! * **Behind a long round it blocks at once.**  A holder about to run a
+//!   whole pre-sorted batch — and only that — first marks its round
+//!   *long* (a flag beside the mutex, cleared before the unlock).  Such a
+//!   round lasts tens of microseconds to milliseconds and — on a machine
+//!   with as many clients as cores — needs the waiter's CPU for its pool
+//!   workers; polling through it would be pure loss.
 //!
-//! Either way the sleeper handshake of step 4 is the only way onto or off
-//! the condvar, so the polling phase changes *when* a waiter sleeps, never
-//! whether it can be woken.  `combine.wait_ns` records each wait (when the
+//! Either way the mutex's own `lock()` is the only place a waiter sleeps,
+//! so the polling phase changes *when* a waiter sleeps, never whether it
+//! can be woken.  `combine.wait_ns` records each wait (when the
 //! front-end's timed metrics are on — they follow the pool's
 //! [`forkjoin::PoolBuilder::metrics`] switch) and `combine.sleeps` counts
-//! the ones that parked.
+//! the ones that went on to `lock()`.
 //!
 //! # Whole batches
 //!
@@ -134,7 +133,7 @@
 //! [`ConcurrentMap::get`], their batched forms, [`ConcurrentMap::len`],
 //! [`ConcurrentMap::rank`], [`ConcurrentMap::min`] / [`ConcurrentMap::max`],
 //! the ordered queries and [`ConcurrentMap::snapshot_entries`] — never
-//! take the combiner flag and never wait for it.  They load the last published
+//! take the combiner flag and never wait for it.  They read the last published
 //! [`ReadSnapshot`]: a clone of the backend (values included, sharing
 //! structure with the live store via copy-on-write) paired with the seq of
 //! the round that produced it.  The snapshot is *typed*: a read is a plain
@@ -144,38 +143,28 @@
 //! every round the flag holder — still holding it — clones the
 //! backend (one `Arc` bump for `pbist::IstMap`, two for
 //! `baselines::SortedArrayMap`; a backend whose `Clone` copies its contents
-//! pays that copy every round) and installs the clone in a two-slot
-//! *left-right* cell: the new snapshot is written into the inactive slot
-//! (after waiting out the readers still borrowing it), then the active-slot
-//! index is flipped with a `SeqCst` store.  Readers increment the chosen
-//! slot's borrow count, re-check the index, and clone the `Arc` out — a
-//! handful of atomic ops, no allocation, no lock, regardless of writer
-//! activity.  Every round publishes, so the published snapshot's seq *is*
-//! the committed high-water mark ([`ConcurrentMap::committed_seq`]).
+//! pays that copy every round) and swaps the clone into the one snapshot
+//! slot, an `RwLock<Arc<ReadSnapshot>>`, under its write guard.  A point
+//! read runs its query under the read guard; a long read (a scan, a batch
+//! lookup, [`ConcurrentMap::read_snapshot`]) clones the `Arc` out and lets
+//! go.  Every round publishes, so the published snapshot's seq *is* the
+//! committed high-water mark ([`ConcurrentMap::committed_seq`]).
 //!
-//! What a publish displaces depends on the round:
+//! A publish displaces exactly one version, the one the previous round
+//! published — usually the last reference to it.  Who frees it depends on
+//! the round:
 //!
-//! * **A point round** (and a whole batch under [`POOL_CUTOFF`]) writes one
-//!   slot.  That displaces the snapshot published two rounds earlier —
-//!   usually the last reference to that round's path copy — which the
-//!   holder drops only after it has committed its round and released the
-//!   flag; `combine.publish_ns` times clone, flip and that drop
-//!   together.  Refilling both slots on every round cost about 5 % of a
-//!   point-read-heavy benchmark's throughput, for a three-node path copy
-//!   freed a round early.
-//! * **A pooled round** writes both: after the flip it waits out the
-//!   borrowers of the slot it just made inactive, as it did for the other,
-//!   and stores the same snapshot there.  So the cell keeps no version
-//!   older than the last, and the next batch copy-merges with one old
-//!   version alive instead of two.  What the two stores displaced — the
-//!   version one round old, whose leaves this round just copied from, a
-//!   few thousand of them on a large batch — goes to the pool as one
-//!   [`forkjoin::Pool::spawn`]ed teardown, freed by an idle worker while
-//!   the caller starts its next call (the RCU idea: a version is freed
-//!   after its grace period, on someone else's time).  A later `install`
-//!   queues behind it in the pool's FIFO injector, so a shard holds at
-//!   most about one unfreed version per worker.  `combine.publish_ns` then
-//!   ends at the publish.
+//! * **A point round** (and a whole batch under [`POOL_CUTOFF`]): its caller
+//!   drops it only after it has committed its round and released the flag;
+//!   `combine.publish_ns` times clone, swap and that drop together.
+//! * **A pooled round**: what it displaced — the version one round old,
+//!   whose leaves this round just copied from, a few thousand of them on a
+//!   large batch — goes to the pool as one [`forkjoin::Pool::spawn`]ed
+//!   teardown, freed by an idle worker while the caller starts its next
+//!   call (the RCU idea: a version is freed after its grace period, on
+//!   someone else's time).  A later `install` queues behind it in the
+//!   pool's FIFO injector, so a shard holds at most about one unfreed
+//!   version per worker.  `combine.publish_ns` then ends at the publish.
 //!
 //! **Staleness contract.**  A read observes the state after some round
 //! `seq >= ` the client's last acknowledged write (publish happens before
@@ -186,13 +175,21 @@
 //! [`ConcurrentMap::committed_seq`], a [`ReadSnapshot::seq`], the seq of its
 //! own acknowledged write, relayed from another thread or not:
 //! [`ConcurrentMap::read_snapshot`]`().seq()` is `>=` that mark on the first
-//! load, with no helping and no waiting, because a seq is observable only
-//! once its round has published and the cell's seq never goes back.
+//! load, with no helping, because a seq is observable only once its round
+//! has published and the slot's seq never goes back.
+//!
+//! A read is not wait-free, but it never waits for a round: the write
+//! guard is held only for the pointer swap.  std's `RwLock` queues a new
+//! reader behind a waiting writer, so a read can wait for one swap plus
+//! the point reads already in flight when the swap began.  Nothing else
+//! holds the slot: the swap cannot panic, and a read guard's panic (a user
+//! `Ord` that throws mid-query) does not poison an `RwLock`.
 //!
 //! **Poisoning.**  Reads still fail fast on a poisoned front-end:
 //! they panic like every other operation rather than serve reads from a
-//! history whose tail is indeterminate.  They never *block* on the flag —
-//! poisoned or not, a read completes or panics in bounded steps.
+//! history whose tail is indeterminate.  They never wait for the flag —
+//! poisoned or not, a read waits at most for the swap above, then completes
+//! or panics.
 //!
 //! # Contract
 //!
@@ -228,22 +225,23 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
-use std::cell::UnsafeCell;
 use std::fmt;
 use std::marker::PhantomData;
 use std::mem;
 use std::ops::Bound;
-use std::sync::atomic::{fence, AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 use std::time::{Duration, Instant};
 
 use batchapi::{Batch, BatchedMap, KvBatch};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry};
 
-/// How long a waiting client polls — no syscall, no `yield_now` — before it
-/// parks on the condvar (see the module docs' *Waiting* section).
+/// How long a waiting client polls `try_lock` — no syscall, no
+/// `yield_now` — before it blocks in `lock()` (see the module docs'
+/// *Waiting* section).
 ///
 /// Set from the measured wait histogram, not guessed: two clients spread
 /// over two `ConcurrentSet<_, IstSet>` shards of 5·10⁵ keys on the 2-vCPU
@@ -258,26 +256,10 @@ use obs::{Counter, Histogram, Registry};
 /// replaces (64 spins, 16 yields) parked 56 % of waits, mean wait 19.8 µs.
 const POLL_BUDGET: Duration = Duration::from_micros(32);
 
-/// Polls between two reads of the clock while waiting: a poll is two loads
-/// and a pause, so the deadline check is amortised over this many.
+/// Polls between two reads of the clock while waiting: a poll is a load, a
+/// `try_lock` and a pause, so the deadline check is amortised over this
+/// many.
 const POLLS_PER_CLOCK_READ: u32 = 32;
-
-/// Spins a publishing combiner spends on a reader's borrow of the slot it
-/// is about to overwrite before it starts yielding: the borrow is one `Arc`
-/// clone or one point query, well under a microsecond unless its thread
-/// lost the CPU.
-const PUBLISH_SPINS: u32 = 128;
-
-/// The combiner flag's states.  `FREE → HELD` is the election CAS; the
-/// holder may raise `HELD → LONG` (a plain store: it owns the flag) before a
-/// round whose length a handful of point ops does not bound, and releases
-/// with a `Release` store of `FREE`.
-const FREE: u8 = 0;
-/// Held; the round in progress is a point round (or about to be known).
-const HELD: u8 = 1;
-/// Held by a combiner inside a whole-batch round: waiters park at once
-/// rather than poll through it.
-const LONG: u8 = 2;
 
 /// A whole batch ([`ConcurrentMap::batch_insert`] /
 /// [`ConcurrentMap::batch_remove`]) of at least this many keys executes
@@ -290,9 +272,8 @@ const LONG: u8 = 2;
 /// A point write never reaches it: its round is one op.
 ///
 /// The same line decides who frees the version a round displaces: a pooled
-/// round publishes into both snapshot slots and spawns the teardown on the
-/// pool, any other round leaves it to the combiner after the flag's
-/// release (see the module docs' *Publication protocol*).
+/// round spawns its teardown on the pool, any other round's caller drops it
+/// after the flag's release (see the module docs' *Publication protocol*).
 pub const POOL_CUTOFF: usize = 512;
 
 /// What a write does to the store.  Rounds carry writes
@@ -423,19 +404,18 @@ struct CombineMetrics {
     batch_rounds: Arc<Counter>,
     /// `combine.round_size` — ops per committed round.
     round_size: Arc<Histogram>,
-    /// `combine.snapshot_reads` — read operations served wait-free from the
+    /// `combine.snapshot_reads` — read operations served from the
     /// published snapshot (each batched read counts once).
     snapshot_reads: Arc<Counter>,
     /// `combine.sleeps` — waits that ran out of polling (or met a long
-    /// round) and parked on the condvar: one futex sleep and one wake each.
+    /// round) and went on to the mutex's blocking `lock()`.
     sleeps: Arc<Counter>,
     /// `combine.publish_ns` — what publication costs a round: the backend
-    /// clone and the snapshot-cell flip, and for a point round also
-    /// dropping the snapshot it retired (the drop runs after the flag's
-    /// release, see `CombinerGuard`).  A pooled round's sample
-    /// ends at its publish — the second slot's store included — since its
-    /// teardown runs on the pool.  Timed only when the front-end's `obs`
-    /// guard is on.
+    /// clone and the swap under the slot's write guard, and for a round
+    /// outside the pool also dropping the version it displaced (the drop
+    /// runs after the flag's release).  A pooled round's sample ends at its
+    /// swap, since its teardown runs on the pool.  Timed only when the
+    /// front-end's `obs` guard is on.
     publish_ns: Arc<Histogram>,
     /// `combine.wait_ns` — how long a writer that found the flag taken
     /// waited (polling plus any sleep) before it was free.  Timed only when the `obs` guard is on.
@@ -496,151 +476,6 @@ impl<S> ReadSnapshot<S> {
     }
 }
 
-/// One slot of the left-right snapshot cell: the snapshot plus the number
-/// of readers currently borrowing it.
-struct SnapSlot<T> {
-    readers: AtomicUsize,
-    snap: UnsafeCell<Arc<T>>,
-}
-
-/// A two-slot *left-right* cell holding the last published snapshot.
-///
-/// Readers ([`SnapCell::load`]) are lock-free and run concurrently with
-/// each other and with the single writer; the writer ([`SnapCell::publish`],
-/// always the combiner, serialised by the combiner flag) updates the
-/// *inactive* slot after waiting out its borrowers, then flips the active
-/// index.  `SeqCst` on the index and the borrow registration keeps the
-/// classic left-right argument airtight (see the proof sketch on `load`);
-/// the borrow release needs only `Release` (the writer's spin load pairs
-/// with it).
-struct SnapCell<T> {
-    /// Index (0 or 1) of the slot readers should borrow.
-    active: AtomicUsize,
-    slots: [SnapSlot<T>; 2],
-}
-
-// SAFETY: the `UnsafeCell`s are governed by the left-right protocol — the
-// single writer mutates a slot only while its reader count is zero and the
-// slot is inactive, and readers only read while registered on a slot they
-// re-verified as active — so shared references handed out never alias a
-// mutation.  The payload is an `Arc<T>`, shared across threads, hence
-// `T: Send + Sync`.
-unsafe impl<T: Send + Sync> Sync for SnapCell<T> {}
-unsafe impl<T: Send + Sync> Send for SnapCell<T> {}
-
-impl<T> SnapCell<T> {
-    fn new(initial: Arc<T>) -> SnapCell<T> {
-        SnapCell {
-            active: AtomicUsize::new(0),
-            slots: [
-                SnapSlot {
-                    readers: AtomicUsize::new(0),
-                    snap: UnsafeCell::new(Arc::clone(&initial)),
-                },
-                SnapSlot {
-                    readers: AtomicUsize::new(0),
-                    snap: UnsafeCell::new(initial),
-                },
-            ],
-        }
-    }
-
-    /// Returns the last published snapshot.  Lock-free: a reader retries
-    /// only when the writer flipped the active index between its first load
-    /// and its re-check, which one `publish` does at most once.
-    ///
-    /// Why the re-check suffices (all index/registration ops are `SeqCst`,
-    /// so they form one total order): a writer mutates slot `a` only after
-    /// its zero-check of `readers[a]`.  If our registration precedes that
-    /// check in the total order, the writer sees the count and spins until
-    /// our release.  If it follows, the flip that made `a` inactive (the
-    /// writer targets `1 - active`) also precedes our re-check, which
-    /// therefore reads the flipped index, fails, and retries — we never
-    /// dereference a slot the writer may be mutating.
-    fn load(&self) -> Arc<T> {
-        self.with_snap(Arc::clone)
-    }
-
-    /// Runs `read` against the last published snapshot *inside* the borrow
-    /// window — no `Arc` clone, so a point read's whole synchronisation
-    /// cost is the two borrow-count bumps.  The flip side: the window now
-    /// spans the read itself, so a publishing combiner may wait out one
-    /// in-flight read (still bounded — new readers land on the flipped
-    /// slot).  Long reads (batch scans) should [`SnapCell::load`] and pay
-    /// the clone instead.
-    ///
-    /// The window is unwind-safe: the borrow is released by a drop guard, so
-    /// a `read` that panics (a user `Ord` or `Clone`) leaves no count behind
-    /// for a later `publish` to wait on.  Nothing is poisoned — the snapshot
-    /// is immutable, so the next read finds it intact.
-    fn with_snap<R>(&self, read: impl FnOnce(&Arc<T>) -> R) -> R {
-        struct Borrow<'a>(&'a AtomicUsize);
-        impl Drop for Borrow<'_> {
-            fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::Release);
-            }
-        }
-        loop {
-            let idx = self.active.load(Ordering::SeqCst);
-            let slot = &self.slots[idx];
-            slot.readers.fetch_add(1, Ordering::SeqCst);
-            let _borrow = Borrow(&slot.readers);
-            if self.active.load(Ordering::SeqCst) == idx {
-                // SAFETY: registered on a slot re-verified active — the
-                // left-right protocol (see `Sync` impl) keeps the writer
-                // out until `_borrow` drops.
-                return read(unsafe { &*slot.snap.get() });
-            }
-        }
-    }
-
-    /// Installs a new snapshot and hands back the one it displaced (two
-    /// publishes old, and usually the last reference to it — dropping it
-    /// frees that round's path copy, so the caller does it outside the
-    /// critical section).  Caller must hold the combiner flag (single
-    /// writer).
-    fn publish(&self, snap: Arc<T>) -> Arc<T> {
-        let idx = 1 - self.active.load(Ordering::Relaxed);
-        let retired = self.replace_drained(idx, snap);
-        // The flip publishes the write to readers: their `SeqCst` re-check
-        // of `active` pairs with this store.
-        self.active.store(idx, Ordering::SeqCst);
-        retired
-    }
-
-    /// [`SnapCell::publish`], then the same snapshot into the slot the flip
-    /// left inactive, once its borrowers are drained: both slots hold
-    /// `snap`, and the cell keeps no older version alive.  Hands back both
-    /// displaced snapshots — the one published a round earlier among them.
-    fn publish_both(&self, snap: Arc<T>) -> [Arc<T>; 2] {
-        let older = self.publish(Arc::clone(&snap));
-        let idx = 1 - self.active.load(Ordering::Relaxed);
-        [older, self.replace_drained(idx, snap)]
-    }
-
-    /// Stores `snap` into the inactive slot `idx` once the readers still
-    /// borrowing it are gone, returning what it held.  They hold it for at
-    /// most one read — an `Arc` clone ([`SnapCell::load`]) or a point query
-    /// ([`SnapCell::with_snap`]) — so the wait spins first, since that
-    /// borrow is sub-microsecond unless its thread lost the CPU.
-    fn replace_drained(&self, idx: usize, snap: Arc<T>) -> Arc<T> {
-        let slot = &self.slots[idx];
-        let mut spins = 0;
-        while slot.readers.load(Ordering::SeqCst) != 0 {
-            if spins < PUBLISH_SPINS {
-                spins += 1;
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-        // SAFETY: slot `idx` is inactive (readers registering now target the
-        // other slot, or will fail their re-check) and drained of readers;
-        // the combiner flag excludes other writers.
-        unsafe { mem::replace(&mut *slot.snap.get(), snap) }
-    }
-}
-
 /// A concurrent ordered key→value store serving per-operation traffic from
 /// any number of client threads over a [`BatchedMap`] backend: each write
 /// is a round under the combiner flag, each read a snapshot query.
@@ -661,40 +496,25 @@ impl<T> SnapCell<T> {
 /// the flag panic instead of blocking forever, and every subsequent
 /// operation panics immediately.
 pub struct ConcurrentMap<K, V, S, L = NoLog> {
-    /// The combiner flag ([`FREE`], [`HELD`] or [`LONG`]): held by at most
-    /// one thread, which has exclusive access to `set`, `seq`, `retired`
-    /// and `sink`.
-    combiner: AtomicU8,
-    /// The backing batched store.  Touched only while holding `combiner`.
-    set: UnsafeCell<S>,
-    /// Sequence number of the most recently committed round (starts at
-    /// [`Options::first_seq`]).  Advanced by the combiner for every
-    /// committed round.  Touched only while holding `combiner`.
-    seq: UnsafeCell<u64>,
-    /// The last published read snapshot (a clone of `set` + seq),
-    /// republished by the combiner at the end of every round, so its seq is
-    /// the committed high-water mark.  Read lock-free by every read;
-    /// written only while holding `combiner`.
-    snap: SnapCell<ReadSnapshot<S>>,
-    /// The snapshot the last point publish displaced, kept until the flag
-    /// holder lets go (see [`CombinerGuard`]).  Touched only while holding
-    /// `combiner`.
-    retired: UnsafeCell<Option<Retired<S>>>,
+    /// The combiner flag: whoever holds it owns the backend, the round
+    /// counter and the sink.
+    writer: Mutex<Writer<S, L>>,
+    /// Set by a holder about to run a whole batch, cleared before it
+    /// unlocks: waiters block at once rather than poll through the round
+    /// (see the module docs' *Waiting*).  A hint, so `Relaxed`.
+    long_round: AtomicBool,
+    /// The last published read snapshot (a clone of the backend + seq),
+    /// swapped by the holder at the end of every round, so its seq is the
+    /// committed high-water mark.  Its write guard is held only for the
+    /// swap.
+    snap: RwLock<Arc<ReadSnapshot<S>>>,
     /// Fork-join pool executing whole batches of at least [`POOL_CUTOFF`]
     /// keys, and freeing the versions their publishes displace.
     pool: Pool,
-    /// Where committed rounds go.  Touched only while holding `combiner`:
-    /// by `commit_round`, and by [`ConcurrentMap::hold_sink`].
-    sink: UnsafeCell<L>,
-    /// Guards `progress` (never the data — that is what `combiner` is for).
-    sleep_mutex: Mutex<()>,
-    /// Signalled when the combiner flag is released with sleepers waiting.
-    progress: Condvar,
-    /// Clients currently blocked on `progress`.
-    sleepers: AtomicUsize,
     /// Set when a round panicked (a backend op threw): the backing store's
     /// state is indeterminate, so every subsequent operation panics instead
-    /// of blocking forever.  Mutex-poisoning semantics.
+    /// of running on it.  The front-end's own, checked by reads too; the
+    /// std mutex's poison is ignored.
     poisoned: AtomicBool,
     /// Named-metric registry behind [`ConcurrentMap::metrics`]; the hot
     /// path goes through the pre-cloned handles in `metrics` instead.
@@ -710,6 +530,18 @@ pub struct ConcurrentMap<K, V, S, L = NoLog> {
     types: PhantomData<fn() -> (K, V)>,
 }
 
+/// What the combiner flag guards.
+struct Writer<S, L> {
+    /// The backing batched store.
+    set: S,
+    /// Sequence number of the most recently committed round (starts at
+    /// [`Options::first_seq`]).
+    seq: u64,
+    /// Where committed rounds go: reached by `commit_round`, and by
+    /// [`ConcurrentMap::hold_sink`].
+    sink: L,
+}
+
 /// A snapshot displaced by a publish, waiting to be dropped outside the
 /// critical section, with what its publish has cost so far (when timed).
 struct Retired<S> {
@@ -722,45 +554,27 @@ struct Retired<S> {
 /// [`insert`](ConcurrentMap::insert) spelling.
 pub type ConcurrentSet<K, S, L = NoLog> = ConcurrentMap<K, (), S, L>;
 
-/// Releases the combiner flag (and wakes waiters) on every exit from a
-/// hold of the flag — **including unwinds**.  A panic under the flag marks
-/// the front-end poisoned before the flag is released, so woken waiters
-/// observe the poison rather than taking the flag onto a half-mutated
-/// store.
-///
-/// It also disposes of the snapshot a point round's publish retired —
-/// *after* the release and the wake-up: by then the round has committed
-/// and the next writer can take the flag, while this thread pays the
-/// refcount decrements and frees that dropping a path copy is.  A
-/// pooled round leaves nothing here: its teardown is already on the pool.
+/// A hold of the combiner flag.  Its `Drop` runs on every exit —
+/// **including unwinds** — before the `writer` field releases the lock
+/// (fields drop after `Drop::drop`): a panic under the flag marks the
+/// front-end poisoned first, so the next holder observes the poison rather
+/// than running on a half-mutated store, and the long-round mark is
+/// cleared.
 struct CombinerGuard<'a, K, V, S, L> {
-    set: &'a ConcurrentMap<K, V, S, L>,
+    map: &'a ConcurrentMap<K, V, S, L>,
+    writer: MutexGuard<'a, Writer<S, L>>,
 }
 
 impl<K, V, S, L> Drop for CombinerGuard<'_, K, V, S, L> {
     fn drop(&mut self) {
-        let poisoning = std::thread::panicking();
-        if poisoning {
-            self.set.metrics.poisoned.inc();
-            // SeqCst so the unlock below can never be observed before the
-            // poison by a waiter's fenced re-check.
-            self.set.poisoned.store(true, Ordering::SeqCst);
+        if std::thread::panicking() {
+            self.map.metrics.poisoned.inc();
+            // Pairs with the `Acquire` loads of `is_poisoned` and
+            // `check_poisoned`; the next holder also sees it through the
+            // mutex, which this store precedes.
+            self.map.poisoned.store(true, Ordering::Release);
         }
-        // SAFETY: still the flag holder — exclusive access to `retired`.
-        let retired = unsafe { (*self.set.retired.get()).take() };
-        self.set.combiner.store(FREE, Ordering::Release);
-        // Producer half of the Dekker handshake (see module docs): fence,
-        // then look for registered sleepers.  The common no-sleeper case is
-        // one fence and one load.  On poison, always notify: blocked
-        // clients must wake to observe it.
-        fence(Ordering::SeqCst);
-        if poisoning || self.set.sleepers.load(Ordering::Relaxed) > 0 {
-            let _guard = self.set.sleep_mutex.lock().unwrap();
-            self.set.progress.notify_all();
-        }
-        if let Some(retired) = retired {
-            self.set.drop_retired(retired);
-        }
+        self.map.long_round.store(false, Ordering::Relaxed);
     }
 }
 
@@ -773,21 +587,19 @@ impl<K, V, S: Clone, L> ConcurrentMap<K, V, S, L> {
         let obs = obs::Obs::new(pool.metrics().enabled);
         // Publish the initial contents so the read path has a snapshot
         // before any round commits; its mark is the pre-history seq.
-        let snap = SnapCell::new(Arc::new(ReadSnapshot {
+        let snap = RwLock::new(Arc::new(ReadSnapshot {
             seq: options.first_seq,
             view: set.clone(),
         }));
         ConcurrentMap {
-            combiner: AtomicU8::new(FREE),
-            set: UnsafeCell::new(set),
-            seq: UnsafeCell::new(options.first_seq),
+            writer: Mutex::new(Writer {
+                set,
+                seq: options.first_seq,
+                sink,
+            }),
+            long_round: AtomicBool::new(false),
             snap,
-            retired: UnsafeCell::new(None),
             pool,
-            sink: UnsafeCell::new(sink),
-            sleep_mutex: Mutex::new(()),
-            progress: Condvar::new(),
-            sleepers: AtomicUsize::new(0),
             poisoned: AtomicBool::new(false),
             registry,
             metrics,
@@ -827,85 +639,68 @@ impl<K, V, S, L> ConcurrentMap<K, V, S, L> {
     /// front-end too — a poisoned round never reached the sink — and, like
     /// a round, a panic in `f` poisons the front-end.
     pub fn hold_sink<T>(&self, f: impl FnOnce(&mut L) -> T) -> T {
-        while !self.lock_combiner() {
-            self.wait_until(|| self.combiner_free());
+        let mut held = CombinerGuard {
+            map: self,
+            writer: self.lock_writer(),
+        };
+        f(&mut held.writer.sink)
+    }
+
+    /// Locks the combiner flag, waiting as the module docs' *Waiting* says:
+    /// poll `try_lock` for [`POLL_BUDGET`] unless the round is long, then
+    /// block in `lock()`.  The mutex's own poison is ignored: the
+    /// front-end's `poisoned` flag is what callers check.
+    fn lock_writer(&self) -> MutexGuard<'_, Writer<S, L>> {
+        if let Some(writer) = self.try_writer() {
+            return writer;
         }
-        let _held = CombinerGuard { set: self };
-        // SAFETY: we hold the combiner flag — exclusive access to `sink`.
-        f(unsafe { &mut *self.sink.get() })
-    }
-
-    fn lock_combiner(&self) -> bool {
-        // Acquire pairs with the Release unlock of the previous combiner,
-        // carrying the backing set's state to this thread.
-        self.combiner
-            .compare_exchange(FREE, HELD, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-    }
-
-    /// `Acquire` so a waiter that sees the flag free also sees what the
-    /// releasing combiner published.
-    fn combiner_free(&self) -> bool {
-        self.combiner.load(Ordering::Acquire) == FREE
-    }
-
-    /// Waits until `ready` holds: polls ([`ConcurrentMap::poll_until`]),
-    /// then parks ([`ConcurrentMap::park_until`]).
-    fn wait_until(&self, mut ready: impl FnMut() -> bool) {
         let start = Instant::now();
-        if !self.poll_until(&mut ready, start) {
-            self.park_until(&mut ready);
-        }
+        let writer = self.poll_writer(start).unwrap_or_else(|| {
+            self.metrics.sleeps.inc();
+            self.writer.lock().unwrap_or_else(PoisonError::into_inner)
+        });
         if self.obs.is_enabled() {
             let waited = start.elapsed().as_nanos() as u64;
             self.metrics.wait_ns.record(waited);
         }
+        writer
     }
 
-    /// Polls `ready` — no syscall — until it holds (`true`) or polling has
-    /// stopped paying (`false`): [`POLL_BUDGET`] has run out since `start`,
-    /// or the combiner has marked its round [`LONG`].
-    fn poll_until(&self, mut ready: impl FnMut() -> bool, start: Instant) -> bool {
+    /// One `try_lock` of the combiner flag, its poison ignored.
+    fn try_writer(&self) -> Option<MutexGuard<'_, Writer<S, L>>> {
+        match self.writer.try_lock() {
+            Ok(writer) => Some(writer),
+            Err(TryLockError::Poisoned(writer)) => Some(writer.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Polls `try_lock` — no syscall — until it wins the lock or polling
+    /// has stopped paying (`None`): [`POLL_BUDGET`] has run out since
+    /// `start`, or the holder has marked its round long.
+    fn poll_writer(&self, start: Instant) -> Option<MutexGuard<'_, Writer<S, L>>> {
         loop {
             for _ in 0..POLLS_PER_CLOCK_READ {
-                if ready() {
-                    return true;
+                if self.long_round.load(Ordering::Relaxed) {
+                    return None;
                 }
-                if self.combiner.load(Ordering::Relaxed) == LONG {
-                    return false;
+                if let Some(writer) = self.try_writer() {
+                    return Some(writer);
                 }
                 std::hint::spin_loop();
             }
             if start.elapsed() >= POLL_BUDGET {
-                return false;
+                return None;
             }
         }
     }
 
-    /// Parks on the condvar until `ready` holds.  Sleeper half of the Dekker
-    /// handshake: register, fence, re-check, and only then wait, so a
-    /// concurrent unlock cannot be slept through.
-    fn park_until(&self, mut ready: impl FnMut() -> bool) {
-        self.metrics.sleeps.inc();
-        let mut guard = self.sleep_mutex.lock().unwrap();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        while !ready() {
-            guard = self.progress.wait(guard).unwrap();
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    /// The snapshot slot's read guard; the slot cannot be poisoned (see
+    /// the module docs' *Staleness contract*), so its poison is ignored.
+    fn snap_guard(&self) -> RwLockReadGuard<'_, Arc<ReadSnapshot<S>>> {
+        self.snap.read().unwrap_or_else(PoisonError::into_inner)
     }
 }
-
-// SAFETY: `ConcurrentMap` is a Mutex-like container.  `set`, `seq`, `retired`
-// and `sink` are accessed only by the thread holding the `combiner` flag
-// (Acquire/Release on that flag sequences successive holders), so they
-// need `Send` but not `Sync`; the published clones of `set` are read by
-// every thread at once, hence `S: Sync`.  Every other field is `Sync`
-// itself (the `SnapCell` by its own impl, `types` holds no data).  Keys and
-// values reach the store only as the holder's own arguments, never through
-// a shared field, so `K` and `V` need nothing.
-unsafe impl<K, V, S: Send + Sync, L: Send> Sync for ConcurrentMap<K, V, S, L> {}
 
 impl<K, S, L> ConcurrentSet<K, S, L>
 where
@@ -965,10 +760,10 @@ where
         self.run_point_op(OpKind::Remove, key, None)
     }
 
-    // Every read is one closure over the published snapshot's `&S`,
-    // wait-free under the module docs' staleness contract
-    // and counted in `combine.snapshot_reads`: `read` for the short ones,
-    // `scan` for those that can be long.
+    // Every read is one closure over the published snapshot's `&S`, under
+    // the module docs' staleness contract and counted in
+    // `combine.snapshot_reads`: `read` for the short ones, `scan` for those
+    // that can be long.
 
     /// Returns `true` iff `key` is in the store.
     pub fn contains(&self, key: &K) -> bool {
@@ -1107,57 +902,64 @@ where
             self.check_poisoned();
             return Vec::new();
         }
-        let _held = self.hold();
-        // SAFETY: we hold the combiner flag — exclusive set access.
-        let set = unsafe { &mut *self.set.get() };
-        // A whole batch is the one round waiters should not poll through.
-        // `Relaxed`: a hint, read by waiters' polls; the unlock's `Release`
-        // store of `FREE` overwrites it.
-        self.combiner.store(LONG, Ordering::Relaxed);
         let pooled = keys.len() >= POOL_CUTOFF;
-        let out = if pooled {
-            self.pool.install(|| run(set))
-        } else {
-            run(set)
+        let (out, retired) = {
+            let mut held = self.hold();
+            // A whole batch is the one round waiters should not poll through.
+            self.long_round.store(true, Ordering::Relaxed);
+            let set = &mut held.writer.set;
+            let out = if pooled {
+                self.pool.install(|| run(set))
+            } else {
+                run(set)
+            };
+            debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
+            let ops = (keys.iter().zip(&out).enumerate())
+                .map(|(i, (key, &result))| (kind, key, vals.map(|vals| &vals[i]), result));
+            let retired = self.commit_round(&mut held.writer, keys.len() as u64, ops);
+            self.metrics.batch_rounds.add_single_writer(1);
+            if pooled {
+                self.metrics.pooled_rounds.add_single_writer(1);
+                if let Some(ns) = retired.publish_ns {
+                    self.metrics.publish_ns.record(ns);
+                }
+                // The old version's teardown — thousands of leaves this round
+                // copied from — goes to an idle worker while the caller moves
+                // on; the next `install` queues behind it in the injector.
+                let snap = retired.snap;
+                self.pool.spawn(move || drop(snap));
+                (out, None)
+            } else {
+                (out, Some(retired))
+            }
         };
-        debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
-        let ops = (keys.iter().zip(&out).enumerate())
-            .map(|(i, (key, &result))| (kind, key, vals.map(|vals| &vals[i]), result));
-        let displaced = self.commit_round(keys.len() as u64, ops, pooled);
-        if let Some(displaced) = displaced {
-            // The old version's teardown — thousands of leaves this round
-            // copied from — goes to an idle worker while the caller moves
-            // on; the next `install` queues behind it in the injector.
-            self.pool.spawn(move || drop(displaced));
-        }
-        self.metrics.batch_rounds.add_single_writer(1);
-        if pooled {
-            self.metrics.pooled_rounds.add_single_writer(1);
+        if let Some(retired) = retired {
+            self.drop_retired(retired);
         }
         out
     }
 
-    /// A short read (point query, rank arithmetic): the query runs inside
-    /// the snapshot cell's borrow window (no `Arc` refcount traffic — the
-    /// read-side cost is two borrow-count bumps plus the counter), so it
-    /// stays cheaper than taking the combiner flag, even uncontended.
+    /// A short read (point query, rank arithmetic): the query runs under
+    /// the snapshot slot's read guard (no `Arc` refcount traffic — the
+    /// read-side cost is the guard's two atomic ops plus the counter), so
+    /// it stays cheaper than taking the combiner flag, even uncontended.
     fn read<T>(&self, read: impl FnOnce(&S) -> T) -> T {
         self.check_poisoned();
-        let result = self.snap.with_snap(|snap| read(snap.view()));
+        let result = read(self.snap_guard().view());
         self.metrics.snapshot_reads.inc();
         result
     }
 
     /// A read that can be long (range scan, batch lookup): holds an `Arc`
-    /// ([`ConcurrentMap::read_snapshot`]) rather than the cell's borrow
-    /// window, so a concurrent publisher never waits on the scan.
+    /// ([`ConcurrentMap::read_snapshot`]) rather than the read guard, so a
+    /// concurrent publish never waits on the scan.
     fn scan<T>(&self, read: impl FnOnce(&S) -> T) -> T {
         self.check_poisoned();
         read(self.read_snapshot().view())
     }
 
     /// The last published [`ReadSnapshot`]: contents plus the seq of the
-    /// round that produced them.  Lock-free; counts as a snapshot read
+    /// round that produced them.  Counts as a snapshot read
     /// in the metrics.  Unlike the
     /// read operations this does **not** check for poisoning — like
     /// [`ConcurrentMap::is_poisoned`] it is a supervisor-grade accessor
@@ -1165,7 +967,7 @@ where
     /// publishes).
     pub fn read_snapshot(&self) -> Arc<ReadSnapshot<S>> {
         self.metrics.snapshot_reads.inc();
-        self.snap.load()
+        Arc::clone(&self.snap_guard())
     }
 
     /// Seq of the last committed round — the published snapshot's seq,
@@ -1173,7 +975,7 @@ where
     /// [`ConcurrentMap::read_snapshot`] carries a seq `>=` this mark (the
     /// module docs' *Staleness contract*).
     pub fn committed_seq(&self) -> u64 {
-        self.snap.with_snap(|snap| snap.seq)
+        self.snap_guard().seq
     }
 
     /// Collects every pair of the last published snapshot (ascending, as
@@ -1190,7 +992,7 @@ where
     /// record the mark, and replay only log records with seq above it.
     pub fn snapshot_entries(&self) -> (Vec<K>, Vec<V>, u64) {
         self.check_poisoned();
-        let snap = self.snap.load();
+        let snap = Arc::clone(&self.snap_guard());
         let (keys, vals) = snap.view().collect_entries();
         (keys, vals, snap.seq())
     }
@@ -1224,103 +1026,85 @@ where
     }
 
     /// Consumes the front-end, returning the backing set (and shutting the
-    /// pool down).  Owning `self` proves no operation is in flight.
+    /// pool down).  Owning `self` proves no operation is in flight; a
+    /// poisoned front-end hands back its backend as the panic left it.
     pub fn into_inner(self) -> S {
-        self.set.into_inner()
+        let writer = self.writer.into_inner();
+        writer.unwrap_or_else(PoisonError::into_inner).set
     }
 
     /// Takes the combiner flag — the one way in for a write — waiting out
     /// the holder while it is taken (see the module docs' *Waiting*).  The
-    /// flag is released (and waiters woken) when the returned guard drops.
-    /// Panics if the front-end is poisoned, also when the poison comes
-    /// while it waits.
+    /// flag is released when the returned guard drops.  Panics if the
+    /// front-end is poisoned, also when the poison comes while it waits.
     fn hold(&self) -> CombinerGuard<'_, K, V, S, L> {
-        loop {
-            self.check_poisoned();
-            if self.lock_combiner() {
-                let held = CombinerGuard { set: self };
-                // Re-check *after* winning the flag: the pre-CAS check races
-                // a poisoning holder's release, and proceeding here would
-                // write to the half-mutated set.  The Acquire CAS pairs with
-                // the poisoner's Release unlock, which its poison store
-                // preceded, so this load cannot miss the poison.
-                self.check_poisoned();
-                return held;
-            }
-            self.wait_until(|| self.combiner_free() || self.poisoned.load(Ordering::Acquire));
-        }
+        self.check_poisoned();
+        let writer = self.lock_writer();
+        // Re-check *after* taking the lock: the holder this writer waited
+        // for may have poisoned the front-end.  The bare `MutexGuard`
+        // releases the lock as the panic unwinds without poisoning the
+        // front-end a second time.
+        self.check_poisoned();
+        CombinerGuard { map: self, writer }
     }
 
     /// A point write: takes the flag, applies the op to the backend's point
-    /// path and commits it as a round of one.
+    /// path and commits it as a round of one, then drops the version its
+    /// publish displaced.
     fn run_point_op(&self, kind: OpKind, key: &K, val: Option<&V>) -> bool {
-        let _held = self.hold();
-        // SAFETY: we hold the combiner flag — exclusive set access.
-        let set = unsafe { &mut *self.set.get() };
-        let result = match kind {
-            OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
-            OpKind::Remove => set.remove_one(key),
+        let (result, retired) = {
+            let mut held = self.hold();
+            let set = &mut held.writer.set;
+            let result = match kind {
+                OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
+                OpKind::Remove => set.remove_one(key),
+            };
+            let op = std::iter::once((kind, key, val, result));
+            (result, self.commit_round(&mut held.writer, 1, op))
         };
-        self.commit_round(1, std::iter::once((kind, key, val, result)), false);
+        self.drop_retired(retired);
         result
     }
 
     /// Commits the round of `len` ops the caller has just executed against
-    /// the backend — every round, of whatever origin, commits here.  Caller
-    /// must hold the combiner flag and must not have returned the round's
-    /// results yet.  The order is the contract: allocate the seq,
+    /// `writer`'s backend — every round, of whatever origin, commits here —
+    /// and returns the snapshot the publish displaced.  Caller must hold the
+    /// combiner flag and must not have returned the round's results yet.
+    /// The order is the contract: allocate the seq,
     /// **publish** the state as snapshot `seq` — publish-before-return is
     /// the whole read-your-writes guarantee — then hand the round to the
     /// **sink** (`ops`, the round's operations in linearisation order),
     /// because a returning caller may at once rely on its round being in
     /// the sink: on the write-ahead log, or in the log a replay takes.
     ///
-    /// A `pooled` round publishes into both slots of the cell and returns
-    /// what that displaced, for the caller to hand to the pool; any other
-    /// round publishes into one, and the snapshot it displaced waits in
-    /// `retired` for the [`CombinerGuard`].
-    ///
-    /// The seq and the counters are flag-holder-only — flag hand-off
-    /// (Release unlock / Acquire lock) orders successive holders — so seqs
-    /// are strictly increasing and gap-free in commit order, and the
-    /// single-writer plain-load+store advance is exact without atomic RMWs.
+    /// The seq and the counters are flag-holder-only, so seqs are strictly
+    /// increasing and gap-free in commit order, and the single-writer
+    /// plain-load+store advance is exact without atomic RMWs.
     fn commit_round<'a>(
         &self,
+        writer: &mut Writer<S, L>,
         len: u64,
         ops: impl Iterator<Item = CommittedOp<'a, K, V>>,
-        pooled: bool,
-    ) -> Option<[Arc<ReadSnapshot<S>>; 2]> {
+    ) -> Retired<S> {
         let start = self.obs.now();
-        // SAFETY: combiner flag held — exclusive access to `seq`, `set` (the
-        // round's own `&mut` borrow is dead by the time this runs),
-        // `retired` and `sink`.
-        let (seq, view, retired, sink) = unsafe {
-            let seq = &mut *self.seq.get();
-            *seq += 1;
-            let view = (*self.set.get()).clone();
-            (*seq, view, &mut *self.retired.get(), &mut *self.sink.get())
+        writer.seq += 1;
+        let snap = Arc::new(ReadSnapshot {
+            seq: writer.seq,
+            view: writer.set.clone(),
+        });
+        // Readers queue behind the write guard: hold it for the swap alone.
+        let mut slot = self.snap.write().unwrap_or_else(PoisonError::into_inner);
+        let displaced = mem::replace(&mut *slot, snap);
+        drop(slot);
+        let retired = Retired {
+            snap: displaced,
+            publish_ns: start.map(|start| start.elapsed().as_nanos() as u64),
         };
-        let snap = Arc::new(ReadSnapshot { seq, view });
-        let publish_ns = || start.map(|start| start.elapsed().as_nanos() as u64);
-        let displaced = if pooled {
-            let displaced = self.snap.publish_both(snap);
-            if let Some(ns) = publish_ns() {
-                self.metrics.publish_ns.record(ns);
-            }
-            Some(displaced)
-        } else {
-            let snap = self.snap.publish(snap);
-            *retired = Some(Retired {
-                snap,
-                publish_ns: publish_ns(),
-            });
-            None
-        };
-        sink.commit(seq, ops);
+        writer.sink.commit(writer.seq, ops);
         self.metrics.ops.add_single_writer(len);
         self.metrics.round_size.record(len);
         self.metrics.rounds.add_single_writer(1);
-        displaced
+        retired
     }
 
     /// Panics if a round panicked (see the struct docs' poisoning section).
@@ -1339,6 +1123,7 @@ mod tests {
     use super::*;
     use batchapi::MapView;
     use std::collections::BTreeSet;
+    use std::sync::atomic::AtomicUsize;
     use std::sync::{mpsc, Arc};
 
     /// A sequential reference backend over a sorted `Vec` of pairs,
@@ -1564,6 +1349,9 @@ mod tests {
         assert!(msg.contains("poisoned"), "{msg}");
         let len_call = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| set.len()));
         assert!(len_call.is_err());
+        // The lock the panic unwound through hands the backend back as the
+        // panic left it, rather than failing on the mutex's own poison.
+        assert_eq!(keys_of(set.into_inner()), vec![1]);
     }
 
     #[test]
@@ -1801,11 +1589,11 @@ mod tests {
         set.batch_insert(&keys);
         let pin = set.read_snapshot();
         let pinned = pin.seq();
-        // The front-end's version, the published one (in both slots) and
-        // the pin, plus the versions of the teardowns not yet run: at most
-        // one job queued since the last `install` took its turn, and one
-        // running per worker, each holding at most two versions.
-        let bound = 3 + 2 * (1 + THREADS);
+        // The front-end's version, the published one and the pin, plus the
+        // versions of the teardowns not yet run: at most one job queued
+        // since the last `install` took its turn, and one running per
+        // worker, each holding one version.
+        let bound = 3 + (1 + THREADS);
         for round in 0..1000 {
             let flags = if round % 2 == 0 {
                 set.batch_remove(&keys)
@@ -1819,17 +1607,7 @@ mod tests {
             assert_eq!(pin.view().len(), POOL_CUTOFF, "the pin's contents stay");
         }
         assert_eq!(set.metrics().counter("combine.pooled_rounds"), Some(1001));
-        // Both slots hold the last pooled round's snapshot; a point round
-        // publishes into one, so the previous version stays in the other.
-        let seq_in = |slot: usize| {
-            // SAFETY: no round is in flight, so no writer touches the slot.
-            unsafe { (&*set.snap.slots[slot].snap.get()).seq }
-        };
-        let last = set.committed_seq();
-        assert_eq!((seq_in(0), seq_in(1)), (last, last));
         assert!(set.insert(u64::MAX - 1));
-        let active = set.snap.active.load(Ordering::SeqCst);
-        assert_eq!((seq_in(active), seq_in(1 - active)), (last + 1, last));
         drop(pin);
         let backend = set.into_inner();
         assert_eq!(live.load(Ordering::SeqCst), 1, "only the backend is left");
@@ -1916,9 +1694,9 @@ mod tests {
 
     #[test]
     fn a_read_that_panics_releases_its_borrow() {
-        // Regression: the panicking read's borrow count stayed on its slot,
-        // so the second publish after it — the one that reuses that slot —
-        // waited for ever with the combiner flag held.
+        // A read that panics under the snapshot slot's read guard must
+        // release it: a guard left behind would keep every later publish
+        // waiting with the combiner flag held.
         let set = Arc::new(fresh());
         let reader = {
             let set = Arc::clone(&set);
@@ -2051,9 +1829,9 @@ mod tests {
         client.join()
     }
 
-    /// Holds a whole-batch round open over `{1, 2, 3, GATE}`: the flag is
-    /// `LONG`, so every writer started before the returned sender fires
-    /// parks at once.
+    /// Holds a whole-batch round open over `{1, 2, 3, GATE}`: the round is
+    /// marked long, so every writer started before the returned sender
+    /// fires blocks in `lock()` at once.
     fn hold_a_long_round(
         set: &Arc<Logged<Gated>>,
         entered: &mpsc::Receiver<()>,
@@ -2123,7 +1901,8 @@ mod tests {
             assert!(m.counter("combine.sleeps") >= Some(1));
             let waits = m.histogram("combine.wait_ns").unwrap();
             assert!(waits.count() >= 1, "the wait went untimed");
-            // Two rounds published, each timed once its retiree dropped.
+            // Two rounds published, each timed once what it displaced
+            // dropped.
             assert_eq!(m.histogram("combine.publish_ns").unwrap().count(), 2);
         }
     }

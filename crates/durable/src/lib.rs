@@ -37,8 +37,8 @@
 //!   measured: on the benchmark's two-client `point-write` it was not
 //!   faster beyond run-to-run spread — see ROADMAP item 1.)
 //! * **Read.**  Reads never touch the WAL: they are the front-end's
-//!   wait-free snapshot reads and take no lock, so they never queue behind
-//!   an append or an fsync.  They fail only on a wedged store (below).
+//!   snapshot reads and never take the combiner flag, so they never queue
+//!   behind an append or an fsync.  They fail only on a wedged store (below).
 //! * **Rotate.**  When the active segment reaches
 //!   [`DurableOptions::segment_bytes`], the append that finds it full first
 //!   fsyncs it, then starts the next segment.
@@ -127,6 +127,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod log;
 mod record;
@@ -567,9 +568,9 @@ where
         self.settle(self.inner.remove(key))
     }
 
-    /// Membership test: the front-end's wait-free snapshot read.  Reads
-    /// never touch the WAL (no lock, no append, no fsync); they fail only on
-    /// a wedged store.
+    /// Membership test: the front-end's snapshot read.  Reads never touch
+    /// the WAL (no combiner flag, no append, no fsync); they fail only on a
+    /// wedged store.
     pub fn contains(&self, key: &K) -> io::Result<bool> {
         self.read(|inner| inner.contains(key))
     }

@@ -55,6 +55,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod counter;
 mod hist;

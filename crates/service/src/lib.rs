@@ -101,6 +101,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 mod durable_tier;
 mod router;
@@ -441,7 +442,7 @@ where
         self.shard_of(key).remove(key)
     }
 
-    /// Whether `key` is present — a wait-free read of its shard's snapshot.
+    /// Whether `key` is present — a read of its shard's snapshot.
     pub fn contains(&self, key: &K) -> bool {
         self.shard_of(key).contains(key)
     }

@@ -11,6 +11,8 @@
 //! * [`mixed_op_batches`] / [`mixed_op_batches_zipf`] — sequences of mixed
 //!   read/write operation batches, the input shape of the batched-set API.
 
+#![forbid(unsafe_code)]
+
 use std::ops::Range;
 
 /// Fast 64-bit PRNG (Steele, Lea & Flood's SplitMix64).

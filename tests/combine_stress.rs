@@ -383,7 +383,7 @@ fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
     }
 }
 
-/// Staleness-contract replay for the wait-free snapshot read path.
+/// Staleness-contract replay for the snapshot read path.
 ///
 /// Clients write disjoint key spaces (default options plus the round log
 /// for the replay).  Three properties:
@@ -692,7 +692,7 @@ struct RangeRead {
     succ: Option<u64>,
 }
 
-/// Staleness-contract replay for the wait-free *ordered* reads
+/// Staleness-contract replay for the *ordered* snapshot reads
 /// (`range_keys` / `range_count` / `predecessor` / `successor` off the
 /// published snapshot), mirroring the point-read contract test above.
 ///
@@ -701,7 +701,7 @@ struct RangeRead {
 /// round log replays sequentially and every recorded read must equal the
 /// oracle state after exactly the rounds with seq `<=` the observed seq —
 /// i.e. every range a client ever saw *is* some committed round's range,
-/// never a half-applied or invented one.  The front-end's own wait-free
+/// never a half-applied or invented one.  The front-end's own snapshot
 /// wrappers are exercised in the same run and must never enter a round.
 #[test]
 fn snapshot_range_reads_replay_against_the_committed_rounds() {
@@ -730,7 +730,7 @@ fn snapshot_range_reads_replay_against_the_committed_rounds() {
                         } else {
                             set.remove(&key);
                         }
-                        // The wait-free wrappers must answer without a
+                        // The snapshot wrappers must answer without a
                         // round; their results are checked only for
                         // plausibility here (they may come from a newer
                         // snapshot than the one recorded below).

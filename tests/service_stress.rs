@@ -628,7 +628,7 @@ fn reads_fail_fast_with_the_tier_poison_when_a_shard_is_pre_poisoned() {
 }
 
 /// Staleness contract at the tier: clients write disjoint key spaces, and
-/// every wait-free read — the point path and the all-read batched path —
+/// every snapshot read — the point path and the all-read batched path —
 /// must observe the client's own acknowledged writes (the shard snapshot
 /// is published before the write is acknowledged, so a client can never
 /// read past its own last write going *backwards*).
