@@ -559,15 +559,30 @@ pub type ConcurrentSet<K, S, L = NoLog> = ConcurrentMap<K, (), S, L>;
 /// (fields drop after `Drop::drop`): a panic under the flag marks the
 /// front-end poisoned first, so the next holder observes the poison rather
 /// than running on a half-mutated store, and the long-round mark is
-/// cleared.
+/// cleared.  Only a panic that began under the flag poisons: a write made
+/// from a destructor while another panic unwinds completes, and leaves the
+/// front-end as healthy as std's `Mutex` would.
 struct CombinerGuard<'a, K, V, S, L> {
     map: &'a ConcurrentMap<K, V, S, L>,
     writer: MutexGuard<'a, Writer<S, L>>,
+    /// Whether the thread was already unwinding when it took the flag.
+    panicking: bool,
+}
+
+impl<'a, K, V, S, L> CombinerGuard<'a, K, V, S, L> {
+    fn new(map: &'a ConcurrentMap<K, V, S, L>, writer: MutexGuard<'a, Writer<S, L>>) -> Self {
+        let panicking = std::thread::panicking();
+        CombinerGuard {
+            map,
+            writer,
+            panicking,
+        }
+    }
 }
 
 impl<K, V, S, L> Drop for CombinerGuard<'_, K, V, S, L> {
     fn drop(&mut self) {
-        if std::thread::panicking() {
+        if std::thread::panicking() && !self.panicking {
             self.map.metrics.poisoned.inc();
             // Pairs with the `Acquire` loads of `is_poisoned` and
             // `check_poisoned`; the next holder also sees it through the
@@ -639,10 +654,7 @@ impl<K, V, S, L> ConcurrentMap<K, V, S, L> {
     /// front-end too — a poisoned round never reached the sink — and, like
     /// a round, a panic in `f` poisons the front-end.
     pub fn hold_sink<T>(&self, f: impl FnOnce(&mut L) -> T) -> T {
-        let mut held = CombinerGuard {
-            map: self,
-            writer: self.lock_writer(),
-        };
+        let mut held = CombinerGuard::new(self, self.lock_writer());
         f(&mut held.writer.sink)
     }
 
@@ -1045,7 +1057,7 @@ where
         // releases the lock as the panic unwinds without poisoning the
         // front-end a second time.
         self.check_poisoned();
-        CombinerGuard { map: self, writer }
+        CombinerGuard::new(self, writer)
     }
 
     /// A point write: takes the flag, applies the op to the backend's point
@@ -1352,6 +1364,31 @@ mod tests {
         // The lock the panic unwound through hands the backend back as the
         // panic left it, rather than failing on the mutex's own poison.
         assert_eq!(keys_of(set.into_inner()), vec![1]);
+    }
+
+    /// A write made by a destructor while an unrelated panic unwinds runs
+    /// to completion under the flag, and poisons nothing: the panic did not
+    /// start under the flag.
+    #[test]
+    fn a_write_during_an_unrelated_unwind_does_not_poison() {
+        struct InsertOnDrop<'a>(&'a Logged<VecSet>, &'a mut Option<bool>);
+        impl Drop for InsertOnDrop<'_> {
+            fn drop(&mut self) {
+                *self.1 = Some(self.0.insert(7));
+            }
+        }
+        let set = fresh();
+        let mut inserted = None;
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _insert = InsertOnDrop(&set, &mut inserted);
+            panic!("unrelated");
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(inserted, Some(true));
+        assert!(!set.is_poisoned());
+        assert_eq!(counter(&set, "combine.poisoned"), 0);
+        assert!(set.contains(&7));
+        assert!(set.insert(8));
     }
 
     #[test]

@@ -25,7 +25,7 @@ pub(crate) struct IstMetrics {
     /// removed) — untouched and lookup-only leaves don't count.
     pub(crate) leaves_edited: Counter,
     /// Subtrees rebuilt because their size drifted past the rebuild
-    /// threshold (or a leaf outgrew its capacity).
+    /// threshold (for a leaf, twice its capacity).
     pub(crate) rebuilds: Counter,
     /// Total keys in those rebuilt subtrees — the actual restructuring
     /// work, since a rebuild is linear in the keys it flattens.

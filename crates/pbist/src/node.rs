@@ -1,10 +1,10 @@
 //! Node representation and the key-interpolation trait.
 //!
 //! An IST node's fanout grows with the size of its subtree (the paper uses
-//! `Θ(√n)` children at the root of an `n`-key subtree, capped here at
-//! [`MAX_FANOUT`]).  Each inner node keeps the router keys separating its
-//! children plus the bounds of its key range, which is what the
-//! interpolation step needs.
+//! `Θ(√n)` children at the root of an `n`-key subtree; here capped at
+//! [`MAX_FANOUT`] only where the children are inner nodes).  Each inner
+//! node keeps the router keys separating its children plus the bounds of
+//! its key range, which is what the interpolation step needs.
 //!
 //! # What a snapshot shares, and at which granularity
 //!
@@ -19,18 +19,20 @@
 //!   subtrees each, every chunk behind its own `Arc`.  Copying the node
 //!   bumps one refcount per chunk; reaching the child being edited copies
 //!   one chunk (one refcount per child in it).  Per level that is `≈ 2·√f`
-//!   increments — 32 at the 256-child cap — where a flat `Vec` of `Arc`s
-//!   paid `f`, each on a different cache line, and paid them again as
-//!   decrements when the retired snapshot dropped.
+//!   increments — 32 at the 256-child cap, 64 at a 1 000-child node over
+//!   leaves — where a flat `Vec` of `Arc`s paid `f`, each on a different
+//!   cache line, and paid them again as decrements when the retired
+//!   snapshot dropped.
 //! * **Routers** are one `Arc<[K]>`: copying the node bumps one refcount
 //!   and copies no keys.  The array itself is copied only when a router
 //!   *changes* — never on insert (a key routed to child `i ≥ 1` is at or
 //!   above that child's minimum, which is the router), on remove only when
 //!   a child's minimum or a whole child goes.
-//! * **Leaves** are plain arrays (≤ [`LEAF_CAPACITY`] keys, no refcounts)
-//!   and are not cloned: a write builds the leaf's new run once, straight
-//!   from the shared one, into a new node, and a removal that finds none
-//!   of its keys leaves the leaf shared.
+//! * **Leaves** are plain arrays (≤ [`REBUILD_FACTOR`] ·
+//!   [`LEAF_CAPACITY`] keys, no refcounts) and are not cloned: a write
+//!   builds the leaf's new run once, straight from the shared one, into a
+//!   new node, and a removal that finds none of its keys leaves the leaf
+//!   shared.
 //!
 //! The chunking is physical only: the logical child array, the fanout
 //! formula, the depth, and interpolation over one flat router array are
@@ -64,20 +66,35 @@ macro_rules! impl_interpolate_for_ints {
 
 impl_interpolate_for_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 
-/// Keys per leaf before a subtree is given inner structure.
+/// Keys per leaf when a subtree is built: a run of at most this many keys
+/// is built as one leaf, and a node whose children are leaves takes the
+/// full `⌊√n⌋` of them (about 1 000 leaves of about 1 000 keys each at
+/// 10⁶ keys), uncapped by [`MAX_FANOUT`] — this constant already bounds its
+/// router array.
 ///
 /// Leaves are scanned with interpolation search over a contiguous array, so
 /// they can be sizeable; this also keeps the tree shallow for the batch
-/// recursion.
+/// recursion.  A leaf grows in place up to [`REBUILD_FACTOR`] times this
+/// before it is rebuilt into inner structure — the same drift an inner
+/// node is allowed — so a leaf built near capacity absorbs a batch without
+/// splitting at once.
 pub const LEAF_CAPACITY: usize = 1024;
 
-/// Maximum children of one inner node.  The ideal IST fanout is `Θ(√n)` —
-/// the cap only bounds worst-case router-array sizes (and with it the cost
-/// of the corrective binary search when an interpolation guess misses).
-/// 256 keeps a 100k-key tree at depth two (root plus leaves), which point
-/// descents feel directly; interpolation makes the wider router arrays
-/// nearly free to search.
+/// Maximum children of an inner node whose children are themselves inner
+/// nodes.  The ideal IST fanout is `Θ(√n)` — the cap only bounds
+/// worst-case router-array sizes (and with it the cost of the corrective
+/// binary search when an interpolation guess misses) above the bottom
+/// level, where `√n` would exceed [`LEAF_CAPACITY`]: from about 1.05·10⁶
+/// keys up the root takes 256 children.  A node over leaves is not capped;
+/// there the cap would only make the leaves smaller and more numerous.
 pub const MAX_FANOUT: usize = 256;
+
+/// A subtree is rebuilt when its size leaves
+/// `[built_len / REBUILD_FACTOR, built_len * REBUILD_FACTOR]`, and a leaf
+/// when it passes `REBUILD_FACTOR * LEAF_CAPACITY` keys.  Factor 2
+/// amortises each rebuild against at least `built_len / 2` updates, while
+/// keeping every node's fanout within a constant factor of `√len`.
+pub const REBUILD_FACTOR: usize = 2;
 
 /// A subtree: either a sorted leaf array or an inner routing node.
 ///

@@ -13,6 +13,7 @@ use crate::children::Children;
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
     interpolate_slot, InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY, MAX_FANOUT,
+    REBUILD_FACTOR,
 };
 use crate::{range, traverse, update};
 
@@ -356,39 +357,44 @@ pub(crate) fn child_index<K: InterpolateKey>(routers: &[K], min: &K, max: &K, ke
 }
 
 /// Interpolated probes [`leaf_search`] makes before it finishes by binary
-/// search.  Counted over every leaf of the four benchmark workloads' trees
-/// (uniform keys; 10⁵, 10⁶ and 2·10⁶ of them, bulk-built and grown by
-/// strided batches plus point churn), searching for every key between each
-/// leaf's bounds: 70–91 % of searches end within three probes, 99.6 % within
-/// five, none needed more than seven.  Twice that and a bit: a uniform leaf
-/// never falls back, and the loop stays a loop — at 8 or 10 the compiler
-/// unrolls it into as many copies of the probe, which cost `batch-small`
-/// `read_p50_us` 15 % end to end.
+/// search.  Counted over every leaf of the four benchmark workloads' shard
+/// trees (uniform keys; 10⁵, 10⁶ and 2·10⁶ of them over two shards, so
+/// leaves of about 224, 707 and 1 000 keys, bulk-built and grown by
+/// strided batches plus point or batch churn), searching for every key
+/// between each leaf's bounds: 62–77 % of searches end within three
+/// probes, 99.2–99.8 % within five, none needed more than eight.  Twice
+/// that: a uniform leaf never falls back, and the loop stays a loop — at 8
+/// or 10 the compiler unrolls it into as many copies of the probe, which
+/// cost `batch-small` `read_p50_us` 15 % end to end.
 const LEAF_PROBES: usize = 16;
 
-/// Interpolation search over one sorted leaf array, returning the index of
-/// `key` when present.
+/// Interpolation search over one sorted leaf array: `Ok` with the index of
+/// `key` when present, else `Err` with where it would go — what
+/// `binary_search` answers, so a lookup and a rank share it.
 ///
 /// Each probe interpolates within the remaining `[lo, hi)` window, which
 /// shrinks every iteration.  Where the guess keeps missing (one outlier
 /// stretches the range and every probe moves the window by a slot) the
 /// search stops guessing after [`LEAF_PROBES`] probes and binary searches
 /// what is left: `O(log len)` comparisons whatever the distribution.
-pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Option<usize> {
+pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Result<usize, usize> {
     let mut lo = 0;
     let mut hi = keys.len();
     for _ in 0..LEAF_PROBES {
         if lo == hi {
-            return None;
+            return Err(lo);
         }
         let slot = lo + interpolate_slot(key, &keys[lo], &keys[hi - 1], hi - lo);
         match keys[slot].cmp(key) {
-            std::cmp::Ordering::Equal => return Some(slot),
+            std::cmp::Ordering::Equal => return Ok(slot),
             std::cmp::Ordering::Less => lo = slot + 1,
             std::cmp::Ordering::Greater => hi = slot,
         }
     }
-    keys[lo..hi].binary_search(key).ok().map(|at| lo + at)
+    match keys[lo..hi].binary_search(key) {
+        Ok(at) => Ok(lo + at),
+        Err(at) => Err(lo + at),
+    }
 }
 
 /// Leaf-level membership answer (the set's lookup), given where the key
@@ -416,7 +422,7 @@ fn lookup_in<K: InterpolateKey, V, R>(
     loop {
         touch_node(m);
         match node {
-            Node::Leaf(leaf) => return answer(leaf, leaf_search(&leaf.keys, key)),
+            Node::Leaf(leaf) => return answer(leaf, leaf_search(&leaf.keys, key).ok()),
             Node::Inner(inner) => {
                 let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
                 node = inner.children.get(idx);
@@ -425,22 +431,22 @@ fn lookup_in<K: InterpolateKey, V, R>(
     }
 }
 
-/// The rank descent (keys strictly below `key`).
+/// The rank descent (keys strictly below `key`): chunk counts and one
+/// chunk's child sizes at each inner node, an interpolation search in the
+/// leaf.
 fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) -> usize {
     let mut node = root;
     let mut before = 0;
     loop {
         touch_node(m);
         match node {
-            Node::Leaf(leaf) => return before + leaf.keys.partition_point(|k| k < key),
+            Node::Leaf(leaf) => {
+                let (Ok(at) | Err(at)) = leaf_search(&leaf.keys, key);
+                return before + at;
+            }
             Node::Inner(inner) => {
                 let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
-                before += inner
-                    .children
-                    .iter()
-                    .take(idx)
-                    .map(|c| c.len())
-                    .sum::<usize>();
+                before += inner.children.keys_before(idx);
                 node = inner.children.get(idx);
             }
         }
@@ -463,8 +469,16 @@ where
             vals: vals.to_vec(),
         });
     }
-    // Ideal IST fanout is Θ(√n), capped to bound router-array sizes.
-    let fanout = ((keys.len() as f64).sqrt() as usize).clamp(2, MAX_FANOUT);
+    // Ideal IST fanout is Θ(√n).  While √n ≤ LEAF_CAPACITY the children
+    // are leaves and the node takes all √n of them (a few more at the very
+    // top of that range, so none passes LEAF_CAPACITY); above it the cap
+    // bounds router-array sizes.
+    let sqrt_n = (keys.len() as f64).sqrt() as usize;
+    let fanout = if sqrt_n <= LEAF_CAPACITY {
+        sqrt_n.max(keys.len().div_ceil(LEAF_CAPACITY))
+    } else {
+        MAX_FANOUT
+    };
     let chunk_len = keys.len().div_ceil(fanout);
     let chunks: Vec<(&[K], &[V])> = keys.chunks(chunk_len).zip(vals.chunks(chunk_len)).collect();
     let routers: Arc<[K]> = chunks[1..].iter().map(|(c, _)| c[0].clone()).collect();
@@ -493,9 +507,9 @@ fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
                     leaf.vals.len()
                 ));
             }
-            if leaf.keys.len() > LEAF_CAPACITY {
+            if leaf.keys.len() > REBUILD_FACTOR * LEAF_CAPACITY {
                 return Err(format!(
-                    "leaf holds {} keys, over capacity {LEAF_CAPACITY}",
+                    "leaf holds {} keys, over {REBUILD_FACTOR} × capacity {LEAF_CAPACITY}",
                     leaf.keys.len()
                 ));
             }
@@ -585,6 +599,59 @@ mod tests {
         assert_eq!(set.max(), Some(&3));
     }
 
+    /// Depth of a freshly built subtree, checking every inner node's
+    /// fanout on the way: `⌊√n⌋` children where they are leaves (a few more
+    /// where `n / ⌊√n⌋` would pass `LEAF_CAPACITY`), the cap where they are
+    /// inner nodes — and the cap binding only there, where `√n` is past
+    /// `LEAF_CAPACITY`.
+    fn built_depth(node: &Node<u64>) -> usize {
+        let Node::Inner(inner) = node else {
+            assert!(
+                node.len() <= LEAF_CAPACITY,
+                "a built leaf of {}",
+                node.len()
+            );
+            return 1;
+        };
+        let (n, fanout) = (inner.len, inner.children.len());
+        let over_leaves = inner.children.iter().all(|c| matches!(c, Node::Leaf(_)));
+        if over_leaves {
+            assert_eq!(fanout, n.isqrt().max(n.div_ceil(LEAF_CAPACITY)), "n = {n}");
+        } else {
+            assert!(
+                n.isqrt() > LEAF_CAPACITY,
+                "n = {n}: inner children under √n"
+            );
+            assert_eq!(fanout, MAX_FANOUT, "n = {n}");
+        }
+        let depths: Vec<usize> = inner.children.iter().map(built_depth).collect();
+        assert!(depths.iter().all(|&d| d == depths[0]), "n = {n}: uneven");
+        1 + depths[0]
+    }
+
+    /// The shape `build` gives the benchmark's shard sizes: a node over
+    /// leaves takes all `√n` children, so 10⁶ keys are 1 000 leaves of
+    /// 1 000 under one root; past `LEAF_CAPACITY²` keys the root is capped
+    /// at `MAX_FANOUT` and the level below is `√n` again.
+    #[test]
+    fn a_node_over_leaves_takes_root_n_children_and_the_cap_binds_above() {
+        // 1 023 · 1 025 keys: √n rounds to 1 023 children, which would hold
+        // 1 025 keys each — the one range where the fanout rises past √n.
+        for (n, depth, root_fanout) in [
+            (50_000, 2, 223),
+            (1_000_000, 2, 1_000),
+            (1_023 * 1_025, 2, 1_024),
+            (2_000_000, 3, MAX_FANOUT),
+        ] {
+            let set = IstSet::from_sorted((0..n as u64).map(|i| i * 2).collect());
+            let Some(Node::Inner(root)) = set.root.as_deref() else {
+                panic!("{n} keys built a leaf")
+            };
+            assert_eq!(root.children.len(), root_fanout, "n = {n}");
+            assert_eq!(built_depth(set.root.as_deref().unwrap()), depth, "n = {n}");
+        }
+    }
+
     #[test]
     fn large_tree_agrees_with_binary_search() {
         // Non-uniform gaps so interpolation guesses are frequently wrong.
@@ -638,18 +705,21 @@ mod tests {
 
     #[test]
     fn leaf_search_is_logarithmic_on_a_skewed_leaf() {
-        // A full leaf of dense keys and one outlier: every interpolated
-        // guess lands in the first slot, so guessing alone walks the leaf.
-        let mut keys: Vec<Counted> = (0..LEAF_CAPACITY as u64 - 1).map(Counted).collect();
-        keys.push(Counted(u64::MAX));
-        let budget = 2 * LEAF_CAPACITY.ilog2() as usize + LEAF_PROBES;
-        let probes = (0..=LEAF_CAPACITY as u64).chain([u64::MAX - 1, u64::MAX]);
-        for probe in probes.map(Counted) {
-            let expected = keys.binary_search(&probe).ok();
-            COMPARISONS.set(0);
-            assert_eq!(leaf_search(&keys, &probe), expected, "{probe:?}");
-            let spent = COMPARISONS.get();
-            assert!(spent <= budget, "{probe:?}: {spent} comparisons");
+        // A leaf of dense keys and one outlier, as built at capacity and as
+        // large as one grows before it is rebuilt: every interpolated guess
+        // lands in the first slot, so guessing alone walks the leaf.
+        for len in [LEAF_CAPACITY, REBUILD_FACTOR * LEAF_CAPACITY] {
+            let mut keys: Vec<Counted> = (0..len as u64 - 1).map(Counted).collect();
+            keys.push(Counted(u64::MAX));
+            let budget = 2 * len.ilog2() as usize + LEAF_PROBES;
+            let probes = (0..=len as u64).chain([u64::MAX - 1, u64::MAX]);
+            for probe in probes.map(Counted) {
+                let expected = keys.binary_search(&probe);
+                COMPARISONS.set(0);
+                assert_eq!(leaf_search(&keys, &probe), expected, "{len}: {probe:?}");
+                let spent = COMPARISONS.get();
+                assert!(spent <= budget, "{len}: {probe:?}: {spent} comparisons");
+            }
         }
     }
 
@@ -1150,7 +1220,10 @@ mod tests {
     #[test]
     fn one_trace_gives_one_answer_at_every_batch_width() {
         use std::collections::BTreeSet;
-        const RANGE: u64 = 2_048;
+        // Twice the most keys a leaf holds: the resident three quarters
+        // build a tree, and the second pass grows a leaf past that size.
+        const RANGE: u64 = (2 * REBUILD_FACTOR * LEAF_CAPACITY) as u64;
+        const STEPS: usize = 2 * RANGE as usize;
         // Runs of one kind; step `i` names key `i · 1103 mod RANGE`, so any
         // `RANGE` consecutive steps name distinct keys.  The first pass over
         // the keys leans 7 : 1 to removes — leaves empty, children go, the
@@ -1158,14 +1231,14 @@ mod tests {
         // as far to inserts, which overflow that leaf back into a tree.
         let mut rng = 0x5EED_0001u64;
         let mut trace: Vec<(bool, u64)> = Vec::new();
-        while trace.len() < 4_000 {
+        while trace.len() < STEPS {
             let z = splitmix(&mut rng);
             let run = [1, 1, 2, 3, 8, 9, 30, 700][(z >> 40) as usize % 8];
             let insert = (z & 7 == 0) != (trace.len() as u64 >= RANGE);
             let at = trace.len() as u64;
             trace.extend((at..at + run).map(|i| (insert, i * 1_103 % RANGE)));
         }
-        trace.truncate(4_000);
+        trace.truncate(STEPS);
 
         // Three keys in four resident: removes hit and miss, inserts too.
         let resident = || (0..RANGE).filter(|key| key % 4 != 0).collect::<Vec<u64>>();
@@ -1473,12 +1546,12 @@ mod tests {
     }
 
     /// The count gate: a point write under a live clone copies its path and
-    /// nothing wider.  10⁶ keys build a 256-child root over 62-child nodes
-    /// over 64-key leaves (depth 3), so a shared write copies three nodes;
-    /// with children in chunks of 16 (root) and 8 (below) that is
-    /// 1 + 16 refcounts for the root, 16 for its chunk, 1 + 8 for the node
-    /// below, 8 for its chunk: 50.  With flat child arrays (the parent of
-    /// this change) the same write bumped 256 + 62 = 318.
+    /// nothing wider.  10⁶ keys build a 1 000-child root over 1 000-key
+    /// leaves (depth 2), so a shared write copies two nodes: the root, and
+    /// the leaf, whose new run holds no refcounts.  With the root's
+    /// children in 32 chunks of 32 that is 1 + 32 refcounts for the root
+    /// (its routers and its chunks) and 32 for the chunk on the path: 65.
+    /// A flat child array would bump 1 000.
     #[test]
     fn shared_point_write_copies_chunks_not_the_fanout() {
         let mut set =
@@ -1497,15 +1570,15 @@ mod tests {
 
         let snapshot = set.clone();
         let (nodes, refs) = copied_by_insert(&mut set, 3);
-        assert_eq!(nodes, 3, "one copy per level");
-        assert!((1..=64).contains(&refs), "{refs} refcounts for one write");
+        assert_eq!(nodes, 2, "one copy per level");
+        assert_eq!(refs, 1 + 32 + 32, "refcounts for one write");
         // The path is now the live tree's own: the same leaf again is free.
         assert_eq!(copied_by_insert(&mut set, 5), (0, 0));
         // Another leaf, half the tree away, under the same clone: the root
-        // is already unshared, so only its chunk and the two levels below.
+        // is already unshared, so only its chunk and the leaf below.
         let (nodes, refs) = copied_by_insert(&mut set, 1_000_001);
-        assert_eq!(nodes, 2, "the root was copied by the first write");
-        assert!((1..=40).contains(&refs), "{refs} refcounts below the root");
+        assert_eq!(nodes, 1, "the root was copied by the first write");
+        assert_eq!(refs, 32, "refcounts below the root");
 
         assert!(!snapshot.contains(&3) && !snapshot.contains(&1_000_001));
         assert_eq!(snapshot.len(), 1_000_001);
@@ -1626,15 +1699,18 @@ mod tests {
             (2_000..2_400u64).map(|i| i * GAP).collect(),
         ));
         assert!(t.root_children().unwrap() < before, "no child was dropped");
-        // Overflow one leaf by point inserts, another by a batch.
+        // Overflow one leaf by point inserts, another by a batch: each
+        // leaf holds about 70 keys, so the most a leaf may hold more
+        // overflows it.
+        let most = (REBUILD_FACTOR * LEAF_CAPACITY) as u64;
         let rebuilds = t.map.metrics().rebuilds;
-        for j in 1..=1_100u64 {
+        for j in 1..=most {
             t.step(Edit::Upsert(3_000 * GAP + j));
         }
         assert!(t.map.metrics().rebuilds > rebuilds, "no point overflow");
         let rebuilds = t.map.metrics().rebuilds;
         t.step(Edit::BatchUpsert(
-            (0..1_500u64).map(|j| 4_000 * GAP + j * 3 + 1).collect(),
+            (0..most).map(|j| 4_000 * GAP + j * 3 + 1).collect(),
         ));
         assert!(t.map.metrics().rebuilds > rebuilds, "no batch overflow");
         // Drain to a handful of keys in one corner: children go, subtrees
@@ -1654,7 +1730,7 @@ mod tests {
         }
         assert!(t.map.root.is_none());
         t.step(Edit::Upsert(42));
-        t.step(Edit::BatchUpsert((0..2_000u64).collect()));
+        t.step(Edit::BatchUpsert((0..2 * most).collect()));
 
         assert!(t.map.metrics().cow_nodes > 0, "nothing was ever shared");
         for (at, (clone, then)) in t.held.iter().enumerate() {

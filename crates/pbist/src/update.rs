@@ -11,13 +11,18 @@
 //! first split at the child boundary nearest its middle and the halves run
 //! under `forkjoin::join`, each on its own [`Window`] of the child array.
 //! On the way back up every inner node brings its metadata up to date:
-//! `len` and `min`/`max` always, the router array — which snapshots share
-//! whole — only when a removal took a child or a child's minimum (an
-//! insert can move no router).  A subtree whose key count has drifted
-//! outside `[built_len / 2, built_len * 2]` since it was last built — or a
-//! leaf that outgrew [`LEAF_CAPACITY`] — is rebuilt from its sorted keys,
-//! restoring the ideal `Θ(√n)` fanout; removals that empty a subtree are
-//! pruned by the parent (single survivors are hoisted).
+//! `len`, `min`/`max` and its chunks' key counts always, the router array
+//! — which snapshots share whole — only when a removal took a child or a
+//! child's minimum (an insert can move no router).  A subtree whose key
+//! count has drifted outside `[built_len / 2, built_len * 2]` since it was
+//! last built — or a leaf grown past twice [`LEAF_CAPACITY`], the same
+//! drift from the largest leaf `build` makes — is rebuilt from its sorted
+//! keys, restoring the ideal `Θ(√n)` fanout; removals that empty a subtree
+//! are pruned by the parent (single survivors are hoisted).  The leaf's
+//! headroom is what lets a tree grown by uniform batches keep its leaves:
+//! between two rebuilds of their parent they grow about as much as it
+//! does — at most double — so leaves built with at most `LEAF_CAPACITY`
+//! keys do not split in between.
 //!
 //! The recursion holds every node by its `Arc` slot, so a leaf is built
 //! once.  A uniquely owned leaf given one key is edited in place.  Every
@@ -41,15 +46,9 @@ use std::sync::Arc;
 
 use crate::children::{cow, Window};
 use crate::metrics::{touch_cow, touch_leaf_edit, touch_node, touch_rebuild, MetricsRef};
-use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY};
+use crate::node::{InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY, REBUILD_FACTOR};
 use crate::traverse::{gallop, Routing, SEQ_BATCH_LEN};
 use crate::tree::build;
-
-/// A subtree is rebuilt when its size leaves
-/// `[built_len / REBUILD_FACTOR, built_len * REBUILD_FACTOR]`.  Factor 2
-/// amortises each rebuild against at least `built_len / 2` updates, while
-/// keeping every node's fanout within a constant factor of `√len`.
-const REBUILD_FACTOR: usize = 2;
 
 /// Subtrees at or below this many keys are flattened sequentially by
 /// [`collect_kv`]; above it, collection forks per child.
@@ -91,8 +90,10 @@ where
             unreachable!("not a leaf")
         };
         let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
+        let routing = Routing { routers, min, max };
+        let touched = routing.child(&batch[0])..=routing.child(&batch[batch.len() - 1]);
         let added = walk_runs(
-            &Routing { routers, min, max },
+            &routing,
             inner.children.window(),
             batch,
             0,
@@ -100,6 +101,7 @@ where
             m,
             &|_, child, run, flags| insert_into(child, &batch[run.clone()], &vals[run], flags, m),
         );
+        inner.children.recount(touched, added as isize);
         inner.len += added;
         // Routers cannot move: a key routed to child `i >= 1` is at or
         // above `routers[i - 1]`, that child's minimum.  Only the node's
@@ -149,8 +151,10 @@ where
         // just touched, instead of by a scan of every child.  `Relaxed`:
         // read after the (possibly forked) walk has joined.
         let stale = AtomicBool::new(false);
+        let routing = Routing { routers, min, max };
+        let touched = routing.child(&batch[0])..=routing.child(&batch[batch.len() - 1]);
         let removed = walk_runs(
-            &Routing { routers, min, max },
+            &routing,
             inner.children.window(),
             batch,
             0,
@@ -166,6 +170,7 @@ where
                 removed
             },
         );
+        inner.children.recount(touched, -(removed as isize));
         inner.len -= removed;
         if removed > 0 {
             refresh_after_removal(inner, stale.into_inner(), m);
@@ -337,15 +342,16 @@ fn refresh_after_removal<K: Ord + Clone, V: Clone>(
 }
 
 /// Rebuilds the subtree in `slot` from its sorted keys when its size has
-/// drifted past the rebuild threshold (or a leaf outgrew its capacity),
-/// restoring the ideal `Θ(√n)`-fanout shape.
+/// drifted past the rebuild threshold — for a leaf, past
+/// [`REBUILD_FACTOR`] times [`LEAF_CAPACITY`] — restoring the ideal
+/// `Θ(√n)`-fanout shape.
 fn maybe_rebuild<K, V>(slot: &mut Arc<Node<K, V>>, m: MetricsRef<'_>)
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
 {
     let drifted = match &**slot {
-        Node::Leaf(leaf) => leaf.keys.len() > LEAF_CAPACITY,
+        Node::Leaf(leaf) => leaf.keys.len() > REBUILD_FACTOR * LEAF_CAPACITY,
         Node::Inner(inner) => {
             inner.len > inner.built_len * REBUILD_FACTOR
                 || inner.len * REBUILD_FACTOR < inner.built_len
@@ -361,7 +367,7 @@ where
 /// Upserts a sorted run into the leaf in `slot`, flagging which keys were
 /// new; returns how many.  One key into a leaf the tree owns alone is
 /// inserted in place; anything else is merged into a new leaf by
-/// [`upsert_run`].  The leaf may exceed [`LEAF_CAPACITY`] afterwards —
+/// [`upsert_run`].  The leaf may exceed its largest size afterwards —
 /// [`maybe_rebuild`] gives it inner structure.
 fn insert_into_leaf<K: Ord + Clone, V: Clone>(
     slot: &mut Arc<Node<K, V>>,

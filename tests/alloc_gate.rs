@@ -106,9 +106,12 @@ fn point_operations_allocate_like_points() {
          point write under a live clone {shared}"
     );
     assert_eq!(contains, 0.0, "a point read allocates");
-    assert!(insert <= 1.0, "unshared insert_one: {insert} allocations");
+    // A built leaf's arrays are exactly full, so its first insert grows
+    // them; 10⁶ keys are 1 000 leaves, met about ten times each here.
+    assert!(insert <= 0.2, "unshared insert_one: {insert} allocations");
     assert!(remove <= 0.05, "unshared remove_one: {remove} allocations");
-    assert!(shared <= 8.0, "shared point write: {shared} allocations");
+    // The root (node, chunk vector, one chunk) and the leaf (node, keys).
+    assert!(shared <= 5.0, "shared point write: {shared} allocations");
 
     // Whole batches: a lookup outside a pool allocates its answer vector
     // and nothing per node; the upsert is reported for ROADMAP item 7 to
@@ -126,10 +129,10 @@ fn point_operations_allocate_like_points() {
         "batch_contains: {per_call} allocations per call"
     );
 
-    // The same shape under a live clone, as in every round of the stack: a
-    // key or two per leaf, so each leaf is copied, and built once — a node
-    // and its merged run, where a clone and then a merge or a grow made 3
-    // allocations — below the path copies of the inner nodes.
+    // The same shape under a live clone, as in every round of the stack:
+    // about 16 keys per 1 000-key leaf, so each leaf is copied, and built
+    // once — a node and its merged run, 2 allocations per leaf — below the
+    // path copy of the root.
     let fresh = Batch::from_unsorted((0..16_384u64).map(|i| i * 122 + 3).collect());
     let snapshot = set.clone();
     let shared_insert = allocations_per(fresh.len(), || drop(set.batch_insert(&fresh)));
@@ -144,7 +147,7 @@ fn point_operations_allocate_like_points() {
         fresh.len()
     );
     assert!(
-        shared_insert <= 2.5,
+        shared_insert <= 0.25,
         "shared batch_insert: {shared_insert} allocations per key"
     );
 }
