@@ -195,9 +195,17 @@
 //!
 //! Writes must be issued from threads *outside* the backing pool: a
 //! pool worker blocking as a client could leave the flag holder's own
-//! `install` without a worker to run on.  The service pattern — client
-//! threads in front, the pool as compute backend — satisfies this
-//! naturally.
+//! `install` without a worker to run on.  With two or more such writers
+//! parked on the flag, every worker of the pool could be parked while the
+//! holder's `install` waits for one of them — a deadlock.  So a write is
+//! never offered to the pool.  The service pattern — client threads in
+//! front, the pool as compute backend — satisfies this naturally.
+//!
+//! A *read* may run on a pool worker, this front-end's or another's:
+//! it takes no flag, so it never waits for a round (see *Reads*).  A
+//! sharded tier does exactly that, offering each shard's share of a batched
+//! lookup to the shard's own pool ([`ConcurrentMap::pool`],
+//! [`forkjoin::Pool::join`]).
 //!
 //! # Example
 //!
@@ -274,6 +282,11 @@ const POLLS_PER_CLOCK_READ: u32 = 32;
 /// The same line decides who frees the version a round displaces: a pooled
 /// round spawns its teardown on the pool, any other round's caller drops it
 /// after the flag's release (see the module docs' *Publication protocol*).
+///
+/// And it decides which reads a sharded tier offers: a batched lookup's
+/// share of at least this many keys for one shard is offered to that
+/// shard's pool to run beside the caller's own share, a smaller one runs on
+/// the caller, because below it the tree would not fork either.
 pub const POOL_CUTOFF: usize = 512;
 
 /// What a write does to the store.  Rounds carry writes
@@ -1035,6 +1048,14 @@ where
     /// handle.
     pub fn pool_metrics(&self) -> forkjoin::PoolMetrics {
         self.pool.metrics()
+    }
+
+    /// The backing fork-join pool, for a caller that wants this front-end's
+    /// *reads* to run on it — a sharded tier offers each shard's share of a
+    /// batched lookup to that shard's pool with [`Pool::join`].  Never run
+    /// a write on it (see the module docs' *Contract*).
+    pub fn pool(&self) -> &Pool {
+        &self.pool
     }
 
     /// Consumes the front-end, returning the backing set (and shutting the

@@ -168,14 +168,22 @@ where
         std::mem::replace(&mut *self.result.get(), JobResult::None)
     }
 
+    /// The outcome recorded by whoever executed the job, once its latch is
+    /// set: the value, or the panic payload kept inert so the caller can
+    /// choose when to unwind.
+    pub(crate) unsafe fn take_outcome(&self) -> std::thread::Result<R> {
+        match self.take_result() {
+            JobResult::None => unreachable!("latch set but no job result recorded"),
+            JobResult::Ok(r) => Ok(r),
+            JobResult::Panic(payload) => Err(payload),
+        }
+    }
+
     /// Extracts the result after the latch has been set by a thief,
     /// re-throwing the job's panic (if any) on the calling thread.
     pub(crate) unsafe fn extract_result(&self) -> R {
-        match self.take_result() {
-            JobResult::None => unreachable!("latch set but no job result recorded"),
-            JobResult::Ok(r) => r,
-            JobResult::Panic(payload) => panic::resume_unwind(payload),
-        }
+        self.take_outcome()
+            .unwrap_or_else(|payload| panic::resume_unwind(payload))
     }
 
     /// The type-erased execute function stored in the header.

@@ -14,14 +14,22 @@
 //!   a single CAS — `join`'s hot path never takes a lock (see the `deque`
 //!   module for the memory-ordering contract).  A mutexed FIFO injector
 //!   queue receives jobs submitted from outside the pool (via
-//!   [`Pool::install`]) and the fire-and-forget jobs of [`Pool::spawn`]; it
-//!   is touched once per submission, not once per `join`.
+//!   [`Pool::install`] and [`Pool::join`]) and the fire-and-forget jobs of
+//!   [`Pool::spawn`]; it is touched once per submission (twice for a
+//!   [`Pool::join`] whose offer is taken back), not once per `join`.
 //! * [`join(a, b)`](join) called **on a worker thread** pushes `b` onto the
 //!   local deque, runs `a` inline, and then either pops `b` back (if nobody
 //!   stole it) or helps with other work until the thief finishes `b`.
 //! * [`join`] called **outside any pool** simply runs `a` then `b`
 //!   sequentially, so library code written against this crate works in unit
 //!   tests and single-threaded contexts without ceremony.
+//! * [`Pool::join(a, b)`](Pool::join) is the fork for a thread **outside**
+//!   the pool: it pushes `b` onto the injector, runs `a` on the caller,
+//!   then takes `b` back out of the injector and runs it too if no worker
+//!   has started it — otherwise it waits for the worker already running
+//!   it.  The caller never waits for a worker to come free, which
+//!   [`Pool::install`] does.  On one of the pool's own workers it is plain
+//!   [`join`].
 //! * Idle workers sleep on a condvar; a fenced Dekker handshake between the
 //!   lock-free publish and the sleeper's registration guarantees a push is
 //!   never slept through (the `registry` module documents the protocol).

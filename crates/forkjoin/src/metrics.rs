@@ -85,6 +85,13 @@ pub struct PoolMetrics {
     /// from fork to both branches retired (pool-wide; single histogram
     /// because recording is a lock-free `fetch_add`).
     pub join_latency: HistSnapshot,
+    /// [`Pool::join`](crate::Pool::join) offers from outside the pool that
+    /// no worker had started when the caller's own half returned, so the
+    /// caller took them back and ran them itself.
+    pub offers_reclaimed: u64,
+    /// Such offers that a worker took, so they ran side by side with the
+    /// caller's half.
+    pub offers_taken: u64,
 }
 
 impl PoolMetrics {
@@ -102,6 +109,8 @@ pub(crate) struct RegistryMetrics {
     pub(crate) obs: obs::Obs,
     pub(crate) workers: Vec<WorkerMetrics>,
     pub(crate) join_latency: Histogram,
+    pub(crate) offers_reclaimed: Counter,
+    pub(crate) offers_taken: Counter,
 }
 
 impl RegistryMetrics {
@@ -110,6 +119,8 @@ impl RegistryMetrics {
             obs,
             workers: (0..num_threads).map(|_| WorkerMetrics::default()).collect(),
             join_latency: Histogram::new(),
+            offers_reclaimed: Counter::new(),
+            offers_taken: Counter::new(),
         }
     }
 
@@ -118,6 +129,8 @@ impl RegistryMetrics {
             enabled: self.obs.is_enabled(),
             workers: self.workers.iter().map(WorkerMetrics::snapshot).collect(),
             join_latency: self.join_latency.snapshot(),
+            offers_reclaimed: self.offers_reclaimed.get(),
+            offers_taken: self.offers_taken.get(),
         }
     }
 }

@@ -1,5 +1,6 @@
-//! Pool construction ([`PoolBuilder`]), the [`Pool::install`] entry point,
-//! and graceful shutdown.
+//! Pool construction ([`PoolBuilder`]), the entry points from outside the
+//! pool ([`Pool::install`], [`Pool::spawn`], [`Pool::join`]), and graceful
+//! shutdown.
 //!
 //! A [`Pool`] owns its worker threads: dropping the pool asks every worker to
 //! finish the jobs it can still see and exit, then joins the OS threads — so
@@ -9,6 +10,7 @@
 
 use std::fmt;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 
@@ -23,7 +25,9 @@ use crate::registry::{worker_main, Registry, WorkerThread};
 /// Construct one with [`Pool::new`] (just a thread count) or [`Pool::builder`]
 /// (thread naming, stack size).  Enter the pool with [`Pool::install`]; inside
 /// the installed closure, every [`join`](crate::join) call forks onto the
-/// pool's workers.  [`Pool::spawn`] hands it a job nobody waits for.
+/// pool's workers.  [`Pool::spawn`] hands it a job nobody waits for, and
+/// [`Pool::join`] offers it one half of a fork while the caller runs the
+/// other.
 pub struct Pool {
     registry: Arc<Registry>,
     handles: Vec<thread::JoinHandle<()>>,
@@ -82,15 +86,8 @@ impl Pool {
         // Already on one of our own workers?  Run inline: blocking this
         // worker on a latch while the job sits in the injector would
         // deadlock a one-worker pool (and waste a worker in any pool).
-        let worker = WorkerThread::current();
-        if !worker.is_null() {
-            // SAFETY: non-null worker pointers are valid for the thread's
-            // lifetime.
-            let same_pool =
-                unsafe { std::ptr::eq((*worker).registry(), Arc::as_ptr(&self.registry)) };
-            if same_pool {
-                return op();
-            }
+        if self.on_own_worker() {
+            return op();
         }
         let job = StackJob::new(op, LockLatch::new());
         // SAFETY: the job lives on this stack frame, and we block on its
@@ -119,6 +116,70 @@ impl Pool {
         F: FnOnce() + Send + 'static,
     {
         self.registry.inject(HeapJob::into_job_ref(job));
+    }
+
+    /// Runs `a` on the calling thread while offering `b` to this pool, and
+    /// returns both results: the work-first `join` of Cilk-5, called from
+    /// outside the pool.
+    ///
+    /// `b` goes onto the FIFO injector, where an idle worker can take it
+    /// while the caller runs `a`.  When `a` returns, the caller takes `b`
+    /// back if no worker has started it and runs it too; otherwise it
+    /// waits for the worker, which is already running `b`.  So the caller
+    /// never waits for a worker to come free: at worst, the two halves
+    /// cost what running them one after the other costs, plus one push
+    /// onto the injector and one removal from it.  With metrics on,
+    /// [`PoolMetrics::offers_reclaimed`] and [`PoolMetrics::offers_taken`]
+    /// count the two outcomes.
+    ///
+    /// Called on one of this pool's own workers it is plain
+    /// [`join`](crate::join).
+    ///
+    /// # Panics
+    ///
+    /// As [`join`](crate::join): a panic in either half propagates once
+    /// both halves have settled, and if both panic, `a`'s payload wins.
+    /// The pool stays usable.
+    pub fn join<A, B, RA, RB>(&self, a: A, b: B) -> (RA, RB)
+    where
+        A: FnOnce() -> RA + Send,
+        B: FnOnce() -> RB + Send,
+        RA: Send,
+        RB: Send,
+    {
+        if self.on_own_worker() {
+            return crate::join(a, b);
+        }
+        let job_b = StackJob::new(b, LockLatch::new());
+        // SAFETY: the job lives on this stack frame, and below it is either
+        // taken back out of the injector or waited for on its latch before
+        // this returns, so the published reference cannot dangle.
+        let job_b_ref = unsafe { job_b.as_job_ref() };
+        self.registry.inject(job_b_ref);
+        let result_a = panic::catch_unwind(AssertUnwindSafe(a));
+        let result_b = if self.registry.reclaim(job_b_ref) {
+            // SAFETY: taken back before any worker popped it, so nobody
+            // else can run it.
+            panic::catch_unwind(AssertUnwindSafe(|| unsafe { job_b.run_inline() }))
+        } else {
+            job_b.latch().wait();
+            // SAFETY: the latch has fired, so the worker has recorded an
+            // outcome and will never touch the job again.
+            unsafe { job_b.take_outcome() }
+        };
+        match (result_a, result_b) {
+            (Ok(ra), Ok(rb)) => (ra, rb),
+            (Err(payload), _) | (Ok(_), Err(payload)) => panic::resume_unwind(payload),
+        }
+    }
+
+    /// Whether the calling thread is one of this pool's workers.
+    fn on_own_worker(&self) -> bool {
+        let worker = WorkerThread::current();
+        // SAFETY: non-null worker pointers are valid for the thread's
+        // lifetime.
+        !worker.is_null()
+            && unsafe { std::ptr::eq((*worker).registry(), Arc::as_ptr(&self.registry)) }
     }
 }
 
@@ -268,6 +329,8 @@ mod tests {
     use super::*;
     use crate::metrics::WorkerMetricsSnapshot;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::mpsc;
+    use std::time::Duration;
 
     #[test]
     fn zero_threads_is_rejected() {
@@ -371,6 +434,160 @@ mod tests {
         // injector, so the one worker has run them all when it returns.
         pool.install(|| {});
         assert_eq!(tally.load(Ordering::Relaxed), 0xff);
+    }
+
+    /// A one-worker pool with metrics on, its worker parked inside a
+    /// spawned job until the returned sender sends or drops; returns once
+    /// the worker is in the job, so nothing offered meanwhile is taken.
+    fn parked_one_worker_pool() -> (Pool, mpsc::Sender<()>) {
+        let pool = Pool::builder()
+            .num_threads(1)
+            .metrics(true)
+            .build()
+            .unwrap();
+        let (release, parked) = mpsc::channel::<()>();
+        let (started, in_job) = mpsc::channel();
+        pool.spawn(move || {
+            started.send(()).unwrap();
+            let _ = parked.recv();
+        });
+        in_job.recv().unwrap();
+        (pool, release)
+    }
+
+    /// `pool.join(a, b)` forced down one path: when `taken`, `a` returns
+    /// only once a worker is running `b`, so the offer cannot come back;
+    /// otherwise nothing changes (park the pool to force a reclaim).
+    fn forced_join<RA: Send, RB: Send>(
+        pool: &Pool,
+        taken: bool,
+        a: impl FnOnce() -> RA + Send,
+        b: impl FnOnce() -> RB + Send,
+    ) -> (RA, RB) {
+        let (started, b_running) = mpsc::channel();
+        pool.join(
+            move || {
+                if taken {
+                    b_running
+                        .recv_timeout(Duration::from_secs(30))
+                        .expect("no worker took the offer");
+                }
+                a()
+            },
+            move || {
+                let _ = started.send(());
+                b()
+            },
+        )
+    }
+
+    fn thread_name() -> String {
+        thread::current().name().unwrap_or_default().to_string()
+    }
+
+    #[test]
+    fn an_offer_no_worker_started_is_taken_back_and_run_once() {
+        let (pool, release) = parked_one_worker_pool();
+        let runs = AtomicU64::new(0);
+        let (a, b) = forced_join(
+            &pool,
+            false,
+            || 6 * 7,
+            || {
+                runs.fetch_add(1, Ordering::Relaxed);
+                thread_name()
+            },
+        );
+        assert_eq!((a, b), (42, thread_name()), "b ran on the caller");
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let m = pool.metrics();
+        assert_eq!((m.offers_reclaimed, m.offers_taken), (1, 0));
+        drop(release);
+        assert_eq!(pool.install(|| 7), 7);
+    }
+
+    #[test]
+    fn an_offer_a_worker_started_runs_there_once() {
+        let pool = Pool::builder()
+            .num_threads(2)
+            .metrics(true)
+            .build()
+            .unwrap();
+        let runs = AtomicU64::new(0);
+        let (a, b) = forced_join(
+            &pool,
+            true,
+            || 6 * 7,
+            || {
+                runs.fetch_add(1, Ordering::Relaxed);
+                thread_name()
+            },
+        );
+        assert_eq!(a, 42);
+        assert!(b.starts_with("forkjoin-worker-"), "b ran on {b:?}");
+        assert_eq!(runs.load(Ordering::Relaxed), 1);
+        let m = pool.metrics();
+        assert_eq!((m.offers_reclaimed, m.offers_taken), (0, 1));
+        assert_eq!(m.totals().jobs_executed, 1);
+    }
+
+    #[test]
+    fn join_panics_settle_both_halves_and_a_wins() {
+        for taken in [false, true] {
+            let (pool, release) = parked_one_worker_pool();
+            if taken {
+                release.send(()).unwrap();
+            }
+            for (a_panics, b_panics, want) in [
+                (true, false, "a boom"),
+                (false, true, "b boom"),
+                (true, true, "a boom"),
+            ] {
+                let b_runs = AtomicU64::new(0);
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    forced_join(
+                        &pool,
+                        taken,
+                        || assert!(!a_panics, "a boom"),
+                        || {
+                            b_runs.fetch_add(1, Ordering::Relaxed);
+                            assert!(!b_panics, "b boom");
+                        },
+                    )
+                }));
+                let payload = caught.expect_err("the panic propagates");
+                let got = payload.downcast_ref::<&str>().copied();
+                let ctx = format!("taken={taken} a={a_panics} b={b_panics}");
+                assert_eq!(got, Some(want), "{ctx}");
+                assert_eq!(b_runs.load(Ordering::Relaxed), 1, "b settles once: {ctx}");
+            }
+            drop(release);
+            assert_eq!(pool.install(|| 7), 7, "the pool stays usable");
+            let m = pool.metrics();
+            let want = if taken { (0, 3) } else { (3, 0) };
+            assert_eq!((m.offers_reclaimed, m.offers_taken), want);
+        }
+    }
+
+    #[test]
+    fn join_on_a_worker_of_this_pool_or_another() {
+        // On its own one worker it is plain `join`, so it cannot wait for
+        // itself.
+        let pool = Pool::builder()
+            .num_threads(1)
+            .metrics(true)
+            .build()
+            .unwrap();
+        assert_eq!(pool.install(|| pool.join(|| 1, || 2)), (1, 2));
+        let m = pool.metrics();
+        assert_eq!((m.offers_reclaimed, m.offers_taken), (0, 0));
+        // From another pool's worker it offers across.
+        let other = Pool::new(1).unwrap();
+        let (a, b) = other.install(|| pool.join(thread_name, || crate::join(|| 20, || 22)));
+        assert_eq!(a, "forkjoin-worker-0");
+        assert_eq!(b, (20, 22));
+        let m = pool.metrics();
+        assert_eq!(m.offers_reclaimed + m.offers_taken, 1);
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! CAS on the deque's `top` index.
 //!
 //! A global injector queue receives jobs submitted from outside the pool
-//! via [`Pool::install`](crate::Pool::install) and is drained FIFO.  The
-//! injector stays a `Mutex<VecDeque>` deliberately: *pushes* happen once
-//! per `install` (per whole batch of work), never per `join`, and keeping
-//! it mutexed preserves strict FIFO fairness for external callers.  Note
+//! via [`Pool::install`](crate::Pool::install) and
+//! [`Pool::join`](crate::Pool::join) and is drained FIFO.  The injector
+//! stays a `Mutex<VecDeque>` deliberately: *pushes* happen once per
+//! `install` or outside `join` (per whole batch of work), never per
+//! worker `join`, and keeping it mutexed preserves strict FIFO fairness for
+//! external callers and lets an outside `join` take its offer back from
+//! anywhere in the queue.  Note
 //! that workers with nothing to pop do probe it — `steal_work` checks the
 //! injector first on every steal attempt, so an idle-heavy pool takes that
 //! lock per attempt; what the Chase-Lev swap removes is the lock on the
@@ -52,12 +55,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 
 use crate::deque::{Deque, Steal};
-use crate::job::{JobRef, JobResult, PanicPayload, StackJob};
+use crate::job::{JobRef, StackJob};
 use crate::latch::SpinLatch;
 use crate::metrics::{PoolMetrics, RegistryMetrics};
 
 /// The FIFO queue for jobs injected from outside the pool.  Mutexed on
-/// purpose — see the module docs.
+/// purpose — see the module docs — which is also what lets a caller take
+/// an offered job back out of the middle ([`Injector::remove`]).
 #[derive(Default)]
 struct Injector {
     jobs: Mutex<VecDeque<JobRef>>,
@@ -70,6 +74,15 @@ impl Injector {
 
     fn pop(&self) -> Option<JobRef> {
         self.jobs.lock().unwrap().pop_front()
+    }
+
+    /// Takes `job` back out of the queue if no worker has popped it yet.
+    /// A job is found by its address; the one searched for was pushed
+    /// last by its caller, so the search runs from the back.
+    fn remove(&self, job: JobRef) -> bool {
+        let mut jobs = self.jobs.lock().unwrap();
+        let at = jobs.iter().rposition(|&queued| queued == job);
+        at.and_then(|at| jobs.remove(at)).is_some()
     }
 
     fn is_empty(&self) -> bool {
@@ -126,6 +139,21 @@ impl Registry {
     pub(crate) fn inject(&self, job: JobRef) {
         self.injector.push(job);
         self.notify_work();
+    }
+
+    /// Takes an offered job back from the injector: `true` if no worker had
+    /// popped it, so the caller runs it; `false` if one has, so the caller
+    /// waits for its latch ([`Pool::join`](crate::Pool::join)).  Counts
+    /// the offer as reclaimed or taken when metrics are on.
+    pub(crate) fn reclaim(&self, job: JobRef) -> bool {
+        let reclaimed = self.injector.remove(job);
+        let m = &self.metrics;
+        m.obs.hit(if reclaimed {
+            &m.offers_reclaimed
+        } else {
+            &m.offers_taken
+        });
+        reclaimed
     }
 
     /// Asks all workers to exit once they run out of work.
@@ -293,13 +321,6 @@ pub(crate) fn worker_main(registry: Arc<Registry>, index: usize) {
     WORKER_THREAD.with(|cell| cell.set(ptr::null()));
 }
 
-/// The outcome of one branch of a `join`, kept inert (no unwinding) until
-/// both branches have settled.
-enum BranchResult<R> {
-    Ok(R),
-    Panic(PanicPayload),
-}
-
 /// The worker-thread implementation of [`join`](crate::join).
 ///
 /// Pushes `b` onto the local deque (making it stealable), runs `a` inline,
@@ -336,39 +357,33 @@ where
     metrics.obs.record_since(&metrics.join_latency, start);
 
     match (result_a, result_b) {
-        (Ok(ra), BranchResult::Ok(rb)) => (ra, rb),
-        (Err(payload), _) => panic::resume_unwind(payload),
-        (Ok(_), BranchResult::Panic(payload)) => panic::resume_unwind(payload),
+        (Ok(ra), Ok(rb)) => (ra, rb),
+        (Err(payload), _) | (Ok(_), Err(payload)) => panic::resume_unwind(payload),
     }
 }
 
 /// Retires the forked branch `job`: runs it inline if nobody stole it,
-/// otherwise executes other work until the thief reports completion.
+/// otherwise executes other work until the thief reports completion.  The
+/// outcome is kept inert (no unwinding) so that the caller unwinds only
+/// once both branches have settled.
 unsafe fn wait_for_job<F, R>(
     worker: &WorkerThread,
     job: &StackJob<SpinLatch, F, R>,
     job_ref: JobRef,
-) -> BranchResult<R>
+) -> thread::Result<R>
 where
     F: FnOnce() -> R + Send,
     R: Send,
 {
     loop {
         if job.latch().probe() {
-            return match job.take_result() {
-                JobResult::Ok(value) => BranchResult::Ok(value),
-                JobResult::Panic(payload) => BranchResult::Panic(payload),
-                JobResult::None => unreachable!("latch set but no result recorded"),
-            };
+            return job.take_outcome();
         }
         match worker.pop() {
             Some(popped) if popped == job_ref => {
                 // Fast path: nobody stole it, run it on our own stack.  The
                 // panic is contained so the caller can sequence unwinding.
-                return match panic::catch_unwind(AssertUnwindSafe(|| job.run_inline())) {
-                    Ok(value) => BranchResult::Ok(value),
-                    Err(payload) => BranchResult::Panic(payload),
-                };
+                return panic::catch_unwind(AssertUnwindSafe(|| job.run_inline()));
             }
             // A job forked more recently than ours (LIFO order): execute it;
             // `JobRef::execute` contains panics in the job's result slot.

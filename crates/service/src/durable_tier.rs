@@ -167,7 +167,7 @@ where
     where
         S: 'static,
     {
-        self.run_batch(batch, DurableMap::batch_insert)
+        self.run_batch(batch, false, DurableMap::batch_insert)
     }
 
     /// Batched remove; see [`Tier::batch_insert`].
@@ -175,17 +175,17 @@ where
     where
         S: 'static,
     {
-        self.run_batch(batch, DurableMap::batch_remove)
+        self.run_batch(batch, false, DurableMap::batch_remove)
     }
 
     /// Batched membership (fails on a wedged shard).
     pub fn batch_contains(&self, batch: &Batch<K>) -> io::Result<Vec<bool>> {
-        self.run_batch(batch, DurableMap::batch_contains)
+        self.run_batch(batch, true, DurableMap::batch_contains)
     }
 
     /// Batched value lookup (fails on a wedged shard).
     pub fn batch_get(&self, batch: &Batch<K>) -> io::Result<Vec<Option<V>>> {
-        self.run_batch(batch, DurableMap::batch_get)
+        self.run_batch(batch, true, DurableMap::batch_get)
     }
 
     /// Forces every shard's log onto disk; returns the per-shard durable
@@ -407,6 +407,39 @@ mod tests {
             vec![true, true, false]
         );
         tier.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A batched read runs its shards side by side, so with two wedged
+    /// shards both may fail; the lowest one is named, its kind kept, as a
+    /// write would name it.
+    #[test]
+    fn a_read_over_two_wedged_shards_names_the_lowest() {
+        let dir = scratch_dir("wedge2");
+        let tier = open(&dir, 3, DurableOptions::default());
+        // ≈ 1 666 keys a shard: every share past the first is offered.
+        let batch = Batch::from_unsorted((0..10_000u64).step_by(2).collect());
+        tier.batch_insert(&batch).unwrap();
+        for shard in [1, 2] {
+            std::fs::remove_dir_all(dir.join(format!("shard-{shard:04}-of-0003"))).unwrap();
+            assert!(
+                tier.shard(shard).snapshot().is_err(),
+                "shard {shard} wedged"
+            );
+        }
+        let errs = [
+            tier.batch_contains(&batch).map(|_| ()).unwrap_err(),
+            tier.batch_get(&batch).map(|_| ()).unwrap_err(),
+            tier.batch_insert(&batch).map(|_| ()).unwrap_err(),
+        ];
+        for err in errs {
+            assert!(err.to_string().starts_with("shard 1: "), "{err}");
+            assert!(err.to_string().contains("wedged"), "{err}");
+            assert_eq!(err.kind(), io::ErrorKind::Other);
+        }
+        let low = Batch::from_unsorted((0..3_000u64).collect());
+        assert_eq!(tier.batch_contains(&low).unwrap().len(), 3_000);
+        assert!(tier.close().is_err());
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

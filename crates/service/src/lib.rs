@@ -20,10 +20,18 @@
 //!   contiguous per-shard sub-batches ([`ShardRouter::split`] — a handful of
 //!   narrowing binary searches whose offsets are the exclusive scan of
 //!   per-shard counts, the carve `pbist`'s joint traversal performs at every
-//!   inner node), run every non-empty sub-batch on its shard, in shard order
-//!   on the caller's thread, and stitch the per-shard results back into batch
-//!   order by concatenating the runs.  A shard's front-end runs a sub-batch of
-//!   at least [`combine::POOL_CUTOFF`] keys in its own pool.
+//!   inner node), run every non-empty sub-batch on its shard, and stitch the
+//!   per-shard results back into batch order by concatenating the runs.  A
+//!   **write** runs its sub-batches in shard order on the caller's thread,
+//!   and a shard's front-end runs one of at least [`combine::POOL_CUTOFF`]
+//!   keys in its own pool.  A **read** runs its shards side by side: the
+//!   caller reads the first non-empty sub-batch while each later one of at
+//!   least [`combine::POOL_CUTOFF`] keys is offered to its own shard's pool
+//!   ([`forkjoin::Pool::join`]); the caller takes an offer back and reads it
+//!   itself if no worker has started it, so a read never waits for a worker
+//!   to come free.  Writes are never offered: a pool worker must not wait
+//!   on a combiner flag (`combine`'s
+//!   [contract](combine#contract)).
 //!
 //! # Routing and consistency contract
 //!
@@ -71,7 +79,12 @@
 //! and its kind kept: shards below `i` committed their sub-batches; shard `i`
 //! either refused its sub-batch before running it (`InvalidInput`, too large
 //! for one WAL record, and stays usable) or ran it in memory and is now
-//! wedged; shards above `i` were not called.
+//! wedged; shards above `i` were not called.  A batched read runs its shards
+//! side by side, so when several fail it returns the lowest one's error, and
+//! shards above a failing one may have run — which, for a read, has no
+//! effect.  A backend panic inside a read reaches the caller once every
+//! shard's share has settled, whichever thread ran it; a read enters no
+//! round, so, as in `combine`, it poisons nothing.
 //!
 //! # Example
 //!
@@ -122,7 +135,7 @@ use obs::{Counter, Histogram, Registry, Snapshot};
 /// [`ConcurrentMap`] front-end (which the tier-wide reads and the health
 /// probe go through), its metrics, and its error type.  The operations
 /// themselves are called on the concrete shard type by the tier's methods.
-pub trait Shard {
+pub trait Shard: Sync {
     /// The key type.
     type Key: Ord + Clone + Send + Sync + 'static;
     /// The value type (`()` for a set).
@@ -132,7 +145,7 @@ pub trait Shard {
     /// Where the front-end's committed rounds go.
     type Sink: CommitSink<Self::Key, Self::Val>;
     /// What the shard's operations fail with.
-    type Error;
+    type Error: Send;
 
     /// The shard's in-memory front-end.
     fn front(&self) -> &ConcurrentMap<Self::Key, Self::Val, Self::Backend, Self::Sink>;
@@ -370,32 +383,52 @@ where
     }
 
     /// The one batch executor: splits `batch` across shards, runs `op` on
-    /// every non-empty sub-batch in shard order (stopping at the first error,
-    /// which names its shard), and stitches the per-shard results back into
-    /// batch order.
-    fn run_batch<B: Clone, T: Clone>(
+    /// every non-empty sub-batch, and stitches the per-shard results back
+    /// into batch order.  A shard's error names its shard.
+    ///
+    /// A write runs its sub-batches in shard order on the caller and stops
+    /// at the first error: a write is never offered to a pool (`combine`'s
+    /// *Contract*).  A `read` runs them side by side ([`read_shards`]) and,
+    /// if several shards fail, returns the lowest one's error.
+    fn run_batch<B, T>(
         &self,
         batch: &KvBatch<K, B>,
-        op: impl Fn(&Sh, &KvBatch<K, B>) -> Result<Vec<T>, Sh::Error>,
-    ) -> Result<Vec<T>, Sh::Error> {
+        read: bool,
+        op: impl Fn(&Sh, &KvBatch<K, B>) -> Result<Vec<T>, Sh::Error> + Sync,
+    ) -> Result<Vec<T>, Sh::Error>
+    where
+        B: Clone + Sync,
+        T: Clone + Send,
+    {
         self.check_poisoned();
         if batch.is_empty() {
             return Ok(Vec::new());
         }
         let split = self.router.split(batch);
         self.batches_split.inc();
-        let mut runs = Vec::with_capacity(self.shards.len());
-        for (index, sub) in split.sub_batches().iter().enumerate() {
-            runs.push(if sub.is_empty() {
+        let subs = split.sub_batches();
+        for sub in subs {
+            if sub.is_empty() {
                 self.empty_subbatches.inc();
-                Vec::new()
             } else {
                 self.subbatch_size.record(sub.len() as u64);
-                op(&self.shards[index], sub).map_err(|err| Sh::in_shard(err, index))?
-            });
+            }
         }
+        let shards = &self.shards[..];
+        let run = |index: usize| {
+            let sub = &subs[index];
+            if sub.is_empty() {
+                return Ok(Vec::new());
+            }
+            op(&shards[index], sub).map_err(|err| Sh::in_shard(err, index))
+        };
+        let runs: Result<Vec<_>, _> = if read {
+            read_shards(shards, subs, &run).into_iter().collect()
+        } else {
+            (0..subs.len()).map(run).collect()
+        };
         let mut out = Vec::with_capacity(batch.len());
-        split.stitch(&runs, &mut out);
+        split.stitch(&runs?, &mut out);
         Ok(out)
     }
 
@@ -421,7 +454,7 @@ where
 {
     /// Builds a tier from a router and its shards (one front-end per router
     /// shard, index-aligned).  `_pool` is dropped unused: sub-batches run on
-    /// the caller and each shard pools its own; the parameter goes at the
+    /// the caller and on the shards' own pools; the parameter goes at the
     /// benchmark's next revision.
     ///
     /// # Panics
@@ -458,7 +491,7 @@ where
     where
         S: 'static,
     {
-        ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_insert(sub))))
+        ok(self.run_batch(batch, false, |shard, sub| Ok(shard.batch_insert(sub))))
     }
 
     /// Removes every batch key; `result[i]` is `true` iff `batch[i]` was
@@ -467,18 +500,18 @@ where
     where
         S: 'static,
     {
-        ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_remove(sub))))
+        ok(self.run_batch(batch, false, |shard, sub| Ok(shard.batch_remove(sub))))
     }
 
     /// One membership answer per batch key, each a per-shard linearisation
     /// point (no cross-shard snapshot).
     pub fn batch_contains(&self, batch: &Batch<K>) -> Vec<bool> {
-        ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_contains(sub))))
+        ok(self.run_batch(batch, true, |shard, sub| Ok(shard.batch_contains(sub))))
     }
 
     /// One value lookup per batch key, read like [`Tier::batch_contains`].
     pub fn batch_get(&self, batch: &Batch<K>) -> Vec<Option<V>> {
-        ok(self.run_batch(batch, |shard, sub| Ok(shard.batch_get(sub))))
+        ok(self.run_batch(batch, true, |shard, sub| Ok(shard.batch_get(sub))))
     }
 }
 
@@ -494,6 +527,34 @@ where
     pub fn insert(&self, key: K) -> bool {
         self.upsert(key, ())
     }
+}
+
+/// `run(i)` for every shard `i` of `subs`, side by side: the caller runs
+/// the first non-empty sub-batch, and each later one of at least
+/// [`combine::POOL_CUTOFF`] keys is offered to its own shard's pool with
+/// [`Pool::join`] — an idle worker of that pool reads it while the caller
+/// reads the others, and the caller takes it back if no worker has started
+/// it.  A smaller one runs on the caller.  So a read never waits for a
+/// worker to come free.
+fn read_shards<Sh: Shard, B: Sync, T: Send>(
+    shards: &[Sh],
+    subs: &[KvBatch<Sh::Key, B>],
+    run: &(impl Fn(usize) -> T + Sync),
+) -> Vec<T> {
+    let Some((last, below)) = subs.split_last() else {
+        return Vec::new();
+    };
+    let index = below.len();
+    let offered = last.len() >= combine::POOL_CUTOFF && below.iter().any(|sub| !sub.is_empty());
+    let (mut runs, this) = if offered {
+        let pool = shards[index].front().pool();
+        pool.join(|| read_shards(shards, below, run), || run(index))
+    } else {
+        let this = run(index);
+        (read_shards(shards, below, run), this)
+    };
+    runs.push(this);
+    runs
 }
 
 /// The value of a result that cannot fail.
@@ -571,6 +632,73 @@ mod tests {
                     "shard {shard} committed no rounds ({n} keys)"
                 );
             }
+        }
+    }
+
+    /// Batched reads on 1–4 shards — sub-batches empty, under
+    /// `combine::POOL_CUTOFF` and over it, the first non-empty one not
+    /// always shard 0 — equal a `BTreeMap`, for the set and the map, and
+    /// every later over-cut-off share is offered to its shard's pool.
+    #[test]
+    fn batched_reads_run_side_by_side_and_equal_the_oracle() {
+        use pbist::IstMap;
+        use std::collections::BTreeMap;
+        let pool = || {
+            Pool::builder()
+                .num_threads(1)
+                .metrics(true)
+                .build()
+                .unwrap()
+        };
+        let oracle: BTreeMap<u64, u64> = (0..10_000).step_by(3).map(|k| (k, k * 7)).collect();
+        // Over the cut-off at the bottom and the top, three keys in the
+        // middle: at 4 shards shard 1 is empty and shard 2 under the cut.
+        let spread = (0..600).chain([5_100, 5_200, 5_300]).chain(9_300..10_000);
+        let probes = [
+            spread.collect::<Vec<u64>>(),
+            (9_300..10_000).chain([5_100]).collect(),
+        ];
+        for num_shards in 1..=4 {
+            let router = RangeRouter::new(num_shards, 0u64, 9_999);
+            let entries = KvBatch::from_unsorted_entries(oracle.clone().into_iter().collect());
+            let split = router.split(&entries);
+            let subs = split.sub_batches().iter();
+            let maps = subs
+                .clone()
+                .map(|sub| ConcurrentMap::new(IstMap::from_batch(sub), pool()));
+            let map = Tier::new(router.clone(), maps.collect(), pool());
+            let sets =
+                subs.map(|sub| ConcurrentSet::new(IstSet::from_unsorted(sub.to_vec()), pool()));
+            let set = ShardedSet::new(router.clone(), sets.collect(), pool());
+            let mut offers = 0;
+            for probe in &probes {
+                let batch = Batch::from_unsorted(probe.clone());
+                let want: Vec<Option<u64>> = batch.iter().map(|k| oracle.get(k).copied()).collect();
+                let ctx = format!("{num_shards} shards, {} keys", batch.len());
+                assert_eq!(map.batch_get(&batch), want, "{ctx}");
+                let present: Vec<bool> = want.iter().map(Option::is_some).collect();
+                assert_eq!(map.batch_contains(&batch), present, "{ctx}");
+                assert_eq!(set.batch_contains(&batch), present, "{ctx}");
+                assert_eq!(
+                    set.batch_get(&batch),
+                    present.iter().map(|&p| p.then_some(())).collect::<Vec<_>>(),
+                    "{ctx}"
+                );
+                // Offered: each over-cut-off share after the first
+                // non-empty one, on each of the four calls.
+                let split = router.split(&batch);
+                let mut shares = split.sub_batches().iter().map(|sub| sub.len());
+                shares.find(|&len| len > 0);
+                offers += 4 * shares.filter(|&len| len >= combine::POOL_CUTOFF).count() as u64;
+            }
+            let counted: u64 = (0..num_shards)
+                .map(|i| {
+                    let (m, s) = (map.shard(i).pool_metrics(), set.shard(i).pool_metrics());
+                    m.offers_reclaimed + m.offers_taken + s.offers_reclaimed + s.offers_taken
+                })
+                .sum();
+            assert_eq!(counted, offers, "{num_shards} shards");
+            assert_eq!(offers > 0, num_shards > 1, "{num_shards} shards");
         }
     }
 

@@ -10,8 +10,8 @@
 //! sampled seq must hold at least that many ops, or some round was
 //! acknowledged before it was published.
 //!
-//! Also here: [`BombSet`], the backend whose batched insert panics on
-//! demand, for the suites' poisoning cases.
+//! Also here: [`BombSet`], the backend whose batched insert and batched
+//! lookup panic on demand, for the suites' poisoning cases.
 
 #![allow(dead_code)] // each suite uses its own subset
 
@@ -24,7 +24,8 @@ use pbist_repro::combine::{OpKind, Round};
 use pbist_repro::workloads;
 
 /// A backend that panics when asked to insert `u64::MAX` — the mid-round
-/// backend failure the poisoning contract is about.
+/// backend failure the poisoning contract is about — and when a batched
+/// lookup asks for [`READ_BOMB`], a failure no round sees.
 #[derive(Clone)]
 pub struct BombSet {
     inner: SortedArraySet<u64>,
@@ -38,9 +39,19 @@ impl BombSet {
     }
 }
 
+/// The key a [`BombSet`]'s `batch_contains` panics on.
+pub const READ_BOMB: u64 = u64::MAX - 1;
+
 impl MapView<u64> for BombSet {
     fn len(&self) -> usize {
         self.inner.len()
+    }
+    fn batch_contains(&self, batch: &Batch<u64>) -> Vec<bool> {
+        assert!(
+            !batch.as_slice().contains(&READ_BOMB),
+            "BombSet: backend blew up mid-read"
+        );
+        self.inner.batch_contains(batch)
     }
     fn get(&self, key: &u64) -> Option<()> {
         self.inner.get(key)

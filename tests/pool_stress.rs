@@ -285,6 +285,89 @@ fn spawns_interleaved_with_installs_each_run_exactly_once() {
     }
 }
 
+/// `Pool::join` from four outside threads at once — every third one
+/// nested inside the caller's half of another, so one caller has two
+/// offers out — interleaved with installs and spawns, and the pool dropped
+/// as soon as the last client returns.  Both halves of every join and
+/// every spawned job must run exactly once, each offer must be counted
+/// once as reclaimed or taken, and nothing may hang.
+#[test]
+fn outside_joins_mixed_with_installs_and_spawns_each_run_exactly_once() {
+    const CLIENTS: usize = 4;
+    const CALLS: usize = 300;
+    // Per call: the outer join's two halves, the nested join's two (every
+    // third call), the spawned job.
+    const SLOTS: usize = 5;
+    for &threads in POOL_SIZES {
+        let pool = Pool::builder()
+            .num_threads(threads)
+            .metrics(true)
+            .build()
+            .map(Arc::new)
+            .unwrap();
+        let runs: Arc<Vec<AtomicUsize>> = Arc::new(
+            (0..CLIENTS * CALLS * SLOTS)
+                .map(|_| AtomicUsize::new(0))
+                .collect(),
+        );
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|client| {
+                let (pool, runs) = (Arc::clone(&pool), Arc::clone(&runs));
+                thread::spawn(move || {
+                    for i in 0..CALLS {
+                        let slot = (client * CALLS + i) * SLOTS;
+                        let run = |at: usize, depth: usize| {
+                            runs[slot + at].fetch_add(1, Ordering::Relaxed);
+                            nested_chain(depth)
+                        };
+                        let a = || {
+                            if i % 3 == 0 {
+                                let (x, y) = pool.join(|| run(2, 8), || run(3, 24));
+                                run(0, 0) + x + y
+                            } else {
+                                run(0, 16)
+                            }
+                        };
+                        let (x, y) = pool.join(a, || run(1, 1 + i % 40));
+                        assert_eq!(
+                            (x, y),
+                            (if i % 3 == 0 { 35 } else { 17 }, 2 + i as u64 % 40)
+                        );
+                        if i % 4 == 0 {
+                            assert_eq!(pool.install(|| nested_chain(32)), 33);
+                        }
+                        let runs = Arc::clone(&runs);
+                        pool.spawn(move || {
+                            runs[slot + 4].fetch_add(1, Ordering::Relaxed);
+                        });
+                    }
+                })
+            })
+            .collect();
+        for client in clients {
+            client.join().unwrap();
+        }
+        let pool = Arc::into_inner(pool).expect("every client has let go");
+        let offers = (CLIENTS * CALLS) as u64 + (CLIENTS * CALLS.div_ceil(3)) as u64;
+        let m = pool.metrics();
+        assert_eq!(
+            m.offers_reclaimed + m.offers_taken,
+            offers,
+            "threads={threads}"
+        );
+        drop(pool);
+        for (slot, count) in runs.iter().enumerate() {
+            let (call, at) = (slot / SLOTS % CALLS, slot % SLOTS);
+            let want = usize::from(call % 3 == 0 || !matches!(at, 2 | 3));
+            let count = count.load(Ordering::Relaxed);
+            assert_eq!(
+                count, want,
+                "threads={threads}: slot {slot} ran {count} times"
+            );
+        }
+    }
+}
+
 #[test]
 fn rapid_build_use_drop_cycles() {
     // Each cycle ends with workers mid-sleep or mid-steal; `terminate` must

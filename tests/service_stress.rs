@@ -43,7 +43,7 @@ use std::sync::Arc;
 use std::thread;
 
 mod common;
-use common::{write_kind, Answer, BombSet, History, Read};
+use common::{write_kind, Answer, BombSet, History, Read, READ_BOMB};
 
 use pbist_repro::{
     batchapi::{Batch, KvBatch, MapView},
@@ -115,7 +115,8 @@ type Seens<V> = Vec<Vec<Seen<V>>>;
 type Call<'a> = (OpKind, &'a [u64], u64);
 
 /// Drives point traces and batch scripts concurrently through a logged
-/// tier seeded with `initial`, then runs the five checks above.
+/// tier seeded with `initial`, then runs the five checks above.  Returns
+/// how many read shares the tier offered to its shard pools.
 fn drive_and_verify_sharded<V: Val>(
     ctx: &str,
     router: RangeRouter<u64>,
@@ -123,7 +124,7 @@ fn drive_and_verify_sharded<V: Val>(
     initial: &[u64],
     traces: &[ClientTrace],
     scripts: &[BatchScript],
-) {
+) -> u64 {
     let ctx = &format!("{ctx}, V = {}", std::any::type_name::<V>());
     let num_shards = router.num_shards();
     let mut per_shard_initial: Vec<BTreeMap<u64, V>> = vec![BTreeMap::new(); num_shards];
@@ -135,7 +136,11 @@ fn drive_and_verify_sharded<V: Val>(
         .map(|entries| {
             ConcurrentMap::with_sink(
                 IstMap::from_sorted_entries(entries.clone().into_iter().collect()),
-                Pool::new(shard_pool_threads).unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
+                Pool::builder()
+                    .num_threads(shard_pool_threads)
+                    .metrics(true)
+                    .build()
+                    .unwrap_or_else(|e| panic!("{ctx}: shard pool: {e}")),
                 Options::default(),
                 RoundLog::default(),
             )
@@ -340,6 +345,13 @@ fn drive_and_verify_sharded<V: Val>(
         panic!("{ctx}: client/log multiset mismatch at {entry:?} (excess {count})");
     }
 
+    let offers = (0..num_shards)
+        .map(|shard| {
+            let m = set.shard(shard).pool_metrics();
+            m.offers_reclaimed + m.offers_taken
+        })
+        .sum();
+
     // Check 4: per-shard final contents match the per-shard oracles, so
     // the union of shard contents is the union of the oracles.
     assert!(!set.is_poisoned(), "{ctx}: tier poisoned by healthy run");
@@ -353,6 +365,7 @@ fn drive_and_verify_sharded<V: Val>(
             "{ctx}: shard {shard} final contents differ from its oracle"
         );
     }
+    offers
 }
 
 /// Uniform point + batch traffic across shard counts 1–8 over a range
@@ -434,7 +447,8 @@ fn zipf_hot_key_traffic_linearizes_across_shards() {
 
 /// Everything forced through every shard's pool with a single worker: the
 /// large script's batches carry at least `POOL_CUTOFF` keys *per shard*, so
-/// every sub-batch runs in its shard's 1-worker pool (the 32-key script
+/// every write sub-batch runs in its shard's 1-worker pool and every read
+/// offers shards 1–3 their shares, beside the writes (the 32-key script
 /// beside them keeps the inline arm in the mix).  The configuration where
 /// any blocking bug between the caller's loop and the shard combiners
 /// becomes a deadlock instead of a slowdown.
@@ -454,7 +468,14 @@ fn one_worker_pools_with_forced_parallel_splits() {
         );
     }
     let ctx = format!("seed {seed}, {shards} shards, 1-worker pools, pooled sub-batches");
-    drive_and_verify_sharded::<()>(&ctx, router, 1, &initial, &traces, &scripts);
+    let offers = drive_and_verify_sharded::<()>(&ctx, router, 1, &initial, &traces, &scripts);
+    // Each large read offers shards 1–3 their shares, beside the writes.
+    let large_reads = scripts[1]
+        .iter()
+        .filter(|(kind, _)| *kind == OpKind::Contains);
+    let large_reads = large_reads.count() as u64;
+    assert!(large_reads > 0, "{ctx}: the large script reads");
+    assert_eq!(offers, 3 * large_reads, "{ctx}: offered read shares");
 }
 
 // ---------------------------------------------------------------------
@@ -467,7 +488,10 @@ fn bomb_tier() -> ShardedSet<u64, BombSet, RangeRouter<u64>> {
     ShardedSet::new(
         RangeRouter::new(4, 0, 8_000),
         (0..4)
-            .map(|_| ConcurrentSet::new(BombSet::new(), Pool::new(1).unwrap()))
+            .map(|_| {
+                let pool = Pool::builder().num_threads(1).metrics(true).build();
+                ConcurrentSet::new(BombSet::new(), pool.unwrap())
+            })
             .collect(),
         Pool::new(2).unwrap(),
     )
@@ -713,13 +737,59 @@ fn batch_containing_bomb_key_poisons_tier() {
             "tier must be poisoned after a bomb batch ({} keys)",
             bomb.len()
         );
-        let follow_up = catch_unwind(AssertUnwindSafe(|| set.batch_contains(&healthy)));
-        assert!(
-            follow_up.is_err(),
-            "post-poison batches must fail fast ({} keys)",
-            bomb.len()
-        );
+        // A few keys, and ≈ 1 000 a shard: shares the read would offer.
+        let wide = Batch::from_unsorted((0..8_000).step_by(2).collect());
+        for follow_up in [&healthy, &wide] {
+            let unwound = catch_unwind(AssertUnwindSafe(|| set.batch_contains(follow_up)));
+            let msg = panic_message(unwound.expect_err("post-poison reads fail fast"));
+            assert!(
+                msg.starts_with("tier is poisoned"),
+                "{} keys after a {}-key bomb: {msg:?}",
+                follow_up.len(),
+                bomb.len()
+            );
+        }
     }
+}
+
+/// The message of a caught panic.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// A backend panic inside a read's offered share reaches the tier's
+/// caller, whichever thread ran the share, once both halves have settled.
+/// A read takes no flag and enters no round, so — as in `combine` — its
+/// panic poisons nothing: the shard pools keep serving offered reads, and
+/// writes go on.
+#[test]
+fn a_panic_in_an_offered_read_reaches_its_caller_and_poisons_nothing() {
+    let set = bomb_tier();
+    // 600 keys on shard 0 (the caller's share) and 601 on shard 3, the
+    // offered share, with the read bomb among them.
+    let keys = || (0..600).chain(6_100..6_700);
+    let bomb = Batch::from_unsorted(keys().chain([READ_BOMB]).collect());
+    let healthy = Batch::from_unsorted(keys().collect());
+    assert_eq!(set.batch_insert(&healthy), vec![true; 1_200]);
+    for round in 0..20 {
+        let unwound = catch_unwind(AssertUnwindSafe(|| set.batch_contains(&bomb)));
+        let msg = panic_message(unwound.expect_err("the read bomb goes off"));
+        assert!(msg.contains("blew up mid-read"), "round {round}: {msg:?}");
+        assert!(!set.is_poisoned(), "round {round}: a read poisons nothing");
+        assert_eq!(set.batch_contains(&healthy), vec![true; 1_200]);
+    }
+    assert!(set.insert(7_999) && set.contains(&7_999));
+    let offers: u64 = (0..4)
+        .map(|i| {
+            let m = set.shard(i).pool_metrics();
+            m.offers_reclaimed + m.offers_taken
+        })
+        .sum();
+    assert_eq!(offers, 40, "every read offered shard 3's share");
 }
 
 /// Pins `ShardedSet::len`'s documented consistency bracket (the satellite
