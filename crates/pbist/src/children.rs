@@ -76,10 +76,9 @@ fn keys_under<K, V>(children: &[Arc<Node<K, V>>]) -> usize {
 
 /// Unshares `node` from any snapshot still holding it and returns it
 /// mutably — how the update path copies an inner node (a shared leaf is
-/// not copied but replaced by its new run).  A copy is
+/// not cloned but replaced by a new node over its base).  A copy is
 /// counted in `cow_nodes`, and the refcount increments it performs (an inner
-/// node's router array and one per chunk; a leaf's arrays hold none) in
-/// `cow_refs`.
+/// node's router array and one per chunk) in `cow_refs`.
 pub(crate) fn cow<'a, K: Clone, V: Clone>(
     node: &'a mut Arc<Node<K, V>>,
     m: MetricsRef<'_>,

@@ -15,7 +15,9 @@
 //!
 //! * [`node`] — the node representation and the key-interpolation trait
 //!   ([`node::InterpolateKey`]).  Nodes are generic over a per-key value
-//!   (`V = ()` for the set), so the set and the map are one structure.
+//!   (`V = ()` for the set), so the set and the map are one structure.  A
+//!   leaf is a sorted base shared with snapshots plus a small sorted delta
+//!   of edits ([`node::LeafNode`]); every reader reads their merged view.
 //! * [`children`] — [`children::Children`], an inner node's child array as
 //!   a two-level copy-on-write vector, the counted copy-on-write helper,
 //!   and the mutable windows the update walk splits to fork: what makes a
@@ -30,11 +32,11 @@
 //!   each leaf, fork by splitting a large sub-batch in half.
 //! * `update` (internal) — batched insert/remove, one recursion for every
 //!   batch size (a point write is a batch of one): the lookups' run walk,
-//!   forking over disjoint windows of a node's children; each touched leaf
-//!   built once, by a galloping copy-merge from the old run (a uniquely
-//!   owned leaf given one key is edited in place); router/`min`/`max`/`len`
-//!   updates propagated, and any subtree whose size drifts past the rebuild
-//!   threshold rebuilt.
+//!   forking over disjoint windows of a node's children; a run that fits
+//!   a leaf's delta writes only the delta (in place when the tree owns the
+//!   leaf alone), a longer one folds base, delta and run into a new base by
+//!   a galloping copy-merge; router/`min`/`max`/`len` updates propagated,
+//!   and any subtree whose size drifts past the rebuild threshold rebuilt.
 //! * `range` (internal) — ordered queries: the descend-once range carve
 //!   (binary searches only in the two boundary leaves, interior subtrees
 //!   concatenated wholesale) and the `k`-th-smallest selection descent.

@@ -35,10 +35,16 @@ pub(crate) struct IstMetrics {
     pub(crate) cow_nodes: Counter,
     /// `Arc` refcount increments those copies performed: one per chunk and
     /// one for the router array when an inner node is copied, one per child
-    /// when a chunk is.  Each is a write to another allocation's cache line
-    /// (and a decrement later, when the snapshot retires), which is what
-    /// makes a copy cost more than its bytes.
+    /// when a chunk is, one for the base when a leaf is.  Each is a write
+    /// to another allocation's cache line (and a decrement later, when the
+    /// snapshot retires), which is what makes a copy cost more than its
+    /// bytes.
     pub(crate) cow_refs: Counter,
+    /// Keys written into new leaf arrays: a delta copied with its edits
+    /// (at most `DELTA_CAPACITY` entries), or a base folded from base and
+    /// edits (the leaf's whole merged view).  In-place edits of a leaf's
+    /// own delta write no new array and count nothing.
+    pub(crate) cow_keys: Counter,
 }
 
 impl IstMetrics {
@@ -50,6 +56,7 @@ impl IstMetrics {
             rebuild_keys: self.rebuild_keys.get(),
             cow_nodes: self.cow_nodes.get(),
             cow_refs: self.cow_refs.get(),
+            cow_keys: self.cow_keys.get(),
         }
     }
 }
@@ -73,6 +80,8 @@ pub struct IstMetricsSnapshot {
     /// Refcount increments performed by those copies (and by the chunk
     /// copies beside them).
     pub cow_refs: u64,
+    /// Keys written into new leaf arrays by delta copies and folds.
+    pub cow_keys: u64,
 }
 
 impl IstMetricsSnapshot {
@@ -86,6 +95,7 @@ impl IstMetricsSnapshot {
             rebuild_keys: self.rebuild_keys.saturating_sub(earlier.rebuild_keys),
             cow_nodes: self.cow_nodes.saturating_sub(earlier.cow_nodes),
             cow_refs: self.cow_refs.saturating_sub(earlier.cow_refs),
+            cow_keys: self.cow_keys.saturating_sub(earlier.cow_keys),
         }
     }
 }
@@ -138,5 +148,13 @@ pub(crate) fn touch_cow(m: MetricsRef<'_>, nodes: u64, refs: usize) {
     if let Some(m) = m {
         m.cow_nodes.add(nodes);
         m.cow_refs.add(refs as u64);
+    }
+}
+
+/// Counts `keys` keys written into a new leaf array.
+#[inline]
+pub(crate) fn touch_cow_keys(m: MetricsRef<'_>, keys: usize) {
+    if let Some(m) = m {
+        m.cow_keys.add(keys as u64);
     }
 }

@@ -28,11 +28,16 @@
 //!   *changes* — never on insert (a key routed to child `i ≥ 1` is at or
 //!   above that child's minimum, which is the router), on remove only when
 //!   a child's minimum or a whole child goes.
-//! * **Leaves** are plain arrays (≤ [`REBUILD_FACTOR`] ·
-//!   [`LEAF_CAPACITY`] keys, no refcounts) and are not cloned: a write
-//!   builds the leaf's new run once, straight from the shared one, into a
-//!   new node, and a removal that finds none of its keys leaves the leaf
-//!   shared.
+//! * **Leaves** are a shared sorted base plus a small delta
+//!   ([`LeafNode`]): the base is one `Arc<[(K, V)]>`, copying the leaf
+//!   bumps its one refcount, and the delta holds at most
+//!   [`DELTA_CAPACITY`] = `√`[`LEAF_CAPACITY`] = 32 edits — new keys,
+//!   value overrides of base keys, tombstones of base keys.  A write under
+//!   a snapshot copies the leaf node and its delta, never the ≈ 1 000-key
+//!   base; only a run longer than the delta, or one that could push it
+//!   past its capacity, folds base and edits into a new base.  A removal
+//!   that finds none of its keys, and a set's upsert of keys already
+//!   present, leave the leaf shared.
 //!
 //! The chunking is physical only: the logical child array, the fanout
 //! formula, the depth, and interpolation over one flat router array are
@@ -41,6 +46,7 @@
 use std::sync::Arc;
 
 use crate::children::Children;
+use crate::traverse::gallop;
 
 /// Maps a key to a position on the real line so a node can interpolate.
 ///
@@ -80,6 +86,13 @@ impl_interpolate_for_ints!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
 /// splitting at once.
 pub const LEAF_CAPACITY: usize = 1024;
 
+/// Most edits a leaf's delta holds, `√`[`LEAF_CAPACITY`]: a write under a
+/// snapshot copies at most this many entries, and a run that could push
+/// the delta past it folds base and edits into a new base — so the base's
+/// `O(L)` copy is paid at most once per `√L` edits to a leaf.  The
+/// Bε-tree's buffer at a leaf (Brodal & Fagerberg, SODA 2003).
+pub const DELTA_CAPACITY: usize = LEAF_CAPACITY.isqrt();
+
 /// Maximum children of an inner node whose children are themselves inner
 /// nodes.  The ideal IST fanout is `Θ(√n)` — the cap only bounds
 /// worst-case router-array sizes (and with it the cost of the corrective
@@ -96,16 +109,16 @@ pub const MAX_FANOUT: usize = 256;
 /// keeping every node's fanout within a constant factor of `√len`.
 pub const REBUILD_FACTOR: usize = 2;
 
-/// A subtree: either a sorted leaf array or an inner routing node.
+/// A subtree: either a leaf or an inner routing node.
 ///
-/// The value parameter `V` defaults to `()` — the set case, where the
-/// per-key value array is a zero-sized no-op the compiler erases.  The map
-/// ([`crate::IstMap`]) instantiates the same structure with real values:
-/// leaves carry one value per key (parallel arrays), inner nodes route
-/// exactly as for the set.
+/// The value parameter `V` defaults to `()` — the set case, where a leaf's
+/// `(K, ())` pairs are laid out as bare keys.  The map ([`crate::IstMap`])
+/// instantiates the same structure with real values: leaves carry each
+/// key's value beside it, inner nodes route exactly as for the set.
 #[derive(Debug, Clone)]
 pub enum Node<K, V = ()> {
-    /// A sorted, deduplicated run of keys (with their values).
+    /// A sorted, deduplicated run of keys (with their values), as a
+    /// shared base and a delta.
     Leaf(LeafNode<K, V>),
     /// A routing node over `children.len()` subtrees.
     Inner(InnerNode<K, V>),
@@ -115,7 +128,7 @@ impl<K, V> Node<K, V> {
     /// Number of keys stored in this subtree.
     pub fn len(&self) -> usize {
         match self {
-            Node::Leaf(leaf) => leaf.keys.len(),
+            Node::Leaf(leaf) => leaf.len,
             Node::Inner(inner) => inner.len,
         }
     }
@@ -124,7 +137,9 @@ impl<K, V> Node<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+}
 
+impl<K: Ord, V> Node<K, V> {
     /// Smallest key in this subtree.
     ///
     /// # Panics
@@ -133,7 +148,7 @@ impl<K, V> Node<K, V> {
     /// a batched removal, before the parent prunes them.
     pub fn min_key(&self) -> &K {
         match self {
-            Node::Leaf(leaf) => &leaf.keys[0],
+            Node::Leaf(leaf) => leaf.first(),
             Node::Inner(inner) => &inner.min,
         }
     }
@@ -145,20 +160,245 @@ impl<K, V> Node<K, V> {
     /// Panics on an empty leaf (see [`Node::min_key`]).
     pub fn max_key(&self) -> &K {
         match self {
-            Node::Leaf(leaf) => &leaf.keys[leaf.keys.len() - 1],
+            Node::Leaf(leaf) => leaf.last(),
             Node::Inner(inner) => &inner.max,
         }
     }
 }
 
-/// A leaf: a sorted, deduplicated array of keys, with a parallel array of
-/// values (`vals[i]` belongs to `keys[i]`; a zero-sized `Vec<()>` for sets).
+/// A leaf's base: its pairs, in one allocation shared by every copy of the
+/// leaf.
+pub(crate) type Base<K, V> = Arc<[(K, V)]>;
+
+/// A leaf: a sorted base shared with snapshots, and a sorted delta of
+/// edits over it that belongs to this node alone.
+///
+/// The leaf's contents — its *merged view* — are the base with the delta
+/// applied: every reader (point and batched lookups, `rank`, `kth`, range
+/// carving, flattening, `min`/`max`) reads that view.  An empty delta
+/// allocates nothing, so a leaf as `build` makes it is one node over one
+/// base allocation, the depth of dependent loads a flat array has.
 #[derive(Debug, Clone)]
 pub struct LeafNode<K, V = ()> {
-    /// The keys, strictly increasing.
-    pub keys: Vec<K>,
-    /// The values, index-parallel to `keys` (`vals.len() == keys.len()`).
-    pub vals: Vec<V>,
+    /// The base pairs, keys strictly increasing: one allocation, shared by
+    /// every copy of the leaf until a fold replaces it.
+    pub(crate) base: Base<K, V>,
+    /// Edits over the base, keys strictly increasing, at most
+    /// [`DELTA_CAPACITY`]: an [`Edit::New`] only at a key the base lacks,
+    /// an [`Edit::Override`] or [`Edit::Tombstone`] only at a base key.
+    pub(crate) delta: Vec<(K, Edit<V>)>,
+    /// Keys in the merged view: the base's, plus new keys, less tombstones.
+    pub(crate) len: usize,
+}
+
+/// One delta entry's edit of its key.
+#[derive(Debug, Clone, Copy)]
+pub enum Edit<V> {
+    /// A key the base lacks, with its value.
+    New(V),
+    /// A base key's new value.
+    Override(V),
+    /// A base key removed.
+    Tombstone,
+}
+
+impl<V> Edit<V> {
+    /// The edit with its value borrowed.
+    pub(crate) fn as_ref(&self) -> Edit<&V> {
+        match self {
+            Edit::New(v) => Edit::New(v),
+            Edit::Override(v) => Edit::Override(v),
+            Edit::Tombstone => Edit::Tombstone,
+        }
+    }
+
+    /// The key's value in the merged view: `None` for a tombstone.
+    pub(crate) fn value(&self) -> Option<&V> {
+        match self {
+            Edit::New(v) | Edit::Override(v) => Some(v),
+            Edit::Tombstone => None,
+        }
+    }
+}
+
+impl<V: Clone> Edit<&V> {
+    /// The edit with its value cloned.
+    pub(crate) fn cloned(self) -> Edit<V> {
+        match self {
+            Edit::New(v) => Edit::New(v.clone()),
+            Edit::Override(v) => Edit::Override(v.clone()),
+            Edit::Tombstone => Edit::Tombstone,
+        }
+    }
+}
+
+impl<K, V> LeafNode<K, V> {
+    /// A leaf over `base` (keys strictly increasing), with no edits.
+    pub(crate) fn from_base(base: Base<K, V>) -> LeafNode<K, V> {
+        LeafNode {
+            len: base.len(),
+            base,
+            delta: Vec::new(),
+        }
+    }
+}
+
+impl<K: Ord, V> LeafNode<K, V> {
+    /// The merged view's pairs in key order.
+    pub(crate) fn iter(&self) -> Merged<'_, K, V, impl Iterator<Item = (&K, Edit<&V>)>> {
+        merged_view(&self.base, &self.delta)
+    }
+
+    /// The merged view's smallest key: `O(1)` past the tombstones at the
+    /// front of the base.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty leaf.
+    pub(crate) fn first(&self) -> &K {
+        // Every base key below the edit at hand is tombstoned and passed.
+        let mut at = 0;
+        for (key, edit) in &self.delta {
+            match self.base.get(at) {
+                Some((b, _)) if b < key => return b,
+                _ if matches!(edit, Edit::Tombstone) => at += 1,
+                _ => return key,
+            }
+        }
+        &self.base[at].0
+    }
+
+    /// The merged view's largest key, [`LeafNode::first`] from the back.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an empty leaf.
+    pub(crate) fn last(&self) -> &K {
+        let mut end = self.base.len();
+        for (key, edit) in self.delta.iter().rev() {
+            match end.checked_sub(1).map(|i| &self.base[i].0) {
+                Some(b) if b > key => return b,
+                _ if matches!(edit, Edit::Tombstone) => end -= 1,
+                _ => return key,
+            }
+        }
+        &self.base[end - 1].0
+    }
+
+    /// The merged view's `k`-th pair (0-indexed): the base index shifted
+    /// by the edits below it, `O(|delta| · log L)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `k >= self.len`.
+    pub(crate) fn kth(&self, mut k: usize) -> (&K, &V) {
+        // `k` counts from `base[at]` on, in merged order.
+        let mut at = 0;
+        for (key, edit) in &self.delta {
+            let gap = self.base[at..].partition_point(|(b, _)| b < key);
+            if k < gap {
+                break;
+            }
+            (k, at) = (k - gap, at + gap);
+            if let Some(v) = edit.value() {
+                if k == 0 {
+                    return (key, v);
+                }
+                k -= 1;
+            }
+            at += !matches!(edit, Edit::New(_)) as usize;
+        }
+        let (key, v) = &self.base[at + k];
+        (key, v)
+    }
+
+    /// How many keys of the merged view lie below `key`, given how many of
+    /// the base's do.
+    pub(crate) fn rank(&self, base_rank: usize, key: &K) -> usize {
+        let below = self.delta.iter().take_while(|(k, _)| k < key);
+        below.fold(base_rank, |rank, (_, edit)| match edit {
+            Edit::New(_) => rank + 1,
+            Edit::Override(_) => rank,
+            Edit::Tombstone => rank - 1,
+        })
+    }
+}
+
+/// The merged view of a base and a sorted stream of edits over it (keys
+/// strictly increasing; an override or tombstone only at a base key, a new
+/// key only at a key the base lacks), pair by pair in key order.  Each edit
+/// gallops the base to its key from the previous edit's, and the base pairs
+/// between two edits come off a slice iterator: `O(log gap)` comparisons
+/// per edit and none per base pair — the one walk behind a leaf's
+/// flattening, its range carve, and the fold of its edits into a new base.
+/// A bulk copy takes each stretch of base pairs whole
+/// ([`Merged::take_run`]) between the edited pairs `next` yields.
+pub(crate) struct Merged<'a, K, V, I: Iterator> {
+    /// The base pairs before the next edit.
+    run: std::slice::Iter<'a, (K, V)>,
+    /// The base pairs from the next edit's key on.
+    rest: &'a [(K, V)],
+    /// The edits not yet applied.
+    edits: std::iter::Peekable<I>,
+}
+
+/// The merged view of a stretch of base under a stretch of delta that
+/// holds exactly the edits of the base's keys' range.
+pub(crate) fn merged_view<'a, K: Ord, V>(
+    base: &'a [(K, V)],
+    delta: &'a [(K, Edit<V>)],
+) -> Merged<'a, K, V, impl Iterator<Item = (&'a K, Edit<&'a V>)>> {
+    Merged::new(base, delta.iter().map(|(k, e)| (k, e.as_ref())))
+}
+
+impl<'a, K: Ord, V, I: Iterator<Item = (&'a K, Edit<&'a V>)>> Merged<'a, K, V, I> {
+    /// The merged view of `base` under `edits`.
+    pub(crate) fn new(base: &'a [(K, V)], edits: I) -> Merged<'a, K, V, I> {
+        let mut merged = Merged {
+            run: [].iter(),
+            rest: base,
+            edits: edits.peekable(),
+        };
+        merged.next_run();
+        merged
+    }
+
+    /// The base pairs the walk would yield before the next edit, taken
+    /// whole.
+    pub(crate) fn take_run(&mut self) -> &'a [(K, V)] {
+        std::mem::take(&mut self.run).as_slice()
+    }
+
+    /// Moves the base pairs below the next edit's key into `run`.
+    fn next_run(&mut self) {
+        let end = match self.edits.peek() {
+            Some((key, _)) => gallop(self.rest, |(k, _)| k < *key),
+            None => self.rest.len(),
+        };
+        let (run, rest) = self.rest.split_at(end);
+        (self.run, self.rest) = (run.iter(), rest);
+    }
+}
+
+impl<'a, K: Ord, V, I: Iterator<Item = (&'a K, Edit<&'a V>)>> Iterator for Merged<'a, K, V, I> {
+    type Item = (&'a K, &'a V);
+
+    fn next(&mut self) -> Option<(&'a K, &'a V)> {
+        loop {
+            if let Some((k, v)) = self.run.next() {
+                return Some((k, v));
+            }
+            let (key, edit) = self.edits.next()?;
+            if !matches!(edit, Edit::New(_)) {
+                // An override or tombstone stands in for the base's pair.
+                self.rest = &self.rest[1..];
+            }
+            self.next_run();
+            if let Some(v) = edit.value() {
+                return Some((key, v));
+            }
+        }
+    }
 }
 
 /// An inner node routing to `children.len()` subtrees.

@@ -17,7 +17,7 @@
 
 use std::ops::Bound;
 
-use crate::node::Node;
+use crate::node::{merged_view, Node};
 
 /// Returns `true` when `key` falls below the lower bound (outside the range).
 pub(crate) fn below_lo<K: Ord>(key: &K, lo: Bound<&K>) -> bool {
@@ -63,12 +63,13 @@ pub(crate) fn range_for_each<'a, K, V, F>(
     }
     match node {
         Node::Leaf(leaf) => {
-            // A boundary leaf: carve the covered run with two binary
-            // searches, then emit it check-free.
-            let start = leaf.keys.partition_point(|k| below_lo(k, lo));
-            let end = leaf.keys.partition_point(|k| !above_hi(k, hi));
-            for i in start..end {
-                f(&leaf.keys[i], &leaf.vals[i]);
+            // A boundary leaf: carve the covered run of the base and of the
+            // delta with two binary searches each — an edit has its base
+            // key's key, so both carves cut at one place — then emit their
+            // merged view check-free.
+            let (base, delta) = (carve(&leaf.base, lo, hi), carve(&leaf.delta, lo, hi));
+            for (k, v) in merged_view(base, delta) {
+                f(k, v);
             }
         }
         Node::Inner(inner) => {
@@ -93,14 +94,22 @@ pub(crate) fn range_for_each<'a, K, V, F>(
     }
 }
 
+/// The entries of `items` (keys strictly increasing) inside the bounds.
+fn carve<'a, K: Ord, X>(items: &'a [(K, X)], lo: Bound<&K>, hi: Bound<&K>) -> &'a [(K, X)] {
+    let start = items.partition_point(|(k, _)| below_lo(k, lo));
+    let end = items.partition_point(|(k, _)| !above_hi(k, hi));
+    &items[start..end.max(start)]
+}
+
 /// Emits every pair of `node` in ascending key order, no bound checks.
 fn emit_all<'a, K, V, F>(node: &'a Node<K, V>, f: &mut F)
 where
+    K: Ord,
     F: FnMut(&'a K, &'a V),
 {
     match node {
         Node::Leaf(leaf) => {
-            for (k, v) in leaf.keys.iter().zip(leaf.vals.iter()) {
+            for (k, v) in leaf.iter() {
                 f(k, v);
             }
         }
@@ -117,13 +126,13 @@ where
 /// # Panics
 ///
 /// Panics (index out of bounds) when `k >= node.len()`; callers check.
-pub(crate) fn kth_entry<K, V>(root: &Node<K, V>, k: usize) -> (&K, &V) {
+pub(crate) fn kth_entry<K: Ord, V>(root: &Node<K, V>, k: usize) -> (&K, &V) {
     debug_assert!(k < root.len());
     let mut node = root;
     let mut k = k;
     loop {
         match node {
-            Node::Leaf(leaf) => return (&leaf.keys[k], &leaf.vals[k]),
+            Node::Leaf(leaf) => return leaf.kth(k),
             Node::Inner(inner) => {
                 let (idx, within) = inner.children.locate(k);
                 node = inner.children.get(idx);

@@ -14,9 +14,10 @@
 //! scratch is allocated.
 //!
 //! At a leaf the whole run is answered by one forward walk over the leaf's
-//! keys: each query gallops from the previous query's position to its own
-//! lower bound, `O(log gap)` comparisons per query whatever the key
-//! distribution — a sorted run meeting a sorted array is a merge.
+//! delta and base: each query gallops from the previous query's position
+//! to its own lower bound, `O(log gap)` comparisons per query whatever the
+//! key distribution — a sorted run meeting a sorted array is a merge — and
+//! an empty delta costs one branch per query.
 //!
 //! A sub-batch of at least [`SEQ_BATCH_LEN`] keys is split at the child
 //! boundary nearest its middle ([`Routing::split_point`]) and the two halves
@@ -40,7 +41,7 @@ pub(crate) const SEQ_BATCH_LEN: usize = 512;
 
 /// Answers `batch` (sorted, strictly increasing) against the subtree at
 /// `node`, writing one `answer` per query over `out`'s slots (same order).
-/// `answer` gets the query's leaf and its index there, if present — a
+/// `answer` gets the query's value in its leaf, if present — a
 /// membership flag for `batch_contains`, a value for `batch_get`.
 ///
 /// `m` counts each node entered **once per traversal**, not once per
@@ -56,7 +57,7 @@ pub(crate) fn joint_query_into<K, V, R, F>(
     K: InterpolateKey + Send + Sync,
     V: Send + Sync,
     R: Send,
-    F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
+    F: Fn(Option<&V>) -> R + Sync,
 {
     debug_assert_eq!(batch.len(), out.len());
     touch_node(m);
@@ -79,7 +80,7 @@ fn route_runs<K, V, R, F>(
     K: InterpolateKey + Send + Sync,
     V: Send + Sync,
     R: Send,
-    F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
+    F: Fn(Option<&V>) -> R + Sync,
 {
     let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
     let routing = Routing { routers, min, max };
@@ -153,17 +154,25 @@ impl<K: InterpolateKey> Routing<'_, K> {
 }
 
 /// Answers a sorted run against one leaf with one forward walk: each query
-/// gallops from where the previous one stopped to its own lower bound.
+/// gallops from where the previous one stopped to its own lower bound in
+/// the delta and, where the delta has no entry for it, in the base.  An
+/// empty delta costs one branch per query.
 fn answer_run<K: Ord, V, R, F>(leaf: &LeafNode<K, V>, batch: &[K], out: &mut [R], answer: &F)
 where
-    F: Fn(&LeafNode<K, V>, Option<usize>) -> R,
+    F: Fn(Option<&V>) -> R,
 {
-    let keys = &leaf.keys;
-    let mut at = 0;
+    let (base, delta) = (&leaf.base[..], &leaf.delta[..]);
+    let (mut at, mut d) = (0, 0);
     for (q, slot) in batch.iter().zip(out) {
-        at += gallop(&keys[at..], |k| k < q);
-        let found = keys.get(at).filter(|k| *k == q).map(|_| at);
-        *slot = answer(leaf, found);
+        if !delta.is_empty() {
+            d += gallop(&delta[d..], |(k, _)| k < q);
+            if let Some((_, edit)) = delta.get(d).filter(|(k, _)| k == q) {
+                *slot = answer(edit.value());
+                continue;
+            }
+        }
+        at += gallop(&base[at..], |(k, _)| k < q);
+        *slot = answer(base.get(at).filter(|(k, _)| k == q).map(|(_, v)| v));
     }
 }
 

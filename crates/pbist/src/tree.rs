@@ -12,8 +12,8 @@ use batchapi::{Batch, BatchedMap, KvBatch, MapView};
 use crate::children::Children;
 use crate::metrics::{metrics_ref, touch_node, IstMetrics, IstMetricsSnapshot, MetricsRef};
 use crate::node::{
-    interpolate_slot, InnerNode, InterpolateKey, LeafNode, Node, LEAF_CAPACITY, MAX_FANOUT,
-    REBUILD_FACTOR,
+    interpolate_slot, Edit, InnerNode, InterpolateKey, LeafNode, Node, DELTA_CAPACITY,
+    LEAF_CAPACITY, MAX_FANOUT, REBUILD_FACTOR,
 };
 use crate::{range, traverse, update};
 
@@ -25,15 +25,16 @@ use crate::{range, traverse, update};
 /// [`batchapi::BatchedMap`] impl, which processes each sorted batch jointly
 /// — walked as runs at every inner node, one run per child it reaches, a
 /// large sub-batch split in half at a child boundary and the halves forked,
-/// each leaf meeting its run in one galloping merge — with updates building
-/// each touched leaf once and rebuilding any subtree whose size drifts past
-/// the rebuild threshold (the paper's core contribution).  Batched
+/// each leaf meeting its run in one galloping merge — with updates writing
+/// each touched leaf's delta once (or folding it into a new base) and
+/// rebuilding any subtree whose size drifts past the rebuild threshold (the
+/// paper's core contribution).  Batched
 /// inserts are last-wins upserts (see the `batchapi` crate docs).  A point
 /// write (`upsert_one` / `remove_one`) is that same update on a batch of
 /// one: there is one update algorithm, whatever the batch size.
 ///
-/// Leaves carry a value array index-parallel to their key run; for the set
-/// ([`IstSet`]) that array is a zero-sized `Vec<()>` the compiler erases.
+/// Leaves carry each key's value beside it; for the set ([`IstSet`]) the
+/// value is a zero-sized `()` the compiler erases.
 ///
 /// ```
 /// use batchapi::{BatchedMap, KvBatch, MapView};
@@ -50,8 +51,8 @@ pub struct IstMap<K, V = ()> {
     /// `Arc` so a clone — a published snapshot — is `O(1)`: the root `Arc`
     /// plus the metrics plumbing (reads served from it keep counting nodes
     /// touched).  Updates path-copy exactly the inner nodes (and child
-    /// chunks) a clone still shares, and put a shared leaf's new run in a
-    /// new node.
+    /// chunks) a clone still shares, and give a shared leaf a new node over
+    /// the same base with a copied delta.
     root: Option<Arc<Node<K, V>>>,
     /// Gates metric recording; the recursion carries `None` when disabled,
     /// so the default configuration pays one branch per instrumented site.
@@ -182,7 +183,7 @@ where
     fn batch_lookup<R, F>(&self, batch: &[K], answer: &F) -> Vec<R>
     where
         R: Default + Send,
-        F: Fn(&LeafNode<K, V>, Option<usize>) -> R + Sync,
+        F: Fn(Option<&V>) -> R + Sync,
     {
         let mut out: Vec<R> = batch.iter().map(|_| R::default()).collect();
         if let Some(root) = &self.root {
@@ -368,7 +369,7 @@ pub(crate) fn child_index<K: InterpolateKey>(routers: &[K], min: &K, max: &K, ke
 /// cost `batch-small` `read_p50_us` 15 % end to end.
 const LEAF_PROBES: usize = 16;
 
-/// Interpolation search over one sorted leaf array: `Ok` with the index of
+/// Interpolation search over a leaf's sorted base: `Ok` with the index of
 /// `key` when present, else `Err` with where it would go — what
 /// `binary_search` answers, so a lookup and a rank share it.
 ///
@@ -377,52 +378,61 @@ const LEAF_PROBES: usize = 16;
 /// stretches the range and every probe moves the window by a slot) the
 /// search stops guessing after [`LEAF_PROBES`] probes and binary searches
 /// what is left: `O(log len)` comparisons whatever the distribution.
-pub(crate) fn leaf_search<K: InterpolateKey>(keys: &[K], key: &K) -> Result<usize, usize> {
+pub(crate) fn leaf_search<K: InterpolateKey, V>(base: &[(K, V)], key: &K) -> Result<usize, usize> {
     let mut lo = 0;
-    let mut hi = keys.len();
+    let mut hi = base.len();
     for _ in 0..LEAF_PROBES {
         if lo == hi {
             return Err(lo);
         }
-        let slot = lo + interpolate_slot(key, &keys[lo], &keys[hi - 1], hi - lo);
-        match keys[slot].cmp(key) {
+        let slot = lo + interpolate_slot(key, &base[lo].0, &base[hi - 1].0, hi - lo);
+        match base[slot].0.cmp(key) {
             std::cmp::Ordering::Equal => return Ok(slot),
             std::cmp::Ordering::Less => lo = slot + 1,
             std::cmp::Ordering::Greater => hi = slot,
         }
     }
-    match keys[lo..hi].binary_search(key) {
+    match base[lo..hi].binary_search_by(|(k, _)| k.cmp(key)) {
         Ok(at) => Ok(lo + at),
         Err(at) => Err(lo + at),
     }
 }
 
-/// Leaf-level membership answer (the set's lookup), given where the key
-/// was found in `leaf`.
-fn leaf_has<K, V>(_leaf: &LeafNode<K, V>, found: Option<usize>) -> bool {
+/// `key`'s value in `leaf`'s merged view: the delta's entry for it, if
+/// any (an empty delta is one length check), else the base's.
+fn leaf_value<'a, K: InterpolateKey, V>(leaf: &'a LeafNode<K, V>, key: &K) -> Option<&'a V> {
+    match leaf.delta.binary_search_by(|(k, _)| k.cmp(key)) {
+        Ok(d) => leaf.delta[d].1.value(),
+        Err(_) => leaf_search(&leaf.base, key).ok().map(|at| &leaf.base[at].1),
+    }
+}
+
+/// Leaf-level membership answer (the set's lookup), given the key's value
+/// if present.
+fn leaf_has<V>(found: Option<&V>) -> bool {
     found.is_some()
 }
 
-/// Leaf-level value answer (the map's lookup), given where the key was
-/// found in `leaf`.
-fn leaf_get<K, V: Clone>(leaf: &LeafNode<K, V>, found: Option<usize>) -> Option<V> {
-    found.map(|i| leaf.vals[i].clone())
+/// Leaf-level value answer (the map's lookup), given the key's value if
+/// present.
+fn leaf_get<V: Clone>(found: Option<&V>) -> Option<V> {
+    found.cloned()
 }
 
 /// The interpolated point-lookup descent: routes `key` to its leaf and
 /// answers there with `answer` ([`leaf_has`] or [`leaf_get`]) on what
-/// [`leaf_search`] found.
+/// [`leaf_value`] found.
 fn lookup_in<K: InterpolateKey, V, R>(
     root: &Node<K, V>,
     key: &K,
     m: MetricsRef<'_>,
-    answer: &impl Fn(&LeafNode<K, V>, Option<usize>) -> R,
+    answer: &impl Fn(Option<&V>) -> R,
 ) -> R {
     let mut node = root;
     loop {
         touch_node(m);
         match node {
-            Node::Leaf(leaf) => return answer(leaf, leaf_search(&leaf.keys, key).ok()),
+            Node::Leaf(leaf) => return answer(leaf_value(leaf, key)),
             Node::Inner(inner) => {
                 let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
                 node = inner.children.get(idx);
@@ -433,7 +443,7 @@ fn lookup_in<K: InterpolateKey, V, R>(
 
 /// The rank descent (keys strictly below `key`): chunk counts and one
 /// chunk's child sizes at each inner node, an interpolation search in the
-/// leaf.
+/// leaf's base, shifted by the delta's edits below `key`.
 fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) -> usize {
     let mut node = root;
     let mut before = 0;
@@ -441,8 +451,8 @@ fn rank_in<K: InterpolateKey, V>(root: &Node<K, V>, key: &K, m: MetricsRef<'_>) 
         touch_node(m);
         match node {
             Node::Leaf(leaf) => {
-                let (Ok(at) | Err(at)) = leaf_search(&leaf.keys, key);
-                return before + at;
+                let (Ok(at) | Err(at)) = leaf_search(&leaf.base, key);
+                return before + leaf.rank(at, key);
             }
             Node::Inner(inner) => {
                 let idx = child_index(&inner.routers, &inner.min, &inner.max, key);
@@ -464,10 +474,10 @@ where
     debug_assert!(!keys.is_empty());
     debug_assert_eq!(keys.len(), vals.len());
     if keys.len() <= LEAF_CAPACITY {
-        return Node::Leaf(LeafNode {
-            keys: keys.to_vec(),
-            vals: vals.to_vec(),
-        });
+        // Zipped slices have a trusted length: one allocation, written in
+        // place.
+        let base = keys.iter().cloned().zip(vals.iter().cloned()).collect();
+        return Node::Leaf(LeafNode::from_base(base));
     }
     // Ideal IST fanout is Θ(√n).  While √n ≤ LEAF_CAPACITY the children
     // are leaves and the node takes all √n of them (a few more at the very
@@ -496,28 +506,7 @@ where
 /// Recursive worker for [`IstMap::check_invariants`].
 fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
     match node {
-        Node::Leaf(leaf) => {
-            if leaf.keys.is_empty() {
-                return Err("empty leaf was not pruned".into());
-            }
-            if leaf.vals.len() != leaf.keys.len() {
-                return Err(format!(
-                    "leaf holds {} keys but {} values",
-                    leaf.keys.len(),
-                    leaf.vals.len()
-                ));
-            }
-            if leaf.keys.len() > REBUILD_FACTOR * LEAF_CAPACITY {
-                return Err(format!(
-                    "leaf holds {} keys, over {REBUILD_FACTOR} × capacity {LEAF_CAPACITY}",
-                    leaf.keys.len()
-                ));
-            }
-            if !leaf.keys.windows(2).all(|w| w[0] < w[1]) {
-                return Err("leaf keys are not strictly increasing".into());
-            }
-            Ok(())
-        }
+        Node::Leaf(leaf) => check_leaf(leaf),
         Node::Inner(inner) => {
             inner.children.check()?;
             let children: Vec<&Node<K, V>> = inner.children.iter().collect();
@@ -561,6 +550,57 @@ fn check_node<K: InterpolateKey, V>(node: &Node<K, V>) -> Result<(), String> {
             children.into_iter().try_for_each(check_node)
         }
     }
+}
+
+/// [`check_node`] at a leaf: base and delta each strictly increasing, the
+/// delta within [`DELTA_CAPACITY`], every edit at a key of the kind it
+/// claims, and `len`, `min`, `max` those of the merged view.
+fn check_leaf<K: Ord, V>(leaf: &LeafNode<K, V>) -> Result<(), String> {
+    if leaf.len == 0 {
+        return Err("empty leaf was not pruned".into());
+    }
+    if leaf.len > REBUILD_FACTOR * LEAF_CAPACITY {
+        return Err(format!(
+            "leaf holds {} keys, over {REBUILD_FACTOR} × capacity {LEAF_CAPACITY}",
+            leaf.len
+        ));
+    }
+    if !leaf.base.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err("leaf base keys are not strictly increasing".into());
+    }
+    if !leaf.delta.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err("leaf delta keys are not strictly increasing".into());
+    }
+    if leaf.delta.len() > DELTA_CAPACITY {
+        return Err(format!(
+            "leaf delta holds {} edits, over {DELTA_CAPACITY}",
+            leaf.delta.len()
+        ));
+    }
+    for (key, edit) in &leaf.delta {
+        let in_base = leaf.base.binary_search_by(|(k, _)| k.cmp(key)).is_ok();
+        if in_base == matches!(edit, Edit::New(_)) {
+            return Err(match edit {
+                Edit::New(_) => "a new key in the delta is a base key".into(),
+                _ => "an override or tombstone sits over no base key".into(),
+            });
+        }
+    }
+    let merged: Vec<&K> = leaf.iter().map(|(k, _)| k).collect();
+    if merged.len() != leaf.len {
+        return Err(format!(
+            "leaf len {} but its merged view holds {} keys",
+            leaf.len,
+            merged.len()
+        ));
+    }
+    if !merged.windows(2).all(|w| w[0] < w[1]) {
+        return Err("leaf merged view is not strictly increasing".into());
+    }
+    if merged[0] != leaf.first() || merged[merged.len() - 1] != leaf.last() {
+        return Err("leaf min or max is not its merged view's".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -709,12 +749,13 @@ mod tests {
         // large as one grows before it is rebuilt: every interpolated guess
         // lands in the first slot, so guessing alone walks the leaf.
         for len in [LEAF_CAPACITY, REBUILD_FACTOR * LEAF_CAPACITY] {
-            let mut keys: Vec<Counted> = (0..len as u64 - 1).map(Counted).collect();
-            keys.push(Counted(u64::MAX));
+            let mut keys: Vec<(Counted, ())> =
+                (0..len as u64 - 1).map(|k| (Counted(k), ())).collect();
+            keys.push((Counted(u64::MAX), ()));
             let budget = 2 * len.ilog2() as usize + LEAF_PROBES;
             let probes = (0..=len as u64).chain([u64::MAX - 1, u64::MAX]);
             for probe in probes.map(Counted) {
-                let expected = keys.binary_search(&probe);
+                let expected = keys.binary_search_by(|(k, _)| k.0.cmp(&probe.0));
                 COMPARISONS.set(0);
                 assert_eq!(leaf_search(&keys, &probe), expected, "{len}: {probe:?}");
                 let spent = COMPARISONS.get();
@@ -741,10 +782,9 @@ mod tests {
         let even: Vec<u64> = (0..len).map(|i| i * 1_000).collect();
         let mut seed = 0x1EAF;
         for keys in [skewed, even] {
-            let leaf = Node::Leaf(LeafNode {
-                keys: keys.iter().copied().map(Counted).collect(),
-                vals: vec![(); keys.len()],
-            });
+            let leaf = Node::Leaf(LeafNode::from_base(
+                keys.iter().map(|&k| (Counted(k), ())).collect(),
+            ));
             let mut pool: Vec<u64> = keys
                 .iter()
                 .flat_map(|&k| [k, k.saturating_add(len)])
@@ -782,10 +822,9 @@ mod tests {
         let even: Vec<u64> = (0..len).map(|i| i * 1_000).collect();
         let mut seed = 0x3E46E;
         for keys in [skewed, even] {
-            let leaf = Arc::new(Node::Leaf(LeafNode {
-                keys: keys.iter().copied().map(Counted).collect(),
-                vals: vec![(); keys.len()],
-            }));
+            let leaf = Arc::new(Node::Leaf(LeafNode::from_base(
+                keys.iter().map(|&k| (Counted(k), ())).collect(),
+            )));
             let mut pool: Vec<u64> = keys
                 .iter()
                 .flat_map(|&k| [k, k.saturating_add(len)])
@@ -848,7 +887,7 @@ mod tests {
         leaves: &mut Vec<Vec<u64>>,
     ) {
         match node {
-            Node::Leaf(leaf) => leaves.push(leaf.keys.clone()),
+            Node::Leaf(_) => leaves.push(update::collect_kv(node).0),
             Node::Inner(inner) => {
                 routers.extend_from_slice(&inner.routers);
                 inner
@@ -1548,10 +1587,10 @@ mod tests {
     /// The count gate: a point write under a live clone copies its path and
     /// nothing wider.  10⁶ keys build a 1 000-child root over 1 000-key
     /// leaves (depth 2), so a shared write copies two nodes: the root, and
-    /// the leaf, whose new run holds no refcounts.  With the root's
-    /// children in 32 chunks of 32 that is 1 + 32 refcounts for the root
-    /// (its routers and its chunks) and 32 for the chunk on the path: 65.
-    /// A flat child array would bump 1 000.
+    /// the leaf, whose copy shares its base by one refcount.  With the
+    /// root's children in 32 chunks of 32 that is 1 + 32 refcounts for the
+    /// root (its routers and its chunks), 32 for the chunk on the path and
+    /// 1 for the leaf's base: 66.  A flat child array would bump 1 000.
     #[test]
     fn shared_point_write_copies_chunks_not_the_fanout() {
         let mut set =
@@ -1571,20 +1610,208 @@ mod tests {
         let snapshot = set.clone();
         let (nodes, refs) = copied_by_insert(&mut set, 3);
         assert_eq!(nodes, 2, "one copy per level");
-        assert_eq!(refs, 1 + 32 + 32, "refcounts for one write");
+        assert_eq!(refs, 1 + 32 + 32 + 1, "refcounts for one write");
         // The path is now the live tree's own: the same leaf again is free.
         assert_eq!(copied_by_insert(&mut set, 5), (0, 0));
         // Another leaf, half the tree away, under the same clone: the root
         // is already unshared, so only its chunk and the leaf below.
         let (nodes, refs) = copied_by_insert(&mut set, 1_000_001);
         assert_eq!(nodes, 1, "the root was copied by the first write");
-        assert_eq!(refs, 32, "refcounts below the root");
+        assert_eq!(refs, 32 + 1, "refcounts below the root");
 
         assert!(!snapshot.contains(&3) && !snapshot.contains(&1_000_001));
         assert_eq!(snapshot.len(), 1_000_001);
         drop(snapshot);
         assert_eq!(copied_by_insert(&mut set, 1_500_001), (0, 0), "unshared");
         set.check_invariants().unwrap();
+    }
+
+    /// The leaf under a live clone: a point write copies the leaf's delta,
+    /// not its ≈ 1 000-key base.  One that does not fold writes at most
+    /// `DELTA_CAPACITY + 1` keys into new arrays; over 10⁴ of them — fresh
+    /// inserts and removals of present keys, each under its own clone, as
+    /// every round of the front-end publishes one — the folds, one per
+    /// `≈ √L` edits to a leaf, keep the average under `2 · √L`.
+    #[test]
+    fn a_shared_point_write_copies_a_delta_not_its_leaf() {
+        const N: u64 = 1_000_000;
+        let mut set = IstSet::from_sorted((0..N).map(|i| i * 2).collect()).with_metrics(true);
+        let mut seed = 0xC0_4E75;
+        let (mut writes, mut copied, mut largest) = (0u64, 0u64, 0u64);
+        for _ in 0..10_000 {
+            let key = splitmix(&mut seed) % (2 * N);
+            let (snapshot, len) = (set.clone(), set.len());
+            let before = set.metrics();
+            if key % 2 == 1 {
+                set.insert_one(&key);
+            } else {
+                set.remove_one(&key);
+            }
+            let d = set.metrics().delta(&before);
+            writes += 1;
+            copied += d.cow_keys;
+            if d.cow_keys < LEAF_CAPACITY as u64 / 2 {
+                // No fold: the copy is the delta.
+                largest = largest.max(d.cow_keys);
+            }
+            assert_eq!(snapshot.len(), len, "the clone moved");
+        }
+        set.check_invariants().unwrap();
+        assert!(
+            largest <= DELTA_CAPACITY as u64 + 1,
+            "a shared point write copied {largest} keys without folding"
+        );
+        let bound = 2.0 * (LEAF_CAPACITY as f64).sqrt();
+        let mean = copied as f64 / writes as f64;
+        assert!(mean <= bound, "{mean} keys copied per shared point write");
+    }
+
+    /// A set's upsert of a present key changes nothing, so it leaves even a
+    /// shared leaf as it is: no key copied, no leaf edited.  A map's value
+    /// overwrite is a change and records an override in a copied delta.
+    #[test]
+    fn a_no_op_upsert_leaves_a_shared_leaf_shared() {
+        let keys: Vec<u64> = (0..1_000_000u64).map(|i| i * 2).collect();
+        let mut set = IstSet::from_sorted(keys.clone()).with_metrics(true);
+        let snapshot = set.clone();
+        let before = set.metrics();
+        assert!(!set.insert_one(&4_000));
+        assert!(!set.batch_insert(&Batch::from_unsorted(vec![6_000, 6_002]))[0]);
+        let d = set.metrics().delta(&before);
+        assert_eq!((d.cow_keys, d.leaves_edited), (0, 0), "{d:?}");
+        drop(snapshot);
+
+        let vals = keys.iter().map(|&k| (k, k)).collect();
+        let mut map = IstMap::from_sorted_entries(vals).with_metrics(true);
+        let snapshot = map.clone();
+        let before = map.metrics();
+        assert!(!map.upsert_one(&4_000, &7));
+        let d = map.metrics().delta(&before);
+        assert_eq!((d.cow_keys, d.leaves_edited), (1, 0), "{d:?}");
+        assert_eq!(
+            (map.get(&4_000), snapshot.get(&4_000)),
+            (Some(7), Some(4_000))
+        );
+        map.check_invariants().unwrap();
+    }
+
+    /// A key whose order ignores its tag, to tell `Ord`-equal copies apart.
+    #[derive(Clone, Debug)]
+    struct Tagged(u64, u8);
+
+    impl PartialEq for Tagged {
+        fn eq(&self, other: &Tagged) -> bool {
+            self.0 == other.0
+        }
+    }
+
+    impl Eq for Tagged {}
+
+    impl PartialOrd for Tagged {
+        fn partial_cmp(&self, other: &Tagged) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Tagged {
+        fn cmp(&self, other: &Tagged) -> std::cmp::Ordering {
+            self.0.cmp(&other.0)
+        }
+    }
+
+    impl InterpolateKey for Tagged {
+        fn to_ordinal(&self) -> f64 {
+            self.0 as f64
+        }
+    }
+
+    /// An upsert of a present key keeps the stored copy of the key, as
+    /// `BTreeMap::insert` does, whether it lands in a copied delta, an
+    /// in-place edit or a fold (of a long run, and of a point write that
+    /// overflows the delta); a key removed and inserted again takes the
+    /// caller's copy.  Each op carries its own tag, and the tree's keys
+    /// must carry the oracle's tags.
+    #[test]
+    fn an_upsert_of_a_present_key_keeps_its_stored_copy() {
+        let pairs: Vec<(Tagged, u64)> = (0..20_000u64).map(|i| (Tagged(i * 2, 0), i)).collect();
+        let mut oracle: BTreeMap<Tagged, u64> = pairs.iter().cloned().collect();
+        let mut map = IstMap::from_sorted_entries(pairs);
+        let mut set: IstSet<Tagged> = IstSet::from_sorted(oracle.keys().cloned().collect());
+        let tagged = |entries: Vec<(Tagged, u64)>| {
+            let tags = entries.into_iter().map(|(k, v)| (k.0, k.1, v));
+            tags.collect::<Vec<_>>()
+        };
+        let odd: Vec<u64> = (1..64).step_by(2).collect();
+        let even_run: Vec<u64> = (100..200).step_by(2).collect();
+        let script: Vec<(bool, Vec<u64>)> = [
+            (false, vec![10]),
+            (false, vec![10]),
+            (false, vec![11]),
+            (false, vec![11]),
+            (true, vec![12]),
+            (false, vec![12]),
+            (false, vec![14, 15, 16]),
+            (false, even_run.clone()),
+            (true, vec![20, 22]),
+            (false, vec![20, 21, 22]),
+        ]
+        .into_iter()
+        .chain(odd.iter().map(|&k| (false, vec![k])))
+        .chain([(false, vec![24, 25, 26])])
+        .chain(even_run.iter().map(|&k| (false, vec![k])))
+        .collect();
+        for (step, (remove, keys)) in script.into_iter().enumerate() {
+            let tag = step as u8 + 1;
+            // Every other step writes under a live clone.
+            let held = (step % 2 == 0).then(|| (map.clone(), set.clone()));
+            let keys: Vec<Tagged> = keys.into_iter().map(|k| Tagged(k, tag)).collect();
+            let entries: Vec<(Tagged, u64)> = keys.iter().map(|k| (k.clone(), k.0 + 7)).collect();
+            for (key, val) in &entries {
+                if remove {
+                    oracle.remove(key);
+                } else {
+                    oracle.insert(key.clone(), *val);
+                }
+            }
+            match (remove, &keys[..]) {
+                (true, [key]) => {
+                    map.remove_one(key);
+                    set.remove_one(key);
+                }
+                (false, [key]) => {
+                    map.upsert_one(key, &(key.0 + 7));
+                    set.insert_one(key);
+                }
+                (true, _) => {
+                    map.batch_remove(&Batch::from_unsorted(keys.clone()));
+                    set.batch_remove(&Batch::from_unsorted(keys.clone()));
+                }
+                (false, _) => {
+                    map.batch_insert(&KvBatch::from_unsorted_entries(entries));
+                    set.batch_insert(&Batch::from_unsorted(keys.clone()));
+                }
+            }
+            map.check_invariants().unwrap();
+            set.check_invariants().unwrap();
+            let expected = tagged(oracle.iter().map(|(k, v)| (k.clone(), *v)).collect());
+            let (keys, vals) = map.collect_entries();
+            assert_eq!(
+                tagged(keys.into_iter().zip(vals).collect()),
+                expected,
+                "step {step}"
+            );
+            let all = map.range_entries(Bound::Unbounded, Bound::Unbounded);
+            assert_eq!(tagged(all), expected, "step {step}: range");
+            let firsts = (0..200).map(|k| map.kth_entry(k).unwrap()).collect();
+            assert_eq!(tagged(firsts), expected[..200], "step {step}: kth");
+            let set_keys = set.range_keys(Bound::Unbounded, Bound::Unbounded);
+            let set_tags: Vec<(u64, u8)> = set_keys.iter().map(|k| (k.0, k.1)).collect();
+            let want: Vec<(u64, u8)> = expected.iter().map(|&(k, t, _)| (k, t)).collect();
+            assert_eq!(set_tags, want, "step {step}: set");
+            let (min, max) = (set.min().unwrap(), set.max().unwrap());
+            assert_eq!((min.1, max.1), (want[0].1, want[want.len() - 1].1));
+            drop(held);
+        }
     }
 
     enum Edit {

@@ -60,7 +60,7 @@ fn point_operations_allocate_like_points() {
     const OPS: usize = 10_000;
     // The even keys of `[0, 2N)` resident; seeded odd keys are fresh and
     // seeded even keys present, each drawn before the counted window.
-    let mut set = IstSet::from_sorted((0..N).map(|i| i * 2).collect());
+    let mut set = IstSet::from_sorted((0..N).map(|i| i * 2).collect()).with_metrics(true);
     let mut seed = 0xA110C;
     let mut draw = |odd: u64| -> Vec<u64> {
         seed += 1;
@@ -89,6 +89,7 @@ fn point_operations_allocate_like_points() {
     // Under a live clone — every round of the concurrent front-end — each
     // write copies its path first.
     let (fresh, present) = (draw(1), draw(0));
+    let before = set.metrics();
     let shared = allocations_per(2 * OPS, || {
         for (new, old) in fresh.iter().zip(&present) {
             let snapshot = set.clone();
@@ -99,18 +100,24 @@ fn point_operations_allocate_like_points() {
             drop(snapshot);
         }
     });
+    // Keys written into new leaf arrays: a copied delta, or now and then a
+    // folded base.
+    let copied = set.metrics().delta(&before).cow_keys as f64 / (2 * OPS) as f64;
     set.check_invariants().unwrap();
 
     println!(
         "allocations per op: contains {contains}, insert_one {insert}, remove_one {remove}, \
          point write under a live clone {shared}"
     );
+    println!("leaf keys copied per point write under a live clone: {copied}");
     assert_eq!(contains, 0.0, "a point read allocates");
-    // A built leaf's arrays are exactly full, so its first insert grows
-    // them; 10⁶ keys are 1 000 leaves, met about ten times each here.
+    // A built leaf's delta is empty, so its first insert allocates it, at
+    // its full capacity; 10⁶ keys are 1 000 leaves, met about ten times
+    // each here.  A removal finds the delta allocated and reuses it.
     assert!(insert <= 0.2, "unshared insert_one: {insert} allocations");
     assert!(remove <= 0.05, "unshared remove_one: {remove} allocations");
-    // The root (node, chunk vector, one chunk) and the leaf (node, keys).
+    // The root (node, chunk vector, one chunk) and the leaf (node, delta;
+    // node and base when it folds).
     assert!(shared <= 5.0, "shared point write: {shared} allocations");
 
     // Whole batches: a lookup outside a pool allocates its answer vector
@@ -130,9 +137,10 @@ fn point_operations_allocate_like_points() {
     );
 
     // The same shape under a live clone, as in every round of the stack:
-    // about 16 keys per 1 000-key leaf, so each leaf is copied, and built
-    // once — a node and its merged run, 2 allocations per leaf — below the
-    // path copy of the root.
+    // about 16 keys per 1 000-key leaf, so each leaf is copied once — a
+    // node and its delta, 2 allocations per leaf; a node, the merged run
+    // and its base, 3, where the delta folds — below the path copy of the
+    // root.
     let fresh = Batch::from_unsorted((0..16_384u64).map(|i| i * 122 + 3).collect());
     let snapshot = set.clone();
     let shared_insert = allocations_per(fresh.len(), || drop(set.batch_insert(&fresh)));
