@@ -41,9 +41,9 @@
 //!    own thread; a whole batch runs against the batched path instead (see
 //!    *Whole batches*).
 //! 3. **Commit** — one seq, one snapshot publish, one
-//!    [`CommitSink::commit`] with the round's ops borrowed from the caller,
-//!    nothing cloned.  The publish comes first: a round is in the snapshot
-//!    before its caller can return.
+//!    [`CommitSink::commit`] with the round's kind, keys, values and results
+//!    borrowed from the caller, nothing cloned.  The publish comes first: a
+//!    round is in the snapshot before its caller can return.
 //! 4. **Release** — the holder unlocks the flag.  Only then does a point
 //!    round's caller drop the snapshot its publish displaced (see *Reads*):
 //!    the next writer need not wait out the frees of a three-node path
@@ -239,6 +239,7 @@ use std::fmt;
 use std::marker::PhantomData;
 use std::mem;
 use std::ops::Bound;
+use std::slice;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, TryLockError};
 use std::time::{Duration, Instant};
@@ -289,8 +290,9 @@ const POLLS_PER_CLOCK_READ: u32 = 32;
 /// the caller, because below it the tree would not fork either.
 pub const POOL_CUTOFF: usize = 512;
 
-/// What a write does to the store.  Rounds carry writes
-/// only — a read never enters one (see the module docs' *Reads* section).
+/// What a write does to the store, and so what a round does: a round is a
+/// point write or a whole batch of one kind.  Rounds carry writes only — a
+/// read never enters one (see the module docs' *Reads* section).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Upsert a key (with its value); the result is `true` iff the key was
@@ -299,10 +301,6 @@ pub enum OpKind {
     /// Remove a key; the result is `true` iff it was present.
     Remove,
 }
-
-/// One op of a committing round, borrowed from the round: `(kind, key,
-/// value, result)`, the value `Some` for an insert.
-pub type CommittedOp<'a, K, V> = (OpKind, &'a K, Option<&'a V>, bool);
 
 /// Where a [`ConcurrentMap`]'s committed rounds go: the store's commit log,
 /// kept by whoever needs one — `durable`'s write-ahead log, the replay
@@ -314,17 +312,19 @@ pub type CommittedOp<'a, K, V> = (OpKind, &'a K, Option<&'a V>, bool);
 /// seq order, with no lock of its own, and a client whose call has returned
 /// finds its round already in the sink.  Between commits the sink is
 /// reached through [`ConcurrentMap::hold_sink`].
-pub trait CommitSink<K: 'static, V: 'static>: Send {
-    /// Takes round `seq`'s ops, in linearisation order.
-    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>);
+pub trait CommitSink<K, V>: Send {
+    /// Takes round `seq`: `kind` applied to `keys` in linearisation order
+    /// (one key for a point write), `results[i]` what `keys[i]` returned,
+    /// and `vals[i]` the value it wrote (`vals` is `None` for a remove).
+    fn commit(&mut self, seq: u64, kind: OpKind, keys: &[K], vals: Option<&[V]>, results: &[bool]);
 }
 
 /// The default [`CommitSink`]: keeps nothing.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoLog;
 
-impl<K: 'static, V: 'static> CommitSink<K, V> for NoLog {
-    fn commit<'a>(&mut self, _: u64, _: impl Iterator<Item = CommittedOp<'a, K, V>>) {}
+impl<K, V> CommitSink<K, V> for NoLog {
+    fn commit(&mut self, _: u64, _: OpKind, _: &[K], _: Option<&[V]>, _: &[bool]) {}
 }
 
 /// An in-memory [`CommitSink`]: every committed round, its keys and values
@@ -339,24 +339,21 @@ impl<K, V> Default for RoundLog<K, V> {
     }
 }
 
-impl<K: Clone + Send + 'static, V: Clone + Send + 'static> CommitSink<K, V> for RoundLog<K, V> {
-    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
-        let op = |(kind, key, val, result): CommittedOp<K, V>| RoundOp {
-            kind,
+impl<K: Clone + Send, V: Clone + Send> CommitSink<K, V> for RoundLog<K, V> {
+    fn commit(&mut self, seq: u64, kind: OpKind, keys: &[K], vals: Option<&[V]>, results: &[bool]) {
+        let op = |(i, (key, &result)): (usize, (&K, &bool))| RoundOp {
             key: key.clone(),
-            val: val.cloned(),
+            val: vals.map(|vals| vals[i].clone()),
             result,
         };
-        let ops = ops.map(op).collect();
-        self.0.push(Round { seq, ops });
+        let ops = keys.iter().zip(results).enumerate().map(op).collect();
+        self.0.push(Round { seq, kind, ops });
     }
 }
 
 /// One operation of a committed round, for the [`RoundLog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundOp<K, V = ()> {
-    /// What the operation did.
-    pub kind: OpKind,
     /// The key it applied to.
     pub key: K,
     /// The value an `Insert` wrote (`None` for a `Remove`) — what a
@@ -366,8 +363,8 @@ pub struct RoundOp<K, V = ()> {
     pub result: bool,
 }
 
-/// One committed round: its operations in linearisation order — a point
-/// write's one op, or a whole batch's in batch (key) order.
+/// One committed round: its kind and its operations in linearisation order
+/// — a point write's one op, or a whole batch's in batch (key) order.
 /// Replaying rounds in commit order against a sequential map, each round's
 /// ops in the order given, must reproduce every `result` — the stress
 /// suite's oracle check.
@@ -381,6 +378,8 @@ pub struct Round<K, V = ()> {
     /// below its snapshot's seq) and what a read-your-writes contract hangs
     /// off (see the module docs' *Reads* section).
     pub seq: u64,
+    /// What every op of the round did.
+    pub kind: OpKind,
     /// The committed operations, in linearisation order.
     pub ops: Vec<RoundOp<K, V>>,
 }
@@ -939,9 +938,7 @@ where
                 run(set)
             };
             debug_assert_eq!(out.len(), keys.len(), "one flag per batch key");
-            let ops = (keys.iter().zip(&out).enumerate())
-                .map(|(i, (key, &result))| (kind, key, vals.map(|vals| &vals[i]), result));
-            let retired = self.commit_round(&mut held.writer, keys.len() as u64, ops);
+            let retired = self.commit_round(&mut held.writer, kind, keys, vals, &out);
             self.metrics.batch_rounds.add_single_writer(1);
             if pooled {
                 self.metrics.pooled_rounds.add_single_writer(1);
@@ -1092,32 +1089,36 @@ where
                 OpKind::Insert => set.upsert_one(key, val.expect("insert ops carry a value")),
                 OpKind::Remove => set.remove_one(key),
             };
-            let op = std::iter::once((kind, key, val, result));
-            (result, self.commit_round(&mut held.writer, 1, op))
+            let (keys, vals) = (slice::from_ref(key), val.map(slice::from_ref));
+            (
+                result,
+                self.commit_round(&mut held.writer, kind, keys, vals, &[result]),
+            )
         };
         self.drop_retired(retired);
         result
     }
 
-    /// Commits the round of `len` ops the caller has just executed against
-    /// `writer`'s backend — every round, of whatever origin, commits here —
-    /// and returns the snapshot the publish displaced.  Caller must hold the
+    /// Commits the round the caller has just executed against `writer`'s
+    /// backend — every round, of whatever origin, commits here — and
+    /// returns the snapshot the publish displaced.  Caller must hold the
     /// combiner flag and must not have returned the round's results yet.
-    /// The order is the contract: allocate the seq,
-    /// **publish** the state as snapshot `seq` — publish-before-return is
-    /// the whole read-your-writes guarantee — then hand the round to the
-    /// **sink** (`ops`, the round's operations in linearisation order),
+    /// The order is the contract: allocate the seq, **publish** the state
+    /// as snapshot `seq` — publish-before-return is the whole
+    /// read-your-writes guarantee — then hand the round to the **sink**,
     /// because a returning caller may at once rely on its round being in
     /// the sink: on the write-ahead log, or in the log a replay takes.
     ///
     /// The seq and the counters are flag-holder-only, so seqs are strictly
     /// increasing and gap-free in commit order, and the single-writer
     /// plain-load+store advance is exact without atomic RMWs.
-    fn commit_round<'a>(
+    fn commit_round(
         &self,
         writer: &mut Writer<S, L>,
-        len: u64,
-        ops: impl Iterator<Item = CommittedOp<'a, K, V>>,
+        kind: OpKind,
+        keys: &[K],
+        vals: Option<&[V]>,
+        results: &[bool],
     ) -> Retired<S> {
         let start = self.obs.now();
         writer.seq += 1;
@@ -1133,7 +1134,8 @@ where
             snap: displaced,
             publish_ns: start.map(|start| start.elapsed().as_nanos() as u64),
         };
-        writer.sink.commit(writer.seq, ops);
+        writer.sink.commit(writer.seq, kind, keys, vals, results);
+        let len = keys.len() as u64;
         self.metrics.ops.add_single_writer(len);
         self.metrics.round_size.record(len);
         self.metrics.rounds.add_single_writer(1);
@@ -1285,22 +1287,20 @@ mod tests {
         // Sequential clients combine themselves: one write per round, and
         // the read in between entered none.
         assert_eq!(rounds.len(), 2);
-        let flat: Vec<RoundOp<u64>> = rounds.into_iter().flat_map(|r| r.ops).collect();
+        let one = |seq, kind, val| Round {
+            seq,
+            kind,
+            ops: vec![RoundOp {
+                key: 1,
+                val,
+                result: true,
+            }],
+        };
         assert_eq!(
-            flat,
+            rounds,
             vec![
-                RoundOp {
-                    kind: OpKind::Insert,
-                    key: 1,
-                    val: Some(()),
-                    result: true
-                },
-                RoundOp {
-                    kind: OpKind::Remove,
-                    key: 1,
-                    val: None,
-                    result: true
-                },
+                one(1, OpKind::Insert, Some(())),
+                one(2, OpKind::Remove, None)
             ]
         );
         // The log drains.
@@ -1467,16 +1467,16 @@ mod tests {
         let rounds = set.take_rounds();
         assert_eq!(rounds.len(), 3);
         assert_eq!(rounds[1].ops.len(), 3);
+        assert_eq!(rounds[1].kind, OpKind::Insert);
         assert_eq!(
             rounds[1].ops[0],
             RoundOp {
-                kind: OpKind::Insert,
                 key: 1,
                 val: Some(()),
                 result: true
             }
         );
-        assert_eq!(rounds[2].ops.len(), 2);
+        assert_eq!((rounds[2].kind, rounds[2].ops.len()), (OpKind::Remove, 2));
 
         // The counters count batch keys as ops and tally the batched rounds.
         let m = set.metrics();
@@ -2020,8 +2020,7 @@ mod tests {
         let vals: Vec<(OpKind, u64, Option<char>)> = map
             .take_rounds()
             .into_iter()
-            .flat_map(|r| r.ops)
-            .map(|op| (op.kind, op.key, op.val))
+            .flat_map(|r| r.ops.into_iter().map(move |op| (r.kind, op.key, op.val)))
             .collect();
         assert_eq!(
             vals,
@@ -2083,7 +2082,7 @@ mod tests {
         for round in &rounds {
             assert_eq!(round.seq as usize, states.len(), "gap-free seqs");
             for op in &round.ops {
-                let expect = match op.kind {
+                let expect = match round.kind {
                     OpKind::Insert => oracle.insert(op.key),
                     OpKind::Remove => oracle.remove(&op.key),
                 };

@@ -15,9 +15,10 @@
 //! * **Append under the flag.**  A round's commit hands its ops to the
 //!   [`Wal`] ([`combine::CommitSink`]) while its writer still holds the
 //!   combiner flag — after the round's snapshot is published, before the
-//!   writer's call returns.  The sink strips ops whose replay could
-//!   not change state (see *What is logged*), encodes the rest straight
-//!   from the round's borrowed keys and values into one reused buffer, and
+//!   writer's call returns.  A round is one kind of write, so its record
+//!   carries the kind once.  The sink strips ops whose replay could not
+//!   change state (see *What is logged*), encodes the rest straight from
+//!   the round's borrowed keys and values into one reused buffer, and
 //!   appends it (a `write`).  The flag makes append order equal commit
 //!   order, so the log *is* the linearisation, with no lock of its own, and
 //!   every round — a write issued through [`DurableMap::inner`] too — is in
@@ -46,8 +47,9 @@
 //!   records (or on [`DurableMap::snapshot`]), the store's full contents are
 //!   captured under the combiner flag
 //!   ([`combine::ConcurrentMap::hold_sink`], then
-//!   [`combine::ConcurrentMap::snapshot_entries`]) and written to
-//!   `snap-<seq>.tmp`, which is fsynced, renamed to `snap-<seq>.snap`,
+//!   [`combine::ConcurrentMap::snapshot_entries`]) and written, as insert
+//!   records (see *One on-disk dialect*), to `snap-<seq>.tmp`, which is
+//!   fsynced, renamed to `snap-<seq>.snap`,
 //!   and committed by an fsync of the directory: the rename is the commit
 //!   point, so a crash mid-write leaves the previous snapshot in force —
 //!   also when the new one is taken at the same seq.  Under the flag the
@@ -92,13 +94,18 @@
 //!
 //! # One on-disk dialect
 //!
-//! Sets and maps share one record codec, one segment replayer and one
-//! snapshot format: an insert record carries `V::WIDTH` value bytes after
-//! the key, which for `V = ()` is none at all.  Segment and snapshot
-//! headers name the key and value widths they were written with, and
-//! [`DurableMap::open`] refuses — `InvalidData`, directory untouched — a
-//! directory written at other widths instead of "recovering" it as a torn
-//! log.
+//! There is one file format, and sets and maps share it.  A file is an
+//! 8-byte stamped header followed by checksummed records; a record is one
+//! round — its seq, its kind once, and `n` fixed-width ops, each a key
+//! followed, in an insert record, by `V::WIDTH` value bytes (none at all
+//! for `V = ()`).  A WAL segment is such a file; so is a snapshot, whose
+//! records are all inserts at the snapshot's seq, closed by one empty
+//! record that the WAL never writes.  One encoder writes both and one
+//! reader reads both.  Headers name the key and value widths and the
+//! format version they were written with, and [`DurableMap::open`] refuses
+//! — `InvalidData`, directory untouched — a directory written at other
+//! widths or by another format version instead of "recovering" it as a
+//! torn log.
 //!
 //! # Example
 //!
@@ -140,14 +147,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use batchapi::{Batch, BatchedMap, KeyCodec, KvBatch};
-use combine::{CommitSink, CommittedOp, ConcurrentMap, OpKind, Options};
+use combine::{CommitSink, ConcurrentMap, OpKind, Options};
 use forkjoin::Pool;
 use obs::{Counter, Histogram, Registry};
 
 use crate::log::{
-    list_files, replay_segment, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
+    list_files, read_records, segment_magic, truncate_segment, SegmentEnd, SegmentLog,
 };
-use crate::record::{encode_record, payload_len, WalOp, MAX_PAYLOAD};
+use crate::record::{encode_record, payload_len, MAX_PAYLOAD};
 use crate::snapshot::{load_snapshot, remove_stale_snapshots, snapshot_path, write_snapshot};
 
 /// Construction-time knobs for [`DurableMap`].
@@ -232,32 +239,29 @@ impl Shared {
 /// the buffer's capacity is at most this.  A whole-batch record may be as
 /// large as `MAX_PAYLOAD`, and a buffer grown for one such batch would
 /// otherwise stay allocated — per shard — for as long as the store is open.
-/// 1 MiB clears every record the benchmark writes (73 KB for a `batch-large`
-/// sub-batch, 295 KB for a prefill one), so no steady-state append
-/// reallocates.
+/// 1 MiB clears every record the benchmark writes (≈ 66 KB for a
+/// `batch-large` sub-batch, ≈ 262 KB for a prefill one), so no
+/// steady-state append reallocates.
 const WAL_BUF_KEEP: usize = 1 << 20;
 
-impl<K: KeyCodec + 'static, V: KeyCodec + 'static> CommitSink<K, V> for Wal {
-    fn commit<'a>(&mut self, seq: u64, ops: impl Iterator<Item = CommittedOp<'a, K, V>>) {
+impl<K: KeyCodec, V: KeyCodec> CommitSink<K, V> for Wal {
+    fn commit(&mut self, seq: u64, kind: OpKind, keys: &[K], vals: Option<&[V]>, results: &[bool]) {
         // Keep only ops whose replay could change state (the crate docs'
         // logging rule): a failed remove replays to nothing, and so does a
         // failed insert unless it may have rewritten a value.  Sequence
         // gaps this leaves in the WAL are expected.
-        let mut muts = ops
-            .filter(|&(kind, .., result)| result || (kind == OpKind::Insert && V::WIDTH != 0))
-            .map(|(kind, key, val, _)| match kind {
-                OpKind::Insert => WalOp::Insert(key, val.expect("insert ops carry a value")),
-                OpKind::Remove => WalOp::Remove(key),
-            })
+        let keep_failed = kind == OpKind::Insert && V::WIDTH != 0;
+        let mut kept = (0..keys.len())
+            .filter(|&i| results[i] || keep_failed)
             .peekable();
         // Past an I/O error nothing more is appended or fsynced: the log's
         // tail is unknown (and a retried fsync could report success for
         // pages a failed one lost), and the writers report the wedge.
-        if muts.peek().is_none() || self.shared.wedged.get().is_some() {
+        if kept.peek().is_none() || self.shared.wedged.get().is_some() {
             return;
         }
         self.buf.clear();
-        encode_record(seq, muts, &mut self.buf);
+        encode_record(seq, kind, keys, vals, kept, &mut self.buf);
         if let Err(err) = self.append(seq) {
             self.shared.wedge(err);
         }
@@ -419,8 +423,9 @@ where
     /// recovering any existing history: load the highest-seq committed
     /// snapshot, replay the log tail above it, truncate a torn final
     /// record, and seed a fresh backend via `make_backend` (e.g.
-    /// `IstMap::from_batch`).  Large recovered batches build on `pool`,
-    /// which the front-end then uses for large rounds.
+    /// `IstMap::from_batch`), which runs on `pool` — a large recovered
+    /// batch builds in parallel there — and the front-end then uses the
+    /// pool for large rounds.
     ///
     /// # Errors
     ///
@@ -439,7 +444,7 @@ where
     ) -> io::Result<DurableMap<K, V, S>>
     where
         P: AsRef<Path>,
-        F: FnOnce(KvBatch<K, V>) -> S,
+        F: FnOnce(KvBatch<K, V>) -> S + Send,
     {
         let dir = dir.as_ref().to_path_buf();
         std::fs::create_dir_all(&dir)?;
@@ -462,22 +467,25 @@ where
         //    at other widths is an error, returned before anything below
         //    can "heal" it.
         let segments = list_files(&dir, "wal-", ".log")?;
+        let magic = segment_magic::<K, V>();
         let mut max_seq = snap_seq;
         let mut last_record_seq = 0u64;
         let mut replayed = 0u64;
         let mut tear: Option<(usize, u64)> = None;
         for (i, (_, path)) in segments.iter().enumerate() {
-            let end = replay_segment::<K, V, _>(path, |record| {
+            let end = read_records::<K, V, _>(path, &magic, |record| {
                 if record.seq <= last_record_seq {
                     return false;
                 }
                 last_record_seq = record.seq;
                 if record.seq > snap_seq {
-                    for op in record.ops {
-                        match op {
-                            WalOp::Insert(key, val) => contents.insert(key, val),
-                            WalOp::Remove(key) => contents.remove(&key),
-                        };
+                    match record.kind {
+                        OpKind::Insert => contents.extend(record.keys.into_iter().zip(record.vals)),
+                        OpKind::Remove => {
+                            for key in &record.keys {
+                                contents.remove(key);
+                            }
+                        }
                     }
                     max_seq = record.seq;
                     replayed += 1;
@@ -516,12 +524,7 @@ where
         //    name order stays append order across process lifetimes.
         let highest_name = segments.iter().map(|&(seq, _)| seq).max().unwrap_or(0);
         let name = (max_seq + 1).max(highest_name + 1);
-        let log = SegmentLog::create(
-            &dir,
-            name,
-            options.segment_bytes.max(1),
-            segment_magic::<K, V>(),
-        )?;
+        let log = SegmentLog::create(&dir, name, options.segment_bytes.max(1), magic)?;
         metrics.segments_created.inc();
 
         // 5. The backend, from the recovered contents, behind a front-end
@@ -529,7 +532,7 @@ where
         //    continues where the history left off.
         let batch = KvBatch::from_sorted_entries(contents.into_iter().collect())
             .expect("BTreeMap iterates strictly ascending");
-        let backend = make_backend(batch);
+        let backend = pool.install(|| make_backend(batch));
         metrics.appended_seq.set_max(max_seq);
         metrics.durable_seq.set_max(max_seq);
         let shared = Arc::new(Shared {
@@ -587,13 +590,13 @@ where
     ///
     /// `InvalidInput` — before anything commits, the store stays usable —
     /// when the batch is too large for one record (256 MiB of payload:
-    /// ≈ 29.8 M `u64` keys, ≈ 15.8 M `u64 → u64` pairs; split it).  Same for
+    /// ≈ 33.6 M `u64` keys, ≈ 16.8 M `u64 → u64` pairs; split it).  Same for
     /// [`DurableMap::batch_remove`].
     pub fn batch_insert(&self, batch: &KvBatch<K, V>) -> io::Result<Vec<bool>>
     where
         S: 'static,
     {
-        Self::check_fits_one_record(payload_len::<K, V>(batch.len(), 0))?;
+        Self::check_fits_one_record(payload_len::<K, V>(OpKind::Insert, batch.len()))?;
         self.settle(self.inner.batch_insert(batch))
     }
 
@@ -602,7 +605,7 @@ where
     where
         S: 'static,
     {
-        Self::check_fits_one_record(payload_len::<K, V>(0, batch.len()))?;
+        Self::check_fits_one_record(payload_len::<K, V>(OpKind::Remove, batch.len()))?;
         self.settle(self.inner.batch_remove(batch))
     }
 
@@ -951,12 +954,9 @@ mod tests {
             "an upsert of a present key is logged iff it may have changed a value"
         );
         // One record, and exactly the documented size: the set's is the
-        // 12-byte frame + 12 + (1 + 8), a map's adds V::WIDTH value bytes.
+        // 12-byte frame + 13 + 8, a map's adds V::WIDTH value bytes.
         let bytes = store.metrics().counter("durable.bytes_written").unwrap();
-        assert_eq!(
-            bytes,
-            (12 + 12 + 1 + 8 + V::WIDTH as u64) * appended(&store)
-        );
+        assert_eq!(bytes, (12 + 13 + 8 + V::WIDTH as u64) * appended(&store));
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1003,14 +1003,14 @@ mod tests {
         store.upsert(1, V::of(1, 0)).unwrap();
         let before = (appended(&store), store.inner().committed_seq());
 
-        let fits = (MAX_PAYLOAD - 12) / (1 + 8 + V::WIDTH);
+        let fits = (MAX_PAYLOAD - 13) / (8 + V::WIDTH);
         let entries = |n: usize| {
             let pairs = (10..10 + n as u64).map(|k| (k, V::of(k, 0))).collect();
             KvBatch::from_sorted_entries(pairs).unwrap()
         };
         let err = store.batch_insert(&entries(fits + 1)).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidInput, "{err}");
-        let keys = (0..=(MAX_PAYLOAD as u64 - 12) / (1 + 8)).collect();
+        let keys = (0..=(MAX_PAYLOAD as u64 - 13) / 8).collect();
         let err = store
             .batch_remove(&Batch::from_sorted(keys).unwrap())
             .unwrap_err();
@@ -1495,6 +1495,28 @@ mod tests {
             .err()
             .expect("a misnamed snapshot must not open");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `make_backend` runs on the pool `open` is given, so the forks of a
+    /// large recovered batch's build run in parallel there.
+    #[test]
+    fn recovery_builds_the_backend_on_the_pool() {
+        let dir = scratch_dir("build-on-pool");
+        assert_eq!(forkjoin::current_num_threads(), 1, "outside a pool");
+        let mut threads = 0;
+        let store: Store<u64, ()> = DurableMap::open(
+            &dir,
+            Pool::new(2).unwrap(),
+            DurableOptions::default(),
+            |batch| {
+                threads = forkjoin::current_num_threads();
+                IstMap::from_batch(&batch)
+            },
+        )
+        .unwrap();
+        assert_eq!(threads, 2, "make_backend ran off the pool");
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

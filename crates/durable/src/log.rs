@@ -1,5 +1,5 @@
-//! Append-only segment files for the write-ahead log, and the one
-//! directory listing that finds segments and snapshots alike.
+//! WAL segment files, and the one record reader and one directory listing
+//! for segments and snapshots alike.
 //!
 //! The log is a directory of segments named `wal-<seq>.log` (20-digit
 //! zero-padded, so lexicographic name order is numeric seq order).  A
@@ -19,14 +19,14 @@
 //! segments (`wal-<seq>.log`) and committed snapshots (`snap-<seq>.snap`)
 //! alike, and recovery takes the highest-seq snapshot as its root.
 //!
-//! Every segment opens with an 8-byte header: the format tag, the key and
-//! value widths it was written with, and the format version (see
-//! [`stamped_magic`]).  A file too short for the header, or not one of ours
-//! at all, replays as torn at offset zero — that is what a crash during
-//! `create` leaves behind.  A *well-formed* header stamped for other widths
-//! (the directory belongs to a differently-typed store) or another version
-//! is not damage and must never be "healed": replay refuses it with
-//! `InvalidData` and the directory is left untouched.
+//! Both kinds of file are one format: an 8-byte header ([`stamped_magic`]:
+//! the tag `PBWAL` or `PBSNP`, the key and value widths, the format
+//! version), then records ([`crate::record`]), read by [`read_records`].
+//! A segment too short for the header, or not one of ours at all, replays
+//! as torn at offset zero — what a crash during `create` leaves behind.  A
+//! *well-formed* header for other widths (a differently-typed store) or
+//! another version is not damage and must never be "healed": it is
+//! refused with `InvalidData` and the directory is left untouched.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -37,8 +37,9 @@ use batchapi::KeyCodec;
 use crate::record::{decode_record, DecodeOutcome, WalRecord};
 
 /// The on-disk format version stamped into every header.  Versions 1 and 2
-/// were the keys-only and key-value dialects this format replaced.
-const FORMAT_VERSION: u8 = 3;
+/// were the keys-only and key-value dialects of the WAL; version 3 wrote a
+/// kind byte before every op and gave a snapshot a byte layout of its own.
+const FORMAT_VERSION: u8 = 4;
 
 /// The 8-byte header of a file holding `K` keys and `V` values: a 5-byte
 /// format `tag`, `K::WIDTH`, `V::WIDTH`, [`FORMAT_VERSION`].  The widths
@@ -201,26 +202,30 @@ pub(crate) fn list_files(
     Ok(files)
 }
 
-/// How one segment's replay ended.
+/// How reading one file's records ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SegmentEnd {
-    /// Every byte decoded as a record; the segment is intact.
+    /// Every byte decoded as a record; the file is intact.
     Clean,
     /// The valid prefix ends at this byte offset (torn final write, bit
-    /// rot, or a foreign/empty file).  Recovery truncates here.
+    /// rot, or a foreign/empty file).  Recovery truncates a segment here.
     Torn(u64),
 }
 
-/// Replays one segment, feeding each valid record to `apply` in order.
-/// `apply` returns `false` to reject a record (recovery uses this to
-/// treat a non-increasing sequence number as damage); the rejected
-/// record's offset is reported as the tear.
+/// Reads one file headed by `magic` — a segment or a snapshot — feeding
+/// each valid record to `apply` in order.  `apply` returns `false` to
+/// reject a record (recovery uses this to treat a non-increasing sequence
+/// number as damage); the rejected record's offset is reported as the tear.
 ///
 /// # Errors
 ///
-/// I/O failure, or `InvalidData` when the segment's header names other
-/// key/value widths than `K`/`V` (see [`check_magic`]).
-pub(crate) fn replay_segment<K, V, F>(path: &Path, mut apply: F) -> io::Result<SegmentEnd>
+/// I/O failure, or `InvalidData` when the header names other widths than
+/// `K`/`V`, or another format version (see [`check_magic`]).
+pub(crate) fn read_records<K, V, F>(
+    path: &Path,
+    magic: &[u8; 8],
+    mut apply: F,
+) -> io::Result<SegmentEnd>
 where
     K: KeyCodec,
     V: KeyCodec,
@@ -228,8 +233,7 @@ where
 {
     let mut buf = Vec::new();
     File::open(path)?.read_to_end(&mut buf)?;
-    let magic = segment_magic::<K, V>();
-    if !check_magic(&buf, &magic, path)? {
+    if !check_magic(&buf, magic, path)? {
         return Ok(SegmentEnd::Torn(0));
     }
     let mut at = magic.len();
@@ -275,7 +279,8 @@ pub(crate) fn sync_dir(dir: &Path) -> io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{encode_record, WalOp};
+    use crate::record::encode_record;
+    use combine::OpKind;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -290,9 +295,17 @@ mod tests {
         dir
     }
 
+    /// Reads a segment written with `segment_magic::<K, V>()`.
+    fn replay<K: KeyCodec, V: KeyCodec, F: FnMut(WalRecord<K, V>) -> bool>(
+        path: &Path,
+        apply: F,
+    ) -> io::Result<SegmentEnd> {
+        read_records(path, &segment_magic::<K, V>(), apply)
+    }
+
     fn one_record(seq: u64, key: u64) -> Vec<u8> {
         let mut buf = Vec::new();
-        encode_record(seq, [WalOp::Insert(&key, &())].into_iter(), &mut buf);
+        encode_record(seq, OpKind::Insert, &[key], Some(&[()]), 0..1, &mut buf);
         buf
     }
 
@@ -316,8 +329,8 @@ mod tests {
 
         let mut seen = Vec::new();
         for (_, path) in &segments {
-            let end = replay_segment::<u64, (), _>(path, |r| {
-                seen.push((r.seq, r.ops.clone()));
+            let end = replay::<u64, (), _>(path, |r| {
+                seen.push((r.seq, r.kind, r.keys));
                 true
             })
             .unwrap();
@@ -326,7 +339,7 @@ mod tests {
         assert_eq!(
             seen,
             (1..=5u64)
-                .map(|s| (s, vec![WalOp::Insert(s * 10, ())]))
+                .map(|s| (s, OpKind::Insert, vec![s * 10]))
                 .collect::<Vec<_>>()
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -345,7 +358,7 @@ mod tests {
 
         let path = segment_path(&dir, 1);
         let mut count = 0;
-        let end = replay_segment::<u64, (), _>(&path, |_| {
+        let end = replay::<u64, (), _>(&path, |_| {
             count += 1;
             true
         })
@@ -354,7 +367,7 @@ mod tests {
         assert_eq!(end, SegmentEnd::Torn(valid_end));
 
         truncate_segment(&path, valid_end).unwrap();
-        let end = replay_segment::<u64, (), _>(&path, |_| true).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| true).unwrap();
         assert_eq!(end, SegmentEnd::Clean);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -364,10 +377,10 @@ mod tests {
         let dir = scratch_dir("magic");
         let path = segment_path(&dir, 3);
         fs::write(&path, b"not a wal segment").unwrap();
-        let end = replay_segment::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
         fs::write(&path, b"xy").unwrap();
-        let end = replay_segment::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| panic!("no records")).unwrap();
         assert_eq!(end, SegmentEnd::Torn(0));
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -380,15 +393,35 @@ mod tests {
         log.sync().unwrap();
         let path = segment_path(&dir, 1);
         for err in [
-            replay_segment::<u64, u64, _>(&path, |_| panic!("no records")).unwrap_err(),
-            replay_segment::<u32, (), _>(&path, |_| panic!("no records")).unwrap_err(),
+            replay::<u64, u64, _>(&path, |_| panic!("no records")).unwrap_err(),
+            replay::<u32, (), _>(&path, |_| panic!("no records")).unwrap_err(),
         ] {
             assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
             assert!(err.to_string().contains("8-byte keys"), "{err}");
         }
         // Read with the types it was written with, the segment is intact.
-        let end = replay_segment::<u64, (), _>(&path, |_| true).unwrap();
+        let end = replay::<u64, (), _>(&path, |_| true).unwrap();
         assert_eq!(end, SegmentEnd::Clean);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A segment of an older format version frames its records otherwise:
+    /// it is refused, never healed as a torn log.
+    #[test]
+    fn a_header_from_format_version_3_is_refused_not_torn() {
+        let dir = scratch_dir("version");
+        let mut log = SegmentLog::create(&dir, 1, u64::MAX, segment_magic::<u64, ()>()).unwrap();
+        log.append(&one_record(1, 7)).unwrap();
+        log.sync().unwrap();
+        let path = segment_path(&dir, 1);
+        let mut bytes = fs::read(&path).unwrap();
+        assert_eq!(bytes[7], FORMAT_VERSION);
+        bytes[7] = 3;
+        fs::write(&path, &bytes).unwrap();
+        let err = replay::<u64, (), _>(&path, |_| panic!("no records")).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(err.to_string().contains("format version 3"), "{err}");
+        assert_eq!(fs::read(&path).unwrap(), bytes, "a refused read wrote");
         fs::remove_dir_all(&dir).unwrap();
     }
 

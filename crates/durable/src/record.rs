@@ -1,55 +1,69 @@
-//! The write-ahead log's record codec — one codec for every store, the
-//! set being the instance whose values are zero bytes wide.
+//! The record codec — one for every store (a set's values are zero bytes
+//! wide) and for both files a store writes, WAL segments and snapshots.
 //!
-//! One record per round that logged anything (reads never enter a round,
-//! and a round whose every op failed — replaying it would change nothing —
-//! writes no record, so the WAL's sequence numbers are allowed to have
-//! gaps).  The wire layout is
+//! A record is one round, and a round is one kind of write, so the kind is
+//! written once per record.  The WAL holds one record per round that
+//! logged anything (reads never enter a round, and a round whose every op
+//! failed writes none, so WAL sequence numbers may have gaps).  The wire
+//! layout is
 //!
 //! ```text
-//! [payload_len: u32 LE][checksum: u64 LE]    <- header, 12 bytes
-//! [seq: u64 LE][n_ops: u32 LE]               <- payload ...
-//! n_ops x ( [KIND_INSERT][key: K::WIDTH bytes][value: V::WIDTH bytes]
-//!         | [KIND_REMOVE][key: K::WIDTH bytes] )
+//! [payload_len: u32 LE][checksum: u64 LE]      <- header, 12 bytes
+//! [seq: u64 LE][kind: u8][n: u32 LE]           <- payload ...
+//! n x [key: K::WIDTH bytes][value: V::WIDTH bytes]    (KIND_INSERT)
+//! n x [key: K::WIDTH bytes]                           (KIND_REMOVE)
 //! ```
 //!
-//! so a `V = ()` record is `12 + 12 + n_ops * (1 + K::WIDTH)` bytes — a set
-//! pays nothing for sharing the codec.  The checksum is FNV-1a 64 over the
-//! payload bytes.  Decoding is strictly *prefix-tolerant*: any defect — a
-//! partial header, a partial payload, an implausible length, a checksum
-//! mismatch, an unknown kind byte, a body that does not end exactly at the
-//! declared op count — is reported as [`DecodeOutcome::Torn`] at the
-//! offending offset rather than an error, because on the recovery path
+//! so an insert record is `25 + n * (K::WIDTH + V::WIDTH)` bytes and a
+//! remove record `25 + n * K::WIDTH`: a point write's `u64` record is 33
+//! bytes, and a set pays nothing for sharing the codec.  The checksum is FNV-1a 64 over the payload bytes.  Decoding is strictly
+//! *prefix-tolerant*: any defect — a partial header, a partial payload, an
+//! implausible length, a checksum mismatch, an unknown kind byte, a body
+//! that is not exactly `n` ops — is reported as [`DecodeOutcome::Torn`] at
+//! the offending offset rather than an error, because on the recovery path
 //! every one of those is the same event: the valid log ends here.
 //! Recovery truncates at that point and the history before it stands.
 //! (Key and value *widths* are not a per-record matter: they are stamped
-//! into the segment header, see [`crate::log`].)
+//! into the file header, see [`crate::log`].)
 
 use batchapi::KeyCodec;
+use combine::OpKind;
 
 /// Bytes in a record header: `payload_len: u32` + `checksum: u64`.
 pub(crate) const RECORD_HEADER: usize = 4 + 8;
+
+/// Bytes of a payload before its ops: `seq: u64`, `kind: u8`, `n: u32`.
+const PAYLOAD_HEADER: usize = 8 + 1 + 4;
 
 /// Upper bound on a single record's payload, as a plausibility filter: a
 /// corrupted length field must not convince the replayer to wait for
 /// gigabytes of payload that never existed.  A point write's round holds
 /// one op and stays far below it, but a whole-batch round is as large as
-/// its batch — 256 MiB is ≈ 29.8 M `u64` keys or ≈ 15.8 M `u64 → u64`
+/// its batch — 256 MiB is ≈ 33.6 M `u64` keys or ≈ 16.8 M `u64 → u64`
 /// pairs — so the store refuses a larger batch before it commits
 /// ([`payload_len`] is the rule): what decoding calls torn, encoding must
-/// never write.  (1 MiB under `cfg(test)`, so this
-/// crate's unit tests reach the limit without a 256 MiB batch.)
+/// never write.  A snapshot splits its entries into records of at most
+/// this size.  (1 MiB under `cfg(test)`, so this crate's unit tests reach
+/// the limit without a 256 MiB batch.)
 pub(crate) const MAX_PAYLOAD: usize = if cfg!(test) { 1 << 20 } else { 256 << 20 };
-
-/// Payload bytes of a record holding `inserts` inserts and `removes`
-/// removes (see the module docs' wire layout).
-pub(crate) fn payload_len<K: KeyCodec, V: KeyCodec>(inserts: usize, removes: usize) -> usize {
-    8 + 4 + inserts * (1 + K::WIDTH + V::WIDTH) + removes * (1 + K::WIDTH)
-}
 
 /// Op kind tags on the wire.
 const KIND_INSERT: u8 = 0;
 const KIND_REMOVE: u8 = 1;
+
+/// Bytes of one op of a `kind` record: a key, and a value for an insert.
+fn op_width<K: KeyCodec, V: KeyCodec>(kind: OpKind) -> usize {
+    match kind {
+        OpKind::Insert => K::WIDTH + V::WIDTH,
+        OpKind::Remove => K::WIDTH,
+    }
+}
+
+/// Payload bytes of a `kind` record holding `n` ops (see the module docs'
+/// wire layout).
+pub(crate) fn payload_len<K: KeyCodec, V: KeyCodec>(kind: OpKind, n: usize) -> usize {
+    PAYLOAD_HEADER + n * op_width::<K, V>(kind)
+}
 
 /// FNV-1a 64-bit over `bytes` — tiny, allocation-free, std-only, and
 /// plenty to catch torn writes and bit rot (this guards against crashes,
@@ -63,67 +77,61 @@ pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// One logged mutation.  Decoding yields owned `WalOp<K, V>`s, replayed
-/// against a `BTreeMap` during recovery; encoding borrows, as
-/// `WalOp<&K, &V>`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalOp<K, V> {
-    /// The round upserted this key to this value.
-    Insert(K, V),
-    /// The round removed this key.
-    Remove(K),
-}
-
-/// One decoded WAL record: a round's sequence number and its logged
-/// operations in linearisation order.
+/// One decoded record: a round's sequence number, its kind, and its keys
+/// in linearisation order — with, for an insert, the values parallel to
+/// them (`vals` is empty for a remove).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct WalRecord<K, V> {
     pub(crate) seq: u64,
-    pub(crate) ops: Vec<WalOp<K, V>>,
+    pub(crate) kind: OpKind,
+    pub(crate) keys: Vec<K>,
+    pub(crate) vals: Vec<V>,
 }
 
-/// Appends one encoded record for `(seq, ops)` to `buf`.
+/// Appends one encoded `kind` record at `seq` to `buf`, holding the ops
+/// at the indices `kept` yields into `keys` (and, for an insert, into
+/// `vals`, which is `Some` exactly then).
 ///
-/// `ops` are the round's ops already filtered down to the ones the logging
-/// rule keeps, as a lazy iterator: the op count — like the length and the
-/// checksum — is patched into place once they are in, so nobody collects
-/// them first.  The caller skips rounds that keep no op rather than writing
-/// empty records.
-pub(crate) fn encode_record<'a, K: KeyCodec + 'a, V: KeyCodec + 'a>(
+/// `kept` is lazy: the op count — like the length and the checksum — is
+/// patched into place once the ops are in, so nobody collects them first.
+pub(crate) fn encode_record<K: KeyCodec, V: KeyCodec>(
     seq: u64,
-    ops: impl Iterator<Item = WalOp<&'a K, &'a V>>,
+    kind: OpKind,
+    keys: &[K],
+    vals: Option<&[V]>,
+    kept: impl Iterator<Item = usize>,
     buf: &mut Vec<u8>,
 ) {
-    // Reserved as if every op were kept and carried a value.
-    buf.reserve(RECORD_HEADER + payload_len::<K, V>(ops.size_hint().1.unwrap_or(0), 0));
+    let (tag, vals) = match kind {
+        OpKind::Insert => (KIND_INSERT, vals.expect("an insert carries its values")),
+        OpKind::Remove => (KIND_REMOVE, &[][..]),
+    };
+    let width = op_width::<K, V>(kind);
+    // Reserved as if every op were kept.
+    buf.reserve(RECORD_HEADER + payload_len::<K, V>(kind, kept.size_hint().1.unwrap_or(0)));
     let header_at = buf.len();
     buf.extend_from_slice(&[0u8; RECORD_HEADER]);
     let payload_at = buf.len();
     buf.extend_from_slice(&seq.to_le_bytes());
+    buf.push(tag);
     buf.extend_from_slice(&[0u8; 4]);
-    let mut n_ops = 0u32;
-    for op in ops {
-        let (kind, key, val) = match op {
-            WalOp::Insert(key, val) => (KIND_INSERT, key, Some(val)),
-            WalOp::Remove(key) => (KIND_REMOVE, key, None),
-        };
-        buf.push(kind);
+    let mut n = 0u32;
+    for i in kept {
         let at = buf.len();
-        buf.resize(at + K::WIDTH, 0);
-        key.encode(&mut buf[at..]);
-        if let Some(val) = val {
-            let at = buf.len();
-            buf.resize(at + V::WIDTH, 0);
-            val.encode(&mut buf[at..]);
+        buf.resize(at + width, 0);
+        let (key, val) = buf[at..].split_at_mut(K::WIDTH);
+        keys[i].encode(key);
+        if kind == OpKind::Insert {
+            vals[i].encode(val);
         }
-        n_ops += 1;
+        n += 1;
     }
     let payload_len = buf.len() - payload_at;
     debug_assert!(
         payload_len <= MAX_PAYLOAD,
         "a {payload_len}-byte record would read back as a torn tail"
     );
-    buf[payload_at + 8..payload_at + 12].copy_from_slice(&n_ops.to_le_bytes());
+    buf[payload_at + 9..payload_at + PAYLOAD_HEADER].copy_from_slice(&n.to_le_bytes());
     let checksum = fnv1a(&buf[payload_at..]);
     buf[header_at..header_at + 4].copy_from_slice(&(payload_len as u32).to_le_bytes());
     buf[header_at + 4..header_at + 12].copy_from_slice(&checksum.to_le_bytes());
@@ -137,16 +145,15 @@ pub(crate) enum DecodeOutcome<K, V> {
         record: WalRecord<K, V>,
         consumed: usize,
     },
-    /// The buffer ends exactly here — a cleanly-terminated log.
+    /// The buffer ends exactly here — a cleanly-terminated file.
     Clean,
     /// The bytes from this offset on are not a valid record (torn final
     /// write, bit rot, garbage).  The valid log ends at this offset.
     Torn,
 }
 
-/// Decodes the record starting at `buf[at..]`.  Ops are variable-width
-/// when values are (the kind byte decides whether a value follows the
-/// key), so the body is walked with a cursor.
+/// Decodes the record starting at `buf[at..]`.  Every op of a record has
+/// its kind's width, so the body is sliced, not walked.
 pub(crate) fn decode_record<K: KeyCodec, V: KeyCodec>(
     buf: &[u8],
     at: usize,
@@ -160,7 +167,7 @@ pub(crate) fn decode_record<K: KeyCodec, V: KeyCodec>(
     }
     let payload_len = u32::from_le_bytes(rest[0..4].try_into().unwrap()) as usize;
     let checksum = u64::from_le_bytes(rest[4..12].try_into().unwrap());
-    if !(8 + 4..=MAX_PAYLOAD).contains(&payload_len) {
+    if !(PAYLOAD_HEADER..=MAX_PAYLOAD).contains(&payload_len) {
         return DecodeOutcome::Torn;
     }
     let Some(payload) = rest.get(RECORD_HEADER..RECORD_HEADER + payload_len) else {
@@ -170,36 +177,32 @@ pub(crate) fn decode_record<K: KeyCodec, V: KeyCodec>(
         return DecodeOutcome::Torn;
     }
     let seq = u64::from_le_bytes(payload[0..8].try_into().unwrap());
-    let n_ops = u32::from_le_bytes(payload[8..12].try_into().unwrap()) as usize;
-    let mut body = &payload[12..];
-    // Every op is at least a kind byte wide: bound the allocation by what
-    // the body can actually hold, not by the declared count.
-    let mut ops = Vec::with_capacity(n_ops.min(body.len()));
-    for _ in 0..n_ops {
-        let Some((&kind, after_kind)) = body.split_first() else {
-            return DecodeOutcome::Torn;
-        };
-        let width = match kind {
-            KIND_INSERT => K::WIDTH + V::WIDTH,
-            KIND_REMOVE => K::WIDTH,
-            _ => return DecodeOutcome::Torn,
-        };
-        if after_kind.len() < width {
-            return DecodeOutcome::Torn;
-        }
-        let (op, after_op) = after_kind.split_at(width);
-        let key = K::decode(&op[..K::WIDTH]);
-        ops.push(match kind {
-            KIND_INSERT => WalOp::Insert(key, V::decode(&op[K::WIDTH..])),
-            _ => WalOp::Remove(key),
-        });
-        body = after_op;
-    }
-    if !body.is_empty() {
+    let kind = match payload[8] {
+        KIND_INSERT => OpKind::Insert,
+        KIND_REMOVE => OpKind::Remove,
+        _ => return DecodeOutcome::Torn,
+    };
+    let n = u32::from_le_bytes(payload[9..PAYLOAD_HEADER].try_into().unwrap()) as usize;
+    let body = &payload[PAYLOAD_HEADER..];
+    // Checked against the body before anything is allocated: the count
+    // comes from the file.
+    let width = op_width::<K, V>(kind);
+    if n.checked_mul(width) != Some(body.len()) {
         return DecodeOutcome::Torn;
     }
+    let op = |i: usize| &body[i * width..(i + 1) * width];
+    let keys = (0..n).map(|i| K::decode(&op(i)[..K::WIDTH])).collect();
+    let vals = match kind {
+        OpKind::Insert => (0..n).map(|i| V::decode(&op(i)[K::WIDTH..])).collect(),
+        OpKind::Remove => Vec::new(),
+    };
     DecodeOutcome::Record {
-        record: WalRecord { seq, ops },
+        record: WalRecord {
+            seq,
+            kind,
+            keys,
+            vals,
+        },
         consumed: RECORD_HEADER + payload_len,
     }
 }
@@ -208,61 +211,67 @@ pub(crate) fn decode_record<K: KeyCodec, V: KeyCodec>(
 mod tests {
     use super::*;
 
-    fn encode<V: KeyCodec>(seq: u64, ops: &[WalOp<u64, V>]) -> Vec<u8> {
+    fn encode<V: KeyCodec>(seq: u64, kind: OpKind, keys: &[u64], vals: &[V]) -> Vec<u8> {
         let mut buf = Vec::new();
-        let borrowed = ops.iter().map(|op| match op {
-            WalOp::Insert(k, v) => WalOp::Insert(k, v),
-            WalOp::Remove(k) => WalOp::Remove(k),
-        });
-        encode_record(seq, borrowed, &mut buf);
+        let vals = (kind == OpKind::Insert).then_some(vals);
+        encode_record(seq, kind, keys, vals, 0..keys.len(), &mut buf);
         buf
     }
 
-    /// The codec's properties, checked at one value type: round trip,
-    /// exact size, and every truncation / single-byte flip reading as torn.
+    /// The codec's properties, checked at one value type and both kinds:
+    /// round trip, exact size, and every truncation / single-byte flip
+    /// reading as torn.
     fn check_codec<V: KeyCodec + Copy + PartialEq + std::fmt::Debug>(v: impl Fn(u64) -> V) {
-        let ops = [
-            WalOp::Insert(7u64, v(700)),
-            WalOp::Remove(u64::MAX),
-            WalOp::Insert(0, v(0xDEAD_BEEF)),
-        ];
-        let buf = encode(42, &ops);
-        assert_eq!(
-            buf.len(),
-            RECORD_HEADER + 8 + 4 + 3 * (1 + 8) + 2 * V::WIDTH,
-            "inserts carry V::WIDTH value bytes, removes none"
-        );
-        assert_eq!(buf.len(), RECORD_HEADER + payload_len::<u64, V>(2, 1));
-        match decode_record::<u64, V>(&buf, 0) {
-            DecodeOutcome::Record { record, consumed } => {
-                assert_eq!(consumed, buf.len());
-                assert_eq!(record.seq, 42);
-                assert_eq!(record.ops, ops);
+        let keys = [0u64, 7, u64::MAX];
+        let vals = [v(0xDEAD_BEEF), v(700), v(1)];
+        for (kind, width, vals) in [
+            (OpKind::Insert, 8 + V::WIDTH, vals.to_vec()),
+            (OpKind::Remove, 8, Vec::new()),
+        ] {
+            let buf = encode(42, kind, &keys, &vals);
+            assert_eq!(
+                buf.len(),
+                RECORD_HEADER + 8 + 1 + 4 + 3 * width,
+                "an insert's ops carry V::WIDTH value bytes, a remove's none"
+            );
+            assert_eq!(buf.len(), RECORD_HEADER + payload_len::<u64, V>(kind, 3));
+            match decode_record::<u64, V>(&buf, 0) {
+                DecodeOutcome::Record { record, consumed } => {
+                    assert_eq!(consumed, buf.len());
+                    let expect = WalRecord {
+                        seq: 42,
+                        kind,
+                        keys: keys.to_vec(),
+                        vals,
+                    };
+                    assert_eq!(record, expect);
+                }
+                other => panic!("expected a record, got {other:?}"),
             }
-            other => panic!("expected a record, got {other:?}"),
-        }
-        assert_eq!(
-            decode_record::<u64, V>(&buf, buf.len()),
-            DecodeOutcome::Clean
-        );
-        for cut in 1..buf.len() {
             assert_eq!(
-                decode_record::<u64, V>(&buf[..cut], 0),
-                DecodeOutcome::Torn,
-                "prefix of {cut} bytes should read as torn"
+                decode_record::<u64, V>(&buf, buf.len()),
+                DecodeOutcome::Clean
             );
-        }
-        // A flip in the length field *could* in principle frame a different
-        // window whose checksum happens to match — FNV makes that
-        // astronomically unlikely, so any non-torn outcome is a failure.
-        for i in 0..buf.len() {
-            let mut bad = buf.clone();
-            bad[i] ^= 0x01;
-            assert_eq!(
-                decode_record::<u64, V>(&bad, 0),
-                DecodeOutcome::Torn,
-                "flip at byte {i}"
-            );
+            for cut in 1..buf.len() {
+                assert_eq!(
+                    decode_record::<u64, V>(&buf[..cut], 0),
+                    DecodeOutcome::Torn,
+                    "prefix of {cut} bytes should read as torn"
+                );
+            }
+            // A flip in the length field *could* in principle frame a
+            // different window whose checksum happens to match — FNV makes
+            // that astronomically unlikely, so any non-torn outcome is a
+            // failure.
+            for i in 0..buf.len() {
+                let mut bad = buf.clone();
+                bad[i] ^= 0x01;
+                assert_eq!(
+                    decode_record::<u64, V>(&bad, 0),
+                    DecodeOutcome::Torn,
+                    "flip at byte {i}"
+                );
+            }
         }
     }
 
@@ -278,18 +287,23 @@ mod tests {
 
     #[test]
     fn a_set_record_is_byte_for_byte_the_v1_size() {
-        // 12-byte frame + 12 + n * (1 + K::WIDTH): values cost a set nothing.
-        let ops = [
-            WalOp::Insert(1u64, ()),
-            WalOp::Remove(2),
-            WalOp::Insert(3, ()),
-        ];
-        assert_eq!(encode(1, &ops).len(), 12 + 12 + 3 * (1 + 8));
-        assert_eq!(encode(1, &[WalOp::Insert(1u64, ())]).len(), 33);
+        // A point record is the v1 size, 33 bytes: one kind byte per
+        // record is one per op.
+        for kind in [OpKind::Insert, OpKind::Remove] {
+            assert_eq!(encode::<()>(1, kind, &[1], &[()]).len(), 33);
+        }
+        // A batch record pays the 12-byte frame + 13 once and K::WIDTH per
+        // key: values and kinds cost a set nothing per op.
+        assert_eq!(
+            encode(1, OpKind::Insert, &[1, 2, 3], &[(); 3]).len(),
+            12 + 13 + 3 * 8
+        );
     }
 
-    /// Rewrites the checksum so only the planted defect is wrong.
+    /// Rewrites the length and checksum so only the planted defect is wrong.
     fn reseal(buf: &mut [u8]) {
+        let len = (buf.len() - RECORD_HEADER) as u32;
+        buf[0..4].copy_from_slice(&len.to_le_bytes());
         let sum = fnv1a(&buf[RECORD_HEADER..]);
         buf[4..12].copy_from_slice(&sum.to_le_bytes());
     }
@@ -297,14 +311,16 @@ mod tests {
     #[test]
     fn bad_kind_byte_is_torn() {
         for mut buf in [
-            encode(1, &[WalOp::Insert(1u64, ())]),
-            encode(1, &[WalOp::Insert(1u64, 10u64)]),
+            encode(1, OpKind::Insert, &[1], &[()]),
+            encode(1, OpKind::Insert, &[1], &[10u64]),
         ] {
-            // Kind byte sits right after header + seq + n_ops.
-            buf[RECORD_HEADER + 8 + 4] = 7;
-            reseal(&mut buf);
-            assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
-            assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+            // The kind byte sits right after the header and the seq.
+            for kind in [2, 7] {
+                buf[RECORD_HEADER + 8] = kind;
+                reseal(&mut buf);
+                assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
+                assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+            }
         }
     }
 
@@ -312,16 +328,26 @@ mod tests {
     fn a_body_that_disagrees_with_its_op_count_is_torn() {
         // An honest checksum over a body one op too long / too short for
         // the declared count: the decoder must not read past or stop early.
-        let mut buf = encode(1, &[WalOp::Insert(1u64, 10u64), WalOp::Remove(2)]);
-        buf[RECORD_HEADER + 8..RECORD_HEADER + 12].copy_from_slice(&1u32.to_le_bytes());
+        let count = RECORD_HEADER + 9..RECORD_HEADER + 13;
+        let mut buf = encode(1, OpKind::Insert, &[1, 2], &[10u64, 20]);
+        buf[count.clone()].copy_from_slice(&1u32.to_le_bytes());
         reseal(&mut buf);
         assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
-        buf[RECORD_HEADER + 8..RECORD_HEADER + 12].copy_from_slice(&3u32.to_le_bytes());
+        buf[count].copy_from_slice(&3u32.to_le_bytes());
         reseal(&mut buf);
         assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        // A body one byte longer than its `n` ops.
+        for mut buf in [
+            encode(1, OpKind::Remove, &[1, 2], &[(); 2]),
+            encode(1, OpKind::Insert, &[1], &[10u64]),
+        ] {
+            buf.push(0);
+            reseal(&mut buf);
+            assert_eq!(decode_record::<u64, u64>(&buf, 0), DecodeOutcome::Torn);
+        }
         // Read at the wrong value width, the same bytes misframe and tear
-        // (the segment header is what normally prevents getting this far).
-        let buf = encode(1, &[WalOp::Insert(1u64, 10u64)]);
+        // (the file header is what normally prevents getting this far).
+        let buf = encode(1, OpKind::Insert, &[1], &[10u64]);
         assert_eq!(decode_record::<u64, ()>(&buf, 0), DecodeOutcome::Torn);
     }
 

@@ -10,29 +10,38 @@
 //! no in-between state, and a snapshot retaken at an unchanged `S` replaces
 //! the committed file atomically instead of overwriting it in place.
 //!
+//! The file has no byte layout of its own: it is a WAL segment's format
+//! under its own tag ([`stamped_magic`], `PBSNP`) — a stamped header, then
+//! insert records ([`crate::record`]), every one at seq `S`, holding the
+//! entries in strictly ascending key order, at most
+//! [`MAX_PAYLOAD`](crate::record::MAX_PAYLOAD) bytes a record, and closed
+//! by one empty record.  The WAL never writes an empty record (a round
+//! that logs nothing writes none), so the end mark is unambiguous: a file
+//! cut at a record boundary lacks it.  Each record's checksum covers its
+//! bytes, and the stamped header names the key and value widths, so
+//! opening a snapshot as another type is refused with a message that says
+//! so rather than "corrupt".
+//!
 //! Recovery's root is the highest-seq `snap-*.snap` in the directory
-//! ([`list_files`](crate::log::list_files)).  The file carries a magic, an
-//! FNV-1a 64 checksum and explicit lengths, and its header repeats `S`,
-//! which must equal the seq in its name.  The magic also names the key and
-//! value widths it was written with ([`stamped_magic`]), so opening it as
-//! another type is refused with a message that says so rather than
-//! "corrupt".  No snapshot means a fresh (or never-snapshotted) directory
-//! and is normal; a *corrupt* root is an error — silently falling back to
-//! an older snapshot or to none would present data loss as a clean
-//! recovery, because committing the root is what authorised deleting older
-//! log segments.
+//! ([`list_files`](crate::log::list_files)), and its records' seq must
+//! equal the seq in its name.  No snapshot means a fresh (or
+//! never-snapshotted) directory and is normal; a *corrupt* root — a torn
+//! record, a missing end mark, a remove record, keys out of order — is an
+//! error: silently falling back to an older snapshot or to none would
+//! present data loss as a clean recovery, because committing the root is
+//! what authorised deleting older log segments.
 
 use std::fs::{self, File};
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use batchapi::KeyCodec;
+use combine::OpKind;
 
-use crate::log::{check_magic, stamped_magic, sync_dir};
-use crate::record::fnv1a;
+use crate::log::{read_records, stamped_magic, sync_dir, SegmentEnd};
+use crate::record::{encode_record, payload_len, MAX_PAYLOAD};
 
-/// The header of a snapshot holding `K` keys and `V` values: each entry is
-/// `K::WIDTH` key bytes followed by `V::WIDTH` value bytes (none for a set).
+/// The header of a snapshot holding `K` keys and `V` values.
 fn snap_magic<K: KeyCodec, V: KeyCodec>() -> [u8; 8] {
     stamped_magic::<K, V>(b"PBSNP")
 }
@@ -40,13 +49,6 @@ fn snap_magic<K: KeyCodec, V: KeyCodec>() -> [u8; 8] {
 /// Path of the snapshot taken at `seq` inside `dir`.
 pub(crate) fn snapshot_path(dir: &Path, seq: u64) -> PathBuf {
     dir.join(format!("snap-{seq:020}.snap"))
-}
-
-fn corrupt(what: &str, path: &Path) -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        format!("{what} at {} is corrupt", path.display()),
-    )
 }
 
 /// Writes the snapshot of `keys -> vals` (keys must be strictly ascending,
@@ -60,20 +62,21 @@ pub(crate) fn write_snapshot<K: KeyCodec, V: KeyCodec>(
     vals: &[V],
 ) -> io::Result<()> {
     debug_assert_eq!(keys.len(), vals.len());
-    let entry = K::WIDTH + V::WIDTH;
-    let magic = snap_magic::<K, V>();
-    let mut buf = Vec::with_capacity(8 + 8 + 8 + keys.len() * entry + 8);
-    buf.extend_from_slice(&magic);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    buf.extend_from_slice(&(keys.len() as u64).to_le_bytes());
-    for (key, val) in keys.iter().zip(vals) {
-        let at = buf.len();
-        buf.resize(at + entry, 0);
-        key.encode(&mut buf[at..at + K::WIDTH]);
-        val.encode(&mut buf[at + K::WIDTH..]);
+    let entry = (K::WIDTH + V::WIDTH).max(1);
+    let per_record = (MAX_PAYLOAD - payload_len::<K, V>(OpKind::Insert, 0)) / entry;
+    let mut buf = snap_magic::<K, V>().to_vec();
+    for (keys, vals) in keys.chunks(per_record).zip(vals.chunks(per_record)) {
+        encode_record(
+            seq,
+            OpKind::Insert,
+            keys,
+            Some(vals),
+            0..keys.len(),
+            &mut buf,
+        );
     }
-    let checksum = fnv1a(&buf[magic.len()..]);
-    buf.extend_from_slice(&checksum.to_le_bytes());
+    // The end mark: an insert record of no ops.
+    encode_record(seq, OpKind::Insert, keys, Some(vals), 0..0, &mut buf);
 
     let path = snapshot_path(dir, seq);
     let tmp = path.with_extension("tmp");
@@ -87,53 +90,31 @@ pub(crate) fn write_snapshot<K: KeyCodec, V: KeyCodec>(
 
 /// Loads and verifies the snapshot at `path`, which its name says was
 /// taken at `seq`, returning `(keys, vals)` with `vals` parallel to the
-/// strictly-ascending `keys`.  A header seq other than `seq` is
-/// `InvalidData`: the file is not the snapshot its name claims.
+/// strictly-ascending `keys`.  Anything else — a damaged record, a
+/// missing end mark, a remove record, keys out of order, a record seq
+/// other than `seq` (the file is not the snapshot its name claims) — is
+/// `InvalidData`.
 pub(crate) fn load_snapshot<K: KeyCodec + Ord, V: KeyCodec>(
     path: &Path,
     seq: u64,
 ) -> io::Result<(Vec<K>, Vec<V>)> {
-    let mut buf = Vec::new();
-    File::open(path)?.read_to_end(&mut buf)?;
-    let magic = snap_magic::<K, V>();
-    let header = magic.len() + 8 + 8;
-    if !check_magic(&buf, &magic, path)? || buf.len() < header + 8 {
-        return Err(corrupt("snapshot", path));
-    }
-    let body = &buf[magic.len()..buf.len() - 8];
-    let stored = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-    if fnv1a(body) != stored {
-        return Err(corrupt("snapshot", path));
-    }
-    let file_seq = u64::from_le_bytes(body[0..8].try_into().unwrap());
-    if file_seq != seq {
+    let (mut keys, mut vals, mut closed) = (Vec::new(), Vec::new(), false);
+    let end = read_records::<K, V, _>(path, &snap_magic::<K, V>(), |record| {
+        let sound = record.seq == seq && record.kind == OpKind::Insert && !closed;
+        closed = record.keys.is_empty();
+        keys.extend(record.keys);
+        vals.extend(record.vals);
+        sound
+    })?;
+    let sorted = keys.windows(2).all(|pair| pair[0] < pair[1]);
+    if end != SegmentEnd::Clean || !closed || !sorted {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
-                "snapshot {} is named for seq {seq} but was taken at seq {file_seq}",
+                "{} is not a sound snapshot taken at seq {seq}",
                 path.display()
             ),
         ));
-    }
-    let count = u64::from_le_bytes(body[8..16].try_into().unwrap());
-    let entry = K::WIDTH + V::WIDTH;
-    let entry_bytes = &body[16..];
-    // Checked arithmetic: the count comes from the file.
-    let count = usize::try_from(count)
-        .ok()
-        .filter(|count| count.checked_mul(entry) == Some(entry_bytes.len()));
-    let Some(count) = count else {
-        return Err(corrupt("snapshot", path));
-    };
-    let mut keys: Vec<K> = Vec::with_capacity(count);
-    let mut vals = Vec::with_capacity(count);
-    for chunk in (0..count).map(|i| &entry_bytes[i * entry..][..entry]) {
-        let key = K::decode(&chunk[..K::WIDTH]);
-        if keys.last().is_some_and(|last| *last >= key) {
-            return Err(corrupt("snapshot (keys not strictly ascending)", path));
-        }
-        keys.push(key);
-        vals.push(V::decode(&chunk[K::WIDTH..]));
     }
     Ok((keys, vals))
 }
@@ -190,7 +171,8 @@ mod tests {
         write_snapshot(&dir, 42, &keys, &units).unwrap();
         let path = snapshot_path(&dir, 42);
         let len = fs::metadata(&path).unwrap().len();
-        assert_eq!(len as usize, 8 + 8 + 8 + keys.len() * 8 + 8);
+        // The header, one record of 4 keys, the end mark.
+        assert_eq!(len as usize, 8 + (12 + 13 + keys.len() * 8) + (12 + 13));
         let loaded = load_snapshot::<u64, ()>(&path, 42).unwrap();
         assert_eq!(loaded, (keys, units));
         fs::remove_dir_all(&dir).unwrap();
@@ -232,25 +214,98 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn unsorted_snapshot_keys_are_rejected() {
-        let dir = scratch_dir("unsorted");
-        // Hand-build a snapshot whose keys are out of order but whose
-        // checksum is honest: the order check must still reject it.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&snap_magic::<u64, ()>());
-        buf.extend_from_slice(&1u64.to_le_bytes());
-        buf.extend_from_slice(&2u64.to_le_bytes());
-        buf.extend_from_slice(&9u64.to_be_bytes());
-        buf.extend_from_slice(&3u64.to_be_bytes());
-        let sum = fnv1a(&buf[8..]);
-        buf.extend_from_slice(&sum.to_le_bytes());
+    /// Hand-builds a set snapshot named for seq 1 from `(seq, kind, keys)`
+    /// records — honest checksums, so only the planted defect is wrong —
+    /// and loads it.
+    fn load_records(tag: &str, records: &[(u64, OpKind, &[u64])]) -> io::Result<Vec<u64>> {
+        let dir = scratch_dir(tag);
+        let mut buf = snap_magic::<u64, ()>().to_vec();
+        for &(seq, kind, keys) in records {
+            let units = vec![(); keys.len()];
+            encode_record(seq, kind, keys, Some(&units), 0..keys.len(), &mut buf);
+        }
         let path = snapshot_path(&dir, 1);
         fs::write(&path, &buf).unwrap();
-        assert_eq!(
-            load_snapshot::<u64, ()>(&path, 1).unwrap_err().kind(),
-            io::ErrorKind::InvalidData
+        let loaded = load_snapshot::<u64, ()>(&path, 1).map(|(keys, _)| keys);
+        fs::remove_dir_all(&dir).unwrap();
+        loaded
+    }
+
+    const END: (u64, OpKind, &[u64]) = (1, OpKind::Insert, &[]);
+
+    #[test]
+    fn unsorted_snapshot_keys_are_rejected() {
+        let within = load_records("unsorted", &[(1, OpKind::Insert, &[9, 3]), END]);
+        let across = load_records(
+            "unsorted",
+            &[(1, OpKind::Insert, &[2, 9]), (1, OpKind::Insert, &[9]), END],
         );
+        for loaded in [within, across] {
+            assert_eq!(loaded.unwrap_err().kind(), io::ErrorKind::InvalidData);
+        }
+        // The same records in order load.
+        let sound = load_records(
+            "sorted",
+            &[
+                (1, OpKind::Insert, &[2, 9]),
+                (1, OpKind::Insert, &[10]),
+                END,
+            ],
+        );
+        assert_eq!(sound.unwrap(), vec![2, 9, 10]);
+    }
+
+    /// A snapshot is insert records closed by the end mark, all at its
+    /// name's seq: anything else is refused as corrupt, never read as a
+    /// shorter snapshot.
+    #[test]
+    fn a_snapshot_that_is_not_insert_records_closed_by_the_end_mark_is_refused() {
+        let ins: (u64, OpKind, &[u64]) = (1, OpKind::Insert, &[2, 9]);
+        for (what, records) in [
+            ("cut at a record boundary", vec![ins]),
+            ("no records at all", vec![]),
+            (
+                "holding a remove record",
+                vec![ins, (1, OpKind::Remove, &[10][..]), END],
+            ),
+            (
+                "a record after the end mark",
+                vec![ins, END, (1, OpKind::Insert, &[10][..])],
+            ),
+            ("a second end mark", vec![ins, END, END]),
+            (
+                "a record of another seq",
+                vec![ins, (2, OpKind::Insert, &[10][..]), END],
+            ),
+            (
+                "an end mark of another seq",
+                vec![ins, (0, OpKind::Insert, &[][..])],
+            ),
+        ] {
+            let err = load_records("not-insert-records", &records).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{what}: {err}");
+        }
+        assert_eq!(load_records("sound", &[ins, END]).unwrap(), vec![2, 9]);
+    }
+
+    /// A snapshot larger than one record's payload limit spans several
+    /// records and reads back whole.
+    #[test]
+    fn a_snapshot_larger_than_one_record_round_trips() {
+        let dir = scratch_dir("multi-record");
+        let per_record = (MAX_PAYLOAD - 13) / 8;
+        let keys: Vec<u64> = (0..per_record as u64 + 3).map(|k| k * 3).collect();
+        let units = vec![(); keys.len()];
+        write_snapshot(&dir, 8, &keys, &units).unwrap();
+        let path = snapshot_path(&dir, 8);
+        let len = fs::metadata(&path).unwrap().len() as usize;
+        assert_eq!(
+            len,
+            8 + 3 * (12 + 13) + keys.len() * 8,
+            "two records and the end mark"
+        );
+        let loaded = load_snapshot::<u64, ()>(&path, 8).unwrap();
+        assert_eq!(loaded, (keys, units));
         fs::remove_dir_all(&dir).unwrap();
     }
 

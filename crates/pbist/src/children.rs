@@ -38,7 +38,7 @@ use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::metrics::{touch_cow, MetricsRef};
-use crate::node::Node;
+use crate::node::{InnerNode, Node};
 
 /// One run of consecutive children, shared as a unit.  A slice, not a
 /// `Vec`: the children sit in the chunk's own allocation, so a descent pays
@@ -74,23 +74,23 @@ fn keys_under<K, V>(children: &[Arc<Node<K, V>>]) -> usize {
     children.iter().map(|child| child.len()).sum()
 }
 
-/// Unshares `node` from any snapshot still holding it and returns it
-/// mutably — how the update path copies an inner node (a shared leaf is
-/// not cloned but replaced by a new node over its base).  A copy is
-/// counted in `cow_nodes`, and the refcount increments it performs (an inner
-/// node's router array and one per chunk) in `cow_refs`.
+/// Unshares the inner node in `node` from any snapshot still holding it
+/// and returns it mutably — how the update path copies an inner node (a
+/// shared leaf is not cloned but replaced by a new node over its base).  A
+/// copy is counted in `cow_nodes`, and the refcount increments it performs
+/// (the router array and one per chunk) in `cow_refs`.
 pub(crate) fn cow<'a, K: Clone, V: Clone>(
     node: &'a mut Arc<Node<K, V>>,
     m: MetricsRef<'_>,
-) -> &'a mut Node<K, V> {
-    if m.is_some() && Arc::get_mut(node).is_none() {
-        let refs = match &**node {
-            Node::Leaf(_) => 0,
-            Node::Inner(inner) => 1 + inner.children.chunks.len(),
-        };
-        touch_cow(m, 1, refs);
+) -> &'a mut InnerNode<K, V> {
+    let shared = m.is_some() && Arc::get_mut(node).is_none();
+    let Node::Inner(inner) = Arc::make_mut(node) else {
+        unreachable!("only an inner node is copied on write")
+    };
+    if shared {
+        touch_cow(m, 1, 1 + inner.children.chunks.len());
     }
-    Arc::make_mut(node)
+    inner
 }
 
 /// Unshares one chunk, counting the child refcounts a copy increments.

@@ -100,9 +100,7 @@ where
         touch_leaf_edit(m, added > 0);
         added
     } else {
-        let Node::Inner(inner) = cow(slot, m) else {
-            unreachable!("not a leaf")
-        };
+        let inner = cow(slot, m);
         let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
         let routing = Routing { routers, min, max };
         let touched = routing.child(&batch[0])..=routing.child(&batch[batch.len() - 1]);
@@ -156,9 +154,7 @@ where
         touch_leaf_edit(m, removed > 0);
         removed
     } else {
-        let Node::Inner(inner) = cow(slot, m) else {
-            unreachable!("not a leaf")
-        };
+        let inner = cow(slot, m);
         let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
         // Only a child the batch reached can have emptied or lost its
         // minimum, so staleness is decided there, on lines the removal

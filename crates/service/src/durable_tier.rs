@@ -79,7 +79,7 @@ where
     /// `options`, a pool built by `make_pool(i)` (pools are per shard —
     /// a shard's combiner must never block on another shard's workers),
     /// and a backend built by `make_backend` (called once per shard with
-    /// that shard's recovered contents).
+    /// that shard's recovered contents, on that shard's pool).
     ///
     /// # Errors
     ///
@@ -97,7 +97,7 @@ where
     where
         P: AsRef<Path>,
         MP: FnMut(usize) -> Pool,
-        F: FnMut(KvBatch<K, V>) -> S,
+        F: FnMut(KvBatch<K, V>) -> S + Send,
     {
         let dir = dir.as_ref();
         let n = router.num_shards();

@@ -11,9 +11,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use pbist_repro::batchapi::{Batch, BatchedMap, BatchedSet, MapView};
-use pbist_repro::pbist::IstSet;
-use pbist_repro::workloads;
+use batchapi::{Batch, BatchedMap, BatchedSet, MapView};
+use pbist::IstSet;
 
 /// `System`, counting this thread's `alloc` and `realloc` calls.
 struct Counting;

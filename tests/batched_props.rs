@@ -11,14 +11,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Debug;
 use std::ops::Bound;
 
-use pbist_repro::{
-    baselines::SortedArraySet,
-    batchapi::{Batch, BatchedMap, BatchedSet, KvBatch, MapView},
-    forkjoin::Pool,
-    pbist::node::{DELTA_CAPACITY, LEAF_CAPACITY, REBUILD_FACTOR},
-    pbist::{IstMap, IstSet},
-    workloads::{self, OpKind, SplitMix64},
-};
+use baselines::SortedArraySet;
+use batchapi::{Batch, BatchedMap, BatchedSet, KvBatch, MapView};
+use forkjoin::Pool;
+use pbist::node::{DELTA_CAPACITY, LEAF_CAPACITY, REBUILD_FACTOR};
+use pbist::{IstMap, IstSet};
+use workloads::{self, OpKind, SplitMix64};
 
 /// Applies `ops` to `set` and a fresh oracle, checking per-element flags and
 /// aggregate state (`len`, `min`/`max`, spot-checked `rank`) after every

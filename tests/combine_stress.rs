@@ -39,16 +39,14 @@ use std::thread;
 mod common;
 use common::{write_kind, Answer, BombSet, History, Read};
 
-use pbist_repro::{
-    batchapi::{Batch, KvBatch, MapView},
-    combine::{
-        ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round, RoundLog,
-        POOL_CUTOFF,
-    },
-    forkjoin::Pool,
-    pbist::{IstMap, IstSet},
-    workloads::{self, ClientTrace, OpKind},
+use batchapi::{Batch, KvBatch, MapView};
+use combine::{
+    ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round, RoundLog,
+    POOL_CUTOFF,
 };
+use forkjoin::Pool;
+use pbist::{IstMap, IstSet};
+use workloads::{self, ClientTrace, OpKind};
 
 /// The value types the replay oracle runs at.
 trait Val: Clone + PartialEq + Debug + Send + Sync + 'static {
@@ -227,7 +225,7 @@ fn drive_and_verify<V: Val>(
     }
     for round in &rounds {
         for op in &round.ops {
-            *tally.entry((op.kind, op.key, op.result)).or_insert(0) -= 1;
+            *tally.entry((round.kind, op.key, op.result)).or_insert(0) -= 1;
         }
     }
     if let Some((entry, count)) = tally.iter().find(|(_, &c)| c != 0) {
@@ -372,7 +370,7 @@ fn drop_with_waiters_lifecycle() {
 /// below track membership only).
 fn apply_to_key_set<V>(oracle: &mut BTreeSet<u64>, round: &Round<u64, V>) {
     for op in &round.ops {
-        match op.kind {
+        match round.kind {
             CombinedOp::Insert => {
                 oracle.insert(op.key);
             }

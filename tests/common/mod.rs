@@ -18,10 +18,9 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Debug;
 
-use pbist_repro::baselines::SortedArraySet;
-use pbist_repro::batchapi::{Batch, BatchedMap, MapView};
-use pbist_repro::combine::{OpKind, Round};
-use pbist_repro::workloads;
+use baselines::SortedArraySet;
+use batchapi::{Batch, BatchedMap, MapView};
+use combine::{OpKind, Round};
 
 /// A backend that panics when asked to insert `u64::MAX` — the mid-round
 /// backend failure the poisoning contract is about — and when a batched
@@ -151,7 +150,7 @@ impl<V: Clone + PartialEq + Debug> History<V> {
         );
         let mut expect = Vec::with_capacity(round.ops.len());
         for op in &round.ops {
-            expect.push(match op.kind {
+            expect.push(match round.kind {
                 OpKind::Insert => {
                     let val = op.val.clone().expect("logged inserts carry their value");
                     self.now.insert(op.key, val).is_none()

@@ -46,12 +46,10 @@ use std::os::unix::process::ExitStatusExt;
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
-use pbist_repro::{
-    batchapi::{KeyCodec, KvBatch},
-    durable::{DurableMap, DurableOptions},
-    forkjoin::Pool,
-    pbist::IstMap,
-};
+use batchapi::{KeyCodec, KvBatch};
+use durable::{DurableMap, DurableOptions};
+use forkjoin::Pool;
+use pbist::IstMap;
 
 /// Keys per child batch.
 const BATCH: u64 = 4;

@@ -4,11 +4,7 @@
 //! [`batchapi::BatchedSet`] trait, and both must answer identically —
 //! sequentially and under a multi-worker pool.
 
-use pbist_repro::{
-    baselines,
-    batchapi::{Batch, BatchedMap, MapView},
-    forkjoin, pbist, workloads,
-};
+use batchapi::{Batch, BatchedMap, MapView};
 
 #[test]
 fn tree_and_sorted_array_agree_on_generated_workload() {

@@ -17,12 +17,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use pbist_repro::{
-    batchapi::{Batch, BatchedMap, MapView},
-    forkjoin::{join, Pool, PoolBuildError},
-    pbist::IstSet,
-    workloads::{self, OpKind},
-};
+use batchapi::{Batch, BatchedMap, MapView};
+use forkjoin::{join, Pool, PoolBuildError};
+use pbist::IstSet;
+use workloads::{self, OpKind};
 
 /// Pool sizes every stress test sweeps.  Deliberately past the physical
 /// core count: oversubscribed workers get preempted mid-`join`, which is

@@ -23,16 +23,14 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
 
-use pbist_repro::{
-    baselines::SortedArrayMap,
-    batchapi::{Batch, BatchedMap, KvBatch, MapView},
-    combine::ConcurrentMap,
-    durable::{DurableMap, DurableOptions},
-    forkjoin::Pool,
-    pbist::IstMap,
-    service::{RangeRouter, Shard, ShardRouter, Tier},
-    workloads::{self, OpKind, SplitMix64},
-};
+use baselines::SortedArrayMap;
+use batchapi::{Batch, BatchedMap, KvBatch, MapView};
+use combine::ConcurrentMap;
+use durable::{DurableMap, DurableOptions};
+use forkjoin::Pool;
+use pbist::IstMap;
+use service::{RangeRouter, Shard, ShardRouter, Tier};
+use workloads::{self, OpKind, SplitMix64};
 
 /// The value types the grid runs at: `()` (the set) and `u64`.
 trait Val: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {

@@ -45,14 +45,12 @@ use std::thread;
 mod common;
 use common::{write_kind, Answer, BombSet, History, Read, READ_BOMB};
 
-use pbist_repro::{
-    batchapi::{Batch, KvBatch, MapView},
-    combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, RoundLog, POOL_CUTOFF},
-    forkjoin::Pool,
-    pbist::{IstMap, IstSet},
-    service::{RangeRouter, ShardRouter, ShardedSet, Tier},
-    workloads::{self, ClientTrace, OpKind},
-};
+use batchapi::{Batch, KvBatch, MapView};
+use combine::{ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, RoundLog, POOL_CUTOFF};
+use forkjoin::Pool;
+use pbist::{IstMap, IstSet};
+use service::{RangeRouter, ShardRouter, ShardedSet, Tier};
+use workloads::{self, ClientTrace, OpKind};
 
 /// The value types the replay runs at.
 trait Val: Clone + PartialEq + Eq + Hash + Debug + Send + Sync + 'static {
@@ -336,7 +334,7 @@ fn drive_and_verify_sharded<V: Val>(
     for rounds in &shard_rounds {
         for round in rounds {
             for op in &round.ops {
-                let entry = (op.kind, op.key, op.val.clone(), op.result);
+                let entry = (round.kind, op.key, op.val.clone(), op.result);
                 *tally.entry(entry).or_insert(0) -= 1;
             }
         }
