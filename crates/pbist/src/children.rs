@@ -14,9 +14,9 @@
 //! Each chunk also carries the number of keys under its children, so the
 //! ordered queries that count keys before a child (`rank`, `kth`) read
 //! `≈ √f` chunk counts and at most one chunk of child sizes, not up to `f`
-//! children on as many cache lines.  The update walk leaves the counts
-//! stale and the node brings them up to date after it with
-//! `Children::recount`: a point write adds its change to one chunk.
+//! children on as many cache lines.  The update walk keeps the counts as
+//! it goes: it reaches a child together with its chunk's count and adds
+//! or subtracts there what the child's update changed.
 //!
 //! The logical array is unchanged — same length, same order, same index for
 //! every child — so the fanout formula, the routers and the interpolation
@@ -25,16 +25,14 @@
 //! never add or drop a child (an overflowing leaf is rebuilt in its own
 //! slot), so the array is re-chunked only when a child is removed.
 //!
-//! The update walk reaches the children through a `Window` — all of them
-//! from `Children::window`, or a part — which hands out the slot of the
-//! child a run routes to, unsharing that child's chunk first, and splits in
-//! two for a fork: between chunks as they stand, or inside a chunk once
-//! that chunk is unshared, so the halves of a split never reach the same
-//! chunk.
+//! The update walk reaches the children through a `Window` — a run of
+//! whole chunks, all of them from `Children::window` — which hands out the
+//! slot of the child a run routes to, unsharing that child's chunk first,
+//! and splits in two between chunks for a fork, so the halves of a split
+//! never reach the same chunk and no chunk is copied to be cut.
 //!
 //! [`MAX_FANOUT`]: crate::node::MAX_FANOUT
 
-use std::ops::RangeInclusive;
 use std::sync::Arc;
 
 use crate::metrics::{touch_cow, MetricsRef};
@@ -172,26 +170,6 @@ impl<K, V> Children<K, V> {
         panic!("the children hold fewer than {} keys", k + 1)
     }
 
-    /// Brings the chunk counts up to date after an update walk changed the
-    /// key count by `delta` under children `touched` and no others: one
-    /// chunk takes `delta` — a point write's case — and a wider span is
-    /// recounted from its children's sizes.
-    pub(crate) fn recount(&mut self, touched: RangeInclusive<usize>, delta: isize) {
-        // Every child's change has the sign of `delta`, so none changed.
-        if delta == 0 {
-            return;
-        }
-        let chunks = (touched.start() >> self.shift)..=(touched.end() >> self.shift);
-        if chunks.start() == chunks.end() {
-            let keys = &mut self.chunks[*chunks.start()].1;
-            *keys = keys.wrapping_add_signed(delta);
-            return;
-        }
-        for (chunk, keys) in &mut self.chunks[chunks] {
-            *keys = keys_under(chunk);
-        }
-    }
-
     /// Verifies the chunk rules — no empty chunk, every chunk but the last
     /// exactly as wide as the width chosen for `len`, chunk lengths summing
     /// to `len`, every chunk's key count its children's sizes — returning a
@@ -241,7 +219,11 @@ impl<K: Clone, V: Clone> Children<K, V> {
     /// All the children as one mutable window, for the update walk to
     /// reach the ones it edits and to split for a fork.
     pub(crate) fn window(&mut self) -> Window<'_, K, V> {
-        Window::new(0, &mut [], &mut self.chunks, &mut [], self.shift)
+        Window {
+            first: 0,
+            chunks: &mut self.chunks,
+            shift: self.shift,
+        }
     }
 
     /// Drops the children failing `keep`, re-chunking what is left: every
@@ -271,97 +253,52 @@ impl<K: Clone, V: Clone> Children<K, V> {
     }
 }
 
-/// A run of consecutive children lent mutably to one branch of the update
-/// walk: the end of one chunk, whole chunks, the start of another.  Whole
-/// chunks stay shared until a child in them is reached; a chunk cut by
-/// [`Window::split_at`] is unshared first and each half keeps its part.
+/// A run of whole chunks lent mutably to one branch of the update walk.
+/// A chunk stays shared until a child in it is reached.
 pub(crate) struct Window<'a, K, V> {
     /// Index in the node of the window's first child.
-    start: usize,
-    /// Children of a chunk the window starts inside of; when chunks or a
-    /// tail follow, they run to that chunk's end.
-    head: &'a mut [Arc<Node<K, V>>],
-    /// Whole chunks, with their key counts — stale until the node's
-    /// [`Children::recount`] after the walk.
+    first: usize,
+    /// The chunks, with their key counts.
     chunks: &'a mut [(Arc<Chunk<K, V>>, usize)],
-    /// The first children of a chunk the window ends inside of.
-    tail: &'a mut [Arc<Node<K, V>>],
     /// The node's chunk width, as a shift.
     shift: u32,
 }
 
-impl<'a, K: Clone, V: Clone> Window<'a, K, V> {
-    fn new(
-        start: usize,
-        head: &'a mut [Arc<Node<K, V>>],
-        chunks: &'a mut [(Arc<Chunk<K, V>>, usize)],
-        tail: &'a mut [Arc<Node<K, V>>],
-        shift: u32,
-    ) -> Window<'a, K, V> {
-        Window {
-            start,
-            head,
-            chunks,
-            tail,
-            shift,
-        }
+impl<K: Clone, V: Clone> Window<'_, K, V> {
+    /// The node's chunk width: where [`Window::split_at`] can cut.
+    pub(crate) fn width(&self) -> usize {
+        1 << self.shift
     }
 
     /// The slot of child `idx` (an index into the whole node), its chunk
-    /// unshared for editing; the child itself is the caller's to copy or
-    /// replace.
-    pub(crate) fn slot(&mut self, idx: usize, m: MetricsRef<'_>) -> &mut Arc<Node<K, V>> {
-        let at = idx - self.start;
-        if at < self.head.len() {
-            return &mut self.head[at];
-        }
-        let (at, body) = (at - self.head.len(), self.chunks.len() << self.shift);
-        match self.chunks.get_mut(at >> self.shift) {
-            Some((chunk, _)) => &mut cow_chunk(chunk, m)[at & ((1 << self.shift) - 1)],
-            None => &mut self.tail[at - body],
-        }
+    /// unshared for editing, and that chunk's key count, for the caller to
+    /// move by what it changes under the child; the child itself is the
+    /// caller's to copy or replace.
+    pub(crate) fn slot(
+        &mut self,
+        idx: usize,
+        m: MetricsRef<'_>,
+    ) -> (&mut Arc<Node<K, V>>, &mut usize) {
+        let at = idx - self.first;
+        let (chunk, keys) = &mut self.chunks[at >> self.shift];
+        (&mut cow_chunk(chunk, m)[at & ((1 << self.shift) - 1)], keys)
     }
 
-    /// Cuts the window before child `idx`, which must lie strictly inside
-    /// it: between chunks as they stand, or inside a chunk once that chunk
-    /// is unshared.
-    pub(crate) fn split_at(self, idx: usize, m: MetricsRef<'_>) -> (Self, Self) {
+    /// Cuts the window before the chunk holding child `idx`, which must lie
+    /// in a later chunk of the window than its first.
+    pub(crate) fn split_at(self, idx: usize) -> (Self, Self) {
         let Window {
-            start,
-            head,
+            first,
             chunks,
-            tail,
             shift,
         } = self;
-        let at = idx - start;
-        if at <= head.len() {
-            let (left, right) = head.split_at_mut(at);
-            return (
-                Window::new(start, left, &mut [], &mut [], shift),
-                Window::new(idx, right, chunks, tail, shift),
-            );
-        }
-        let at = at - head.len();
-        let (c, offset) = (at >> shift, at & ((1 << shift) - 1));
-        if c >= chunks.len() {
-            let (left, right) = tail.split_at_mut(at - (chunks.len() << shift));
-            return (
-                Window::new(start, head, chunks, left, shift),
-                Window::new(idx, right, &mut [], &mut [], shift),
-            );
-        }
-        let (before, rest) = chunks.split_at_mut(c);
-        if offset == 0 {
-            return (
-                Window::new(start, head, before, &mut [], shift),
-                Window::new(idx, &mut [], rest, tail, shift),
-            );
-        }
-        let (cut, after) = rest.split_first_mut().expect("chunk `c` is in the window");
-        let (left, right) = cow_chunk(&mut cut.0, m).split_at_mut(offset);
-        (
-            Window::new(start, head, before, left, shift),
-            Window::new(idx, right, after, tail, shift),
-        )
+        let (left, right) = chunks.split_at_mut((idx - first) >> shift);
+        let window = |first, chunks| Window {
+            first,
+            chunks,
+            shift,
+        };
+        let right_first = first + (left.len() << shift);
+        (window(first, left), window(right_first, right))
     }
 }

@@ -20,9 +20,9 @@
 //!   of edits ([`node::LeafNode`]); every reader reads their merged view.
 //! * [`children`] — [`children::Children`], an inner node's child array as
 //!   a two-level copy-on-write vector, the counted copy-on-write helper,
-//!   and the mutable windows the update walk splits to fork: what makes a
-//!   path copy under a live snapshot cost `≈ 2·√f` refcounts per level
-//!   instead of `f`.
+//!   and the mutable windows of whole chunks the update walk splits between
+//!   chunks to fork: what makes a path copy under a live snapshot cost
+//!   `≈ 2·√f` refcounts per level instead of `f`.
 //! * [`tree`] — [`tree::IstMap`]: bulk parallel construction, interpolated
 //!   point lookups, and the [`batchapi::BatchedMap`] impl (last-wins
 //!   batched upserts); [`tree::IstSet`] is its `V = ()` alias.  A published
@@ -32,11 +32,12 @@
 //!   each leaf, fork by splitting a large sub-batch in half.
 //! * `update` (internal) — batched insert/remove, one recursion for every
 //!   batch size (a point write is a batch of one): the lookups' run walk,
-//!   forking over disjoint windows of a node's children; a run that fits
-//!   a leaf's delta writes only the delta (in place when the tree owns the
-//!   leaf alone), a longer one folds base, delta and run into a new base by
-//!   a galloping copy-merge; router/`min`/`max`/`len` updates propagated,
-//!   and any subtree whose size drifts past the rebuild threshold rebuilt.
+//!   forking only between chunks of a node's children and keeping each
+//!   chunk's key count as it goes; a run that fits a leaf's delta writes
+//!   only the delta (in place when the tree owns the leaf alone), a longer
+//!   one folds base, delta and run into a new base by a galloping
+//!   copy-merge; router/`min`/`max`/`len` updates propagated, and any
+//!   subtree whose size drifts past the rebuild threshold rebuilt.
 //! * `range` (internal) — ordered queries: the descend-once range carve
 //!   (binary searches only in the two boundary leaves, interior subtrees
 //!   concatenated wholesale) and the `k`-th-smallest selection descent.

@@ -420,7 +420,8 @@ pub struct InnerNode<K, V = ()> {
     pub routers: Arc<[K]>,
     /// The subtrees, each non-empty, shared with snapshots chunk by chunk;
     /// the update path reaches a child's slot through a `Children::window`,
-    /// which unshares the chunk holding it.
+    /// which unshares the chunk holding it and lends that chunk's key
+    /// count, and forks only between chunks.
     pub children: Children<K, V>,
     /// Total number of keys under this node.
     pub len: usize,

@@ -23,8 +23,9 @@
 //! boundary nearest its middle ([`Routing::split_point`]) and the two halves
 //! run the same walk under `forkjoin::join`, so a steal takes half of what
 //! is left; outside a pool `join` runs the halves in turn.  The batched
-//! updates (`crate::update`) walk, split and gallop with the same
-//! functions.
+//! updates (`crate::update`) walk and gallop with the same functions, and
+//! split with the same one at a coarser grain: only between the chunks of
+//! child slots each half owns.
 
 use std::ops::Range;
 
@@ -85,7 +86,7 @@ fn route_runs<K, V, R, F>(
     let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
     let routing = Routing { routers, min, max };
     if batch.len() >= SEQ_BATCH_LEN {
-        if let Some(at) = routing.split_point(batch) {
+        if let Some(at) = routing.split_point(batch, 1) {
             let (left, right) = batch.split_at(at);
             let (out_left, out_right) = out.split_at_mut(at);
             forkjoin::join(
@@ -134,18 +135,23 @@ impl<K: InterpolateKey> Routing<'_, K> {
         }
     }
 
-    /// The child boundary inside `batch` nearest its middle: where the run
-    /// of the middle key's child starts or ends, whichever is closer and not
-    /// an end of `batch`.  `None` when the whole sub-batch routes to one
-    /// child.
-    pub(crate) fn split_point(&self, batch: &[K]) -> Option<usize> {
+    /// Where to cut `batch` for a fork: the boundary nearest its middle
+    /// between two groups of `width` consecutive children (children
+    /// `0..width`, `width..2 * width`, …) — where the keys routed to the
+    /// middle key's group start or end, whichever is closer and not an end
+    /// of `batch`.  `None` when the whole sub-batch routes to one group.
+    /// A lookup, which owns nothing, cuts between any two children
+    /// (`width` 1); the update walk cuts only between the chunks its
+    /// halves own.
+    pub(crate) fn split_point(&self, batch: &[K], width: usize) -> Option<usize> {
         let mid = batch.len() / 2;
         let child = self.child(&batch[mid]);
+        let first = child - child % width;
         let below = |router: &K| batch.partition_point(|q| q < router);
-        let start = child
+        let start = first
             .checked_sub(1)
             .map_or(0, |at| below(&self.routers[at]));
-        let end = self.routers.get(child).map_or(batch.len(), below);
+        let end = (self.routers.get(first + width - 1)).map_or(batch.len(), below);
         [start, end]
             .into_iter()
             .filter(|&at| 0 < at && at < batch.len())

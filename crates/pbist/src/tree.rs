@@ -969,13 +969,21 @@ mod tests {
         }
     }
 
+    /// The width of the chunks an inner node with `children` children
+    /// holds them in: the power of two at or above `√children`.
+    fn chunk_width(children: usize) -> usize {
+        ((children - 1).isqrt() + 1).next_power_of_two()
+    }
+
     /// The update twin of the test above: `batch_insert` and `batch_remove`
     /// agree with a `BTreeMap` at every sub-batch shape the run walk carves
     /// — widths on both sides of the fork cutoff, keys outside the tree's
     /// range, on every router, crowded into one leaf or spread one per leaf,
-    /// a fork-sized sub-batch inside one chunk of the root's children —
-    /// inside a pool and outside, and a clone held across each call keeps
-    /// what it held.
+    /// a fork-sized sub-batch inside one chunk of the root's children, one
+    /// on both sides of one chunk boundary — inside a pool and outside, and
+    /// a clone held across each call keeps what it held.  The invariant
+    /// check after each call holds every chunk's key count to its
+    /// children's sizes.
     #[test]
     fn batched_update_equals_oracle_at_every_sub_batch_shape() {
         let n = 300_000u64;
@@ -1001,13 +1009,18 @@ mod tests {
         shapes.push((crowded[0]..=crowded[crowded.len() - 1]).collect());
         shapes.push(leaves.iter().map(|leaf| leaf[leaf.len() / 2]).collect());
         // Children `width + 1 ..= width + width / 2` share the root's second
-        // chunk, so 600 keys among them fork inside it.
-        let width = (0..)
-            .map(|s| 1usize << s)
-            .find(|w| w * w >= root.children.len());
-        let width = width.unwrap();
+        // chunk, so 600 keys among them walk that chunk without forking.
+        let width = chunk_width(root.children.len());
         let chunk: Vec<u64> = (root.routers[width]..root.routers[width + width / 2]).collect();
         shapes.push(pick_sorted(&mut seed, &chunk, 600));
+        // 600 keys on each side of the boundary between the root's second
+        // and third chunks: one fork at the root, none inside either chunk.
+        let cut = 2 * width - 1;
+        let below_cut: Vec<u64> = (root.routers[cut - width / 2]..root.routers[cut]).collect();
+        let above_cut: Vec<u64> = (root.routers[cut]..root.routers[cut + width / 2]).collect();
+        let mut straddle = pick_sorted(&mut seed, &below_cut, 600);
+        straddle.extend(pick_sorted(&mut seed, &above_cut, 600));
+        shapes.push(straddle);
         let pool = forkjoin::Pool::new(2).unwrap();
 
         for keys in shapes {
@@ -1357,16 +1370,23 @@ mod tests {
 
     /// A batch of `SEQ_BATCH_LEN` keys forks and one a key short does not —
     /// the same boundary `combine::POOL_CUTOFF` enters the pool at — seen
-    /// in the pool's own count of `join`s made on its workers.
+    /// in the pool's own count of `join`s made on its workers.  An update
+    /// forks only between the chunks of a node's children, so a larger
+    /// batch under one chunk of the root inserts and removes without a
+    /// `join`; a lookup splits between any two children, so the same keys'
+    /// `batch_contains` forks.  Every call is checked against a `BTreeSet`.
     #[test]
     fn a_batch_at_the_sequential_cutoff_forks_and_one_below_does_not() {
+        use std::collections::BTreeSet;
         let pool = forkjoin::Pool::builder()
             .num_threads(2)
             .metrics(true)
             .build()
             .unwrap();
         let joins = || pool.metrics().join_latency.count();
-        let mut set = IstSet::from_sorted((0..100_000u64).map(|i| i * 2).collect());
+        let keys: Vec<u64> = (0..100_000u64).map(|i| i * 2).collect();
+        let mut oracle: BTreeSet<u64> = keys.iter().copied().collect();
+        let mut set = IstSet::from_sorted(keys);
         let odd = |n: u64| Batch::from_unsorted((0..n).map(|i| i * 390 + 1).collect());
         let cutoff = traverse::SEQ_BATCH_LEN as u64;
 
@@ -1378,11 +1398,36 @@ mod tests {
 
         let at = odd(cutoff);
         pool.install(|| set.batch_insert(&at));
+        oracle.extend(at.iter().copied());
         let inserted = joins();
         assert!(inserted > 0, "{cutoff} keys did not fork");
         pool.install(|| set.batch_contains(&at));
         assert!(joins() > inserted, "{cutoff} lookups did not fork");
         set.check_invariants().unwrap();
+        assert!(set.collect_entries().0.iter().eq(&oracle));
+
+        // Every odd key under the root's second chunk, children
+        // `width ..= 2 * width - 1`.
+        let Some(Node::Inner(root)) = set.root.as_deref() else {
+            panic!("100 000 keys build an inner root")
+        };
+        let width = chunk_width(root.children.len());
+        let (lo, hi) = (root.routers[width - 1], root.routers[2 * width - 1]);
+        let crowded = Batch::from_unsorted((lo | 1..hi).step_by(2).collect());
+        assert!(crowded.len() as u64 >= cutoff, "{} keys", crowded.len());
+        let before = joins();
+        let newly: Vec<bool> = crowded.iter().map(|&k| oracle.insert(k)).collect();
+        assert_eq!(pool.install(|| set.batch_insert(&crowded)), newly);
+        assert_eq!(joins(), before, "an insert forked inside one chunk");
+        set.check_invariants().unwrap();
+        assert!(set.collect_entries().0.iter().eq(&oracle));
+        let present: Vec<bool> = crowded.iter().map(|k| oracle.remove(k)).collect();
+        assert_eq!(pool.install(|| set.batch_remove(&crowded)), present);
+        assert_eq!(joins(), before, "a removal forked inside one chunk");
+        set.check_invariants().unwrap();
+        assert!(set.collect_entries().0.iter().eq(&oracle));
+        pool.install(|| set.batch_contains(&crowded));
+        assert!(joins() > before, "lookups under one chunk did not fork");
     }
 
     #[test]

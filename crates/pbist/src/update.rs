@@ -8,12 +8,15 @@
 //! routed by the interpolated `child_index`, the end of its run galloped
 //! over the batch, and the child recurses on the run; a one-key batch is
 //! the degenerate run.  A sub-batch of at least [`SEQ_BATCH_LEN`] keys is
-//! first split at the child boundary nearest its middle and the halves run
-//! under `forkjoin::join`, each on its own [`Window`] of the child array.
-//! On the way back up every inner node brings its metadata up to date:
-//! `len`, `min`/`max` and its chunks' key counts always, the router array
-//! — which snapshots share whole — only when a removal took a child or a
-//! child's minimum (an insert can move no router).  A subtree whose key
+//! first split at the chunk boundary of the child array nearest its middle
+//! and the halves run under `forkjoin::join`, each on its own [`Window`]
+//! of whole chunks; one that falls under a single chunk walks its runs in
+//! turn.  A child's update moves its chunk's key count by what it changed
+//! as it returns, so the counts are exact when the walk is, forked or not.
+//! On the way back up every inner node brings the rest of its metadata up
+//! to date: `len` and `min`/`max` always, the router array — which
+//! snapshots share whole — only when a removal took a child or a child's
+//! minimum (an insert can move no router).  A subtree whose key
 //! count has drifted outside `[built_len / 2, built_len * 2]` since it was
 //! last built — or a leaf grown past twice [`LEAF_CAPACITY`], the same
 //! drift from the largest leaf `build` makes — is rebuilt from its sorted
@@ -103,7 +106,6 @@ where
         let inner = cow(slot, m);
         let (routers, min, max) = (&*inner.routers, &inner.min, &inner.max);
         let routing = Routing { routers, min, max };
-        let touched = routing.child(&batch[0])..=routing.child(&batch[batch.len() - 1]);
         let added = walk_runs(
             &routing,
             inner.children.window(),
@@ -111,9 +113,12 @@ where
             0,
             out,
             m,
-            &|_, child, run, flags| insert_into(child, &batch[run.clone()], &vals[run], flags, m),
+            &|_, (child, keys), run, flags| {
+                let added = insert_into(child, &batch[run.clone()], &vals[run], flags, m);
+                *keys += added;
+                added
+            },
         );
-        inner.children.recount(touched, added as isize);
         inner.len += added;
         // Routers cannot move: a key routed to child `i >= 1` is at or
         // above `routers[i - 1]`, that child's minimum.  Only the node's
@@ -162,7 +167,6 @@ where
         // read after the (possibly forked) walk has joined.
         let stale = AtomicBool::new(false);
         let routing = Routing { routers, min, max };
-        let touched = routing.child(&batch[0])..=routing.child(&batch[batch.len() - 1]);
         let removed = walk_runs(
             &routing,
             inner.children.window(),
@@ -170,8 +174,9 @@ where
             0,
             out,
             m,
-            &|router, child, run, flags| {
+            &|router, (child, keys), run, flags| {
                 let removed = remove_from(child, &batch[run], flags, m);
+                *keys -= removed;
                 if removed > 0
                     && (child.is_empty() || router.is_some_and(|min| min != child.min_key()))
                 {
@@ -180,7 +185,6 @@ where
                 removed
             },
         );
-        inner.children.recount(touched, -(removed as isize));
         inner.len -= removed;
         if removed > 0 {
             refresh_after_removal(inner, stale.into_inner(), m);
@@ -195,10 +199,12 @@ where
 /// Hands every run of `batch` — the node's keys from `base` on, with their
 /// slice of `out` — to the child it routes to, in order, and sums what
 /// `op` returns.  A sub-batch of [`SEQ_BATCH_LEN`] keys or more is first
-/// split at a child boundary and its halves forked, each walking its own
-/// part of `window`.  `op` gets the router recording the child's minimum
-/// (`None` for the first child), the child's slot, the run's range of the
-/// node's batch, and the run's slice of `out`.
+/// split between two of `window`'s chunks and its halves forked, each
+/// walking its own part of `window`; one that falls under a single chunk
+/// walks its runs in turn.  `op` gets the router recording the child's
+/// minimum (`None` for the first child), the child's slot with its
+/// chunk's key count, the run's range of the node's batch, and the run's
+/// slice of `out`.
 fn walk_runs<K, V, Op>(
     routing: &Routing<'_, K>,
     mut window: Window<'_, K, V>,
@@ -211,11 +217,12 @@ fn walk_runs<K, V, Op>(
 where
     K: InterpolateKey + Clone + Send + Sync,
     V: Clone + Send + Sync,
-    Op: Fn(Option<&K>, &mut Arc<Node<K, V>>, Range<usize>, &mut [bool]) -> usize + Sync,
+    Op: Fn(Option<&K>, (&mut Arc<Node<K, V>>, &mut usize), Range<usize>, &mut [bool]) -> usize
+        + Sync,
 {
     if batch.len() >= SEQ_BATCH_LEN {
-        if let Some(at) = routing.split_point(batch) {
-            let (left, right) = window.split_at(routing.child(&batch[at]), m);
+        if let Some(at) = routing.split_point(batch, window.width()) {
+            let (left, right) = window.split_at(routing.child(&batch[at]));
             let (batch_left, batch_right) = batch.split_at(at);
             let (out_left, out_right) = out.split_at_mut(at);
             let (a, b) = forkjoin::join(
