@@ -135,15 +135,6 @@ impl fmt::Display for BatchError {
 
 impl std::error::Error for BatchError {}
 
-/// Checks that `keys` is strictly increasing, naming the first violation.
-fn check_strictly_increasing<K: Ord>(keys: &[K]) -> Result<(), BatchError> {
-    match keys.windows(2).position(|w| w[0] >= w[1]) {
-        None => Ok(()),
-        Some(index) if keys[index] == keys[index + 1] => Err(BatchError::Duplicate { index }),
-        Some(index) => Err(BatchError::OutOfOrder { index }),
-    }
-}
-
 impl<K: Ord> Batch<K> {
     /// Builds a batch from arbitrary keys: sorts (unstable — keys are plain
     /// `Ord` values, there is no tie order to preserve) and deduplicates.
@@ -161,8 +152,8 @@ impl<K: Ord> Batch<K> {
     /// Returns [`BatchError::Duplicate`] at the first adjacent pair that is
     /// equal, or [`BatchError::OutOfOrder`] at the first that decreases.
     pub fn from_sorted(keys: Vec<K>) -> Result<Batch<K>, BatchError> {
-        check_strictly_increasing(&keys)?;
-        Ok(Batch::from_keys(keys))
+        let vals = vec![(); keys.len()];
+        KvBatch::from_sorted_parts(keys, vals)
     }
 
     /// Pairs already-validated keys with their (non-allocating) unit values.
@@ -206,9 +197,30 @@ impl<K: Ord, V> KvBatch<K, V> {
     /// first offending adjacent key pair (same contract as
     /// [`Batch::from_sorted`]).
     pub fn from_sorted_entries(entries: Vec<(K, V)>) -> Result<KvBatch<K, V>, BatchError> {
-        let (keys, vals): (Vec<K>, Vec<V>) = entries.into_iter().unzip();
-        check_strictly_increasing(&keys)?;
-        Ok(KvBatch { keys, vals })
+        let (keys, vals) = entries.into_iter().unzip();
+        KvBatch::from_sorted_parts(keys, vals)
+    }
+
+    /// Wraps parallel key and value vectors — the inverse of
+    /// [`KvBatch::into_parts`] — after verifying with one linear scan that
+    /// the keys strictly increase.  This is the one place that check is
+    /// made: [`Batch::from_sorted`] and [`KvBatch::from_sorted_entries`]
+    /// call it.
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`Batch::from_sorted`].
+    ///
+    /// # Panics
+    ///
+    /// When `keys` and `vals` differ in length.
+    pub fn from_sorted_parts(keys: Vec<K>, vals: Vec<V>) -> Result<KvBatch<K, V>, BatchError> {
+        assert_eq!(keys.len(), vals.len(), "a value for every key");
+        match keys.windows(2).position(|w| w[0] >= w[1]) {
+            None => Ok(KvBatch { keys, vals }),
+            Some(index) if keys[index] == keys[index + 1] => Err(BatchError::Duplicate { index }),
+            Some(index) => Err(BatchError::OutOfOrder { index }),
+        }
     }
 }
 
@@ -795,6 +807,20 @@ mod tests {
             KvBatch::from_sorted_entries(vec![(2u64, 'x'), (1, 'y')]),
             Err(BatchError::OutOfOrder { index: 0 })
         );
+        // The parts constructor is `into_parts` undone, with the same check.
+        let batch = KvBatch::from_unsorted_entries(vec![(3u64, 'c'), (1, 'a')]);
+        let (keys, vals) = batch.clone().into_parts();
+        assert_eq!(KvBatch::from_sorted_parts(keys, vals), Ok(batch));
+        assert_eq!(
+            KvBatch::from_sorted_parts(vec![1u64, 3, 2], vec!['a', 'c', 'b']),
+            Err(BatchError::OutOfOrder { index: 1 })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "a value for every key")]
+    fn kv_batch_from_sorted_parts_needs_a_value_for_every_key() {
+        let _ = KvBatch::from_sorted_parts(vec![1u64, 2], vec!['a']);
     }
 
     #[test]

@@ -59,10 +59,14 @@
 //!   restarts empty — bounded disk, bounded recovery.
 //! * **Recover.**  [`DurableMap::open`] loads the highest-seq
 //!   `snap-*.snap` in the directory (if any; a leftover `.tmp` is never
-//!   read) and replays log records with seq above it, in segment-name
-//!   order, into a fresh backend: the directory listing is the only
-//!   index.  A torn final record — the signature of a crash mid-append —
-//!   ends replay cleanly and is truncated away; the new front-end's
+//!   read) as one batch, builds the backend from it, and replays the log
+//!   records with seq above it, in segment-name order, through that
+//!   backend — each record as the round it was, one batched insert or
+//!   remove, all on the store's pool: the directory listing is the only
+//!   index, and the backend's own write path the only one.  A torn final
+//!   record — the signature of a crash mid-append — ends replay cleanly
+//!   and is truncated away, and so does a checksum-valid record whose keys
+//!   do not strictly increase, which no round logs; the new front-end's
 //!   numbering resumes from the recovered high-water seq
 //!   ([`combine::Options::first_seq`]), so a later recovery replays the
 //!   continued history without seq collisions.
@@ -140,7 +144,6 @@ mod log;
 mod record;
 mod snapshot;
 
-use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -421,11 +424,13 @@ where
 {
     /// Opens (creating if absent) the durable store rooted at `dir`,
     /// recovering any existing history: load the highest-seq committed
-    /// snapshot, replay the log tail above it, truncate a torn final
-    /// record, and seed a fresh backend via `make_backend` (e.g.
-    /// `IstMap::from_batch`), which runs on `pool` — a large recovered
-    /// batch builds in parallel there — and the front-end then uses the
-    /// pool for large rounds.
+    /// snapshot, hand its contents to `make_backend` (e.g.
+    /// `IstMap::from_batch`), replay the log tail above it through the
+    /// backend's own batched writes, one per logged round, and truncate a
+    /// torn final record.  The build and the replay run on `pool`, in one
+    /// `install` — a large snapshot builds and a large round replays in
+    /// parallel there — and the front-end then uses the pool for large
+    /// rounds.
     ///
     /// # Errors
     ///
@@ -452,51 +457,56 @@ where
         let metrics = Metrics::new(&registry);
 
         // 1. The highest-seq committed snapshot, if one was ever taken.
-        let mut contents: BTreeMap<K, V> = BTreeMap::new();
-        let mut snap_seq = 0u64;
-        if let Some((seq, path)) = list_files(&dir, "snap-", ".snap")?.pop() {
-            let (keys, vals) = load_snapshot::<K, V>(&path, seq)?;
-            snap_seq = seq;
-            contents.extend(keys.into_iter().zip(vals));
-        }
+        let (snap_seq, snapshot) = match list_files(&dir, "snap-", ".snap")?.pop() {
+            Some((seq, path)) => (seq, load_snapshot::<K, V>(&path, seq)?),
+            None => (0, KvBatch::empty()),
+        };
         metrics.snapshot_seq.set_max(snap_seq);
 
-        // 2. Replay the log tail in segment-name (= append) order.  A
-        //    record seq that fails to strictly increase is treated like a
-        //    checksum failure: the valid log ends there.  A segment written
-        //    at other widths is an error, returned before anything below
-        //    can "heal" it.
+        // 2. On the pool, in one `install`: the backend, built from the
+        //    snapshot, then the log tail above it replayed through the
+        //    backend in segment-name (= append) order, each record as the
+        //    round it was — one batched insert or remove.  A record seq
+        //    that fails to strictly increase, or a replayed record whose
+        //    keys do, is treated like a checksum failure: the valid log
+        //    ends there.  A segment written at other widths is an error,
+        //    returned before anything below can "heal" it.
         let segments = list_files(&dir, "wal-", ".log")?;
         let magic = segment_magic::<K, V>();
         let mut max_seq = snap_seq;
-        let mut last_record_seq = 0u64;
         let mut replayed = 0u64;
         let mut tear: Option<(usize, u64)> = None;
-        for (i, (_, path)) in segments.iter().enumerate() {
-            let end = read_records::<K, V, _>(path, &magic, |record| {
-                if record.seq <= last_record_seq {
-                    return false;
-                }
-                last_record_seq = record.seq;
-                if record.seq > snap_seq {
-                    match record.kind {
-                        OpKind::Insert => contents.extend(record.keys.into_iter().zip(record.vals)),
-                        OpKind::Remove => {
-                            for key in &record.keys {
-                                contents.remove(key);
-                            }
-                        }
+        let backend = pool.install(|| -> io::Result<S> {
+            let mut backend = make_backend(snapshot);
+            let mut last_record_seq = 0u64;
+            for (i, (_, path)) in segments.iter().enumerate() {
+                let end = read_records::<K, V, _>(path, &magic, |record| {
+                    if record.seq <= last_record_seq {
+                        return false;
                     }
-                    max_seq = record.seq;
-                    replayed += 1;
+                    last_record_seq = record.seq;
+                    if record.seq > snap_seq {
+                        let replay = match record.kind {
+                            OpKind::Insert => KvBatch::from_sorted_parts(record.keys, record.vals)
+                                .map(|batch| backend.batch_insert(&batch)),
+                            OpKind::Remove => Batch::from_sorted(record.keys)
+                                .map(|batch| backend.batch_remove(&batch)),
+                        };
+                        if replay.is_err() {
+                            return false;
+                        }
+                        max_seq = record.seq;
+                        replayed += 1;
+                    }
+                    true
+                })?;
+                if let SegmentEnd::Torn(offset) = end {
+                    tear = Some((i, offset));
+                    break;
                 }
-                true
-            })?;
-            if let SegmentEnd::Torn(offset) = end {
-                tear = Some((i, offset));
-                break;
             }
-        }
+            Ok(backend)
+        })?;
 
         // 3. Heal a tear: truncate the damaged segment at the tear and
         //    delete everything appended after it — point-in-time recovery
@@ -527,12 +537,9 @@ where
         let log = SegmentLog::create(&dir, name, options.segment_bytes.max(1), magic)?;
         metrics.segments_created.inc();
 
-        // 5. The backend, from the recovered contents, behind a front-end
-        //    that commits its rounds to the WAL and whose round numbering
-        //    continues where the history left off.
-        let batch = KvBatch::from_sorted_entries(contents.into_iter().collect())
-            .expect("BTreeMap iterates strictly ascending");
-        let backend = pool.install(|| make_backend(batch));
+        // 5. The recovered backend, behind a front-end that commits its
+        //    rounds to the WAL and whose round numbering continues where
+        //    the history left off.
         metrics.appended_seq.set_max(max_seq);
         metrics.durable_seq.set_max(max_seq);
         let shared = Arc::new(Shared {
@@ -769,6 +776,7 @@ impl<K, V, S> Drop for DurableMap<K, V, S> {
 mod tests {
     use super::*;
     use pbist::IstMap;
+    use std::collections::BTreeMap;
     use std::fmt::Debug;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::thread;
@@ -815,6 +823,7 @@ mod tests {
         segment_rotation_keeps_every_record,
         concurrent_writers_recover_exactly,
         sequence_numbering_continues_across_reopen,
+        a_record_with_unsorted_keys_ends_the_valid_log,
     );
 
     type Store<K, V> = DurableMap<K, V, IstMap<K, V>>;
@@ -1496,6 +1505,45 @@ mod tests {
             .expect("a misnamed snapshot must not open");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A checksum-valid record whose keys do not strictly increase is no
+    /// round the store could have logged, and replaying it would hand the
+    /// backend an unsorted batch: it ends the valid log like a tear, at
+    /// either kind, and the records after it go with it.
+    fn a_record_with_unsorted_keys_ends_the_valid_log<V: Val>() {
+        for kind in [OpKind::Insert, OpKind::Remove] {
+            let dir = scratch_dir("unsorted-record");
+            let store = open::<V>(&dir, DurableOptions::default());
+            for key in 1..=6u64 {
+                store.upsert(key, V::of(key, 0)).unwrap();
+            }
+            let seq = store.metrics().counter("durable.appended_seq").unwrap();
+            let prefix = store.inner().snapshot_entries();
+            store.close().unwrap();
+
+            // Mid-segment: the planted record, then a sound one after it.
+            let (_, segment) = list_files(&dir, "wal-", ".log").unwrap().pop().unwrap();
+            let mut wal = std::fs::read(&segment).unwrap();
+            let valid_len = wal.len() as u64;
+            let (keys, vals) = ([5u64, 3, 7], [V::of(5, 1), V::of(3, 1), V::of(7, 1)]);
+            encode_record(seq + 1, kind, &keys, Some(&vals), 0..2, &mut wal);
+            encode_record(seq + 2, OpKind::Insert, &keys, Some(&vals), 2..3, &mut wal);
+            std::fs::write(&segment, &wal).unwrap();
+
+            for torn_tails in [1, 0] {
+                let store = open::<V>(&dir, DurableOptions::default());
+                let torn = store.metrics().counter("durable.torn_tails");
+                assert_eq!(torn, Some(torn_tails), "{kind:?}");
+                let appended = store.metrics().counter("durable.appended_seq");
+                assert_eq!(appended, Some(seq), "{kind:?}: recovery stopped before it");
+                assert_eq!(store.inner().snapshot_entries(), prefix, "{kind:?}");
+                let healed = std::fs::metadata(&segment).unwrap().len();
+                assert_eq!(healed, valid_len, "{kind:?}: cut before the record");
+                drop(store);
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
     }
 
     /// `make_backend` runs on the pool `open` is given, so the forks of a

@@ -35,7 +35,7 @@ use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
-use batchapi::KeyCodec;
+use batchapi::{KeyCodec, KvBatch};
 use combine::OpKind;
 
 use crate::log::{read_records, stamped_magic, sync_dir, SegmentEnd};
@@ -89,15 +89,14 @@ pub(crate) fn write_snapshot<K: KeyCodec, V: KeyCodec>(
 }
 
 /// Loads and verifies the snapshot at `path`, which its name says was
-/// taken at `seq`, returning `(keys, vals)` with `vals` parallel to the
-/// strictly-ascending `keys`.  Anything else — a damaged record, a
-/// missing end mark, a remove record, keys out of order, a record seq
-/// other than `seq` (the file is not the snapshot its name claims) — is
-/// `InvalidData`.
+/// taken at `seq`, returning its entries as one batch.  Anything else — a
+/// damaged record, a missing end mark, a remove record, keys out of order,
+/// a record seq other than `seq` (the file is not the snapshot its name
+/// claims) — is `InvalidData`.
 pub(crate) fn load_snapshot<K: KeyCodec + Ord, V: KeyCodec>(
     path: &Path,
     seq: u64,
-) -> io::Result<(Vec<K>, Vec<V>)> {
+) -> io::Result<KvBatch<K, V>> {
     let (mut keys, mut vals, mut closed) = (Vec::new(), Vec::new(), false);
     let end = read_records::<K, V, _>(path, &snap_magic::<K, V>(), |record| {
         let sound = record.seq == seq && record.kind == OpKind::Insert && !closed;
@@ -106,17 +105,21 @@ pub(crate) fn load_snapshot<K: KeyCodec + Ord, V: KeyCodec>(
         vals.extend(record.vals);
         sound
     })?;
-    let sorted = keys.windows(2).all(|pair| pair[0] < pair[1]);
-    if end != SegmentEnd::Clean || !closed || !sorted {
-        return Err(io::Error::new(
+    // Only a file of insert records closed by the end mark has a value for
+    // every key, so the batch is built after that check, never before.
+    let batch = match end {
+        SegmentEnd::Clean if closed => KvBatch::from_sorted_parts(keys, vals).ok(),
+        _ => None,
+    };
+    batch.ok_or_else(|| {
+        io::Error::new(
             io::ErrorKind::InvalidData,
             format!(
                 "{} is not a sound snapshot taken at seq {seq}",
                 path.display()
             ),
-        ));
-    }
-    Ok((keys, vals))
+        )
+    })
 }
 
 /// Deletes every `snap-*` entry in `dir` except `keep`: the superseded
@@ -161,7 +164,7 @@ mod tests {
         write_snapshot(&dir, 41, &keys, &vals).unwrap();
         let path = snapshot_path(&dir, 41);
         let loaded = load_snapshot::<u64, u64>(&path, 41).unwrap();
-        assert_eq!(loaded, (keys.clone(), vals));
+        assert_eq!(loaded.into_parts(), (keys.clone(), vals));
         assert!(
             !path.with_extension("tmp").exists(),
             "the commit renamed it"
@@ -174,7 +177,7 @@ mod tests {
         // The header, one record of 4 keys, the end mark.
         assert_eq!(len as usize, 8 + (12 + 13 + keys.len() * 8) + (12 + 13));
         let loaded = load_snapshot::<u64, ()>(&path, 42).unwrap();
-        assert_eq!(loaded, (keys, units));
+        assert_eq!(loaded.into_parts(), (keys, units));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -183,7 +186,7 @@ mod tests {
         let dir = scratch_dir("empty");
         write_snapshot::<u64, ()>(&dir, 0, &[], &[]).unwrap();
         let loaded = load_snapshot::<u64, ()>(&snapshot_path(&dir, 0), 0).unwrap();
-        assert_eq!(loaded, (vec![], vec![]));
+        assert_eq!(loaded.into_parts(), (vec![], vec![]));
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -226,7 +229,7 @@ mod tests {
         }
         let path = snapshot_path(&dir, 1);
         fs::write(&path, &buf).unwrap();
-        let loaded = load_snapshot::<u64, ()>(&path, 1).map(|(keys, _)| keys);
+        let loaded = load_snapshot::<u64, ()>(&path, 1).map(|batch| batch.into_parts().0);
         fs::remove_dir_all(&dir).unwrap();
         loaded
     }
@@ -305,7 +308,7 @@ mod tests {
             "two records and the end mark"
         );
         let loaded = load_snapshot::<u64, ()>(&path, 8).unwrap();
-        assert_eq!(loaded, (keys, units));
+        assert_eq!(loaded.into_parts(), (keys, units));
         fs::remove_dir_all(&dir).unwrap();
     }
 

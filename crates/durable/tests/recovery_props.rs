@@ -19,6 +19,10 @@
 //!    A flipped byte of the committed snapshot must refuse to open with
 //!    `InvalidData` — never panic, and never silently fall back to an
 //!    emptier state.
+//!
+//! The grid's batches are small, so none of its replayed rounds forks;
+//! one more oracle case replays batches large enough to fork on a
+//! two-worker pool, with a snapshot part-way and a torn tail.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -67,6 +71,7 @@ at_both_value_types!(
     flipping_any_wal_byte_recovers_the_prefix_before_the_damage,
     an_oversized_record_appends_whole_to_one_fresh_segment,
     flipping_any_manifest_or_snapshot_byte_refuses_to_open,
+    a_replay_of_forking_rounds_recovers_the_oracle,
 );
 
 static DIR_ID: AtomicU64 = AtomicU64::new(0);
@@ -484,4 +489,143 @@ fn flipping_any_manifest_or_snapshot_byte_refuses_to_open<V: Val>() {
     drop(set);
     fs::remove_dir_all(&dir).unwrap();
     fs::remove_dir_all(&base).unwrap();
+}
+
+/// Keys of the forking-replay case: large enough that its batches spread
+/// over many chunks of the tree's root.
+const LARGE_UNIVERSE: u64 = 20_000;
+
+/// Opens `dir` on a two-worker pool with metrics on, so the reopened
+/// store's `pool_metrics()` count the joins its recovery made.
+fn open_forking<V: Val>(dir: &Path) -> Store<V> {
+    let pool = Pool::builder()
+        .num_threads(2)
+        .metrics(true)
+        .build()
+        .expect("pool");
+    DurableMap::open(dir, pool, DurableOptions::default(), |batch| {
+        IstMap::from_batch(&batch)
+    })
+    .expect("open durable store")
+}
+
+/// Writes round `step` to the store and the oracle alike: an insert batch
+/// of every `2..=8`th key, a remove batch of every `4..=32`th (at least
+/// 625 keys either way, above the tree's 512-key fork cutoff), or 16 point
+/// writes, by turns.
+fn write_forking_round<V: Val>(
+    store: &Store<V>,
+    oracle: &mut BTreeMap<u64, V>,
+    rng: &mut Rng,
+    step: u64,
+) {
+    let strided = |rng: &mut Rng, lo: u64, hi: u64| {
+        let stride = lo + rng.next() % (hi - lo + 1);
+        (rng.next() % stride..LARGE_UNIVERSE)
+            .step_by(stride as usize)
+            .collect::<Vec<u64>>()
+    };
+    match step % 3 {
+        0 => {
+            let keys = strided(rng, 2, 8);
+            let expect: Vec<bool> = keys
+                .iter()
+                .map(|&k| oracle.insert(k, V::of(k, step)).is_none())
+                .collect();
+            let pairs = keys.iter().map(|&k| (k, V::of(k, step))).collect();
+            let batch = KvBatch::from_sorted_entries(pairs).expect("strided keys ascend");
+            let got = store.batch_insert(&batch).expect("batch_insert");
+            assert_eq!(got, expect, "batch insert at step {step}");
+        }
+        1 => {
+            let keys = strided(rng, 4, 32);
+            let expect: Vec<bool> = keys.iter().map(|k| oracle.remove(k).is_some()).collect();
+            let batch = Batch::from_sorted(keys).expect("strided keys ascend");
+            let got = store.batch_remove(&batch).expect("batch_remove");
+            assert_eq!(got, expect, "batch remove at step {step}");
+        }
+        _ => {
+            for _ in 0..16 {
+                let key = rng.next() % LARGE_UNIVERSE;
+                if rng.next().is_multiple_of(2) {
+                    let got = store.upsert(key, V::of(key, step)).expect("upsert");
+                    assert_eq!(got, oracle.insert(key, V::of(key, step)).is_none());
+                } else {
+                    let got = store.remove(&key).expect("remove");
+                    assert_eq!(got, oracle.remove(&key).is_some());
+                }
+            }
+        }
+    }
+}
+
+/// The recovered store holds exactly the oracle's entries, in a tree that
+/// passes its own invariant check.
+fn check_recovered<V: Val>(store: &Store<V>, oracle: &BTreeMap<u64, V>, what: &str) {
+    assert_eq!(
+        contents(store),
+        entries(oracle),
+        "{what}: diverged from the oracle"
+    );
+    if let Err(err) = store.inner().read_snapshot().view().check_invariants() {
+        panic!("{what}: the recovered tree is broken: {err}");
+    }
+}
+
+/// Recovery replays each logged round through the tree's own batched
+/// writes, so a replayed batch of ≥ 512 keys forks there as it did when
+/// it was written.  Rounds of both kinds and point writes, a snapshot
+/// part-way and a torn final record must recover equal to a `BTreeMap`
+/// replay, every time.
+fn a_replay_of_forking_rounds_recovers_the_oracle<V: Val>() {
+    let dir = scratch_dir("forking-replay");
+    let mut rng = Rng(0x5EED_F04C);
+    let mut oracle: BTreeMap<u64, V> = BTreeMap::new();
+    let mut store = open_forking::<V>(&dir);
+    for step in 0..9 {
+        write_forking_round(&store, &mut oracle, &mut rng, step);
+    }
+    store.close().expect("close");
+    // No snapshot yet, so `make_backend` builds an empty tree: every join
+    // the reopened pool has counted is the replay's.
+    store = open_forking::<V>(&dir);
+    let joins = store.inner().pool_metrics().join_latency.count();
+    assert!(joins > 0, "no replayed round forked");
+    check_recovered(&store, &oracle, "log only");
+
+    for step in 9..15 {
+        write_forking_round(&store, &mut oracle, &mut rng, step);
+    }
+    store.snapshot().expect("snapshot");
+    for step in 15..21 {
+        write_forking_round(&store, &mut oracle, &mut rng, step);
+    }
+    store.close().expect("close");
+    store = open_forking::<V>(&dir);
+    check_recovered(&store, &oracle, "snapshot and log");
+
+    // Cut the last round's record in half: the state before it recovers.
+    for step in 21..27 {
+        write_forking_round(&store, &mut oracle, &mut rng, step);
+    }
+    let before = oracle.clone();
+    let (segment, valid_len) = wal_segments(&dir).pop().expect("an active segment");
+    write_forking_round(&store, &mut oracle, &mut rng, 27);
+    store.close().expect("close");
+    let (last, len) = wal_segments(&dir).pop().expect("an active segment");
+    assert_eq!(last, segment, "the last record landed in the same segment");
+    fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join(&segment))
+        .and_then(|file| file.set_len((valid_len + len) / 2))
+        .expect("tear the last record");
+    for torn_tails in [1, 0] {
+        let store = open_forking::<V>(&dir);
+        assert_eq!(
+            store.metrics().counter("durable.torn_tails"),
+            Some(torn_tails)
+        );
+        check_recovered(&store, &before, "a torn tail");
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }

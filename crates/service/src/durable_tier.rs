@@ -79,7 +79,8 @@ where
     /// `options`, a pool built by `make_pool(i)` (pools are per shard —
     /// a shard's combiner must never block on another shard's workers),
     /// and a backend built by `make_backend` (called once per shard with
-    /// that shard's recovered contents, on that shard's pool).
+    /// the contents of that shard's snapshot, on that shard's pool, which
+    /// then replays the shard's log tail through the backend).
     ///
     /// # Errors
     ///
