@@ -2,7 +2,9 @@
 //! allocator, counted.  A point write runs the batch recursion on a batch
 //! of one; this is the guard that it is served as a point — no per-level
 //! scratch — and that a batched lookup allocates its answers and nothing
-//! per node.
+//! per node.  The same count through the concurrent front-end guards that
+//! its read path — a stripe drawn, a read guard, a counter — adds nothing
+//! to a point read, and its publish only the snapshot's `Arc` to a write.
 //!
 //! An integration test of its own so the counting `#[global_allocator]`
 //! wraps this binary alone.  Counts are per thread, so the harness's other
@@ -12,6 +14,8 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use batchapi::{Batch, BatchedMap, BatchedSet, MapView};
+use combine::ConcurrentSet;
+use forkjoin::Pool;
 use pbist::IstSet;
 
 /// `System`, counting this thread's `alloc` and `realloc` calls.
@@ -157,4 +161,42 @@ fn point_operations_allocate_like_points() {
         shared_insert <= 0.25,
         "shared batch_insert: {shared_insert} allocations per key"
     );
+}
+
+#[test]
+fn front_end_point_operations_allocate_like_the_tree() {
+    const N: u64 = 1_000_000;
+    const OPS: usize = 10_000;
+    let tree = IstSet::from_sorted((0..N).map(|i| i * 2).collect());
+    let set = ConcurrentSet::new(tree, Pool::new(1).unwrap());
+    let ranks = |seed, odd| -> Vec<u64> {
+        let ranks = workloads::uniform_keys(seed, OPS, 0..N);
+        ranks.into_iter().map(|rank| rank * 2 + odd).collect()
+    };
+
+    // Counted from this thread's first read on, which draws its stripe.
+    let reads = ranks(0xF20E7, 0)
+        .into_iter()
+        .chain(ranks(0xF20E8, 1))
+        .collect::<Vec<_>>();
+    let contains = allocations_per(reads.len(), || {
+        assert_eq!(reads.iter().filter(|&key| set.contains(key)).count(), OPS);
+    });
+
+    // Each write is a round: the tree's point write under the live clone
+    // the last round published, then the new snapshot's `Arc`.  The old
+    // version is freed on this thread, which counts no frees.
+    let (fresh, present) = (ranks(0xF20E9, 1), ranks(0xF20EA, 0));
+    let write = allocations_per(2 * OPS, || {
+        for (new, old) in fresh.iter().zip(&present) {
+            set.insert(*new);
+            set.remove(old);
+        }
+    });
+    set.into_inner().check_invariants().unwrap();
+
+    println!("front-end allocations per op: contains {contains}, point write {write}");
+    assert_eq!(contains, 0.0, "a front-end point read allocates");
+    // The tree's shared point write (at most 5, see above) and the `Arc`.
+    assert!(write <= 6.0, "front-end point write: {write} allocations");
 }

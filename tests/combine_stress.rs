@@ -32,8 +32,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt::Debug;
 use std::ops::Bound;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::thread;
 
 mod common;
@@ -42,7 +42,7 @@ use common::{write_kind, Answer, BombSet, History, Read};
 use batchapi::{Batch, KvBatch, MapView};
 use combine::{
     ConcurrentMap, ConcurrentSet, OpKind as CombinedOp, Options, ReadSnapshot, Round, RoundLog,
-    POOL_CUTOFF,
+    POOL_CUTOFF, READ_STRIPES,
 };
 use forkjoin::Pool;
 use pbist::{IstMap, IstSet};
@@ -489,6 +489,122 @@ fn snapshot_reads_satisfy_the_staleness_contract() {
     for read in reads.iter().flatten() {
         history.check(read, "staleness contract");
     }
+}
+
+/// A seq mark relayed from reader to reader, across the snapshot's
+/// stripes: a publish swaps every stripe before it releases any, so a mark
+/// one reader observed bounds what any other reader sees next.
+///
+/// One writer commits point rounds (upserts of fresh values, every third
+/// op a remove) while `READ_STRIPES + 1` readers stand in a ring, each
+/// handing the seq of every snapshot it reads to the next through an
+/// `AtomicU64`.  The readers make their first reads one after another, so
+/// they draw consecutive stripes — every stripe serves one of them and one
+/// stripe two — unless a thread of another test draws in between, which
+/// only moves who shares.  Each reader checks that the mark it was handed
+/// bounds its next `committed_seq()` and `read_snapshot().seq()` from
+/// below, and every snapshot's `get` is replayed against the round log at
+/// exactly the snapshot's seq.
+#[test]
+fn a_seq_mark_relayed_across_stripes_bounds_the_next_read() {
+    const READERS: usize = READ_STRIPES + 1;
+    const KEYS: u64 = 64;
+    const ROUNDS: u64 = 20_000;
+    /// Reads a reader records for the replay; past it, it goes on
+    /// checking the marks alone until the writer is done.
+    const RECORDED: usize = 100_000;
+    let initial: BTreeMap<u64, u64> = (0..KEYS).map(|k| (k, 0)).collect();
+    let map: Logged<u64> = ConcurrentMap::with_sink(
+        IstMap::from_sorted_entries(initial.clone().into_iter().collect()),
+        Pool::new(1).unwrap(),
+        Options::default(),
+        RoundLog::default(),
+    );
+    let relay: Vec<AtomicU64> = (0..READERS).map(|_| AtomicU64::new(0)).collect();
+    let writing = AtomicBool::new(true);
+
+    let reads: Vec<(u64, Vec<Read<u64>>)> = thread::scope(|s| {
+        let (map, relay, writing) = (&map, &relay, &writing);
+        let writer = s.spawn(move || {
+            let wrote = catch_unwind(AssertUnwindSafe(|| {
+                for round in 1..=ROUNDS {
+                    let key = round * 7 % KEYS;
+                    if round % 3 == 0 {
+                        map.remove(&key);
+                    } else {
+                        map.upsert(key, round);
+                    }
+                }
+            }));
+            // The readers stop however the writer ends.
+            writing.store(false, Ordering::SeqCst);
+            wrote.unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        });
+        let readers: Vec<_> = (0..READERS)
+            .map(|r| {
+                let (drawn, drew) = mpsc::channel();
+                let reader = s.spawn(move || {
+                    // This thread's first read draws its stripe.
+                    map.committed_seq();
+                    drawn.send(()).unwrap();
+                    let mut recorded = Vec::new();
+                    let mut i = 0u64;
+                    while writing.load(Ordering::SeqCst) {
+                        let handed = relay[r].load(Ordering::SeqCst);
+                        let committed = map.committed_seq();
+                        assert!(
+                            committed >= handed,
+                            "reader {r}: committed_seq {committed} is below the relayed mark \
+                             {handed}"
+                        );
+                        let snap = map.read_snapshot();
+                        assert!(
+                            snap.seq() >= handed,
+                            "reader {r}: read_snapshot seq {} is below the relayed mark {handed}",
+                            snap.seq()
+                        );
+                        if recorded.len() < RECORDED {
+                            let key = (i * 5 + r as u64) % KEYS;
+                            recorded.push(Read {
+                                key,
+                                answer: Answer::Value(snap.view().get(&key)),
+                                acked: 0,
+                                lo: snap.seq(),
+                                hi: snap.seq(),
+                            });
+                        }
+                        relay[(r + 1) % READERS].store(snap.seq(), Ordering::SeqCst);
+                        i += 1;
+                    }
+                    (i, recorded)
+                });
+                // The next reader draws after this one has.
+                drew.recv().unwrap();
+                reader
+            })
+            .collect();
+        writer.join().unwrap();
+        readers.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+
+    let mut history = History::new(initial);
+    for round in &map.take_rounds() {
+        history.apply(round);
+    }
+    let (keys, vals) = map.into_inner().collect_entries();
+    assert!(
+        keys.into_iter().zip(vals).eq(history.now.clone()),
+        "the store's contents are not the replay's"
+    );
+    for read in reads.iter().flat_map(|(_, recorded)| recorded) {
+        history.check(read, "relayed seq mark");
+    }
+    let total: u64 = reads.iter().map(|(made, _)| made).sum();
+    let recorded: usize = reads.iter().map(|(_, recorded)| recorded.len()).sum();
+    println!(
+        "relayed seq marks: {total} reads by {READERS} readers over {ROUNDS} rounds, \
+         {recorded} of them replayed"
+    );
 }
 
 /// One value read a client made right after one of its own upserts.
